@@ -46,7 +46,9 @@ let run_subject (subject : Generator.subject) : run =
   in
   let t0 = Unix.gettimeofday () in
   let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, props = Checkers.run_all prepared (Checkers.all ()) in
+  let results, props, _ =
+    Checkers.run_all_scheduled prepared (Checkers.all ())
+  in
   let wall_s = Unix.gettimeofday () -. t0 in
   let stats = Pipeline.stats prepared props in
   { subject; results; stats; wall_s }
@@ -154,7 +156,9 @@ let table2 () =
       track_null = true }
   in
   let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, _ = Checkers.run_all prepared [ Checkers.null () ] in
+  let results, _, _ =
+    Checkers.run_all_scheduled prepared [ Checkers.null () ]
+  in
   let reports = Option.value ~default:[] (List.assoc_opt "null" results) in
   let sc =
     Scoring.score ~checker:"null" ~expected:subject.Generator.expected ~reports
@@ -238,7 +242,9 @@ let table4 ~fast () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let _, props = Checkers.run_all prepared (Checkers.all ()) in
+        let _, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         Pipeline.stats prepared props
       in
       let with_cache = go ~cache_enabled:true "wc" in
@@ -448,7 +454,9 @@ let prefilter () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
+        let results, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         let dt = Unix.gettimeofday () -. t0 in
         (Pipeline.stats prepared props, results, dt)
       in
@@ -519,7 +527,9 @@ let summaries () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
+        let results, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         let dt = Unix.gettimeofday () -. t0 in
         (Pipeline.stats prepared props, results, dt)
       in
@@ -636,7 +646,9 @@ let alias () =
         let prepared =
           Pipeline.prepare ~config ~workdir subject.Generator.program
         in
-        let results, props = Checkers.run_all prepared (Checkers.all ()) in
+        let results, props, _ =
+          Checkers.run_all_scheduled prepared (Checkers.all ())
+        in
         let dt = Unix.gettimeofday () -. t0 in
         (Pipeline.stats prepared props, results, dt)
       in
@@ -718,7 +730,9 @@ let ablation () =
       let prepared =
         Pipeline.prepare ~config ~workdir subject.Generator.program
       in
-      let results, props = Checkers.run_all prepared (Checkers.all ()) in
+      let results, props, _ =
+        Checkers.run_all_scheduled prepared (Checkers.all ())
+      in
       let dt = Unix.gettimeofday () -. t0 in
       let stats = Pipeline.stats prepared props in
       let tp = ref 0 and fn = ref 0 in
@@ -794,8 +808,8 @@ let ablation () =
           in
           (* typestate checkers only: the exception walk does its own
              feasibility checking independent of the engine flag *)
-          let results, _ =
-            Checkers.run_all prepared
+          let results, _, _ =
+            Checkers.run_all_scheduled prepared
               [ Checkers.io (); Checkers.lock (); Checkers.socket () ]
           in
           let tp = ref 0 and fp = ref 0 and fn = ref 0 in
@@ -836,7 +850,9 @@ let ablation () =
       in
       let t0 = Unix.gettimeofday () in
       let prepared = Pipeline.prepare ~config ~workdir hdfs.Generator.program in
-      let results, _ = Checkers.run_all prepared (Checkers.all ()) in
+      let results, _, _ =
+        Checkers.run_all_scheduled prepared (Checkers.all ())
+      in
       let dt = Unix.gettimeofday () -. t0 in
       let warnings =
         List.fold_left (fun a (_, rs) -> a + List.length rs) 0 results
@@ -893,7 +909,9 @@ let faults () =
             let prepared =
               Pipeline.prepare ~config ~workdir subject.Generator.program
             in
-            let results, props = Checkers.run_all prepared (Checkers.all ()) in
+            let results, props, _ =
+              Checkers.run_all_scheduled prepared (Checkers.all ())
+            in
             let dt = Unix.gettimeofday () -. t0 in
             (signature results, Pipeline.stats prepared props, dt))
       in
@@ -972,7 +990,7 @@ let scaling ~fast () =
              scheduler does not touch *)
           let t0 = Unix.gettimeofday () in
           let results, _, _ =
-            Checkers.run_all_scheduled ~workers prepared checkers
+            Checkers.run_all_scheduled prepared checkers
           in
           let dt = Unix.gettimeofday () -. t0 in
           let sg = signature results in
@@ -1289,7 +1307,7 @@ let dsl_checkers () =
     let prepared =
       Pipeline.prepare ~config ~workdir subject.Generator.program
     in
-    let results, props = Checkers.run_all prepared [ c ] in
+    let results, props, _ = Checkers.run_all_scheduled prepared [ c ] in
     let dt = Unix.gettimeofday () -. t0 in
     let stats = Pipeline.stats prepared props in
     let reports =

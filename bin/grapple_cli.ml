@@ -190,13 +190,6 @@ let workers_arg =
                  interrupted at any count can be $(b,--resume)d at any \
                  other")
 
-let admission_budget_arg =
-  Arg.(value & opt int 0
-       & info [ "admission-budget" ] ~docv:"N"
-           ~doc:"cap on the summed size estimates of checking instances \
-                 running concurrently (0 = unlimited); bounds the peak \
-                 footprint of a parallel run")
-
 let shard_procs_arg =
   Arg.(value & opt (some int) None
        & info [ "shard-procs" ] ~docv:"N"
@@ -246,7 +239,7 @@ let check_cmd =
   let run file checkers specs unroll paths trace_out metrics_out json no_prefilter
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
       instance_budget edge_budget max_retries fault_plan smt_budget workers_opt
-      admission_budget shard_procs_opt heartbeat_ms max_redispatch
+      shard_procs_opt heartbeat_ms max_redispatch
       shard_deadline shard_kill_nth =
     let shard_procs =
       match shard_procs_opt with
@@ -344,7 +337,6 @@ let check_cmd =
             instance_edge_budget = edge_budget;
             resume = resume_opt <> None;
             workers;
-            admission_budget;
             shard_procs;
             heartbeat_ms;
             max_redispatch;
@@ -455,7 +447,7 @@ let check_cmd =
           $ resume_arg
           $ instance_budget_arg $ edge_budget_arg $ max_retries_arg
           $ fault_plan_arg $ smt_budget_arg $ workers_arg
-          $ admission_budget_arg $ shard_procs_arg $ heartbeat_ms_arg
+          $ shard_procs_arg $ heartbeat_ms_arg
           $ max_redispatch_arg $ shard_deadline_arg $ shard_kill_nth_arg)
 
 let interproc_arg =

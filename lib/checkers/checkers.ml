@@ -99,39 +99,13 @@ let exception_walk opts p =
   Obs.Trace.with_span ~cat:"checker" "checker.exception_walk" (fun () ->
       Exception_checker.run ~opts p)
 
-(* Run one checker against a prepared program; returns its warnings. *)
-let run (p : Pipeline.prepared) (c : t) : Report.t list =
-  Report.dedup_exact
-    (match c.kind with
-    | `Typestate fsm -> (Pipeline.check_property p fsm).Pipeline.reports
-    | `Exception_walk opts -> exception_walk opts p)
-
-(* Run every checker, reusing the shared phase-1 results; returns per-checker
-   warnings plus the property results needed for statistics. *)
-let run_all (p : Pipeline.prepared) (cs : t list) :
-    (string * Report.t list) list * Pipeline.property_result list =
-  let props = ref [] in
-  let out =
-    List.map
-      (fun c ->
-        match c.kind with
-        | `Typestate fsm ->
-            let pr = Pipeline.check_property p fsm in
-            props := pr :: !props;
-            (c.name, Report.dedup_exact pr.Pipeline.reports)
-        | `Exception_walk opts ->
-            (c.name, Report.dedup_exact (exception_walk opts p)))
-      cs
-  in
-  (out, List.rev !props)
-
-(* [run_all] through the parallel instance scheduler: the typestate
-   checkers become one scheduled batch (`--workers N` worker domains), the
-   exception walk — cheap, engine-free — runs in the calling domain.  The
-   per-checker output and property results come back in [cs] order, so the
-   rendered report is byte-identical to [run_all] and to any other worker
-   count. *)
-let run_all_scheduled ?workers (p : Pipeline.prepared) (cs : t list) :
+(* Run every checker, reusing the shared phase-1 results: the typestate
+   checkers become one scheduled batch (see [Pipeline.check_properties]; at
+   one worker it runs in the calling domain), the exception walk — cheap,
+   engine-free — runs in the calling domain.  The per-checker warnings and
+   the property results needed for statistics come back in [cs] order, so
+   the rendered report is byte-identical at any worker or process count. *)
+let run_all_scheduled (p : Pipeline.prepared) (cs : t list) :
     (string * Report.t list) list
     * Pipeline.property_result list
     * Pipeline.schedule_entry list =
@@ -141,7 +115,7 @@ let run_all_scheduled ?workers (p : Pipeline.prepared) (cs : t list) :
         match c.kind with `Typestate f -> Some f | `Exception_walk _ -> None)
       cs
   in
-  let props, schedule = Pipeline.check_properties ?workers p fsms in
+  let props, schedule = Pipeline.check_properties p fsms in
   let rec assemble cs props =
     match cs with
     | [] -> []

@@ -74,13 +74,6 @@ type config = {
          ([check_properties]); 1 runs the instances in the calling domain.
          Whatever the count, the scheduler produces byte-identical reports
          and counters *)
-  admission_budget : int;
-      (* cap on the summed size estimates ([estimate_instance] units) of
-         checking instances running concurrently; 0 = unlimited.  Bounds the
-         peak memory/disk footprint of a parallel run: the largest instances
-         are kept from running simultaneously.  An instance is always
-         admitted when nothing else is in flight, so progress never
-         starves *)
   shard_procs : int;
       (* worker *processes* for the phase-2/3 instances (ISSUE 8): 0 runs
          them in-process (on [workers] domains); N > 0 forks N crash-isolated
@@ -125,7 +118,6 @@ let default_config ~workdir =
     instance_edge_budget = 0;
     resume = false;
     workers = 1;
-    admission_budget = 0;
     shard_procs = 0;
     heartbeat_ms = 100.;
     max_redispatch = 3;
@@ -224,6 +216,40 @@ let merge_acct (p : prepared) (a : acct) =
   p.faults.n_recovered <- p.faults.n_recovered + a.a_recovered;
   p.faults.n_inconclusive <- p.faults.n_inconclusive + a.a_inconclusive;
   p.faults.n_instance_injected <- p.faults.n_instance_injected + a.a_injected
+
+(* The one retry ladder, shared by the phase-1 alias run and every checking
+   instance.  Each attempt runs a fresh engine from [create]; the first
+   resumes from the checkpoint manifests only when [resume] says so, every
+   later one always does, so each attempt makes net progress.  A storage
+   fault that outlived the engine's own op-level retries, or budget
+   exhaustion, fails the attempt: its op-retry count is kept in [acct], and
+   the attempt is repeated after a deterministic backoff, up to
+   [max_retries] times.  Past the limit [past_limit] decides — phase 1
+   re-raises, an instance degrades.  Simulated crashes ([Faults.Crash]) are
+   deliberately not caught. *)
+let retry_ladder (config : config) ~(acct : acct) ~resume ~create ~op_retries
+    ~attempt ~past_limit =
+  let rec go n =
+    let e = create () in
+    match attempt e ~resume:(resume || n > 0) with
+    | r ->
+        if n > 0 then acct.a_recovered <- acct.a_recovered + 1;
+        r
+    | exception
+        ((Engine.Faults.Injected _ | Sys_error _ | Engine.Budget_exhausted _)
+         as exn) ->
+        acct.a_retried <- acct.a_retried + op_retries e;
+        if n >= config.max_retries then past_limit exn
+        else begin
+          acct.a_retried <- acct.a_retried + 1;
+          Unix.sleepf
+            (Engine.Faults.backoff_delay_s
+               ~seed:config.engine.Engine.retry_seed
+               ~base_ms:config.engine.Engine.retry_base_ms ~attempt:n);
+          go (n + 1)
+        end
+  in
+  go 0
 
 (* ---------------- phase 0 + 1 ---------------- *)
 
@@ -405,12 +431,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
               ~reaches:(fun ~meth ~var ->
                 Analysis.Pointsto.nonempty pt ~meth_id:meth_ids.(meth) ~var))
   in
-  let faults =
-    { n_retried = 0; n_recovered = 0; n_inconclusive = 0;
-      n_instance_injected = 0;
-      smt_budget_hits0 = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits;
-      faults_injected0 = Engine.Faults.injected_count () }
-  in
+  let smt_budget_hits0 = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
+  let faults_injected0 = Engine.Faults.injected_count () in
   let alias_workdir = Filename.concat config.workdir "alias" in
   let engine_config = { config.engine with Engine.workdir = alias_workdir } in
   let mk_alias_engine () =
@@ -426,57 +448,47 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
               ~enc:edge.Alias_graph.enc));
     e
   in
-  (* The shared phase-1 computation is supervised like a checking instance —
-     retried with backoff, each retry resuming from the engine's last
-     checkpoint — except that failure past the retry limit propagates:
+  (* The shared phase-1 computation climbs the same retry ladder as a
+     checking instance, except that failure past the retry limit propagates:
      without alias facts there is no instance left to degrade.  Collecting
      the flowsTo facts is part of the attempt (it re-reads the partitions,
      so it can hit the same faults as the run). *)
-  let rec run_alias attempt =
-    let e = mk_alias_engine () in
-    match
-      timed_span "phase1.alias_closure" comp (fun () ->
-          Alias_engine.run ~resume:(config.resume || attempt > 0) e);
-      (* collect flowsTo facts rooted at allocation sites: the in-memory
-         alias results phase 2 queries (§2.2) *)
-      let flows : Dataflow_graph.flows = Hashtbl.create 1024 in
-      let n_alias_pairs = ref 0 in
-      timed_span "phase1.collect_flows" comp (fun () ->
-          Alias_engine.iter_result_edges e (fun edge ->
-              match edge.Alias_engine.label with
-              | Pg.Flows_to -> (
-                  match Alias_graph.info alias_graph edge.Alias_engine.src with
-                  | Alias_graph.Obj_vertex _ ->
-                      incr n_alias_pairs;
-                      let cur =
-                        Option.value ~default:[]
-                          (Hashtbl.find_opt flows edge.Alias_engine.src)
-                      in
-                      Hashtbl.replace flows edge.Alias_engine.src
-                        ((edge.Alias_engine.dst, edge.Alias_engine.enc) :: cur)
-                  | Alias_graph.Var_vertex _ -> ())
-              | _ -> ()));
-      (flows, !n_alias_pairs)
-    with
-    | flows, n_alias_pairs ->
-        if attempt > 0 then faults.n_recovered <- faults.n_recovered + 1;
-        (e, flows, n_alias_pairs)
-    | exception ((Engine.Faults.Injected _ | Sys_error _
-                 | Engine.Budget_exhausted _) as exn) ->
-        (* keep the failed attempt's op-retry count in the run totals *)
-        faults.n_retried <-
-          faults.n_retried
-          + Engine.Metrics.count (Alias_engine.metrics e).Engine.Metrics.retries;
-        if attempt >= config.max_retries then raise exn
-        else begin
-          faults.n_retried <- faults.n_retried + 1;
-          Unix.sleepf
-            (Engine.backoff_delay_s ~seed:config.engine.Engine.retry_seed
-               ~base_ms:config.engine.Engine.retry_base_ms ~attempt);
-          run_alias (attempt + 1)
-        end
+  let alias_attempt e ~resume =
+    timed_span "phase1.alias_closure" comp (fun () ->
+        Alias_engine.run ~resume e);
+    (* collect flowsTo facts rooted at allocation sites: the in-memory
+       alias results phase 2 queries (§2.2) *)
+    let flows : Dataflow_graph.flows = Hashtbl.create 1024 in
+    let n_alias_pairs = ref 0 in
+    timed_span "phase1.collect_flows" comp (fun () ->
+        Alias_engine.iter_result_edges e (fun edge ->
+            match edge.Alias_engine.label with
+            | Pg.Flows_to -> (
+                match Alias_graph.info alias_graph edge.Alias_engine.src with
+                | Alias_graph.Obj_vertex _ ->
+                    incr n_alias_pairs;
+                    let cur =
+                      Option.value ~default:[]
+                        (Hashtbl.find_opt flows edge.Alias_engine.src)
+                    in
+                    Hashtbl.replace flows edge.Alias_engine.src
+                      ((edge.Alias_engine.dst, edge.Alias_engine.enc) :: cur)
+                | Alias_graph.Var_vertex _ -> ())
+            | _ -> ()));
+    (e, flows, !n_alias_pairs)
   in
-  let alias_engine, flows, n_alias_pairs = run_alias 0 in
+  let acct = fresh_acct () in
+  let alias_engine, flows, n_alias_pairs =
+    retry_ladder config ~acct ~resume:config.resume ~create:mk_alias_engine
+      ~op_retries:(fun e ->
+        Engine.Metrics.count (Alias_engine.metrics e).Engine.Metrics.retries)
+      ~attempt:alias_attempt ~past_limit:raise
+  in
+  let faults =
+    { n_retried = acct.a_retried; n_recovered = acct.a_recovered;
+      n_inconclusive = 0; n_instance_injected = 0; smt_budget_hits0;
+      faults_injected0 }
+  in
   timing.preprocess_s <- !pre;
   timing.compute_s <- !comp;
   (* weakened-escape hook: keep the exclusions but lose the local re-check *)
@@ -490,14 +502,14 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
 
 (* ---------------- phases 2 and 3 for one property ---------------- *)
 
-(* What a shard worker reports about its instance in place of live engine
-   state (which cannot cross the process boundary): the scalar totals
-   [stats] needs plus the engine's full metric registry — plain data, so
-   the whole record marshals. *)
-type shard_summary = {
+(* What a finished instance leaves behind in place of its engine: the
+   scalar totals [stats] needs plus the engine's full metric registry.
+   Plain data, so it crosses the shard-process boundary as it is; the same
+   record comes back from a domain or a worker process. *)
+type instance_summary = {
   sm_vertices : int;     (* dataflow-graph vertices *)
   sm_seed_edges : int;
-  sm_total_edges : int;  (* exact, counted by the worker before exit *)
+  sm_total_edges : int;  (* exact, counted before the engine is dropped *)
   sm_partitions : int;
   sm_metrics : Obs.Registry.t;
 }
@@ -508,10 +520,7 @@ type property_result = {
   degraded : string option;
       (* [Some reason] when the supervisor gave up on this instance; its
          only report is the matching [Inconclusive] entry *)
-  dataflow_engine : Dataflow_engine.t option;  (* [None] when degraded *)
-  dataflow_graph : Dataflow_graph.t option;
-  summary : shard_summary option;
-      (* present when the instance ran in a shard worker process *)
+  summary : instance_summary option;  (* [None] only when degraded *)
 }
 
 let context_strings (p : prepared) inst =
@@ -621,17 +630,26 @@ let inconclusive_result (fsm : Fsm.t) (reason : string) : property_result =
           witness = [];
           trace = [] } ];
     degraded = Some reason;
-    dataflow_engine = None;
-    dataflow_graph = None;
     summary = None }
 
-(* Best-effort removal of a degraded instance's partition files: nothing
-   will resume from them, and the workdir may be long-lived. *)
+(* An instance's private workdir: its partitions and checkpoint manifest. *)
+let instance_workdir (p : prepared) (fsm : Fsm.t) =
+  Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name)
+
+(* Best-effort removal of an instance's partition files, by workdir name:
+   the engine that wrote them may live in another process, or be gone. *)
 let sweep_instance_workdir dir =
   if Sys.file_exists dir && Sys.is_directory dir then
     Array.iter
       (fun f -> try Sys.remove (Filename.concat dir f) with Sys_error _ -> ())
       (Sys.readdir dir)
+
+(* Give up on an instance, whichever executor lost it: nothing will resume
+   from its partition files, and its only report is [Inconclusive]. *)
+let degrade (p : prepared) (fsm : Fsm.t) ~(acct : acct) reason =
+  sweep_instance_workdir (instance_workdir p fsm);
+  acct.a_inconclusive <- acct.a_inconclusive + 1;
+  inconclusive_result fsm reason
 
 (* Per-instance engine configuration: the pipeline-level budgets override
    the engine defaults when set. *)
@@ -645,18 +663,14 @@ let instance_engine_config (config : config) ~workdir : Engine.config =
       (if config.instance_budget_s > 0. then config.instance_budget_s
        else config.engine.Engine.wall_budget_s) }
 
-(* One attempt at phases 2 and 3 for one property; raises on storage faults
-   that survived the engine's op-level retries and on budget exhaustion.
-   All accounting goes to [acct] — never to [p] — so the attempt can run on
-   a worker domain without sharing mutable state with its siblings. *)
-let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
-    property_result =
-  let comp = ref 0. and chk = ref 0. in
+(* A fresh phase-2 engine for one attempt, seeded from the property's
+   dataflow graph. *)
+let instance_engine (p : prepared) (fsm : Fsm.t) ~comp =
   let dg =
     timed_span "phase2.dataflow_graph" comp (fun () ->
         Dataflow_graph.build p.icfet p.clones p.alias_graph p.flows fsm)
   in
-  let workdir = Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name) in
+  let workdir = instance_workdir p fsm in
   let engine_config = instance_engine_config p.config ~workdir in
   let engine =
     Dataflow_engine.create ~config:engine_config
@@ -669,16 +683,14 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
         ~dst:s.Dataflow_graph.dst ~label:s.Dataflow_graph.label
         ~enc:s.Dataflow_graph.enc)
     (Dataflow_graph.seeds dg);
-  (try
-     timed_span "phase2.dataflow_closure" comp (fun () ->
-         Dataflow_engine.run ~resume engine)
-   with exn ->
-     (* keep the failed attempt's op-retry count in the run totals *)
-     acct.a_retried <-
-       acct.a_retried
-       + Engine.Metrics.count
-           (Dataflow_engine.metrics engine).Engine.Metrics.retries;
-     raise exn);
+  (dg, engine)
+
+(* One attempt at phases 2 and 3 for one property; raises on storage faults
+   that survived the engine's op-level retries and on budget exhaustion. *)
+let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
+    (dg, engine) ~resume : Report.t list =
+  timed_span "phase2.dataflow_closure" comp (fun () ->
+      Dataflow_engine.run ~resume engine);
   (* phase 3: interpret Track edges against the FSM *)
   let registry = Dataflow_graph.registry dg in
   let by_source = Hashtbl.create 64 in
@@ -746,90 +758,139 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~(acct : acct) ~resume :
               (fun rep -> reports := rep :: !reports)
               (prefiltered_reports fsm r))
         p.prefiltered);
+  Report.dedup (List.rev !reports)
+
+(* Phases 2 and 3 for one property on the retry ladder.  All accounting
+   goes to [acct] — never to [p] — so the instance can run on a worker
+   domain or in a worker process without sharing mutable state with its
+   siblings.  [resume_first]: the very first attempt already resumes from
+   the instance's checkpoint manifest — a shard worker re-dispatched after
+   its predecessor died continues that predecessor's work. *)
+let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
+    ~(acct : acct) =
+  let comp = ref 0. and chk = ref 0. in
+  let outcome =
+    retry_ladder p.config ~acct ~resume:(p.config.resume || resume_first)
+      ~create:(fun () -> instance_engine p fsm ~comp)
+      ~op_retries:(fun (_, e) ->
+        Engine.Metrics.count
+          (Dataflow_engine.metrics e).Engine.Metrics.retries)
+      ~attempt:(fun inst ~resume ->
+        Ok (attempt_property p fsm ~comp ~chk inst ~resume, inst))
+      ~past_limit:(function
+        | Engine.Faults.Injected r | Sys_error r | Engine.Budget_exhausted r ->
+            Error r
+        | exn -> Error (Printexc.to_string exn))
+  in
   acct.a_compute_s <- acct.a_compute_s +. !comp;
   acct.a_check_s <- acct.a_check_s +. !chk;
-  { fsm; reports = Report.dedup (List.rev !reports); degraded = None;
-    dataflow_engine = Some engine; dataflow_graph = Some dg; summary = None }
+  outcome
 
-(* Phases 2 and 3 for one property, supervised: on a storage fault that
-   outlived the engine's own op-level retries, or on budget exhaustion, the
-   instance is restarted with deterministic exponential backoff — resuming
-   from its last checkpoint, so each attempt makes net progress — up to
-   [max_retries] times, after which it degrades to an [Inconclusive] report
-   instead of aborting the run.  Simulated crashes ([Faults.Crash]) are
-   deliberately not caught. *)
-let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
-    ~(acct : acct) : property_result =
-  (* [resume_first]: the very first attempt already resumes from the
-     instance's checkpoint manifest — a shard worker re-dispatched after its
-     predecessor died continues that predecessor's work *)
-  let rec go attempt =
-    match
-      attempt_property p fsm ~acct
-        ~resume:(p.config.resume || resume_first || attempt > 0)
-    with
-    | r ->
-        if attempt > 0 then acct.a_recovered <- acct.a_recovered + 1;
-        r
-    | exception ((Engine.Faults.Injected _ | Sys_error _
-                 | Engine.Budget_exhausted _) as exn) ->
-        let reason =
-          match exn with
-          | Engine.Faults.Injected r | Sys_error r -> r
-          | Engine.Budget_exhausted r -> r
-          | _ -> Printexc.to_string exn
-        in
-        if attempt < p.config.max_retries then begin
-          acct.a_retried <- acct.a_retried + 1;
-          Unix.sleepf
-            (Engine.backoff_delay_s ~seed:p.config.engine.Engine.retry_seed
-               ~base_ms:p.config.engine.Engine.retry_base_ms ~attempt);
-          go (attempt + 1)
-        end
-        else begin
-          acct.a_inconclusive <- acct.a_inconclusive + 1;
-          sweep_instance_workdir
-            (Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name));
-          inconclusive_result fsm reason
-        end
-  in
-  go 0
+(* The fault plan an instance runs under. *)
+type instance_plan =
+  | Ambient  (* the calling domain's plan, as installed *)
+  | Derived of Engine.Faults.plan option
+      (* a private stream derived from this base plan ([None]: no faults),
+         salted with the instance's name *)
 
-let check_property (p : prepared) (fsm : Fsm.t) : property_result =
+(* The one instance body, whatever executes it.  It installs the
+   instance's plan and storage scope, climbs the retry ladder, and reduces
+   the engine to an [instance_summary] with the plan suspended: the
+   summary's partition reload must not fault, since the plan has done its
+   deterministic work for this instance by now.  Returns the result and
+   the instance's account, for the caller to merge. *)
+let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~plan :
+    property_result * acct =
   let acct = fresh_acct () in
-  let r = supervise p fsm ~acct in
+  let saved = Engine.Faults.current () in
+  let install = function
+    | Some pl -> Engine.Faults.install pl
+    | None -> Engine.Faults.clear ()
+  in
+  let active =
+    match plan with
+    | Ambient -> saved
+    | Derived base ->
+        Option.map
+          (fun b ->
+            Engine.Faults.derive b
+              ~salt:(Engine.Faults.salt_of_string fsm.Fsm.name))
+          base
+  in
+  install active;
+  Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
+  Fun.protect
+    ~finally:(fun () ->
+      Engine.Faults.set_scope None;
+      install saved)
+  @@ fun () ->
+  let outcome = supervise ?resume_first p fsm ~acct in
+  (* a derived plan's faults never reach the calling domain's
+     [injected_count]; the account carries them *)
+  (match (plan, active) with
+  | Derived _, Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
+  | _ -> ());
+  Engine.Faults.clear ();
+  let r =
+    match outcome with
+    | Error reason -> degrade p fsm ~acct reason
+    | Ok (reports, (dg, e)) ->
+        (* [total_edges] first: it reloads partitions, and the metrics must
+           include that I/O *)
+        let total = Dataflow_engine.total_edges e in
+        let m = Dataflow_engine.metrics e in
+        { fsm; reports; degraded = None;
+          summary =
+            Some
+              { sm_vertices = Dataflow_graph.n_vertices dg;
+                sm_seed_edges = Dataflow_engine.n_seed_edges e;
+                sm_total_edges = total;
+                sm_partitions = Dataflow_engine.n_partitions e;
+                sm_metrics = Engine.Metrics.registry m } }
+  in
+  (r, acct)
+
+(* One instance under the ambient plan: the entry for callers checking a
+   single property outside the scheduler. *)
+let check_property (p : prepared) (fsm : Fsm.t) : property_result =
+  let r, acct = run_instance p fsm ~plan:Ambient in
   merge_acct p acct;
   r
 
-(* ---------------- parallel instance scheduler (ISSUE 4) ----------------
+(* ---------------- the instance scheduler ----------------
 
    Phases 2 and 3 are independent across properties: each checking instance
    owns its private workdir ([df-<name>]), engine, metrics, and retry
-   state, and only reads the shared phase-0/1 results.  The scheduler runs
-   one run's instances on a fixed pool of worker domains:
+   state, and only reads the shared phase-0/1 results.  The scheduler
+   orders one run's instances largest-estimated-first, so the long poles
+   start as early as possible, and runs every one through [run_instance]
+   under a fault plan *derived* from the run's, salted with the instance's
+   stable identity: its fault stream depends only on its own operation
+   history, never on where or alongside what it ran.  Accounts and schedule
+   entries are merged in canonical (input) order at the end.  Reports, fault
+   counters and statistics are therefore byte-identical whichever executor
+   ran the instances, at any worker or process count, and a crashed run's
+   checkpoints can be resumed by a run with any other executor.
 
-   - instances are queued largest-estimated-first so the long poles start
-     as early as possible;
-   - an optional admission budget bounds the summed estimates in flight,
-     keeping the biggest instances from peaking together;
-   - when a fault plan is installed, each instance runs under a plan
-     *derived* from it, salted with the instance's stable identity: its
-     fault stream depends only on its own operation history, never on how
-     instances interleave across workers;
-   - per-instance accounting is merged in canonical (input) order after
-     every worker has joined.
+   The only choice is the executor, made by [shard_procs]:
 
-   Reports, fault counters, and statistics are therefore byte-identical at
-   every worker count, and a crashed parallel run's checkpoints can be
-   resumed by a run with any other worker count.  Simulated crashes
-   ([Faults.Crash]) behave like a process kill: the pool stops pulling
-   work and the crash is re-raised once all workers have joined, with
-   nothing of the in-memory run surviving — exactly what [--resume] is
-   for. *)
+   - 0: a pool of [workers] domains pulling from a shared cursor over the
+     ordered instances (one worker runs in the calling domain).  A
+     simulated crash ([Faults.Crash]) behaves like a process kill: the pool
+     stops pulling work and the crash is re-raised once every worker has
+     joined, with nothing of the in-memory run surviving — exactly what
+     [--resume] is for.
+   - N > 0: [Engine.Supervisor] runs each dispatch in one of N forked worker
+     processes, so an instance that OOMs, segfaults, or wedges takes down
+     only its worker.  A lost instance is re-dispatched and resumes from its
+     checkpoint manifest; each dispatch re-derives the instance's plan from
+     scratch (fresh counters, same salt).  Past [max_redispatch] losses it
+     degrades to [Inconclusive], like budget exhaustion. *)
 
 type schedule_entry = {
   s_instance : string;  (* the FSM / checker name *)
-  s_worker : int;       (* worker slot that ran it *)
+  s_worker : int;       (* worker slot that ran it; -1: lost with its last
+                           worker process *)
   s_estimate : int;     (* size estimate that ordered the queue *)
   s_wall_s : float;     (* wall-clock of the instance on its worker *)
 }
@@ -860,114 +921,91 @@ let order_items (p : prepared) (fsms : Fsm.t list) =
          | 0 -> compare f1.Fsm.name f2.Fsm.name
          | c -> c)
 
-let check_properties_domains ?workers (p : prepared) (fsms : Fsm.t list) :
+let check_properties (p : prepared) (fsms : Fsm.t list) :
     property_result list * schedule_entry list =
-  let workers =
-    match workers with Some w -> max 1 w | None -> max 1 p.config.workers
+  let order = Array.of_list (order_items p fsms) in
+  let n = Array.length order in
+  (* captured in the calling domain, before any fork: every instance
+     derives from the same base *)
+  let base_plan = Engine.Faults.current () in
+  let finished = Array.make n None in  (* by input index *)
+  let instance ~worker k ~resume_first =
+    let _, fsm, est = order.(k) in
+    Obs.Trace.with_span ~cat:"scheduler"
+      ~args:[ ("instance", Obs.Trace.Str fsm.Fsm.name);
+              ("worker", Obs.Trace.Int worker);
+              ("estimate", Obs.Trace.Int est) ]
+      "scheduler.instance"
+      (fun () -> run_instance ~resume_first p fsm ~plan:(Derived base_plan))
   in
-  let n = List.length fsms in
-  if n = 0 then ([], [])
-  else begin
-    let queue = ref (order_items p fsms) in
-    let mu = Mutex.create () in
-    let cond = Condition.create () in
-    let in_flight = ref 0 in
-    let stop = Atomic.make false in
-    let results : property_result option array = Array.make n None in
-    let accts : acct option array = Array.make n None in
-    let entries : schedule_entry option array = Array.make n None in
-    let failure : exn option Atomic.t = Atomic.make None in
-    let budget = p.config.admission_budget in
-    let pop () =
-      Mutex.lock mu;
-      let rec go () =
-        if Atomic.get stop || !queue = [] then None
-        else
-          let fits (_, _, est) =
-            budget <= 0 || !in_flight = 0 || !in_flight + est <= budget
-          in
-          match List.find_opt fits !queue with
-          | Some ((_, _, est) as item) ->
-              queue := List.filter (fun x -> x != item) !queue;
-              in_flight := !in_flight + est;
-              Some item
-          | None ->
-              (* everything queued is over the admission budget right now:
-                 wait for a running instance to finish and retry *)
-              Condition.wait cond mu;
-              go ()
-      in
-      let r = go () in
-      Mutex.unlock mu;
-      r
+  let record k ~worker ~wall_s (r, acct) =
+    let idx, fsm, est = order.(k) in
+    finished.(idx) <-
+      Some
+        ( r,
+          acct,
+          { s_instance = fsm.Fsm.name; s_worker = worker; s_estimate = est;
+            s_wall_s = wall_s } )
+  in
+  if p.config.shard_procs > 0 then begin
+    let sup_config =
+      { Engine.Supervisor.default_config with
+        Engine.Supervisor.procs = p.config.shard_procs;
+        heartbeat_ms = p.config.heartbeat_ms;
+        deadline_s = p.config.shard_deadline_s;
+        max_redispatch = p.config.max_redispatch;
+        retry_seed = p.config.engine.Engine.retry_seed;
+        retry_base_ms = p.config.engine.Engine.retry_base_ms;
+        kill_nth = p.config.shard_kill_nth }
     in
-    let finished est =
-      Mutex.lock mu;
-      in_flight := !in_flight - est;
-      Condition.broadcast cond;
-      Mutex.unlock mu
+    (* runs inside the forked worker, which does not know its slot; its
+       trace spans stay in that process *)
+    let run_task ~task ~attempt =
+      Marshal.to_string
+        (instance ~worker:(-1) task ~resume_first:(attempt > 0))
+        []
     in
-    (* the base plan is captured in the calling domain; each instance runs
-       under a derived stream keyed to its own worker-independent identity *)
-    let base_plan = Engine.Faults.current () in
-    let run_instance ~slot (idx, fsm, est) =
+    let outcomes =
       Obs.Trace.with_span ~cat:"scheduler"
-        ~args:[ ("instance", Obs.Trace.Str fsm.Fsm.name);
-                ("worker", Obs.Trace.Int slot);
-                ("estimate", Obs.Trace.Int est) ]
-        "scheduler.instance"
-      @@ fun () ->
-      let t0 = Unix.gettimeofday () in
-      let acct = fresh_acct () in
-      let saved = Engine.Faults.current () in
-      let plan =
-        Option.map
-          (fun b ->
-            Engine.Faults.derive b
-              ~salt:(Engine.Faults.salt_of_string fsm.Fsm.name))
-          base_plan
-      in
-      (match plan with
-      | Some pl -> Engine.Faults.install pl
-      | None -> Engine.Faults.clear ());
-      Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
-      Fun.protect
-        ~finally:(fun () ->
-          Engine.Faults.set_scope None;
-          match saved with
-          | Some pl -> Engine.Faults.install pl
-          | None -> Engine.Faults.clear ())
+        ~args:[ ("procs", Obs.Trace.Int p.config.shard_procs);
+                ("instances", Obs.Trace.Int n) ]
+        "scheduler.shard"
         (fun () ->
-          let r = supervise p fsm ~acct in
-          (match plan with
-          | Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
-          | None -> ());
-          results.(idx) <- Some r;
-          accts.(idx) <- Some acct;
-          entries.(idx) <-
-            Some
-              { s_instance = fsm.Fsm.name; s_worker = slot; s_estimate = est;
-                s_wall_s = Unix.gettimeofday () -. t0 })
+          Engine.Supervisor.run ~reg:p.sup_reg ~config:sup_config
+            ~tasks:(Array.map (fun (_, f, _) -> f.Fsm.name) order)
+            ~run_task ())
     in
+    Array.iteri
+      (fun k -> function
+        | Engine.Supervisor.Completed { payload; slot; wall_s } ->
+            record k ~worker:slot ~wall_s (Marshal.from_string payload 0)
+        | Engine.Supervisor.Degraded reason ->
+            let _, fsm, _ = order.(k) in
+            let acct = fresh_acct () in
+            record k ~worker:(-1) ~wall_s:0. (degrade p fsm ~acct reason, acct))
+      outcomes
+  end
+  else begin
+    let next = Atomic.make 0 in
+    let failure : exn option Atomic.t = Atomic.make None in
     let worker slot =
       let rec loop () =
-        match pop () with
-        | None -> ()
-        | Some ((_, _, est) as item) -> (
-            match run_instance ~slot item with
-            | () ->
-                finished est;
-                loop ()
-            | exception exn ->
-                (* a simulated crash (or unexpected error) kills the run:
-                   record the first, stop the pool, wake any waiters *)
-                ignore (Atomic.compare_and_set failure None (Some exn));
-                Atomic.set stop true;
-                finished est)
+        let k = Atomic.fetch_and_add next 1 in
+        if k < n && Option.is_none (Atomic.get failure) then begin
+          let t0 = Unix.gettimeofday () in
+          match instance ~worker:slot k ~resume_first:false with
+          | r ->
+              record k ~worker:slot ~wall_s:(Unix.gettimeofday () -. t0) r;
+              loop ()
+          | exception exn ->
+              (* a simulated crash (or unexpected error) kills the run:
+                 record the first and stop the pool *)
+              ignore (Atomic.compare_and_set failure None (Some exn))
+        end
       in
       loop ()
     in
-    let pool = min workers n in
+    let pool = min (max 1 p.config.workers) n in
     if pool <= 1 then worker 0
     else begin
       (* the pool takes priority over the engines' own solver fan-out:
@@ -982,168 +1020,14 @@ let check_properties_domains ?workers (p : prepared) (fsms : Fsm.t list) :
               Engine.Domains.spawn (fun () -> worker slot))
           |> List.iter Domain.join)
     end;
-    (match Atomic.get failure with Some exn -> raise exn | None -> ());
-    (* merge the per-instance accounts in canonical order: float additions
-       happen in the same sequence at every worker count *)
-    for idx = 0 to n - 1 do
-      match accts.(idx) with
-      | Some a -> merge_acct p a
-      | None -> assert false
-    done;
-    ( List.init n (fun idx -> Option.get results.(idx)),
-      List.init n (fun idx -> Option.get entries.(idx)) )
-  end
-
-(* ---------------- supervised multi-process shard runtime (ISSUE 8) ----
-
-   The same instances, scheduled largest-estimated-first like the domain
-   pool, but each dispatch runs in a forked worker *process*: an instance
-   that OOMs, segfaults, or wedges takes down only its worker.  The
-   [Engine.Supervisor] kills and replaces dead/hung workers and re-dispatches
-   their in-flight instance, which resumes from the instance's checkpoint
-   manifest ([supervise ~resume_first]); past [max_redispatch] losses the
-   instance degrades to [Inconclusive], the same contract as budget
-   exhaustion.  Each dispatch attempt re-derives the instance's fault plan
-   from scratch (fresh counters, same salt), so its fault stream depends
-   only on its own operation history — reports are byte-identical at any
-   process count and any crash schedule.  Results return as marshalled
-   [shard_account] frames and are merged in canonical instance order. *)
-
-(* The frame a worker sends back for one completed instance. *)
-type shard_account = {
-  sa_reports : Report.t list;
-  sa_degraded : string option;
-  sa_acct : acct;
-  sa_summary : shard_summary option;
-}
-
-(* Runs inside the forked worker: one supervised instance attempt chain,
-   ending with the engine-state summary (computed while the engine is still
-   alive — it dies with the process). *)
-let run_shard_instance (p : prepared) (fsm : Fsm.t) ~base_plan ~attempt :
-    string =
-  let acct = fresh_acct () in
-  let plan =
-    Option.map
-      (fun b ->
-        Engine.Faults.derive b
-          ~salt:(Engine.Faults.salt_of_string fsm.Fsm.name))
-      base_plan
-  in
-  (match plan with
-  | Some pl -> Engine.Faults.install pl
-  | None -> Engine.Faults.clear ());
-  Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
-  let r = supervise ~resume_first:(attempt > 0) p fsm ~acct in
-  (match plan with
-  | Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
-  | None -> ());
-  (* the summary's partition reload must not fault: the plan has done its
-     deterministic work for this instance by now *)
-  Engine.Faults.set_scope None;
-  Engine.Faults.clear ();
-  let summary =
-    match r.dataflow_engine with
-    | None -> None
-    | Some e ->
-        (* [total_edges] first: it reloads partitions, matching the order
-           the in-process [stats] path reads them in *)
-        let total = Dataflow_engine.total_edges e in
-        let m = Dataflow_engine.metrics e in
-        Some
-          { sm_vertices =
-              Option.fold ~none:0 ~some:Dataflow_graph.n_vertices
-                r.dataflow_graph;
-            sm_seed_edges = Dataflow_engine.n_seed_edges e;
-            sm_total_edges = total;
-            sm_partitions = Dataflow_engine.n_partitions e;
-            sm_metrics = Engine.Metrics.registry m }
-  in
-  Marshal.to_string
-    { sa_reports = r.reports; sa_degraded = r.degraded; sa_acct = acct;
-      sa_summary = summary }
-    []
-
-let check_properties_shard (p : prepared) (fsms : Fsm.t list) :
-    property_result list * schedule_entry list =
-  let n = List.length fsms in
-  if n = 0 then ([], [])
-  else begin
-    let order = Array.of_list (order_items p fsms) in
-    (* captured before the fork: every worker derives from the same base *)
-    let base_plan = Engine.Faults.current () in
-    let sup_config =
-      { Engine.Supervisor.default_config with
-        Engine.Supervisor.procs = p.config.shard_procs;
-        heartbeat_ms = p.config.heartbeat_ms;
-        deadline_s = p.config.shard_deadline_s;
-        max_redispatch = p.config.max_redispatch;
-        retry_seed = p.config.engine.Engine.retry_seed;
-        retry_base_ms = p.config.engine.Engine.retry_base_ms;
-        kill_nth = p.config.shard_kill_nth }
-    in
-    let tasks = Array.map (fun (_, f, _) -> f.Fsm.name) order in
-    let run_task ~task ~attempt =
-      let _, fsm, _ = order.(task) in
-      run_shard_instance p fsm ~base_plan ~attempt
-    in
-    let outcomes =
-      Obs.Trace.with_span ~cat:"scheduler"
-        ~args:[ ("procs", Obs.Trace.Int p.config.shard_procs);
-                ("instances", Obs.Trace.Int n) ]
-        "scheduler.shard"
-        (fun () ->
-          Engine.Supervisor.run ~reg:p.sup_reg ~config:sup_config ~tasks
-            ~run_task ())
-    in
-    let results : property_result option array = Array.make n None in
-    let accts : acct option array = Array.make n None in
-    let entries : schedule_entry option array = Array.make n None in
-    Array.iteri
-      (fun k outcome ->
-        let idx, fsm, est = order.(k) in
-        match outcome with
-        | Engine.Supervisor.Completed { payload; slot; wall_s } ->
-            let (sa : shard_account) = Marshal.from_string payload 0 in
-            results.(idx) <-
-              Some
-                { fsm; reports = sa.sa_reports; degraded = sa.sa_degraded;
-                  dataflow_engine = None; dataflow_graph = None;
-                  summary = sa.sa_summary };
-            accts.(idx) <- Some sa.sa_acct;
-            entries.(idx) <-
-              Some
-                { s_instance = fsm.Fsm.name; s_worker = slot;
-                  s_estimate = est; s_wall_s = wall_s }
-        | Engine.Supervisor.Degraded reason ->
-            (* the instance lost [max_redispatch + 1] worker processes in a
-               row: degrade it exactly like budget exhaustion would *)
-            sweep_instance_workdir
-              (Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name));
-            let acct = fresh_acct () in
-            acct.a_inconclusive <- 1;
-            results.(idx) <- Some (inconclusive_result fsm reason);
-            accts.(idx) <- Some acct;
-            entries.(idx) <-
-              Some
-                { s_instance = fsm.Fsm.name; s_worker = -1; s_estimate = est;
-                  s_wall_s = 0. })
-      outcomes;
-    (* canonical-order merge, as in the domain scheduler: the aggregate is
-       independent of which worker ran what and of any crash schedule *)
-    for idx = 0 to n - 1 do
-      match accts.(idx) with
-      | Some a -> merge_acct p a
-      | None -> assert false
-    done;
-    ( List.init n (fun idx -> Option.get results.(idx)),
-      List.init n (fun idx -> Option.get entries.(idx)) )
-  end
-
-let check_properties ?workers (p : prepared) (fsms : Fsm.t list) :
-    property_result list * schedule_entry list =
-  if p.config.shard_procs > 0 then check_properties_shard p fsms
-  else check_properties_domains ?workers p fsms
+    Option.iter raise (Atomic.get failure)
+  end;
+  (* canonical-order merge: float additions happen in the same sequence
+     whichever executor ran what, and under any crash schedule *)
+  let finished = Array.to_list (Array.map Option.get finished) in
+  List.iter (fun (_, acct, _) -> merge_acct p acct) finished;
+  ( List.map (fun (r, _, _) -> r) finished,
+    List.map (fun (_, _, e) -> e) finished )
 
 (* ---------------- aggregate statistics (Tables 3-5, Figure 9) -------- *)
 
@@ -1198,52 +1082,29 @@ let combine_metrics (ms : Engine.Metrics.t list) : Engine.Metrics.t =
   out
 
 let stats (p : prepared) (props : property_result list) : stats =
-  let alias_m = Alias_engine.metrics p.alias_engine in
-  (* instances that ran in a shard worker carry no live engine/graph; their
-     totals and metric registry come from the worker's [shard_summary] *)
-  let df_ms =
-    List.filter_map
-      (fun pr ->
-        match pr.dataflow_engine with
-        | Some e -> Some (Dataflow_engine.metrics e)
-        | None ->
-            Option.map
-              (fun s -> Engine.Metrics.of_registry s.sm_metrics)
-              pr.summary)
-      props
-  in
-  let sum f = List.fold_left (fun acc pr -> acc + f pr) 0 props in
-  let sum_engines f g =
-    sum (fun pr ->
-        match (pr.dataflow_engine, pr.summary) with
-        | Some e, _ -> f e
-        | None, Some s -> g s
-        | None, None -> 0)
-  in
+  let summaries = List.filter_map (fun pr -> pr.summary) props in
+  let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
   let n_vertices =
-    Alias_graph.n_vertices p.alias_graph
-    + sum (fun pr ->
-          match (pr.dataflow_graph, pr.summary) with
-          | Some dg, _ -> Dataflow_graph.n_vertices dg
-          | None, Some s -> s.sm_vertices
-          | None, None -> 0)
+    Alias_graph.n_vertices p.alias_graph + sum (fun s -> s.sm_vertices)
   in
   let n_edges_before =
-    Alias_engine.n_seed_edges p.alias_engine
-    + sum_engines Dataflow_engine.n_seed_edges (fun s -> s.sm_seed_edges)
+    Alias_engine.n_seed_edges p.alias_engine + sum (fun s -> s.sm_seed_edges)
   in
   let n_edges_after =
-    Alias_engine.total_edges p.alias_engine
-    + sum_engines Dataflow_engine.total_edges (fun s -> s.sm_total_edges)
+    Alias_engine.total_edges p.alias_engine + sum (fun s -> s.sm_total_edges)
   in
   let n_partitions =
-    Alias_engine.n_partitions p.alias_engine
-    + sum_engines Dataflow_engine.n_partitions (fun s -> s.sm_partitions)
+    Alias_engine.n_partitions p.alias_engine + sum (fun s -> s.sm_partitions)
   in
-  (* combined last: [total_edges] above reloads partitions, and under an
-     active fault plan those loads can themselves be retried — summing the
-     metrics afterwards keeps such retries visible in [n_retried] *)
-  let m = combine_metrics (alias_m :: df_ms) in
+  (* combined last: the alias engine's [total_edges] above reloads
+     partitions, and under an active fault plan those loads can themselves
+     be retried — summing the metrics afterwards keeps such retries visible
+     in [n_retried] *)
+  let m =
+    combine_metrics
+      (Alias_engine.metrics p.alias_engine
+      :: List.map (fun s -> Engine.Metrics.of_registry s.sm_metrics) summaries)
+  in
   let count c = Engine.Metrics.count c in
   let n_retried = p.faults.n_retried + count m.Engine.Metrics.retries in
   let n_smt_budget_hits =
@@ -1321,14 +1182,4 @@ let check ?config ~workdir program fsms =
 
 let cleanup (p : prepared) (props : property_result list) =
   Alias_engine.cleanup p.alias_engine;
-  List.iter
-    (fun pr ->
-      match pr.dataflow_engine with
-      | Some e -> Dataflow_engine.cleanup e
-      | None ->
-          (* a shard instance's partition files outlive its worker process;
-             sweep its private workdir by name *)
-          if pr.summary <> None then
-            sweep_instance_workdir
-              (Filename.concat p.config.workdir ("df-" ^ pr.fsm.Fsm.name)))
-    props
+  List.iter (fun pr -> sweep_instance_workdir (instance_workdir p pr.fsm)) props

@@ -98,15 +98,6 @@ exception Budget_exhausted of string
    checkpoint manifest is durable and the run is resumable. *)
 exception Interrupted = Interrupt.Interrupted
 
-(* Deterministic backoff: [base * 2^attempt], scaled by a seeded jitter in
-   [1, 2) so concurrent instances don't retry in lockstep, yet a given
-   (seed, attempt) always sleeps the same amount. *)
-let backoff_delay_s ~seed ~base_ms ~attempt =
-  let jitter =
-    1. +. (float_of_int (Faults.mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
-  in
-  base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
-
 (* mkdir -p *)
 let rec ensure_dir dir =
   if dir <> "" && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -243,7 +234,7 @@ module Make (L : LABEL_LOGIC) = struct
             ~args:[ ("attempt", Obs.Trace.Int attempt) ]
             "storage.retry";
           Unix.sleepf
-            (backoff_delay_s ~seed:t.config.retry_seed
+            (Faults.backoff_delay_s ~seed:t.config.retry_seed
                ~base_ms:t.config.retry_base_ms ~attempt);
           go (attempt + 1)
         end

@@ -120,6 +120,17 @@ let mix3 a b c =
   let z = (z lxor (z lsr 13)) * 0x5EB2D8C1 in
   (z lxor (z lsr 16)) land 0x3FFFFFFF
 
+(* Deterministic retry backoff: [base * 2^attempt], scaled by a seeded
+   jitter in [1, 2) so concurrent instances don't retry in lockstep, yet a
+   given (seed, attempt) always sleeps the same amount.  Shared by the
+   engine's op-level retries, the pipeline's instance restarts, and the
+   shard supervisor's re-dispatches. *)
+let backoff_delay_s ~seed ~base_ms ~attempt =
+  let jitter =
+    1. +. (float_of_int (mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
+  in
+  base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
+
 (* A fresh plan with [base]'s directives, zeroed counters, and a seed mixed
    with [salt]: the per-instance plans of the parallel scheduler.  Keying
    the stream off a stable instance identity (not a worker slot) is what

@@ -51,14 +51,6 @@ type outcome =
   | Completed of { payload : string; slot : int; wall_s : float }
   | Degraded of string  (* deterministic reason, e.g. for a report *)
 
-(* Same shape as the engine's [backoff_delay_s] (not referenced directly:
-   the engine module sits above this one). *)
-let backoff_delay_s ~seed ~base_ms ~attempt =
-  let jitter =
-    1. +. (float_of_int (Faults.mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
-  in
-  base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
-
 type worker = {
   slot : int;
   pid : int;
@@ -149,6 +141,18 @@ let run ?reg ~(config : config) ~(tasks : string array)
       (try Unix.close w.to_w with Unix.Unix_error _ -> ());
       (try Unix.close w.from_w with Unix.Unix_error _ -> ())
     in
+    (* Give up on [task]: its [attempt]th dispatch was its last. *)
+    let degrade task attempt =
+      results.(task) <-
+        Some
+          (Degraded
+             (Printf.sprintf
+                "instance %s lost its worker process on %d consecutive \
+                 dispatches"
+                tasks.(task) (attempt + 1)));
+      incr n_done;
+      Obs.Registry.incr c_degraded
+    in
     (* Kill [w], re-queue its in-flight attempt (or degrade the task), and
        fork a replacement into the same slot when work remains. *)
     let handle_death (w : worker) now =
@@ -160,20 +164,10 @@ let run ?reg ~(config : config) ~(tasks : string array)
         "shard.kill";
       (match w.assigned with
       | Some (task, attempt, _) when results.(task) = None ->
-          if attempt >= config.max_redispatch then begin
-            results.(task) <-
-              Some
-                (Degraded
-                   (Printf.sprintf
-                      "instance %s lost its worker process on %d consecutive \
-                       dispatches"
-                      tasks.(task) (attempt + 1)));
-            incr n_done;
-            Obs.Registry.incr c_degraded
-          end
+          if attempt >= config.max_redispatch then degrade task attempt
           else begin
             let delay =
-              backoff_delay_s ~seed:config.retry_seed
+              Faults.backoff_delay_s ~seed:config.retry_seed
                 ~base_ms:config.retry_base_ms ~attempt
             in
             pending := (task, attempt + 1, now +. delay) :: !pending;
@@ -293,17 +287,7 @@ let run ?reg ~(config : config) ~(tasks : string array)
           if live () = [] && !n_done < n && !n_spawned >= spawn_cap then
             List.iter
               (fun (task, attempt, _) ->
-                if results.(task) = None then begin
-                  results.(task) <-
-                    Some
-                      (Degraded
-                         (Printf.sprintf
-                            "instance %s lost its worker process on %d \
-                             consecutive dispatches"
-                            tasks.(task) (attempt + 1)));
-                  incr n_done;
-                  Obs.Registry.incr c_degraded
-                end)
+                if results.(task) = None then degrade task attempt)
               !pending
         done);
     Array.map

@@ -228,7 +228,7 @@ let counters (s : Pipeline.stats) ~warnings =
    counters are stateful, so a differential comparison needs each run to
    start from the same plan state.  The ambient plan (e.g. the driver's
    GRAPPLE_FAULT_PLAN) is restored afterwards. *)
-let run ?(workers = 1) ?(admission_budget = 0) ?plan ?(resume = false)
+let run ?(workers = 1) ?plan ?(resume = false)
     ?workdir ?(throwers = []) program =
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
   let saved = Faults.current () in
@@ -245,7 +245,6 @@ let run ?(workers = 1) ?(admission_budget = 0) ?plan ?(resume = false)
       track_null = true;
       prefilter_properties = Checkers.fsms ();
       workers;
-      admission_budget;
       resume;
       engine =
         { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
@@ -349,14 +348,6 @@ let test_witness_ordering () =
     w;
   Alcotest.(check (list (pair string int))) "stable across calls" w
     (Pipeline.witness_of_constraint f)
-
-(* The admission budget serializes the largest instances but never changes
-   the output. *)
-let test_admission_budget () =
-  let program = generated ~seed:22 in
-  let base = run ~workers:1 program in
-  let out = run ~workers:default_workers ~admission_budget:1 program in
-  check_same ~what:"admission budget 1" base out
 
 (* The schedule covers exactly the typestate instances, once each. *)
 let test_schedule_entries () =
@@ -505,8 +496,6 @@ let suite =
       test_repeatability_same_count;
     Alcotest.test_case "determinism: witness ordering" `Quick
       test_witness_ordering;
-    Alcotest.test_case "determinism: admission budget" `Quick
-      test_admission_budget;
     Alcotest.test_case "schedule entries cover the instances" `Quick
       test_schedule_entries;
     Alcotest.test_case "stress: crash, isolation, resume" `Quick

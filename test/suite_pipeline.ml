@@ -30,7 +30,7 @@ let check_src ?(checkers = Checkers.all ()) ?(track_null = false)
       prefilter_properties }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let results, props = Checkers.run_all prepared checkers in
+  let results, props, _ = Checkers.run_all_scheduled prepared checkers in
   (prepared, results, props)
 
 let reports_of name results =

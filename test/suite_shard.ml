@@ -220,9 +220,10 @@ let test_shard_differential () =
           Suite_parallel.quickstart_src );
       ("gen11", Suite_parallel.generated ~seed:11) ]
 
-(* Under a 5% fault plan: warnings identical to the in-process run, and the
-   full counter set identical across shard process counts (each instance's
-   fault stream is derived from its own identity, never from placement). *)
+(* Under a 5% fault plan: reports and the full counter set identical to the
+   in-process run and across shard process counts (each instance's fault
+   stream is derived from its own identity, never from placement, and both
+   executors summarize an instance the same way). *)
 let test_shard_fault_plan_differential () =
   let program = Suite_parallel.generated ~seed:11 in
   let plan = "seed=9,rate=0.05" in
@@ -230,8 +231,7 @@ let test_shard_fault_plan_differential () =
   let shard1 = run_shard ~procs:1 ~plan program in
   Alcotest.(check bool) "plan actually fired in the workers" true
     (shard1.Suite_parallel.o_stats.Pipeline.n_faults_injected > 0);
-  Alcotest.(check string) "reports: shard p1 = in-process"
-    inproc.Suite_parallel.o_reports shard1.Suite_parallel.o_reports;
+  Suite_parallel.check_same ~what:"faulty in-process vs p1" inproc shard1;
   List.iter
     (fun procs ->
       let out = run_shard ~procs ~plan program in

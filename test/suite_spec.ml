@@ -180,7 +180,7 @@ let test_resolve_unknown_lists_available () =
 
 (* ---------------- pipeline harness ---------------- *)
 
-let prepare_and_run ?workers ~track_null (cs : Checkers.t list)
+let prepare_and_run ?(workers = 1) ~track_null (cs : Checkers.t list)
     (program : Jir.Ast.program) =
   let workdir = fresh_workdir () in
   let prefilter_properties =
@@ -196,10 +196,11 @@ let prepare_and_run ?workers ~track_null (cs : Checkers.t list)
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       track_null;
       prefilter = true;
-      prefilter_properties }
+      prefilter_properties;
+      workers }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let results, _, _ = Checkers.run_all_scheduled ?workers prepared cs in
+  let results, _, _ = Checkers.run_all_scheduled prepared cs in
   results
 
 (* the rendered report block, exactly what the CLI prints per checker *)

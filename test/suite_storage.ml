@@ -273,7 +273,9 @@ let run_corpus ~parts path =
           Engine.target_partitions = parts } }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let results, _props = Checkers.run_all prepared (Checkers.all ()) in
+  let results, _props, _ =
+    Checkers.run_all_scheduled prepared (Checkers.all ())
+  in
   let reports =
     List.concat_map
       (fun (name, rs) ->
