@@ -6,6 +6,11 @@
      dune exec bench/main.exe -- table2  -- a single experiment
      dune exec bench/main.exe -- fast    -- skip the slowest comparisons
 
+   Experiments run in the order of the table at the end of this file,
+   whatever order they are named in, and a sweep whose configurations
+   report different warnings makes the harness exit 1 once that
+   experiment finishes.
+
    Absolute numbers are not expected to match the paper (the subjects are
    scaled-down synthetic codebases); the *shapes* are: who finds what, the
    false-positive rate, cache hit rates, the cost breakdown, and the naive
@@ -21,56 +26,17 @@ let root_workdir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "grapple-bench-%d" (Unix.getpid ()))
 
+(* A workdir of its own for every engine the harness creates. *)
+let fresh_workdir =
+  let n = ref 0 in
+  fun () ->
+    incr n;
+    Filename.concat root_workdir (Printf.sprintf "run-%d" !n)
+
 let line = String.make 78 '-'
 
 let header title paper =
   Printf.printf "\n%s\n%s\n(paper: %s)\n%s\n" line title paper line
-
-(* ------------------------------------------------------------------ *)
-(* Shared subject runs: one pipeline execution feeds Tables 1-3 + Fig 9. *)
-(* ------------------------------------------------------------------ *)
-
-type run = {
-  subject : Generator.subject;
-  results : (string * Grapple.Report.t list) list;
-  stats : Pipeline.stats;
-  wall_s : float;
-}
-
-let run_subject (subject : Generator.subject) : run =
-  let name = subject.Generator.profile.Generator.name in
-  let workdir = Filename.concat root_workdir name in
-  let config =
-    { (Pipeline.default_config ~workdir) with
-      Pipeline.library_throwers = Checkers.Specs.library_throwers }
-  in
-  let t0 = Unix.gettimeofday () in
-  let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, props, _ =
-    Checkers.run_all_scheduled prepared (Checkers.all ())
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
-  let stats = Pipeline.stats prepared props in
-  { subject; results; stats; wall_s }
-
-let cached_runs : run list option ref = ref None
-
-let all_runs () =
-  match !cached_runs with
-  | Some rs -> rs
-  | None ->
-      Printf.printf "running the four subjects (shared by tables 1-3, fig 9)...\n%!";
-      let rs =
-        List.map
-          (fun s ->
-            let r = run_subject s in
-            Printf.printf "  %-12s done in %.1fs\n%!"
-              s.Generator.profile.Generator.name r.wall_s;
-            r)
-          (Generator.all_subjects ())
-      in
-      cached_runs := Some rs;
-      rs
 
 let hms seconds =
   let s = int_of_float seconds in
@@ -78,6 +44,151 @@ let hms seconds =
     Printf.sprintf "%02dh%02dm%02ds" (s / 3600) (s mod 3600 / 60) (s mod 60)
   else if s >= 60 then Printf.sprintf "%02dm%02ds" (s / 60) (s mod 60)
   else Printf.sprintf "%.1fs" seconds
+
+let name (s : Generator.subject) = s.Generator.profile.Generator.name
+
+(* The smallest subject alone under [fast], else all four. *)
+let subjects ~fast =
+  let all = Generator.all_subjects () in
+  if fast then [ List.hd all ] else all
+
+(* ------------------------------------------------------------------ *)
+(* The harness: [run] executes one pipeline configuration, and          *)
+(* [differential] sweeps several and compares their reports.            *)
+(* ------------------------------------------------------------------ *)
+
+type outcome = {
+  results : (string * Grapple.Report.t list) list;
+  stats : Pipeline.stats;
+  prepare_s : float;  (* phases 0/1 *)
+  check_s : float;  (* phases 2/3 *)
+}
+
+let wall o = o.prepare_s +. o.check_s
+
+let warns o = List.fold_left (fun n (_, rs) -> n + List.length rs) 0 o.results
+
+let config_of ~workdir tune =
+  tune
+    { (Pipeline.default_config ~workdir) with
+      Pipeline.library_throwers = Checkers.Specs.library_throwers }
+
+(* Prepare subject [s] under the default config as [tune] overrides it,
+   and check it with [checkers], all with the fault plan [plan] installed. *)
+let run ?(checkers = Checkers.all ()) ?plan (s : Generator.subject) tune =
+  let workdir = fresh_workdir () in
+  let config = config_of ~workdir tune in
+  Option.iter (fun p -> Engine.Faults.install (Engine.Faults.parse p)) plan;
+  Fun.protect ~finally:Engine.Faults.clear (fun () ->
+      let t0 = Unix.gettimeofday () in
+      let prepared = Pipeline.prepare ~config ~workdir s.Generator.program in
+      let t1 = Unix.gettimeofday () in
+      let results, props, _ = Checkers.run_all_scheduled prepared checkers in
+      let t2 = Unix.gettimeofday () in
+      { results;
+        stats = Pipeline.stats prepared props;
+        prepare_s = t1 -. t0;
+        check_s = t2 -. t1 })
+
+(* One configuration of a sweep: a row label, a config override and an
+   optional fault plan. *)
+type cell = {
+  label : string;
+  tune : Pipeline.config -> Pipeline.config;
+  plan : string option;
+}
+
+(* The off/on cells of a triage-tier toggle. *)
+let toggle set =
+  [ { label = "off"; tune = set false; plan = None };
+    { label = "on"; tune = set true; plan = None } ]
+
+let render_results results =
+  results
+  |> List.concat_map (fun (name, rs) ->
+         List.map (fun r -> name ^ " " ^ Grapple.Report.to_json r) rs)
+  |> String.concat "\n"
+
+(* Set by a sweep whose cells report different warnings; the harness
+   exits 1 once the experiment that set it finishes. *)
+let diverged = ref false
+
+(* Run every cell on every subject and print one row per pair, in order:
+   [columns subject cell outcome ~base] renders the row up to its last
+   column, "same", which says whether the cell's rendered reports are
+   byte-identical to those of the subject's first cell, [base].  Cells
+   that fork shard workers run first, with the domain budget capped at
+   one: OCaml 5 forbids fork in a process that has ever spawned a domain.
+   Returns the outcomes in row order. *)
+let differential ?checkers subjects cells columns =
+  let forks c =
+    (config_of ~workdir:root_workdir c.tune).Pipeline.shard_procs > 0
+  in
+  let outcomes = Hashtbl.create 16 in
+  let sweep keep =
+    List.iteri
+      (fun i s ->
+        List.iteri
+          (fun j c ->
+            if keep c then
+              Hashtbl.replace outcomes (i, j)
+                (run ?checkers ?plan:c.plan s c.tune))
+          cells)
+      subjects
+  in
+  Engine.Domains.set_cap 1;
+  Fun.protect
+    ~finally:(fun () -> Engine.Domains.set_cap Engine.Domains.default_cap)
+    (fun () -> sweep forks);
+  sweep (fun c -> not (forks c));
+  List.concat
+    (List.mapi
+       (fun i s ->
+         let base = Hashtbl.find outcomes (i, 0) in
+         let reports = render_results base.results in
+         List.mapi
+           (fun j c ->
+             let o = Hashtbl.find outcomes (i, j) in
+             let same = render_results o.results = reports in
+             if not same then diverged := true;
+             Printf.printf "%s %6s\n%!" (columns s c o ~base)
+               (if same then "yes" else "NO!");
+             o)
+           cells)
+       subjects)
+
+(* Ground-truth TP/FP/FN of [results], summed over its checkers. *)
+let score (subject : Generator.subject) results =
+  List.fold_left
+    (fun (tp, fp, fn) (checker, reports) ->
+      let s =
+        Scoring.score ~allow_empty:true ~checker
+          ~expected:subject.Generator.expected ~reports ()
+      in
+      (tp + s.Scoring.tp, fp + s.Scoring.fp, fn + s.Scoring.fn))
+    (0, 0, 0) results
+
+let edges_per_s (s : Pipeline.stats) =
+  if s.Pipeline.compute_s > 0. then
+    float_of_int s.Pipeline.edges_added /. s.Pipeline.compute_s
+  else 0.
+
+(* ------------------------------------------------------------------ *)
+(* Shared subject runs: one pipeline execution feeds Tables 1-3 + Fig 9. *)
+(* ------------------------------------------------------------------ *)
+
+(* The escape pre-filter gets no properties here, as when
+   BENCH_c80089d.json was recorded: CI compares edges/s against it. *)
+let shared_runs =
+  lazy
+    (Printf.printf
+       "running the four subjects (shared by tables 1-3, fig 9)...\n%!";
+     List.map
+       (fun s ->
+         let o = run s Fun.id in
+         Printf.printf "  %-12s done in %.1fs\n%!" (name s) (wall o);
+         (s, o))
+       (Generator.all_subjects ()))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: subject characteristics.                                    *)
@@ -90,8 +201,8 @@ let table1 () =
     "#Planted" "Description";
   List.iter
     (fun (s : Generator.subject) ->
-      Printf.printf "%-12s %8d %9d %9d  %s\n"
-        s.Generator.profile.Generator.name s.Generator.loc s.Generator.n_methods
+      Printf.printf "%-12s %8d %9d %9d  %s\n" (name s) s.Generator.loc
+        s.Generator.n_methods
         (List.length s.Generator.expected)
         s.Generator.profile.Generator.description)
     (Generator.all_subjects ());
@@ -111,27 +222,19 @@ let table2 () =
   Printf.printf " | %-10s\n" "total";
   let grand_tp = ref 0 and grand_fp = ref 0 and grand_fn = ref 0 in
   List.iter
-    (fun r ->
-      Printf.printf "%-12s" r.subject.Generator.profile.Generator.name;
-      let tot_tp = ref 0 and tot_fp = ref 0 in
+    (fun (s, o) ->
+      Printf.printf "%-12s" (name s);
       List.iter
-        (fun checker ->
-          let reports =
-            Option.value ~default:[] (List.assoc_opt checker r.results)
-          in
-          let s =
-            Scoring.score ~allow_empty:true ~checker
-              ~expected:r.subject.Generator.expected ~reports ()
-          in
-          tot_tp := !tot_tp + s.Scoring.tp;
-          tot_fp := !tot_fp + s.Scoring.fp;
-          grand_fn := !grand_fn + s.Scoring.fn;
-          Printf.printf " | TP%2d FP%2d" s.Scoring.tp s.Scoring.fp)
-        [ "io"; "lock"; "exception"; "socket" ];
-      grand_tp := !grand_tp + !tot_tp;
-      grand_fp := !grand_fp + !tot_fp;
-      Printf.printf " | TP%2d FP%2d\n" !tot_tp !tot_fp)
-    (all_runs ());
+        (fun result ->
+          let tp, fp, _ = score s [ result ] in
+          Printf.printf " | TP%2d FP%2d" tp fp)
+        o.results;
+      let tp, fp, fn = score s o.results in
+      grand_tp := !grand_tp + tp;
+      grand_fp := !grand_fp + fp;
+      grand_fn := !grand_fn + fn;
+      Printf.printf " | TP%2d FP%2d\n" tp fp)
+    (Lazy.force shared_runs);
   let fp_rate =
     if !grand_tp + !grand_fp = 0 then 0.
     else 100. *. float_of_int !grand_fp /. float_of_int (!grand_tp + !grand_fp)
@@ -149,20 +252,13 @@ let table2 () =
   header "Extension: null-dereference checker (minizk)"
     "not a paper column; evidence the system takes new FSM properties (S1.2)";
   let subject = List.hd (Generator.all_subjects ()) in
-  let workdir = Filename.concat root_workdir "ext-null" in
-  let config =
-    { (Pipeline.default_config ~workdir) with
-      Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      track_null = true }
+  let o =
+    run ~checkers:[ Checkers.null () ] subject (fun c ->
+        { c with Pipeline.track_null = true })
   in
-  let prepared = Pipeline.prepare ~config ~workdir subject.Generator.program in
-  let results, _, _ =
-    Checkers.run_all_scheduled prepared [ Checkers.null () ]
-  in
-  let reports = Option.value ~default:[] (List.assoc_opt "null" results) in
   let sc =
-    Scoring.score ~checker:"null" ~expected:subject.Generator.expected ~reports
-      ()
+    Scoring.score ~checker:"null" ~expected:subject.Generator.expected
+      ~reports:(List.concat_map snd o.results) ()
   in
   Printf.printf "null checker on minizk: TP=%d FP=%d FN=%d\n" sc.Scoring.tp
     sc.Scoring.fp sc.Scoring.fn
@@ -177,16 +273,15 @@ let table3 () =
   Printf.printf "%-12s %9s %9s %9s %9s %9s %9s\n" "Subject" "#V(K)" "#EB(K)"
     "#EA(K)" "PT" "CT" "TT";
   List.iter
-    (fun r ->
-      let s = r.stats in
-      Printf.printf "%-12s %9.1f %9.1f %9.1f %9s %9s %9s\n"
-        r.subject.Generator.profile.Generator.name
+    (fun (subject, o) ->
+      let s = o.stats in
+      Printf.printf "%-12s %9.1f %9.1f %9.1f %9s %9s %9s\n" (name subject)
         (float_of_int s.Pipeline.n_vertices /. 1000.)
         (float_of_int s.Pipeline.n_edges_before /. 1000.)
         (float_of_int s.Pipeline.n_edges_after /. 1000.)
         (hms s.Pipeline.preprocess_s)
-        (hms s.Pipeline.compute_s) (hms r.wall_s))
-    (all_runs ());
+        (hms s.Pipeline.compute_s) (hms (wall o)))
+    (Lazy.force shared_runs);
   print_endline
     "\nshape check: computation adds a large fraction of transitive edges\n\
      (#EA > #EB) and computation time dominates preprocessing."
@@ -201,16 +296,16 @@ let fig9 () =
   Printf.printf "%-12s %8s %12s %12s %12s\n" "Subject" "I/O" "Constraint"
     "SMT" "EdgeComp";
   List.iter
-    (fun r ->
-      let pct name =
-        match List.assoc_opt name r.stats.Pipeline.breakdown with
+    (fun (s, o) ->
+      let pct component =
+        match List.assoc_opt component o.stats.Pipeline.breakdown with
         | Some p -> p
         | None -> 0.
       in
-      Printf.printf "%-12s %7.1f%% %11.1f%% %11.1f%% %11.1f%%\n"
-        r.subject.Generator.profile.Generator.name (pct "I/O")
-        (pct "Constraint lookup") (pct "SMT solving") (pct "Edge computation"))
-    (all_runs ());
+      Printf.printf "%-12s %7.1f%% %11.1f%% %11.1f%% %11.1f%%\n" (name s)
+        (pct "I/O") (pct "Constraint lookup") (pct "SMT solving")
+        (pct "Edge computation"))
+    (Lazy.force shared_runs);
   print_endline
     "\nshape check: SMT solving and edge computation dominate; constraint\n\
      encoding/decoding is cheap thanks to the interval representation."
@@ -224,31 +319,17 @@ let table4 ~fast () =
     "hit rates 60-78%, caching saves 64-87% of solving time";
   Printf.printf "%-12s %10s %10s %7s %9s %9s %8s\n" "Subject" "#Lookups"
     "#Hits" "Rate" "TOC(s)" "TWC(s)" "Saving";
-  let subjects = Generator.all_subjects () in
-  let subjects = if fast then [ List.hd subjects ] else subjects in
   List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let go ~cache_enabled tag =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "t4-%s-%s" name tag)
+    (fun subject ->
+      let stats cache_enabled =
+        let cache c =
+          { c with
+            Pipeline.engine = { c.Pipeline.engine with Engine.cache_enabled } }
         in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            engine =
-              { (Engine.default_config ~workdir) with Engine.cache_enabled } }
-        in
-        let prepared =
-          Pipeline.prepare ~config ~workdir subject.Generator.program
-        in
-        let _, props, _ =
-          Checkers.run_all_scheduled prepared (Checkers.all ())
-        in
-        Pipeline.stats prepared props
+        (run subject cache).stats
       in
-      let with_cache = go ~cache_enabled:true "wc" in
-      let without_cache = go ~cache_enabled:false "nc" in
+      let with_cache = stats true in
+      let without_cache = stats false in
       let rate =
         if with_cache.Pipeline.cache_lookups = 0 then 0.
         else
@@ -259,10 +340,10 @@ let table4 ~fast () =
       let toc = without_cache.Pipeline.solve_s in
       let twc = with_cache.Pipeline.solve_s in
       let saving = if toc > 0. then 100. *. (1. -. (twc /. toc)) else 0. in
-      Printf.printf "%-12s %10d %10d %6.1f%% %9.2f %9.2f %7.1f%%\n" name
-        with_cache.Pipeline.cache_lookups with_cache.Pipeline.cache_hits rate
-        toc twc saving)
-    subjects;
+      Printf.printf "%-12s %10d %10d %6.1f%% %9.2f %9.2f %7.1f%%\n"
+        (name subject) with_cache.Pipeline.cache_lookups
+        with_cache.Pipeline.cache_hits rate toc twc saving)
+    (subjects ~fast);
   print_endline
     "\nshape check: most lookups hit the cache (edges in the same scope share\n\
      paths) and caching saves the majority of constraint-solving time."
@@ -286,39 +367,49 @@ let alias_graph_of (subject : Generator.subject) =
   let ag = Graphgen.Alias_graph.build icfet clones in
   (icfet, ag)
 
+type closure = { parts : int; pairs : int; solved : int; closure_s : float }
+
+(* Phase 1 alone: the alias closure of [alias_graph_of]'s graph, spilling
+   partitions of at most [budget] edges to disk. *)
+let alias_closure ~budget (icfet, ag) =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with
+      Engine.max_edges_per_partition = budget;
+      target_partitions = 2 }
+  in
+  let g =
+    AEngine.create ~config ~decode:(Icfet.constraint_of icfet) ~workdir ()
+  in
+  Graphgen.Alias_graph.iter_edges ag (fun e ->
+      AEngine.add_seed g ~src:e.Graphgen.Alias_graph.src
+        ~dst:e.Graphgen.Alias_graph.dst ~label:e.Graphgen.Alias_graph.label
+        ~enc:e.Graphgen.Alias_graph.enc);
+  let t0 = Unix.gettimeofday () in
+  AEngine.run g;
+  let closure_s = Unix.gettimeofday () -. t0 in
+  let m = AEngine.metrics g in
+  let c =
+    { parts = AEngine.n_partitions g;
+      pairs = Engine.Metrics.count m.Engine.Metrics.pairs_processed;
+      solved = Engine.Metrics.count m.Engine.Metrics.constraints_solved;
+      closure_s }
+  in
+  AEngine.cleanup g;
+  c
+
 let table5 ~fast () =
   header "Table 5: Grapple vs. naive string-constraint engine (alias phase)"
     "naive needs ~10x partitions, more iterations, times out on the largest";
   Printf.printf "%-12s | %25s | %25s\n" "" "Grapple" "naive (strings)";
   Printf.printf "%-12s | %5s %5s %7s %5s | %5s %5s %7s %5s\n" "Subject" "#part"
     "#iter" "#const" "time" "#part" "#iter" "#const" "time";
-  let subjects = Generator.all_subjects () in
-  let subjects = if fast then [ List.hd subjects ] else subjects in
   List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
+    (fun subject ->
       let icfet, ag = alias_graph_of subject in
-      (* grapple engine *)
-      let gw = Filename.concat root_workdir ("t5g-" ^ name) in
-      let gcfg =
-        { (Engine.default_config ~workdir:gw) with
-          Engine.max_edges_per_partition = table5_budget_edges;
-          target_partitions = 2 }
-      in
-      let g =
-        AEngine.create ~config:gcfg ~decode:(Icfet.constraint_of icfet)
-          ~workdir:gw ()
-      in
-      Graphgen.Alias_graph.iter_edges ag (fun e ->
-          AEngine.add_seed g ~src:e.Graphgen.Alias_graph.src
-            ~dst:e.Graphgen.Alias_graph.dst ~label:e.Graphgen.Alias_graph.label
-            ~enc:e.Graphgen.Alias_graph.enc);
-      let t0 = Unix.gettimeofday () in
-      AEngine.run g;
-      let g_time = Unix.gettimeofday () -. t0 in
-      let gm = AEngine.metrics g in
+      let g = alias_closure ~budget:table5_budget_edges (icfet, ag) in
       (* naive engine: same budget in bytes *)
-      let sw = Filename.concat root_workdir ("t5s-" ^ name) in
+      let sw = fresh_workdir () in
       let scfg =
         { (Baseline.String_engine.default_config ~workdir:sw) with
           Baseline.String_engine.max_bytes_per_partition =
@@ -336,17 +427,13 @@ let table5 ~fast () =
       SEngine.run s;
       let s_time = Unix.gettimeofday () -. t0 in
       let sm = SEngine.stats s in
-      Printf.printf "%-12s | %5d %5d %7d %5s | %5d %5d %7d %5s\n" name
-        (AEngine.n_partitions g)
-        (Engine.Metrics.count gm.Engine.Metrics.pairs_processed)
-        (Engine.Metrics.count gm.Engine.Metrics.constraints_solved)
-        (hms g_time)
+      Printf.printf "%-12s | %5d %5d %7d %5s | %5d %5d %7d %5s\n"
+        (name subject) g.parts g.pairs g.solved (hms g.closure_s)
         sm.Baseline.String_engine.n_partitions
         sm.Baseline.String_engine.iterations
         sm.Baseline.String_engine.constraints_solved (hms s_time);
-      AEngine.cleanup g;
       SEngine.cleanup s)
-    subjects;
+    (subjects ~fast);
   print_endline
     "\nshape check: under the same memory budget the string engine needs more\n\
      partitions and iterations and pays parse-before-solve on every\n\
@@ -372,27 +459,10 @@ let oom () =
   Printf.printf "%-12s %10s %11s | %14s %12s %9s\n" "Subject" "outcome"
     "#partitions" "outcome" "peak bytes" "time";
   List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
+    (fun subject ->
       let icfet, ag = alias_graph_of subject in
       (* the engine under the same budget: spills to disk and completes *)
-      let gw = Filename.concat root_workdir ("oom-" ^ name) in
-      let gcfg =
-        { (Engine.default_config ~workdir:gw) with
-          Engine.max_edges_per_partition = partition_budget_edges;
-          target_partitions = 2 }
-      in
-      let g =
-        AEngine.create ~config:gcfg ~decode:(Icfet.constraint_of icfet)
-          ~workdir:gw ()
-      in
-      Graphgen.Alias_graph.iter_edges ag (fun e ->
-          AEngine.add_seed g ~src:e.Graphgen.Alias_graph.src
-            ~dst:e.Graphgen.Alias_graph.dst ~label:e.Graphgen.Alias_graph.label
-            ~enc:e.Graphgen.Alias_graph.enc);
-      AEngine.run g;
-      let parts = AEngine.n_partitions g in
-      AEngine.cleanup g;
+      let g = alias_closure ~budget:partition_budget_edges (icfet, ag) in
       let r =
         Baseline.Worklist.run
           ~config:
@@ -400,8 +470,8 @@ let oom () =
               max_seconds = 120. }
           icfet ag
       in
-      Printf.printf "%-12s %10s %11d | %14s %12d %9s\n" name "completed"
-        parts
+      Printf.printf "%-12s %10s %11d | %14s %12d %9s\n" (name subject)
+        "completed" g.parts
         (match r.Baseline.Worklist.outcome with
         | Baseline.Worklist.Completed -> "completed"
         | Baseline.Worklist.Ran_out_of_memory -> "OUT OF MEMORY")
@@ -415,10 +485,6 @@ let oom () =
      out-of-core engine completes by spilling partitions to disk."
 
 (* ------------------------------------------------------------------ *)
-(* Ablations (DESIGN.md): unroll bound and partition budget.            *)
-(* ------------------------------------------------------------------ *)
-
-(* ------------------------------------------------------------------ *)
 (* Pre-filter side-by-side: the escape-based instance pruning on vs.    *)
 (* off, per subject.  Warnings must be identical; the graphs shrink by  *)
 (* however many tracked allocations were resolved intraprocedurally.    *)
@@ -430,62 +496,34 @@ let prefilter () =
     "instance pruning ablation";
   Printf.printf "%-10s %4s %8s %9s %9s %6s %6s %8s %6s\n" "subject" "pf"
     "|V|" "#E0" "#EA" "#filt" "warns" "time" "same";
-  let fsms =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate fsm -> Some fsm
-        | `Exception_walk _ -> None)
-      (Checkers.all ())
-  in
+  let fsms = Checkers.fsms (Checkers.all ()) in
+  differential (Generator.all_subjects ())
+    (toggle (fun on c ->
+         { c with Pipeline.prefilter_properties = (if on then fsms else []) }))
+    (fun subject cell o ~base:_ ->
+      let s = o.stats in
+      Printf.sprintf "%-10s %4s %8d %9d %9d %6d %6d %8s" (name subject)
+        cell.label s.Pipeline.n_vertices s.Pipeline.n_edges_before
+        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered (warns o)
+        (hms (wall o)))
+  |> ignore
+
+(* The whole-program lints of [checker], [diags_of], scored against each
+   subject's planted bugs beside what the intraprocedural linter finds. *)
+let lint_table checker diags_of =
+  Printf.printf "%-12s %18s %18s\n" "subject" (checker ^ " TP/FP/FN")
+    "intraproc TP";
   List.iter
     (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run on =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "pf-%s-%b" name on)
-        in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            prefilter_properties = (if on then fsms else []) }
-        in
-        let t0 = Unix.gettimeofday () in
-        let prepared =
-          Pipeline.prepare ~config ~workdir subject.Generator.program
-        in
-        let results, props, _ =
-          Checkers.run_all_scheduled prepared (Checkers.all ())
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (Pipeline.stats prepared props, results, dt)
+      let program = subject.Generator.program in
+      let score_lints diags =
+        Scoring.score_lints ~allow_empty:true ~checker
+          ~expected:subject.Generator.expected diags
       in
-      let signature results =
-        List.concat_map
-          (fun (checker, reports) ->
-            List.map
-              (fun (r : Grapple.Report.t) ->
-                ( checker,
-                  Grapple.Report.kind_to_string r.Grapple.Report.kind,
-                  r.Grapple.Report.alloc_at.Jir.Ast.line ))
-              reports)
-          results
-        |> List.sort compare
-      in
-      let s_off, r_off, t_off = run false in
-      let s_on, r_on, t_on = run true in
-      let warns rs =
-        List.fold_left (fun acc (_, l) -> acc + List.length l) 0 rs
-      in
-      let same = signature r_off = signature r_on in
-      let row tag (s : Pipeline.stats) rs dt same_col =
-        Printf.printf "%-10s %4s %8d %9d %9d %6d %6d %8s %6s\n" name tag
-          s.Pipeline.n_vertices s.Pipeline.n_edges_before
-          s.Pipeline.n_edges_after s.Pipeline.n_prefiltered (warns rs)
-          (hms dt) same_col
-      in
-      row "off" s_off r_off t_off "";
-      row "on" s_on r_on t_on (if same then "yes" else "NO!"))
+      let ls = score_lints (diags_of program) in
+      let intra = score_lints (Analysis.Lint.check_program program) in
+      Printf.printf "%-12s %11d/%2d/%2d %18d\n" (name subject) ls.Scoring.ltp
+        ls.Scoring.lfp ls.Scoring.lfn intra.Scoring.ltp)
     (Generator.all_subjects ())
 
 (* ------------------------------------------------------------------ *)
@@ -501,79 +539,20 @@ let summaries () =
     "sound pipeline triage ablation + whole-program lints";
   Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %6s %8s %6s\n" "subject"
     "sf" "|V|" "#EA" "#esc" "#sum" "TP" "FP" "warns" "time" "same";
-  let fsms =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate fsm -> Some fsm
-        | `Exception_walk _ -> None)
-      (Checkers.all ())
-  in
-  let checker_names = [ "io"; "lock"; "exception"; "socket" ] in
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run on =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "sum-%s-%b" name on)
-        in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            prefilter_properties = fsms;
-            summary_prefilter = on }
-        in
-        let t0 = Unix.gettimeofday () in
-        let prepared =
-          Pipeline.prepare ~config ~workdir subject.Generator.program
-        in
-        let results, props, _ =
-          Checkers.run_all_scheduled prepared (Checkers.all ())
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (Pipeline.stats prepared props, results, dt)
-      in
-      let signature results =
-        List.concat_map
-          (fun (checker, reports) ->
-            List.map
-              (fun (r : Grapple.Report.t) ->
-                ( checker,
-                  Grapple.Report.kind_to_string r.Grapple.Report.kind,
-                  r.Grapple.Report.alloc_at.Jir.Ast.line ))
-              reports)
-          results
-        |> List.sort compare
-      in
-      let tp_fp results =
-        List.fold_left
-          (fun (tp, fp) checker ->
-            let reports =
-              Option.value ~default:[] (List.assoc_opt checker results)
-            in
-            let s =
-              Scoring.score ~allow_empty:true ~checker
-                ~expected:subject.Generator.expected ~reports ()
-            in
-            (tp + s.Scoring.tp, fp + s.Scoring.fp))
-          (0, 0) checker_names
-      in
-      let s_off, r_off, t_off = run false in
-      let s_on, r_on, t_on = run true in
-      let warns rs =
-        List.fold_left (fun acc (_, l) -> acc + List.length l) 0 rs
-      in
-      let same = signature r_off = signature r_on in
-      let row tag (s : Pipeline.stats) rs dt same_col =
-        let tp, fp = tp_fp rs in
-        Printf.printf "%-10s %4s %8d %9d %6d %6d %6d %6d %6d %8s %6s\n" name
-          tag s.Pipeline.n_vertices s.Pipeline.n_edges_after
-          s.Pipeline.n_prefiltered s.Pipeline.n_summary_pruned tp fp (warns rs)
-          (hms dt) same_col
-      in
-      row "off" s_off r_off t_off "";
-      row "on" s_on r_on t_on (if same then "yes" else "NO!"))
-    (Generator.all_subjects ());
+  let fsms = Checkers.fsms (Checkers.all ()) in
+  differential (Generator.all_subjects ())
+    (toggle (fun on c ->
+         { c with
+           Pipeline.prefilter_properties = fsms;
+           summary_prefilter = on }))
+    (fun subject cell o ~base:_ ->
+      let s = o.stats in
+      let tp, fp, _ = score subject o.results in
+      Printf.sprintf "%-10s %4s %8d %9d %6d %6d %6d %6d %6d %8s"
+        (name subject) cell.label s.Pipeline.n_vertices
+        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered
+        s.Pipeline.n_summary_pruned tp fp (warns o) (hms (wall o)))
+  |> ignore;
   print_endline
     "\nshape check: the summary stage prunes instances the escape filter\n\
      cannot (#sum > 0 on top of #esc) with identical warnings and TP/FP.";
@@ -581,27 +560,9 @@ let summaries () =
      interprocedural bugs the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc)"
     "interprocedural null/leak findings beyond the intraprocedural linter";
-  Printf.printf "%-12s %18s %18s\n" "subject" "interproc TP/FP/FN"
-    "intraproc TP";
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let program = subject.Generator.program in
-      let diags =
-        Analysis.Summaries.interproc_diags ~fsms:(Checkers.fsms ()) program
-      in
-      let ls =
-        Scoring.score_lints ~allow_empty:true ~checker:"interproc"
-          ~expected:subject.Generator.expected diags
-      in
-      let intra =
-        Scoring.score_lints ~allow_empty:true ~checker:"interproc"
-          ~expected:subject.Generator.expected
-          (Analysis.Lint.check_program program)
-      in
-      Printf.printf "%-12s %11d/%2d/%2d %18d\n"
-        subject.Generator.profile.Generator.name ls.Scoring.ltp ls.Scoring.lfp
-        ls.Scoring.lfn intra.Scoring.ltp)
-    (Generator.all_subjects ());
+  lint_table "interproc"
+    (Analysis.Summaries.interproc_diags
+       ~fsms:(Checkers.fsms (Checkers.all_with_null ())));
   print_endline
     "\nshape check: every planted interprocedural bug is found by the summary\n\
      lints (TP >= 1 where planted, FN = 0) and by none of the intraprocedural\n\
@@ -621,65 +582,18 @@ let alias () =
   Printf.printf "%-10s %4s %9s %9s %6s %6s %6s %8s %6s %8s %6s\n" "subject"
     "ap" "|E|pre" "|E|after" "#esc" "#sum" "#pt" "sliced" "warns" "time"
     "same";
-  let fsms =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate fsm -> Some fsm
-        | `Exception_walk _ -> None)
-      (Checkers.all ())
-  in
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run on =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "pt-%s-%b" name on)
-        in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            prefilter_properties = fsms;
-            alias_prefilter = on }
-        in
-        let t0 = Unix.gettimeofday () in
-        let prepared =
-          Pipeline.prepare ~config ~workdir subject.Generator.program
-        in
-        let results, props, _ =
-          Checkers.run_all_scheduled prepared (Checkers.all ())
-        in
-        let dt = Unix.gettimeofday () -. t0 in
-        (Pipeline.stats prepared props, results, dt)
-      in
-      let signature results =
-        List.concat_map
-          (fun (checker, reports) ->
-            List.map
-              (fun (r : Grapple.Report.t) ->
-                ( checker,
-                  Grapple.Report.kind_to_string r.Grapple.Report.kind,
-                  r.Grapple.Report.alloc_at.Jir.Ast.line ))
-              reports)
-          results
-        |> List.sort compare
-      in
-      let s_off, r_off, t_off = run false in
-      let s_on, r_on, t_on = run true in
-      let warns rs =
-        List.fold_left (fun acc (_, l) -> acc + List.length l) 0 rs
-      in
-      let same = signature r_off = signature r_on in
-      let row tag (s : Pipeline.stats) rs dt same_col =
-        Printf.printf "%-10s %4s %9d %9d %6d %6d %6d %8d %6d %8s %6s\n" name
-          tag s.Pipeline.n_edges_presliced s.Pipeline.n_edges_after
-          s.Pipeline.n_prefiltered s.Pipeline.n_summary_pruned
-          s.Pipeline.n_alias_pruned s.Pipeline.n_edges_sliced (warns rs)
-          (hms dt) same_col
-      in
-      row "off" s_off r_off t_off "";
-      row "on" s_on r_on t_on (if same then "yes" else "NO!"))
-    (Generator.all_subjects ());
+  let fsms = Checkers.fsms (Checkers.all ()) in
+  differential (Generator.all_subjects ())
+    (toggle (fun on c ->
+         { c with Pipeline.prefilter_properties = fsms; alias_prefilter = on }))
+    (fun subject cell o ~base:_ ->
+      let s = o.stats in
+      Printf.sprintf "%-10s %4s %9d %9d %6d %6d %6d %8d %6d %8s"
+        (name subject) cell.label s.Pipeline.n_edges_presliced
+        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered
+        s.Pipeline.n_summary_pruned s.Pipeline.n_alias_pruned
+        s.Pipeline.n_edges_sliced (warns o) (hms (wall o)))
+  |> ignore;
   print_endline
     "\nshape check: the points-to stage prunes instances escape and the\n\
      summaries both keep (#pt > 0 on top of #esc/#sum) and slices alias\n\
@@ -688,31 +602,17 @@ let alias () =
      the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc, pointsto)"
     "heap-flow findings beyond the intraprocedural linter";
-  Printf.printf "%-12s %18s %18s\n" "subject" "pointsto TP/FP/FN"
-    "intraproc TP";
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let program = subject.Generator.program in
-      let diags =
-        Analysis.Pointsto.diags (Analysis.Pointsto.analyze program)
-      in
-      let ls =
-        Scoring.score_lints ~allow_empty:true ~checker:"pointsto"
-          ~expected:subject.Generator.expected diags
-      in
-      let intra =
-        Scoring.score_lints ~allow_empty:true ~checker:"pointsto"
-          ~expected:subject.Generator.expected
-          (Analysis.Lint.check_program program)
-      in
-      Printf.printf "%-12s %11d/%2d/%2d %18d\n"
-        subject.Generator.profile.Generator.name ls.Scoring.ltp ls.Scoring.lfp
-        ls.Scoring.lfn intra.Scoring.ltp)
-    (Generator.all_subjects ());
+  lint_table "pointsto" (fun program ->
+      Analysis.Pointsto.diags (Analysis.Pointsto.analyze program));
   print_endline
     "\nshape check: every planted heap-flow bug is found by the pointsto\n\
      lints (TP >= 1 where planted, FN = 0) and by none of the\n\
      intraprocedural ones (intraproc TP = 0)."
+
+(* ------------------------------------------------------------------ *)
+(* Ablations (DESIGN.md): unroll bound, partition budget, path          *)
+(* sensitivity, and the solver-domain fan-out.                          *)
+(* ------------------------------------------------------------------ *)
 
 let ablation () =
   header "Ablation: loop unroll bound k (minizk)" "design choice, §3.1";
@@ -720,65 +620,21 @@ let ablation () =
   let subject = Generator.mini_zookeeper () in
   List.iter
     (fun k ->
-      let workdir = Filename.concat root_workdir (Printf.sprintf "ab-k%d" k) in
-      let config =
-        { (Pipeline.default_config ~workdir) with
-          Pipeline.unroll_bound = k;
-          library_throwers = Checkers.Specs.library_throwers }
-      in
-      let t0 = Unix.gettimeofday () in
-      let prepared =
-        Pipeline.prepare ~config ~workdir subject.Generator.program
-      in
-      let results, props, _ =
-        Checkers.run_all_scheduled prepared (Checkers.all ())
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let stats = Pipeline.stats prepared props in
-      let tp = ref 0 and fn = ref 0 in
-      List.iter
-        (fun (checker, reports) ->
-          let s =
-            Scoring.score ~allow_empty:true ~checker
-              ~expected:subject.Generator.expected ~reports ()
-          in
-          tp := !tp + s.Scoring.tp;
-          fn := !fn + s.Scoring.fn)
-        results;
-      Printf.printf "%3d %8d %8d %8.1f %8s\n" k !tp !fn
-        (float_of_int stats.Pipeline.n_edges_after /. 1000.)
-        (hms dt))
+      let o = run subject (fun c -> { c with Pipeline.unroll_bound = k }) in
+      let tp, _, fn = score subject o.results in
+      Printf.printf "%3d %8d %8d %8.1f %8s\n" k tp fn
+        (float_of_int o.stats.Pipeline.n_edges_after /. 1000.)
+        (hms (wall o)))
     [ 1; 2; 3 ];
   header "Ablation: partition memory budget (minizk, alias phase)"
     "out-of-core mechanics, §4.3";
   Printf.printf "%10s %8s %8s %8s\n" "budget" "#part" "#iter" "time";
-  let icfet, ag = alias_graph_of subject in
+  let graph = alias_graph_of subject in
   List.iter
     (fun budget ->
-      let workdir =
-        Filename.concat root_workdir (Printf.sprintf "ab-b%d" budget)
-      in
-      let cfg =
-        { (Engine.default_config ~workdir) with
-          Engine.max_edges_per_partition = budget;
-          target_partitions = 2 }
-      in
-      let g =
-        AEngine.create ~config:cfg ~decode:(Icfet.constraint_of icfet)
-          ~workdir ()
-      in
-      Graphgen.Alias_graph.iter_edges ag (fun e ->
-          AEngine.add_seed g ~src:e.Graphgen.Alias_graph.src
-            ~dst:e.Graphgen.Alias_graph.dst ~label:e.Graphgen.Alias_graph.label
-            ~enc:e.Graphgen.Alias_graph.enc);
-      let t0 = Unix.gettimeofday () in
-      AEngine.run g;
-      let dt = Unix.gettimeofday () -. t0 in
-      let m = AEngine.metrics g in
-      Printf.printf "%10d %8d %8d %8s\n" budget (AEngine.n_partitions g)
-        (Engine.Metrics.count m.Engine.Metrics.pairs_processed)
-        (hms dt);
-      AEngine.cleanup g)
+      let g = alias_closure ~budget graph in
+      Printf.printf "%10d %8d %8d %8s\n" budget g.parts g.pairs
+        (hms g.closure_s))
     [ 1_000; 5_000; 50_000 ];
   print_endline
     "\nshape check: smaller budgets mean more partitions and more iterations\n\
@@ -788,44 +644,24 @@ let ablation () =
      over-approximates and reports bugs on infeasible paths (S2)";
   Printf.printf "%-12s %-18s %6s %6s %6s\n" "Subject" "mode" "TP" "FP" "FN";
   List.iter
-    (fun (subject : Generator.subject) ->
+    (fun subject ->
       List.iter
-        (fun sensitive ->
-          let name = subject.Generator.profile.Generator.name in
-          let workdir =
-            Filename.concat root_workdir
-              (Printf.sprintf "ab-ps-%s-%b" name sensitive)
-          in
-          let config =
-            { (Pipeline.default_config ~workdir) with
-              Pipeline.library_throwers = Checkers.Specs.library_throwers;
-              engine =
-                { (Engine.default_config ~workdir) with
-                  Engine.feasibility_enabled = sensitive } }
-          in
-          let prepared =
-            Pipeline.prepare ~config ~workdir subject.Generator.program
-          in
+        (fun feasibility_enabled ->
           (* typestate checkers only: the exception walk does its own
              feasibility checking independent of the engine flag *)
-          let results, _, _ =
-            Checkers.run_all_scheduled prepared
-              [ Checkers.io (); Checkers.lock (); Checkers.socket () ]
+          let o =
+            run
+              ~checkers:[ Checkers.io (); Checkers.lock (); Checkers.socket () ]
+              subject
+              (fun c ->
+                { c with
+                  Pipeline.engine =
+                    { c.Pipeline.engine with Engine.feasibility_enabled } })
           in
-          let tp = ref 0 and fp = ref 0 and fn = ref 0 in
-          List.iter
-            (fun (checker, reports) ->
-              let sc =
-                Scoring.score ~allow_empty:true ~checker
-                  ~expected:subject.Generator.expected ~reports ()
-              in
-              tp := !tp + sc.Scoring.tp;
-              fp := !fp + sc.Scoring.fp;
-              fn := !fn + sc.Scoring.fn)
-            results;
-          Printf.printf "%-12s %-18s %6d %6d %6d\n" name
-            (if sensitive then "path-sensitive" else "insensitive")
-            !tp !fp !fn)
+          let tp, fp, fn = score subject o.results in
+          Printf.printf "%-12s %-18s %6d %6d %6d\n" (name subject)
+            (if feasibility_enabled then "path-sensitive" else "insensitive")
+            tp fp fn)
         [ true; false ])
     [ Generator.mini_zookeeper (); Generator.mini_hdfs () ];
   print_endline
@@ -834,31 +670,22 @@ let ablation () =
      Graspan-vs-Grapple precision gap the paper is built on.";
   header "Ablation: parallel constraint solving (minihdfs pipeline)"
     "\"concurrently accessed by multiple edge-induction threads\", §4.3";
-  Printf.printf "%8s %10s %10s\n" "domains" "time" "warnings";
-  let hdfs = Generator.mini_hdfs () in
-  List.iter
-    (fun domains ->
-      let workdir =
-        Filename.concat root_workdir (Printf.sprintf "ab-d%d" domains)
-      in
-      let config =
-        { (Pipeline.default_config ~workdir) with
-          Pipeline.library_throwers = Checkers.Specs.library_throwers;
-          engine =
-            { (Engine.default_config ~workdir) with
-              Engine.solver_domains = domains } }
-      in
-      let t0 = Unix.gettimeofday () in
-      let prepared = Pipeline.prepare ~config ~workdir hdfs.Generator.program in
-      let results, _, _ =
-        Checkers.run_all_scheduled prepared (Checkers.all ())
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      let warnings =
-        List.fold_left (fun a (_, rs) -> a + List.length rs) 0 results
-      in
-      Printf.printf "%8d %10s %10d\n" domains (hms dt) warnings)
-    [ 1; 2; 4 ];
+  Printf.printf "%8s %10s %10s %6s\n" "domains" "time" "warnings" "same";
+  differential
+    [ Generator.mini_hdfs () ]
+    (List.map
+       (fun solver_domains ->
+         { label = string_of_int solver_domains;
+           tune =
+             (fun c ->
+               { c with
+                 Pipeline.engine =
+                   { c.Pipeline.engine with Engine.solver_domains } });
+           plan = None })
+       [ 1; 2; 4 ])
+    (fun _ cell o ~base:_ ->
+      Printf.sprintf "%8s %10s %10d" cell.label (hms (wall o)) (warns o))
+  |> ignore;
   print_endline
     "\nshape check: identical warnings at every domain count.  Whether wall\n\
      time drops tracks the SMT share of Figure 9: our decomposed\n\
@@ -878,58 +705,24 @@ let faults () =
     "robustness extension, not a paper experiment";
   Printf.printf "%-10s %6s %8s %9s %8s %8s %7s %6s\n" "subject" "rate" "time"
     "overhead" "#inject" "#retry" "#incon" "same";
-  let signature results =
-    List.concat_map
-      (fun (checker, reports) ->
-        List.map
-          (fun (r : Grapple.Report.t) ->
-            ( checker,
-              Grapple.Report.kind_to_string r.Grapple.Report.kind,
-              r.Grapple.Report.alloc_at.Jir.Ast.line ))
-          reports)
-      results
-    |> List.sort compare
-  in
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run_at idx rate =
-        let workdir =
-          Filename.concat root_workdir (Printf.sprintf "flt-%s-%d" name idx)
-        in
-        let config =
-          { (Pipeline.default_config ~workdir) with
-            Pipeline.library_throwers = Checkers.Specs.library_throwers }
-        in
-        if rate > 0. then
-          Engine.Faults.install
-            (Engine.Faults.parse (Printf.sprintf "seed=11,rate=%g" rate));
-        Fun.protect ~finally:Engine.Faults.clear (fun () ->
-            let t0 = Unix.gettimeofday () in
-            let prepared =
-              Pipeline.prepare ~config ~workdir subject.Generator.program
-            in
-            let results, props, _ =
-              Checkers.run_all_scheduled prepared (Checkers.all ())
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            (signature results, Pipeline.stats prepared props, dt))
+  differential (Generator.all_subjects ())
+    (List.map
+       (fun rate ->
+         { label = Printf.sprintf "%.0f%%" (100. *. rate);
+           tune = Fun.id;
+           plan =
+             (if rate > 0. then Some (Printf.sprintf "seed=11,rate=%g" rate)
+              else None) })
+       [ 0.; 0.01; 0.05; 0.10 ])
+    (fun subject cell o ~base ->
+      let s = o.stats in
+      let overhead =
+        if wall base > 0. then 100. *. ((wall o /. wall base) -. 1.) else 0.
       in
-      let base_sig, _, base_dt = run_at 0 0. in
-      List.iteri
-        (fun i rate ->
-          let sg, st, dt = run_at (i + 1) rate in
-          let overhead =
-            if base_dt > 0. then 100. *. ((dt /. base_dt) -. 1.) else 0.
-          in
-          Printf.printf "%-10s %5.0f%% %8s %8.1f%% %8d %8d %7d %6s\n" name
-            (100. *. rate) (hms dt)
-            (if rate = 0. then 0. else overhead)
-            st.Pipeline.n_faults_injected st.Pipeline.n_retried
-            st.Pipeline.n_inconclusive
-            (if sg = base_sig then "yes" else "NO!"))
-        [ 0.; 0.01; 0.05; 0.10 ])
-    (Generator.all_subjects ());
+      Printf.sprintf "%-10s %6s %8s %8.1f%% %8d %8d %7d" (name subject)
+        cell.label (hms (wall o)) overhead s.Pipeline.n_faults_injected
+        s.Pipeline.n_retried s.Pipeline.n_inconclusive)
+  |> ignore;
   print_endline
     "\nshape check: warnings are identical at every fault rate (same = yes,\n\
      #incon = 0); overhead grows with the rate and is dominated by the\n\
@@ -938,7 +731,7 @@ let faults () =
 (* ------------------------------------------------------------------ *)
 (* Scaling: the parallel instance scheduler (multicore extension).      *)
 (* Phase-2/3 wall time swept over worker counts; the warnings must be   *)
-(* identical at every count, and resume must work across counts.        *)
+(* identical at every count.                                            *)
 (* ------------------------------------------------------------------ *)
 
 let scaling ~fast () =
@@ -948,69 +741,25 @@ let scaling ~fast () =
     "machine: %d recommended domain(s) -- speedups above that count (or on \n\
      a single-core container at all) are not expected\n\n"
     (Domain.recommended_domain_count ());
-  let signature results =
-    List.concat_map
-      (fun (checker, reports) ->
-        List.map
-          (fun (r : Grapple.Report.t) ->
-            ( checker,
-              Grapple.Report.kind_to_string r.Grapple.Report.kind,
-              r.Grapple.Report.alloc_at.Jir.Ast.line ))
-          reports)
-      results
-    |> List.sort compare
-  in
-  let subjects = Generator.all_subjects () in
-  let subjects = if fast then [ List.hd subjects ] else subjects in
-  let sweep = if fast then [ 1; 4 ] else [ 1; 2; 4; 8 ] in
-  (* null included so the sweep has five typestate instances to schedule *)
-  let checkers = Checkers.all_with_null () in
   Printf.printf "%-10s %8s %10s %9s %9s %6s\n" "subject" "workers" "phase2/3"
     "speedup" "warnings" "same";
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let base = ref None in
-      List.iter
-        (fun workers ->
-          let workdir =
-            Filename.concat root_workdir
-              (Printf.sprintf "scale-%s-w%d" name workers)
-          in
-          let config =
-            { (Pipeline.default_config ~workdir) with
-              Pipeline.library_throwers = Checkers.Specs.library_throwers;
-              track_null = true;
-              workers }
-          in
-          let prepared =
-            Pipeline.prepare ~config ~workdir subject.Generator.program
-          in
-          (* time phases 2+3 only: phase 0/1 is shared preprocessing the
-             scheduler does not touch *)
-          let t0 = Unix.gettimeofday () in
-          let results, _, _ =
-            Checkers.run_all_scheduled prepared checkers
-          in
-          let dt = Unix.gettimeofday () -. t0 in
-          let sg = signature results in
-          let t1, sg1 =
-            match !base with
-            | Some b -> b
-            | None ->
-                base := Some (dt, sg);
-                (dt, sg)
-          in
-          let warnings =
-            List.fold_left (fun a (_, rs) -> a + List.length rs) 0 results
-          in
-          Printf.printf "%-10s %8d %10s %8.2fx %9d %6s\n" name workers
-            (hms dt)
-            (if dt > 0. then t1 /. dt else 1.)
-            warnings
-            (if sg = sg1 then "yes" else "NO!"))
-        sweep)
-    subjects;
+  (* null included so the sweep has five typestate instances to schedule;
+     the time column is phases 2/3 only: phase 0/1 is shared preprocessing
+     the scheduler does not touch *)
+  differential ~checkers:(Checkers.all_with_null ()) (subjects ~fast)
+    (List.map
+       (fun workers ->
+         { label = string_of_int workers;
+           tune =
+             (fun c -> { c with Pipeline.track_null = true; workers });
+           plan = None })
+       (if fast then [ 1; 4 ] else [ 1; 2; 4; 8 ]))
+    (fun subject cell o ~base ->
+      Printf.sprintf "%-10s %8s %10s %8.2fx %9d" (name subject) cell.label
+        (hms o.check_s)
+        (if o.check_s > 0. then base.check_s /. o.check_s else 1.)
+        (warns o))
+  |> ignore;
   print_endline
     "\nshape check: warnings identical at every worker count (same = yes).\n\
      The speedup column tracks phase-2/3 wall time against 1 worker; it\n\
@@ -1028,94 +777,39 @@ let scaling ~fast () =
 let shards ~fast () =
   header "Shard processes: crash-isolated multi-process scheduler"
     "robustness extension, not a paper experiment";
-  let signature results =
-    List.concat_map
-      (fun (checker, reports) ->
-        List.map
-          (fun (r : Grapple.Report.t) ->
-            ( checker,
-              Grapple.Report.kind_to_string r.Grapple.Report.kind,
-              r.Grapple.Report.alloc_at.Jir.Ast.line ))
-          reports)
-      results
-    |> List.sort compare
-  in
-  let subjects = Generator.all_subjects () in
-  let subjects = if fast then [ List.hd subjects ] else subjects in
-  let checkers = Checkers.all_with_null () in
   Printf.printf "%-10s %-6s %7s %8s %9s %7s %5s %6s\n" "subject" "plan"
     "procs" "time" "warnings" "redisp" "kills" "same";
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let name = subject.Generator.profile.Generator.name in
-      let run_one ~tag ~plan ~procs ~kill_nth =
-        let workdir =
-          Filename.concat root_workdir
-            (Printf.sprintf "shard-%s-%s-p%d" name tag procs)
-        in
-        (match plan with
-        | Some spec -> Engine.Faults.install (Engine.Faults.parse spec)
-        | None -> ());
-        Fun.protect ~finally:Engine.Faults.clear (fun () ->
-            let config =
-              { (Pipeline.default_config ~workdir) with
-                Pipeline.library_throwers = Checkers.Specs.library_throwers;
-                track_null = true;
-                shard_procs = procs;
-                shard_kill_nth = kill_nth;
-                heartbeat_ms = 25. }
-            in
-            let prepared =
-              Pipeline.prepare ~config ~workdir subject.Generator.program
-            in
-            let t0 = Unix.gettimeofday () in
-            let results, props, _ =
-              Checkers.run_all_scheduled prepared checkers
-            in
-            let dt = Unix.gettimeofday () -. t0 in
-            let stats = Pipeline.stats prepared props in
-            (signature results, stats, dt))
+  (* the last cell of each plan SIGKILLs the worker holding the 2nd
+     assignment: the instance is re-dispatched and the output must not
+     change *)
+  let cells =
+    List.concat_map
+      (fun (tag, plan) ->
+        List.map
+          (fun (procs_label, shard_procs, shard_kill_nth) ->
+            { label = Printf.sprintf "%-6s %7s" tag procs_label;
+              tune =
+                (fun c ->
+                  { c with
+                    Pipeline.track_null = true;
+                    shard_procs;
+                    shard_kill_nth;
+                    heartbeat_ms = 25. });
+              plan })
+          [ ("inproc", 0, 0); ("1", 1, 0); ("2", 2, 0); ("4", 4, 0);
+            ("2+kill", 2, 2) ])
+      [ ("none", None); ("5%", Some "seed=11,rate=0.05") ]
+  in
+  differential ~checkers:(Checkers.all_with_null ()) (subjects ~fast) cells
+    (fun subject cell o ~base:_ ->
+      let count c =
+        Obs.Registry.value (Obs.Registry.counter o.stats.Pipeline.registry c)
       in
-      List.iter
-        (fun (ptag, plan) ->
-          let base = ref None in
-          List.iter
-            (fun procs ->
-              let tag = Printf.sprintf "%s-n" ptag in
-              let sg, st, dt = run_one ~tag ~plan ~procs ~kill_nth:0 in
-              let sg0 =
-                match !base with
-                | Some b -> b
-                | None ->
-                    base := Some sg;
-                    sg
-              in
-              let cnt c =
-                Obs.Registry.value
-                  (Obs.Registry.counter st.Pipeline.registry c)
-              in
-              Printf.printf "%-10s %-6s %7s %8s %9d %7d %5d %6s\n" name ptag
-                (if procs = 0 then "inproc" else string_of_int procs)
-                (hms dt) (List.length sg)
-                (cnt "supervisor.redispatches")
-                (cnt "supervisor.kills")
-                (if sg = sg0 then "yes" else "NO!"))
-            [ 0; 1; 2; 4 ];
-          (* one worker SIGKILLed at its 2nd assignment: the instance is
-             re-dispatched and the output must not change *)
-          let sg, st, dt =
-            run_one ~tag:(ptag ^ "-k") ~plan ~procs:2 ~kill_nth:2
-          in
-          let cnt c =
-            Obs.Registry.value (Obs.Registry.counter st.Pipeline.registry c)
-          in
-          Printf.printf "%-10s %-6s %7s %8s %9d %7d %5d %6s\n" name ptag
-            "2+kill" (hms dt) (List.length sg)
-            (cnt "supervisor.redispatches")
-            (cnt "supervisor.kills")
-            (if Some sg = !base then "yes" else "NO!"))
-        [ ("none", None); ("5%", Some "seed=11,rate=0.05") ])
-    subjects;
+      Printf.sprintf "%-10s %s %8s %9d %7d %5d" (name subject) cell.label
+        (hms o.check_s) (warns o)
+        (count "supervisor.redispatches")
+        (count "supervisor.kills"))
+  |> ignore;
   print_endline
     "\nshape check: warnings identical at every process count, under the\n\
      fault plan, and with a worker killed mid-run (same = yes everywhere;\n\
@@ -1215,10 +909,6 @@ let micro () =
 (* Baseline snapshot: a machine-readable performance record per commit.  *)
 (* ------------------------------------------------------------------ *)
 
-(* Writes BENCH_<rev>.json in the current directory: per-subject wall
-   time, Figure-9 breakdown percentages, cache hit rate, and closure
-   throughput (edges added per second of compute).  Comparing two such
-   files across commits is the intended regression check. *)
 let git_rev () =
   match Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" with
   | ic ->
@@ -1227,52 +917,84 @@ let git_rev () =
       if status = Unix.WEXITED 0 && rev <> "" then rev else "dev"
   | exception _ -> "dev"
 
+(* Set the top-level [key] of this commit's BENCH_<rev>.json to [json],
+   keeping every other key.  Only this function writes the file: one key
+   per group of lines, each group starting with a line ["  \"key\": ..."]
+   and continued by lines indented at least as deep, so the groups of an
+   existing file are found without parsing its JSON. *)
+let record key json =
+  let rev = git_rev () in
+  let path = Printf.sprintf "BENCH_%s.json" rev in
+  let lines =
+    if Sys.file_exists path then
+      String.split_on_char '\n'
+        (In_channel.with_open_bin path In_channel.input_all)
+    else []
+  in
+  let groups =
+    List.fold_left
+      (fun acc l ->
+        match acc with
+        | _ when String.starts_with ~prefix:"  \"" l -> l :: acc
+        | g :: rest when String.starts_with ~prefix:"  " l ->
+            (g ^ "\n" ^ l) :: rest
+        | _ -> acc)
+      [] lines
+    |> List.rev_map (fun g ->
+           if String.ends_with ~suffix:"," g then
+             String.sub g 0 (String.length g - 1)
+           else g)
+  in
+  let key_of g = String.sub g 3 (String.index_from g 3 '"' - 3) in
+  let groups =
+    if groups = [] then [ Printf.sprintf "  \"rev\": %S" rev ] else groups
+  in
+  let mine = Printf.sprintf "  %S: %s" key json in
+  let groups =
+    if List.exists (fun g -> key_of g = key) groups then
+      List.map (fun g -> if key_of g = key then mine else g) groups
+    else groups @ [ mine ]
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "{\n%s\n}\n" (String.concat ",\n" groups));
+  Printf.printf "recorded %s in %s\n" key path
+
+(* Per-subject wall time, Figure-9 breakdown percentages, cache hit rate,
+   and closure throughput (edges added per second of compute).  Comparing
+   two such files across commits is the intended regression check. *)
 let baseline () =
   header "Baseline: performance snapshot for this commit"
     "regression tracking, not a paper figure";
-  let rev = git_rev () in
-  let path = Printf.sprintf "BENCH_%s.json" rev in
-  let subject_json (r : run) =
-    let s = r.stats in
-    let name = r.subject.Generator.profile.Generator.name in
+  let subject_json (subject, o) =
+    let s = o.stats in
     let hit_rate =
       if s.Pipeline.cache_lookups = 0 then 0.
-      else float_of_int s.Pipeline.cache_hits /. float_of_int s.Pipeline.cache_lookups
-    in
-    let edges_per_s =
-      if s.Pipeline.compute_s > 0. then
-        float_of_int s.Pipeline.edges_added /. s.Pipeline.compute_s
-      else 0.
+      else
+        float_of_int s.Pipeline.cache_hits
+        /. float_of_int s.Pipeline.cache_lookups
     in
     let breakdown =
       String.concat ","
         (List.map
-           (fun (component, pct) ->
-             Printf.sprintf "%S:%.2f" component pct)
+           (fun (component, pct) -> Printf.sprintf "%S:%.2f" component pct)
            s.Pipeline.breakdown)
     in
     Printf.sprintf
       {|    {"subject":%S,"wall_s":%.3f,"preprocess_s":%.3f,"compute_s":%.3f,"edges_added":%d,"edges_per_s":%.1f,"cache_hit_rate":%.4f,"bytes_read":%d,"bytes_written":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"breakdown_pct":{%s}}|}
-      name r.wall_s s.Pipeline.preprocess_s s.Pipeline.compute_s
-      s.Pipeline.edges_added edges_per_s hit_rate s.Pipeline.bytes_read
+      (name subject) (wall o) s.Pipeline.preprocess_s s.Pipeline.compute_s
+      s.Pipeline.edges_added (edges_per_s s) hit_rate s.Pipeline.bytes_read
       s.Pipeline.bytes_written s.Pipeline.n_alias_pruned
       s.Pipeline.n_edges_presliced s.Pipeline.n_edges_sliced breakdown
   in
-  let runs = all_runs () in
-  let oc = open_out path in
-  Printf.fprintf oc "{\n  \"rev\": %S,\n  \"subjects\": [\n%s\n  ]\n}\n" rev
-    (String.concat ",\n" (List.map subject_json runs));
-  close_out oc;
+  let runs = Lazy.force shared_runs in
   List.iter
-    (fun (r : run) ->
-      Printf.printf "  %-12s wall=%s edges/s=%.0f\n"
-        r.subject.Generator.profile.Generator.name (hms r.wall_s)
-        (if r.stats.Pipeline.compute_s > 0. then
-           float_of_int r.stats.Pipeline.edges_added
-           /. r.stats.Pipeline.compute_s
-         else 0.))
+    (fun (subject, o) ->
+      Printf.printf "  %-12s wall=%s edges/s=%.0f\n" (name subject)
+        (hms (wall o)) (edges_per_s o.stats))
     runs;
-  Printf.printf "wrote %s\n" path
+  record "subjects"
+    (Printf.sprintf "[\n%s\n  ]"
+       (String.concat ",\n" (List.map subject_json runs)))
 
 (* ------------------------------------------------------------------ *)
 (* DSL checkers: the four spec-defined properties against their         *)
@@ -1289,29 +1011,12 @@ let dsl_checkers () =
   Printf.printf "%-11s %-10s %9s %6s %5s %6s %4s %4s %4s %8s\n" "checker"
     "subject" "|E|after" "#filt" "#spr" "warns" "TP" "FP" "FN" "time";
   let row label (subject : Generator.subject) (c : Checkers.t) ~score_as =
-    let name = subject.Generator.profile.Generator.name in
-    let workdir =
-      Filename.concat root_workdir (Printf.sprintf "dsl-%s-%s" label name)
+    let o =
+      run ~checkers:[ c ] subject (fun cfg ->
+          { cfg with Pipeline.prefilter_properties = Checkers.fsms [ c ] })
     in
-    let prefilter_properties =
-      match c.Checkers.kind with
-      | `Typestate f -> [ f ]
-      | `Exception_walk _ -> []
-    in
-    let config =
-      { (Pipeline.default_config ~workdir) with
-        Pipeline.library_throwers = Checkers.Specs.library_throwers;
-        prefilter_properties }
-    in
-    let t0 = Unix.gettimeofday () in
-    let prepared =
-      Pipeline.prepare ~config ~workdir subject.Generator.program
-    in
-    let results, props, _ = Checkers.run_all_scheduled prepared [ c ] in
-    let dt = Unix.gettimeofday () -. t0 in
-    let stats = Pipeline.stats prepared props in
     let reports =
-      List.concat_map snd results
+      List.concat_map snd o.results
       |> List.map (fun (r : Grapple.Report.t) ->
              { r with Grapple.Report.checker = score_as })
     in
@@ -1319,10 +1024,11 @@ let dsl_checkers () =
       Scoring.score ~checker:score_as ~expected:subject.Generator.expected
         ~reports ()
     in
-    Printf.printf "%-11s %-10s %9d %6d %5d %6d %4d %4d %4d %8s\n" label name
-      stats.Pipeline.n_edges_after stats.Pipeline.n_prefiltered
-      stats.Pipeline.n_summary_pruned (List.length reports)
-      s.Scoring.tp s.Scoring.fp s.Scoring.fn (hms dt)
+    Printf.printf "%-11s %-10s %9d %6d %5d %6d %4d %4d %4d %8s\n" label
+      (name subject) o.stats.Pipeline.n_edges_after
+      o.stats.Pipeline.n_prefiltered o.stats.Pipeline.n_summary_pruned
+      (List.length reports) s.Scoring.tp s.Scoring.fp s.Scoring.fn
+      (hms (wall o))
   in
   row "lock_order" (Generator.mini_locks ())
     (Checkers.resolve "lock_order") ~score_as:"lock_order";
@@ -1339,10 +1045,10 @@ let dsl_checkers () =
 
 (* ------------------------------------------------------------------ *)
 (* Megaload: the 100K+-LoC workload tier (ISSUE 9).  One generated      *)
-(* mega subject through the full pipeline at shard-procs {1,4} and      *)
-(* workers {1,4}; asserts the four warning reports are byte-identical   *)
-(* and records edges/s, peak RSS, and the triage-tier prune rates into  *)
-(* BENCH_<rev>.json.                                                    *)
+(* mega subject through the full pipeline at workers {1,4} and          *)
+(* shard-procs {1,4}; asserts the four warning reports are              *)
+(* byte-identical and records edges/s, peak RSS, and the triage-tier    *)
+(* prune rates into BENCH_<rev>.json.                                   *)
 (* ------------------------------------------------------------------ *)
 
 let peak_rss_kb () =
@@ -1368,50 +1074,6 @@ let peak_rss_kb () =
     go 0
   with _ -> 0
 
-let render_results results =
-  results
-  |> List.concat_map (fun (name, rs) ->
-         List.map (fun r -> name ^ " " ^ Grapple.Report.to_json r) rs)
-  |> String.concat "\n"
-
-(* Splice a "megaload" entry into this commit's BENCH_<rev>.json,
-   preserving the baseline subjects if the file already exists. *)
-let record_megaload_json json =
-  let rev = git_rev () in
-  let path = Printf.sprintf "BENCH_%s.json" rev in
-  let entry = Printf.sprintf "  \"megaload\": %s\n}\n" json in
-  let content =
-    if Sys.file_exists path then begin
-      let ic = open_in path in
-      let n = in_channel_length ic in
-      let old = really_input_string ic n in
-      close_in ic;
-      (* drop any previous megaload entry, then the closing brace *)
-      let find_sub hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec go i =
-          if i + nn > nh then None
-          else if String.sub hay i nn = needle then Some i
-          else go (i + 1)
-        in
-        go 0
-      in
-      let old =
-        match find_sub old ",\n  \"megaload\":" with
-        | Some i -> String.sub old 0 i ^ "\n}\n"
-        | None -> old
-      in
-      match String.rindex_opt old '}' with
-      | Some i -> String.sub old 0 i ^ ",\n" ^ entry
-      | None -> Printf.sprintf "{\n  \"rev\": %S,\n%s" rev entry
-    end
-    else Printf.sprintf "{\n  \"rev\": %S,\n%s" rev entry
-  in
-  let oc = open_out path in
-  output_string oc content;
-  close_out oc;
-  Printf.printf "recorded megaload entry in %s\n" path
-
 let megaload ~fast () =
   header "Megaload: the 100K+-LoC workload tier"
     "checking 1M-LoC codebases on one desktop (SS1, SS5)";
@@ -1430,124 +1092,103 @@ let megaload ~fast () =
     subject.Generator.loc subject.Generator.n_methods
     (List.length subject.Generator.expected)
     (hms gen_s);
-  let cs = Checkers.all () in
-  let fsms =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate f -> Some f
-        | `Exception_walk _ -> None)
-      cs
+  let fsms = Checkers.fsms (Checkers.all ()) in
+  let cells =
+    List.map
+      (fun (label, workers, shard_procs) ->
+        { label;
+          tune =
+            (fun c ->
+              { c with
+                Pipeline.prefilter_properties = fsms;
+                workers;
+                shard_procs });
+          plan = None })
+      [ ("workers=1", 1, 0); ("workers=4", 4, 0); ("shard-procs=1", 1, 1);
+        ("shard-procs=4", 1, 4) ]
   in
-  let one ~label ~workers ~shard_procs =
-    let workdir = Filename.concat root_workdir ("mega-" ^ label) in
-    let config =
-      { (Pipeline.default_config ~workdir) with
-        Pipeline.library_throwers = Checkers.Specs.library_throwers;
-        prefilter_properties = fsms;
-        workers;
-        shard_procs }
-    in
-    let t0 = Unix.gettimeofday () in
-    let prepared =
-      Pipeline.prepare ~config ~workdir subject.Generator.program
-    in
-    let results, props, _ = Checkers.run_all_scheduled prepared cs in
-    let wall = Unix.gettimeofday () -. t0 in
-    let stats = Pipeline.stats prepared props in
-    Printf.printf "  %-14s wall=%-8s warnings=%d\n%!" label (hms wall)
-      (List.fold_left (fun n (_, rs) -> n + List.length rs) 0 results);
-    (render_results results, stats, wall)
-  in
-  (* ordering constraint: the shard runs fork worker processes, and a
-     process that has spawned domains must never fork (OCaml 5) — so both
-     shard configurations run first, with the shared domain budget capped
-     at 1 to keep the solver fan-out from creating domains either. *)
-  Engine.Domains.set_cap 1;
-  let shard1 = one ~label:"shard-procs=1" ~workers:1 ~shard_procs:1 in
-  let shard4 = one ~label:"shard-procs=4" ~workers:1 ~shard_procs:4 in
-  Engine.Domains.set_cap Engine.Domains.default_cap;
-  let w1 = one ~label:"workers=1" ~workers:1 ~shard_procs:0 in
-  let w4 = one ~label:"workers=4" ~workers:4 ~shard_procs:0 in
-  let base, stats, wall = w1 in
-  let identical =
-    List.for_all (fun (r, _, _) -> r = base) [ shard1; shard4; w4 ]
-  in
-  Printf.printf
-    "  warnings byte-identical across workers {1,4} x shard-procs {1,4}: %s\n"
-    (if identical then "yes" else "NO — DIVERGENCE");
-  let tracked =
-    stats.Pipeline.n_prefiltered + stats.Pipeline.n_summary_pruned
-    + stats.Pipeline.n_alias_pruned
-  in
-  let edges_per_s =
-    if stats.Pipeline.compute_s > 0. then
-      float_of_int stats.Pipeline.edges_added /. stats.Pipeline.compute_s
-    else 0.
-  in
-  let rss = peak_rss_kb () in
-  Printf.printf
-    "  edges/s=%.0f peak_rss=%dMB prefiltered=%d summary_pruned=%d \
-     alias_pruned=%d\n"
-    edges_per_s (rss / 1024) stats.Pipeline.n_prefiltered
-    stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned;
-  ignore tracked;
-  let wall_of (_, _, w) = w in
-  record_megaload_json
-    (Printf.sprintf
-       {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_prefiltered":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
-       units subject.Generator.loc subject.Generator.n_methods gen_s wall
-       (wall_of w4) (wall_of shard1) (wall_of shard4)
-       stats.Pipeline.edges_added edges_per_s rss stats.Pipeline.n_prefiltered
-       stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned
-       stats.Pipeline.n_edges_presliced stats.Pipeline.n_edges_sliced
-       identical);
-  if not identical then exit 1
+  match
+    differential [ subject ] cells (fun _ cell o ~base:_ ->
+        Printf.sprintf "  %-14s wall=%-8s warnings=%d" cell.label
+          (hms (wall o)) (warns o))
+  with
+  | [ w1; w4; shard1; shard4 ] ->
+      let identical = not !diverged in
+      Printf.printf
+        "  warnings byte-identical across workers {1,4} x shard-procs \
+         {1,4}: %s\n"
+        (if identical then "yes" else "NO — DIVERGENCE");
+      let stats = w1.stats in
+      let rss = peak_rss_kb () in
+      Printf.printf
+        "  edges/s=%.0f peak_rss=%dMB prefiltered=%d summary_pruned=%d \
+         alias_pruned=%d\n"
+        (edges_per_s stats) (rss / 1024) stats.Pipeline.n_prefiltered
+        stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned;
+      record "megaload"
+        (Printf.sprintf
+           {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_prefiltered":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
+           units subject.Generator.loc subject.Generator.n_methods gen_s
+           (wall w1) (wall w4) (wall shard1) (wall shard4)
+           stats.Pipeline.edges_added (edges_per_s stats) rss
+           stats.Pipeline.n_prefiltered stats.Pipeline.n_summary_pruned
+           stats.Pipeline.n_alias_pruned stats.Pipeline.n_edges_presliced
+           stats.Pipeline.n_edges_sliced identical)
+  | _ -> assert false
 
 (* ------------------------------------------------------------------ *)
 (* Driver.                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let args = List.filter (fun a -> a <> "--") args in
-  let fast = List.mem "fast" args in
-  let args = List.filter (fun a -> a <> "fast") args in
-  Engine.ensure_dir root_workdir;
-  let experiments =
-    [ ("table1", fun () -> table1 ());
-      ("table2", fun () -> table2 ());
-      ("table3", fun () -> table3 ());
-      ("fig9", fun () -> fig9 ());
-      ("table4", fun () -> table4 ~fast ());
-      ("table5", fun () -> table5 ~fast ());
-      ("oom", fun () -> oom ());
-      ("ablation", fun () -> ablation ());
-      ("prefilter", fun () -> prefilter ());
-      ("summaries", fun () -> summaries ());
-      ("alias", fun () -> alias ());
-      ("faults", fun () -> faults ());
-      ("scaling", fun () -> scaling ~fast ());
-      ("shards", fun () -> shards ~fast ());
-      ("micro", fun () -> micro ());
-      ("checkers", fun () -> dsl_checkers ());
-      ("baseline", fun () -> baseline ());
-      ("megaload", fun () -> megaload ~fast ()) ]
+  let args =
+    Array.to_list Sys.argv |> List.tl |> List.filter (fun a -> a <> "--")
   in
+  let fast = List.mem "fast" args in
+  let names = List.filter (fun a -> a <> "fast") args in
+  Engine.ensure_dir root_workdir;
+  (* Experiments run in this order, however they are named: shards and
+     megaload fork shard workers, so they come before anything that spawns
+     a domain. *)
+  let experiments =
+    [ ("shards", shards ~fast);
+      ("megaload", megaload ~fast);
+      ("table1", table1);
+      ("table2", table2);
+      ("table3", table3);
+      ("fig9", fig9);
+      ("table4", table4 ~fast);
+      ("table5", table5 ~fast);
+      ("oom", oom);
+      ("ablation", ablation);
+      ("prefilter", prefilter);
+      ("summaries", summaries);
+      ("alias", alias);
+      ("faults", faults);
+      ("scaling", scaling ~fast);
+      ("micro", micro);
+      ("checkers", dsl_checkers);
+      ("baseline", baseline) ]
+  in
+  List.iter
+    (fun n ->
+      if not (List.mem_assoc n experiments) then begin
+        Printf.eprintf "unknown experiment %s\n" n;
+        exit 2
+      end)
+    names;
   let chosen =
-    match args with
-    | [] -> experiments
-    | names ->
-        List.map
-          (fun n ->
-            match List.assoc_opt n experiments with
-            | Some f -> (n, f)
-            | None ->
-                Printf.eprintf "unknown experiment %s\n" n;
-                exit 2)
-          names
+    if names = [] then experiments
+    else List.filter (fun (n, _) -> List.mem n names) experiments
   in
   Printf.printf "grapple benchmark harness -- %d experiment(s)\n"
     (List.length chosen);
-  List.iter (fun (_, f) -> f ()) chosen;
+  List.iter
+    (fun (n, f) ->
+      f ();
+      if !diverged then begin
+        Printf.printf "\n%s: warnings diverged across its configurations\n" n;
+        exit 1
+      end)
+    chosen;
   Printf.printf "\n%s\nall experiments done.\n" line

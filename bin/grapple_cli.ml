@@ -288,14 +288,6 @@ let check_cmd =
     let loaded = load_specs specs in
     let names = checker_names ~loaded checkers in
     let cs = List.map (checker_of_name ~loaded) names in
-    let prefilter_properties =
-      List.filter_map
-        (fun (c : Checkers.t) ->
-          match c.Checkers.kind with
-          | `Typestate fsm -> Some fsm
-          | `Exception_walk _ -> None)
-        cs
-    in
     let explicit_dir =
       match resume_opt with Some d -> Some d | None -> workdir_opt
     in
@@ -329,7 +321,7 @@ let check_cmd =
             library_throwers = Checkers.Specs.library_throwers;
             track_null = List.mem "null" names;
             prefilter = not no_prefilter;
-            prefilter_properties;
+            prefilter_properties = Checkers.fsms cs;
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
             max_retries;
@@ -485,7 +477,7 @@ let lint_cmd =
         in
         diags
         @ Analysis.Summaries.interproc_diags ~on_pass
-            ~fsms:(Checkers.fsms ()) program
+            ~fsms:(Checkers.fsms (Checkers.all_with_null ())) program
         @ timed "pointsto-lints" (fun () -> Analysis.Pointsto.diags pt)
       else diags
     in

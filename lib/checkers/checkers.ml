@@ -85,15 +85,13 @@ let resolve ?(loaded : t list = []) name : t =
                    "unknown checker '%s' (available: %s)" name
                    (String.concat ", " available))))
 
-(* The typestate FSMs of every registered checker, for analyses that run
-   per-property (the interprocedural lints). *)
-let fsms () =
+(* The typestate FSMs of [cs], in order: the per-property instances the
+   pipeline schedules and pre-filters (exception walks need neither). *)
+let fsms (cs : t list) =
   List.filter_map
-    (fun (_, mk) ->
-      match (mk ()).kind with
-      | `Typestate f -> Some f
-      | `Exception_walk _ -> None)
-    registry
+    (fun c ->
+      match c.kind with `Typestate f -> Some f | `Exception_walk _ -> None)
+    cs
 
 let exception_walk opts p =
   Obs.Trace.with_span ~cat:"checker" "checker.exception_walk" (fun () ->
@@ -109,13 +107,7 @@ let run_all_scheduled (p : Pipeline.prepared) (cs : t list) :
     (string * Report.t list) list
     * Pipeline.property_result list
     * Pipeline.schedule_entry list =
-  let fsms =
-    List.filter_map
-      (fun c ->
-        match c.kind with `Typestate f -> Some f | `Exception_walk _ -> None)
-      cs
-  in
-  let props, schedule = Pipeline.check_properties p fsms in
+  let props, schedule = Pipeline.check_properties p (fsms cs) in
   let rec assemble cs props =
     match cs with
     | [] -> []

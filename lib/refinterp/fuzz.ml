@@ -35,14 +35,6 @@ let exn_checker_names = [ "exception"; "exc_twr" ]
 
 let checkers () = List.map (fun n -> Checkers.resolve n) checker_names
 
-let fsms_of cs =
-  List.filter_map
-    (fun (c : Checkers.t) ->
-      match c.Checkers.kind with
-      | `Typestate f -> Some f
-      | `Exception_walk _ -> None)
-    cs
-
 (* Bug families the generator can plant, one per checker family. *)
 let bug_families =
   [ "io"; "lock"; "socket"; "exception"; "lock_order"; "taint"; "close";
@@ -109,7 +101,7 @@ let check_program ?(workers = 1) ?(shard_procs = 0) ?weaken_tier
     harness_result =
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
   let cs = checkers () in
-  let fsms = fsms_of cs in
+  let fsms = Checkers.fsms cs in
   let config =
     { (Pipeline.default_config ~workdir) with
       Pipeline.library_throwers = Checkers.Specs.library_throwers;

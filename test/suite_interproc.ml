@@ -392,7 +392,9 @@ let test_workload_interproc_expectations () =
   let s = Workload.Generator.mini_hadoop () in
   let program = s.Workload.Generator.program in
   let diags =
-    Analysis.Summaries.interproc_diags ~fsms:(Checkers.fsms ()) program
+    Analysis.Summaries.interproc_diags
+      ~fsms:(Checkers.fsms (Checkers.all_with_null ()))
+      program
   in
   let ls =
     Workload.Scoring.score_lints ~checker:"interproc"

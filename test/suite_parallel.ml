@@ -243,7 +243,7 @@ let run ?(workers = 1) ?plan ?(resume = false)
     { (Pipeline.default_config ~workdir) with
       Pipeline.library_throwers = throwers;
       track_null = true;
-      prefilter_properties = Checkers.fsms ();
+      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       workers;
       resume;
       engine =
@@ -429,7 +429,7 @@ let test_crash_isolation_resume () =
   let config =
     { (Pipeline.default_config ~workdir) with
       Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms ();
+      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       workers = default_workers;
       engine =
         { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }

@@ -14,14 +14,7 @@ let check_src ?(checkers = Checkers.all ()) ?(track_null = false)
   let program = Jir.Resolve.parse_exn src in
   let workdir = fresh_workdir () in
   let prefilter_properties =
-    if prefilter then
-      List.filter_map
-        (fun (c : Checkers.t) ->
-          match c.Checkers.kind with
-          | `Typestate fsm -> Some fsm
-          | `Exception_walk _ -> None)
-        checkers
-    else []
+    if prefilter then Checkers.fsms checkers else []
   in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with

@@ -170,7 +170,7 @@ let run_shard ?(procs = 2) ?(kill_nth = 0) ?(max_redispatch = 3) ?plan
     { (Pipeline.default_config ~workdir) with
       Pipeline.library_throwers = throwers;
       track_null = true;
-      prefilter_properties = Checkers.fsms ();
+      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = procs;
       heartbeat_ms = 20.;
       max_redispatch;
@@ -268,7 +268,7 @@ let test_shard_crash_mid_instance () =
   let config =
     { (Pipeline.default_config ~workdir) with
       Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms ();
+      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 2;
       heartbeat_ms = 20.;
       max_redispatch = 50;
@@ -301,7 +301,7 @@ let test_shard_degrade_to_inconclusive () =
   let config =
     { (Pipeline.default_config ~workdir) with
       Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms ();
+      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 1;
       heartbeat_ms = 20.;
       max_redispatch = 0;

@@ -178,25 +178,29 @@ let test_resolve_unknown_lists_available () =
         [ "no_such_checker"; "io"; "lock"; "exception"; "socket"; "null";
           "lock_order"; "taint"; "close"; "exc_twr" ]
 
+(* the typestate projection keeps list order and drops both exception
+   walks: the paper's plain one and the DSL's handler-aware exc_twr *)
+let test_fsms_projection () =
+  let cs =
+    List.map Checkers.resolve
+      [ "exc_twr"; "taint"; "io"; "exception"; "null"; "lock_order" ]
+  in
+  Alcotest.(check (list string))
+    "typestate FSMs in order"
+    [ "taint"; "io"; "null"; "lock_order" ]
+    (List.map (fun (f : Fsm.t) -> f.Fsm.name) (Checkers.fsms cs))
+
 (* ---------------- pipeline harness ---------------- *)
 
 let prepare_and_run ?(workers = 1) ~track_null (cs : Checkers.t list)
     (program : Jir.Ast.program) =
   let workdir = fresh_workdir () in
-  let prefilter_properties =
-    List.filter_map
-      (fun (c : Checkers.t) ->
-        match c.Checkers.kind with
-        | `Typestate fsm -> Some fsm
-        | `Exception_walk _ -> None)
-      cs
-  in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       track_null;
       prefilter = true;
-      prefilter_properties;
+      prefilter_properties = Checkers.fsms cs;
       workers }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
@@ -393,6 +397,7 @@ let suite =
     Alcotest.test_case "resolve names" `Quick test_resolve_names;
     Alcotest.test_case "resolve unknown lists available" `Quick
       test_resolve_unknown_lists_available;
+    Alcotest.test_case "typestate projection" `Quick test_fsms_projection;
     Alcotest.test_case "replicas byte-identical" `Slow
       test_replicas_byte_identical;
     Alcotest.test_case "DSL checkers worker-invariant" `Slow
