@@ -820,7 +820,9 @@ let shards ~fast () =
 (* ------------------------------------------------------------------ *)
 
 let micro () =
-  header "Micro-benchmarks (Bechamel): the dominant kernel of each table"
+  header
+    "Micro-benchmarks (Bechamel): the dominant kernel of each table, and \
+     the engine's partition load"
     "n/a -- engineering sanity checks";
   let open Bechamel in
   (* table 1 kernel: subject generation *)
@@ -857,9 +859,10 @@ let micro () =
     Test.make ~name:"table3/smt-solve"
       (Staged.stage (fun () -> ignore (Smt.Solver.check path_constraint)))
   in
-  (* table 4 kernel: LRU hit *)
+  (* table 4 kernel: LRU hit, keyed like the engine's cache by canonical
+     encoding wire bytes *)
   let cache = Engine.Lru.create 1024 in
-  let key = [ E.Interval { meth = 0; first = 0; last = 6 } ] in
+  let key = E.to_bytes [ E.Interval { meth = 0; first = 0; last = 6 } ] in
   Engine.Lru.add cache key true;
   let t4 =
     Test.make ~name:"table4/lru-lookup"
@@ -884,7 +887,33 @@ let micro () =
     Test.make ~name:"fig9/encoding-compose"
       (Staged.stage (fun () -> ignore (E.compose_normalized e1 e2)))
   in
-  let grouped = Test.make_grouped ~name:"grapple" [ t1; t2; t3; t4; t5; f9 ] in
+  (* engine kernel: read one 50K-edge partition file, written once here,
+     and build its key table — the work of every partition load *)
+  let dir = fresh_workdir () in
+  Engine.ensure_dir dir;
+  let path = Filename.concat dir "micro.edges" in
+  let () =
+    let buf = Engine.Edgebuf.create ~capacity:50_000 () in
+    let rng = Random.State.make [| 7 |] in
+    for i = 0 to 49_999 do
+      Engine.Edgebuf.push_edge buf ~src:(i / 4) ~dst:(i * 7 mod 12_500)
+        ~label:(Random.State.int rng 6)
+        [ E.Interval
+            { meth = Random.State.int rng 50; first = 0;
+              last = Random.State.int rng 20 } ]
+    done;
+    ignore (Engine.Storage.write_flat ~path buf : int)
+  in
+  let load =
+    Test.make ~name:"engine/partition-load"
+      (Staged.stage (fun () ->
+           let buf = (Engine.Storage.read_flat ~path).Engine.Storage.buf in
+           let keys = Engine.Keys.create (Engine.Edgebuf.n buf) in
+           ignore (Engine.Keys.build keys buf : bool)))
+  in
+  let grouped =
+    Test.make_grouped ~name:"grapple" [ t1; t2; t3; t4; t5; f9; load ]
+  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in

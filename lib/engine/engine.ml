@@ -11,13 +11,18 @@
 
    Loaded partitions are flat int-packed edge buffers ([Edgebuf]): 4-word
    records over a [Bigarray], with path encodings interned in a side pool.
-   The join runs semi-naively: per superstep, only the edges appended since
-   the previous superstep (the delta) are sort-merge-joined against the
-   partitions' standing sorted indexes, so settled edges are never re-paired.
-   The same scheme extends across pairs — the checkpoint manifest records
-   each partition's deduplicated edge count at every pair's last local
-   fixpoint, and reprocessing a pair starts its delta there (valid because
-   partition files only grow by appending behind that prefix).
+   Two flat int indexes over the buffer's positions ([Edgeindex]) answer
+   every lookup: one open-addressing key table for "is this edge already
+   here?" and the per-key witness count, and per-vertex src/dst chains for
+   the join.  The join runs semi-naively: per superstep, only the edges
+   appended since the previous superstep (the delta) walk the chains of
+   their join vertex, and since chains list positions in ascending order,
+   "settled" is just a position bound — settled edges are never re-paired,
+   and nothing is sorted or merged.  The same scheme extends across pairs —
+   the checkpoint manifest records each partition's deduplicated edge count
+   at every pair's last local fixpoint, and reprocessing a pair starts its
+   delta there (valid because partition files only grow by appending behind
+   that prefix).
 
    The engine is a functor over the label logic, instantiated once with the
    pointer-analysis grammar (phase 1) and once with the dataflow grammar
@@ -27,6 +32,8 @@ module Metrics = Metrics
 module Lru = Lru
 module Storage = Storage
 module Edgebuf = Edgebuf
+module Keys = Edgeindex.Keys
+module Chains = Edgeindex.Chains
 module Faults = Faults
 module Manifest = Manifest
 module Domains = Domains
@@ -136,22 +143,21 @@ module Make (L : LABEL_LOGIC) = struct
   }
 
   (* A loaded partition.  [buf] holds the deduplicated edges in file order
-     (load order, then insertions); [present] and [key_counts] key edges by
-     the *canonical pool id* of their encoding ([Edgebuf.canon]), so
-     membership is pure int hashing — candidate bytes pay one string lookup
-     ([Edgebuf.find_bytes]) to reach id space, and everything after that
-     never touches the bytes again.  [idx_src] and [idx_dst] are sorted
-     edge-index arrays over the settled prefix [0, indexed): everything at
-     or past [indexed] is the join delta of the next superstep. *)
+     (load order, then insertions).  [keys] indexes every position by
+     (src, dst, label) and compares encodings by their *canonical pool id*
+     ([Edgebuf.canon]), so membership is pure int work — candidate bytes pay
+     one string lookup ([Edgebuf.find_bytes]) to reach id space, and
+     everything after that never touches the bytes again.  [chains] links
+     positions by src and by dst for the current pair (rebuilt by
+     [prepare]); positions below [indexed] are settled, and [indexed, snap)
+     is the current superstep's delta. *)
   type loaded = {
     meta : pmeta;
     buf : Edgebuf.t;
-    present : (int * int * int * int, unit) Hashtbl.t;
-    key_counts : (int * int * int, int) Hashtbl.t;
-        (* encodings already kept per (src, dst, label) *)
+    keys : Keys.t;
+    chains : Chains.t;
     mutable indexed : int;
-    mutable idx_src : int array;  (* sorted by (src, insertion index) *)
-    mutable idx_dst : int array;  (* sorted by (dst, insertion index) *)
+    mutable snap : int;  (* edge count when the current superstep began *)
     mutable dirty : bool;  (* contents differ from the on-disk file *)
   }
 
@@ -314,37 +320,6 @@ module Make (L : LABEL_LOGIC) = struct
             mine @ List.concat_map Domain.join spawned)
     end
 
-  (* [bytes] must be [enc]'s canonical wire bytes (the cache key). *)
-  let feasible t ~(bytes : string) (enc : Encoding.t) : bool =
-    if not t.config.feasibility_enabled then true
-    else begin
-      let m = t.metrics in
-      (* a disabled cache is never consulted, so it must not count lookups:
-         otherwise stats report a 0% hit rate for a cache that is off *)
-      let cached =
-        if t.config.cache_enabled then begin
-          Metrics.incr m.Metrics.cache_lookups;
-          Lru.find t.cache bytes
-        end
-        else None
-      in
-      match cached with
-      | Some answer ->
-          Metrics.incr m.Metrics.cache_hits;
-          answer
-      | None ->
-          let formula = Metrics.time m `Decode (fun () -> t.decode enc) in
-          let answer =
-            Metrics.time m `Solve (fun () ->
-                match Solver.check formula with
-                | Solver.Sat | Solver.Unknown -> true
-                | Solver.Unsat -> false)
-          in
-          Metrics.incr m.Metrics.constraints_solved;
-          if t.config.cache_enabled then Lru.add t.cache bytes answer;
-          answer
-    end
-
   (* ---------------- seed edges and closure helpers ---------------- *)
 
   (* The unary (e.g. New => FlowsTo) and mirror (FlowsTo => reversed
@@ -387,12 +362,6 @@ module Make (L : LABEL_LOGIC) = struct
     | None ->
         invalid_arg (Printf.sprintf "Engine.owner: vertex %d out of range" v)
 
-  (* Dedup key of a boxed edge: the encoding goes in as canonical wire
-     bytes, so hashing the key walks one flat string instead of the whole
-     encoding structure. *)
-  let edge_key (e : edge) =
-    (e.src, e.dst, L.to_int e.label, Encoding.to_bytes e.enc)
-
   let load t (meta : pmeta) : loaded =
     Obs.Trace.with_span ~cat:"engine"
       ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
@@ -405,54 +374,35 @@ module Make (L : LABEL_LOGIC) = struct
     Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
     let raw = outcome.Storage.buf in
     let n_raw = Edgebuf.n raw in
-    let present = Hashtbl.create 4096 in
-    let key_counts = Hashtbl.create 4096 in
-    let count_key src dst label cid =
-      Hashtbl.replace present (src, dst, label, cid) ();
-      let ckey = (src, dst, label) in
-      Hashtbl.replace key_counts ckey
-        (1 + Option.value ~default:0 (Hashtbl.find_opt key_counts ckey))
-    in
-    (* first pass: membership tables, and whether the file holds exact
-       duplicate records (it shouldn't — every writer deduplicates — but a
-       hand-edited or legacy file must still load to a consistent state).
-       Keys use the canonical pool ids the parse already built, so this
-       pass never re-hashes encoding bytes. *)
-    let dup = ref false in
-    for i = 0 to n_raw - 1 do
-      let cid = Edgebuf.canon raw (Edgebuf.enc_id raw i) in
-      let key = (Edgebuf.src raw i, Edgebuf.dst raw i, Edgebuf.label raw i,
-                 cid)
-      in
-      if Hashtbl.mem present key then dup := true
-      else count_key (Edgebuf.src raw i) (Edgebuf.dst raw i)
-             (Edgebuf.label raw i) cid
-    done;
+    let keys = Keys.create n_raw in
+    (* index every record, noting whether the file holds exact duplicates
+       (it shouldn't — every writer deduplicates — but a hand-edited or
+       legacy file must still load to a consistent state).  Keys use the
+       canonical pool ids the parse already built, so this pass never
+       re-hashes encoding bytes. *)
+    let dup = Keys.build keys raw in
     let buf =
-      if not !dup then raw  (* the common case: adopt the file's buffer *)
+      if not dup then raw  (* the common case: adopt the file's buffer *)
       else begin
         let b = Edgebuf.create ~capacity:(max 256 n_raw) () in
-        Hashtbl.reset present;
-        Hashtbl.reset key_counts;
+        Keys.clear keys;
         for i = 0 to n_raw - 1 do
+          let src = Edgebuf.src raw i and dst = Edgebuf.dst raw i in
+          let label = Edgebuf.label raw i in
           let bytes = Edgebuf.enc_bytes raw (Edgebuf.enc_id raw i) in
           let id = Edgebuf.intern_bytes b bytes in
-          let key = (Edgebuf.src raw i, Edgebuf.dst raw i, Edgebuf.label raw i,
-                     id)
-          in
-          if not (Hashtbl.mem present key) then begin
-            count_key (Edgebuf.src raw i) (Edgebuf.dst raw i)
-              (Edgebuf.label raw i) id;
-            Edgebuf.push b ~src:(Edgebuf.src raw i) ~dst:(Edgebuf.dst raw i)
-              ~label:(Edgebuf.label raw i) ~enc_id:id
+          let slot = Keys.find keys b ~src ~dst ~label in
+          if not (Keys.mem keys b slot id) then begin
+            Edgebuf.push b ~src ~dst ~label ~enc_id:id;
+            Keys.add keys b slot (Edgebuf.n b - 1)
           end
         done;
         b
       end
     in
     let l =
-      { meta; buf; present; key_counts; indexed = 0; idx_src = [||];
-        idx_dst = [||]; dirty = !dup }
+      { meta; buf; keys; chains = Chains.create (Edgebuf.n buf); indexed = 0;
+        snap = 0; dirty = dup }
     in
     (match outcome.Storage.corrupt with
     | None -> ()
@@ -498,98 +448,40 @@ module Make (L : LABEL_LOGIC) = struct
      fact.  [bytes] must be [enc]'s canonical wire bytes. *)
   let insert t (l : loaded) ~src ~dst ~label ~(bytes : string)
       ~(enc : Encoding.t) : bool =
+    let slot = Keys.find l.keys l.buf ~src ~dst ~label in
     let known =
       match Edgebuf.find_bytes l.buf bytes with
-      | Some cid -> Hashtbl.mem l.present (src, dst, label, cid)
+      | Some cid -> Keys.mem l.keys l.buf slot cid
       | None -> false  (* bytes nowhere in the pool: certainly a new fact *)
     in
-    if known then false
+    let cap = t.config.max_encodings_per_key in
+    if known || (cap > 0 && Keys.count l.keys slot >= cap) then false
     else begin
-      let ckey = (src, dst, label) in
-      let kept = Option.value ~default:0 (Hashtbl.find_opt l.key_counts ckey) in
-      let cap = t.config.max_encodings_per_key in
-      if cap > 0 && kept >= cap then false
-      else begin
-        (* canonical by construction: [intern_bytes] returns the existing
-           binding or creates the first slot for these bytes *)
-        let id = Edgebuf.intern_bytes ~decoded:enc l.buf bytes in
-        Hashtbl.replace l.present (src, dst, label, id) ();
-        Hashtbl.replace l.key_counts ckey (kept + 1);
-        Edgebuf.push l.buf ~src ~dst ~label ~enc_id:id;
-        l.dirty <- true;
-        true
-      end
+      (* canonical by construction: [intern_bytes] returns the existing
+         binding or creates the first slot for these bytes *)
+      let id = Edgebuf.intern_bytes ~decoded:enc l.buf bytes in
+      Edgebuf.push l.buf ~src ~dst ~label ~enc_id:id;
+      let p = Edgebuf.n l.buf - 1 in
+      Keys.add l.keys l.buf slot p;
+      Chains.append l.chains l.buf p;
+      l.dirty <- true;
+      true
     end
 
-  (* ---------------- sorted edge-index arrays ---------------- *)
-
-  (* Indexes are int arrays of edge positions, sorted by (key, position):
-     the position tiebreak makes every scan order — and therefore every
-     downstream insertion order — deterministic. *)
-
-  let ids_range lo hi = Array.init (hi - lo) (fun k -> lo + k)
-
-  let sort_ids buf keyf (ids : int array) =
-    Array.sort
-      (fun a b ->
-        let c = compare (keyf buf a : int) (keyf buf b) in
-        if c <> 0 then c else compare a b)
-      ids;
-    ids
-
-  let merge_sorted buf keyf (a : int array) (b : int array) =
-    let la = Array.length a and lb = Array.length b in
-    if la = 0 then b
-    else if lb = 0 then a
-    else begin
-      let out = Array.make (la + lb) 0 in
-      let i = ref 0 and j = ref 0 in
-      for k = 0 to la + lb - 1 do
-        let take_a =
-          if !i >= la then false
-          else if !j >= lb then true
-          else
-            let c = compare (keyf buf a.(!i) : int) (keyf buf b.(!j)) in
-            c < 0 || (c = 0 && a.(!i) <= b.(!j))
-        in
-        if take_a then begin
-          out.(k) <- a.(!i);
-          incr i
-        end
-        else begin
-          out.(k) <- b.(!j);
-          incr j
-        end
-      done;
-      out
-    end
-
-  (* First position in [idx] whose key is >= [v]. *)
-  let lower_bound buf keyf (idx : int array) v =
-    let lo = ref 0 and hi = ref (Array.length idx) in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if (keyf buf idx.(mid) : int) < v then lo := mid + 1 else hi := mid
-    done;
-    !lo
-
-  (* Apply [f] to every edge position in [idx] whose key equals [v]. *)
-  let scan_eq buf keyf (idx : int array) v f =
-    let n = Array.length idx in
-    let i = ref (lower_bound buf keyf idx v) in
-    while !i < n && (keyf buf idx.(!i) : int) = v do
-      f idx.(!i);
-      incr i
-    done
-
-  (* Build the standing indexes over the first [upto] edges: the cross-pair
-     delta start.  [upto] past the buffer (a corruption-truncated file)
-     clamps to the available prefix. *)
-  let prepare (l : loaded) ~upto =
-    let upto = min (max upto 0) (Edgebuf.n l.buf) in
-    l.idx_src <- sort_ids l.buf Edgebuf.src (ids_range 0 upto);
-    l.idx_dst <- sort_ids l.buf Edgebuf.dst (ids_range 0 upto);
-    l.indexed <- upto
+  (* Start a pair: positions below [upto] (the cross-pair delta start) are
+     settled, and the chains are rebuilt for the pair's vertex intervals.
+     [upto] past the buffer (a corruption-truncated file) clamps to the
+     available prefix. *)
+  let prepare (l : loaded) ~upto ~(pair : loaded list) =
+    l.indexed <- min (max upto 0) (Edgebuf.n l.buf);
+    let lo1, hi1, lo2, hi2 =
+      match pair with
+      | [ a ] -> (a.meta.lo, a.meta.hi, 0, 0)
+      | [ a; b ] -> (a.meta.lo, a.meta.hi, b.meta.lo, b.meta.hi)
+      | _ -> invalid_arg "Engine.prepare: a pair has one or two partitions"
+    in
+    Chains.rebuild l.chains l.buf ~lo:l.meta.lo ~hi:l.meta.hi ~lo1 ~hi1 ~lo2
+      ~hi2
 
   (* ---------------- flush paths ---------------- *)
 
@@ -671,44 +563,50 @@ module Make (L : LABEL_LOGIC) = struct
   (* Partition the seed edges into [target_partitions] intervals of roughly
      equal edge counts and write them to disk. *)
   let preprocess t =
-    let seeds =
-      (* close seeds under unary/mirror, deduplicated *)
-      let seen = Hashtbl.create 4096 in
-      let out = ref [] in
-      let add e =
-        let key = edge_key e in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.replace seen key ();
-          out := e :: !out
-        end
-      in
-      List.iter
-        (fun e ->
-          add e;
-          List.iter add (consequences e))
-        t.seeds;
-      !out
+    (* close seeds under unary/mirror into one buffer, deduplicated by a key
+       table; each encoding is serialized and interned once (unary
+       consequences share their seed's) *)
+    let n_in = List.length t.seeds in
+    let sb = Edgebuf.create ~capacity:(max 256 n_in) () in
+    let keys = Keys.create n_in in
+    let add ~src ~dst ~label id =
+      let slot = Keys.find keys sb ~src ~dst ~label in
+      if not (Keys.mem keys sb slot id) then begin
+        Edgebuf.push sb ~src ~dst ~label ~enc_id:id;
+        Keys.add keys sb slot (Edgebuf.n sb - 1)
+      end
     in
+    List.iter
+      (fun (e : edge) ->
+        let id = Edgebuf.intern sb e.enc in
+        add ~src:e.src ~dst:e.dst ~label:(L.to_int e.label) id;
+        List.iter
+          (fun (d : edge) ->
+            let id = if d.enc == e.enc then id else Edgebuf.intern sb d.enc in
+            add ~src:d.src ~dst:d.dst ~label:(L.to_int d.label) id)
+          (consequences e))
+      t.seeds;
     t.seeds <- [];
-    t.n_seed_edges <- List.length seeds;
-    let sorted = List.sort (fun a b -> Int.compare a.src b.src) seeds in
-    let n = List.length sorted in
+    let n = Edgebuf.n sb in
+    t.n_seed_edges <- n;
+    (* file order: by src, and newest first within a src *)
+    let order = Array.init n (fun i -> n - 1 - i) in
+    Array.stable_sort
+      (fun a b -> Int.compare (Edgebuf.src sb a) (Edgebuf.src sb b))
+      order;
     let k = max 1 t.config.target_partitions in
     let per = max 1 ((n + k - 1) / k) in
     (* choose interval boundaries at multiples of [per], aligned to source
        vertex changes so an interval never splits a vertex *)
     let bounds = ref [] in
-    let () =
-      let i = ref 0 in
-      let last_src = ref (-1) in
-      List.iter
-        (fun e ->
-          if !i > 0 && !i mod per = 0 && e.src <> !last_src then
-            bounds := e.src :: !bounds;
-          last_src := e.src;
-          incr i)
-        sorted
-    in
+    let last_src = ref (-1) in
+    Array.iteri
+      (fun i p ->
+        let src = Edgebuf.src sb p in
+        if i > 0 && i mod per = 0 && src <> !last_src then
+          bounds := src :: !bounds;
+        last_src := src)
+      order;
     let bounds = List.rev !bounds in
     let lo_list = 0 :: bounds in
     let hi_list = bounds @ [ t.max_vertex + 1 ] in
@@ -720,21 +618,25 @@ module Make (L : LABEL_LOGIC) = struct
             approx_edges = 0 })
         lo_list hi_list
     in
-    (* one ordered pass: the metas ascend by [lo] and the seeds by [src], so
-       each partition's slice is the next contiguous run of the sorted list
-       (the last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
-    let rest = ref sorted in
+    (* one ordered pass: the metas ascend by [lo] and [order] by [src], so
+       each partition's slice is the next contiguous run of [order] (the
+       last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
+    let next = ref 0 in
+    let local = Array.make (Edgebuf.pool_size sb) (-1) in
     List.iter
       (fun meta ->
+        (* [local]: seed pool id -> this partition's pool id, interning
+           each encoding at its first use so the pool keeps that order *)
+        Array.fill local 0 (Array.length local) (-1);
         let buf = Edgebuf.create () in
-        let continue_ = ref true in
-        while !continue_ do
-          match !rest with
-          | e :: tl when e.src < meta.hi ->
-              rest := tl;
-              Edgebuf.push_edge buf ~src:e.src ~dst:e.dst
-                ~label:(L.to_int e.label) e.enc
-          | _ -> continue_ := false
+        while !next < n && Edgebuf.src sb order.(!next) < meta.hi do
+          let p = order.(!next) in
+          let id = Edgebuf.enc_id sb p in
+          if local.(id) < 0 then
+            local.(id) <- Edgebuf.intern_bytes buf (Edgebuf.enc_bytes sb id);
+          Edgebuf.push buf ~src:(Edgebuf.src sb p) ~dst:(Edgebuf.dst sb p)
+            ~label:(Edgebuf.label sb p) ~enc_id:local.(id);
+          incr next
         done;
         let bytes =
           Metrics.time t.metrics `Io (fun () ->
@@ -747,41 +649,38 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- the edge-pair-centric computation ---------------- *)
 
-  (* A composition that survived the label and encoding checks, awaiting a
-     feasibility verdict. *)
-  type cand = {
-    c_src : int;
-    c_dst : int;
-    c_label : int;
-    c_bytes : string;
-    c_enc : Encoding.t;
-  }
-
   (* How many candidates are collected before feasibility checks are
      resolved (in parallel when [solver_domains] > 1). *)
   let chunk_cap = 2048
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
      superstep pairs only the edges appended since the last superstep (the
-     delta) against the standing sorted indexes, then merges the delta in.
+     delta) with their partners, found by walking per-vertex chains.
      Settled edges are never re-paired against each other — within a pair,
      and (via [prepare]'s cross-pair counts) across a pair's reprocessings.
 
      Coverage: for a delta edge e and a settled or delta partner f, the
      ordered pair (e, f) is generated exactly once —
-       - e on the left: e's [dst] owner is scanned by src, settled index
-         first, then that partition's own delta (so delta x delta included);
-       - e on the right: every loaded partition's settled [idx_dst] is
-         scanned (delta x delta already covered by the left pass).
-     Edges inserted *during* a superstep land past the snapshot and join as
-     the next superstep's delta.
+       - e on the left: the src chain of e's [dst] in the partition owning
+         it, below that partition's snapshot (settled and delta partners,
+         so delta x delta included);
+       - e on the right: every loaded partition's dst chain of e's [src],
+         below its [indexed] bound (settled partners only: delta x delta
+         was covered by the left pass).
+     Chains list positions in ascending order, so partners are visited in
+     (key, position) order: that fixes every downstream insertion order,
+     and with it the partition files.  Edges inserted *during* a superstep
+     land past every bound and join as the next superstep's delta.
 
      [route] receives edges owned by partitions that are not loaded. *)
   let local_fixpoint t (loadeds : loaded list) ~route =
     let m = t.metrics in
-    let find_loaded v =
-      List.find_opt (fun l -> v >= l.meta.lo && v < l.meta.hi) loadeds
+    let rec owner_in v = function
+      | [] -> None
+      | l :: rest ->
+          if v >= l.meta.lo && v < l.meta.hi then Some l else owner_in v rest
     in
+    let find_loaded v = owner_in v loadeds in
     (* materialize the unary/mirror consequences of a just-added edge; they
        share its (already decided) path, so no feasibility check *)
     let dispatch_consequences ~src ~dst ~label ~enc =
@@ -817,143 +716,137 @@ module Make (L : LABEL_LOGIC) = struct
                   p_enc = enc };
           dispatch_consequences ~src ~dst ~label ~enc
     in
-    let chunk = ref [] in
-    let chunk_n = ref 0 in
-    (* resolve the collected candidates: dedup within the chunk (the same
-       composition is rediscovered through every parallel witness pair),
-       drop the ones that cannot materialize, then cache hits immediately
-       and the misses as one (possibly parallel) solving batch *)
+    (* the candidates of the current chunk, deduplicated as they arrive (the
+       same composition is rediscovered through every parallel witness
+       pair): a buffer of their records plus a key table over it *)
+    let chunk = Edgebuf.create ~capacity:chunk_cap () in
+    let chunk_keys = Keys.create chunk_cap in
+    let chunk_n = ref 0 in  (* candidates collected, duplicates included *)
+    let live = Array.make chunk_cap 0 in
+    (* chunk pool id (one per distinct encoding) -> its verdict *)
+    let undecided = -1 and solving = 2 in
+    let verdict = Array.make chunk_cap undecided in
+    (* resolve the collected candidates: drop the ones that cannot
+       materialize, then take verdicts from the cache and decide the misses
+       as one (possibly parallel) solving batch *)
     let resolve_chunk () =
       if !chunk_n > 0 then begin
         (* budgets are polled per chunk so a runaway pair cannot exceed its
            allowance by more than one chunk of work *)
         check_budgets t;
-        let cands = List.rev !chunk in
-        chunk := [];
         chunk_n := 0;
-        let seen = Hashtbl.create 256 in
-        let cands =
-          List.filter
-            (fun c ->
-              let key = (c.c_src, c.c_dst, c.c_label, c.c_bytes) in
-              if Hashtbl.mem seen key then false
-              else begin
-                Hashtbl.replace seen key ();
-                true
-              end)
-            cands
+        let n = Edgebuf.n chunk in
+        Metrics.add m.Metrics.edges_considered n;
+        let bytes_of c = Edgebuf.enc_bytes chunk (Edgebuf.enc_id chunk c) in
+        let add_cand c =
+          add_new ~src:(Edgebuf.src chunk c) ~dst:(Edgebuf.dst chunk c)
+            ~label:(Edgebuf.label chunk c) ~bytes:(bytes_of c)
+            ~enc:(Edgebuf.enc chunk (Edgebuf.enc_id chunk c))
         in
-        Metrics.add m.Metrics.edges_considered (List.length cands);
         (* don't pay for a verdict the insert would throw away: already
            present, or its (src, dst, label) key is at the witness cap *)
-        let live =
-          List.filter
-            (fun c ->
-              match find_loaded c.c_src with
-              | None -> true
-              | Some l ->
-                  (match Edgebuf.find_bytes l.buf c.c_bytes with
-                  | Some cid ->
-                      not
-                        (Hashtbl.mem l.present
-                           (c.c_src, c.c_dst, c.c_label, cid))
-                  | None -> true)
-                  &&
-                  let cap = t.config.max_encodings_per_key in
-                  cap = 0
-                  || Option.value ~default:0
-                       (Hashtbl.find_opt l.key_counts
-                          (c.c_src, c.c_dst, c.c_label))
-                     < cap)
-            cands
-        in
-        if live <> [] then begin
-          if not t.config.feasibility_enabled then
-            List.iter
-              (fun c ->
-                add_new ~src:c.c_src ~dst:c.c_dst ~label:c.c_label
-                  ~bytes:c.c_bytes ~enc:c.c_enc)
-              live
-          else begin
-            let unknown = Hashtbl.create 64 in
-            let order = ref [] in
-            List.iter
-              (fun c ->
-                (* as in [feasible]: a disabled cache counts no lookups *)
-                match
-                  if t.config.cache_enabled then begin
-                    Metrics.incr m.Metrics.cache_lookups;
-                    Lru.find t.cache c.c_bytes
-                  end
-                  else None
-                with
-                | Some _ -> Metrics.incr m.Metrics.cache_hits
-                | None ->
-                    if not (Hashtbl.mem unknown c.c_bytes) then begin
-                      Hashtbl.replace unknown c.c_bytes ();
-                      order := (c.c_bytes, c.c_enc) :: !order
-                    end)
-              live;
-            let to_solve = List.rev !order in
-            let n_to_solve = List.length to_solve in
-            let batch_t0 = Unix.gettimeofday () in
-            let solved =
-              Obs.Trace.with_span ~cat:"smt"
-                ~args:
-                  [ ("batch_size", Obs.Trace.Int n_to_solve);
-                    ("solver_domains", Obs.Trace.Int t.config.solver_domains) ]
-                "smt.solve_batch"
-              @@ fun () ->
-              if t.config.solver_domains <= 1 then
-                List.map
-                  (fun (bytes, enc) ->
-                    let formula =
-                      Metrics.time m `Decode (fun () -> t.decode enc)
-                    in
-                    ( bytes,
-                      Metrics.time m `Solve (fun () ->
-                          match Solver.check formula with
-                          | Solver.Sat | Solver.Unknown -> true
-                          | Solver.Unsat -> false) ))
-                  to_solve
-              else
-                (* parallel: decode+solve timed together under the solve
-                   timer (per-domain timers cannot be split).  [solve_batch]
-                   preserves input order, so the verdicts zip back onto
-                   their cache keys positionally. *)
-                Metrics.time m `Solve (fun () ->
-                    List.map2
-                      (fun (bytes, _) (_, ok) -> (bytes, ok))
-                      to_solve
-                      (solve_batch t (List.map snd to_solve)))
-            in
-            if n_to_solve > 0 then
-              Metrics.observe_batch m ~n:n_to_solve
-                ~dt:(Unix.gettimeofday () -. batch_t0);
-            Metrics.add m.Metrics.constraints_solved (List.length solved);
-            let verdicts = Hashtbl.create 64 in
-            List.iter
-              (fun (bytes, ok) ->
-                Hashtbl.replace verdicts bytes ok;
-                if t.config.cache_enabled then Lru.add t.cache bytes ok)
-              solved;
-            List.iter
-              (fun c ->
-                let ok =
-                  match Hashtbl.find_opt verdicts c.c_bytes with
-                  | Some ok -> ok
-                  | None ->
-                      (* encoding not in this batch (cache-evicted between
-                         collection and application): fall back to the
-                         single-encoding path *)
-                      feasible t ~bytes:c.c_bytes c.c_enc
+        let cap = t.config.max_encodings_per_key in
+        let n_live = ref 0 in
+        for c = 0 to n - 1 do
+          let src = Edgebuf.src chunk c in
+          let keep =
+            match find_loaded src with
+            | None -> true
+            | Some l ->
+                let slot =
+                  Keys.find l.keys l.buf ~src ~dst:(Edgebuf.dst chunk c)
+                    ~label:(Edgebuf.label chunk c)
                 in
-                if ok then
-                  add_new ~src:c.c_src ~dst:c.c_dst ~label:c.c_label
-                    ~bytes:c.c_bytes ~enc:c.c_enc)
-              live
+                (match Edgebuf.find_bytes l.buf (bytes_of c) with
+                | Some cid -> not (Keys.mem l.keys l.buf slot cid)
+                | None -> true)
+                && (cap = 0 || Keys.count l.keys slot < cap)
+          in
+          if keep then begin
+            live.(!n_live) <- c;
+            incr n_live
           end
-        end
+        done;
+        if not t.config.feasibility_enabled then
+          for k = 0 to !n_live - 1 do
+            add_cand live.(k)
+          done
+        else if !n_live > 0 then begin
+          (* every live candidate gets exactly one verdict: a cache hit is
+             recorded here, a miss joins the solving batch *)
+          let order = ref [] in
+          for k = 0 to !n_live - 1 do
+            let id = Edgebuf.enc_id chunk live.(k) in
+            (* a disabled cache is never consulted, so it must not count
+               lookups: otherwise stats report a 0% hit rate for a cache
+               that is off *)
+            match
+              if t.config.cache_enabled then begin
+                Metrics.incr m.Metrics.cache_lookups;
+                Lru.find t.cache (Edgebuf.enc_bytes chunk id)
+              end
+              else None
+            with
+            | Some ok ->
+                Metrics.incr m.Metrics.cache_hits;
+                verdict.(id) <- Bool.to_int ok
+            | None ->
+                if verdict.(id) = undecided then begin
+                  verdict.(id) <- solving;
+                  order := (id, Edgebuf.enc chunk id) :: !order
+                end
+          done;
+          let to_solve = List.rev !order in
+          let n_to_solve = List.length to_solve in
+          let batch_t0 = Unix.gettimeofday () in
+          let solved =
+            Obs.Trace.with_span ~cat:"smt"
+              ~args:
+                [ ("batch_size", Obs.Trace.Int n_to_solve);
+                  ("solver_domains", Obs.Trace.Int t.config.solver_domains) ]
+              "smt.solve_batch"
+            @@ fun () ->
+            if t.config.solver_domains <= 1 then
+              List.map
+                (fun (id, enc) ->
+                  let formula =
+                    Metrics.time m `Decode (fun () -> t.decode enc)
+                  in
+                  ( id,
+                    Metrics.time m `Solve (fun () ->
+                        match Solver.check formula with
+                        | Solver.Sat | Solver.Unknown -> true
+                        | Solver.Unsat -> false) ))
+                to_solve
+            else
+              (* parallel: decode+solve timed together under the solve
+                 timer (per-domain timers cannot be split).  [solve_batch]
+                 preserves input order, so the verdicts zip back onto
+                 their encodings positionally. *)
+              Metrics.time m `Solve (fun () ->
+                  List.map2
+                    (fun (id, _) (_, ok) -> (id, ok))
+                    to_solve
+                    (solve_batch t (List.map snd to_solve)))
+          in
+          if n_to_solve > 0 then
+            Metrics.observe_batch m ~n:n_to_solve
+              ~dt:(Unix.gettimeofday () -. batch_t0);
+          Metrics.add m.Metrics.constraints_solved n_to_solve;
+          List.iter
+            (fun (id, ok) ->
+              verdict.(id) <- Bool.to_int ok;
+              if t.config.cache_enabled then
+                Lru.add t.cache (Edgebuf.enc_bytes chunk id) ok)
+            solved;
+          for k = 0 to !n_live - 1 do
+            let c = live.(k) in
+            if verdict.(Edgebuf.enc_id chunk c) = 1 then add_cand c
+          done
+        end;
+        Array.fill verdict 0 (Edgebuf.pool_size chunk) undecided;
+        Edgebuf.clear chunk;
+        Keys.clear chunk_keys
       end
     in
     (* the join kernel: compose edge [i1] of [l1] with edge [i2] of [l2],
@@ -971,77 +864,65 @@ module Make (L : LABEL_LOGIC) = struct
         | enc ->
             let cap = t.config.max_path_elements in
             if cap = 0 || Encoding.n_elements enc <= cap then begin
-              chunk :=
-                { c_src = Edgebuf.src l1.buf i1;
-                  c_dst = Edgebuf.dst l2.buf i2; c_label = code;
-                  c_bytes = Encoding.to_bytes enc; c_enc = enc }
-                :: !chunk;
+              let src = Edgebuf.src l1.buf i1 and dst = Edgebuf.dst l2.buf i2 in
+              let id =
+                Edgebuf.intern_bytes ~decoded:enc chunk (Encoding.to_bytes enc)
+              in
+              let slot = Keys.find chunk_keys chunk ~src ~dst ~label:code in
+              if not (Keys.mem chunk_keys chunk slot id) then begin
+                Edgebuf.push chunk ~src ~dst ~label:code ~enc_id:id;
+                Keys.add chunk_keys chunk slot (Edgebuf.n chunk - 1)
+              end;
               incr chunk_n;
-              (* resolving mid-scan is safe: insertions land past every
-                 snapshot bound, and the index arrays are immutable *)
+              (* resolving mid-walk is safe: insertions land past every
+                 walk's bound, and walks re-read the links they follow *)
               if !chunk_n >= chunk_cap then resolve_chunk ()
             end
         | exception Encoding.Incomposable -> ()
       end
     in
+    (* delta edge [i] of [l] as the right edge of a pair: the settled
+       partners in every loaded partition *)
+    let rec join_right l i v_src = function
+      | [] -> ()
+      | l1 :: rest ->
+          let j = ref (Chains.first_dst l1.chains v_src) in
+          while !j >= 0 && !j < l1.indexed do
+            try_pair l1 !j l i;
+            j := Chains.next_dst l1.chains !j
+          done;
+          join_right l i v_src rest
+    in
+    (* every delta edge of [l], first as the left edge of a pair — partners
+       in the partition owning its [dst], settled and in-flight delta alike
+       — then as the right edge *)
+    let join_delta l =
+      for i = l.indexed to l.snap - 1 do
+        let v_dst = Edgebuf.dst l.buf i in
+        (match find_loaded v_dst with
+        | Some l2 ->
+            let j = ref (Chains.first_src l2.chains v_dst) in
+            while !j >= 0 && !j < l2.snap do
+              try_pair l i l2 !j;
+              j := Chains.next_src l2.chains !j
+            done
+        | None -> ());
+        join_right l i (Edgebuf.src l.buf i) loadeds
+      done
+    in
     Metrics.time m `Join (fun () ->
         let continue_ = ref true in
         while !continue_ do
           check_budgets t;
-          let snaps = List.map (fun l -> (l, Edgebuf.n l.buf)) loadeds in
-          if List.for_all (fun (l, n_snap) -> l.indexed >= n_snap) snaps then
+          List.iter (fun l -> l.snap <- Edgebuf.n l.buf) loadeds;
+          if List.for_all (fun l -> l.indexed >= l.snap) loadeds then
             continue_ := false
           else begin
-            (* this superstep's delta: per loaded, the sorted-by-src index
-               of the edges in [indexed, n_snap) *)
-            let deltas =
-              List.map
-                (fun (l, n_snap) ->
-                  (l, n_snap,
-                   sort_ids l.buf Edgebuf.src (ids_range l.indexed n_snap)))
-                snaps
-            in
-            let delta_src_of l2 =
-              let (_, _, d) =
-                List.find (fun (l, _, _) -> l == l2) deltas
-              in
-              d
-            in
-            List.iter
-              (fun (l, n_snap, _) ->
-                for i = l.indexed to n_snap - 1 do
-                  (* as the left edge of a pair: the partner owning [dst],
-                     settled index then its in-flight delta *)
-                  let v_dst = Edgebuf.dst l.buf i in
-                  (match find_loaded v_dst with
-                  | Some l2 ->
-                      scan_eq l2.buf Edgebuf.src l2.idx_src v_dst (fun j ->
-                          try_pair l i l2 j);
-                      scan_eq l2.buf Edgebuf.src (delta_src_of l2) v_dst
-                        (fun j -> try_pair l i l2 j)
-                  | None -> ());
-                  (* as the right edge of a pair: settled partners only —
-                     delta x delta was covered by the left pass *)
-                  let v_src = Edgebuf.src l.buf i in
-                  List.iter
-                    (fun l1 ->
-                      scan_eq l1.buf Edgebuf.dst l1.idx_dst v_src (fun j ->
-                          try_pair l1 j l i))
-                    loadeds
-                done)
-              deltas;
+            List.iter join_delta loadeds;
             resolve_chunk ();
-            (* merge the delta into the standing indexes; edges inserted
-               during this superstep sit past [n_snap] and form the next
-               delta *)
-            List.iter
-              (fun (l, n_snap, dsrc) ->
-                l.idx_src <- merge_sorted l.buf Edgebuf.src l.idx_src dsrc;
-                l.idx_dst <-
-                  merge_sorted l.buf Edgebuf.dst l.idx_dst
-                    (sort_ids l.buf Edgebuf.dst (ids_range l.indexed n_snap));
-                l.indexed <- n_snap)
-              deltas
+            (* edges inserted during this superstep sit past [snap] and
+               form the next delta *)
+            List.iter (fun l -> l.indexed <- l.snap) loadeds
           end
         done)
 
@@ -1071,25 +952,22 @@ module Make (L : LABEL_LOGIC) = struct
               with_retries t (fun () ->
                   let outcome = Storage.read_flat ~path:meta.path in
                   let buf = outcome.Storage.buf in
-                  let existing = Hashtbl.create (max 64 (2 * Edgebuf.n buf)) in
-                  for i = 0 to Edgebuf.n buf - 1 do
-                    Hashtbl.replace existing
-                      (Edgebuf.src buf i, Edgebuf.dst buf i,
-                       Edgebuf.label buf i,
-                       Edgebuf.canon buf (Edgebuf.enc_id buf i))
-                      ()
-                  done;
+                  let keys = Keys.create (Edgebuf.n buf) in
+                  ignore (Keys.build keys buf : bool);
                   let added = ref 0 in
                   List.iter
                     (fun p ->
                       let id =
                         Edgebuf.intern_bytes ~decoded:p.p_enc buf p.p_bytes
                       in
-                      let key = (p.p_src, p.p_dst, p.p_label, id) in
-                      if not (Hashtbl.mem existing key) then begin
-                        Hashtbl.replace existing key ();
+                      let slot =
+                        Keys.find keys buf ~src:p.p_src ~dst:p.p_dst
+                          ~label:p.p_label
+                      in
+                      if not (Keys.mem keys buf slot id) then begin
                         Edgebuf.push buf ~src:p.p_src ~dst:p.p_dst
                           ~label:p.p_label ~enc_id:id;
+                        Keys.add keys buf slot (Edgebuf.n buf - 1);
                         incr added
                       end)
                     batch;
@@ -1129,10 +1007,10 @@ module Make (L : LABEL_LOGIC) = struct
       else [ load_resident t pa; load_resident t pb ]
     in
     (match loadeds with
-    | [ la ] -> prepare la ~upto:ca
+    | [ la ] -> prepare la ~upto:ca ~pair:loadeds
     | [ la; lb ] ->
-        prepare la ~upto:ca;
-        prepare lb ~upto:cb
+        prepare la ~upto:ca ~pair:loadeds;
+        prepare lb ~upto:cb ~pair:loadeds
     | _ -> assert false);
     let pending = ref [] in
     let route p = pending := p :: !pending in
@@ -1296,44 +1174,58 @@ module Make (L : LABEL_LOGIC) = struct
   let n_partitions t = List.length t.parts
   let n_seed_edges t = t.n_seed_edges
 
-  (* Exact total edge count.  Every writer deduplicates, so the files hold
-     each edge once and folding needs no membership tables — just the raw
-     buffer.  Edges are folded newest-first per partition, matching the
-     historical reverse-insertion-order iteration that report generation
+  (* Read one partition file as stored (no membership tables: every writer
+     deduplicates, so the file holds each edge once). *)
+  let read_partition t (meta : pmeta) : Edgebuf.t =
+    let outcome =
+      Metrics.time t.metrics `Io (fun () ->
+          with_retries t (fun () -> Storage.read_flat ~path:meta.path))
+    in
+    Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
+    (match outcome.Storage.corrupt with
+    | None -> ()
+    | Some c ->
+        Logs.warn (fun k ->
+            k "partition %s: %a — kept %d-record prefix"
+              (Filename.basename meta.path) Storage.pp_corruption c
+              (Edgebuf.n outcome.Storage.buf));
+        Metrics.incr t.metrics.Metrics.corrupt_reads);
+    outcome.Storage.buf
+
+  let edge_at buf i =
+    { src = Edgebuf.src buf i; dst = Edgebuf.dst buf i;
+      label = L.of_int (Edgebuf.label buf i);
+      enc = Edgebuf.enc buf (Edgebuf.enc_id buf i) }
+
+  (* Fold every edge.  Edges are folded newest-first per partition, matching
+     the historical reverse-insertion-order iteration that report generation
      depends on. *)
   let fold_edges t f acc =
     List.fold_left
       (fun acc meta ->
-        let outcome =
-          Metrics.time t.metrics `Io (fun () ->
-              with_retries t (fun () -> Storage.read_flat ~path:meta.path))
-        in
-        Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
-        (match outcome.Storage.corrupt with
-        | None -> ()
-        | Some c ->
-            Logs.warn (fun k ->
-                k "partition %s: %a — kept %d-record prefix"
-                  (Filename.basename meta.path) Storage.pp_corruption c
-                  (Edgebuf.n outcome.Storage.buf));
-            Metrics.incr t.metrics.Metrics.corrupt_reads);
-        let buf = outcome.Storage.buf in
+        let buf = read_partition t meta in
         let acc = ref acc in
         for i = Edgebuf.n buf - 1 downto 0 do
-          let e =
-            { src = Edgebuf.src buf i; dst = Edgebuf.dst buf i;
-              label = L.of_int (Edgebuf.label buf i);
-              enc = Edgebuf.enc buf (Edgebuf.enc_id buf i) }
-          in
-          acc := f !acc e
+          acc := f !acc (edge_at buf i)
         done;
         !acc)
       acc t.parts
 
-  let total_edges t = fold_edges t (fun n _ -> n + 1) 0
+  (* Exact total edge count: the record counts, nothing decoded. *)
+  let total_edges t =
+    List.fold_left (fun n meta -> n + Edgebuf.n (read_partition t meta)) 0
+      t.parts
 
+  (* [fold_edges] restricted to result labels, testing the label code before
+     an edge is built (and its encoding decoded). *)
   let iter_result_edges t f =
-    fold_edges t (fun () e -> if L.is_result e.label then f e) ()
+    List.iter
+      (fun meta ->
+        let buf = read_partition t meta in
+        for i = Edgebuf.n buf - 1 downto 0 do
+          if L.is_result (L.of_int (Edgebuf.label buf i)) then f (edge_at buf i)
+        done)
+      t.parts
 
   (* Delete the working directory contents created by this engine. *)
   let cleanup t =

@@ -192,6 +192,47 @@ let test_cache_counters () =
     (Engine.Metrics.count m.Engine.Metrics.constraints_solved
     <= Engine.Metrics.count m.Engine.Metrics.cache_lookups)
 
+(* A two-production grammar small enough to hand-count the engine's cache
+   traffic: a.b => c and c.b => d, with no unary or mirror consequences. *)
+module Abc = struct
+  type t = int
+
+  let equal = Int.equal
+  let to_int l = l
+  let of_int l = l
+  let compose_code a b = match (a, b) with 0, 1 -> 2 | 2, 1 -> 3 | _ -> -1
+  let compose a b = match compose_code a b with -1 -> None | c -> Some c
+  let unary _ = []
+  let mirror _ = None
+  let is_result l = l >= 2
+  let pp = Fmt.int
+end
+
+module CEngine = Engine.Make (Abc)
+
+(* regression: a candidate whose verdict came from the cache used to be
+   probed and counted a second time when the verdict was applied, so every
+   hit counted as two hits and two lookups.  Superstep 1 derives c(0,2)
+   with encoding e, a miss that is solved; superstep 2 — a second chunk —
+   derives d(0,3) from it with the same encoding e, a hit. *)
+let test_cache_hit_counted_once () =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with Engine.target_partitions = 1 }
+  in
+  let t = CEngine.create ~config ~decode:true_decode ~workdir () in
+  CEngine.add_seed t ~src:0 ~dst:1 ~label:0 ~enc:[ E.Call 1 ];
+  CEngine.add_seed t ~src:1 ~dst:2 ~label:1 ~enc:[];
+  CEngine.add_seed t ~src:2 ~dst:3 ~label:1 ~enc:[];
+  CEngine.run t;
+  let m = CEngine.metrics t in
+  let count c = Engine.Metrics.count c in
+  Alcotest.(check int) "edges added" 2 (count m.Engine.Metrics.edges_added);
+  Alcotest.(check int) "lookups" 2 (count m.Engine.Metrics.cache_lookups);
+  Alcotest.(check int) "hits" 1 (count m.Engine.Metrics.cache_hits);
+  Alcotest.(check int) "solved" 1 (count m.Engine.Metrics.constraints_solved);
+  CEngine.cleanup t
+
 (* regression: [Metrics.time] used to drop the elapsed time when the timed
    function raised, under-reporting every component that ever aborted
    (budget exhaustion, injected faults) *)
@@ -449,6 +490,180 @@ let prop_partitioning_invariance =
       AEngine.run t2;
       count_label t2 Pg.Flows_to = reference)
 
+(* ---------------- join indexes ---------------- *)
+
+module Buf = Engine.Edgebuf
+module Keys = Engine.Keys
+module Chains = Engine.Chains
+
+(* The partition under test owns sources [10, 18) and is paired with one
+   owning [30, 35); destinations range over [0, 40), so some fall outside
+   both intervals and must never be chained. *)
+let ix_lo = 10
+let ix_hi = 18
+let ix_lo2 = 30
+let ix_hi2 = 35
+
+(* Drive the index the way the engine does — the first [loaded] records
+   arrive as a file (indexed, then chained by [rebuild]), the rest are
+   inserted under the witness cap — and compare every answer with a
+   Hashtbl reference: membership, per-key counts, and chain walks at every
+   bound. *)
+let prop_index_matches_reference =
+  let open QCheck in
+  let op =
+    Gen.quad (Gen.int_range ix_lo (ix_hi - 1)) (Gen.int_bound 39)
+      (Gen.int_bound 2) (Gen.int_bound 3)
+  in
+  Test.make ~name:"join index matches a naive reference" ~count:200
+    (make
+       ~print:(fun (cap, loaded, ops) ->
+         Printf.sprintf "cap=%d loaded=%d [%s]" cap loaded
+           (String.concat "; "
+              (List.map
+                 (fun (s, d, l, e) -> Printf.sprintf "%d-%d->%d/%d" s l d e)
+                 ops)))
+       (Gen.triple (Gen.int_bound 3) (Gen.int_bound 40)
+          (Gen.list_size (Gen.int_range 0 120) op)))
+    (fun (cap, loaded, ops) ->
+      let buf = Buf.create ~capacity:1 () in
+      let keys = Keys.create 0 in
+      let chains = Chains.create 0 in
+      let present = Hashtbl.create 64 and counts = Hashtbl.create 64 in
+      let ok = ref true in
+      let expect b = if not b then ok := false in
+      let bytes_of e = E.to_bytes [ E.Call e ] in
+      let rebuild () =
+        Chains.rebuild chains buf ~lo:ix_lo ~hi:ix_hi ~lo1:ix_lo ~hi1:ix_hi
+          ~lo2:ix_lo2 ~hi2:ix_hi2
+      in
+      if loaded = 0 then rebuild ();
+      List.iteri
+        (fun k (src, dst, label, e) ->
+          let bytes = bytes_of e in
+          let slot = Keys.find keys buf ~src ~dst ~label in
+          let known =
+            match Buf.find_bytes buf bytes with
+            | Some cid -> Keys.mem keys buf slot cid
+            | None -> false
+          in
+          let kept = Keys.count keys slot in
+          expect (known = Hashtbl.mem present (src, dst, label, bytes));
+          let kept_ref = Hashtbl.find_opt counts (src, dst, label) in
+          expect (kept = Option.value ~default:0 kept_ref);
+          if not (known || (cap > 0 && kept >= cap)) then begin
+            Buf.push buf ~src ~dst ~label ~enc_id:(Buf.intern_bytes buf bytes);
+            Keys.add keys buf slot (Buf.n buf - 1);
+            if k >= loaded then Chains.append chains buf (Buf.n buf - 1);
+            Hashtbl.replace present (src, dst, label, bytes) ();
+            Hashtbl.replace counts (src, dst, label) (kept + 1)
+          end;
+          if k + 1 = loaded then rebuild ())
+        ops;
+      if List.length ops < loaded then rebuild ();
+      let n = Buf.n buf in
+      let walk first next bound =
+        let rec go p acc =
+          if p < 0 || p >= bound then List.rev acc else go (next p) (p :: acc)
+        in
+        go first []
+      in
+      let naive key bound =
+        List.filter (fun p -> key p) (List.init (min bound n) Fun.id)
+      in
+      let in_pair v =
+        (v >= ix_lo && v < ix_hi) || (v >= ix_lo2 && v < ix_hi2)
+      in
+      for bound = 0 to n do
+        for v = ix_lo to ix_hi - 1 do
+          expect
+            (walk (Chains.first_src chains v) (Chains.next_src chains) bound
+            = naive (fun p -> Buf.src buf p = v) bound)
+        done;
+        for v = 0 to 39 do
+          let expected =
+            if in_pair v then naive (fun p -> Buf.dst buf p = v) bound else []
+          in
+          expect
+            (walk (Chains.first_dst chains v) (Chains.next_dst chains) bound
+            = expected)
+        done
+      done;
+      (* a file holding an exact duplicate record is detected *)
+      let dup = Buf.create () in
+      let copy p =
+        Buf.push dup ~src:(Buf.src buf p) ~dst:(Buf.dst buf p)
+          ~label:(Buf.label buf p)
+          ~enc_id:(Buf.intern_bytes dup (Buf.enc_bytes buf (Buf.enc_id buf p)))
+      in
+      for p = 0 to n - 1 do
+        copy p
+      done;
+      expect (not (Keys.build (Keys.create 0) dup));
+      if n > 0 then copy 0;
+      expect (Keys.build (Keys.create 0) dup = (n > 0));
+      !ok)
+
+(* ---------------- golden derivation order ---------------- *)
+
+(* A fixed seeded pointer-grammar graph whose seeds all carry distinct
+   encodings, closed under a 2-witness cap and a partition budget small
+   enough to split partitions, route edges to unloaded partitions and
+   reprocess pairs.  Fact-set comparisons cannot see which witnesses the
+   engine keeps, nor the order it writes them in; this digest pins both,
+   so a join that visits partners in another order fails here even when
+   every fact-set test passes. *)
+let golden_decode (enc : E.t) =
+  if Hashtbl.hash (E.to_bytes enc) mod 7 = 0 then Smt.Formula.False
+  else Smt.Formula.True
+
+let test_golden_derivation_order () =
+  let rng = Random.State.make [| 2019 |] in
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with
+      Engine.target_partitions = 3;
+      max_edges_per_partition = 60;
+      max_encodings_per_key = 2;
+      max_path_elements = 6 }
+  in
+  let t = AEngine.create ~config ~decode:golden_decode ~workdir () in
+  for i = 0 to 79 do
+    let src = Random.State.int rng 40 in
+    let dst = Random.State.int rng 40 in
+    let label =
+      match Random.State.int rng 6 with
+      | 0 -> Pg.New
+      | 1 | 2 -> Pg.Assign
+      | 3 -> Pg.Store (Random.State.int rng 2)
+      | 4 -> Pg.Load (Random.State.int rng 2)
+      | _ -> Pg.New
+    in
+    AEngine.add_seed t ~src ~dst ~label ~enc:[ E.Call i ]
+  done;
+  AEngine.run t;
+  let b = Buffer.create 65536 in
+  AEngine.fold_edges t
+    (fun () e ->
+      Printf.bprintf b "%d %d %d %S\n" e.AEngine.src e.AEngine.dst
+        (Pg.to_int e.AEngine.label) (E.to_bytes e.AEngine.enc))
+    ();
+  let m = AEngine.metrics t in
+  let got =
+    Printf.sprintf "%s edges_added=%d pairs=%d parts=%d splits=%d seeds=%d"
+      (Digest.to_hex (Digest.string (Buffer.contents b)))
+      (Engine.Metrics.count m.Engine.Metrics.edges_added)
+      (Engine.Metrics.count m.Engine.Metrics.pairs_processed)
+      (AEngine.n_partitions t)
+      (Engine.Metrics.count m.Engine.Metrics.repartitions)
+      (AEngine.n_seed_edges t)
+  in
+  AEngine.cleanup t;
+  Alcotest.(check string) "digest and counters"
+    "43d2273f3d99f18fb0e71c1d43620f6d edges_added=259 pairs=53 parts=9 \
+     splits=8 seeds=126"
+    got
+
 let suite =
   [ Alcotest.test_case "lru basic" `Quick test_lru_basic;
     Alcotest.test_case "lru update" `Quick test_lru_update;
@@ -462,6 +677,8 @@ let suite =
     Alcotest.test_case "field mismatch" `Quick test_closure_field_mismatch;
     Alcotest.test_case "eager repartitioning" `Quick test_repartitioning;
     Alcotest.test_case "cache counters" `Quick test_cache_counters;
+    Alcotest.test_case "cache hit counted once" `Quick
+      test_cache_hit_counted_once;
     Alcotest.test_case "metrics time on raise" `Quick
       test_metrics_time_records_on_raise;
     Alcotest.test_case "disabled cache counts nothing" `Quick
@@ -471,4 +688,7 @@ let suite =
     Alcotest.test_case "breakdown sums to 100" `Quick test_metrics_breakdown_sums_to_100;
     Alcotest.test_case "parallel solving" `Quick test_parallel_solving_same_result;
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
-    QCheck_alcotest.to_alcotest prop_partitioning_invariance ]
+    QCheck_alcotest.to_alcotest prop_partitioning_invariance;
+    QCheck_alcotest.to_alcotest prop_index_matches_reference;
+    Alcotest.test_case "golden derivation order" `Quick
+      test_golden_derivation_order ]
