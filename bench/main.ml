@@ -117,9 +117,8 @@ let diverged = ref false
    [columns subject cell outcome ~base] renders the row up to its last
    column, "same", which says whether the cell's rendered reports are
    byte-identical to those of the subject's first cell, [base].  Cells
-   that fork shard workers run first, with the domain budget capped at
-   one: OCaml 5 forbids fork in a process that has ever spawned a domain.
-   Returns the outcomes in row order. *)
+   that fork shard workers run first: OCaml 5 forbids fork in a process
+   that has ever spawned a domain.  Returns the outcomes in row order. *)
 let differential ?checkers subjects cells columns =
   let forks c =
     (config_of ~workdir:root_workdir c.tune).Pipeline.shard_procs > 0
@@ -136,10 +135,7 @@ let differential ?checkers subjects cells columns =
           cells)
       subjects
   in
-  Engine.Domains.set_cap 1;
-  Fun.protect
-    ~finally:(fun () -> Engine.Domains.set_cap Engine.Domains.default_cap)
-    (fun () -> sweep forks);
+  sweep forks;
   sweep (fun c -> not (forks c));
   List.concat
     (List.mapi
@@ -253,7 +249,7 @@ let table2 () =
     "not a paper column; evidence the system takes new FSM properties (S1.2)";
   let subject = List.hd (Generator.all_subjects ()) in
   let o =
-    run ~checkers:[ Checkers.null () ] subject (fun c ->
+    run ~checkers:[ Checkers.resolve "null" ] subject (fun c ->
         { c with Pipeline.track_null = true })
   in
   let sc =
@@ -610,8 +606,8 @@ let alias () =
      intraprocedural ones (intraproc TP = 0)."
 
 (* ------------------------------------------------------------------ *)
-(* Ablations (DESIGN.md): unroll bound, partition budget, path          *)
-(* sensitivity, and the solver-domain fan-out.                          *)
+(* Ablations (DESIGN.md): unroll bound, partition budget, and path      *)
+(* sensitivity.                                                         *)
 (* ------------------------------------------------------------------ *)
 
 let ablation () =
@@ -651,7 +647,7 @@ let ablation () =
              feasibility checking independent of the engine flag *)
           let o =
             run
-              ~checkers:[ Checkers.io (); Checkers.lock (); Checkers.socket () ]
+              ~checkers:(List.map Checkers.resolve [ "io"; "lock"; "socket" ])
               subject
               (fun c ->
                 { c with
@@ -667,30 +663,7 @@ let ablation () =
   print_endline
     "\nshape check: turning path sensitivity off keeps the true positives but\n\
      adds false positives on the planted infeasible-path decoys -- the\n\
-     Graspan-vs-Grapple precision gap the paper is built on.";
-  header "Ablation: parallel constraint solving (minihdfs pipeline)"
-    "\"concurrently accessed by multiple edge-induction threads\", §4.3";
-  Printf.printf "%8s %10s %10s %6s\n" "domains" "time" "warnings" "same";
-  differential
-    [ Generator.mini_hdfs () ]
-    (List.map
-       (fun solver_domains ->
-         { label = string_of_int solver_domains;
-           tune =
-             (fun c ->
-               { c with
-                 Pipeline.engine =
-                   { c.Pipeline.engine with Engine.solver_domains } });
-           plan = None })
-       [ 1; 2; 4 ])
-    (fun _ cell o ~base:_ ->
-      Printf.sprintf "%8s %10s %10d" cell.label (hms (wall o)) (warns o))
-  |> ignore;
-  print_endline
-    "\nshape check: identical warnings at every domain count.  Whether wall\n\
-     time drops tracks the SMT share of Figure 9: our decomposed\n\
-     Fourier-Motzkin solver is far cheaper relative to the join than Z3 was\n\
-     in the paper, so at this scale the fan-out overhead can win."
+     Graspan-vs-Grapple precision gap the paper is built on."
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection (robustness extension): the full pipeline under      *)
@@ -838,7 +811,7 @@ let micro () =
                   loops_per_subject = 0 })))
   in
   (* table 2 kernel: FSM typestate run *)
-  let fsm = Checkers.Specs.io_fsm () in
+  let fsm = Checkers.fsm "io" in
   let t2 =
     Test.make ~name:"table2/fsm-sequence-check"
       (Staged.stage (fun () ->
@@ -1067,7 +1040,7 @@ let dsl_checkers () =
     ~score_as:"close";
   row "exc_twr" (Generator.mini_twr ()) (Checkers.resolve "exc_twr")
     ~score_as:"exc_twr";
-  row "exception*" (Generator.mini_twr ()) (Checkers.exception_ ())
+  row "exception*" (Generator.mini_twr ()) (Checkers.resolve "exception")
     ~score_as:"exc_twr";
   Printf.printf
     "(exception* = plain walk scored against the exc_twr ground truth)\n"

@@ -43,10 +43,11 @@ let file_arg =
 let checkers_arg =
   Arg.(value & opt (some string) None
        & info [ "checkers" ] ~docv:"LIST"
-           ~doc:"comma-separated checker names (built-in, DSL-defined, or \
-                 loaded with $(b,--spec)), or `all' for every registered \
-                 checker.  Default: the paper's four checkers, or the \
-                 loaded spec's properties when $(b,--spec) is given")
+           ~doc:"comma-separated checker names (built-in, or loaded with \
+                 $(b,--spec)), or `all' for the paper's checkers with null \
+                 plus every loaded one.  Default: the paper's four \
+                 checkers, or the loaded spec's properties when \
+                 $(b,--spec) is given")
 
 let spec_arg =
   Arg.(value & opt_all file []
@@ -104,18 +105,14 @@ let checker_of_name ~loaded s =
       exit 2
 
 let checker_names ~loaded spec =
+  let names = List.map (fun (c : Checkers.t) -> c.Checkers.name) in
   match spec with
-  | None ->
-      if loaded <> [] then List.map (fun (c : Checkers.t) -> c.Checkers.name) loaded
-      else Checkers.names () |> List.filter (fun n -> n <> "null")
+  | None -> if loaded <> [] then names loaded else names (Checkers.all ())
   | Some spec ->
       if String.trim spec = "all" then
         (* loaded checkers shadow same-named built-ins, so drop duplicates
            (first occurrence wins: the report keeps the built-in order) *)
-        let all =
-          Checkers.names ()
-          @ List.map (fun (c : Checkers.t) -> c.Checkers.name) loaded
-        in
+        let all = names (Checkers.all_with_null ()) @ names loaded in
         List.fold_left
           (fun acc n -> if List.mem n acc then acc else n :: acc)
           [] all
@@ -319,7 +316,7 @@ let check_cmd =
           { (Grapple.Pipeline.default_config ~workdir) with
             Grapple.Pipeline.unroll_bound = unroll;
             library_throwers = Checkers.Specs.library_throwers;
-            track_null = List.mem "null" names;
+            track_null = Checkers.tracks_null cs;
             prefilter = not no_prefilter;
             prefilter_properties = Checkers.fsms cs;
             summary_prefilter = not no_summary_prefilter;

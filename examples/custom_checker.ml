@@ -6,24 +6,33 @@
        query is only legal while Active;
        a transaction must not be left Active at end of life.
 
-   Everything below uses only the public API: the [Fsm] builder, the JIR
-   parser, and [Grapple.Pipeline].
+   The property is plain .gspec text, the same language as the shipped
+   checkers (specs/*.gspec); [Spec.compile] turns it into an FSM.
+   Everything below uses only the public API: the [Spec] compiler, the
+   JIR parser, and [Grapple.Pipeline].
 
    Run with:  dune exec examples/custom_checker.exe                       *)
 
-let transaction_fsm () : Fsm.t =
-  let b = Fsm.builder "transaction" in
-  Fsm.track b "Transaction";
-  Fsm.initial b "Idle";
-  Fsm.accepting b "Idle";
-  Fsm.on b ~from:"Idle" ~event:"begin_" ~goto:"Active";
-  Fsm.on b ~from:"Active" ~event:"query" ~goto:"Active";
-  Fsm.on b ~from:"Active" ~event:"commit" ~goto:"Idle";
-  Fsm.on b ~from:"Active" ~event:"rollback" ~goto:"Idle";
-  (* events out of protocol are errors, not no-ops *)
-  Fsm.on b ~from:"Idle" ~event:"query" ~goto:"Error";
-  Fsm.on b ~from:"Idle" ~event:"commit" ~goto:"Error";
-  Fsm.build b
+let transaction_spec =
+  {|property transaction {
+  track Transaction;
+  initial Idle;
+  accepting Idle;
+  state Active;
+  on Idle begin_ -> Active;
+  on Active query -> Active;
+  on Active commit -> Idle;
+  on Active rollback -> Idle;
+  # events out of protocol are errors, not no-ops
+  on Idle query -> Error;
+  on Idle commit -> Error;
+}
+|}
+
+let transaction : Fsm.t =
+  match Spec.compile ~file:"transaction.gspec" transaction_spec with
+  | [ { Spec.c_kind = Spec.Typestate fsm; _ } ] -> fsm
+  | _ -> failwith "transaction.gspec: expected one typestate property"
 
 let source = {|
 class OrderService {
@@ -74,7 +83,7 @@ let () =
   let program = Jir.Resolve.parse_exn ~file:"orders.jir" source in
   let workdir = Filename.concat (Filename.get_temp_dir_name ()) "grapple-custom" in
   let prepared = Grapple.Pipeline.prepare ~workdir program in
-  let result = Grapple.Pipeline.check_property prepared (transaction_fsm ()) in
+  let result = Grapple.Pipeline.check_property prepared transaction in
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

@@ -44,7 +44,7 @@ let () =
     prepared.Grapple.Pipeline.n_alias_pairs;
 
   (* 3. check the Figure 3a property *)
-  let fsm = Checkers.Specs.io_fsm () in
+  let fsm = Checkers.fsm "io" in
   let result = Grapple.Pipeline.check_property prepared fsm in
 
   (* 4. report *)

@@ -63,7 +63,9 @@ let () =
           ("ServerSocketChannel", "configureBlocking", "IOException") ] }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let result = Grapple.Pipeline.check_property prepared (Checkers.Specs.socket_fsm ()) in
+  let result =
+    Grapple.Pipeline.check_property prepared (Checkers.fsm "socket")
+  in
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

@@ -10,14 +10,9 @@
    finite-height and [analyze] monotone, the result is the least fixpoint —
    the most precise sound summary assignment.
 
-   The context policy is configurable.  [Ctx_insensitive] merges all call
-   sites of a method into one summary, exactly as the paper collapses SCCs
-   and treats them context-insensitively.  [Ctx_1cfa] is a declared hook: a
-   1-CFA instantiation would key the summary table by (method, call site)
-   and re-run [analyze] per key; until a client needs it, it behaves like
-   [Ctx_insensitive]. *)
-
-type policy = Ctx_insensitive | Ctx_1cfa
+   Summaries are context-insensitive: all call sites of a method share one
+   summary, exactly as the paper collapses SCCs and treats them
+   context-insensitively. *)
 
 type 'summary client = {
   cl_name : string;
@@ -38,9 +33,7 @@ type 'summary result = {
 
 let lookup (r : 'a result) id = Hashtbl.find_opt r.table id
 
-let solve ?(policy = Ctx_insensitive) (client : 'a client)
-    (program : Jir.Ast.program) : 'a result =
-  ignore policy;  (* Ctx_1cfa hook: same table, per-call-site keys *)
+let solve (client : 'a client) (program : Jir.Ast.program) : 'a result =
   let cg = Jir.Callgraph.build program in
   let sccs = Jir.Callgraph.sccs_reverse_topological cg in
   let methods = Hashtbl.create 64 in
@@ -56,8 +49,13 @@ let solve ?(policy = Ctx_insensitive) (client : 'a client)
       List.iter
         (fun id -> Hashtbl.replace table id (client.cl_bottom (meth id)))
         component;
-      (* one pass suffices for non-recursive singleton components, because
-         all callees outside the component are already at fixpoint *)
+      (* one pass suffices for a non-recursive singleton component: every
+         callee lies outside it and is already at fixpoint *)
+      let recursive =
+        match component with
+        | [ id ] -> List.mem id (Jir.Callgraph.callees cg id)
+        | _ -> true
+      in
       let rec iterate () =
         incr rounds;
         let changed =
@@ -71,7 +69,7 @@ let solve ?(policy = Ctx_insensitive) (client : 'a client)
               end)
             false component
         in
-        if changed then iterate ()
+        if changed && recursive then iterate ()
       in
       iterate ())
     sccs;
@@ -252,8 +250,8 @@ let null_client : null_summary client =
    summaries are applied.  Sites the intraprocedural nullness lint already
    reports are subtracted, so [--interproc] adds strictly whole-program
    findings instead of re-labelling local ones. *)
-let null_diags ?policy (p : Jir.Ast.program) : Lint.diag list =
-  let r = solve ?policy null_client p in
+let null_diags (p : Jir.Ast.program) : Lint.diag list =
+  let r = solve null_client p in
   let lk = lookup r in
   Jir.Ast.all_methods p
   |> List.concat_map (fun (m : Jir.Ast.meth) ->

@@ -1,7 +1,7 @@
-(* The checker registry: the four finite-state property checkers the paper
-   evaluates (§5), the DSL-defined checkers shipped with the tool, and any
-   checkers loaded from .gspec files — all ready to run against a prepared
-   pipeline state. *)
+(* The checker registry: every built-in checker — the paper's five and the
+   further shipped properties — compiled from the embedded DSL texts
+   (specs/*.gspec), plus any checkers loaded from .gspec files, all ready
+   to run against a prepared pipeline state. *)
 
 module Specs = Specs
 module Exception_checker = Exception_checker
@@ -13,27 +13,6 @@ type t = {
   kind : [ `Typestate of Fsm.t | `Exception_walk of Exception_checker.opts ];
 }
 
-let io () = { name = "io"; kind = `Typestate (Specs.io_fsm ()) }
-let null () = { name = "null"; kind = `Typestate (Specs.null_fsm ()) }
-let lock () = { name = "lock"; kind = `Typestate (Specs.lock_fsm ()) }
-let socket () = { name = "socket"; kind = `Typestate (Specs.socket_fsm ()) }
-
-let exception_ () =
-  { name = "exception";
-    kind = `Exception_walk Exception_checker.default_opts }
-
-(* The paper's four checkers; [null] is an additional client built on the
-   same machinery (enable explicitly). *)
-let all () = [ io (); lock (); exception_ (); socket () ]
-
-let all_with_null () = all () @ [ null () ]
-
-(* The one shared name table: CLI parsing, the `all` alias, and the
-   available-checkers error message all derive from this list. *)
-let registry : (string * (unit -> t)) list =
-  [ ("io", io); ("lock", lock); ("exception", exception_); ("socket", socket);
-    ("null", null) ]
-
 (* A checker compiled from a DSL property. *)
 let of_spec (c : Spec.checker) : t =
   match c.Spec.c_kind with
@@ -44,46 +23,46 @@ let of_spec (c : Spec.checker) : t =
           `Exception_walk
             { Exception_checker.name = c.Spec.c_name; handler_aware } }
 
-(* The DSL-defined checkers shipped with the tool, compiled from the
-   embedded spec texts (the same texts as specs/*.gspec).  Kept out of
-   [registry] so `--checkers all` and the per-property analyses keep the
-   paper's checker set. *)
-let dsl_registry : (string * (unit -> t)) list =
+(* The one built-in table, in text order: the paper's io, lock, exception,
+   socket and null, then the further shipped properties.  Compiled once;
+   a compiled FSM is never mutated, so every caller may share it. *)
+let builtin : t list =
   List.concat_map
-    (fun (file, text) ->
-      List.map
-        (fun (c : Spec.checker) -> (c.Spec.c_name, fun () -> of_spec c))
-        (Spec.compile ~file text))
+    (fun (file, text) -> List.map of_spec (Spec.compile ~file text))
     Spec.Builtin.all
 
-let names () = List.map fst registry
-
-let dsl_names () = List.map fst dsl_registry
-
-let find name =
-  Option.map (fun (_, mk) -> mk ()) (List.find_opt (fun (n, _) -> n = name) registry)
-
-(* Resolve a checker name against (in precedence order) the checkers
-   loaded from `--spec` files, the built-in registry, and the shipped DSL
-   checkers.  Unknown names raise with the full list of valid ones. *)
+(* Resolve a checker name: the checkers loaded from `--spec` files shadow
+   the built-in table.  Unknown names raise with the full list of valid
+   ones. *)
 let resolve ?(loaded : t list = []) name : t =
-  match List.find_opt (fun c -> c.name = name) loaded with
+  let named = List.find_opt (fun c -> c.name = name) in
+  match named loaded with
   | Some c -> c
   | None -> (
-      match find name with
+      match named builtin with
       | Some c -> c
-      | None -> (
-          match List.find_opt (fun (n, _) -> n = name) dsl_registry with
-          | Some (_, mk) -> mk ()
-          | None ->
-              let available =
-                names () @ dsl_names () @ List.map (fun c -> c.name) loaded
-                |> List.sort_uniq compare
-              in
-              invalid_arg
-                (Printf.sprintf
-                   "unknown checker '%s' (available: %s)" name
-                   (String.concat ", " available))))
+      | None ->
+          let available =
+            List.map (fun c -> c.name) (builtin @ loaded)
+            |> List.sort_uniq compare
+          in
+          invalid_arg
+            (Printf.sprintf "unknown checker '%s' (available: %s)" name
+               (String.concat ", " available)))
+
+(* The paper's four checkers, the default set.  [null] is an additional
+   client on the same machinery: it runs when named, or under
+   `--checkers all`. *)
+let all () = List.map resolve [ "io"; "lock"; "exception"; "socket" ]
+
+let all_with_null () = all () @ [ resolve "null" ]
+
+(* The FSM of a built-in typestate checker, for callers that check one
+   property at a time. *)
+let fsm name =
+  match (resolve name).kind with
+  | `Typestate f -> f
+  | `Exception_walk _ -> invalid_arg (name ^ " is not a typestate checker")
 
 (* The typestate FSMs of [cs], in order: the per-property instances the
    pipeline schedules and pre-filters (exception walks need neither). *)
@@ -92,6 +71,15 @@ let fsms (cs : t list) =
     (fun c ->
       match c.kind with `Typestate f -> Some f | `Exception_walk _ -> None)
     cs
+
+(* Whether any of [cs] tracks the <null> pseudo-class, so the pipeline must
+   model null assignments as pseudo-allocations ([Pipeline.track_null]).
+   Decided by what the FSMs track, not by the checkers' names: a null
+   property under any name gets its allocations. *)
+let tracks_null cs =
+  List.exists
+    (fun f -> Fsm.is_tracked f Graphgen.Alias_graph.null_class)
+    (fsms cs)
 
 let exception_walk opts p =
   Obs.Trace.with_span ~cat:"checker" "checker.exception_walk" (fun () ->

@@ -1,74 +1,3 @@
-(* The four finite-state properties of the paper's evaluation (§5): Java
-   I/O resources, lock usage, exception handling, and socket usage.
-
-   Tracking starts at the allocation, so the initial state of each FSM is
-   the state *after* the constructor event (e.g. a FileWriter is Open as
-   soon as it exists, matching Figure 3a where new() immediately leaves
-   Init). *)
-
-let io_classes =
-  [ "FileWriter"; "FileReader"; "FileInputStream"; "FileOutputStream";
-    "BufferedWriter"; "BufferedReader"; "PrintWriter"; "DataOutputStream" ]
-
-(* Figure 3a: Open --write*--> Open --close--> Closed; write after close is
-   an error; an object not Closed at end of life leaks. *)
-let io_fsm () : Fsm.t =
-  let b = Fsm.builder "io" in
-  List.iter (Fsm.track b) io_classes;
-  Fsm.initial b "Open";
-  Fsm.accepting b "Closed";
-  Fsm.on b ~from:"Open" ~event:"write" ~goto:"Open";
-  Fsm.on b ~from:"Open" ~event:"read" ~goto:"Open";
-  Fsm.on b ~from:"Open" ~event:"flush" ~goto:"Open";
-  Fsm.on b ~from:"Open" ~event:"close" ~goto:"Closed";
-  Fsm.on b ~from:"Closed" ~event:"close" ~goto:"Closed";
-  Fsm.on b ~from:"Closed" ~event:"write" ~goto:"Error";
-  Fsm.on b ~from:"Closed" ~event:"read" ~goto:"Error";
-  Fsm.on b ~from:"Closed" ~event:"flush" ~goto:"Error";
-  Fsm.build b
-
-let lock_classes = [ "ReentrantLock"; "Lock"; "ReadLock"; "WriteLock" ]
-
-(* lock/unlock pairing: unlock without a held lock is an error; a lock held
-   at end of life (never released) is reported as a leak. *)
-let lock_fsm () : Fsm.t =
-  let b = Fsm.builder "lock" in
-  List.iter (Fsm.track b) lock_classes;
-  Fsm.initial b "Unlocked";
-  Fsm.accepting b "Unlocked";
-  Fsm.on b ~from:"Unlocked" ~event:"lock" ~goto:"Locked";
-  Fsm.on b ~from:"Locked" ~event:"unlock" ~goto:"Unlocked";
-  Fsm.on b ~from:"Unlocked" ~event:"unlock" ~goto:"Error";
-  Fsm.build b
-
-let socket_classes =
-  [ "Socket"; "ServerSocket"; "ServerSocketChannel"; "SocketChannel" ]
-
-(* Figure 2 (extended): a channel is Open on creation, must be bound before
-   accepting, and must be closed before the program exits. *)
-let socket_fsm () : Fsm.t =
-  let b = Fsm.builder "socket" in
-  List.iter (Fsm.track b) socket_classes;
-  Fsm.initial b "Open";
-  Fsm.accepting b "Closed";
-  Fsm.on b ~from:"Open" ~event:"bind" ~goto:"Bound";
-  Fsm.on b ~from:"Open" ~event:"configureBlocking" ~goto:"Open";
-  Fsm.on b ~from:"Open" ~event:"connect" ~goto:"Ready";
-  Fsm.on b ~from:"Open" ~event:"setTcpNoDelay" ~goto:"Open";
-  Fsm.on b ~from:"Bound" ~event:"configureBlocking" ~goto:"Bound";
-  Fsm.on b ~from:"Bound" ~event:"accept" ~goto:"Ready";
-  Fsm.on b ~from:"Ready" ~event:"accept" ~goto:"Ready";
-  Fsm.on b ~from:"Ready" ~event:"read" ~goto:"Ready";
-  Fsm.on b ~from:"Ready" ~event:"write" ~goto:"Ready";
-  Fsm.on b ~from:"Open" ~event:"close" ~goto:"Closed";
-  Fsm.on b ~from:"Bound" ~event:"close" ~goto:"Closed";
-  Fsm.on b ~from:"Ready" ~event:"close" ~goto:"Closed";
-  Fsm.on b ~from:"Open" ~event:"accept" ~goto:"Error";
-  Fsm.on b ~from:"Closed" ~event:"accept" ~goto:"Error";
-  Fsm.on b ~from:"Closed" ~event:"bind" ~goto:"Error";
-  Fsm.on b ~from:"Closed" ~event:"connect" ~goto:"Error";
-  Fsm.build b
-
 (* Library calls on resource classes that can raise in real systems code;
    used as the default may-throw table for the frontends. *)
 let library_throwers =
@@ -78,19 +7,3 @@ let library_throwers =
     ("SocketChannel", "connect", "IOException");
     ("FileWriter", "write", "IOException");
     ("FileOutputStream", "write", "IOException") ]
-
-(* Null-dereference checker: [null] assignments are pseudo-allocations of
-   the <null> pseudo-class (see Alias_graph.null_class); any method call on
-   a receiver that may still reference that null on a feasible path is an
-   error.  Variable versioning kills the source on reassignment, and path
-   sensitivity confines the report to the paths where the null actually
-   reaches the call. *)
-let null_fsm () : Fsm.t =
-  let b = Fsm.builder "null" in
-  Fsm.track b Graphgen.Alias_graph.null_class;
-  Fsm.initial b "Null";
-  Fsm.accepting b "Null";  (* an unused null is fine *)
-  (* no declared transitions: in strict mode every event on a null
-     receiver goes to Error *)
-  Fsm.strict_events b;
-  Fsm.build b

@@ -1007,19 +1007,9 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
     in
     let pool = min (max 1 p.config.workers) n in
     if pool <= 1 then worker 0
-    else begin
-      (* the pool takes priority over the engines' own solver fan-out:
-         reserving a slot per worker makes [solve_batch] inside the workers
-         degrade to sequential solving instead of oversubscribing the
-         machine W×S ways *)
-      Engine.Domains.reserve pool;
-      Fun.protect
-        ~finally:(fun () -> Engine.Domains.release pool)
-        (fun () ->
-          List.init pool (fun slot ->
-              Engine.Domains.spawn (fun () -> worker slot))
-          |> List.iter Domain.join)
-    end;
+    else
+      List.init pool (fun slot -> Domain.spawn (fun () -> worker slot))
+      |> List.iter Domain.join;
     Option.iter raise (Atomic.get failure)
   end;
   (* canonical-order merge: float additions happen in the same sequence

@@ -1,57 +1,7 @@
-(* Process-wide domain budget.
+(* A no-op that remains only because ledger/child.ml calls [set_cap 1]
+   before it forks shard workers; the ledger's next revision drops that
+   call and this module.  Nothing in the tree spawns a domain a cap could
+   limit: the instance scheduler sizes its worker pool from its own
+   [workers] setting. *)
 
-   Two layers of the system want true parallelism: the pipeline's instance
-   scheduler runs checking instances on a fixed worker pool, and inside each
-   instance the engine's SMT batch fan-out ([Engine.solve_batch]) spawns
-   short-lived solver domains.  Left uncoordinated, the two multiply — W
-   workers each spawning S solver domains oversubscribes the machine W×S.
-
-   This module is the shared cap both layers draw from.  The cap counts
-   *live domains including the initial one*; a layer that wants to fan out
-   [acquire]s up to the slots it could use, spawns exactly what it was
-   granted (possibly zero — then it degrades to sequential execution in the
-   domain it already owns), and [release]s the slots when its domains are
-   joined.  Grants never block: parallelism is an optimization here, never
-   a correctness requirement, so a layer finding the budget exhausted just
-   proceeds sequentially.
-
-   [spawn] is a counting wrapper around [Domain.spawn]; every spawner in the
-   tree goes through it so tests can pin the total number of domains ever
-   created by a run. *)
-
-let default_cap = max 1 (Domain.recommended_domain_count ())
-
-(* slots still grantable; the initial domain's slot is pre-subtracted *)
-let available = Atomic.make (default_cap - 1)
-
-(* cumulative count of domains spawned through [spawn], for tests *)
-let spawned_total = Atomic.make 0
-
-let set_cap n =
-  let n = max 1 n in
-  Atomic.set available (n - 1)
-
-(* Grant between 0 and [max] domain slots, atomically. *)
-let rec acquire ~max:want =
-  if want <= 0 then 0
-  else
-    let avail = Atomic.get available in
-    if avail <= 0 then 0
-    else
-      let grant = min want avail in
-      if Atomic.compare_and_set available avail (avail - grant) then grant
-      else acquire ~max:want
-
-let release n = if n > 0 then ignore (Atomic.fetch_and_add available n)
-
-(* Unconditionally take [n] slots — the instance scheduler's workers have
-   priority over solver fan-out.  [available] may go negative; [acquire]
-   then grants nothing until the slots are released, which is exactly the
-   intended degradation: engines inside worker domains solve sequentially. *)
-let reserve n = if n > 0 then ignore (Atomic.fetch_and_add available (-n))
-
-let spawn f =
-  Atomic.incr spawned_total;
-  Domain.spawn f
-
-let n_spawned () = Atomic.get spawned_total
+let set_cap (_ : int) = ()

@@ -78,10 +78,6 @@ type config = {
       (* distinct path encodings kept per (src, dst, label); further feasible
          paths between the same endpoints with the same label are witnesses
          of the same fact and are dropped; 0 = unlimited *)
-  solver_domains : int;
-      (* worker domains for parallel constraint solving ("multiple
-         edge-induction threads" of §4.3); 1 = sequential.  Decode/solve
-         timers are merged into the solve timer when > 1. *)
   max_retries : int;
       (* transient storage faults absorbed per operation before the failure
          propagates to the caller *)
@@ -121,7 +117,6 @@ let default_config ~workdir =
     feasibility_enabled = true;
     max_path_elements = 64;
     max_encodings_per_key = 8;
-    solver_domains = 1;
     max_retries = 3;
     retry_base_ms = 2.;
     retry_seed = 0x6a09;
@@ -263,62 +258,6 @@ module Make (L : LABEL_LOGIC) = struct
       raise
         (Budget_exhausted
            (Printf.sprintf "wall-clock budget exhausted (%.3fs)" c.wall_budget_s))
-
-  (* ---------------- feasibility with memoization ---------------- *)
-
-  let solve_one decode enc =
-    match Solver.check (decode enc) with
-    | Solver.Sat | Solver.Unknown -> true
-    | Solver.Unsat -> false
-
-  (* Decide a batch of (deduplicated, cache-missed) encodings, fanning the
-     work out over worker domains when configured.  Decoding and solving are
-     both pure over read-only state (the ICFET, the formula algebra), and
-     the solver's statistics counters are atomic, so the verdicts — and the
-     counter totals — are independent of how the batch is split.
-
-     The fan-out draws its extra domains from the process-wide
-     [Domains] budget: when the instance scheduler already owns every slot
-     (this engine is running inside a worker domain), [acquire] grants
-     nothing and the batch degrades to sequential solving in the calling
-     domain instead of oversubscribing the machine. *)
-  let solve_batch t (encs : Encoding.t list) : (Encoding.t * bool) list =
-    let n = List.length encs in
-    let domains = t.config.solver_domains in
-    (* spawning a domain costs ~an OS thread; only fan out when the batch
-       amortizes it *)
-    if domains <= 1 || n < 16 * domains then
-      List.map (fun enc -> (enc, solve_one t.decode enc)) encs
-    else begin
-      let grant = Domains.acquire ~max:(domains - 1) in
-      if grant = 0 then
-        List.map (fun enc -> (enc, solve_one t.decode enc)) encs
-      else
-        Fun.protect
-          ~finally:(fun () -> Domains.release grant)
-          (fun () ->
-            let arr = Array.of_list encs in
-            let lanes = grant + 1 in
-            let chunk = (n + lanes - 1) / lanes in
-            let work lo =
-              let hi = min n (lo + chunk) in
-              let out = ref [] in
-              for i = hi - 1 downto lo do
-                out := (arr.(i), solve_one t.decode arr.(i)) :: !out
-              done;
-              !out
-            in
-            let spawned =
-              List.init grant (fun k ->
-                  Domains.spawn (fun () -> work ((k + 1) * chunk)))
-            in
-            let mine = work 0 in
-            (* concatenate chunks in index order: the result list preserves
-               the input order whatever the grant was, so downstream
-               consumers (LRU insertion order in particular) behave
-               identically at every degree of fan-out *)
-            mine @ List.concat_map Domain.join spawned)
-    end
 
   (* ---------------- seed edges and closure helpers ---------------- *)
 
@@ -650,7 +589,7 @@ module Make (L : LABEL_LOGIC) = struct
   (* ---------------- the edge-pair-centric computation ---------------- *)
 
   (* How many candidates are collected before feasibility checks are
-     resolved (in parallel when [solver_domains] > 1). *)
+     resolved. *)
   let chunk_cap = 2048
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
@@ -801,33 +740,20 @@ module Make (L : LABEL_LOGIC) = struct
           let batch_t0 = Unix.gettimeofday () in
           let solved =
             Obs.Trace.with_span ~cat:"smt"
-              ~args:
-                [ ("batch_size", Obs.Trace.Int n_to_solve);
-                  ("solver_domains", Obs.Trace.Int t.config.solver_domains) ]
+              ~args:[ ("batch_size", Obs.Trace.Int n_to_solve) ]
               "smt.solve_batch"
             @@ fun () ->
-            if t.config.solver_domains <= 1 then
-              List.map
-                (fun (id, enc) ->
-                  let formula =
-                    Metrics.time m `Decode (fun () -> t.decode enc)
-                  in
-                  ( id,
-                    Metrics.time m `Solve (fun () ->
-                        match Solver.check formula with
-                        | Solver.Sat | Solver.Unknown -> true
-                        | Solver.Unsat -> false) ))
-                to_solve
-            else
-              (* parallel: decode+solve timed together under the solve
-                 timer (per-domain timers cannot be split).  [solve_batch]
-                 preserves input order, so the verdicts zip back onto
-                 their encodings positionally. *)
-              Metrics.time m `Solve (fun () ->
-                  List.map2
-                    (fun (id, _) (_, ok) -> (id, ok))
-                    to_solve
-                    (solve_batch t (List.map snd to_solve)))
+            List.map
+              (fun (id, enc) ->
+                let formula =
+                  Metrics.time m `Decode (fun () -> t.decode enc)
+                in
+                ( id,
+                  Metrics.time m `Solve (fun () ->
+                      match Solver.check formula with
+                      | Solver.Sat | Solver.Unknown -> true
+                      | Solver.Unsat -> false) ))
+              to_solve
           in
           if n_to_solve > 0 then
             Metrics.observe_batch m ~n:n_to_solve

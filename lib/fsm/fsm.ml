@@ -11,8 +11,8 @@ type state = int
 
 (* How a statement fires an event.  The default (an FSM with no event
    declarations) is *name matching*: every library instance call fires an
-   event named after the called method, which is how the hand-coded
-   checkers have always worked.  An FSM compiled from a DSL spec may
+   event named after the called method, which is how the paper's io, lock
+   and socket checkers work.  An FSM compiled from a DSL spec may
    instead declare events explicitly, each with a syntactic pattern and
    optional guards; a statement then fires the first declared event whose
    pattern matches and whose guards all hold, or nothing. *)
@@ -249,8 +249,8 @@ let first_match (t : t) ~meth ~var ~call ~(pattern_ok : pattern -> bool) =
   go t.event_decls
 
 (* Event fired by a library instance call, if any.  Name-matching FSMs
-   (no declarations) fire the called method's name unconditionally: this
-   is the historical behavior the hand-coded checkers rely on. *)
+   (no declarations) fire the called method's name unconditionally: the
+   behavior the paper's io, lock and socket checkers rely on. *)
 let call_event (t : t) ~(meth : Jir.Ast.meth) (c : Jir.Ast.call) :
     string option =
   match c.Jir.Ast.recv with

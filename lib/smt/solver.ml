@@ -16,9 +16,9 @@ type model = (Symbol.t * int) list
 type model_result = Model_sat of model option | Model_unsat | Model_unknown
 
 (* Statistics across the whole process, reported by the benchmarks.  The
-   counters are atomic because the engine solves from several domains (the
-   SMT batch fan-out and the parallel instance scheduler); totals are sums
-   of per-call increments, so they are independent of interleaving — a run
+   counters are atomic because engines solve from several domains (the
+   parallel instance scheduler's workers); totals are sums of per-call
+   increments, so they are independent of interleaving — a run
    performing the same solver calls reports the same counts at any worker
    count. *)
 type stats = {

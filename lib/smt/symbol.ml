@@ -2,9 +2,9 @@
    variables by dense integer ids, which keeps linear-expression operations
    and hashing cheap; the table maps back to names for printing.
 
-   The table is process-wide and consulted from worker domains (the SMT
-   batch fan-out and the parallel instance scheduler both decode formulas
-   off the main domain), so all access is serialized by a mutex.  The
+   The table is process-wide and consulted from worker domains (the
+   parallel instance scheduler decodes formulas off the main domain), so
+   all access is serialized by a mutex.  The
    critical sections are a hashtable probe or an array slot read — far off
    every hot path, which works on already-interned dense ids. *)
 

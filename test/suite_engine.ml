@@ -333,44 +333,6 @@ let test_metrics_breakdown_sums_to_100 () =
   Alcotest.(check bool) "percentages sum to ~100" true
     (Float.abs (total -. 100.) < 1e-6 || total = 0.)
 
-let test_parallel_solving_same_result () =
-  (* a decode that actually exercises the solver; the symbol is interned
-     up front because decode runs on worker domains *)
-  let x_sym = Smt.Symbol.intern "pe_x" in
-  let decode (enc : E.t) =
-    let x = Smt.Linexpr.var x_sym in
-    match enc with
-    | E.Interval { last; _ } :: _ when last mod 7 = 3 ->
-        (* infeasible constraint for some encodings *)
-        Smt.Formula.and_
-          (Smt.Formula.ge x (Smt.Linexpr.const 1))
-          (Smt.Formula.le x (Smt.Linexpr.const 0))
-    | _ -> Smt.Formula.ge x (Smt.Linexpr.const 0)
-  in
-  let run domains =
-    let workdir = fresh_workdir () in
-    let config =
-      { (Engine.default_config ~workdir) with
-        Engine.target_partitions = 2;
-        solver_domains = domains;
-        cache_enabled = false }
-    in
-    let t = AEngine.create ~config ~decode ~workdir () in
-    AEngine.add_seed t ~src:0 ~dst:1 ~label:Pg.New
-      ~enc:[ E.Interval { meth = 0; first = 0; last = 0 } ];
-    for i = 1 to 20 do
-      AEngine.add_seed t ~src:i ~dst:(i + 1) ~label:Pg.Assign
-        ~enc:[ E.Interval { meth = 0; first = 0; last = i } ]
-    done;
-    AEngine.run t;
-    AEngine.fold_edges t
-      (fun acc e -> (e.AEngine.src, e.AEngine.dst, Pg.to_int e.AEngine.label) :: acc)
-      []
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check bool) "parallel solving agrees with sequential" true
-    (run 1 = run 3)
-
 (* reference implementation: naive in-memory closure with the same label
    logic and no constraints, used to differential-test the disk engine *)
 let reference_closure (seeds : (int * int * Pg.t) list) : (int * int * int) list =
@@ -686,7 +648,6 @@ let suite =
     Alcotest.test_case "constraint pruning" `Quick test_constraint_pruning;
     Alcotest.test_case "encodings-per-key cap" `Quick test_encodings_per_key_cap;
     Alcotest.test_case "breakdown sums to 100" `Quick test_metrics_breakdown_sums_to_100;
-    Alcotest.test_case "parallel solving" `Quick test_parallel_solving_same_result;
     QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     QCheck_alcotest.to_alcotest prop_partitioning_invariance;
     QCheck_alcotest.to_alcotest prop_index_matches_reference;

@@ -413,8 +413,7 @@ let check_leak ?(config_f = fun c -> c) ?workdir () =
         Grapple.Pipeline.engine =
           { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
   in
-  let fsm = (Checkers.io ()).Checkers.kind in
-  let fsm = match fsm with `Typestate f -> f | _ -> assert false in
+  let fsm = Checkers.fsm "io" in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let pr = Grapple.Pipeline.check_property prepared fsm in
   let stats = Grapple.Pipeline.stats prepared [ pr ] in

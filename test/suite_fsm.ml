@@ -1,11 +1,7 @@
 (* Tests for the FSM specification DSL and typestate semantics. *)
 
-let writer_fsm = Checkers.Specs.io_fsm
-let lock_fsm = Checkers.Specs.lock_fsm
-let socket_fsm = Checkers.Specs.socket_fsm
-
 let test_build_and_query () =
-  let f = writer_fsm () in
+  let f = Checkers.fsm "io" in
   Alcotest.(check bool) "tracks FileWriter" true (Fsm.is_tracked f "FileWriter");
   Alcotest.(check bool) "does not track Socket" false (Fsm.is_tracked f "Socket");
   Alcotest.(check bool) "write is an event" true (Fsm.is_event f "write");
@@ -13,7 +9,7 @@ let test_build_and_query () =
   Alcotest.(check bool) "error not accepting" false (Fsm.is_accepting f f.Fsm.error)
 
 let test_step_semantics () =
-  let f = writer_fsm () in
+  let f = Checkers.fsm "io" in
   let s0 = f.Fsm.initial in
   let closed = Fsm.step f s0 "close" in
   Alcotest.(check string) "close" "Closed" (Fsm.state_name f closed);
@@ -26,7 +22,7 @@ let test_step_semantics () =
   Alcotest.(check int) "unknown event ignored" s0 (Fsm.step f s0 "toString")
 
 let test_run_and_verdict () =
-  let f = writer_fsm () in
+  let f = Checkers.fsm "io" in
   Alcotest.(check bool) "ok sequence" true
     (Fsm.check_sequence f [ "write"; "write"; "close" ] = Fsm.Ok_);
   Alcotest.(check bool) "missing close" true
@@ -38,14 +34,14 @@ let test_run_and_verdict () =
 
 let test_figure3a_example () =
   (* Figure 3b's four paths against the Figure 3a FSM *)
-  let f = writer_fsm () in
+  let f = Checkers.fsm "io" in
   Alcotest.(check bool) "path 1: new write close" true
     (Fsm.check_sequence f [ "write"; "close" ] = Fsm.Ok_);
   Alcotest.(check bool) "path 2: new only -> not accepting" true
     (match Fsm.check_sequence f [] with Fsm.Bad_final _ -> true | _ -> false)
 
-let test_lock_fsm () =
-  let f = lock_fsm () in
+let test_lock_property () =
+  let f = Checkers.fsm "lock" in
   Alcotest.(check bool) "lock unlock ok" true
     (Fsm.check_sequence f [ "lock"; "unlock" ] = Fsm.Ok_);
   Alcotest.(check bool) "unlock first is error" true
@@ -55,8 +51,8 @@ let test_lock_fsm () =
     | Fsm.Bad_final _ -> true
     | _ -> false)
 
-let test_socket_fsm () =
-  let f = socket_fsm () in
+let test_socket_property () =
+  let f = Checkers.fsm "socket" in
   Alcotest.(check bool) "bind accept close ok" true
     (Fsm.check_sequence f [ "bind"; "accept"; "close" ] = Fsm.Ok_);
   Alcotest.(check bool) "accept before bind is error" true
@@ -67,7 +63,7 @@ let test_socket_fsm () =
     | _ -> false)
 
 let test_event_vector () =
-  let f = writer_fsm () in
+  let f = Checkers.fsm "io" in
   let v = Fsm.event_vector f "close" in
   Alcotest.(check int) "arity" (Fsm.n_states f) (Array.length v);
   Array.iteri
@@ -112,7 +108,7 @@ let prop_run_is_fold =
   QCheck.Test.make ~name:"fsm run = fold step" ~count:200
     (list_of_size (Gen.int_range 0 12) (oneofl events))
     (fun seq ->
-      let f = writer_fsm () in
+      let f = Checkers.fsm "io" in
       Fsm.run f seq
       = List.fold_left (fun s e -> Fsm.step f s e) f.Fsm.initial seq)
 
@@ -122,7 +118,7 @@ let prop_error_absorbing =
   QCheck.Test.make ~name:"fsm error absorbing" ~count:200
     (list_of_size (Gen.int_range 0 12) (oneofl events))
     (fun seq ->
-      let f = writer_fsm () in
+      let f = Checkers.fsm "io" in
       List.fold_left (fun s e -> Fsm.step f s e) f.Fsm.error seq = f.Fsm.error)
 
 let suite =
@@ -130,8 +126,8 @@ let suite =
     Alcotest.test_case "step semantics" `Quick test_step_semantics;
     Alcotest.test_case "run and verdict" `Quick test_run_and_verdict;
     Alcotest.test_case "figure 3a example" `Quick test_figure3a_example;
-    Alcotest.test_case "lock fsm" `Quick test_lock_fsm;
-    Alcotest.test_case "socket fsm" `Quick test_socket_fsm;
+    Alcotest.test_case "lock fsm" `Quick test_lock_property;
+    Alcotest.test_case "socket fsm" `Quick test_socket_property;
     Alcotest.test_case "event vector" `Quick test_event_vector;
     Alcotest.test_case "nondeterminism rejected" `Quick test_nondeterministic_rejected;
     Alcotest.test_case "spec validation" `Quick test_spec_requires_initial_and_classes;

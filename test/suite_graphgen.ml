@@ -260,7 +260,7 @@ entry Main.main;
   let _, icfet, _, clones = prepare src in
   let ag = Alias_graph.build icfet clones in
   let flows = run_alias_engine icfet ag in
-  let fsm = Checkers.Specs.io_fsm () in
+  let fsm = Checkers.fsm "io" in
   let dg = Dataflow_graph.build icfet clones ag flows fsm in
   Alcotest.(check int) "one tracked object" 1
     (List.length (Dataflow_graph.tracked dg));
@@ -290,7 +290,7 @@ entry Main.main;
   let _, icfet, _, clones = prepare src in
   let ag = Alias_graph.build icfet clones in
   let flows = run_alias_engine icfet ag in
-  let dg = Dataflow_graph.build icfet clones ag flows (Checkers.Specs.io_fsm ()) in
+  let dg = Dataflow_graph.build icfet clones ag flows (Checkers.fsm "io") in
   Alcotest.(check int) "nothing tracked" 0
     (List.length (Dataflow_graph.tracked dg));
   Alcotest.(check int) "no seeds" 0 (Dataflow_graph.n_seeds dg)

@@ -81,7 +81,7 @@ entry Main.main;
 
 (* ---------------- FSM transfer relations ---------------- *)
 
-let io = Checkers.Specs.io_fsm ()
+let io = Checkers.fsm "io"
 
 let state name =
   let rec go i =
@@ -155,6 +155,30 @@ let test_summary_recursive_fixpoint () =
   Alcotest.(check (list string)) "every path through rec closes" [ "Closed" ]
     (states_of ps.Analysis.Summaries.ps_rel (state "Open"));
   (* the allocation in Main is closed on every path and never escapes *)
+  Alcotest.(check int) "alloc proved clean" 1
+    (List.length (Analysis.Summaries.clean_sids r))
+
+let pass_through_src = {|
+class B { void g(FileWriter f) { f.close(); return; } }
+class A { void f(FileWriter f) { f.write(1); B.g(f); return; } }
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    A.f(w);
+    return;
+  }
+}
+entry Main.main;
+|}
+
+(* Without recursion every component is a singleton whose callees are
+   already at fixpoint, so the solver analyzes each method exactly once. *)
+let test_summary_single_pass () =
+  let program = parse pass_through_src in
+  let r = Analysis.Summaries.analyze io program in
+  Alcotest.(check int) "one round per method"
+    (List.length (Jir.Ast.all_methods program))
+    r.Analysis.Summaries.n_scc_iterations;
   Alcotest.(check int) "alloc proved clean" 1
     (List.length (Analysis.Summaries.clean_sids r))
 
@@ -308,7 +332,7 @@ entry Main.main;
 let run_pipeline ?(summary_prefilter = true) src =
   let program = parse src in
   let workdir = fresh_workdir () in
-  let fsm = Checkers.Specs.io_fsm () in
+  let fsm = Checkers.fsm "io" in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
@@ -422,6 +446,8 @@ let suite =
     Alcotest.test_case "rel universal leq" `Quick test_rel_universal_and_leq;
     Alcotest.test_case "summary recursive fixpoint" `Quick
       test_summary_recursive_fixpoint;
+    Alcotest.test_case "summary single pass without recursion" `Quick
+      test_summary_single_pass;
     Alcotest.test_case "interproc null via return" `Quick
       test_interproc_null_via_return;
     Alcotest.test_case "interproc null via param" `Quick

@@ -4,12 +4,9 @@
    reports and every integer counter of its statistics are byte-identical —
    with and without an installed fault plan — and a run crashed mid-flight
    can be resumed at any other worker count with no loss.  The suite also
-   pins the shared domain budget (worker pools take priority over the
-   engines' SMT fan-out) and the ordering invariants the byte-identity
-   rests on. *)
+   pins the ordering invariants the byte-identity rests on. *)
 
 module Faults = Engine.Faults
-module Domains = Engine.Domains
 module Pipeline = Grapple.Pipeline
 module Report = Grapple.Report
 module Generator = Workload.Generator
@@ -369,52 +366,6 @@ let test_schedule_entries () =
         (e.Pipeline.s_estimate >= 0 && e.Pipeline.s_wall_s >= 0.))
     out.o_schedule
 
-(* ---------------- the shared domain budget ---------------- *)
-
-let with_cap n f =
-  Domains.set_cap n;
-  Fun.protect ~finally:(fun () -> Domains.set_cap Domains.default_cap) f
-
-let test_domain_budget_unit () =
-  with_cap 3 (fun () ->
-      (* cap 3 = this domain + 2 grantable slots *)
-      Alcotest.(check int) "grant capped" 2 (Domains.acquire ~max:10);
-      Alcotest.(check int) "exhausted" 0 (Domains.acquire ~max:1);
-      Domains.release 2;
-      Alcotest.(check int) "zero request" 0 (Domains.acquire ~max:0);
-      (* a reservation takes priority: acquire yields nothing until the
-         reserved slots are released, even though reserve never blocked *)
-      Domains.reserve 2;
-      Alcotest.(check int) "reserved away" 0 (Domains.acquire ~max:1);
-      Domains.release 2;
-      Alcotest.(check int) "back after release" 1 (Domains.acquire ~max:1);
-      Domains.release 1)
-
-(* W workers x S solver domains must not multiply: with the budget fully
-   reserved by the worker pool, the only domains ever spawned are the pool
-   itself — the engines' batch fan-out degrades to sequential solving. *)
-let test_no_domain_oversubscription () =
-  let program = generated ~seed:11 in
-  let workdir = fresh_workdir () in
-  with_cap 1 (fun () ->
-      let config =
-        { (Pipeline.default_config ~workdir) with
-          Pipeline.track_null = true;
-          workers = 2;
-          engine =
-            { (Engine.default_config ~workdir) with
-              Engine.solver_domains = 4;
-              retry_base_ms = 0.01 } }
-      in
-      let before = Domains.n_spawned () in
-      let prepared = Pipeline.prepare ~config ~workdir program in
-      let _, props, _ =
-        Checkers.run_all_scheduled prepared (Checkers.all_with_null ())
-      in
-      ignore (Pipeline.stats prepared props);
-      Alcotest.(check int) "only the worker pool spawned domains" 2
-        (Domains.n_spawned () - before))
-
 (* ---------------- stress: crash, isolation, resume ---------------- *)
 
 let test_crash_isolation_resume () =
@@ -482,11 +433,7 @@ let test_crash_isolation_resume () =
     resumed.o_stats.Pipeline.n_inconclusive
 
 let suite =
-  [ Alcotest.test_case "domains: acquire/reserve/release budget" `Quick
-      test_domain_budget_unit;
-    Alcotest.test_case "domains: workers pin total spawn count" `Quick
-      test_no_domain_oversubscription;
-    Alcotest.test_case "differential: example subjects" `Quick
+  [ Alcotest.test_case "differential: example subjects" `Quick
       test_examples_differential;
     Alcotest.test_case "differential: generated workloads" `Quick
       test_generated_differential;

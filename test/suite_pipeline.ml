@@ -42,7 +42,7 @@ let kinds rs =
 
 let test_figure3b_leak () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class Main {
   void main(int a) {
     FileWriter out = null;
@@ -80,7 +80,7 @@ entry Main.main;
 let test_path_sensitivity_prunes () =
   (* close guarded by the same condition as the allocation: safe *)
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class Main {
   void main(int x) {
     FileWriter out = null;
@@ -103,7 +103,7 @@ entry Main.main;
 
 let test_use_after_close () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class Main {
   void main(int x) {
     FileWriter w = new FileWriter();
@@ -120,7 +120,7 @@ entry Main.main;
 
 let test_context_sensitivity () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class H {
   FileWriter make(int n) {
     FileWriter w = new FileWriter();
@@ -149,7 +149,7 @@ entry Main.main;
 
 let test_heap_alias_close () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class Main {
   void main(int x) {
     Holder h = new Holder();
@@ -168,7 +168,7 @@ entry Main.main;
 
 let test_socket_exception_leak () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.socket () ] {|
+    check_src ~checkers:[ Checkers.resolve "socket" ] {|
 class Main {
   void main(int addr) {
     Socket s = new Socket();
@@ -189,7 +189,7 @@ entry Main.main;
 
 let test_socket_exception_closed_in_handler () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.socket () ] {|
+    check_src ~checkers:[ Checkers.resolve "socket" ] {|
 class Main {
   void main(int addr) {
     Socket s = new Socket();
@@ -210,7 +210,7 @@ entry Main.main;
 
 let test_lock_misuse () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.lock () ] {|
+    check_src ~checkers:[ Checkers.resolve "lock" ] {|
 class Main {
   void main(int x) {
     ReentrantLock l = new ReentrantLock();
@@ -227,7 +227,7 @@ entry Main.main;
 
 let test_exception_escapes () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.exception_ () ] {|
+    check_src ~checkers:[ Checkers.resolve "exception" ] {|
 class Deep {
   void risky(int n) throws Boom {
     if (n > 0) {
@@ -256,7 +256,7 @@ entry Main.main;
 
 let test_exception_handled_somewhere () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.exception_ () ] {|
+    check_src ~checkers:[ Checkers.resolve "exception" ] {|
 class Deep {
   void risky(int n) throws Boom {
     if (n > 0) {
@@ -283,7 +283,7 @@ entry Main.main;
 
 let test_exception_infeasible_throw () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.exception_ () ] {|
+    check_src ~checkers:[ Checkers.resolve "exception" ] {|
 class Main {
   void main(int n) {
     int x = n * 2;
@@ -303,7 +303,7 @@ let test_reconfigure_both_channels_leak () =
   (* the Figure 1 dance as a pipeline-level scenario: both the old and the
      new channel leak on the exception path, and nothing else is reported *)
   let _, results, _ =
-    check_src ~checkers:[ Checkers.socket () ] {|
+    check_src ~checkers:[ Checkers.resolve "socket" ] {|
 class Main {
   void reconfigure(int addr) {
     ServerSocketChannel oldSS = new ServerSocketChannel();
@@ -328,7 +328,7 @@ entry Main.reconfigure;
 
 let test_report_trace_present () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.io () ] {|
+    check_src ~checkers:[ Checkers.resolve "io" ] {|
 class Main {
   void main(int a) {
     FileWriter w = new FileWriter();
@@ -346,7 +346,7 @@ entry Main.main;
 
 let test_null_deref () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.null () ] ~track_null:true {|
+    check_src ~checkers:[ Checkers.resolve "null" ] ~track_null:true {|
 class Main {
   void main(int p) {
     FileWriter w = null;
@@ -417,7 +417,8 @@ let test_prefilter_same_reports () =
      happens: the non-escaping alloc is resolved intraprocedurally *)
   let run prefilter =
     let prepared, results, props =
-      check_src ~checkers:[ Checkers.io () ] ~prefilter use_after_close_src
+      check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter
+        use_after_close_src
     in
     (Grapple.Pipeline.stats prepared props, kinds (reports_of "io" results))
   in
@@ -434,7 +435,7 @@ let test_prefilter_same_reports () =
 
 let test_prefilter_leak_detected () =
   let prepared, results, props =
-    check_src ~checkers:[ Checkers.io () ] ~prefilter:true {|
+    check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter:true {|
 class Main {
   void main(int a) {
     FileWriter w = new FileWriter();
@@ -454,7 +455,7 @@ let test_prefilter_path_sensitive () =
   (* the filtered paths carry the same SMT constraints as the engine: the
      infeasible error path must stay pruned *)
   let prepared, results, props =
-    check_src ~checkers:[ Checkers.io () ] ~prefilter:true {|
+    check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter:true {|
 class Main {
   void main(int p) {
     FileWriter w = new FileWriter();
@@ -479,7 +480,7 @@ let test_prefilter_inert_on_escaping_allocs () =
      the engine and reproduce the paper's exact report *)
   let run prefilter =
     let prepared, results, props =
-      check_src ~checkers:[ Checkers.io () ] ~prefilter {|
+      check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter {|
 class Main {
   void main(int a) {
     FileWriter out = null;

@@ -154,7 +154,7 @@ let run_pipeline ?(alias_prefilter = true) ?(workers = 1) ?fsms src =
   let fsms =
     match fsms with
     | Some fs -> fs
-    | None -> [ Checkers.Specs.lock_fsm () ]
+    | None -> [ Checkers.fsm "lock" ]
   in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
@@ -248,8 +248,8 @@ let run_subject ?(alias_prefilter = true) ~workers
     (subject : Workload.Generator.subject) =
   let workdir = fresh_workdir () in
   let fsms =
-    [ Checkers.Specs.io_fsm (); Checkers.Specs.lock_fsm ();
-      Checkers.Specs.socket_fsm () ]
+    [ Checkers.fsm "io"; Checkers.fsm "lock";
+      Checkers.fsm "socket" ]
   in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with

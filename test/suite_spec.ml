@@ -1,7 +1,8 @@
 (* Tests for the declarative property DSL (lib/spec): parser and validator
-   diagnostics, printer round-trips, the differential guarantee that DSL
-   replicas of the hand-coded checkers produce byte-identical warnings, and
-   the ground-truth scores of the four DSL-defined checkers. *)
+   diagnostics, printer round-trips, a field-for-field golden of the
+   paper's checkers as compiled from the embedded text, null tracking that
+   follows what a property tracks rather than its name, and the
+   ground-truth scores of the four further DSL-defined checkers. *)
 
 let fresh_workdir =
   let counter = ref 0 in
@@ -116,12 +117,6 @@ let roundtrip name (fsm : Fsm.t) =
         (Spec.equivalent fsm fsm')
   | _ -> Alcotest.failf "%s: round-trip did not yield one typestate" name
 
-let test_roundtrip_builtins () =
-  roundtrip "io" (Checkers.Specs.io_fsm ());
-  roundtrip "lock" (Checkers.Specs.lock_fsm ());
-  roundtrip "socket" (Checkers.Specs.socket_fsm ());
-  roundtrip "null" (Checkers.Specs.null_fsm ())
-
 let test_roundtrip_dsl_builtins () =
   List.iter
     (fun (file, text) ->
@@ -132,6 +127,121 @@ let test_roundtrip_dsl_builtins () =
           | Spec.Exception_walk _ -> ())
         (Spec.compile ~file text))
     Spec.Builtin.all
+
+(* ---------------- paper-checker golden ---------------- *)
+
+(* Every field of a paper checker, in a fixed textual form: for a
+   typestate, the tracked-class order, the states in numbering order, the
+   distinguished states, the event alphabet and how events match, the
+   message templates, and the transitions sorted by (from, event); for an
+   exception walk, its options. *)
+let render_paper_checker (c : Checkers.t) =
+  let b = Buffer.create 512 in
+  let line fmt = Printf.kbprintf (fun b -> Buffer.add_char b '\n') b fmt in
+  let list l = "[" ^ String.concat " " l ^ "]" in
+  line "%s" c.Checkers.name;
+  (match c.Checkers.kind with
+  | `Exception_walk (o : Checkers.Exception_checker.opts) ->
+      line "  exception walk: name=%s handler_aware=%b" o.name o.handler_aware
+  | `Typestate (f : Fsm.t) ->
+      line "  fsm name: %s" f.Fsm.name;
+      line "  tracked: %s" (list f.Fsm.tracked_classes);
+      Array.iteri (fun i s -> line "  state %d: %s" i s) f.Fsm.state_names;
+      line "  initial: %d  error: %d  accepting: %s" f.Fsm.initial
+        f.Fsm.error (list (List.map string_of_int f.Fsm.accepting));
+      line "  events: %s" (list f.Fsm.events);
+      line "  ignore_unknown_events: %b" f.Fsm.ignore_unknown_events;
+      List.iter
+        (fun (d : Fsm.event_decl) ->
+          line "  event %s = %s" d.Fsm.ev_name
+            (String.concat " "
+               (Spec.print_pattern d.Fsm.ev_pattern
+               :: List.map Spec.print_guard d.Fsm.ev_guards)))
+        f.Fsm.event_decls;
+      List.iter (fun (s, m) -> line "  message %s: %s" s m) f.Fsm.messages;
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) f.Fsm.transitions []
+      |> List.sort compare
+      |> List.iter (fun ((s, e), s') -> line "  on %d %s -> %d" s e s'));
+  Buffer.contents b
+
+(* Recorded from the hand-built FSM builders before they were deleted: the
+   checkers compiled from the embedded paper text must stay identical to
+   them, field for field. *)
+let paper_golden =
+  {|io
+  fsm name: io
+  tracked: [FileWriter FileReader FileInputStream FileOutputStream BufferedWriter BufferedReader PrintWriter DataOutputStream]
+  state 0: Open
+  state 1: Closed
+  state 2: Error
+  initial: 0  error: 2  accepting: [1]
+  events: [close flush read write]
+  ignore_unknown_events: true
+  on 0 close -> 1
+  on 0 flush -> 0
+  on 0 read -> 0
+  on 0 write -> 0
+  on 1 close -> 1
+  on 1 flush -> 2
+  on 1 read -> 2
+  on 1 write -> 2
+lock
+  fsm name: lock
+  tracked: [ReentrantLock Lock ReadLock WriteLock]
+  state 0: Unlocked
+  state 1: Locked
+  state 2: Error
+  initial: 0  error: 2  accepting: [0]
+  events: [lock unlock]
+  ignore_unknown_events: true
+  on 0 lock -> 1
+  on 0 unlock -> 2
+  on 1 unlock -> 0
+exception
+  exception walk: name=exception handler_aware=false
+socket
+  fsm name: socket
+  tracked: [Socket ServerSocket ServerSocketChannel SocketChannel]
+  state 0: Open
+  state 1: Closed
+  state 2: Bound
+  state 3: Ready
+  state 4: Error
+  initial: 0  error: 4  accepting: [1]
+  events: [accept bind close configureBlocking connect read setTcpNoDelay write]
+  ignore_unknown_events: true
+  on 0 accept -> 4
+  on 0 bind -> 2
+  on 0 close -> 1
+  on 0 configureBlocking -> 0
+  on 0 connect -> 3
+  on 0 setTcpNoDelay -> 0
+  on 1 accept -> 4
+  on 1 bind -> 4
+  on 1 connect -> 4
+  on 2 accept -> 3
+  on 2 close -> 1
+  on 2 configureBlocking -> 2
+  on 3 accept -> 3
+  on 3 close -> 1
+  on 3 read -> 3
+  on 3 write -> 3
+null
+  fsm name: null
+  tracked: [<null>]
+  state 0: Null
+  state 1: Error
+  initial: 0  error: 1  accepting: [0]
+  events: []
+  ignore_unknown_events: false
+|}
+
+let test_paper_checkers_golden () =
+  Alcotest.(check string) "paper checkers, field for field" paper_golden
+    (String.concat ""
+       (List.map
+          (fun n -> render_paper_checker (Checkers.resolve n))
+          [ "io"; "lock"; "exception"; "socket"; "null" ]))
 
 (* the shipped specs/*.gspec files are the embedded Builtin texts *)
 let test_shipped_specs_in_sync () =
@@ -216,7 +326,7 @@ let render results =
          :: List.map Grapple.Report.to_string reports)
        results)
 
-(* ---------------- differential: replicas vs hand-coded ---------------- *)
+(* ---------------- null tracking by what a property tracks ---------------- *)
 
 let differential_subject () =
   Workload.Generator.generate
@@ -232,34 +342,34 @@ let differential_subject () =
       lint_bugs = [];
       loops_per_subject = 1 }
 
-let test_replicas_byte_identical () =
-  let replicas =
-    List.map Checkers.of_spec (Spec.compile_file "../specs/replicas.gspec")
+(* Null tracking follows what a property tracks, not its name: the paper's
+   null property loaded under another name reports the null checker's
+   warnings, checker name aside. *)
+let test_renamed_null_property () =
+  let nullx =
+    List.map Checkers.of_spec
+      (Spec.compile ~file:"nullx.gspec"
+         {|property nullx {
+  track "<null>";
+  initial Null;
+  accepting Null;
+  strict;
+}|})
   in
-  Alcotest.(check (list string)) "replica names"
-    [ "io"; "lock"; "socket"; "null" ]
-    (List.map (fun (c : Checkers.t) -> c.Checkers.name) replicas);
-  let builtins =
-    [ Checkers.io (); Checkers.lock (); Checkers.socket (); Checkers.null () ]
+  Alcotest.(check bool) "renamed property tracks null" true
+    (Checkers.tracks_null nullx);
+  let program = (differential_subject ()).Workload.Generator.program in
+  let warnings cs =
+    prepare_and_run ~track_null:(Checkers.tracks_null cs) cs program
+    |> List.concat_map snd
+    |> List.map (fun r ->
+           Grapple.Report.to_string { r with Grapple.Report.checker = "null" })
   in
-  let subject = differential_subject () in
-  let program = subject.Workload.Generator.program in
-  List.iter
-    (fun workers ->
-      let base_results =
-        prepare_and_run ~workers ~track_null:true builtins program
-      in
-      let repl =
-        render (prepare_and_run ~workers ~track_null:true replicas program)
-      in
-      Alcotest.(check string)
-        (Printf.sprintf "byte-identical at %d worker(s)" workers)
-        (render base_results) repl;
-      let total =
-        List.fold_left (fun n (_, rs) -> n + List.length rs) 0 base_results
-      in
-      Alcotest.(check bool) "subject produces warnings" true (total > 0))
-    [ 1; 4 ]
+  let expected = warnings [ Checkers.resolve "null" ] in
+  Alcotest.(check bool) "the null checker warns on the subject" true
+    (expected <> []);
+  Alcotest.(check (list string)) "same warnings under another name" expected
+    (warnings nullx)
 
 (* worker-count invariance of the full DSL checker set (dedup satellite:
    the rendered reports must be byte-identical at 1 and 4 workers) *)
@@ -336,7 +446,7 @@ let test_exc_twr_beats_exception () =
   in
   let old =
     let results =
-      prepare_and_run ~track_null:false [ Checkers.exception_ () ] program
+      prepare_and_run ~track_null:false [ Checkers.resolve "exception" ] program
     in
     let reports =
       Option.value ~default:[] (List.assoc_opt "exception" results)
@@ -389,17 +499,18 @@ let suite =
       test_unknown_event_in_declared_mode;
     Alcotest.test_case "unknown product component" `Quick
       test_unknown_product_component;
-    Alcotest.test_case "round-trip built-ins" `Quick test_roundtrip_builtins;
     Alcotest.test_case "round-trip DSL builtins" `Quick
       test_roundtrip_dsl_builtins;
+    Alcotest.test_case "paper checkers golden" `Quick
+      test_paper_checkers_golden;
     Alcotest.test_case "shipped specs in sync" `Quick
       test_shipped_specs_in_sync;
     Alcotest.test_case "resolve names" `Quick test_resolve_names;
     Alcotest.test_case "resolve unknown lists available" `Quick
       test_resolve_unknown_lists_available;
     Alcotest.test_case "typestate projection" `Quick test_fsms_projection;
-    Alcotest.test_case "replicas byte-identical" `Slow
-      test_replicas_byte_identical;
+    Alcotest.test_case "renamed null property" `Slow
+      test_renamed_null_property;
     Alcotest.test_case "DSL checkers worker-invariant" `Slow
       test_dsl_checkers_worker_invariant;
     Alcotest.test_case "dedup exact" `Quick test_dedup_exact;

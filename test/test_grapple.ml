@@ -12,8 +12,8 @@ let () =
   | _ -> ());
   (* the shard suite must run FIRST: it forks worker processes, and
      Unix.fork refuses to run in a process that has ever created a domain
-     (OCaml 5), which several later suites do (solver fan-out, the domain
-     scheduler).  Alcotest runs suites in list order. *)
+     (OCaml 5), which several later suites do (the instance scheduler's
+     worker domains).  Alcotest runs suites in list order. *)
   Alcotest.run "grapple"
     [ ("shard", Suite_shard.suite);
       ("smt", Suite_smt.suite);
