@@ -8,47 +8,55 @@
    iterates each component to a fixpoint, so summaries of (mutually)
    recursive methods converge from bottom.  Because every client lattice is
    finite-height and [analyze] monotone, the result is the least fixpoint —
-   the most precise sound summary assignment.
+   the most precise sound summary assignment.  Each member's CFG is built
+   once per component, and when the component converges the client sees
+   every member's final-round result ([cl_converged]), so whole-program
+   facts need no second solve.
 
    Summaries are context-insensitive: all call sites of a method share one
    summary, exactly as the paper collapses SCCs and treats them
    context-insensitively. *)
 
-type 'summary client = {
-  cl_name : string;
+type ('summary, 'detail) client = {
   cl_bottom : Jir.Ast.meth -> 'summary;
   cl_equal : 'summary -> 'summary -> bool;
   cl_analyze :
-    lookup:(string -> 'summary option) ->
-    Jir.Ast.program ->
-    Jir.Ast.meth ->
-    'summary;
+    lookup:(string -> 'summary option) -> Cfg.t -> 'summary * 'detail;
+      (* one method's summary, plus whatever else the round computed *)
+  cl_converged :
+    lookup:(string -> 'summary option) -> Cfg.t -> 'detail -> unit;
+      (* called once per method when its component has converged, with the
+         final round's detail; every summary [lookup] reaches is final *)
 }
 
 type 'summary result = {
   table : (string, 'summary) Hashtbl.t;  (* method id -> summary *)
-  order : string list;                   (* reverse-topological method order *)
   n_scc_iterations : int;                (* total component fixpoint rounds *)
 }
 
-let lookup (r : 'a result) id = Hashtbl.find_opt r.table id
-
-let solve (client : 'a client) (program : Jir.Ast.program) : 'a result =
-  let cg = Jir.Callgraph.build program in
+(* [callgraph] must be [program]'s; it is built when absent. *)
+let solve ?callgraph (client : ('s, 'd) client) (program : Jir.Ast.program) :
+    's result =
+  let cg =
+    match callgraph with Some cg -> cg | None -> Jir.Callgraph.build program
+  in
   let sccs = Jir.Callgraph.sccs_reverse_topological cg in
   let methods = Hashtbl.create 64 in
   List.iter
     (fun m -> Hashtbl.replace methods (Jir.Ast.meth_id m) m)
     (Jir.Ast.all_methods program);
-  let meth id = Hashtbl.find methods id in
   let table = Hashtbl.create 64 in
   let lookup id = Hashtbl.find_opt table id in
   let rounds = ref 0 in
   List.iter
     (fun component ->
+      (* each member's CFG, built once for all of the component's rounds *)
+      let members =
+        List.map (fun id -> (id, Cfg.build (Hashtbl.find methods id))) component
+      in
       List.iter
-        (fun id -> Hashtbl.replace table id (client.cl_bottom (meth id)))
-        component;
+        (fun (id, g) -> Hashtbl.replace table id (client.cl_bottom g.Cfg.meth))
+        members;
       (* one pass suffices for a non-recursive singleton component: every
          callee lies outside it and is already at fixpoint *)
       let recursive =
@@ -56,24 +64,29 @@ let solve (client : 'a client) (program : Jir.Ast.program) : 'a result =
         | [ id ] -> List.mem id (Jir.Callgraph.callees cg id)
         | _ -> true
       in
+      (* a round that changes nothing saw only final summaries, so its
+         details are the converged ones *)
       let rec iterate () =
         incr rounds;
-        let changed =
+        let changed, details =
           List.fold_left
-            (fun changed id ->
-              let s' = client.cl_analyze ~lookup program (meth id) in
-              if client.cl_equal (Hashtbl.find table id) s' then changed
-              else begin
-                Hashtbl.replace table id s';
-                true
-              end)
-            false component
+            (fun (changed, details) (id, g) ->
+              let s', d = client.cl_analyze ~lookup g in
+              let changed =
+                if client.cl_equal (Hashtbl.find table id) s' then changed
+                else begin
+                  Hashtbl.replace table id s';
+                  true
+                end
+              in
+              (changed, (g, d) :: details))
+            (false, []) members
         in
-        if changed && recursive then iterate ()
+        if changed && recursive then iterate () else List.rev details
       in
-      iterate ())
+      List.iter (fun (g, d) -> client.cl_converged ~lookup g d) (iterate ()))
     sccs;
-  { table; order = List.concat sccs; n_scc_iterations = !rounds }
+  { table; n_scc_iterations = !rounds }
 
 (* ------------------------------------------------------------------ *)
 (* Interprocedural nullness: null values flowing through returns and   *)
@@ -95,21 +108,11 @@ let join_ret a b =
   | None, x | x, None -> x
   | Some a, Some b -> Some (Nullness.join_value a b)
 
-(* Context threaded into the summary-aware nullness domain through a cell:
-   the Dataflow functor takes a closed module, so per-run parameters (the
-   summary table and the entry-value probe) travel alongside it. *)
-type null_ctx = {
-  nc_lookup : string -> null_summary option;
-  nc_entry : (string * Nullness.value) list;  (* parameter seed values *)
-}
-
-let null_ctx : null_ctx option ref = ref None
-
-let call_ret_value nc (c : Jir.Ast.call) =
+let call_ret_value ~lookup (c : Jir.Ast.call) =
   let id =
     Jir.Ast.qualified_name ~cls:c.Jir.Ast.target_class ~meth:c.Jir.Ast.mname
   in
-  match nc.nc_lookup id with
+  match lookup id with
   | Some { ns_ret = Some v; _ } -> v
   | Some { ns_ret = None; _ } ->
       (* bottom: no normal return analyzed yet (recursion) — optimistic,
@@ -117,55 +120,51 @@ let call_ret_value nc (c : Jir.Ast.call) =
       Nullness.Nonnull
   | None -> Nullness.Top  (* library call *)
 
-module NullDomain = struct
-  type t = Nullness.Domain.t
-
-  let bottom = Nullness.Domain.Unreached
-
-  let init (_ : Cfg.t) =
-    let nc = Option.get !null_ctx in
-    Nullness.Domain.Env
-      (List.fold_left
-         (fun env (v, value) -> Nullness.VM.add v value env)
-         Nullness.VM.empty nc.nc_entry)
-
-  let equal = Nullness.Domain.equal
-  let join = Nullness.Domain.join
-  let exc _ _ state = state
-
-  let value_of_rhs env (r : Jir.Ast.rhs) =
-    match r with
-    | Jir.Ast.Rcall c -> call_ret_value (Option.get !null_ctx) c
-    | _ -> Nullness.Domain.value_of_rhs env r
-
-  let transfer (g : Cfg.t) node state =
-    match state with
-    | Nullness.Domain.Unreached -> Nullness.Domain.Unreached
-    | Nullness.Domain.Env env -> (
-        match g.Cfg.kinds.(node) with
-        | Cfg.Stmt { kind = Jir.Ast.Decl (_, v, Some r); _ }
-        | Cfg.Stmt { kind = Jir.Ast.Assign (v, r); _ } -> (
-            match value_of_rhs env r with
-            | Nullness.Top -> Nullness.Domain.Env (Nullness.VM.remove v env)
-            | value -> Nullness.Domain.Env (Nullness.VM.add v value env))
-        | Cfg.Stmt { kind = Jir.Ast.Decl (_, v, None); _ } ->
-            Nullness.Domain.Env (Nullness.VM.remove v env)
-        | Cfg.Bind (_, _, v) ->
-            Nullness.Domain.Env (Nullness.VM.add v Nullness.Nonnull env)
-        | _ -> Nullness.Domain.Env env)
-end
-
-module NullSolver = Dataflow.Forward (NullDomain)
-
+(* The summary-aware nullness solve of one method: [lookup] resolves
+   callee summaries, [entry] seeds parameter values. *)
 let solve_null_method ~lookup ~entry (g : Cfg.t) =
-  null_ctx := Some { nc_lookup = lookup; nc_entry = entry };
-  let r = NullSolver.solve g in
-  null_ctx := None;
-  r
+  let module Solver = Dataflow.Forward (struct
+    type t = Nullness.Domain.t
+
+    let bottom = Nullness.Domain.Unreached
+
+    let init (_ : Cfg.t) =
+      Nullness.Domain.Env
+        (List.fold_left
+           (fun env (v, value) -> Nullness.VM.add v value env)
+           Nullness.VM.empty entry)
+
+    let equal = Nullness.Domain.equal
+    let join = Nullness.Domain.join
+    let exc _ _ state = state
+
+    let value_of_rhs env (r : Jir.Ast.rhs) =
+      match r with
+      | Jir.Ast.Rcall c -> call_ret_value ~lookup c
+      | _ -> Nullness.Domain.value_of_rhs env r
+
+    let transfer (g : Cfg.t) node state =
+      match state with
+      | Nullness.Domain.Unreached -> Nullness.Domain.Unreached
+      | Nullness.Domain.Env env -> (
+          match g.Cfg.kinds.(node) with
+          | Cfg.Stmt { kind = Jir.Ast.Decl (_, v, Some r); _ }
+          | Cfg.Stmt { kind = Jir.Ast.Assign (v, r); _ } -> (
+              match value_of_rhs env r with
+              | Nullness.Top -> Nullness.Domain.Env (Nullness.VM.remove v env)
+              | value -> Nullness.Domain.Env (Nullness.VM.add v value env))
+          | Cfg.Stmt { kind = Jir.Ast.Decl (_, v, None); _ } ->
+              Nullness.Domain.Env (Nullness.VM.remove v env)
+          | Cfg.Bind (_, _, v) ->
+              Nullness.Domain.Env (Nullness.VM.add v Nullness.Nonnull env)
+          | _ -> Nullness.Domain.Env env)
+  end) in
+  Solver.solve g
 
 (* Dereferences of definitely-null variables, including null arguments
    passed to a parameter the callee definitely dereferences. *)
-let null_hits ~lookup (g : Cfg.t) (res : NullDomain.t Dataflow.result) :
+let null_hits ~lookup (g : Cfg.t)
+    (res : Nullness.Domain.t Dataflow.result) :
     (Jir.Ast.var * int) list =
   let out = ref [] in
   for node = 0 to Cfg.n_nodes g - 1 do
@@ -199,9 +198,9 @@ let null_hits ~lookup (g : Cfg.t) (res : NullDomain.t Dataflow.result) :
   done;
   List.sort_uniq compare !out
 
-let analyze_null_method ~lookup (_ : Jir.Ast.program) (m : Jir.Ast.meth) :
-    null_summary =
-  let g = Cfg.build m in
+(* One method's null summary, and its normal run for the lint. *)
+let analyze_null_method ~lookup (g : Cfg.t) =
+  let m = g.Cfg.meth in
   (* normal run: parameters unknown *)
   let res = solve_null_method ~lookup ~entry:[] g in
   let ns_ret =
@@ -228,53 +227,57 @@ let analyze_null_method ~lookup (_ : Jir.Ast.program) (m : Jir.Ast.meth) :
     Array.of_list
       (List.map
          (fun p ->
-           let res = solve_null_method ~lookup ~entry:[ (p, Nullness.Null) ] g in
+           let res =
+             solve_null_method ~lookup ~entry:[ (p, Nullness.Null) ] g
+           in
            null_hits ~lookup g res
            |> List.exists (fun (v, _) -> v = p))
          params)
   in
-  { ns_ret; ns_deref_param }
-
-let null_client : null_summary client =
-  { cl_name = "interproc-null";
-    cl_bottom =
-      (fun m ->
-        { ns_ret = None;
-          ns_deref_param =
-            Array.make (List.length m.Jir.Ast.params) false });
-    cl_equal =
-      (fun a b -> a.ns_ret = b.ns_ret && a.ns_deref_param = b.ns_deref_param);
-    cl_analyze = analyze_null_method }
+  ({ ns_ret; ns_deref_param }, res)
 
 (* The lint client: dereferences that only become definite nulls once
-   summaries are applied.  Sites the intraprocedural nullness lint already
-   reports are subtracted, so [--interproc] adds strictly whole-program
-   findings instead of re-labelling local ones. *)
+   summaries are applied, read off each method's converged normal run.
+   Sites the intraprocedural nullness lint already reports are subtracted,
+   so [--interproc] adds strictly whole-program findings instead of
+   re-labelling local ones. *)
 let null_diags (p : Jir.Ast.program) : Lint.diag list =
-  let r = solve null_client p in
-  let lk = lookup r in
-  Jir.Ast.all_methods p
-  |> List.concat_map (fun (m : Jir.Ast.meth) ->
-         let g = Cfg.build m in
-         let intra =
-           Nullness.violations g
-           |> List.filter_map (fun (v, node) ->
-                  Option.map
-                    (fun (at : Jir.Ast.pos) -> (v, at.Jir.Ast.line))
-                    (Cfg.pos_of_node g node))
-         in
-         let res = solve_null_method ~lookup:lk ~entry:[] g in
-         null_hits ~lookup:lk g res
-         |> List.filter_map (fun (v, node) ->
-                match Cfg.pos_of_node g node with
-                | Some at when not (List.mem (v, at.Jir.Ast.line) intra) ->
-                    Some
-                      (Lint.diag "interproc-null" (Jir.Ast.meth_id m) at
-                         (Printf.sprintf
-                            "'%s' is null through an interprocedural flow \
-                             when dereferenced"
-                            v))
-                | _ -> None))
+  let diags = ref [] in
+  let converged ~lookup (g : Cfg.t) res =
+    let intra =
+      Nullness.violations g
+      |> List.filter_map (fun (v, node) ->
+             Option.map
+               (fun (at : Jir.Ast.pos) -> (v, at.Jir.Ast.line))
+               (Cfg.pos_of_node g node))
+    in
+    null_hits ~lookup g res
+    |> List.iter (fun (v, node) ->
+           match Cfg.pos_of_node g node with
+           | Some at when not (List.mem (v, at.Jir.Ast.line) intra) ->
+               diags :=
+                 Lint.diag "interproc-null" (Jir.Ast.meth_id g.Cfg.meth) at
+                   (Printf.sprintf
+                      "'%s' is null through an interprocedural flow when \
+                       dereferenced"
+                      v)
+                 :: !diags
+           | _ -> ())
+  in
+  ignore
+    (solve
+       { cl_bottom =
+           (fun m ->
+             { ns_ret = None;
+               ns_deref_param =
+                 Array.make (List.length m.Jir.Ast.params) false });
+         cl_equal =
+           (fun a b ->
+             a.ns_ret = b.ns_ret && a.ns_deref_param = b.ns_deref_param);
+         cl_analyze = analyze_null_method;
+         cl_converged = converged }
+       p);
+  !diags
   |> List.sort_uniq (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth,

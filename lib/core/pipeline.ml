@@ -349,16 +349,15 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
         if config.summary_prefilter && config.prefilter_properties <> [] then begin
           let clean = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
           List.iter
-            (fun fsm ->
-              let r = Analysis.Summaries.analyze fsm program in
-              let ok = Analysis.Summaries.clean_sids r in
+            (fun (r : Analysis.Summaries.result) ->
               List.iter
                 (fun (f : Analysis.Summaries.alloc_fact) ->
                   let sid = f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid in
-                  if List.mem sid ok then Hashtbl.replace clean sid ()
+                  if Analysis.Summaries.clean f then Hashtbl.replace clean sid ()
                   else Hashtbl.replace dirty sid ())
                 r.Analysis.Summaries.facts)
-            config.prefilter_properties;
+            (Analysis.Summaries.analyze ~callgraph config.prefilter_properties
+               program);
           Hashtbl.fold
             (fun sid () acc ->
               if Hashtbl.mem dirty sid || Hashtbl.mem excluded sid then acc

@@ -146,14 +146,15 @@ entry Main.main;
 |}
 
 let test_summary_recursive_fixpoint () =
-  let r = Analysis.Summaries.analyze io (parse rec_close_src) in
+  let r = List.hd (Analysis.Summaries.analyze [ io ] (parse rec_close_src)) in
   Alcotest.(check bool) "recursive component iterated" true
     (r.Analysis.Summaries.n_scc_iterations
      > List.length (Hashtbl.fold (fun k _ acc -> k :: acc) r.Analysis.Summaries.summaries []));
   let s = Hashtbl.find r.Analysis.Summaries.summaries "H.rec" in
   let ps = s.Analysis.Summaries.s_params.(0) in
   Alcotest.(check (list string)) "every path through rec closes" [ "Closed" ]
-    (states_of ps.Analysis.Summaries.ps_rel (state "Open"));
+    (states_of ps.Analysis.Summaries.ps_rel.(r.Analysis.Summaries.prop)
+       (state "Open"));
   (* the allocation in Main is closed on every path and never escapes *)
   Alcotest.(check int) "alloc proved clean" 1
     (List.length (Analysis.Summaries.clean_sids r))
@@ -175,7 +176,7 @@ entry Main.main;
    already at fixpoint, so the solver analyzes each method exactly once. *)
 let test_summary_single_pass () =
   let program = parse pass_through_src in
-  let r = Analysis.Summaries.analyze io program in
+  let r = List.hd (Analysis.Summaries.analyze [ io ] program) in
   Alcotest.(check int) "one round per method"
     (List.length (Jir.Ast.all_methods program))
     r.Analysis.Summaries.n_scc_iterations;
@@ -401,7 +402,9 @@ let test_summary_prefilter_keeps_buggy_alloc () =
 
 let test_summaries_deterministic () =
   let subject () = (Workload.Generator.mini_hadoop ()).Workload.Generator.program in
-  let render p = Analysis.Summaries.render (Analysis.Summaries.analyze io p) in
+  let render p =
+    Analysis.Summaries.render (List.hd (Analysis.Summaries.analyze [ io ] p))
+  in
   let a = render (subject ()) in
   let b = render (subject ()) in
   Alcotest.(check bool) "summaries and facts byte-identical" true (a = b);
@@ -437,6 +440,177 @@ let test_workload_interproc_expectations () =
   Alcotest.(check int) "intraprocedural lints find none of them" 0
     ls_intra.Workload.Scoring.ltp
 
+(* ---------------- golden: every property's summary results ---------------- *)
+
+(* The built-in typestate properties, in the order their digests are
+   pinned below. *)
+let golden_properties =
+  [ "io"; "lock"; "socket"; "null"; "lock_order"; "taint"; "close" ]
+
+(* An object threaded through a two-method cycle (ping -> pong -> ping),
+   closed at the bottom of the recursion, which then returns a fresh one. *)
+let mutual_thread_src = {|
+class A {
+  FileWriter ping(FileWriter f, int n) {
+    f.write(n);
+    if (n > 0) {
+      FileWriter g = B.pong(f, n - 1);
+      return g;
+    }
+    f.close();
+    FileWriter r = new FileWriter();
+    return r;
+  }
+}
+class B {
+  FileWriter pong(FileWriter f, int n) {
+    FileWriter g = A.ping(f, n);
+    return g;
+  }
+}
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    FileWriter x = A.ping(w, p);
+    x.write(p);
+    return;
+  }
+}
+entry Main.main;
+|}
+
+(* Every program the golden digests cover, named. *)
+let golden_programs () =
+  let dir = Filename.dirname Sys.executable_name in
+  let of_file path =
+    let ic = open_in_bin path in
+    let src = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    let file = Filename.basename path in
+    (file, Jir.Resolve.parse_exn ~file src)
+  in
+  let corpus =
+    let cdir = Filename.concat dir "corpus" in
+    Sys.readdir cdir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".jir")
+    |> List.sort compare
+    |> List.map (fun f -> of_file (Filename.concat cdir f))
+  in
+  let subject (s : Workload.Generator.subject) =
+    (s.Workload.Generator.profile.Workload.Generator.name,
+     s.Workload.Generator.program)
+  in
+  let with_unrolled (name, p) =
+    [ (name, p); (name ^ "+unroll", Jir.Unroll.unroll_program ~bound:2 p) ]
+  in
+  List.concat_map with_unrolled
+    (List.map subject
+       (Workload.Generator.all_subjects () @ Workload.Generator.dsl_subjects ())
+    @ corpus
+    @ [ of_file (Filename.concat dir "../examples/figure3b.jir");
+        ("rec_close", parse rec_close_src);
+        ("mutual_thread", parse mutual_thread_src) ]
+    @ List.init 100 (fun i ->
+          subject
+            (Workload.Generator.generate
+               (Refinterp.Fuzz.random_profile ~seed:(i + 1)))))
+  @ [ ("mega24",
+       (Workload.Generator.mega_100k ~units:24 ()).Workload.Generator.program) ]
+
+(* Allocation sids come from a process-wide counter, so they print as their
+   rank among the program's allocation sites plus class and line. *)
+let golden_site program =
+  let sites = Analysis.Summaries.alloc_sites program in
+  let rank = Hashtbl.create 64 in
+  Hashtbl.fold (fun sid _ acc -> sid :: acc) sites []
+  |> List.sort compare
+  |> List.iteri (fun i sid -> Hashtbl.replace rank sid i);
+  fun sid ->
+    let s = Hashtbl.find sites sid in
+    Printf.sprintf "#%d:%s@%d" (Hashtbl.find rank sid)
+      s.Analysis.Summaries.a_cls s.Analysis.Summaries.a_at.Jir.Ast.line
+
+let golden_text buf program (r : Analysis.Summaries.result) =
+  let site = golden_site program in
+  Buffer.add_string buf (Analysis.Summaries.render r);
+  Buffer.add_string buf "clean";
+  List.iter
+    (fun sid -> Buffer.add_string buf (" " ^ site sid))
+    (Analysis.Summaries.clean_sids r);
+  Buffer.add_string buf "\nmust-leak";
+  List.iter
+    (fun (f : Analysis.Summaries.alloc_fact) ->
+      Buffer.add_string buf
+        (" " ^ site f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid))
+    (Analysis.Summaries.must_leaks r);
+  Buffer.add_char buf '\n'
+
+(* Recorded from the per-property analysis before the product domain
+   existed; the product's projections must reproduce them exactly, whether
+   the properties are analyzed together or one at a time. *)
+let golden_digests =
+  [ ("io", "78f07188bf285c0d9db2598a77be3858");
+    ("lock", "ea1c8726f76c7b1b38703066646253a5");
+    ("socket", "f63c424528ac3c2c9a5a20556b931d82");
+    ("null", "1f442bbfd9f56f8c5de43e3c89b66360");
+    ("lock_order", "c4cae9414344319f01dc924129e8e65c");
+    ("taint", "65413ed7246a295b3fc54eb1f2871043");
+    ("close", "d468f7ec0bb10938b6ab7386bb3df2a8") ]
+
+let test_summaries_golden () =
+  let fsms = List.map Checkers.fsm golden_properties in
+  let together = List.map (fun _ -> Buffer.create 4096) fsms in
+  let alone = List.map (fun _ -> Buffer.create 4096) fsms in
+  List.iter
+    (fun (name, program) ->
+      let add buf r =
+        Buffer.add_string buf ("program " ^ name ^ "\n");
+        golden_text buf program r
+      in
+      List.iter2 add together (Analysis.Summaries.analyze fsms program);
+      List.iter2
+        (fun buf fsm ->
+          add buf (List.hd (Analysis.Summaries.analyze [ fsm ] program)))
+        alone fsms)
+    (golden_programs ());
+  let hex buf = Digest.to_hex (Digest.string (Buffer.contents buf)) in
+  List.iteri
+    (fun i prop ->
+      let expected = List.assoc prop golden_digests in
+      Alcotest.(check string) (prop ^ " analyzed together") expected
+        (hex (List.nth together i));
+      Alcotest.(check string) (prop ^ " analyzed alone") expected
+        (hex (List.nth alone i)))
+    golden_properties
+
+(* ---------------- no process-wide analysis state ---------------- *)
+
+(* Two domains run the typestate summaries (on different property sets)
+   and the interprocedural null lint on the same program at once; each must
+   get exactly the answer a sequential run gets. *)
+let test_analyses_in_parallel_domains () =
+  let program =
+    (Workload.Generator.mini_hdfs ()).Workload.Generator.program
+  in
+  let run names () =
+    let fsms = List.map Checkers.fsm names in
+    ( List.map Analysis.Summaries.render
+        (Analysis.Summaries.analyze fsms program),
+      Analysis.Interproc.null_diags program )
+  in
+  let a = [ "io"; "lock"; "socket" ]
+  and b = [ "null"; "lock_order"; "taint"; "close" ] in
+  let seq_a = run a () and seq_b = run b () in
+  let repeat names () = List.init 10 (fun _ -> run names ()) in
+  let da = Domain.spawn (repeat a) and db = Domain.spawn (repeat b) in
+  let par_a = Domain.join da and par_b = Domain.join db in
+  List.iter
+    (fun r -> Alcotest.(check bool) "first domain sequential" true (r = seq_a))
+    par_a;
+  List.iter
+    (fun r -> Alcotest.(check bool) "second domain sequential" true (r = seq_b))
+    par_b
+
 let suite =
   [ Alcotest.test_case "sccs chain order" `Quick test_sccs_chain;
     Alcotest.test_case "sccs mutual recursion" `Quick
@@ -467,4 +641,8 @@ let suite =
     Alcotest.test_case "summaries deterministic" `Quick
       test_summaries_deterministic;
     Alcotest.test_case "workload interproc expectations" `Quick
-      test_workload_interproc_expectations ]
+      test_workload_interproc_expectations;
+    Alcotest.test_case "summaries golden per property" `Quick
+      test_summaries_golden;
+    Alcotest.test_case "analyses in parallel domains" `Quick
+      test_analyses_in_parallel_domains ]
