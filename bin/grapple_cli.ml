@@ -313,8 +313,10 @@ let check_cmd =
     in_workdir (fun workdir ->
         try
         let config =
-          { (Grapple.Pipeline.default_config ~workdir) with
+          let base = Grapple.Pipeline.default_config ~workdir in
+          { base with
             Grapple.Pipeline.unroll_bound = unroll;
+            engine = { base.Grapple.Pipeline.engine with Engine.max_retries };
             library_throwers = Checkers.Specs.library_throwers;
             track_null = Checkers.tracks_null cs;
             prefilter = not no_prefilter;

@@ -1,4 +1,4 @@
-(* Generic forward/backward dataflow solver over [Cfg.t].
+(* Generic forward dataflow solver over [Cfg.t].
 
    Same worklist discipline as [Baseline.Worklist] (FIFO queue, re-enqueue
    on change) but typed against a user-supplied lattice instead of graph
@@ -9,8 +9,8 @@
    [bottom] must be the identity of [join] and is the state of nodes the
    iteration never reaches, so must-analyses use their top element (the
    full universe) as [bottom].  Exceptional edges ([Cfg.Exc]) propagate the
-   *in*-state of their source in the forward direction: the exception may
-   preempt the statement's own effect. *)
+   *in*-state of their source: the exception may preempt the statement's
+   own effect. *)
 
 module type DOMAIN = sig
   type t
@@ -19,7 +19,7 @@ module type DOMAIN = sig
   (** identity of [join]; the state of unvisited nodes *)
 
   val init : Cfg.t -> t
-  (** boundary state: at entry for forward, at the exits for backward *)
+  (** boundary state at entry *)
 
   val equal : t -> t -> bool
   val join : t -> t -> t
@@ -71,40 +71,6 @@ module Forward (D : DOMAIN) = struct
       if not (D.equal out_state output.(node)) then begin
         output.(node) <- out_state;
         List.iter (fun (s, _) -> push s) g.Cfg.succs.(node)
-      end
-    done;
-    { input; output }
-end
-
-module Backward (D : DOMAIN) = struct
-  let solve (g : Cfg.t) : D.t result =
-    let n = Cfg.n_nodes g in
-    let input = Array.make n D.bottom in
-    let output = Array.make n D.bottom in
-    let queue = Queue.create () in
-    let queued = Array.make n false in
-    let push i =
-      if not queued.(i) then begin
-        queued.(i) <- true;
-        Queue.add i queue
-      end
-    in
-    for i = n - 1 downto 0 do push i done;
-    let is_exit node = node = g.Cfg.exit_ || node = g.Cfg.exit_exn in
-    while not (Queue.is_empty queue) do
-      let node = Queue.pop queue in
-      queued.(node) <- false;
-      let out_state =
-        List.fold_left
-          (fun acc (s, _) -> D.join acc input.(s))
-          (if is_exit node then D.init g else D.bottom)
-          g.Cfg.succs.(node)
-      in
-      let in_state = D.transfer g node out_state in
-      output.(node) <- out_state;
-      if not (D.equal in_state input.(node)) then begin
-        input.(node) <- in_state;
-        List.iter (fun (p, _) -> push p) g.Cfg.preds.(node)
       end
     done;
     { input; output }

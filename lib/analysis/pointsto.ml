@@ -406,7 +406,6 @@ let nonempty t ~meth_id ~var =
 
 let alloc_site t sid = Hashtbl.find_opt t.allocs sid
 let n_nodes t = t.n
-let n_allocs t = Hashtbl.length t.allocs
 let n_collapsed t = t.n_collapsed
 
 (* Points-to set as (class, file, line) sites: statement ids are a global

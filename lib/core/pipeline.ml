@@ -25,8 +25,6 @@ module Escape = Analysis.Escape
 type config = {
   workdir : string;
   unroll_bound : int;
-  max_instances : int;
-  max_graph_edges : int;
   engine : Engine.config;
   library_throwers : (string * string * string) list;
       (* (class, method, exception) for library calls that may throw *)
@@ -104,8 +102,6 @@ type config = {
 let default_config ~workdir =
   { workdir;
     unroll_bound = 2;
-    max_instances = 100_000;
-    max_graph_edges = 5_000_000;
     engine = Engine.default_config ~workdir;
     library_throwers = [];
     track_null = false;
@@ -145,6 +141,9 @@ type fault_stats = {
       (* injected faults fired by the per-instance fault plans the parallel
          scheduler derives; the calling domain's plan never sees those ops,
          so [stats] adds this on top of its own [injected_count] delta *)
+  mutable n_worker_budget_hits : int;
+      (* DPLL(T) budget hits inside shard worker processes, which the
+         process-global counter behind [smt_budget_hits0] never sees *)
   smt_budget_hits0 : int;
   faults_injected0 : int;
 }
@@ -161,11 +160,14 @@ type acct = {
   mutable a_recovered : int;
   mutable a_inconclusive : int;
   mutable a_injected : int;  (* fired by this instance's derived plan *)
+  mutable a_budget_hits : int;
+      (* SMT budget hits, counted only when the instance ran in a shard
+         worker process: in-process hits already reach the global counter *)
 }
 
 let fresh_acct () =
   { a_compute_s = 0.; a_check_s = 0.; a_retried = 0; a_recovered = 0;
-    a_inconclusive = 0; a_injected = 0 }
+    a_inconclusive = 0; a_injected = 0; a_budget_hits = 0 }
 
 type prepared = {
   config : config;
@@ -215,7 +217,9 @@ let merge_acct (p : prepared) (a : acct) =
   p.faults.n_retried <- p.faults.n_retried + a.a_retried;
   p.faults.n_recovered <- p.faults.n_recovered + a.a_recovered;
   p.faults.n_inconclusive <- p.faults.n_inconclusive + a.a_inconclusive;
-  p.faults.n_instance_injected <- p.faults.n_instance_injected + a.a_injected
+  p.faults.n_instance_injected <- p.faults.n_instance_injected + a.a_injected;
+  p.faults.n_worker_budget_hits <-
+    p.faults.n_worker_budget_hits + a.a_budget_hits
 
 (* The one retry ladder, shared by the phase-1 alias run and every checking
    instance.  Each attempt runs a fresh engine from [create]; the first
@@ -319,7 +323,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   let clones =
     timed_span "phase0.clones" pre (fun () ->
-        Clone_tree.build ~max_instances:config.max_instances icfet callgraph)
+        (* a tighter instance cap than the [graph] command's default *)
+        Clone_tree.build ~max_instances:100_000 icfet callgraph)
   in
   (* escape-based pre-filter (ISSUE 1): tracked allocations that provably
      never leave their method are resolved locally in [check_property];
@@ -406,9 +411,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   List.iter (fun sid -> Hashtbl.replace excluded sid ()) alias_pruned;
   let alias_graph =
     timed_span "phase0.alias_graph" pre (fun () ->
-        Alias_graph.build ~max_edges:config.max_graph_edges
-          ~track_null:config.track_null ~exclude:(Hashtbl.mem excluded) icfet
-          clones)
+        Alias_graph.build ~track_null:config.track_null
+          ~exclude:(Hashtbl.mem excluded) icfet clones)
   in
   (* closure-graph slicing (ISSUE 7): drop Assign edges whose source
      variable has an empty points-to set — no allocation can cross them in
@@ -485,7 +489,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   let faults =
     { n_retried = acct.a_retried; n_recovered = acct.a_recovered;
-      n_inconclusive = 0; n_instance_injected = 0; smt_budget_hits0;
+      n_inconclusive = 0; n_instance_injected = 0; n_worker_budget_hits = 0;
+      smt_budget_hits0;
       faults_injected0 }
   in
   timing.preprocess_s <- !pre;
@@ -958,11 +963,14 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
         kill_nth = p.config.shard_kill_nth }
     in
     (* runs inside the forked worker, which does not know its slot; its
-       trace spans stay in that process *)
+       trace spans stay in that process.  So do its SMT budget hits: the
+       account carries them back, as it carries a derived plan's faults *)
     let run_task ~task ~attempt =
-      Marshal.to_string
-        (instance ~worker:(-1) task ~resume_first:(attempt > 0))
-        []
+      let hits () = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
+      let hits0 = hits () in
+      let r, acct = instance ~worker:(-1) task ~resume_first:(attempt > 0) in
+      acct.a_budget_hits <- hits () - hits0;
+      Marshal.to_string (r, acct) []
     in
     let outcomes =
       Obs.Trace.with_span ~cat:"scheduler"
@@ -1100,6 +1108,7 @@ let stats (p : prepared) (props : property_result list) : stats =
     max 0
       (Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits
       - p.faults.smt_budget_hits0)
+    + p.faults.n_worker_budget_hits
   in
   let n_faults_injected =
     max 0 (Engine.Faults.injected_count () - p.faults.faults_injected0)

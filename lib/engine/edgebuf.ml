@@ -123,14 +123,6 @@ let pool_append t (bytes : string) : int =
       Hashtbl.replace t.pool_tbl bytes id);
   id
 
-(* Empty the buffer for reuse, keeping its storage. *)
-let clear t =
-  Array.fill t.pool 0 t.pool_n "";
-  Array.fill t.decoded 0 t.pool_n None;
-  t.n <- 0;
-  t.pool_n <- 0;
-  Hashtbl.clear t.pool_tbl
-
 let push t ~src ~dst ~label ~enc_id =
   let need = (t.n + 1) * stride in
   if need > Bigarray.Array1.dim t.data then begin

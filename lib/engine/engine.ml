@@ -67,7 +67,6 @@ type config = {
   workdir : string;
   max_edges_per_partition : int;  (* memory budget, expressed in edges *)
   target_partitions : int;        (* initial partitioning *)
-  cache_capacity : int;
   cache_enabled : bool;
   feasibility_enabled : bool;
       (* false turns off path sensitivity: every composition succeeds *)
@@ -112,7 +111,6 @@ let default_config ~workdir =
   { workdir;
     max_edges_per_partition = 200_000;
     target_partitions = 4;
-    cache_capacity = 65_536;
     cache_enabled = true;
     feasibility_enabled = true;
     max_path_elements = 64;
@@ -202,7 +200,7 @@ module Make (L : LABEL_LOGIC) = struct
     { config;
       decode;
       metrics;
-      cache = Lru.create (max 16 config.cache_capacity);
+      cache = Lru.create 65_536;
       resident = [];
       parts = [];
       next_pid = 0;
@@ -380,13 +378,13 @@ module Make (L : LABEL_LOGIC) = struct
         t.resident <- (meta.pid, l) :: List.remove_assoc meta.pid t.resident;
         l
 
-  (* Insert an int-packed edge into a loaded partition; true if it is new.
-     An edge is rejected (treated as already known) when its
-     (src, dst, label) key has already accumulated [max_encodings_per_key]
-     distinct path encodings: further encodings witness the same analysis
-     fact.  [bytes] must be [enc]'s canonical wire bytes. *)
-  let insert t (l : loaded) ~src ~dst ~label ~(bytes : string)
-      ~(enc : Encoding.t) : bool =
+  (* Where a loaded partition would take an edge: the key-table slot, or
+     [-1] when the partition already holds it or its (src, dst, label) key
+     has accumulated [max_encodings_per_key] distinct path encodings —
+     further encodings witness the same analysis fact.  [bytes] must be the
+     encoding's canonical wire bytes.  The slot is valid until the next
+     insertion into [l]. *)
+  let free_slot t (l : loaded) ~src ~dst ~label ~(bytes : string) : int =
     let slot = Keys.find l.keys l.buf ~src ~dst ~label in
     let known =
       match Edgebuf.find_bytes l.buf bytes with
@@ -394,18 +392,28 @@ module Make (L : LABEL_LOGIC) = struct
       | None -> false  (* bytes nowhere in the pool: certainly a new fact *)
     in
     let cap = t.config.max_encodings_per_key in
-    if known || (cap > 0 && Keys.count l.keys slot >= cap) then false
-    else begin
-      (* canonical by construction: [intern_bytes] returns the existing
-         binding or creates the first slot for these bytes *)
-      let id = Edgebuf.intern_bytes ~decoded:enc l.buf bytes in
-      Edgebuf.push l.buf ~src ~dst ~label ~enc_id:id;
-      let p = Edgebuf.n l.buf - 1 in
-      Keys.add l.keys l.buf slot p;
-      Chains.append l.chains l.buf p;
-      l.dirty <- true;
-      true
-    end
+    if known || (cap > 0 && Keys.count l.keys slot >= cap) then -1 else slot
+
+  (* Append an edge at the slot [free_slot] found for it. *)
+  let push (l : loaded) slot ~src ~dst ~label ~(bytes : string)
+      ~(enc : Encoding.t) =
+    (* canonical by construction: [intern_bytes] returns the existing
+       binding or creates the first slot for these bytes *)
+    let id = Edgebuf.intern_bytes ~decoded:enc l.buf bytes in
+    Edgebuf.push l.buf ~src ~dst ~label ~enc_id:id;
+    let p = Edgebuf.n l.buf - 1 in
+    Keys.add l.keys l.buf slot p;
+    Chains.append l.chains l.buf p;
+    l.dirty <- true
+
+  (* Insert an int-packed edge into a loaded partition; true if it is new. *)
+  let insert t (l : loaded) ~src ~dst ~label ~bytes ~enc : bool =
+    let slot = free_slot t l ~src ~dst ~label ~bytes in
+    slot >= 0
+    && begin
+         push l slot ~src ~dst ~label ~bytes ~enc;
+         true
+       end
 
   (* Start a pair: positions below [upto] (the cross-pair delta start) are
      settled, and the chains are rebuilt for the pair's vertex intervals.
@@ -588,9 +596,39 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- the edge-pair-centric computation ---------------- *)
 
-  (* How many candidates are collected before feasibility checks are
-     resolved. *)
-  let chunk_cap = 2048
+  (* How many candidates the join decides between two budget polls. *)
+  let poll_every = 2048
+
+  (* The verdict on a candidate's path constraint: one cache hit, or one
+     solver call whose result is cached.  With feasibility off, every
+     composition succeeds. *)
+  let feasible t ~(bytes : string) (enc : Encoding.t) : bool =
+    let m = t.metrics in
+    (not t.config.feasibility_enabled)
+    ||
+    (* a disabled cache is never consulted, so it must not count lookups:
+       otherwise stats report a 0% hit rate for a cache that is off *)
+    match
+      if t.config.cache_enabled then begin
+        Metrics.incr m.Metrics.cache_lookups;
+        Lru.find t.cache bytes
+      end
+      else None
+    with
+    | Some ok ->
+        Metrics.incr m.Metrics.cache_hits;
+        ok
+    | None ->
+        let formula = Metrics.time m `Decode (fun () -> t.decode enc) in
+        let ok =
+          Metrics.time m `Solve (fun () ->
+              match Solver.check formula with
+              | Solver.Sat | Solver.Unknown -> true
+              | Solver.Unsat -> false)
+        in
+        Metrics.incr m.Metrics.constraints_solved;
+        if t.config.cache_enabled then Lru.add t.cache bytes ok;
+        ok
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
      superstep pairs only the edges appended since the last superstep (the
@@ -608,8 +646,10 @@ module Make (L : LABEL_LOGIC) = struct
          was covered by the left pass).
      Chains list positions in ascending order, so partners are visited in
      (key, position) order: that fixes every downstream insertion order,
-     and with it the partition files.  Edges inserted *during* a superstep
-     land past every bound and join as the next superstep's delta.
+     and with it the partition files.  Each candidate is decided where the
+     walk finds it, and a feasible one is inserted at once: it lands past
+     every bound, so the walks in progress never see it, and it joins as
+     the next superstep's delta.
 
      [route] receives edges owned by partitions that are not loaded. *)
   let local_fixpoint t (loadeds : loaded list) ~route =
@@ -639,141 +679,39 @@ module Make (L : LABEL_LOGIC) = struct
                   p_enc = d.enc })
         (consequences e)
     in
-    (* a feasible candidate becomes an edge: inserted locally when a loaded
-       partition owns its source (counting it once, here and only here),
-       routed otherwise (routed edges are counted by [flush_external], when
-       they genuinely land in their target file) *)
-    let add_new ~src ~dst ~label ~bytes ~enc =
+    (* budgets are polled every [poll_every] candidates, so a runaway pair
+       cannot exceed its allowance by more than that much work *)
+    let since_poll = ref 0 in
+    let poll () =
+      since_poll := 0;
+      check_budgets t
+    in
+    (* a candidate becomes an edge unless it cannot materialize — its owner
+       is loaded and already holds it or is at the witness cap, checked
+       first so no verdict is paid for a doomed candidate — or its path is
+       infeasible.  It is inserted locally when a loaded partition owns its
+       source (counted once, here and only here), routed otherwise (routed
+       edges are counted by [flush_external], when they genuinely land in
+       their target file) *)
+    let decide ~src ~dst ~label enc =
+      incr since_poll;
+      if !since_poll >= poll_every then poll ();
+      Metrics.incr m.Metrics.edges_considered;
+      let bytes = Encoding.to_bytes enc in
       match find_loaded src with
       | Some l ->
-          if insert t l ~src ~dst ~label ~bytes ~enc then begin
+          let slot = free_slot t l ~src ~dst ~label ~bytes in
+          if slot >= 0 && feasible t ~bytes enc then begin
+            push l slot ~src ~dst ~label ~bytes ~enc;
             Metrics.incr m.Metrics.edges_added;
             dispatch_consequences ~src ~dst ~label ~enc
           end
       | None ->
-          route { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
-                  p_enc = enc };
-          dispatch_consequences ~src ~dst ~label ~enc
-    in
-    (* the candidates of the current chunk, deduplicated as they arrive (the
-       same composition is rediscovered through every parallel witness
-       pair): a buffer of their records plus a key table over it *)
-    let chunk = Edgebuf.create ~capacity:chunk_cap () in
-    let chunk_keys = Keys.create chunk_cap in
-    let chunk_n = ref 0 in  (* candidates collected, duplicates included *)
-    let live = Array.make chunk_cap 0 in
-    (* chunk pool id (one per distinct encoding) -> its verdict *)
-    let undecided = -1 and solving = 2 in
-    let verdict = Array.make chunk_cap undecided in
-    (* resolve the collected candidates: drop the ones that cannot
-       materialize, then take verdicts from the cache and decide the misses
-       as one (possibly parallel) solving batch *)
-    let resolve_chunk () =
-      if !chunk_n > 0 then begin
-        (* budgets are polled per chunk so a runaway pair cannot exceed its
-           allowance by more than one chunk of work *)
-        check_budgets t;
-        chunk_n := 0;
-        let n = Edgebuf.n chunk in
-        Metrics.add m.Metrics.edges_considered n;
-        let bytes_of c = Edgebuf.enc_bytes chunk (Edgebuf.enc_id chunk c) in
-        let add_cand c =
-          add_new ~src:(Edgebuf.src chunk c) ~dst:(Edgebuf.dst chunk c)
-            ~label:(Edgebuf.label chunk c) ~bytes:(bytes_of c)
-            ~enc:(Edgebuf.enc chunk (Edgebuf.enc_id chunk c))
-        in
-        (* don't pay for a verdict the insert would throw away: already
-           present, or its (src, dst, label) key is at the witness cap *)
-        let cap = t.config.max_encodings_per_key in
-        let n_live = ref 0 in
-        for c = 0 to n - 1 do
-          let src = Edgebuf.src chunk c in
-          let keep =
-            match find_loaded src with
-            | None -> true
-            | Some l ->
-                let slot =
-                  Keys.find l.keys l.buf ~src ~dst:(Edgebuf.dst chunk c)
-                    ~label:(Edgebuf.label chunk c)
-                in
-                (match Edgebuf.find_bytes l.buf (bytes_of c) with
-                | Some cid -> not (Keys.mem l.keys l.buf slot cid)
-                | None -> true)
-                && (cap = 0 || Keys.count l.keys slot < cap)
-          in
-          if keep then begin
-            live.(!n_live) <- c;
-            incr n_live
+          if feasible t ~bytes enc then begin
+            route { p_src = src; p_dst = dst; p_label = label; p_bytes = bytes;
+                    p_enc = enc };
+            dispatch_consequences ~src ~dst ~label ~enc
           end
-        done;
-        if not t.config.feasibility_enabled then
-          for k = 0 to !n_live - 1 do
-            add_cand live.(k)
-          done
-        else if !n_live > 0 then begin
-          (* every live candidate gets exactly one verdict: a cache hit is
-             recorded here, a miss joins the solving batch *)
-          let order = ref [] in
-          for k = 0 to !n_live - 1 do
-            let id = Edgebuf.enc_id chunk live.(k) in
-            (* a disabled cache is never consulted, so it must not count
-               lookups: otherwise stats report a 0% hit rate for a cache
-               that is off *)
-            match
-              if t.config.cache_enabled then begin
-                Metrics.incr m.Metrics.cache_lookups;
-                Lru.find t.cache (Edgebuf.enc_bytes chunk id)
-              end
-              else None
-            with
-            | Some ok ->
-                Metrics.incr m.Metrics.cache_hits;
-                verdict.(id) <- Bool.to_int ok
-            | None ->
-                if verdict.(id) = undecided then begin
-                  verdict.(id) <- solving;
-                  order := (id, Edgebuf.enc chunk id) :: !order
-                end
-          done;
-          let to_solve = List.rev !order in
-          let n_to_solve = List.length to_solve in
-          let batch_t0 = Unix.gettimeofday () in
-          let solved =
-            Obs.Trace.with_span ~cat:"smt"
-              ~args:[ ("batch_size", Obs.Trace.Int n_to_solve) ]
-              "smt.solve_batch"
-            @@ fun () ->
-            List.map
-              (fun (id, enc) ->
-                let formula =
-                  Metrics.time m `Decode (fun () -> t.decode enc)
-                in
-                ( id,
-                  Metrics.time m `Solve (fun () ->
-                      match Solver.check formula with
-                      | Solver.Sat | Solver.Unknown -> true
-                      | Solver.Unsat -> false) ))
-              to_solve
-          in
-          if n_to_solve > 0 then
-            Metrics.observe_batch m ~n:n_to_solve
-              ~dt:(Unix.gettimeofday () -. batch_t0);
-          Metrics.add m.Metrics.constraints_solved n_to_solve;
-          List.iter
-            (fun (id, ok) ->
-              verdict.(id) <- Bool.to_int ok;
-              if t.config.cache_enabled then
-                Lru.add t.cache (Edgebuf.enc_bytes chunk id) ok)
-            solved;
-          for k = 0 to !n_live - 1 do
-            let c = live.(k) in
-            if verdict.(Edgebuf.enc_id chunk c) = 1 then add_cand c
-          done
-        end;
-        Array.fill verdict 0 (Edgebuf.pool_size chunk) undecided;
-        Edgebuf.clear chunk;
-        Keys.clear chunk_keys
-      end
     in
     (* the join kernel: compose edge [i1] of [l1] with edge [i2] of [l2],
        entirely on unboxed ints until a production fires *)
@@ -789,21 +727,9 @@ module Make (L : LABEL_LOGIC) = struct
         with
         | enc ->
             let cap = t.config.max_path_elements in
-            if cap = 0 || Encoding.n_elements enc <= cap then begin
-              let src = Edgebuf.src l1.buf i1 and dst = Edgebuf.dst l2.buf i2 in
-              let id =
-                Edgebuf.intern_bytes ~decoded:enc chunk (Encoding.to_bytes enc)
-              in
-              let slot = Keys.find chunk_keys chunk ~src ~dst ~label:code in
-              if not (Keys.mem chunk_keys chunk slot id) then begin
-                Edgebuf.push chunk ~src ~dst ~label:code ~enc_id:id;
-                Keys.add chunk_keys chunk slot (Edgebuf.n chunk - 1)
-              end;
-              incr chunk_n;
-              (* resolving mid-walk is safe: insertions land past every
-                 walk's bound, and walks re-read the links they follow *)
-              if !chunk_n >= chunk_cap then resolve_chunk ()
-            end
+            if cap = 0 || Encoding.n_elements enc <= cap then
+              decide ~src:(Edgebuf.src l1.buf i1) ~dst:(Edgebuf.dst l2.buf i2)
+                ~label:code enc
         | exception Encoding.Incomposable -> ()
       end
     in
@@ -839,13 +765,12 @@ module Make (L : LABEL_LOGIC) = struct
     Metrics.time m `Join (fun () ->
         let continue_ = ref true in
         while !continue_ do
-          check_budgets t;
+          poll ();
           List.iter (fun l -> l.snap <- Edgebuf.n l.buf) loadeds;
           if List.for_all (fun l -> l.indexed >= l.snap) loadeds then
             continue_ := false
           else begin
             List.iter join_delta loadeds;
-            resolve_chunk ();
             (* edges inserted during this superstep sit past [snap] and
                form the next delta *)
             List.iter (fun l -> l.indexed <- l.snap) loadeds

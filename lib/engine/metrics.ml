@@ -3,7 +3,7 @@
    components of the paper's Figure 9: I/O, constraint encoding/decoding,
    SMT solving, and (in-memory) edge-pair computation; the counters cover
    solving, caching, edge derivation, partitioning, and storage-fault
-   recovery; two histograms profile the batched SMT path.
+   recovery.
 
    Each engine owns one [t] (one registry): an engine runs in a single
    domain, so updates need no synchronization.  Aggregation across engines
@@ -32,15 +32,13 @@ type t = {
   retries : R.counter;             (* storage ops retried after a fault *)
   corrupt_reads : R.counter;       (* reads recovered from a damaged tail *)
   stale_temps : R.counter;         (* orphaned *.tmp files swept on open *)
-  batch_sizes : R.histogram;       (* encodings per SMT solving batch *)
-  batch_solve_ms : R.histogram;    (* wall ms per SMT solving batch *)
 }
 
+(* The buckets of the [smt.batch_size] histogram, which the engine does not
+   record: the repository benchmark still reads it by these bounds, and
+   finds it empty. *)
 let batch_size_bounds =
   [| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256.; 512.; 1024. |]
-
-let batch_ms_bounds =
-  [| 0.01; 0.05; 0.1; 0.5; 1.; 5.; 10.; 50.; 100.; 500.; 1000. |]
 
 (* Build the handle record over an existing registry (find-or-create), so a
    registry marshalled across a process boundary can be re-adopted. *)
@@ -62,10 +60,7 @@ let of_registry reg =
     bytes_written = R.counter reg "engine.bytes_written";
     retries = R.counter reg "engine.retries";
     corrupt_reads = R.counter reg "engine.corrupt_reads";
-    stale_temps = R.counter reg "engine.stale_temps";
-    batch_sizes = R.histogram ~bounds:batch_size_bounds reg "smt.batch_size";
-    batch_solve_ms = R.histogram ~bounds:batch_ms_bounds reg "smt.batch_solve_ms"
-  }
+    stale_temps = R.counter reg "engine.stale_temps" }
 
 let create () = of_registry (R.create ())
 
@@ -93,11 +88,6 @@ let time (m : t) (field : [ `Io | `Decode | `Solve | `Join ]) f =
   Fun.protect
     ~finally:(fun () -> R.gauge_add cell (Unix.gettimeofday () -. t0))
     f
-
-(* One batched SMT resolution: [n] encodings decided in [dt] seconds. *)
-let observe_batch (m : t) ~n ~dt =
-  R.observe m.batch_sizes (float_of_int n);
-  R.observe m.batch_solve_ms (dt *. 1000.)
 
 (* [None] when no lookup was ever counted — the cache is disabled or was
    never consulted — so callers can render "off" instead of a fake 0%. *)

@@ -111,17 +111,3 @@ let pp ppf = function
   | Ft_st_al f -> Fmt.pf ppf "ftStAl[%d]" f
 
 let to_string l = Fmt.str "%a" pp l
-
-(* The same grammar expressed as data, used by tests to check that the
-   hand-coded tables agree with the generic normalization machinery. *)
-let as_grammar () =
-  let g = Grammar.create () in
-  List.iter
-    (Grammar.parse_production g)
-    [ "FlowsTo ::= New";
-      "FlowsTo ::= FlowsTo Assign";
-      "FtStore ::= FlowsTo Store";
-      "FtStAl ::= FtStore Alias";
-      "FlowsTo ::= FtStAl Load";
-      "Alias ::= FlowsToBar FlowsTo" ];
-  g

@@ -448,10 +448,3 @@ let slice_assign_edges (g : t) ~(reaches : meth:int -> var:string -> bool) :
           | Var_vertex { var; meth; _ } -> reaches ~meth ~var
           | Obj_vertex _ -> true)
       | _ -> true)
-
-let pp_vertex (g : t) ppf id =
-  match g.info.(id) with
-  | Var_vertex { inst; var; node; version; _ } ->
-      Fmt.pf ppf "%s.%d@%d#i%d" var version node inst
-  | Obj_vertex { inst; cls; at; _ } ->
-      Fmt.pf ppf "obj(%s:%d)#i%d" cls at.Jir.Ast.line inst

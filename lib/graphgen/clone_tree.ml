@@ -150,12 +150,3 @@ let context_chain t id =
     | Some (caller, call_id) -> go caller ((caller, call_id) :: acc)
   in
   go id []
-
-(* Ancestors of [id] including itself, root last. *)
-let ancestors t id =
-  let rec go id acc =
-    match (instance t id).parent with
-    | None -> id :: acc
-    | Some (caller, _) -> go caller (id :: acc)
-  in
-  List.rev (go id [])

@@ -51,7 +51,6 @@ type t = {
   fsm : Fsm.t;
   mutable n_vertices : int;
   point_index : (int * int * int * int, int) Hashtbl.t;
-  mutable point_info : (int * point) option array;  (* vertex -> owner/point *)
   mutable seeds : seed list;
   mutable n_seeds : int;
   mutable tracked : tracked list;
@@ -67,24 +66,12 @@ let vertex (g : t) ~obj_idx (p : point) : int =
   | None ->
       let id = g.n_vertices in
       g.n_vertices <- id + 1;
-      if id >= Array.length g.point_info then begin
-        let bigger = Array.make (max 1024 (2 * Array.length g.point_info)) None in
-        Array.blit g.point_info 0 bigger 0 (Array.length g.point_info);
-        g.point_info <- bigger
-      end;
-      g.point_info.(id) <- Some (obj_idx, p);
       Hashtbl.replace g.point_index key id;
       id
 
 let source_vertex (g : t) : int =
   let id = g.n_vertices in
   g.n_vertices <- id + 1;
-  if id >= Array.length g.point_info then begin
-    let bigger = Array.make (max 1024 (2 * Array.length g.point_info)) None in
-    Array.blit g.point_info 0 bigger 0 (Array.length g.point_info);
-    g.point_info <- bigger
-  end;
-  g.point_info.(id) <- None;
   id
 
 let add_seed (g : t) src dst label enc =
@@ -166,9 +153,9 @@ let segment_effect (g : t) (icfet : Icfet.t) ~(meth_ast : Jir.Ast.meth)
 (* Construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-type config = { max_points_per_object : int }
-
-let default_config = { max_points_per_object = 500_000 }
+(* Dataflow points one tracked object may add to the graph before the build
+   gives up. *)
+let max_points_per_object = 500_000
 
 exception Too_large of string
 
@@ -176,13 +163,13 @@ exception Too_large of string
    vertex, the var vertices it flows to, with encodings. *)
 type flows = (int, (int * Encoding.t) list) Hashtbl.t
 
-let build ?(config = default_config) (icfet : Icfet.t) (clones : Clone_tree.t)
-    (ag : Alias_graph.t) (flows : flows) (fsm : Fsm.t) : t =
+let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
+    (flows : flows) (fsm : Fsm.t) : t =
   let registry = Transfn.create ~n_states:(Fsm.n_states fsm) in
   Dg.set_registry registry;
   let g =
     { registry; fsm; n_vertices = 0;
-      point_index = Hashtbl.create 4096; point_info = [||]; seeds = [];
+      point_index = Hashtbl.create 4096; seeds = [];
       n_seeds = 0; tracked = []; exit_points = Hashtbl.create 64;
       event_sites = Hashtbl.create 256 }
   in
@@ -296,7 +283,7 @@ let build ?(config = default_config) (icfet : Icfet.t) (clones : Clone_tree.t)
               let dives = Hashtbl.find dives_of (inst, node_id) in
               let segs = segments dives n in
               let k = List.length dives in
-              if g.n_vertices > config.max_points_per_object * (obj_idx + 1)
+              if g.n_vertices > max_points_per_object * (obj_idx + 1)
               then raise (Too_large "dataflow graph too large");
               (* segment hops *)
               let node_vv = Varver.analyze n.Cfet.stmts in
@@ -462,5 +449,4 @@ let n_vertices (g : t) = g.n_vertices
 let n_seeds (g : t) = g.n_seeds
 let exit_kind (g : t) v = Hashtbl.find_opt g.exit_points v
 let event_site (g : t) v = Hashtbl.find_opt g.event_sites v
-let point_of (g : t) v = g.point_info.(v)
 let registry (g : t) = g.registry

@@ -138,8 +138,6 @@ let index (p : program) : index =
     p.classes;
   { idx_classes; idx_methods }
 
-let find_class_idx (idx : index) name = Hashtbl.find_opt idx.idx_classes name
-
 let find_method_idx (idx : index) ~cls ~meth =
   Hashtbl.find_opt idx.idx_methods (cls, meth)
 

@@ -46,9 +46,6 @@ let scall cls mname args = { recv = None; target_class = cls; mname; args }
 (* x.m(args); as a statement *)
 let call_stmt ?at recv mname args = mk ?at (Expr (icall recv mname args))
 
-(* x = recv.m(args) *)
-let call_rhs recv mname args = Rcall (icall recv mname args)
-
 (* x = Cls.m(args) *)
 let scall_rhs cls mname args = Rcall (scall cls mname args)
 

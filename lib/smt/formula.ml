@@ -94,17 +94,11 @@ let rec vars acc = function
   | Not f -> vars acc f
   | And (a, b) | Or (a, b) -> vars (vars acc a) b
 
-(* ---------------- literals and NNF ---------------- *)
+(* ---------------- NNF ---------------- *)
 
-(* A literal is a signed atom.  The negation of "t <= 0" is "-t + 1 <= 0";
-   the negation of "t = 0" has no atom form and stays a negative literal,
-   case-split by the theory solver. *)
-type literal = { atom : atom; positive : bool }
-
-let negate_literal l = { l with positive = not l.positive }
-
-(* Push negations to the atoms.  Negated Le literals are rewritten into
-   positive ones; negated Eq literals are preserved as negative literals. *)
+(* Push negations to the atoms.  The negation of "t <= 0" is "-t + 1 <= 0";
+   the negation of "t = 0" has no atom form and becomes the disjunction
+   "t <= -1 or -t <= -1". *)
 let rec nnf (f : t) : t =
   match f with
   | True | False | Atom _ -> f
@@ -154,14 +148,3 @@ let rec pp ppf = function
   | Or (a, b) -> Fmt.pf ppf "(%a | %a)" pp a pp b
 
 let to_string f = Fmt.str "%a" pp f
-
-let atom_equal a b =
-  match (a, b) with
-  | Le x, Le y | Eq x, Eq y -> Linexpr.equal x y
-  | Le _, Eq _ | Eq _, Le _ -> false
-
-let atom_compare a b =
-  match (a, b) with
-  | Le x, Le y | Eq x, Eq y -> Linexpr.compare x y
-  | Le _, Eq _ -> -1
-  | Eq _, Le _ -> 1

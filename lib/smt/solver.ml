@@ -41,15 +41,6 @@ let stats = {
   budget_hits = Atomic.make 0;
 }
 
-let reset_stats () =
-  Atomic.set stats.calls 0;
-  Atomic.set stats.sat_answers 0;
-  Atomic.set stats.unsat_answers 0;
-  Atomic.set stats.unknown_answers 0;
-  Atomic.set stats.theory_checks 0;
-  Atomic.set stats.sat_rounds 0;
-  Atomic.set stats.budget_hits 0
-
 let max_dpllt_rounds = 10_000
 
 (* The DPLL(T) decision budget: how many SAT-model/theory-conflict rounds a

@@ -292,10 +292,6 @@ let path_constraint (t : t) ~first ~last : Formula.t =
   in
   walk last Formula.True
 
-(* All root-to-leaf paths (leaf ids); used by tests and by exhaustive
-   checkers on small methods. *)
-let leaf_ids (t : t) = t.leaves
-
 let rec path_to_root (t : t) id acc =
   if id = 0 then 0 :: acc else path_to_root t (parent_id id) (id :: acc)
 

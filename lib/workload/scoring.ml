@@ -142,6 +142,3 @@ let score_lints ?(allow_empty = false) ?(checker = "lint")
     lfn = List.length lmissed;
     lfp_diags = List.rev !fp_diags;
     lmissed }
-
-let pp_lint ppf (s : lint_score) =
-  Fmt.pf ppf "TP=%d FP=%d FN=%d" s.ltp s.lfp s.lfn

@@ -25,10 +25,6 @@ let find_node (g : Analysis.Cfg.t) pred =
   in
   go 0
 
-let is_return = function
-  | Analysis.Cfg.Stmt { Jir.Ast.kind = Jir.Ast.Return _; _ } -> true
-  | _ -> false
-
 let lint_names diags = List.map (fun d -> d.Analysis.Lint.lint) diags
 
 (* ---------------- CFG shape ---------------- *)
@@ -97,35 +93,6 @@ entry Main.main;
       Alcotest.(check string) "handler class" "Boom" cls;
       Alcotest.(check string) "bound var" "b" v
   | _ -> Alcotest.fail "Exc edge should target the catch binder")
-
-(* ---------------- reaching definitions / liveness ---------------- *)
-
-let test_reaching_defs () =
-  let g = cfg_of branchy "Main.main" in
-  let r = Analysis.Reaching_defs.analyze g in
-  let use =
-    find_node g (function
-      | Analysis.Cfg.Stmt { Jir.Ast.kind = Jir.Ast.Decl (_, "y", _); _ } -> true
-      | _ -> false)
-  in
-  (* both branch assignments reach the use of x after the join; the initial
-     x = 0 is killed on both sides *)
-  Alcotest.(check int) "two defs of x reach the join" 2
-    (List.length (Analysis.Reaching_defs.reaching r ~node:use "x"))
-
-let test_liveness () =
-  let g = cfg_of branchy "Main.main" in
-  let r = Analysis.Liveness.analyze g in
-  let use =
-    find_node g (function
-      | Analysis.Cfg.Stmt { Jir.Ast.kind = Jir.Ast.Decl (_, "y", _); _ } -> true
-      | _ -> false)
-  in
-  Alcotest.(check bool) "x live into its use" true
-    (Analysis.Liveness.live_in r ~node:use "x");
-  let ret = find_node g is_return in
-  Alcotest.(check bool) "x dead after the last use" false
-    (Analysis.Liveness.live_in r ~node:ret "x")
 
 (* ---------------- lints ---------------- *)
 
@@ -538,8 +505,6 @@ entry Main.main;
 let suite =
   [ Alcotest.test_case "cfg shape" `Quick test_cfg_shape;
     Alcotest.test_case "cfg exceptional edges" `Quick test_cfg_exc_edges;
-    Alcotest.test_case "reaching definitions" `Quick test_reaching_defs;
-    Alcotest.test_case "liveness" `Quick test_liveness;
     Alcotest.test_case "use before init" `Quick test_use_before_init;
     Alcotest.test_case "use before init negative" `Quick
       test_use_before_init_negative;

@@ -1,43 +1,10 @@
-(* Tests for the CFL grammar machinery: the generic normalization and
-   composition tables, the pointer-analysis label logic (Figure 4), the
-   dataflow label logic, and the transition-function registry. *)
+(* Tests for the CFL grammar machinery: the pointer-analysis label logic
+   (Figure 4), the dataflow label logic, and the transition-function
+   registry. *)
 
-module G = Cfl.Grammar
 module Pg = Cfl.Pointer_grammar
 module Dg = Cfl.Dataflow_grammar
 module Transfn = Cfl.Transfn
-
-let test_grammar_normalization () =
-  let g = G.create () in
-  G.parse_production g "A ::= B C D E";
-  G.normalize g;
-  List.iter
-    (fun (_, rhs) ->
-      Alcotest.(check bool) "binary rhs" true (List.length rhs <= 2))
-    g.G.productions;
-  (* the normalized grammar still derives the original string: check via
-     composition tables by folding B C D E *)
-  let t = G.composition_tables g in
-  let fold syms =
-    match List.map (G.symbol g) syms with
-    | [] -> []
-    | first :: rest ->
-        List.fold_left
-          (fun currents sym ->
-            List.concat_map (fun cur -> G.compose t cur sym) currents)
-          [ first ] rest
-  in
-  Alcotest.(check bool) "BCDE reduces to A" true
-    (List.mem (G.symbol g "A") (fold [ "B"; "C"; "D"; "E" ]))
-
-let test_grammar_unary_closure () =
-  let g = G.create () in
-  G.parse_production g "A ::= B";
-  G.parse_production g "B ::= C";
-  G.normalize g;
-  let t = G.composition_tables g in
-  Alcotest.(check bool) "transitive unary" true
-    (List.mem (G.symbol g "A") (G.unary t (G.symbol g "C")))
 
 let test_pointer_label_codes () =
   let roundtrip l = Pg.of_int (Pg.to_int l) in
@@ -139,9 +106,7 @@ let prop_pointer_label_roundtrip =
       Pg.equal l (Pg.of_int (Pg.to_int l)))
 
 let suite =
-  [ Alcotest.test_case "grammar normalization" `Quick test_grammar_normalization;
-    Alcotest.test_case "grammar unary closure" `Quick test_grammar_unary_closure;
-    Alcotest.test_case "pointer label codes" `Quick test_pointer_label_codes;
+  [ Alcotest.test_case "pointer label codes" `Quick test_pointer_label_codes;
     Alcotest.test_case "pointer compositions" `Quick test_pointer_compositions;
     Alcotest.test_case "pointer unary/mirror" `Quick test_pointer_unary_mirror;
     Alcotest.test_case "transfn registry" `Quick test_transfn_registry;

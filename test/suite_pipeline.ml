@@ -398,6 +398,66 @@ entry Main.main;
   Alcotest.(check bool) "breakdown has 4 components" true
     (List.length s.Grapple.Pipeline.breakdown = 4)
 
+(* Every feasibility decision the engines make is one cache hit or one
+   solver call, so an enabled cache's lookups are exactly its hits plus the
+   constraints solved.  A disabled cache is never consulted, and a verdict
+   does not depend on where it came from: the reports stay the same. *)
+let test_cache_accounting () =
+  let figure3b =
+    let path =
+      Filename.concat
+        (Filename.dirname Sys.executable_name)
+        "../examples/figure3b.jir"
+    in
+    In_channel.with_open_bin path In_channel.input_all
+    |> Jir.Resolve.parse_exn ~file:"figure3b.jir"
+  in
+  let generated (s : Workload.Generator.subject) =
+    s.Workload.Generator.program
+  in
+  List.iter
+    (fun (name, program) ->
+      let run cache_enabled =
+        let workdir = fresh_workdir () in
+        let checkers = Checkers.all_with_null () in
+        let base = Grapple.Pipeline.default_config ~workdir in
+        let config =
+          { base with
+            Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+            track_null = true;
+            prefilter_properties = Checkers.fsms checkers;
+            engine =
+              { base.Grapple.Pipeline.engine with Engine.cache_enabled } }
+        in
+        let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
+        let results, props, _ = Checkers.run_all_scheduled prepared checkers in
+        let s = Grapple.Pipeline.stats prepared props in
+        Grapple.Pipeline.cleanup prepared props;
+        let reports =
+          List.concat_map
+            (fun (c, rs) ->
+              List.map (fun r -> c ^ " " ^ Grapple.Report.to_json r) rs)
+            results
+        in
+        (s, reports)
+      in
+      let on, reports_on = run true in
+      Alcotest.(check bool) (name ^ ": the cache is consulted") true
+        (on.Grapple.Pipeline.cache_lookups > 0);
+      Alcotest.(check int)
+        (name ^ ": lookups = hits + constraints solved")
+        on.Grapple.Pipeline.cache_lookups
+        (on.Grapple.Pipeline.cache_hits
+        + on.Grapple.Pipeline.n_constraints_solved);
+      let off, reports_off = run false in
+      Alcotest.(check int) (name ^ ": a disabled cache counts no lookups") 0
+        off.Grapple.Pipeline.cache_lookups;
+      Alcotest.(check (list string)) (name ^ ": same reports without cache")
+        reports_on reports_off)
+    [ ("figure3b", figure3b);
+      ("minizk", generated (Workload.Generator.mini_zookeeper ()));
+      ("minihdfs", generated (Workload.Generator.mini_hdfs ())) ]
+
 (* ---------------- escape-based instance pre-filter ---------------- *)
 
 let use_after_close_src = {|
@@ -556,6 +616,7 @@ let suite =
     Alcotest.test_case "report trace present" `Quick test_report_trace_present;
     Alcotest.test_case "null dereference" `Quick test_null_deref;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
+    Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
     Alcotest.test_case "prefilter same reports" `Quick test_prefilter_same_reports;
     Alcotest.test_case "prefilter leak detected" `Quick
       test_prefilter_leak_detected;

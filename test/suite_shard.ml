@@ -240,6 +240,28 @@ let test_shard_fault_plan_differential () =
         shard1 out)
     [ 2; 4 ]
 
+(* With a one-round DPLL(T) budget the solver gives up on many paths.  Its
+   hit counter is process-global, so hits inside a worker process reach
+   the stats line only through the instance account: the whole counter set
+   must match the in-process run. *)
+let test_shard_smt_budget_hits () =
+  let program =
+    (Workload.Generator.mini_zookeeper ()).Workload.Generator.program
+  in
+  let saved = !Smt.Solver.round_budget in
+  Fun.protect ~finally:(fun () -> Smt.Solver.round_budget := saved)
+  @@ fun () ->
+  Smt.Solver.set_budget 1;
+  let inproc = Suite_parallel.run ~workers:1 program in
+  Alcotest.(check bool) "the budget is hit" true
+    (inproc.Suite_parallel.o_stats.Pipeline.n_smt_budget_hits > 0);
+  let shard2 = run_shard ~procs:2 program in
+  Alcotest.(check int) "budget hits in-process = at 2 shard processes"
+    inproc.Suite_parallel.o_stats.Pipeline.n_smt_budget_hits
+    shard2.Suite_parallel.o_stats.Pipeline.n_smt_budget_hits;
+  Suite_parallel.check_same ~what:"smt budget 1, in-process vs p2" inproc
+    shard2
+
 (* Deterministic SIGKILL of the worker holding the Nth assignment: the
    killed worker is replaced, the instance re-dispatched and re-run from
    scratch, and both reports and counters match the kill-free shard run —
@@ -381,6 +403,8 @@ let suite =
       test_shard_differential;
     Alcotest.test_case "differential: under a fault plan" `Quick
       test_shard_fault_plan_differential;
+    Alcotest.test_case "differential: smt budget hits" `Quick
+      test_shard_smt_budget_hits;
     Alcotest.test_case "SIGKILL-on-Nth-assignment: identical output" `Quick
       test_shard_kill_nth;
     Alcotest.test_case "crash mid-instance: resume from manifests" `Quick
