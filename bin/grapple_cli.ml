@@ -27,13 +27,27 @@ let load path =
       Printf.eprintf "%s:%d: lexical error: %s\n" path line msg;
       exit 2
 
-let with_workdir f =
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
+(* Run [f] in a throwaway temp workdir, removed once [f] returns.  A run
+   that does not return keeps it: an interrupted check exits 130 from
+   inside [f] and names the directory for --resume. *)
+let with_workdir ~prefix f =
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-%d" (Unix.getpid ()))
+      (Printf.sprintf "%s-%d" prefix (Unix.getpid ()))
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> ()) (fun () -> f dir)
+  let r = f dir in
+  remove_tree dir;
+  r
 
 open Cmdliner
 
@@ -293,7 +307,7 @@ let check_cmd =
       | Some dir ->
           Engine.ensure_dir dir;
           f dir
-      | None -> with_workdir f
+      | None -> with_workdir ~prefix:"grapple" f
     in
     (* Sweep orphaned *.tmp files (a writer interrupted mid-atomic-write)
        from the workdir and every engine subdirectory, so nothing stale
@@ -577,10 +591,7 @@ let closure_cmd =
           exit 2
   in
   let run file =
-    let workdir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "grapple-closure-%d" (Unix.getpid ()))
-    in
+    with_workdir ~prefix:"grapple-closure" @@ fun workdir ->
     let t =
       AE.create ~decode:(fun _ -> Smt.Formula.True) ~workdir ()
     in
@@ -599,8 +610,7 @@ let closure_cmd =
     AE.run t;
     AE.iter_result_edges t (fun e ->
         Printf.printf "%d %d %s\n" e.AE.src e.AE.dst
-          (Cfl.Pointer_grammar.to_string e.AE.label));
-    AE.cleanup t
+          (Cfl.Pointer_grammar.to_string e.AE.label))
   in
   Cmd.v
     (Cmd.info "closure"

@@ -240,8 +240,9 @@ let analyze_null_method ~lookup (g : Cfg.t) =
    summaries are applied, read off each method's converged normal run.
    Sites the intraprocedural nullness lint already reports are subtracted,
    so [--interproc] adds strictly whole-program findings instead of
-   re-labelling local ones. *)
-let null_diags (p : Jir.Ast.program) : Lint.diag list =
+   re-labelling local ones.  [callgraph] must be [p]'s; it is built when
+   absent. *)
+let null_diags ?callgraph (p : Jir.Ast.program) : Lint.diag list =
   let diags = ref [] in
   let converged ~lookup (g : Cfg.t) res =
     let intra =
@@ -265,7 +266,7 @@ let null_diags (p : Jir.Ast.program) : Lint.diag list =
            | _ -> ())
   in
   ignore
-    (solve
+    (solve ?callgraph
        { cl_bottom =
            (fun m ->
              { ns_ret = None;

@@ -815,7 +815,7 @@ let must_leaks (r : result) : alloc_fact list =
          f.f_died_normal && f.f_normal_all_bad && (not f.f_wild)
          && not f.f_may_error)
 
-let leak_diags (fsms : Fsm.t list) (program : Jir.Ast.program) :
+let leak_diags ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
     Lint.diag list =
   List.concat_map
     (fun r ->
@@ -827,13 +827,14 @@ let leak_diags (fsms : Fsm.t list) (program : Jir.Ast.program) :
                 any path"
                f.f_site.a_cls r.fsm.Fsm.name))
         (must_leaks r))
-    (analyze fsms program)
+    (analyze ?callgraph fsms program)
   |> List.sort (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth)
            (b.Lint.at.Jir.Ast.file, b.Lint.at.Jir.Ast.line, b.Lint.meth))
 
-(* Combined interprocedural lint surface behind [grapple lint --interproc]. *)
+(* Combined interprocedural lint surface behind [grapple lint --interproc].
+   Both passes share one call graph. *)
 let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
     (program : Jir.Ast.program) : Lint.diag list =
   let timed name f =
@@ -842,8 +843,11 @@ let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
     on_pass name (Unix.gettimeofday () -. t0);
     r
   in
-  timed "interproc-null" (fun () -> Interproc.null_diags program)
-  @ timed "interproc-leak" (fun () -> leak_diags fsms program)
+  let callgraph =
+    timed "interproc-callgraph" (fun () -> Jir.Callgraph.build program)
+  in
+  timed "interproc-null" (fun () -> Interproc.null_diags ~callgraph program)
+  @ timed "interproc-leak" (fun () -> leak_diags ~callgraph fsms program)
   |> List.sort (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.lint,

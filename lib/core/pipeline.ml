@@ -4,9 +4,10 @@
 
    [prepare] runs the frontend once per program: loop unrolling, ICFET
    construction, clone-tree planning, alias-graph generation, and the
-   phase-1 engine run.  [check_property] then runs phases 2 and 3 for one
-   FSM specification against the prepared state, so several checkers share
-   one alias computation exactly as in the paper. *)
+   phase-1 engine run.  [check_properties] then runs phases 2 and 3 for
+   each FSM specification against the prepared state ([attempt_property]
+   is one instance's closure and check), so several checkers share one
+   alias computation exactly as in the paper. *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
@@ -327,7 +328,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
         Clone_tree.build ~max_instances:100_000 icfet callgraph)
   in
   (* escape-based pre-filter (ISSUE 1): tracked allocations that provably
-     never leave their method are resolved locally in [check_property];
+     never leave their method are resolved locally in [attempt_property];
      exclude them from the alias graph so neither closure ever sees them *)
   let prefiltered =
     timed_span "phase0.escape_prefilter" pre (fun () ->
@@ -799,10 +800,8 @@ type instance_plan =
 
 (* The one instance body, whatever executes it.  It installs the
    instance's plan and storage scope, climbs the retry ladder, and reduces
-   the engine to an [instance_summary] with the plan suspended: the
-   summary's partition reload must not fault, since the plan has done its
-   deterministic work for this instance by now.  Returns the result and
-   the instance's account, for the caller to merge. *)
+   the engine to an [instance_summary].  Returns the result and the
+   instance's account, for the caller to merge. *)
 let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~plan :
     property_result * acct =
   let acct = fresh_acct () in
@@ -834,21 +833,17 @@ let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~plan :
   (match (plan, active) with
   | Derived _, Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
   | _ -> ());
-  Engine.Faults.clear ();
   let r =
     match outcome with
     | Error reason -> degrade p fsm ~acct reason
     | Ok (reports, (dg, e)) ->
-        (* [total_edges] first: it reloads partitions, and the metrics must
-           include that I/O *)
-        let total = Dataflow_engine.total_edges e in
         let m = Dataflow_engine.metrics e in
         { fsm; reports; degraded = None;
           summary =
             Some
               { sm_vertices = Dataflow_graph.n_vertices dg;
                 sm_seed_edges = Dataflow_engine.n_seed_edges e;
-                sm_total_edges = total;
+                sm_total_edges = Dataflow_engine.total_edges e;
                 sm_partitions = Dataflow_engine.n_partitions e;
                 sm_metrics = Engine.Metrics.registry m } }
   in
@@ -1093,10 +1088,6 @@ let stats (p : prepared) (props : property_result list) : stats =
   let n_partitions =
     Alias_engine.n_partitions p.alias_engine + sum (fun s -> s.sm_partitions)
   in
-  (* combined last: the alias engine's [total_edges] above reloads
-     partitions, and under an active fault plan those loads can themselves
-     be retried — summing the metrics afterwards keeps such retries visible
-     in [n_retried] *)
   let m =
     combine_metrics
       (Alias_engine.metrics p.alias_engine
@@ -1163,20 +1154,6 @@ let stats (p : prepared) (props : property_result list) : stats =
     n_faults_injected;
     n_corrupt_recovered = count m.Engine.Metrics.corrupt_reads;
     registry = reg }
-
-(* Convenience wrapper: run every phase for a list of properties.  The
-   pre-filter defaults to resolving against exactly the properties being
-   checked; a caller-supplied non-empty [prefilter_properties] wins. *)
-let check ?config ~workdir program fsms =
-  let config =
-    let c = match config with Some c -> c | None -> default_config ~workdir in
-    if c.prefilter_properties = [] then
-      { c with prefilter_properties = fsms }
-    else c
-  in
-  let p = prepare ~config ~workdir program in
-  let results, _schedule = check_properties p fsms in
-  (p, results)
 
 let cleanup (p : prepared) (props : property_result list) =
   Alias_engine.cleanup p.alias_engine;

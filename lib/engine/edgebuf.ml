@@ -110,18 +110,17 @@ let intern t (e : Encoding.t) : int =
    used by [Storage.read_flat], whose writer deduplicates anyway.  A
    crafted file with duplicate pool entries still round-trips, because
    every edge keeps the id it was written with. *)
-let pool_append t (bytes : string) : int =
+let pool_append t (bytes : string) =
   let id = t.pool_n in
   if id = Array.length t.pool then grow_pool t;
   t.pool.(id) <- bytes;
   t.decoded.(id) <- None;
   t.pool_n <- id + 1;
-  (match Hashtbl.find_opt t.pool_tbl bytes with
+  match Hashtbl.find_opt t.pool_tbl bytes with
   | Some first -> t.canon.(id) <- first
   | None ->
       t.canon.(id) <- id;
-      Hashtbl.replace t.pool_tbl bytes id);
-  id
+      Hashtbl.replace t.pool_tbl bytes id
 
 let push t ~src ~dst ~label ~enc_id =
   let need = (t.n + 1) * stride in
@@ -140,8 +139,3 @@ let push t ~src ~dst ~label ~enc_id =
 (* Convenience push for callers holding a structured encoding. *)
 let push_edge t ~src ~dst ~label (e : Encoding.t) =
   push t ~src ~dst ~label ~enc_id:(intern t e)
-
-let iter t f =
-  for i = 0 to t.n - 1 do
-    f ~src:(src t i) ~dst:(dst t i) ~label:(label t i) ~enc_id:(enc_id t i)
-  done

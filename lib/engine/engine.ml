@@ -19,10 +19,10 @@
    their join vertex, and since chains list positions in ascending order,
    "settled" is just a position bound — settled edges are never re-paired,
    and nothing is sorted or merged.  The same scheme extends across pairs —
-   the checkpoint manifest records each partition's deduplicated edge count
-   at every pair's last local fixpoint, and reprocessing a pair starts its
-   delta there (valid because partition files only grow by appending behind
-   that prefix).
+   the scheduler records each partition's record count at every pair's last
+   local fixpoint; a pair needs work again once either partition holds more
+   records than that, and reprocessing starts its delta there (valid because
+   partition files only grow by appending behind that prefix).
 
    The engine is a functor over the label logic, instantiated once with the
    pointer-analysis grammar (phase 1) and once with the dataflow grammar
@@ -131,8 +131,12 @@ module Make (L : LABEL_LOGIC) = struct
     lo : int;
     hi : int;  (* owns source vertices in [lo, hi) *)
     path : string;
-    mutable version : int;
-    mutable approx_edges : int;  (* includes not-yet-deduplicated appends *)
+    mutable n_edges : int;
+        (* records in the file: exact, since [read_partition] and
+           [write_partition] set it on every read and write *)
+    mutable restored : bool;
+        (* restored from a checkpoint and not loaded since: the file may
+           hold records of a crashed pair whose consequences never landed *)
   }
 
   (* A loaded partition.  [buf] holds the deduplicated edges in file order
@@ -288,10 +292,12 @@ module Make (L : LABEL_LOGIC) = struct
   let part_path t pid = Filename.concat t.config.workdir
       (Printf.sprintf "p%04d.edges" pid)
 
-  let fresh_pid t =
+  (* A partition with a fresh pid over sources [lo, hi), before its file is
+     written. *)
+  let new_part t lo hi =
     let pid = t.next_pid in
     t.next_pid <- pid + 1;
-    pid
+    { pid; lo; hi; path = part_path t pid; n_edges = 0; restored = false }
 
   let owner t (v : int) : pmeta =
     match List.find_opt (fun p -> v >= p.lo && v < p.hi) t.parts with
@@ -299,17 +305,64 @@ module Make (L : LABEL_LOGIC) = struct
     | None ->
         invalid_arg (Printf.sprintf "Engine.owner: vertex %d out of range" v)
 
-  let load t (meta : pmeta) : loaded =
-    Obs.Trace.with_span ~cat:"engine"
-      ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
-      "engine.load"
-    @@ fun () ->
+  (* ---------------- the one reader and the one writer ---------------- *)
+
+  (* Read a partition file: pair loads, routed appends, result scans and
+     restore all come through here.  Damage is never fatal: the valid
+     prefix is returned and the damage is logged and counted.  Sets the
+     partition's record count to the records read.  Returns the records in
+     file order and whether the file was damaged. *)
+  let read_partition t (meta : pmeta) : Edgebuf.t * bool =
     let outcome =
       Metrics.time t.metrics `Io (fun () ->
           with_retries t (fun () -> Storage.read_flat ~path:meta.path))
     in
     Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
-    let raw = outcome.Storage.buf in
+    let buf = outcome.Storage.buf in
+    meta.n_edges <- Edgebuf.n buf;
+    match outcome.Storage.corrupt with
+    | None -> (buf, false)
+    | Some c ->
+        Logs.warn (fun k ->
+            k "partition %s: %a — kept %d-record prefix"
+              (Filename.basename meta.path) Storage.pp_corruption c
+              (Edgebuf.n buf));
+        Metrics.incr t.metrics.Metrics.corrupt_reads;
+        Obs.Trace.instant ~cat:"storage"
+          ~args:[ ("pid", Obs.Trace.Int meta.pid);
+                  ("kept_records", Obs.Trace.Int (Edgebuf.n buf)) ]
+          "storage.corrupt_recovered";
+        (buf, true)
+
+  (* Replace a partition file with [buf]: preprocessing, flushes, splits
+     and routed appends all come through here.  Sets the partition's record
+     count to the records written. *)
+  let write_partition t (meta : pmeta) (buf : Edgebuf.t) =
+    let bytes =
+      Metrics.time t.metrics `Io (fun () ->
+          with_retries t (fun () -> Storage.write_flat ~path:meta.path buf))
+    in
+    Metrics.add t.metrics.Metrics.bytes_written bytes;
+    meta.n_edges <- Edgebuf.n buf
+
+  (* Append an edge to [buf] unless [keys], which indexes all of [buf],
+     already holds it; true when it landed.  [enc_id] must be a canonical
+     pool id of [buf] (as [Edgebuf.intern_bytes] returns). *)
+  let append_unique keys buf ~src ~dst ~label ~enc_id =
+    let slot = Keys.find keys buf ~src ~dst ~label in
+    (not (Keys.mem keys buf slot enc_id))
+    && begin
+         Edgebuf.push buf ~src ~dst ~label ~enc_id;
+         Keys.add keys buf slot (Edgebuf.n buf - 1);
+         true
+       end
+
+  let load t (meta : pmeta) : loaded =
+    Obs.Trace.with_span ~cat:"engine"
+      ~args:[ ("pid", Obs.Trace.Int meta.pid) ]
+      "engine.load"
+    @@ fun () ->
+    let raw, damaged = read_partition t meta in
     let n_raw = Edgebuf.n raw in
     let keys = Keys.create n_raw in
     (* index every record, noting whether the file holds exact duplicates
@@ -324,41 +377,22 @@ module Make (L : LABEL_LOGIC) = struct
         let b = Edgebuf.create ~capacity:(max 256 n_raw) () in
         Keys.clear keys;
         for i = 0 to n_raw - 1 do
-          let src = Edgebuf.src raw i and dst = Edgebuf.dst raw i in
-          let label = Edgebuf.label raw i in
           let bytes = Edgebuf.enc_bytes raw (Edgebuf.enc_id raw i) in
           let id = Edgebuf.intern_bytes b bytes in
-          let slot = Keys.find keys b ~src ~dst ~label in
-          if not (Keys.mem keys b slot id) then begin
-            Edgebuf.push b ~src ~dst ~label ~enc_id:id;
-            Keys.add keys b slot (Edgebuf.n b - 1)
-          end
+          ignore
+            (append_unique keys b ~src:(Edgebuf.src raw i)
+               ~dst:(Edgebuf.dst raw i) ~label:(Edgebuf.label raw i) ~enc_id:id
+              : bool)
         done;
         b
       end
     in
-    let l =
-      { meta; buf; keys; chains = Chains.create (Edgebuf.n buf); indexed = 0;
-        snap = 0; dirty = dup }
-    in
-    (match outcome.Storage.corrupt with
-    | None -> ()
-    | Some c ->
-        (* the valid prefix survives; mark dirty so the next flush rewrites
-           the repaired file.  Any record lost with the damaged tail is
-           rederived when the pair is reprocessed (the checkpoint manifest
-           predates the damage). *)
-        Logs.warn (fun k ->
-            k "partition %s: %a — kept %d-record prefix"
-              (Filename.basename meta.path) Storage.pp_corruption c
-              (Edgebuf.n buf));
-        Metrics.incr t.metrics.Metrics.corrupt_reads;
-        Obs.Trace.instant ~cat:"storage"
-          ~args:[ ("pid", Obs.Trace.Int meta.pid);
-                  ("kept_records", Obs.Trace.Int (Edgebuf.n buf)) ]
-          "storage.corrupt_recovered";
-        l.dirty <- true);
-    l
+    (* dirty, so the next flush rewrites the file: without its duplicates,
+       or as the repaired valid prefix of a damaged one.  A record lost with
+       a damaged tail is rederived when its pair is reprocessed (the
+       checkpoint manifest predates the damage). *)
+    { meta; buf; keys; chains = Chains.create (Edgebuf.n buf); indexed = 0;
+      snap = 0; dirty = dup || damaged }
 
   (* ---------------- residency cache ---------------- *)
 
@@ -406,29 +440,16 @@ module Make (L : LABEL_LOGIC) = struct
     Chains.append l.chains l.buf p;
     l.dirty <- true
 
-  (* Insert an int-packed edge into a loaded partition; true if it is new. *)
-  let insert t (l : loaded) ~src ~dst ~label ~bytes ~enc : bool =
-    let slot = free_slot t l ~src ~dst ~label ~bytes in
-    slot >= 0
-    && begin
-         push l slot ~src ~dst ~label ~bytes ~enc;
-         true
-       end
-
-  (* Start a pair: positions below [upto] (the cross-pair delta start) are
+  (* Start a pair (la, lb), where [lb == la] for a partition paired with
+     itself: positions of [l] below [upto] (the cross-pair delta start) are
      settled, and the chains are rebuilt for the pair's vertex intervals.
      [upto] past the buffer (a corruption-truncated file) clamps to the
      available prefix. *)
-  let prepare (l : loaded) ~upto ~(pair : loaded list) =
+  let prepare (l : loaded) ~upto (la : loaded) (lb : loaded) =
     l.indexed <- min (max upto 0) (Edgebuf.n l.buf);
-    let lo1, hi1, lo2, hi2 =
-      match pair with
-      | [ a ] -> (a.meta.lo, a.meta.hi, 0, 0)
-      | [ a; b ] -> (a.meta.lo, a.meta.hi, b.meta.lo, b.meta.hi)
-      | _ -> invalid_arg "Engine.prepare: a pair has one or two partitions"
-    in
-    Chains.rebuild l.chains l.buf ~lo:l.meta.lo ~hi:l.meta.hi ~lo1 ~hi1 ~lo2
-      ~hi2
+    let lo2, hi2 = if lb == la then (0, 0) else (lb.meta.lo, lb.meta.hi) in
+    Chains.rebuild l.chains l.buf ~lo:l.meta.lo ~hi:l.meta.hi ~lo1:la.meta.lo
+      ~hi1:la.meta.hi ~lo2 ~hi2
 
   (* ---------------- flush paths ---------------- *)
 
@@ -443,21 +464,12 @@ module Make (L : LABEL_LOGIC) = struct
               ("dirty", Obs.Trace.Bool l.dirty) ]
       "engine.flush"
     @@ fun () ->
-    let write_meta (meta : pmeta) (buf : Edgebuf.t) =
-      let bytes =
-        Metrics.time t.metrics `Io (fun () ->
-            with_retries t (fun () -> Storage.write_flat ~path:meta.path buf))
-      in
-      Metrics.add t.metrics.Metrics.bytes_written bytes;
-      meta.approx_edges <- Edgebuf.n buf
-    in
     let needs_split =
       count > t.config.max_edges_per_partition && l.meta.hi - l.meta.lo >= 2
     in
     if not needs_split then begin
       if l.dirty then begin
-        write_meta l.meta l.buf;
-        l.meta.version <- l.meta.version + 1;
+        write_partition t l.meta l.buf;
         l.dirty <- false  (* back in sync with the file: residency-safe *)
       end
     end
@@ -481,12 +493,8 @@ module Make (L : LABEL_LOGIC) = struct
                (Edgebuf.enc_bytes l.buf (Edgebuf.enc_id l.buf i)))
       done;
       let mk lo hi buf =
-        let pid = fresh_pid t in
-        let meta =
-          { pid; lo; hi; path = part_path t pid; version = 0;
-            approx_edges = 0 }
-        in
-        write_meta meta buf;
+        let meta = new_part t lo hi in
+        write_partition t meta buf;
         meta
       in
       let ml = mk l.meta.lo cut left in
@@ -517,11 +525,7 @@ module Make (L : LABEL_LOGIC) = struct
     let sb = Edgebuf.create ~capacity:(max 256 n_in) () in
     let keys = Keys.create n_in in
     let add ~src ~dst ~label id =
-      let slot = Keys.find keys sb ~src ~dst ~label in
-      if not (Keys.mem keys sb slot id) then begin
-        Edgebuf.push sb ~src ~dst ~label ~enc_id:id;
-        Keys.add keys sb slot (Edgebuf.n sb - 1)
-      end
+      ignore (append_unique keys sb ~src ~dst ~label ~enc_id:id : bool)
     in
     List.iter
       (fun (e : edge) ->
@@ -557,14 +561,7 @@ module Make (L : LABEL_LOGIC) = struct
     let bounds = List.rev !bounds in
     let lo_list = 0 :: bounds in
     let hi_list = bounds @ [ t.max_vertex + 1 ] in
-    let metas =
-      List.map2
-        (fun lo hi ->
-          let pid = fresh_pid t in
-          { pid; lo; hi; path = part_path t pid; version = 0;
-            approx_edges = 0 })
-        lo_list hi_list
-    in
+    let metas = List.map2 (new_part t) lo_list hi_list in
     (* one ordered pass: the metas ascend by [lo] and [order] by [src], so
        each partition's slice is the next contiguous run of [order] (the
        last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
@@ -585,12 +582,7 @@ module Make (L : LABEL_LOGIC) = struct
             ~label:(Edgebuf.label sb p) ~enc_id:local.(id);
           incr next
         done;
-        let bytes =
-          Metrics.time t.metrics `Io (fun () ->
-              with_retries t (fun () -> Storage.write_flat ~path:meta.path buf))
-        in
-        Metrics.add t.metrics.Metrics.bytes_written bytes;
-        meta.approx_edges <- Edgebuf.n buf)
+        write_partition t meta buf)
       metas;
     t.parts <- metas
 
@@ -670,15 +662,37 @@ module Make (L : LABEL_LOGIC) = struct
           let db = Encoding.to_bytes d.enc in
           match find_loaded d.src with
           | Some l' ->
-              if insert t l' ~src:d.src ~dst:d.dst ~label:dl ~bytes:db
-                   ~enc:d.enc
-              then Metrics.incr m.Metrics.edges_added
+              let slot =
+                free_slot t l' ~src:d.src ~dst:d.dst ~label:dl ~bytes:db
+              in
+              if slot >= 0 then begin
+                push l' slot ~src:d.src ~dst:d.dst ~label:dl ~bytes:db
+                  ~enc:d.enc;
+                Metrics.incr m.Metrics.edges_added
+              end
           | None ->
               route
                 { p_src = d.src; p_dst = d.dst; p_label = dl; p_bytes = db;
                   p_enc = d.enc })
         (consequences e)
     in
+    (* A restored partition's first load dispatches the consequences of its
+       delta again.  A crash between a pair's flushes and its routed
+       appends can leave an edge on disk whose consequences were lost, and
+       the join never re-dispatches them for an edge it finds present.
+       Every recorded count predates the crash, so the delta holds every
+       such edge; consequences that did land deduplicate. *)
+    List.iter
+      (fun l ->
+        if l.meta.restored then begin
+          l.meta.restored <- false;
+          for i = l.indexed to Edgebuf.n l.buf - 1 do
+            dispatch_consequences ~src:(Edgebuf.src l.buf i)
+              ~dst:(Edgebuf.dst l.buf i) ~label:(Edgebuf.label l.buf i)
+              ~enc:(Edgebuf.enc l.buf (Edgebuf.enc_id l.buf i))
+          done
+        end)
+      loadeds;
     (* budgets are polled every [poll_every] candidates, so a runaway pair
        cannot exceed its allowance by more than that much work *)
     let since_poll = ref 0 in
@@ -782,7 +796,8 @@ module Make (L : LABEL_LOGIC) = struct
      never appended to a stale partition.  Each pending edge is deduplicated
      against the target file (and against the batch itself), and only the
      edges that genuinely land count toward [edges_added] — a routed
-     rediscovery of a known fact adds nothing. *)
+     rediscovery of a known fact adds nothing, and leaves the file as it
+     was. *)
   let flush_external t (pending : pending list) =
     let by_owner : (int, pending list ref) Hashtbl.t = Hashtbl.create 16 in
     let order = ref [] in
@@ -797,51 +812,33 @@ module Make (L : LABEL_LOGIC) = struct
       pending;
     List.iter
       (fun (meta : pmeta) ->
-        let batch = List.rev !(Hashtbl.find by_owner meta.pid) in
-        let n_new, bytes_read, bytes_written =
-          Metrics.time t.metrics `Io (fun () ->
-              with_retries t (fun () ->
-                  let outcome = Storage.read_flat ~path:meta.path in
-                  let buf = outcome.Storage.buf in
-                  let keys = Keys.create (Edgebuf.n buf) in
-                  ignore (Keys.build keys buf : bool);
-                  let added = ref 0 in
-                  List.iter
-                    (fun p ->
-                      let id =
-                        Edgebuf.intern_bytes ~decoded:p.p_enc buf p.p_bytes
-                      in
-                      let slot =
-                        Keys.find keys buf ~src:p.p_src ~dst:p.p_dst
-                          ~label:p.p_label
-                      in
-                      if not (Keys.mem keys buf slot id) then begin
-                        Edgebuf.push buf ~src:p.p_src ~dst:p.p_dst
-                          ~label:p.p_label ~enc_id:id;
-                        Keys.add keys buf slot (Edgebuf.n buf - 1);
-                        incr added
-                      end)
-                    batch;
-                  if !added = 0 then (0, outcome.Storage.bytes, 0)
-                  else
-                    let written = Storage.write_flat ~path:meta.path buf in
-                    (!added, outcome.Storage.bytes, written)))
+        let buf, _ = read_partition t meta in
+        let keys = Keys.create (Edgebuf.n buf) in
+        ignore (Keys.build keys buf : bool);
+        let added =
+          List.fold_left
+            (fun n p ->
+              let enc_id =
+                Edgebuf.intern_bytes ~decoded:p.p_enc buf p.p_bytes
+              in
+              if
+                append_unique keys buf ~src:p.p_src ~dst:p.p_dst
+                  ~label:p.p_label ~enc_id
+              then n + 1
+              else n)
+            0
+            (List.rev !(Hashtbl.find by_owner meta.pid))
         in
-        Metrics.add t.metrics.Metrics.bytes_read bytes_read;
-        Metrics.add t.metrics.Metrics.bytes_written bytes_written;
-        if n_new > 0 then begin
-          Metrics.add t.metrics.Metrics.edges_added n_new;
-          meta.approx_edges <- meta.approx_edges + n_new;
-          (* a batch that landed nothing leaves the file byte-identical:
-             bumping the version would only force a no-op reprocess *)
-          meta.version <- meta.version + 1;
+        if added > 0 then begin
+          write_partition t meta buf;
+          Metrics.add t.metrics.Metrics.edges_added added;
           (* the file just outgrew any resident copy *)
           t.resident <- List.remove_assoc meta.pid t.resident
         end)
       (List.rev !order)
 
-  (* Process one scheduled pair of partitions.  [counts] is the pair's
-     recorded deduplicated edge counts at its previous local fixpoint
+  (* Process one scheduled pair of partitions.  [counts] are its
+     partitions' record counts at the pair's previous local fixpoint
      ((0, 0) for a first encounter): the join starts its delta there.
      Returns the counts at this fixpoint, captured before flushing, for the
      caller to record. *)
@@ -853,25 +850,15 @@ module Make (L : LABEL_LOGIC) = struct
     Metrics.incr t.metrics.Metrics.pairs_processed;
     (* keep residency at the memory budget: only this pair stays loaded *)
     evict_except t [ pa.pid; pb.pid ];
-    let loadeds =
-      if pa.pid = pb.pid then [ load_resident t pa ]
-      else [ load_resident t pa; load_resident t pb ]
-    in
-    (match loadeds with
-    | [ la ] -> prepare la ~upto:ca ~pair:loadeds
-    | [ la; lb ] ->
-        prepare la ~upto:ca ~pair:loadeds;
-        prepare lb ~upto:cb ~pair:loadeds
-    | _ -> assert false);
+    let la = load_resident t pa in
+    let lb = if pb.pid = pa.pid then la else load_resident t pb in
+    let loadeds = if lb == la then [ la ] else [ la; lb ] in
+    prepare la ~upto:ca la lb;
+    if lb != la then prepare lb ~upto:cb la lb;
     let pending = ref [] in
     let route p = pending := p :: !pending in
     local_fixpoint t loadeds ~route;
-    let counts' =
-      match loadeds with
-      | [ la ] -> (Edgebuf.n la.buf, Edgebuf.n la.buf)
-      | [ la; lb ] -> (Edgebuf.n la.buf, Edgebuf.n lb.buf)
-      | _ -> assert false
-    in
+    let counts' = (Edgebuf.n la.buf, Edgebuf.n lb.buf) in
     List.iter (fun l -> flush t l) loadeds;
     (* a split partition's pid (and file) is gone: drop its resident copy *)
     t.resident <-
@@ -893,12 +880,12 @@ module Make (L : LABEL_LOGIC) = struct
      crash-at-checkpoint fault hook fires after the save: the manifest is
      durable at that instant, which is exactly the boundary [--resume]
      guarantees byte-identical results from. *)
-  let checkpoint t (processed : (int * int, int * int * int * int) Hashtbl.t) =
+  let checkpoint t (processed : (int * int, int * int) Hashtbl.t) =
     let parts =
       List.map
         (fun p ->
-          { Manifest.pid = p.pid; lo = p.lo; hi = p.hi; version = p.version;
-            approx_edges = p.approx_edges; file = Filename.basename p.path })
+          { Manifest.pid = p.pid; lo = p.lo; hi = p.hi;
+            file = Filename.basename p.path })
         t.parts
     in
     let frontier =
@@ -919,8 +906,7 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* Restore partition metadata and the scheduler frontier from the last
      checkpoint; false when there is none (or it failed validation). *)
-  let try_restore t (processed : (int * int, int * int * int * int) Hashtbl.t)
-      : bool =
+  let try_restore t (processed : (int * int, int * int) Hashtbl.t) : bool =
     match with_retries t (fun () -> Manifest.load ~workdir:t.config.workdir) with
     | None -> false
     | Some m
@@ -940,10 +926,15 @@ module Make (L : LABEL_LOGIC) = struct
             (fun (p : Manifest.part) ->
               { pid = p.Manifest.pid; lo = p.Manifest.lo; hi = p.Manifest.hi;
                 path = Filename.concat t.config.workdir p.Manifest.file;
-                version = p.Manifest.version;
-                approx_edges = p.Manifest.approx_edges })
+                n_edges = 0; restored = true })
             m.Manifest.parts
           |> List.sort (fun a b -> compare a.lo b.lo);
+        (* the files may be newer than the manifest (a crash between a
+           rename and the next checkpoint), so the record counts come from
+           the files *)
+        List.iter
+          (fun meta -> ignore (read_partition t meta : Edgebuf.t * bool))
+          t.parts;
         t.next_pid <- m.Manifest.next_pid;
         t.max_vertex <- max t.max_vertex m.Manifest.max_vertex;
         t.n_seed_edges <- m.Manifest.n_seed_edges;
@@ -954,20 +945,18 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* Run to global fixpoint.  With [~resume:true], continue from the
      workdir's checkpoint manifest when one validates (fresh run
-     otherwise): partitions and frontier are restored and only pairs whose
-     versions advanced since the checkpoint are (re)processed — and those
-     only past their recorded delta counts.  The closure is confluent —
-     facts accumulate monotonically and deduplicate — so a resumed run
-     converges to the same fixpoint as an uninterrupted one. *)
+     otherwise): partitions and frontier are restored and only pairs with
+     records their last fixpoint did not see are (re)processed — and those
+     only past the recorded counts.  The closure is confluent — facts
+     accumulate monotonically and deduplicate — so a resumed run converges
+     to the same fixpoint as an uninterrupted one. *)
   let run ?(resume = false) t =
     if t.ran then invalid_arg "Engine.run: already ran";
     t.ran <- true;
     t.run_start <- Unix.gettimeofday ();
-    (* (pid_min, pid_max) -> (version_min, version_max, count_min, count_max),
-       versions and fixpoint counts stored in pid order *)
-    let processed : (int * int, int * int * int * int) Hashtbl.t =
-      Hashtbl.create 256
-    in
+    (* (pid_min, pid_max) -> (count_min, count_max): the partitions' record
+       counts at the pair's last local fixpoint, stored in pid order *)
+    let processed : (int * int, int * int) Hashtbl.t = Hashtbl.create 256 in
     let restored = resume && try_restore t processed in
     if not restored then begin
       preprocess t;
@@ -986,31 +975,25 @@ module Make (L : LABEL_LOGIC) = struct
                 let alive p = List.exists (fun q -> q.pid = p.pid) t.parts in
                 if alive pa && alive pb then begin
                   let key = (min pa.pid pb.pid, max pa.pid pb.pid) in
-                  let swap = pa.pid > pb.pid in
-                  let vers =
-                    if swap then (pb.version, pa.version)
-                    else (pa.version, pb.version)
+                  (* counts in (pa, pb) order; its own inverse *)
+                  let orient (x, y) =
+                    if pa.pid > pb.pid then (y, x) else (x, y)
                   in
-                  let needs, (c1, c2) =
-                    match Hashtbl.find_opt processed key with
-                    | None -> (true, (0, 0))
-                    | Some (va, vb, ca, cb) -> ((va, vb) <> vers, (ca, cb))
+                  let seen =
+                    Option.map orient (Hashtbl.find_opt processed key)
+                  in
+                  (* the count clock: a pair needs work when either
+                     partition holds records its last fixpoint did not see *)
+                  let needs =
+                    match seen with
+                    | None -> true
+                    | Some (ca, cb) -> pa.n_edges > ca || pb.n_edges > cb
                   in
                   if needs then begin
                     continue := true;
-                    let counts = if swap then (c2, c1) else (c1, c2) in
-                    let ca', cb' = process_pair t pa pb ~counts in
-                    (* versions may have advanced during processing *)
-                    let cur p =
-                      match List.find_opt (fun q -> q.pid = p.pid) t.parts with
-                      | Some q -> q.version
-                      | None -> -1
-                    in
-                    let v1, v2, d1, d2 =
-                      if swap then (cur pb, cur pa, cb', ca')
-                      else (cur pa, cur pb, ca', cb')
-                    in
-                    Hashtbl.replace processed key (v1, v2, d1, d2);
+                    let counts = Option.value seen ~default:(0, 0) in
+                    let counts' = process_pair t pa pb ~counts in
+                    Hashtbl.replace processed key (orient counts');
                     checkpoint t processed;
                     check_budgets t
                   end
@@ -1025,24 +1008,6 @@ module Make (L : LABEL_LOGIC) = struct
   let n_partitions t = List.length t.parts
   let n_seed_edges t = t.n_seed_edges
 
-  (* Read one partition file as stored (no membership tables: every writer
-     deduplicates, so the file holds each edge once). *)
-  let read_partition t (meta : pmeta) : Edgebuf.t =
-    let outcome =
-      Metrics.time t.metrics `Io (fun () ->
-          with_retries t (fun () -> Storage.read_flat ~path:meta.path))
-    in
-    Metrics.add t.metrics.Metrics.bytes_read outcome.Storage.bytes;
-    (match outcome.Storage.corrupt with
-    | None -> ()
-    | Some c ->
-        Logs.warn (fun k ->
-            k "partition %s: %a — kept %d-record prefix"
-              (Filename.basename meta.path) Storage.pp_corruption c
-              (Edgebuf.n outcome.Storage.buf));
-        Metrics.incr t.metrics.Metrics.corrupt_reads);
-    outcome.Storage.buf
-
   let edge_at buf i =
     { src = Edgebuf.src buf i; dst = Edgebuf.dst buf i;
       label = L.of_int (Edgebuf.label buf i);
@@ -1054,7 +1019,7 @@ module Make (L : LABEL_LOGIC) = struct
   let fold_edges t f acc =
     List.fold_left
       (fun acc meta ->
-        let buf = read_partition t meta in
+        let buf, _ = read_partition t meta in
         let acc = ref acc in
         for i = Edgebuf.n buf - 1 downto 0 do
           acc := f !acc (edge_at buf i)
@@ -1062,17 +1027,16 @@ module Make (L : LABEL_LOGIC) = struct
         !acc)
       acc t.parts
 
-  (* Exact total edge count: the record counts, nothing decoded. *)
-  let total_edges t =
-    List.fold_left (fun n meta -> n + Edgebuf.n (read_partition t meta)) 0
-      t.parts
+  (* Exact total edge count: the sum of the partitions' record counts,
+     nothing read. *)
+  let total_edges t = List.fold_left (fun n meta -> n + meta.n_edges) 0 t.parts
 
   (* [fold_edges] restricted to result labels, testing the label code before
      an edge is built (and its encoding decoded). *)
   let iter_result_edges t f =
     List.iter
       (fun meta ->
-        let buf = read_partition t meta in
+        let buf, _ = read_partition t meta in
         for i = Edgebuf.n buf - 1 downto 0 do
           if L.is_result (L.of_int (Edgebuf.label buf i)) then f (edge_at buf i)
         done)

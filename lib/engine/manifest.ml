@@ -1,31 +1,34 @@
-(* Versioned checkpoint manifest for the engine.
+(* Checkpoint manifest for the engine.
 
    After every scheduled partition pair the engine persists its partition
    metadata and scheduler frontier here, so a killed run can resume from the
    last completed pair instead of from zero.  Format (text, line-based):
 
-     grapple-manifest 2
+     grapple-manifest 3
      next_pid N
      max_vertex N
      n_seed_edges N
-     part <pid> <lo> <hi> <version> <approx_edges> <file-basename>
+     part <pid> <lo> <hi> <file-basename>
      ...
-     done <pid-min> <pid-max> <version-a> <version-b> <count-a> <count-b>
+     done <pid-min> <pid-max> <count-min> <count-max>
      ...
      end <fnv1a-32 of everything above>
 
-   Version 2 (ISSUE 10) records, per processed pair, the partitions'
-   deduplicated edge counts at the moment the pair reached its local
-   fixpoint.  Partition files only ever grow by appending behind that
-   prefix (flushes preserve load order; splits mint fresh pids), so on
-   reprocessing the engine joins only the edges past those counts — the
-   cross-pair delta — instead of re-joining everything.  Version-1
-   manifests (and their boxed-record partition files) fail validation and
-   fall back to a fresh run, which overwrites the stale files.
+   Each [done] line records, per processed pair, the partitions' record
+   counts at the moment the pair reached its local fixpoint.  Partition
+   files only ever grow by appending behind that prefix (flushes preserve
+   load order; splits mint fresh pids), so the counts serve twice: a pair
+   needs work again once either partition holds more records than that,
+   and reprocessing joins only the records past them — the cross-pair
+   delta.  The manifest holds no per-partition counts: the files may be
+   newer than it (a crash between a partition's rename and the next
+   checkpoint), so a restore counts the records in the files.  Manifests
+   of earlier formats fail validation and fall back to a fresh run, which
+   overwrites the stale files.
 
    The trailing checksum covers the whole body, and the file is written
    atomically (temp + rename, via [Storage]), so a reader sees either a
-   complete, self-consistent manifest or — after damage or a version bump —
+   complete, self-consistent manifest or — after damage or a format bump —
    nothing, in which case the engine falls back to a fresh run.  Partition
    files are flushed *before* the manifest that references them, so any
    manifest that validates only ever points at durable partition state
@@ -36,8 +39,6 @@ type part = {
   pid : int;
   lo : int;
   hi : int;              (* source-vertex interval [lo, hi) *)
-  version : int;
-  approx_edges : int;
   file : string;         (* basename, resolved against the workdir *)
 }
 
@@ -46,15 +47,14 @@ type t = {
   max_vertex : int;
   n_seed_edges : int;
   parts : part list;
-  (* the scheduler frontier:
-       ((pid_min, pid_max), (version_a, version_b, count_a, count_b))
+  (* the scheduler frontier: ((pid_min, pid_max), (count_min, count_max))
      for every processed pair, exactly the engine's [processed] table; the
-     counts are the partitions' deduplicated edge counts at the pair's last
-     local fixpoint *)
-  processed : ((int * int) * (int * int * int * int)) list;
+     counts are the partitions' record counts at the pair's last local
+     fixpoint *)
+  processed : ((int * int) * (int * int)) list;
 }
 
-let format_version = 2
+let format_version = 3
 
 let path ~workdir = Filename.concat workdir "manifest"
 
@@ -66,20 +66,19 @@ let render (m : t) : string =
   Printf.bprintf buf "n_seed_edges %d\n" m.n_seed_edges;
   List.iter
     (fun p ->
-      Printf.bprintf buf "part %d %d %d %d %d %s\n" p.pid p.lo p.hi p.version
-        p.approx_edges p.file)
+      Printf.bprintf buf "part %d %d %d %s\n" p.pid p.lo p.hi p.file)
     m.parts;
   List.iter
-    (fun ((a, b), (va, vb, ca, cb)) ->
-      Printf.bprintf buf "done %d %d %d %d %d %d\n" a b va vb ca cb)
+    (fun ((a, b), (ca, cb)) ->
+      Printf.bprintf buf "done %d %d %d %d\n" a b ca cb)
     m.processed;
   let body = Buffer.contents buf in
   Printf.sprintf "%send %d\n" body (Storage.checksum_string body)
 
 let save ~workdir (m : t) : unit =
-  Storage.write_string_atomic ~path:(path ~workdir) (render m)
+  Storage.atomic_write ~path:(path ~workdir) (render m)
 
-(* [None] on a missing, damaged, or wrong-version manifest — the caller
+(* [None] on a missing, damaged, or wrong-format manifest — the caller
    starts fresh.  Never raises on bad contents. *)
 let load ~workdir : t option =
   let file = path ~workdir in
@@ -125,15 +124,13 @@ let load ~workdir : t option =
                  | [ "next_pid"; n ] -> next_pid := int n
                  | [ "max_vertex"; n ] -> max_vertex := int n
                  | [ "n_seed_edges"; n ] -> n_seed_edges := int n
-                 | [ "part"; pid; lo; hi; version; approx; file ] ->
+                 | [ "part"; pid; lo; hi; file ] ->
                      parts :=
-                       { pid = int pid; lo = int lo; hi = int hi;
-                         version = int version; approx_edges = int approx; file }
+                       { pid = int pid; lo = int lo; hi = int hi; file }
                        :: !parts
-                 | [ "done"; a; b; va; vb; ca; cb ] ->
+                 | [ "done"; a; b; ca; cb ] ->
                      processed :=
-                       ((int a, int b), (int va, int vb, int ca, int cb))
-                       :: !processed
+                       ((int a, int b), (int ca, int cb)) :: !processed
                  | _ -> bad := true);
           if !bad || not !header_ok then None
           else

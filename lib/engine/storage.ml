@@ -19,7 +19,7 @@
    edge accesses are sequential").
 
    Crash safety:
-   - every write (including appends) goes through write-temp-then-rename, so
+   - every write replaces the whole file through write-temp-then-rename, so
      a crash at any instant leaves either the old file or the new file, never
      a torn mixture;
    - [read_flat] never raises on damaged data: the length prefix bounds every
@@ -35,8 +35,6 @@
 
 module Encoding = Pathenc.Encoding
 
-type raw_edge = { src : int; dst : int; label : int; enc : Encoding.t }
-
 type corruption =
   | Truncated of int          (* byte offset of the torn trailing block *)
   | Checksum_mismatch of int  (* byte offset of the damaged block *)
@@ -46,13 +44,6 @@ type corruption =
    bytes. *)
 type flat_outcome = {
   buf : Edgebuf.t;
-  bytes : int;
-  corrupt : corruption option;
-}
-
-(* List-shaped read result, for callers that want boxed edges. *)
-type read_outcome = {
-  edges : raw_edge list;
   bytes : int;
   corrupt : corruption option;
 }
@@ -145,9 +136,6 @@ let atomic_write ~path (contents : string) : unit =
   Sys.rename tmp path;
   Faults.after_rename ~path
 
-let write_string_atomic ~path (contents : string) : unit =
-  atomic_write ~path contents
-
 (* Replace the file contents with the buffer's edges; returns bytes
    written. *)
 let write_flat ?block_cap ~path (eb : Edgebuf.t) : int =
@@ -189,9 +177,7 @@ let parse_block bytes pos len (eb : Edgebuf.t) :
               for _ = 1 to count do
                 let slen = Encoding.read_varint payload p in
                 if slen < 0 || !p + slen > plen then raise Exit;
-                ignore
-                  (Edgebuf.pool_append eb
-                     (Bytes.sub_string payload !p slen));
+                Edgebuf.pool_append eb (Bytes.sub_string payload !p slen);
                 p := !p + slen
               done;
               if !p <> plen then raise Exit
@@ -256,50 +242,6 @@ let read_flat ~path : flat_outcome =
     done;
     { buf = eb; bytes = len; corrupt = !corrupt }
   end
-
-(* ---------------- boxed-edge conveniences ---------------- *)
-
-let buf_of_edges (edges : raw_edge list) : Edgebuf.t =
-  let eb = Edgebuf.create () in
-  List.iter
-    (fun e -> Edgebuf.push_edge eb ~src:e.src ~dst:e.dst ~label:e.label e.enc)
-    edges;
-  eb
-
-let edges_of_buf (eb : Edgebuf.t) : raw_edge list =
-  let out = ref [] in
-  for i = Edgebuf.n eb - 1 downto 0 do
-    out :=
-      { src = Edgebuf.src eb i; dst = Edgebuf.dst eb i;
-        label = Edgebuf.label eb i; enc = Edgebuf.enc eb (Edgebuf.enc_id eb i) }
-      :: !out
-  done;
-  !out
-
-let write_file ?block_cap ~path (edges : raw_edge list) : int =
-  write_flat ?block_cap ~path (buf_of_edges edges)
-
-let read_file ~path : read_outcome =
-  let f = read_flat ~path in
-  { edges = edges_of_buf f.buf; bytes = f.bytes; corrupt = f.corrupt }
-
-(* Append [edges]; returns the serialized size of the appended edges.
-   A raw O_APPEND append is not crash-safe (a crash mid-append leaves a torn
-   tail whose later repair would silently drop any records appended behind
-   it), so appends read the current valid prefix and atomically rewrite the
-   whole file.  This costs a file-sized copy per append but makes appends
-   idempotent under retry, which checkpoint recovery relies on. *)
-let append_file ?block_cap ~path (edges : raw_edge list) : int =
-  let existing = read_flat ~path in
-  let before =
-    Buffer.length (flat_to_buffer ?block_cap existing.buf)
-  in
-  List.iter
-    (fun e ->
-      Edgebuf.push_edge existing.buf ~src:e.src ~dst:e.dst ~label:e.label e.enc)
-    edges;
-  let total = write_flat ?block_cap ~path existing.buf in
-  total - before
 
 let remove_file ~path = if Sys.file_exists path then Sys.remove path
 

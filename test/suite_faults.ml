@@ -27,13 +27,13 @@ let with_plan spec f =
   Faults.install (Faults.parse spec);
   Fun.protect ~finally:Faults.clear f
 
-let mk_edge ?(label = 0) src dst =
-  { Storage.src; dst; label;
-    enc = [ E.Interval { meth = 0; first = 0; last = src land 3 } ] }
+let mk_edge src dst =
+  (src, dst, 0, [ E.Interval { meth = 0; first = 0; last = src land 3 } ])
 
 let edges n = List.init n (fun i -> mk_edge i (i + 1))
 
-let read_edges path = (Storage.read_file ~path).Storage.edges
+let write_edges = Suite_engine.write_edges
+let read_edges = Suite_engine.read_edges
 
 (* ---------------- fault-plan parsing ---------------- *)
 
@@ -71,16 +71,16 @@ let test_read_truncated () =
   let all = edges 3 in
   (* block_cap=1: one pool block per encoding, one edge block per edge, so
      damage granularity in this test is a single edge *)
-  let bytes = Storage.write_file ~block_cap:1 ~path all in
+  let bytes = write_edges ~block_cap:1 ~path all in
   (* chop 2 bytes off the trailing edge block *)
   let contents = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_string oc (String.sub contents 0 (bytes - 2)));
-  let outcome = Storage.read_file ~path in
-  Alcotest.(check int) "valid prefix" 2 (List.length outcome.Storage.edges);
+  let back, corrupt = read_edges path in
+  Alcotest.(check int) "valid prefix" 2 (List.length back);
   Alcotest.(check bool) "prefix contents" true
-    (outcome.Storage.edges = [ List.nth all 0; List.nth all 1 ]);
-  (match outcome.Storage.corrupt with
+    (back = [ List.nth all 0; List.nth all 1 ]);
+  (match corrupt with
   | Some (Storage.Truncated _) -> ()
   | other ->
       Alcotest.failf "expected Truncated, got %s"
@@ -92,7 +92,7 @@ let test_read_corrupted () =
   let dir = fresh_workdir () in
   let path = Filename.concat dir "c.edges" in
   let all = edges 3 in
-  let _ = Storage.write_file ~block_cap:1 ~path all in
+  let _ = write_edges ~block_cap:1 ~path all in
   let contents = In_channel.with_open_bin path In_channel.input_all in
   (* the three distinct encodings and three edges give six records: pool
      blocks first, then edge blocks; flip one byte inside the *middle* edge
@@ -105,11 +105,10 @@ let test_read_corrupted () =
   Bytes.set bytes off (Char.chr (Char.code (Bytes.get bytes off) lxor 0xff));
   Out_channel.with_open_bin path (fun oc ->
       Out_channel.output_bytes oc bytes);
-  let outcome = Storage.read_file ~path in
-  Alcotest.(check int) "valid prefix" 1 (List.length outcome.Storage.edges);
-  Alcotest.(check bool) "prefix contents" true
-    (outcome.Storage.edges = [ List.hd all ]);
-  (match outcome.Storage.corrupt with
+  let back, corrupt = read_edges path in
+  Alcotest.(check int) "valid prefix" 1 (List.length back);
+  Alcotest.(check bool) "prefix contents" true (back = [ List.hd all ]);
+  (match corrupt with
   | Some (Storage.Checksum_mismatch o) ->
       Alcotest.(check int) "damage offset" target o
   | other ->
@@ -124,61 +123,41 @@ let test_crash_before_rename () =
   let dir = fresh_workdir () in
   let path = Filename.concat dir "a.edges" in
   let v1 = edges 2 in
-  let _ = Storage.write_file ~path v1 in
+  let _ = write_edges ~path v1 in
   (match
-     with_plan "crash-before-rename=1" (fun () ->
-         Storage.write_file ~path (edges 5))
+     with_plan "crash-before-rename=1" (fun () -> write_edges ~path (edges 5))
    with
   | _ -> Alcotest.fail "crash point did not fire"
   | exception Faults.Crash _ -> ());
-  let outcome = Storage.read_file ~path in
-  Alcotest.(check bool) "old contents intact" true (outcome.Storage.edges = v1);
-  Alcotest.(check bool) "no corruption" true (outcome.Storage.corrupt = None)
+  let back, corrupt = read_edges path in
+  Alcotest.(check bool) "old contents intact" true (back = v1);
+  Alcotest.(check bool) "no corruption" true (corrupt = None)
 
 let test_crash_after_rename () =
   let dir = fresh_workdir () in
   let path = Filename.concat dir "b.edges" in
-  let _ = Storage.write_file ~path (edges 2) in
+  let _ = write_edges ~path (edges 2) in
   let v2 = edges 5 in
-  (match
-     with_plan "crash-after-rename=1" (fun () -> Storage.write_file ~path v2)
-   with
+  (match with_plan "crash-after-rename=1" (fun () -> write_edges ~path v2) with
   | _ -> Alcotest.fail "crash point did not fire"
   | exception Faults.Crash _ -> ());
-  let outcome = Storage.read_file ~path in
-  Alcotest.(check bool) "new contents published" true
-    (outcome.Storage.edges = v2);
-  Alcotest.(check bool) "no corruption" true (outcome.Storage.corrupt = None)
+  let back, corrupt = read_edges path in
+  Alcotest.(check bool) "new contents published" true (back = v2);
+  Alcotest.(check bool) "no corruption" true (corrupt = None)
 
 let test_short_write_leaves_target () =
   let dir = fresh_workdir () in
   let path = Filename.concat dir "s.edges" in
   let v1 = edges 2 in
-  let _ = Storage.write_file ~path v1 in
-  (match
-     with_plan "short-write=1" (fun () -> Storage.write_file ~path (edges 6))
-   with
+  let _ = write_edges ~path v1 in
+  (match with_plan "short-write=1" (fun () -> write_edges ~path (edges 6)) with
   | _ -> Alcotest.fail "short write did not fire"
   | exception Faults.Injected _ -> ());
-  Alcotest.(check bool) "target untouched" true (read_edges path = v1);
+  Alcotest.(check bool) "target untouched" true (fst (read_edges path) = v1);
   (* the next clean write overwrites the garbage temp file *)
   let v3 = edges 4 in
-  let _ = Storage.write_file ~path v3 in
-  Alcotest.(check bool) "clean write wins" true (read_edges path = v3)
-
-let test_append_is_crash_safe () =
-  let dir = fresh_workdir () in
-  let path = Filename.concat dir "ap.edges" in
-  let _ = Storage.write_file ~path (edges 2) in
-  (match
-     with_plan "crash-before-rename=1" (fun () ->
-         Storage.append_file ~path [ mk_edge 10 11 ])
-   with
-  | _ -> Alcotest.fail "crash point did not fire"
-  | exception Faults.Crash _ -> ());
-  Alcotest.(check int) "append rolled back whole" 2 (List.length (read_edges path));
-  let _ = Storage.append_file ~path [ mk_edge 10 11 ] in
-  Alcotest.(check int) "retried append lands" 3 (List.length (read_edges path))
+  let _ = write_edges ~path v3 in
+  Alcotest.(check bool) "clean write wins" true (fst (read_edges path) = v3)
 
 (* ---------------- manifest ---------------- *)
 
@@ -187,11 +166,9 @@ let test_manifest_roundtrip () =
   let m =
     { Manifest.next_pid = 7; max_vertex = 123; n_seed_edges = 45;
       parts =
-        [ { Manifest.pid = 3; lo = 0; hi = 60; version = 2; approx_edges = 17;
-            file = "p0003.edges" };
-          { Manifest.pid = 5; lo = 60; hi = 124; version = 0; approx_edges = 8;
-            file = "p0005.edges" } ];
-      processed = [ ((3, 3), (2, 2, 17, 17)); ((3, 5), (1, 0, 17, 8)) ] }
+        [ { Manifest.pid = 3; lo = 0; hi = 60; file = "p0003.edges" };
+          { Manifest.pid = 5; lo = 60; hi = 124; file = "p0005.edges" } ];
+      processed = [ ((3, 3), (17, 17)); ((3, 5), (17, 8)) ] }
   in
   Manifest.save ~workdir m;
   (match Manifest.load ~workdir with
@@ -209,6 +186,16 @@ let test_manifest_roundtrip () =
       Out_channel.output_string oc damaged);
   Alcotest.(check bool) "damaged manifest rejected" true
     (Manifest.load ~workdir = None);
+  (* a format-2 manifest (per-partition versions and counts) fails
+     validation even under a valid checksum: the sub-run starts fresh *)
+  let v2 =
+    "grapple-manifest 2\nnext_pid 7\nmax_vertex 123\nn_seed_edges 45\n\
+     part 3 0 60 2 17 p0003.edges\ndone 3 3 2 2 17 17\n"
+  in
+  Out_channel.with_open_bin path (fun oc ->
+      Printf.fprintf oc "%send %d\n" v2 (Storage.checksum_string v2));
+  Alcotest.(check bool) "format-2 manifest rejected" true
+    (Manifest.load ~workdir = None);
   Alcotest.(check bool) "missing manifest" true
     (Manifest.load ~workdir:(fresh_workdir ()) = None)
 
@@ -216,9 +203,7 @@ let test_manifest_truncated_header () =
   let workdir = fresh_workdir () in
   let m =
     { Manifest.next_pid = 2; max_vertex = 9; n_seed_edges = 4;
-      parts =
-        [ { Manifest.pid = 0; lo = 0; hi = 10; version = 1; approx_edges = 4;
-            file = "p0000.edges" } ];
+      parts = [ { Manifest.pid = 0; lo = 0; hi = 10; file = "p0000.edges" } ];
       processed = [] }
   in
   Manifest.save ~workdir m;
@@ -337,6 +322,119 @@ let test_resume_missing_partition_runs_fresh () =
   Alcotest.(check bool) "fresh run after rejected restore is identical" true
     (facts t2 = expect);
   AEngine.cleanup t2
+
+(* ---------------- crash matrix over the count clock ---------------- *)
+
+(* Four initial partitions over vertices [0, 31): [0, 2), [2, 7), [7, 12)
+   and [12, 31).  The first pair, (p0, p0), derives FlowsTo(0, 30) from
+   New(0, 1) and Assign(1, 30); its mirror FlowsToBar(30, 0) is owned by
+   the unloaded last partition, so it is routed there.  The chain's alias
+   facts outgrow the 48-edge budget, so partitions split (six times, into
+   ten partitions). *)
+let matrix_config ~workdir =
+  { (Engine.default_config ~workdir) with
+    Engine.target_partitions = 4;
+    max_edges_per_partition = 48;
+    retry_base_ms = 0.01 }
+
+let matrix_engine workdir =
+  let t =
+    AEngine.create ~config:(matrix_config ~workdir) ~decode:true_decode
+      ~workdir ()
+  in
+  seed_chain t 15;
+  AEngine.add_seed t ~src:1 ~dst:30 ~label:Pg.Assign
+    ~enc:[ E.Interval { meth = 0; first = 0; last = 0 } ];
+  t
+
+let records_in_files workdir =
+  match Manifest.load ~workdir with
+  | None -> Alcotest.fail "no manifest after the run"
+  | Some m ->
+      List.fold_left
+        (fun n (p : Manifest.part) ->
+          let path = Filename.concat workdir p.Manifest.file in
+          n + Engine.Edgebuf.n (Storage.read_flat ~path).Storage.buf)
+        0 m.Manifest.parts
+
+(* Crash at every rename and checkpoint point of a run, then resume in a
+   fresh engine: the closure must equal the uninterrupted run's, and
+   [total_edges], which reads no file, must equal the records in the
+   files.  A crash between a pair's flushes and its routed appends leaves
+   edges on disk whose routed consequences (here, FlowsToBar mirrors) were
+   lost; the resumed run must dispatch them again. *)
+let test_crash_matrix_resume () =
+  let clean = matrix_engine (fresh_workdir ()) in
+  (* an empty plan counts the run's renames and checkpoints *)
+  let counter = Faults.make [] in
+  Faults.install counter;
+  Fun.protect ~finally:Faults.clear (fun () -> AEngine.run clean);
+  let expect = facts clean in
+  let m = AEngine.metrics clean in
+  Alcotest.(check bool) "at least 4 partitions" true
+    (AEngine.n_partitions clean >= 4);
+  Alcotest.(check bool) "a partition split" true
+    (Engine.Metrics.count m.Engine.Metrics.repartitions > 0);
+  AEngine.cleanup clean;
+  let points =
+    List.concat_map
+      (fun (kind, n) ->
+        List.init n (fun i -> Printf.sprintf "%s=%d" kind (i + 1)))
+      [ ("crash-before-rename", counter.Faults.n_renames);
+        ("crash-after-rename", counter.Faults.n_renames);
+        ("crash-checkpoint", counter.Faults.n_checkpoints) ]
+  in
+  List.iter
+    (fun spec ->
+      let workdir = fresh_workdir () in
+      (match with_plan spec (fun () -> AEngine.run (matrix_engine workdir)) with
+      | () -> Alcotest.failf "%s: the crash did not fire" spec
+      | exception Faults.Crash _ -> ());
+      let t = matrix_engine workdir in
+      AEngine.run ~resume:true t;
+      (* before [facts], which reads every partition *)
+      Alcotest.(check int)
+        (spec ^ ": total_edges counts the files")
+        (records_in_files workdir) (AEngine.total_edges t);
+      if facts t <> expect then Alcotest.failf "%s: closure differs" spec;
+      AEngine.cleanup t)
+    points
+
+(* A routed append reads its target through the one reader, so damage
+   there is counted like damage anywhere else.  The run crashes at its
+   first checkpoint (after preprocessing), the last partition loses its
+   tail, and the resumed run counts the damage twice: once when the
+   restore counts that file's records, once when the first pair routes
+   FlowsToBar(30, 0) into it. *)
+let test_routed_append_counts_damage () =
+  let workdir = fresh_workdir () in
+  (match
+     with_plan "crash-checkpoint=1" (fun () ->
+         AEngine.run (matrix_engine workdir))
+   with
+  | () -> Alcotest.fail "the crash did not fire"
+  | exception Faults.Crash _ -> ());
+  let parts =
+    match Manifest.load ~workdir with
+    | None -> Alcotest.fail "no manifest at the crash"
+    | Some m -> m.Manifest.parts
+  in
+  Alcotest.(check (list (pair int int))) "initial partitions"
+    [ (0, 2); (2, 7); (7, 12); (12, 31) ]
+    (List.map
+       (fun (p : Manifest.part) -> (p.Manifest.lo, p.Manifest.hi))
+       parts);
+  let last = List.nth parts 3 in
+  let path = Filename.concat workdir last.Manifest.file in
+  let contents = In_channel.with_open_bin path In_channel.input_all in
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.sub contents 0 (String.length contents - 2)));
+  let t = matrix_engine workdir in
+  AEngine.run ~resume:true t;
+  Alcotest.(check int) "restore and routed append both count the damage" 2
+    (Engine.Metrics.count (AEngine.metrics t).Engine.Metrics.corrupt_reads);
+  AEngine.cleanup t
 
 (* The edge budget is a strict bound: a run whose final closure is exactly
    the budget completes; one edge less trips [Budget_exhausted]; resuming
@@ -538,12 +636,15 @@ let suite =
     Alcotest.test_case "crash after rename" `Quick test_crash_after_rename;
     Alcotest.test_case "short write leaves target" `Quick
       test_short_write_leaves_target;
-    Alcotest.test_case "append crash safe" `Quick test_append_is_crash_safe;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "manifest truncated header" `Quick
       test_manifest_truncated_header;
     Alcotest.test_case "resume with missing partition runs fresh" `Quick
       test_resume_missing_partition_runs_fresh;
+    Alcotest.test_case "crash matrix resumes to the same closure" `Quick
+      test_crash_matrix_resume;
+    Alcotest.test_case "routed append counts damage" `Quick
+      test_routed_append_counts_damage;
     Alcotest.test_case "edge budget exact boundary" `Quick
       test_engine_budget_exact_boundary;
     Alcotest.test_case "engine identical under rate faults" `Quick

@@ -254,13 +254,14 @@ let run_subject ?(alias_prefilter = true) ~workers
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+      prefilter_properties = fsms;
       alias_prefilter;
       workers }
   in
-  let _prepared, props =
-    Grapple.Pipeline.check ~config ~workdir
-      subject.Workload.Generator.program fsms
+  let prepared =
+    Grapple.Pipeline.prepare ~config ~workdir subject.Workload.Generator.program
   in
+  let props, _schedule = Grapple.Pipeline.check_properties prepared fsms in
   report_sig (List.concat_map (fun pr -> pr.Grapple.Pipeline.reports) props)
 
 let test_differential_generated_subject () =

@@ -68,14 +68,17 @@ let gen_label =
 
 let gen_edge =
   QCheck.Gen.map3
-    (fun src dst (label, enc) -> { S.src; dst; label; enc })
+    (fun src dst (label, enc) -> (src, dst, label, enc))
     gen_vertex gen_vertex
     (QCheck.Gen.pair gen_label gen_enc)
 
-let pr_edge (e : S.raw_edge) =
-  Printf.sprintf "%d-%d->%d/%s" e.S.src e.S.label e.S.dst (E.to_string e.S.enc)
+let pr_edge (src, dst, label, enc) =
+  Printf.sprintf "%d-%d->%d/%s" src label dst (E.to_string enc)
 
 let pr_edges es = String.concat "; " (List.map pr_edge es)
+
+let write_edges = Suite_engine.write_edges
+let read_edges = Suite_engine.read_edges
 
 let prop_path =
   let dir = lazy (fresh_workdir ()) in
@@ -93,9 +96,9 @@ let prop_flat_roundtrip =
           (QCheck.Gen.list_size (QCheck.Gen.int_range 0 20) gen_edge)))
     (fun (cap, edges) ->
       let path = prop_path () in
-      let (_ : int) = S.write_file ~block_cap:cap ~path edges in
-      let out = S.read_file ~path in
-      out.S.corrupt = None && out.S.edges = edges)
+      let (_ : int) = write_edges ~block_cap:cap ~path edges in
+      let back, corrupt = read_edges path in
+      corrupt = None && back = edges)
 
 let rec is_prefix shorter longer =
   match (shorter, longer) with
@@ -116,17 +119,16 @@ let prop_flat_torn_tail =
           (QCheck.Gen.int_bound 1_000_000)))
     (fun (cap, edges, cut) ->
       let path = prop_path () in
-      let (_ : int) = S.write_file ~block_cap:cap ~path edges in
+      let (_ : int) = write_edges ~block_cap:cap ~path edges in
       let bytes = read_bytes path in
       let len = String.length bytes in
       let k = 1 + (cut mod (len - 1)) in
       let oc = open_out_bin path in
       output_string oc (String.sub bytes 0 (len - k));
       close_out oc;
-      let out = S.read_file ~path in
-      is_prefix out.S.edges edges
-      && (out.S.corrupt <> None
-         || List.length out.S.edges < List.length edges))
+      let back, corrupt = read_edges path in
+      is_prefix back edges
+      && (corrupt <> None || List.length back < List.length edges))
 
 let test_flat_extreme_fields () =
   let dir = fresh_workdir () in
@@ -134,14 +136,14 @@ let test_flat_extreme_fields () =
   let wide = (1 lsl 58) - 1 in
   let iv = [ E.Interval { meth = 0; first = 0; last = 0 } ] in
   let edges =
-    [ { S.src = max_int; dst = 0; label = Pg.to_int (Pg.Store wide); enc = iv };
-      { S.src = 0; dst = max_int; label = Pg.to_int (Pg.Load wide); enc = [] };
-      { S.src = 1; dst = 2; label = max_int; enc = [ E.Call 3 ] } ]
+    [ (max_int, 0, Pg.to_int (Pg.Store wide), iv);
+      (0, max_int, Pg.to_int (Pg.Load wide), []);
+      (1, 2, max_int, [ E.Call 3 ]) ]
   in
-  let (_ : int) = S.write_file ~path edges in
-  let out = S.read_file ~path in
-  Alcotest.(check bool) "intact" true (out.S.corrupt = None);
-  Alcotest.(check bool) "identical" true (out.S.edges = edges);
+  let (_ : int) = write_edges ~path edges in
+  let back, corrupt = read_edges path in
+  Alcotest.(check bool) "intact" true (corrupt = None);
+  Alcotest.(check bool) "identical" true (back = edges);
   (* the label codec itself must also survive the width *)
   List.iter
     (fun l ->
