@@ -1,4 +1,4 @@
-(* Escape/relevance pre-filter for FSM-tracked allocations (ISSUE 1).
+(* Escape pre-filter for FSM-tracked allocations.
 
    The phase-1/2 closures dominate pipeline cost, and they are only needed
    for objects whose typestate genuinely depends on aliasing or on
@@ -6,11 +6,11 @@
    escapes its method — never stored to a field, never passed as a call
    argument, never returned, never aliased into another local — has a
    typestate determined entirely by the instance calls on that one variable
-   inside that one method.  For such allocations we enumerate the method's
-   (loop-free, post-unroll) paths once, collect the event sequence and the
-   path condition of each, and let the pipeline run the FSM directly over
-   those sequences instead of shipping the object into the alias and
-   dataflow graphs.
+   inside that one method.  For such allocations we read the method's paths
+   off its CFET — every normal leaf below the allocation, with the
+   variable's calls along the way and the leaf's path constraint — and let
+   the pipeline run the FSM directly over those sequences instead of
+   shipping the object into the alias and dataflow graphs.
 
    Qualification is deliberately strict; anything the quick syntactic
    argument cannot justify stays on the engine path:
@@ -21,30 +21,26 @@
      the exceptional side of the CFET's may-throw divergence is a leaf that
      never reaches a normal exit (the engine reports leaks at normal exits
      only) and observes the event on the non-throwing side only, so the
-     normal-path projection the enumerator walks sees exactly the event
-     sequences the engine would;
+     normal leaves carry exactly the event sequences the engine would see;
    - the variable has exactly one definition: the candidate [Rnew];
    - the variable never occurs in an expression, as a call argument, as a
      store source or target, as a load base, in a return, or as the
      receiver of a call to a *defined* method (receivers of library calls
      are the FSM events and are allowed);
-   - the method's path count stays under a small cap.
+   - the method has at most [max_paths] normal leaves.
 
-   Path conditions reuse the CFET's symbolic vocabulary ([Symexec.Symenv])
-   so feasibility decisions agree with the engine: an infeasible local path
-   is discarded by the same SMT check the closure would have applied. *)
+   Path constraints are the CFET's own, so feasibility decisions agree with
+   the engine: an infeasible local path is discarded by the same SMT check
+   the closure would have applied. *)
 
-module Symenv = Symexec.Symenv
-module Linexpr = Smt.Linexpr
-module Formula = Smt.Formula
+module Cfet = Symexec.Cfet
 
 type path = {
-  events : (string * Jir.Ast.stmt) list;
-      (* library calls on the variable, in order: raw called-method name
-         and the call statement.  The pipeline re-resolves each statement
-         against the property's event matcher at replay time, so one
-         enumeration serves every FSM (name-matching or declared). *)
-  cond : Formula.t;                       (* conjunction of branch constraints *)
+  events : Jir.Ast.stmt list;
+      (* the variable's calls after the allocation, in order.  The pipeline
+         resolves each against the property's event matcher at replay time,
+         so one path list serves every FSM (name-matching or declared). *)
+  cond : Smt.Formula.t;  (* the leaf's path constraint *)
 }
 
 type resolved = {
@@ -61,35 +57,21 @@ let max_paths = 512
 
 (* ---------------- qualification ---------------- *)
 
-let rec block_stmts (b : Jir.Ast.block) : Jir.Ast.stmt list =
-  List.concat_map
-    (fun (s : Jir.Ast.stmt) ->
-      s
-      ::
-      (match s.Jir.Ast.kind with
-      | Jir.Ast.If (_, t, f) -> block_stmts t @ block_stmts f
-      | Jir.Ast.While (_, b) -> block_stmts b
-      | Jir.Ast.Try (b, cs) ->
-          block_stmts b
-          @ List.concat_map (fun c -> block_stmts c.Jir.Ast.handler) cs
-      | _ -> []))
-    b
-
-(* The method shape the path enumerator understands: straight-line code and
-   If-trees, with no handlers and no local throws. *)
+(* The method shape whose normal leaves are its local paths: straight-line
+   code and If-trees, with no handlers and no local throws. *)
 let method_qualifies (m : Jir.Ast.meth) =
   List.for_all
     (fun (s : Jir.Ast.stmt) ->
       match s.Jir.Ast.kind with
       | Jir.Ast.While _ | Jir.Ast.Try _ | Jir.Ast.Throw _ -> false
       | _ -> true)
-    (block_stmts m.Jir.Ast.body)
+    (Jir.Ast.block_stmts m.Jir.Ast.body)
 
 let expr_mentions v e = List.mem v (Jir.Ast.expr_vars e)
 let cond_mentions v c = List.mem v (Jir.Ast.cond_vars c)
 
 (* Would [s] let the reference in [v] escape (or alias) beyond the events
-   the enumerator sees?  [defined] answers whether a call target is a
+   its paths record?  [defined] answers whether a call target is a
    program method. *)
 let stmt_disqualifies ~defined v (s : Jir.Ast.stmt) =
   let call_bad (c : Jir.Ast.call) =
@@ -118,90 +100,57 @@ let defs_of v (s : Jir.Ast.stmt) =
   | Jir.Ast.Decl (_, x, Some _) | Jir.Ast.Assign (x, _) -> x = v
   | _ -> false
 
-(* ---------------- path enumeration ---------------- *)
+(* ---------------- local paths ---------------- *)
 
-exception Too_many_paths
+let is_call_on v (s : Jir.Ast.stmt) =
+  match s.Jir.Ast.kind with
+  | Jir.Ast.Expr c
+  | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
+  | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
+      c.Jir.Ast.recv = Some v
+  | _ -> false
 
-type state = {
-  env : Symenv.t;
-  conds : Formula.t list;
-  seen : bool;                            (* past the allocation *)
-  events : (string * Jir.Ast.stmt) list;  (* reverse order *)
-}
+let is_normal_leaf cfet id =
+  match (Cfet.node cfet id).Cfet.exit with
+  | Some (Cfet.Normal _) -> true
+  | Some (Cfet.Exceptional _) | None -> false
 
-(* Enumerate every complete path of [m], mirroring the env updates of
-   [Cfet.build] so branch constraints match the engine's.  Only paths that
-   execute the allocation [sid] are returned. *)
-let enumerate ~defined ~meth_id ~alloc_sid ~var (m : Jir.Ast.meth) :
-    path list =
-  let out = ref [] and count = ref 0 in
-  let finish (st : state) =
-    incr count;
-    if !count > max_paths then raise Too_many_paths;
-    if st.seen then
-      out :=
-        { events = List.rev st.events;
-          cond =
-            List.fold_left (fun acc f -> Formula.and_ acc f) Formula.True
-              (List.rev st.conds) }
-        :: !out
-  in
-  let event (c : Jir.Ast.call) st s =
-    match c.Jir.Ast.recv with
-    | Some r
-      when r = var && st.seen
-           && not
-                (defined ~cls:c.Jir.Ast.target_class ~meth:c.Jir.Ast.mname) ->
-        { st with events = (c.Jir.Ast.mname, s) :: st.events }
-    | _ -> st
-  in
-  let rec block b st k =
-    match b with
-    | [] -> k st
-    | s :: tl -> stmt s st (fun st -> block tl st k)
-  and stmt (s : Jir.Ast.stmt) st k =
-    let unknown x =
-      Linexpr.var (Symenv.unknown_symbol ~meth_id x ~sid:s.Jir.Ast.sid)
+(* Every normal leaf of [cfet] whose path runs the allocation [sid], with
+   [var]'s calls after it.  The walk takes the true child (2n+2) first and
+   conses each path, so the list is in reverse walk order; empty when the
+   method has more than [max_paths] normal leaves. *)
+let local_paths (cfet : Cfet.t) ~sid ~var : path list =
+  let rec walk id seen events acc =
+    let n = Cfet.node cfet id in
+    let seen, events =
+      List.fold_left
+        (fun (seen, events) (s : Jir.Ast.stmt) ->
+          if s.Jir.Ast.sid = sid then (true, events)
+          else if seen && is_call_on var s then (seen, s :: events)
+          else (seen, events))
+        (seen, events) n.Cfet.stmts
     in
-    match s.Jir.Ast.kind with
-    | Jir.Ast.Store _ | Jir.Ast.Decl (_, _, None) -> k st
-    | Jir.Ast.Decl (_, x, Some r) | Jir.Ast.Assign (x, r) -> (
-        match r with
-        | Jir.Ast.Rexpr e ->
-            k { st with env = Symenv.bind st.env x (Symenv.eval st.env ~meth_id e) }
-        | Jir.Ast.Rnull -> k st
-        | Jir.Ast.Rload _ -> k { st with env = Symenv.bind st.env x (unknown x) }
-        | Jir.Ast.Rnew _ ->
-            let st =
-              if s.Jir.Ast.sid = alloc_sid then { st with seen = true } else st
-            in
-            k { st with env = Symenv.bind st.env x (unknown x) }
-        | Jir.Ast.Rcall c ->
-            let st = event c st s in
-            k { st with env = Symenv.bind st.env x (unknown x) })
-    | Jir.Ast.Expr c -> k (event c st s)
-    | Jir.Ast.Return _ -> finish st
-    | Jir.Ast.If (c, t, f) ->
-        let ct = Symenv.eval_cond st.env ~meth_id c in
-        block t { st with conds = ct :: st.conds } k;
-        block f { st with conds = Formula.not_ ct :: st.conds } k
-    | Jir.Ast.While _ | Jir.Ast.Try _ | Jir.Ast.Throw _ ->
-        (* ruled out by [method_qualifies] *)
-        assert false
+    match (n.Cfet.t_child, n.Cfet.f_child, n.Cfet.exit) with
+    | Some t, Some f, _ -> walk f seen events (walk t seen events acc)
+    | _, _, Some (Cfet.Normal _) when seen ->
+        { events = List.rev events;
+          cond = Cfet.path_constraint cfet ~first:0 ~last:id }
+        :: acc
+    | _ -> acc (* an exceptional leaf, or a path that skips the alloc *)
   in
-  (try
-     block m.Jir.Ast.body
-       { env = Symenv.init_for_method m; conds = []; seen = false; events = [] }
-       finish
-   with Too_many_paths -> out := []);
-  !out
+  if List.length (List.filter (is_normal_leaf cfet) cfet.Cfet.leaves)
+     > max_paths
+  then []
+  else walk 0 false [] []
 
 (* ---------------- driver ---------------- *)
 
-(* [analyze ~tracked program] over the *unrolled* program: every allocation
-   of a tracked class that provably stays local to its method, with its
-   per-path event sequences and path conditions. *)
-let analyze ~tracked (program : Jir.Ast.program) : resolved list =
+(* [analyze ~tracked ~cfet program] over the *unrolled* program: every
+   allocation of a tracked class that provably stays local to its method,
+   with its local paths.  [cfet] looks a method's CFET up by method id; it
+   is consulted only for allocations that qualify. *)
+let analyze ~tracked ~(cfet : string -> Cfet.t) (program : Jir.Ast.program)
+    : resolved list =
   let idx = Jir.Ast.index program in
   let defined ~cls ~meth = Jir.Ast.find_method_idx idx ~cls ~meth <> None in
   Jir.Ast.all_methods program
@@ -209,30 +158,22 @@ let analyze ~tracked (program : Jir.Ast.program) : resolved list =
          if not (method_qualifies m) then []
          else
            let meth_id = Jir.Ast.meth_id m in
-           let stmts = block_stmts m.Jir.Ast.body in
+           let stmts = Jir.Ast.block_stmts m.Jir.Ast.body in
            stmts
            |> List.filter_map (fun (s : Jir.Ast.stmt) ->
                   match s.Jir.Ast.kind with
                   | Jir.Ast.Decl (_, v, Some (Jir.Ast.Rnew (cls, _)))
-                    when tracked cls ->
-                      let n_defs =
-                        List.length (List.filter (defs_of v) stmts)
-                      in
-                      if
-                        n_defs = 1
-                        && not
-                             (List.exists
-                                (stmt_disqualifies ~defined v)
-                                stmts)
-                      then
-                        match
-                          enumerate ~defined ~meth_id ~alloc_sid:s.Jir.Ast.sid
-                            ~var:v m
-                        with
-                        | [] -> None  (* blown path cap or alloc never runs *)
-                        | paths ->
-                            Some
-                              { meth_id; meth = m; cls; sid = s.Jir.Ast.sid;
-                                var = v; at = s.Jir.Ast.at; paths }
-                      else None
+                    when tracked cls
+                         && List.length (List.filter (defs_of v) stmts) = 1
+                         && not
+                              (List.exists (stmt_disqualifies ~defined v)
+                                 stmts) -> (
+                      match
+                        local_paths (cfet meth_id) ~sid:s.Jir.Ast.sid ~var:v
+                      with
+                      | [] -> None (* over the path cap, or alloc never runs *)
+                      | paths ->
+                          Some
+                            { meth_id; meth = m; cls; sid = s.Jir.Ast.sid;
+                              var = v; at = s.Jir.Ast.at; paths })
                   | _ -> None))

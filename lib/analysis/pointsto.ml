@@ -273,20 +273,6 @@ let solve t =
 
 (* ---------------- constraint generation ---------------- *)
 
-let rec iter_block f (b : Jir.Ast.block) = List.iter (iter_stmt f) b
-
-and iter_stmt f (s : Jir.Ast.stmt) =
-  f s;
-  match s.Jir.Ast.kind with
-  | Jir.Ast.If (_, th, el) ->
-      iter_block f th;
-      iter_block f el
-  | Jir.Ast.While (_, b) -> iter_block f b
-  | Jir.Ast.Try (b, catches) ->
-      iter_block f b;
-      List.iter (fun c -> iter_block f c.Jir.Ast.handler) catches
-  | _ -> ()
-
 let record_alloc t ~sid ~cls ~at ~mid =
   if not (Hashtbl.mem t.allocs sid) then
     Hashtbl.add t.allocs sid { o_sid = sid; o_cls = cls; o_at = at; o_meth = mid }
@@ -381,7 +367,7 @@ let analyze ?(track_null = false) (program : Jir.Ast.program) : t =
   List.iter
     (fun (m : Jir.Ast.meth) ->
       let mid = Jir.Ast.meth_id m in
-      iter_block (gen_stmt t ~mid) m.Jir.Ast.body)
+      List.iter (gen_stmt t ~mid) (Jir.Ast.block_stmts m.Jir.Ast.body))
     (Jir.Ast.all_methods program);
   (* static copy cycles (recursion) collapse before the first propagation *)
   collapse t;
@@ -439,15 +425,20 @@ let render t =
 
 (* ---------------- the alias pre-filter ---------------- *)
 
+(* Does call [c] leave the program (its target is no program method)? *)
+let library t (c : Jir.Ast.call) =
+  Jir.Ast.find_method_idx t.idx ~cls:c.Jir.Ast.target_class
+    ~meth:c.Jir.Ast.mname
+  = None
+
 (* Allocations the checking pipeline may drop before building graphs,
    proven unreportable for every FSM in [fsms] that tracks their class:
 
    - the FSM-state closure of the object's whole event alphabet — every
-     event any library call / store / return statement the object can
-     reach could fire, mirroring {!Dataflow_graph.stmt_event} — stays
-     accepting and never touches the error state.  Order-free closure over
-     the alphabet over-approximates every feasible event sequence, so no
-     error report and no leak report is possible;
+     event ({!Fsm.stmt_event}) any statement the object can reach could
+     fire — stays accepting and never touches the error state.  Order-free
+     closure over the alphabet over-approximates every feasible event
+     sequence, so no error report and no leak report is possible;
    - the object never flows into the base of a [Store]: a store-base
      object is the potential mediator of a store[f]/alias/load[f] chain,
      and removing its New edge could change *other* objects' flows.
@@ -462,6 +453,7 @@ let prunable_sids (t : t) ~(fsms : Fsm.t list) : int list =
     (* per-FSM event alphabet per allocation *)
     let events = Array.init n_fsms (fun _ -> Hashtbl.create 64) in
     let store_mediators = ref IS.empty in
+    let library = library t in
     let add_events i node ev =
       IS.iter
         (fun sid ->
@@ -471,51 +463,23 @@ let prunable_sids (t : t) ~(fsms : Fsm.t list) : int list =
           Hashtbl.replace events.(i) sid (SS.add ev cur))
         (pts_node t node)
     in
-    let on_call ~mid ~(m : Jir.Ast.meth) (c : Jir.Ast.call) =
-      let defined =
-        Jir.Ast.find_method_idx t.idx ~cls:c.Jir.Ast.target_class
-          ~meth:c.Jir.Ast.mname
-        <> None
-      in
-      if not defined then
-        match c.Jir.Ast.recv with
-        | None -> ()
-        | Some r ->
-            Array.iteri
-              (fun i fsm ->
-                match Fsm.call_event fsm ~meth:m c with
-                | Some ev -> add_events i (var_nd t mid r) ev
-                | None -> ())
-              fsms
-    in
     List.iter
       (fun (m : Jir.Ast.meth) ->
         let mid = Jir.Ast.meth_id m in
-        iter_block
+        List.iter
           (fun (s : Jir.Ast.stmt) ->
-            match s.Jir.Ast.kind with
-            | Jir.Ast.Expr c
-            | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
-            | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
-                on_call ~mid ~m c
-            | Jir.Ast.Store (x, _, y) ->
+            (match s.Jir.Ast.kind with
+            | Jir.Ast.Store (x, _, _) ->
                 store_mediators :=
-                  IS.union !store_mediators (pts_node t (var_nd t mid x));
-                Array.iteri
-                  (fun i fsm ->
-                    match Fsm.store_event fsm ~meth:m ~src:y with
-                    | Some ev -> add_events i (var_nd t mid y) ev
-                    | None -> ())
-                  fsms
-            | Jir.Ast.Return (Some (Jir.Ast.Var r)) ->
-                Array.iteri
-                  (fun i fsm ->
-                    match Fsm.return_event fsm ~meth:m r with
-                    | Some ev -> add_events i (var_nd t mid r) ev
-                    | None -> ())
-                  fsms
-            | _ -> ())
-          m.Jir.Ast.body)
+                  IS.union !store_mediators (pts_node t (var_nd t mid x))
+            | _ -> ());
+            Array.iteri
+              (fun i fsm ->
+                match Fsm.stmt_event fsm ~library ~meth:m s with
+                | Some (v, ev) -> add_events i (var_nd t mid v) ev
+                | None -> ())
+              fsms)
+          (Jir.Ast.block_stmts m.Jir.Ast.body))
       (Jir.Ast.all_methods t.program);
     (* reachable-state closure of one object's alphabet under one FSM *)
     let closure_ok (fsm : Fsm.t) evs =
@@ -563,21 +527,21 @@ let never_read_diags (t : t) : Lint.diag list =
   List.iter
     (fun (m : Jir.Ast.meth) ->
       let mid = Jir.Ast.meth_id m in
-      iter_block
+      List.iter
         (fun (s : Jir.Ast.stmt) ->
           match s.Jir.Ast.kind with
           | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rload (y, f)))
           | Jir.Ast.Assign (_, Jir.Ast.Rload (y, f)) ->
               loads := (f, pts_node t (var_nd t mid y)) :: !loads
           | _ -> ())
-        m.Jir.Ast.body)
+        (Jir.Ast.block_stmts m.Jir.Ast.body))
     (Jir.Ast.all_methods t.program);
   let loads = !loads in
   let diags = ref [] in
   List.iter
     (fun (m : Jir.Ast.meth) ->
       let mid = Jir.Ast.meth_id m in
-      iter_block
+      List.iter
         (fun (s : Jir.Ast.stmt) ->
           match s.Jir.Ast.kind with
           | Jir.Ast.Store (x, f, y) ->
@@ -600,7 +564,7 @@ let never_read_diags (t : t) : Lint.diag list =
                        f)
                   :: !diags
           | _ -> ())
-        m.Jir.Ast.body)
+        (Jir.Ast.block_stmts m.Jir.Ast.body))
     (Jir.Ast.all_methods t.program);
   List.sort_uniq compare !diags
 
@@ -623,31 +587,26 @@ let confused_sink_diags ?(sources = [ "UserInput" ])
     List.iter
       (fun (m : Jir.Ast.meth) ->
         let mid = Jir.Ast.meth_id m in
-        iter_block
+        List.iter
           (fun (s : Jir.Ast.stmt) ->
             match s.Jir.Ast.kind with
             | Jir.Ast.Store (_, _, y) ->
                 stored := IS.union !stored (pts_node t (var_nd t mid y))
             | _ -> ())
-          m.Jir.Ast.body)
+          (Jir.Ast.block_stmts m.Jir.Ast.body))
       (Jir.Ast.all_methods t.program);
     let diags = ref [] in
     List.iter
       (fun (m : Jir.Ast.meth) ->
         let mid = Jir.Ast.meth_id m in
-        iter_block
+        List.iter
           (fun (s : Jir.Ast.stmt) ->
             match s.Jir.Ast.kind with
             | Jir.Ast.Expr c
             | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
             | Jir.Ast.Assign (_, Jir.Ast.Rcall c) -> (
-                let library =
-                  Jir.Ast.find_method_idx t.idx ~cls:c.Jir.Ast.target_class
-                    ~meth:c.Jir.Ast.mname
-                  = None
-                in
                 match c.Jir.Ast.recv with
-                | Some r when library && List.mem c.Jir.Ast.mname sinks -> (
+                | Some r when library t c && List.mem c.Jir.Ast.mname sinks -> (
                     let reaching =
                       IS.inter !stored (pts_node t (var_nd t mid r))
                     in
@@ -672,7 +631,7 @@ let confused_sink_diags ?(sources = [ "UserInput" ])
                           :: !diags)
                 | _ -> ())
             | _ -> ())
-          m.Jir.Ast.body)
+          (Jir.Ast.block_stmts m.Jir.Ast.body))
       (Jir.Ast.all_methods t.program);
     List.sort_uniq compare !diags
   end

@@ -58,26 +58,19 @@ type alloc_site = {
 
 let alloc_sites (p : Jir.Ast.program) : (int, alloc_site) Hashtbl.t =
   let table = Hashtbl.create 64 in
-  let rec block mid (b : Jir.Ast.block) = List.iter (stmt mid) b
-  and stmt mid (s : Jir.Ast.stmt) =
-    match s.Jir.Ast.kind with
-    | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rnew (cls, _)))
-    | Jir.Ast.Assign (_, Jir.Ast.Rnew (cls, _)) ->
-        Hashtbl.replace table s.Jir.Ast.sid
-          { a_sid = s.Jir.Ast.sid; a_cls = cls; a_at = s.Jir.Ast.at;
-            a_meth = mid }
-    | Jir.Ast.If (_, t, f) ->
-        block mid t;
-        block mid f
-    | Jir.Ast.While (_, b) -> block mid b
-    | Jir.Ast.Try (b, catches) ->
-        block mid b;
-        List.iter (fun (c : Jir.Ast.catch) -> block mid c.Jir.Ast.handler)
-          catches
-    | _ -> ()
-  in
   List.iter
-    (fun (m : Jir.Ast.meth) -> block (Jir.Ast.meth_id m) m.Jir.Ast.body)
+    (fun (m : Jir.Ast.meth) ->
+      let mid = Jir.Ast.meth_id m in
+      List.iter
+        (fun (s : Jir.Ast.stmt) ->
+          match s.Jir.Ast.kind with
+          | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rnew (cls, _)))
+          | Jir.Ast.Assign (_, Jir.Ast.Rnew (cls, _)) ->
+              Hashtbl.replace table s.Jir.Ast.sid
+                { a_sid = s.Jir.Ast.sid; a_cls = cls; a_at = s.Jir.Ast.at;
+                  a_meth = mid }
+          | _ -> ())
+        (Jir.Ast.block_stmts m.Jir.Ast.body))
     (Jir.Ast.all_methods p);
   table
 

@@ -104,11 +104,9 @@ let run_all_scheduled (p : Pipeline.prepared) (cs : t list) :
         | `Typestate _ -> (
             match props with
             | (pr : Pipeline.property_result) :: tl ->
-                (c.name, Report.dedup_exact pr.Pipeline.reports)
-                :: assemble rest tl
+                (c.name, pr.Pipeline.reports) :: assemble rest tl
             | [] -> assert false)
         | `Exception_walk opts ->
-            (c.name, Report.dedup_exact (exception_walk opts p))
-            :: assemble rest props)
+            (c.name, exception_walk opts p) :: assemble rest props)
   in
   (assemble cs props, props, schedule)

@@ -265,33 +265,18 @@ let retry_ladder (config : config) ~(acct : acct) ~resume ~create ~op_retries
    reports. *)
 let tracked_alloc_sids (program : Jir.Ast.program) (fsms : Fsm.t list)
     ~excluded : int list =
-  let out = ref [] in
   let tracked cls = List.exists (fun f -> Fsm.is_tracked f cls) fsms in
-  let alloc (s : Jir.Ast.stmt) r =
-    match r with
-    | Jir.Ast.Rnew (cls, _) when tracked cls ->
-        if not (Hashtbl.mem excluded s.Jir.Ast.sid) then
-          out := s.Jir.Ast.sid :: !out
-    | _ -> ()
-  in
-  let rec stmt (s : Jir.Ast.stmt) =
-    match s.Jir.Ast.kind with
-    | Jir.Ast.Decl (_, _, Some r) | Jir.Ast.Assign (_, r) -> alloc s r
-    | Jir.Ast.If (_, b1, b2) ->
-        List.iter stmt b1;
-        List.iter stmt b2
-    | Jir.Ast.While (_, b) -> List.iter stmt b
-    | Jir.Ast.Try (b, cs) ->
-        List.iter stmt b;
-        List.iter
-          (fun (c : Jir.Ast.catch) -> List.iter stmt c.Jir.Ast.handler)
-          cs
-    | _ -> ()
-  in
-  List.iter
-    (fun (m : Jir.Ast.meth) -> List.iter stmt m.Jir.Ast.body)
-    (Jir.Ast.all_methods program);
-  List.sort compare !out
+  Jir.Ast.all_methods program
+  |> List.concat_map (fun (m : Jir.Ast.meth) ->
+         Jir.Ast.block_stmts m.Jir.Ast.body)
+  |> List.filter_map (fun (s : Jir.Ast.stmt) ->
+         match s.Jir.Ast.kind with
+         | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rnew (cls, _)))
+         | Jir.Ast.Assign (_, Jir.Ast.Rnew (cls, _))
+           when tracked cls && not (Hashtbl.mem excluded s.Jir.Ast.sid) ->
+             Some s.Jir.Ast.sid
+         | _ -> None)
+  |> List.sort compare
 
 let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
     prepared =
@@ -338,7 +323,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
               (fun f -> Fsm.is_tracked f cls)
               config.prefilter_properties
           in
-          Escape.analyze ~tracked program
+          Escape.analyze ~tracked program ~cfet:(fun id ->
+              Option.get (Icfet.cfet_of_meth icfet id))
         else [])
   in
   let excluded = Hashtbl.create 16 in
@@ -565,16 +551,10 @@ let witness_of_constraint (f : Smt.Formula.t) : (string * int) list =
    check: qualified methods have no exceptional exits, so every complete
    path ends in a normal return. *)
 let prefiltered_reports (fsm : Fsm.t) (r : Escape.resolved) : Report.t list =
-  (* the enumerator recorded the raw call statements; resolve each against
-     this property's event matcher so declared patterns and guards agree
-     with the graph builder *)
-  let call_of_stmt (s : Jir.Ast.stmt) =
-    match s.Jir.Ast.kind with
-    | Jir.Ast.Expr c
-    | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
-    | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
-        Some c
-    | _ -> None
+  (* every recorded statement is a library call on the variable:
+     qualification rejects calls on it to program methods *)
+  let event s =
+    Fsm.stmt_event fsm ~library:(fun _ -> true) ~meth:r.Escape.meth s
   in
   List.concat_map
     (fun (path : Escape.path) ->
@@ -583,13 +563,10 @@ let prefiltered_reports (fsm : Fsm.t) (r : Escape.resolved) : Report.t list =
       | Smt.Solver.Sat | Smt.Solver.Unknown ->
           let state, error_site =
             List.fold_left
-              (fun (st, site) (_, (s : Jir.Ast.stmt)) ->
-                match
-                  Option.bind (call_of_stmt s)
-                    (Fsm.call_event fsm ~meth:r.Escape.meth)
-                with
+              (fun (st, site) (s : Jir.Ast.stmt) ->
+                match event s with
                 | None -> (st, site)
-                | Some ev ->
+                | Some (_, ev) ->
                     let st' = Fsm.step fsm st ev in
                     if site = None && st' = fsm.Fsm.error then
                       (st', Some s.Jir.Ast.at)

@@ -68,26 +68,6 @@ let dedup (reports : t list) : t list =
       end)
     reports
 
-(* Exact deduplication: drop later copies of warnings that are
-   indistinguishable to the user — same checker, same site, same rendered
-   message.  [dedup] already collapses one defect found along several
-   paths; this pass additionally collapses the same fully-rendered warning
-   emitted once per witness path (possible when several checkers or a
-   product property replay the same statement).  First occurrence wins, so
-   report order is unchanged and the pass is a no-op whenever all warnings
-   are distinct. *)
-let dedup_exact (reports : t list) : t list =
-  let seen = Hashtbl.create 64 in
-  List.filter
-    (fun r ->
-      let k = (r.checker, r.site, kind_to_string r.kind, r.cls, r.alloc_at) in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    reports
-
 let pp ppf (r : t) =
   match r.kind with
   | Inconclusive _ ->

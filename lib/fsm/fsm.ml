@@ -171,28 +171,15 @@ let is_event (t : t) event = List.mem event t.events
 (* ------------------------------------------------------------------ *)
 (* Event matching.                                                     *)
 (*                                                                     *)
-(* Three analyses detect events independently — the dataflow graph     *)
-(* builder, the summary pre-analysis, and the escape pre-filter — and  *)
-(* their answers must agree statement by statement or the pre-filters  *)
-(* become unsound.  Everything here is therefore a pure syntactic      *)
-(* function of (statement, enclosing method).  The caller is           *)
-(* responsible for the "library call" test (call target not defined in *)
-(* the program); the matcher only resolves pattern and guards.         *)
+(* [stmt_event] is the one answer to "which event does this statement  *)
+(* fire": the dataflow graph builder, the points-to pre-filter and the  *)
+(* escape replay all call it, and the summary pre-analysis resolves    *)
+(* through the same [call_event]/[store_event]/[return_event].  Their   *)
+(* answers must agree statement by statement or the pre-filters become *)
+(* unsound, so everything here is a pure syntactic function of          *)
+(* (statement, enclosing method).  The caller supplies the "library     *)
+(* call" test (call target not defined in the program).                 *)
 (* ------------------------------------------------------------------ *)
-
-let rec block_stmts (b : Jir.Ast.block) : Jir.Ast.stmt list =
-  List.concat_map
-    (fun (s : Jir.Ast.stmt) ->
-      s
-      ::
-      (match s.Jir.Ast.kind with
-      | Jir.Ast.If (_, th, el) -> block_stmts th @ block_stmts el
-      | Jir.Ast.While (_, b) -> block_stmts b
-      | Jir.Ast.Try (b, cs) ->
-          block_stmts b
-          @ List.concat_map (fun c -> block_stmts c.Jir.Ast.handler) cs
-      | _ -> []))
-    b
 
 (* Does [var] receive a null assignment anywhere in the method? *)
 let has_null_def (m : Jir.Ast.meth) (var : Jir.Ast.var) =
@@ -202,7 +189,7 @@ let has_null_def (m : Jir.Ast.meth) (var : Jir.Ast.var) =
       | Jir.Ast.Decl (_, x, Some Jir.Ast.Rnull) | Jir.Ast.Assign (x, Jir.Ast.Rnull) ->
           x = var
       | _ -> false)
-    (block_stmts m.Jir.Ast.body)
+    (Jir.Ast.block_stmts m.Jir.Ast.body)
 
 (* Is [var] stored to a field, passed as a call argument, or returned
    anywhere in the method? *)
@@ -221,7 +208,7 @@ let escapes_method (m : Jir.Ast.meth) (var : Jir.Ast.var) =
           | _ -> false)
       | Jir.Ast.Return (Some e) -> in_expr e
       | _ -> false)
-    (block_stmts m.Jir.Ast.body)
+    (Jir.Ast.block_stmts m.Jir.Ast.body)
 
 let guard_holds ~(meth : Jir.Ast.meth) ~(var : Jir.Ast.var)
     ~(call : Jir.Ast.call option) (g : guard) =
@@ -283,6 +270,21 @@ let return_event (t : t) ~(meth : Jir.Ast.meth) (var : Jir.Ast.var) :
       first_match t ~meth ~var ~call:None ~pattern_ok:(function
         | Preturn -> true
         | Pcall _ | Pany_call | Pstore -> false)
+
+(* (subject variable, event) fired by a statement, if any. *)
+let stmt_event (t : t) ~library ~(meth : Jir.Ast.meth) (s : Jir.Ast.stmt) :
+    (Jir.Ast.var * string) option =
+  let on v = function Some ev -> Some (v, ev) | None -> None in
+  match s.Jir.Ast.kind with
+  | Jir.Ast.Expr c
+  | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
+  | Jir.Ast.Assign (_, Jir.Ast.Rcall c) -> (
+      match c.Jir.Ast.recv with
+      | Some r when library c -> on r (call_event t ~meth c)
+      | _ -> None)
+  | Jir.Ast.Store (_, _, y) -> on y (store_event t ~meth ~src:y)
+  | Jir.Ast.Return (Some (Jir.Ast.Var v)) -> on v (return_event t ~meth v)
+  | _ -> None
 
 (* Report text for reaching [s]: the state's message template with
    [{class}]/[{state}] substituted, or just the state name. *)

@@ -116,10 +116,20 @@ val check_sequence : t -> string list -> verdict
 (** {1 Event matching}
 
     The single point of truth for "which event, if any, does this
-    statement fire" — used identically by the dataflow-graph builder, the
-    summary pre-analysis, and the escape pre-filter.  The caller decides
-    whether a call is a library call (target not defined in the program);
-    the matcher resolves patterns and guards. *)
+    statement fire".  {!stmt_event} is the one dispatch: the
+    dataflow-graph builder, the points-to pre-filter and the escape
+    replay call it, and the summary pre-analysis applies the same
+    per-kind matchers below.  The caller decides whether a call is a
+    library call (target not defined in the program); the matcher
+    resolves patterns and guards. *)
+
+val stmt_event :
+  t -> library:(Jir.Ast.call -> bool) -> meth:Jir.Ast.meth -> Jir.Ast.stmt ->
+  (Jir.Ast.var * string) option
+(** The (subject variable, event) a statement fires: {!call_event} on the
+    receiver of a call for which [library] holds, {!store_event} on the
+    stored reference of a field store, {!return_event} on the variable of
+    [return v]; [None] for every other statement. *)
 
 val call_event : t -> meth:Jir.Ast.meth -> Jir.Ast.call -> string option
 (** Event fired by a library instance call ([None] for static calls, or

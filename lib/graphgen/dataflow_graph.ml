@@ -87,45 +87,11 @@ let add_seed (g : t) src dst label enc =
    DESIGN.md. *)
 type alias_map = (int * string * int * int, Encoding.t) Hashtbl.t
 
-(* (subject variable, event) fired by a statement, or [None].  The event
-   resolution itself — name matching vs declared patterns and guards —
-   lives in {!Fsm.call_event}/{!Fsm.store_event}/{!Fsm.return_event} so
-   that the summary pre-analysis and the escape pre-filter agree with the
-   graph builder statement by statement. *)
-let stmt_event (fsm : Fsm.t) (icfet : Icfet.t) ~(meth : Jir.Ast.meth)
-    (s : Jir.Ast.stmt) : (string * string) option =
-  let of_call (c : Jir.Ast.call) =
-    let defined =
-      Icfet.meth_idx icfet
-        (Jir.Ast.qualified_name ~cls:c.Jir.Ast.target_class
-           ~meth:c.Jir.Ast.mname)
-      <> None
-    in
-    if defined then None
-    else
-      match (c.Jir.Ast.recv, Fsm.call_event fsm ~meth c) with
-      | Some r, Some ev -> Some (r, ev)
-      | _ -> None
-  in
-  match s.Jir.Ast.kind with
-  | Jir.Ast.Expr c
-  | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
-  | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
-      of_call c
-  | Jir.Ast.Store (_, _, y) -> (
-      match Fsm.store_event fsm ~meth ~src:y with
-      | Some ev -> Some (y, ev)
-      | None -> None)
-  | Jir.Ast.Return (Some (Jir.Ast.Var v)) -> (
-      match Fsm.return_event fsm ~meth v with
-      | Some ev -> Some (v, ev)
-      | None -> None)
-  | _ -> None
-
 (* Effect of one segment on the tracked object: composed transition function
    id, the Aux fragments of the alias paths consulted, and the last event
-   statement (for reporting). *)
-let segment_effect (g : t) (icfet : Icfet.t) ~(meth_ast : Jir.Ast.meth)
+   statement (for reporting).  [library] is {!Fsm.stmt_event}'s "call leaves
+   the program" test. *)
+let segment_effect (g : t) ~library ~(meth_ast : Jir.Ast.meth)
     (aliases : alias_map) (ver : Varver.t) ~inst ~node
     (stmts : Jir.Ast.stmt list) :
     int * Encoding.element list * Jir.Ast.stmt option =
@@ -134,7 +100,7 @@ let segment_effect (g : t) (icfet : Icfet.t) ~(meth_ast : Jir.Ast.meth)
   let last_event = ref None in
   List.iter
     (fun s ->
-      match stmt_event g.fsm icfet ~meth:meth_ast s with
+      match Fsm.stmt_event g.fsm ~library ~meth:meth_ast s with
       | None -> ()
       | Some (recv, event) -> (
           let version = Varver.use ver ~sid:s.Jir.Ast.sid ~var:recv in
@@ -172,6 +138,11 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
       point_index = Hashtbl.create 4096; seeds = [];
       n_seeds = 0; tracked = []; exit_points = Hashtbl.create 64;
       event_sites = Hashtbl.create 256 }
+  in
+  let library (c : Jir.Ast.call) =
+    Icfet.meth_idx icfet
+      (Jir.Ast.qualified_name ~cls:c.Jir.Ast.target_class ~meth:c.Jir.Ast.mname)
+    = None
   in
   (* reverse call-site map: callee instance -> entering (caller, call id) *)
   let entries_rev : (int, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
@@ -290,7 +261,7 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
               for i = 0 to k do
                 let src = vertex g ~obj_idx { inst; node = node_id; seg = i } in
                 let effect, auxes, event_stmt =
-                  segment_effect g icfet ~meth_ast:cfet.Cfet.meth aliases
+                  segment_effect g ~library ~meth_ast:cfet.Cfet.meth aliases
                     node_vv ~inst ~node:node_id segs.(i)
                 in
                 let base_enc =

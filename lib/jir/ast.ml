@@ -141,23 +141,29 @@ let index (p : program) : index =
 let find_method_idx (idx : index) ~cls ~meth =
   Hashtbl.find_opt idx.idx_methods (cls, meth)
 
+(* Every statement of [b], nested ones included, in source order: a
+   statement comes before the blocks it contains, a then-branch before its
+   else-branch, and a try body before its handlers. *)
+let block_stmts (b : block) : stmt list =
+  let rec block acc b = List.fold_left stmt acc b
+  and stmt acc s =
+    let acc = s :: acc in
+    match s.kind with
+    | Decl _ | Assign _ | Store _ | Throw _ | Return _ | Expr _ -> acc
+    | If (_, t, f) -> block (block acc t) f
+    | While (_, b) -> block acc b
+    | Try (b, catches) ->
+        List.fold_left (fun acc c -> block acc c.handler) (block acc b) catches
+  in
+  List.rev (block [] b)
+
 (* Structural size of a program in statements, used by workload reports. *)
-let rec block_size (b : block) =
-  List.fold_left (fun acc s -> acc + stmt_size s) 0 b
-
-and stmt_size (s : stmt) =
-  match s.kind with
-  | Decl _ | Assign _ | Store _ | Throw _ | Return _ | Expr _ -> 1
-  | If (_, t, f) -> 1 + block_size t + block_size f
-  | While (_, b) -> 1 + block_size b
-  | Try (b, catches) ->
-      1 + block_size b
-      + List.fold_left (fun acc c -> acc + block_size c.handler) 0 catches
-
 let program_size (p : program) =
   List.fold_left
     (fun acc c ->
-      List.fold_left (fun acc m -> acc + 1 + block_size m.body) acc c.methods)
+      List.fold_left
+        (fun acc m -> acc + 1 + List.length (block_stmts m.body))
+        acc c.methods)
     0 p.classes
 
 (* Variables mentioned by an expression, in first-occurrence order. *)

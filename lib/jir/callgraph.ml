@@ -14,24 +14,19 @@ type t = {
   method_ids : string list;  (* all method ids, stable order *)
 }
 
-let rec calls_of_block acc (b : block) =
-  List.fold_left calls_of_stmt acc b
-
-and calls_of_stmt acc (s : stmt) =
-  match s.kind with
-  | Decl (_, _, Some (Rcall c)) | Assign (_, Rcall c) | Expr c ->
-      (c.target_class, c.mname) :: acc
-  | Decl (_, _, Some (Rnew (cls, _))) | Assign (_, Rnew (cls, _)) ->
-      (* A constructor is modeled as the callee <init> when the class defines
-         one; allocation itself is not a call. *)
-      (cls, "<init>") :: acc
-  | Decl _ | Assign _ | Store _ | Throw _ | Return _ -> acc
-  | If (_, t, f) -> calls_of_block (calls_of_block acc t) f
-  | While (_, b) -> calls_of_block acc b
-  | Try (b, catches) ->
-      List.fold_left
-        (fun acc c -> calls_of_block acc c.handler)
-        (calls_of_block acc b) catches
+(* Call targets of a method body in call-site order; a constructor is
+   modeled as the callee <init> when the class defines one (allocation
+   itself is not a call). *)
+let calls_of_block (b : block) =
+  List.filter_map
+    (fun s ->
+      match s.kind with
+      | Decl (_, _, Some (Rcall c)) | Assign (_, Rcall c) | Expr c ->
+          Some (c.target_class, c.mname)
+      | Decl (_, _, Some (Rnew (cls, _))) | Assign (_, Rnew (cls, _)) ->
+          Some (cls, "<init>")
+      | _ -> None)
+    (block_stmts b)
 
 let dedup_keep_order l =
   let seen = Hashtbl.create 16 in
@@ -65,7 +60,7 @@ let build (p : program) : t =
     (fun c ->
       List.iter
         (fun m ->
-          let raw = List.rev (calls_of_block [] m.body) in
+          let raw = calls_of_block m.body in
           let resolved =
             raw
             |> List.map (fun (cls, name) -> qualified_name ~cls ~meth:name)

@@ -518,7 +518,8 @@ let check_leak ?(config_f = fun c -> c) ?workdir () =
   (prepared, pr, stats)
 
 let rendered (pr : Grapple.Pipeline.property_result) =
-  String.concat "\n" (List.map Grapple.Report.to_json pr.Grapple.Pipeline.reports)
+  String.concat "\n"
+    (List.map Suite_parallel.render_report pr.Grapple.Pipeline.reports)
 
 let test_pipeline_identical_under_rate_faults () =
   let p0, pr0, _ = check_leak () in

@@ -57,7 +57,49 @@ entry C.m;
 |} in
   let p = parse src in
   let m = Option.get (Jir.Ast.find_method p ~cls:"C" ~meth:"m") in
-  Alcotest.(check int) "statement count" 13 (Jir.Ast.block_size m.Jir.Ast.body)
+  Alcotest.(check int) "statement count" 13
+    (List.length (Jir.Ast.block_stmts m.Jir.Ast.body))
+
+(* [block_stmts] order: a statement before the blocks it contains, a
+   then-branch before its else-branch, a try body before its handlers.
+   The call graph's callee order and the points-to constraint order
+   follow it. *)
+let test_block_stmts_order () =
+  let p = parse {|
+class C {
+  void m(int p) {
+    int x = p;
+    if (x > 0) {
+      x = x + 1;
+      if (x > 2) {
+        x = 2;
+      } else {
+        x = 3;
+      }
+    } else {
+      x = 4;
+    }
+    while (x > 0) {
+      x = x - 1;
+    }
+    try {
+      x = 5;
+    } catch (Boom b) {
+      x = 6;
+    } catch (Bang c) {
+      x = 7;
+    }
+    return;
+  }
+}
+entry C.m;
+|} in
+  let m = Option.get (Jir.Ast.find_method p ~cls:"C" ~meth:"m") in
+  Alcotest.(check (list int)) "source order"
+    [ 4; 5; 6; 7; 8; 10; 13; 15; 16; 18; 19; 21; 23; 25 ]
+    (List.map
+       (fun (s : Jir.Ast.stmt) -> s.Jir.Ast.at.Jir.Ast.line)
+       (Jir.Ast.block_stmts m.Jir.Ast.body))
 
 let test_parse_static_vs_instance () =
   let src = {|
@@ -345,6 +387,7 @@ let prop_generator_roundtrip =
 let suite =
   [ Alcotest.test_case "parse simple" `Quick test_parse_simple;
     Alcotest.test_case "parse statements" `Quick test_parse_statements;
+    Alcotest.test_case "block_stmts order" `Quick test_block_stmts_order;
     Alcotest.test_case "static vs instance calls" `Quick test_parse_static_vs_instance;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "parse error lines" `Quick test_parse_error_lines;

@@ -198,10 +198,18 @@ type outcome = {
   o_schedule : Pipeline.schedule_entry list;
 }
 
+(* One report in full: its JSON line, the human line with its witness and
+   recovered trace, and the allocation's calling context.  The JSON line
+   alone omits the last three. *)
+let render_report (r : Report.t) =
+  Printf.sprintf "%s\n%s\n    context %s" (Report.to_json r)
+    (Fmt.str "%a" Report.pp_with_trace r)
+    (String.concat " > " r.Report.context)
+
 let render results =
   String.concat "\n"
     (List.concat_map
-       (fun (name, rs) -> List.map (fun r -> name ^ " " ^ Report.to_json r) rs)
+       (fun (name, rs) -> List.map (fun r -> name ^ " " ^ render_report r) rs)
        results)
 
 (* Superset of the CLI's `--json` stats trailer: if these match, the trailer

@@ -371,8 +371,8 @@ let test_renamed_null_property () =
   Alcotest.(check (list string)) "same warnings under another name" expected
     (warnings nullx)
 
-(* worker-count invariance of the full DSL checker set (dedup satellite:
-   the rendered reports must be byte-identical at 1 and 4 workers) *)
+(* worker-count invariance of the full DSL checker set: the rendered
+   reports must be byte-identical at 1 and 4 workers *)
 let test_dsl_checkers_worker_invariant () =
   let cs =
     List.map Checkers.resolve [ "lock_order"; "taint"; "close"; "exc_twr" ]
@@ -382,25 +382,6 @@ let test_dsl_checkers_worker_invariant () =
   let r1 = render (prepare_and_run ~workers:1 ~track_null:false cs program) in
   let r4 = render (prepare_and_run ~workers:4 ~track_null:false cs program) in
   Alcotest.(check string) "workers 1 = workers 4" r1 r4
-
-let test_dedup_exact () =
-  let r line =
-    { Grapple.Report.checker = "close";
-      kind = Grapple.Report.Error_state "Error";
-      cls = "FileChannel";
-      alloc_at = { Jir.Ast.file = "t.jir"; line };
-      site = None;
-      context = [];
-      witness = [];
-      trace = [] }
-  in
-  Alcotest.(check int) "identical copies collapse" 2
-    (List.length (Grapple.Report.dedup_exact [ r 1; r 2; r 1; r 1 ]));
-  let distinct =
-    [ r 1; { (r 1) with Grapple.Report.checker = "taint" } ]
-  in
-  Alcotest.(check int) "distinct reports survive" 2
-    (List.length (Grapple.Report.dedup_exact distinct))
 
 (* ---------------- DSL checker ground truth ---------------- *)
 
@@ -513,7 +494,6 @@ let suite =
       test_renamed_null_property;
     Alcotest.test_case "DSL checkers worker-invariant" `Slow
       test_dsl_checkers_worker_invariant;
-    Alcotest.test_case "dedup exact" `Quick test_dedup_exact;
     Alcotest.test_case "lock_order score" `Slow test_lock_order_score;
     Alcotest.test_case "taint score" `Slow test_taint_score;
     Alcotest.test_case "close score" `Slow test_close_score;
