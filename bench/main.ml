@@ -884,8 +884,24 @@ let micro () =
            let keys = Engine.Keys.create (Engine.Edgebuf.n buf) in
            ignore (Engine.Keys.build keys buf : bool)))
   in
+  (* the block codec alone, on the same file: [read_flat] without the key
+     build, and [write_flat] of the buffer it returns *)
+  let parse =
+    Test.make ~name:"engine/codec-parse"
+      (Staged.stage (fun () ->
+           ignore
+             (Engine.Storage.read_flat ~path : Engine.Storage.flat_outcome)))
+  in
+  let written = (Engine.Storage.read_flat ~path).Engine.Storage.buf in
+  let write_path = Filename.concat dir "micro-write.edges" in
+  let write =
+    Test.make ~name:"engine/codec-write"
+      (Staged.stage (fun () ->
+           ignore (Engine.Storage.write_flat ~path:write_path written : int)))
+  in
   let grouped =
-    Test.make_grouped ~name:"grapple" [ t1; t2; t3; t4; t5; f9; load ]
+    Test.make_grouped ~name:"grapple"
+      [ t1; t2; t3; t4; t5; f9; load; parse; write ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -646,12 +646,9 @@ let instance_engine_config (config : config) ~workdir : Engine.config =
        else config.engine.Engine.wall_budget_s) }
 
 (* A fresh phase-2 engine for one attempt, seeded from the property's
-   dataflow graph. *)
+   dataflow graph: the builder writes the seeds straight into the engine's
+   seed buffer. *)
 let instance_engine (p : prepared) (fsm : Fsm.t) ~comp =
-  let dg =
-    timed_span "phase2.dataflow_graph" comp (fun () ->
-        Dataflow_graph.build p.icfet p.clones p.alias_graph p.flows fsm)
-  in
   let workdir = instance_workdir p fsm in
   let engine_config = instance_engine_config p.config ~workdir in
   let engine =
@@ -659,12 +656,11 @@ let instance_engine (p : prepared) (fsm : Fsm.t) ~comp =
       ~decode:(fun enc -> Icfet.constraint_of p.icfet enc)
       ~workdir ()
   in
-  List.iter
-    (fun (s : Dataflow_graph.seed) ->
-      Dataflow_engine.add_seed engine ~src:s.Dataflow_graph.src
-        ~dst:s.Dataflow_graph.dst ~label:s.Dataflow_graph.label
-        ~enc:s.Dataflow_graph.enc)
-    (Dataflow_graph.seeds dg);
+  let dg =
+    timed_span "phase2.dataflow_graph" comp (fun () ->
+        Dataflow_graph.build ~seeds:(Dataflow_engine.seeds engine) p.icfet
+          p.clones p.alias_graph p.flows fsm)
+  in
   (dg, engine)
 
 (* One attempt at phases 2 and 3 for one property; raises on storage faults

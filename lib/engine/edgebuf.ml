@@ -136,6 +136,9 @@ let push t ~src ~dst ~label ~enc_id =
   Bigarray.Array1.unsafe_set t.data (base + 3) enc_id;
   t.n <- t.n + 1
 
+(* Drop the records from position [n] on, for [n <= n t]. *)
+let truncate t n = t.n <- n
+
 (* Convenience push for callers holding a structured encoding. *)
 let push_edge t ~src ~dst ~label (e : Encoding.t) =
   push t ~src ~dst ~label ~enc_id:(intern t e)

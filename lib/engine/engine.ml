@@ -123,8 +123,9 @@ let default_config ~workdir =
 
 module Make (L : LABEL_LOGIC) = struct
   type edge = { src : int; dst : int; label : L.t; enc : Encoding.t }
-  (* the boxed view, used at the API boundary (seeds, results, consequence
-     expansion); the join loop itself works on int-packed [Edgebuf] records *)
+  (* the boxed view, used at the API boundary (results, consequence
+     expansion); seeds and the join loop work on int-packed [Edgebuf]
+     records *)
 
   type pmeta = {
     pid : int;
@@ -184,7 +185,9 @@ module Make (L : LABEL_LOGIC) = struct
            turns half of all pair loads into no-ops. *)
     mutable parts : pmeta list;  (* sorted by [lo] *)
     mutable next_pid : int;
-    mutable seeds : edge list;   (* only before [run] *)
+    mutable seeds : Edgebuf.t;
+        (* the seed edges in emission order, only before [run]: [add_seed]
+           appends to it, and a graph builder may fill it directly *)
     mutable n_seed_edges : int;
     mutable max_vertex : int;
     mutable ran : bool;
@@ -208,7 +211,7 @@ module Make (L : LABEL_LOGIC) = struct
       resident = [];
       parts = [];
       next_pid = 0;
-      seeds = [];
+      seeds = Edgebuf.create ();
       n_seed_edges = 0;
       max_vertex = 0;
       ran = false;
@@ -281,11 +284,16 @@ module Make (L : LABEL_LOGIC) = struct
     in
     unary @ mirrors
 
+  (* The seed buffer, for a builder that writes its seeds straight in:
+     records with label codes ([L.to_int]) and pool ids of the buffer. *)
+  let seeds t =
+    if t.ran then invalid_arg "Engine.seeds: engine already ran";
+    t.seeds
+
   let add_seed t ~src ~dst ~label ~enc =
-    if t.ran then invalid_arg "Engine.add_seed: engine already ran";
-    let e = { src; dst; label; enc } in
-    t.max_vertex <- max t.max_vertex (max src dst);
-    t.seeds <- e :: t.seeds
+    Edgebuf.push_edge (seeds t) ~src ~dst ~label:(L.to_int label) enc
+
+  let drop_seeds t = t.seeds <- Edgebuf.create ~capacity:0 ()
 
   (* ---------------- partition bookkeeping ---------------- *)
 
@@ -363,6 +371,7 @@ module Make (L : LABEL_LOGIC) = struct
       "engine.load"
     @@ fun () ->
     let raw, damaged = read_partition t meta in
+    Metrics.incr t.metrics.Metrics.partition_loads;
     let n_raw = Edgebuf.n raw in
     let keys = Keys.create n_raw in
     (* index every record, noting whether the file holds exact duplicates
@@ -406,7 +415,9 @@ module Make (L : LABEL_LOGIC) = struct
      drops entries that survived a restore or a metadata rebuild. *)
   let load_resident t (meta : pmeta) : loaded =
     match List.assoc_opt meta.pid t.resident with
-    | Some l when l.meta == meta -> l
+    | Some l when l.meta == meta ->
+        Metrics.incr t.metrics.Metrics.resident_hits;
+        l
     | _ ->
         let l = load t meta in
         t.resident <- (meta.pid, l) :: List.remove_assoc meta.pid t.resident;
@@ -516,35 +527,64 @@ module Make (L : LABEL_LOGIC) = struct
   (* ---------------- preprocessing ---------------- *)
 
   (* Partition the seed edges into [target_partitions] intervals of roughly
-     equal edge counts and write them to disk. *)
+     equal edge counts and write them to disk.  The seeds are closed under
+     their unary and mirror consequences into one buffer, deduplicated by a
+     key table, walking the seed buffer newest first: a duplicated seed
+     keeps its newest copy.  An int array maps each seed pool id to the
+     closed buffer's, so each distinct encoding is interned once. *)
   let preprocess t =
-    (* close seeds under unary/mirror into one buffer, deduplicated by a key
-       table; each encoding is serialized and interned once (unary
-       consequences share their seed's) *)
-    let n_in = List.length t.seeds in
-    let sb = Edgebuf.create ~capacity:(max 256 n_in) () in
-    let keys = Keys.create n_in in
+    Obs.Trace.with_span ~cat:"engine" "engine.preprocess" @@ fun () ->
+    let seeds = t.seeds in
+    let m = Edgebuf.n seeds in
+    let sb = Edgebuf.create ~capacity:(max 256 m) () in
+    let keys = Keys.create m in
     let add ~src ~dst ~label id =
       ignore (append_unique keys sb ~src ~dst ~label ~enc_id:id : bool)
     in
-    List.iter
-      (fun (e : edge) ->
-        let id = Edgebuf.intern sb e.enc in
-        add ~src:e.src ~dst:e.dst ~label:(L.to_int e.label) id;
-        List.iter
-          (fun (d : edge) ->
-            let id = if d.enc == e.enc then id else Edgebuf.intern sb d.enc in
-            add ~src:d.src ~dst:d.dst ~label:(L.to_int d.label) id)
-          (consequences e))
-      t.seeds;
-    t.seeds <- [];
+    (* seed pool id -> [sb] pool id of the encoding, and of its reverse *)
+    let fwd = Array.make (Edgebuf.pool_size seeds) (-1) in
+    let bwd = Array.make (Edgebuf.pool_size seeds) (-1) in
+    for i = m - 1 downto 0 do
+      let e = Edgebuf.enc_id seeds i in
+      if fwd.(e) < 0 then
+        fwd.(e) <- Edgebuf.intern_bytes sb (Edgebuf.enc_bytes seeds e);
+      let src = Edgebuf.src seeds i and dst = Edgebuf.dst seeds i in
+      let code = Edgebuf.label seeds i in
+      add ~src ~dst ~label:code fwd.(e);
+      let label = L.of_int code in
+      let unary = L.unary label in
+      List.iter (fun l -> add ~src ~dst ~label:(L.to_int l) fwd.(e)) unary;
+      List.iter
+        (fun l ->
+          match L.mirror l with
+          | Some l' ->
+              if bwd.(e) < 0 then
+                bwd.(e) <-
+                  Edgebuf.intern sb (Encoding.rev (Edgebuf.enc seeds e));
+              add ~src:dst ~dst:src ~label:(L.to_int l') bwd.(e)
+          | None -> ())
+        (label :: unary)
+    done;
+    drop_seeds t;
     let n = Edgebuf.n sb in
     t.n_seed_edges <- n;
-    (* file order: by src, and newest first within a src *)
-    let order = Array.init n (fun i -> n - 1 - i) in
-    Array.stable_sort
-      (fun a b -> Int.compare (Edgebuf.src sb a) (Edgebuf.src sb b))
-      order;
+    (* file order: by src, and within a src by descending position — the
+       seeds in emission order.  A stable counting sort of positions
+       n-1 .. 0 by src ([max_vertex] bounds every src). *)
+    let start = Array.make (t.max_vertex + 2) 0 in
+    for p = 0 to n - 1 do
+      let s = Edgebuf.src sb p + 1 in
+      start.(s) <- start.(s) + 1
+    done;
+    for v = 1 to t.max_vertex + 1 do
+      start.(v) <- start.(v) + start.(v - 1)
+    done;
+    let order = Array.make n 0 in
+    for p = n - 1 downto 0 do
+      let s = Edgebuf.src sb p in
+      order.(start.(s)) <- p;
+      start.(s) <- start.(s) + 1
+    done;
     let k = max 1 t.config.target_partitions in
     let per = max 1 ((n + k - 1) / k) in
     (* choose interval boundaries at multiples of [per], aligned to source
@@ -572,15 +612,18 @@ module Make (L : LABEL_LOGIC) = struct
         (* [local]: seed pool id -> this partition's pool id, interning
            each encoding at its first use so the pool keeps that order *)
         Array.fill local 0 (Array.length local) (-1);
-        let buf = Edgebuf.create () in
+        let first = !next in
         while !next < n && Edgebuf.src sb order.(!next) < meta.hi do
-          let p = order.(!next) in
+          incr next
+        done;
+        let buf = Edgebuf.create ~capacity:(!next - first) () in
+        for q = first to !next - 1 do
+          let p = order.(q) in
           let id = Edgebuf.enc_id sb p in
           if local.(id) < 0 then
             local.(id) <- Edgebuf.intern_bytes buf (Edgebuf.enc_bytes sb id);
           Edgebuf.push buf ~src:(Edgebuf.src sb p) ~dst:(Edgebuf.dst sb p)
-            ~label:(Edgebuf.label sb p) ~enc_id:local.(id);
-          incr next
+            ~label:(Edgebuf.label sb p) ~enc_id:local.(id)
         done;
         write_partition t meta buf)
       metas;
@@ -938,7 +981,7 @@ module Make (L : LABEL_LOGIC) = struct
         t.next_pid <- m.Manifest.next_pid;
         t.max_vertex <- max t.max_vertex m.Manifest.max_vertex;
         t.n_seed_edges <- m.Manifest.n_seed_edges;
-        t.seeds <- [];  (* the partitions already hold the preprocessed seeds *)
+        drop_seeds t;  (* the partitions already hold the preprocessed seeds *)
         List.iter (fun (k, v) -> Hashtbl.replace processed k v)
           m.Manifest.processed;
         true
@@ -954,6 +997,11 @@ module Make (L : LABEL_LOGIC) = struct
     if t.ran then invalid_arg "Engine.run: already ran";
     t.ran <- true;
     t.run_start <- Unix.gettimeofday ();
+    (* every vertex a seed names: the last partition's bound *)
+    for i = 0 to Edgebuf.n t.seeds - 1 do
+      t.max_vertex <-
+        max t.max_vertex (max (Edgebuf.src t.seeds i) (Edgebuf.dst t.seeds i))
+    done;
     (* (pid_min, pid_max) -> (count_min, count_max): the partitions' record
        counts at the pair's last local fixpoint, stored in pid order *)
     let processed : (int * int, int * int) Hashtbl.t = Hashtbl.create 256 in

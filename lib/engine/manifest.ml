@@ -76,7 +76,9 @@ let render (m : t) : string =
   Printf.sprintf "%send %d\n" body (Storage.checksum_string body)
 
 let save ~workdir (m : t) : unit =
-  Storage.atomic_write ~path:(path ~workdir) (render m)
+  let s = render m in
+  Storage.atomic_write ~path:(path ~workdir) (Bytes.unsafe_of_string s)
+    ~len:(String.length s)
 
 (* [None] on a missing, damaged, or wrong-format manifest — the caller
    starts fresh.  Never raises on bad contents. *)

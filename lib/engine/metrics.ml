@@ -26,6 +26,8 @@ type t = {
   edges_added : R.counter;         (* transitive edges that survived *)
   edges_considered : R.counter;    (* candidate pairs that matched grammar *)
   pairs_processed : R.counter;     (* partition-pair loads: "iterations" *)
+  partition_loads : R.counter;     (* partitions read and indexed for a pair *)
+  resident_hits : R.counter;       (* pair partitions found still resident *)
   repartitions : R.counter;
   bytes_read : R.counter;
   bytes_written : R.counter;
@@ -55,6 +57,8 @@ let of_registry reg =
     edges_added = R.counter reg "engine.edges_added";
     edges_considered = R.counter reg "engine.edges_considered";
     pairs_processed = R.counter reg "engine.pairs_processed";
+    partition_loads = R.counter reg "engine.partition_loads";
+    resident_hits = R.counter reg "engine.resident_hits";
     repartitions = R.counter reg "engine.repartitions";
     bytes_read = R.counter reg "engine.bytes_read";
     bytes_written = R.counter reg "engine.bytes_written";
@@ -115,11 +119,12 @@ let merge ~(into : t) (m : t) = R.merge ~into:into.reg m.reg
 let pp ppf (m : t) =
   Format.fprintf ppf
     "io=%.2fs decode=%.2fs solve=%.2fs join=%.2fs solved=%d hits=%d/%d \
-     evictions=%d edges+=%d considered=%d pairs=%d repart=%d bytes=%d/%d \
-     retries=%d corrupt=%d stale_tmp=%d"
+     evictions=%d edges+=%d considered=%d pairs=%d loads=%d resident=%d \
+     repart=%d bytes=%d/%d retries=%d corrupt=%d stale_tmp=%d"
     (seconds m.io_s) (seconds m.decode_s) (seconds m.solve_s)
     (seconds m.join_s) (count m.constraints_solved) (count m.cache_hits)
     (count m.cache_lookups) (count m.cache_evictions) (count m.edges_added)
     (count m.edges_considered) (count m.pairs_processed)
-    (count m.repartitions) (count m.bytes_read) (count m.bytes_written)
-    (count m.retries) (count m.corrupt_reads) (count m.stale_temps)
+    (count m.partition_loads) (count m.resident_hits) (count m.repartitions)
+    (count m.bytes_read) (count m.bytes_written) (count m.retries)
+    (count m.corrupt_reads) (count m.stale_temps)

@@ -23,15 +23,19 @@
 
    The engine closes  Track ::= Track Step  over these seeds: a transitive
    Track edge (source(o) -> point, f) says o reaches the point with FSM
-   state f(initial) along some feasible path. *)
+   state f(initial) along some feasible path.
+
+   The builder writes the seeds straight into the engine's seed buffer, in
+   emission order, as flat records.  Points are numbered in first-touch
+   order through an int table per object, and an encoding without [Aux]
+   fragments is interned once per shape (see [shape_encoding]). *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
 module Cfet = Symexec.Cfet
 module Transfn = Cfl.Transfn
 module Dg = Cfl.Dataflow_grammar
-
-type point = { inst : int; node : int; seg : int }
+module Edgebuf = Engine.Edgebuf
 
 type tracked = {
   obj_vertex : int;   (* alias-graph object vertex *)
@@ -44,14 +48,10 @@ type tracked = {
 
 type exit_kind = Exit_normal | Exit_exceptional of string | Exit_escaped
 
-type seed = { src : int; dst : int; label : Dg.t; enc : Encoding.t }
-
 type t = {
   registry : Transfn.registry;
   fsm : Fsm.t;
   mutable n_vertices : int;
-  point_index : (int * int * int * int, int) Hashtbl.t;
-  mutable seeds : seed list;
   mutable n_seeds : int;
   mutable tracked : tracked list;
   exit_points : (int, exit_kind) Hashtbl.t;
@@ -59,61 +59,46 @@ type t = {
       (* edge-destination vertex -> last event statement flowing into it *)
 }
 
-let vertex (g : t) ~obj_idx (p : point) : int =
-  let key = (obj_idx, p.inst, p.node, p.seg) in
-  match Hashtbl.find_opt g.point_index key with
-  | Some id -> id
-  | None ->
-      let id = g.n_vertices in
-      g.n_vertices <- id + 1;
-      Hashtbl.replace g.point_index key id;
-      id
-
 let source_vertex (g : t) : int =
   let id = g.n_vertices in
   g.n_vertices <- id + 1;
   id
-
-let add_seed (g : t) src dst label enc =
-  g.seeds <- { src; dst; label; enc } :: g.seeds;
-  g.n_seeds <- g.n_seeds + 1
-
-(* ------------------------------------------------------------------ *)
-(* Helpers over one object's alias results.                            *)
-(* ------------------------------------------------------------------ *)
 
 (* (inst, var, node, version) -> shortest feasible alias encoding.  Keeping
    one representative per occurrence bounds the dataflow graph; see
    DESIGN.md. *)
 type alias_map = (int * string * int * int, Encoding.t) Hashtbl.t
 
-(* Effect of one segment on the tracked object: composed transition function
-   id, the Aux fragments of the alias paths consulted, and the last event
-   statement (for reporting).  [library] is {!Fsm.stmt_event}'s "call leaves
-   the program" test. *)
-let segment_effect (g : t) ~library ~(meth_ast : Jir.Ast.meth)
-    (aliases : alias_map) (ver : Varver.t) ~inst ~node
-    (stmts : Jir.Ast.stmt list) :
-    int * Encoding.element list * Jir.Ast.stmt option =
-  let effect = ref Transfn.identity_id in
-  let auxes = ref [] in
-  let last_event = ref None in
-  List.iter
-    (fun s ->
-      match Fsm.stmt_event g.fsm ~library ~meth:meth_ast s with
-      | None -> ()
-      | Some (recv, event) -> (
-          let version = Varver.use ver ~sid:s.Jir.Ast.sid ~var:recv in
-          match Hashtbl.find_opt aliases (inst, recv, node, version) with
-          | None -> ()
-          | Some alias_enc ->
-              let vec = Fsm.event_vector g.fsm event in
-              let fid = Transfn.intern g.registry vec in
-              effect := Transfn.compose g.registry !effect fid;
-              auxes := Encoding.Aux alias_enc :: !auxes;
-              last_event := Some s))
-    stmts;
-  (!effect, List.rev !auxes, !last_event)
+(* ------------------------------------------------------------------ *)
+(* Seed encodings.                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every seed encoding without an [Aux] fragment has one of four shapes,
+   named by a tag and three ints:
+   - a segment hop (meth, node, call id or -1): [node..node] (Call id);
+   - a branch (meth, node, child): [node..child];
+   - a return (call id, target node, _): Ret id [target..target], in the
+     caller's method — the caller node after a normal return, its
+     exception sibling after an exceptional one;
+   - the Track anchor (meth, allocation node, _): [0..node].
+   Each shape is interned once per build. *)
+let shape_hop = 0
+let shape_branch = 1
+let shape_ret = 2
+let shape_anchor = 3
+
+let shape_encoding icfet tag a b c : Encoding.t =
+  if tag = shape_hop then
+    Encoding.Interval { meth = a; first = b; last = b }
+    :: (if c >= 0 then [ Encoding.Call c ] else [])
+  else if tag = shape_branch then
+    [ Encoding.Interval { meth = a; first = b; last = c } ]
+  else if tag = shape_ret then
+    [ Encoding.Ret a;
+      Encoding.Interval
+        { meth = (Icfet.call_edge icfet a).Icfet.caller_meth; first = b;
+          last = b } ]
+  else [ Encoding.Interval { meth = a; first = 0; last = b } ]
 
 (* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
@@ -129,28 +114,82 @@ exception Too_large of string
    vertex, the var vertices it flows to, with encodings. *)
 type flows = (int, (int * Encoding.t) list) Hashtbl.t
 
-let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
-    (flows : flows) (fsm : Fsm.t) : t =
+(* Build the graph, appending its seeds to [seeds] in emission order. *)
+let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
+    (ag : Alias_graph.t) (flows : flows) (fsm : Fsm.t) : t =
   let registry = Transfn.create ~n_states:(Fsm.n_states fsm) in
   Dg.set_registry registry;
   let g =
-    { registry; fsm; n_vertices = 0;
-      point_index = Hashtbl.create 4096; seeds = [];
-      n_seeds = 0; tracked = []; exit_points = Hashtbl.create 64;
-      event_sites = Hashtbl.create 256 }
+    { registry; fsm; n_vertices = 0; n_seeds = 0; tracked = [];
+      exit_points = Hashtbl.create 64; event_sites = Hashtbl.create 256 }
   in
   let library (c : Jir.Ast.call) =
     Icfet.meth_idx icfet
       (Jir.Ast.qualified_name ~cls:c.Jir.Ast.target_class ~meth:c.Jir.Ast.mname)
     = None
   in
+  let push src dst label enc_id =
+    Edgebuf.push seeds ~src ~dst ~label:(Dg.to_int label) ~enc_id;
+    g.n_seeds <- g.n_seeds + 1
+  in
+  let step_id = Dg.Step Transfn.identity_id in
+  let shapes = Inttbl.create 1024 in
+  let shape tag a b c =
+    let key = (a lsl 2) lor tag in
+    let id = Inttbl.find shapes key b c in
+    if id >= 0 then id
+    else
+      Inttbl.find_or_add shapes key b c
+        (Edgebuf.intern seeds (shape_encoding icfet tag a b c))
+  in
+  let n_inst = Clone_tree.n_instances clones in
   (* reverse call-site map: callee instance -> entering (caller, call id) *)
-  let entries_rev : (int, (int * int) list) Hashtbl.t = Hashtbl.create 256 in
+  let entries_rev = Array.make n_inst [] in
   Hashtbl.iter
     (fun (caller, call_id) callee ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt entries_rev callee) in
-      Hashtbl.replace entries_rev callee ((caller, call_id) :: cur))
+      entries_rev.(callee) <- (caller, call_id) :: entries_rev.(callee))
     clones.Clone_tree.by_site;
+  let is_entry = Array.make n_inst false in
+  List.iter (fun i -> is_entry.(i) <- true) clones.Clone_tree.entry_instances;
+  (* (inst, node) -> the node's call sites that enter a callee clone, as
+     (call id, callee instance, sid) triples in statement order.  They do
+     not depend on the object, so each is resolved once per build; an
+     object dives into the relevant ones. *)
+  let site_index = Inttbl.create 256 in
+  let sites = ref (Array.make 256 [||]) in
+  let n_sites = ref 0 in
+  let call_sites inst (n : Cfet.node) meth =
+    if n.Cfet.calls = [] then [||]
+    else
+      let i = Inttbl.find site_index inst n.Cfet.id 0 in
+      if i >= 0 then !sites.(i)
+      else begin
+        let triples =
+          List.concat_map
+            (fun (ci : Cfet.call_info) ->
+              let sid = ci.Cfet.call_stmt.Jir.Ast.sid in
+              match Icfet.call_id_of_site icfet ~meth ~node:n.Cfet.id ~sid with
+              | None -> []
+              | Some call_id -> (
+                  match
+                    Clone_tree.callee_instance clones ~caller:inst ~call_id
+                  with
+                  | Some j -> [ call_id; j; sid ]
+                  | None -> []))
+            n.Cfet.calls
+          |> Array.of_list
+        in
+        if !n_sites = Array.length !sites then begin
+          let a = Array.make (2 * !n_sites) [||] in
+          Array.blit !sites 0 a 0 !n_sites;
+          sites := a
+        end;
+        !sites.(!n_sites) <- triples;
+        ignore (Inttbl.find_or_add site_index inst n.Cfet.id 0 !n_sites : int);
+        incr n_sites;
+        triples
+      end
+  in
   let tracked_objects =
     List.filter
       (fun ov ->
@@ -159,12 +198,14 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
         | Alias_graph.Var_vertex _ -> false)
       (Alias_graph.objects ag)
   in
+  (* instance -> index of the last object it was relevant to *)
+  let rel = Array.make n_inst (-1) in
   List.iteri
     (fun obj_idx obj_vertex ->
-      let alloc_inst, alloc_node, cls, at =
+      let alloc_inst, alloc_node, alloc_sid, cls, at =
         match Alias_graph.info ag obj_vertex with
-        | Alias_graph.Obj_vertex { inst; node; cls; at; _ } ->
-            (inst, node, cls, at)
+        | Alias_graph.Obj_vertex { inst; node; sid; cls; at; _ } ->
+            (inst, node, sid, cls, at)
         | Alias_graph.Var_vertex _ -> assert false
       in
       (* 1. alias occurrences of this object *)
@@ -184,130 +225,144 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
               if better then Hashtbl.replace aliases key enc
           | Alias_graph.Obj_vertex _ -> ())
         (Option.value ~default:[] (Hashtbl.find_opt flows obj_vertex));
-      (* 2. relevant instances: alias instances closed under callers *)
+      (* 2. relevant instances: alias instances closed under callers; the
+         table fixes the emission order, [rel] answers membership *)
       let relevant : (int, unit) Hashtbl.t = Hashtbl.create 64 in
       let rec mark inst =
-        if not (Hashtbl.mem relevant inst) then begin
+        if rel.(inst) <> obj_idx then begin
+          rel.(inst) <- obj_idx;
           Hashtbl.replace relevant inst ();
-          List.iter
-            (fun (caller, _) -> mark caller)
-            (Option.value ~default:[] (Hashtbl.find_opt entries_rev inst))
+          List.iter (fun (caller, _) -> mark caller) entries_rev.(inst)
         end
       in
       List.iter mark !alias_insts;
-      (* 3. per-node dive sites and segments, cached for return edges *)
-      let dives_of : (int * int, (int * int * int) list) Hashtbl.t =
-        Hashtbl.create 256
+      let is_relevant j = rel.(j) = obj_idx in
+      (* the node's dives: its call sites into relevant clones *)
+      let dives_of inst n meth =
+        let c = call_sites inst n meth in
+        let k = ref 0 in
+        for i = 0 to (Array.length c / 3) - 1 do
+          if is_relevant c.((3 * i) + 1) then incr k
+        done;
+        if 3 * !k = Array.length c then c
+        else begin
+          let d = Array.make (3 * !k) 0 in
+          let j = ref 0 in
+          for i = 0 to (Array.length c / 3) - 1 do
+            if is_relevant c.((3 * i) + 1) then begin
+              Array.blit c (3 * i) d (3 * !j) 3;
+              incr j
+            end
+          done;
+          d
+        end
       in
-      (* (inst, node) -> (call_id, callee_inst, sid) list in stmt order *)
-      let compute_dives inst (n : Cfet.node) meth =
-        List.filter_map
-          (fun (ci : Cfet.call_info) ->
-            match
-              Icfet.call_id_of_site icfet ~meth ~node:n.Cfet.id
-                ~sid:ci.Cfet.call_stmt.Jir.Ast.sid
-            with
-            | None -> None
-            | Some call_id -> (
-                match
-                  Clone_tree.callee_instance clones ~caller:inst ~call_id
-                with
-                | Some j when Hashtbl.mem relevant j ->
-                    Some (call_id, j, ci.Cfet.call_stmt.Jir.Ast.sid)
-                | _ -> None))
-          n.Cfet.calls
+      (* 3. this object's points, numbered in first-touch order *)
+      let points = Inttbl.create 64 in
+      let vertex inst node seg =
+        let id = g.n_vertices in
+        let v = Inttbl.find_or_add points inst node seg id in
+        if v = id then g.n_vertices <- id + 1;
+        v
       in
-      let segments dives (n : Cfet.node) =
-        let k = List.length dives in
-        let segs = Array.make (k + 1) [] in
-        let remaining = ref (List.map (fun (_, _, sid) -> sid) dives) in
-        let seg = ref 0 in
-        List.iter
-          (fun (s : Jir.Ast.stmt) ->
-            segs.(!seg) <- s :: segs.(!seg);
-            match !remaining with
-            | sid :: rest when sid = s.Jir.Ast.sid ->
-                remaining := rest;
-                incr seg
-            | _ -> ())
-          n.Cfet.stmts;
-        Array.map List.rev segs
-      in
-      Hashtbl.iter
-        (fun inst () ->
-          let meth = (Clone_tree.instance clones inst).Clone_tree.meth in
-          let cfet = Icfet.cfet icfet meth in
-          Hashtbl.iter
-            (fun node_id (n : Cfet.node) ->
-              Hashtbl.replace dives_of (inst, node_id)
-                (compute_dives inst n meth))
-            cfet.Cfet.nodes)
-        relevant;
       (* 4. emit points and hop edges *)
-      let entry_set = clones.Clone_tree.entry_instances in
       Hashtbl.iter
         (fun inst () ->
           let meth = (Clone_tree.instance clones inst).Clone_tree.meth in
           let cfet = Icfet.cfet icfet meth in
           Hashtbl.iter
             (fun node_id (n : Cfet.node) ->
-              let dives = Hashtbl.find dives_of (inst, node_id) in
-              let segs = segments dives n in
-              let k = List.length dives in
+              let dives = dives_of inst n meth in
+              let k = Array.length dives / 3 in
               if g.n_vertices > max_points_per_object * (obj_idx + 1)
               then raise (Too_large "dataflow graph too large");
-              (* segment hops *)
-              let node_vv = Varver.analyze n.Cfet.stmts in
-              for i = 0 to k do
-                let src = vertex g ~obj_idx { inst; node = node_id; seg = i } in
-                let effect, auxes, event_stmt =
-                  segment_effect g ~library ~meth_ast:cfet.Cfet.meth aliases
-                    node_vv ~inst ~node:node_id segs.(i)
-                in
-                let base_enc =
-                  auxes
-                  @ [ Encoding.Interval
-                        { meth; first = node_id; last = node_id } ]
-                in
-                let dst, enc =
-                  if i < k then begin
-                    let call_id, callee_inst, _ = List.nth dives i in
-                    ( vertex g ~obj_idx { inst = callee_inst; node = 0; seg = 0 },
-                      base_enc @ [ Encoding.Call call_id ] )
+              (* segment hops.  Segment i runs the statements up to and
+                 including dive i's call; its effect composes the
+                 transition functions of the events it fires on the
+                 object, and only those statements need versions. *)
+              let versions = lazy (Varver.analyze n.Cfet.stmts) in
+              let effect = ref Transfn.identity_id in
+              let auxes = ref [] in
+              let last_event = ref None in
+              let exit_v = ref (-1) in
+              let hop i =
+                let src = vertex inst node_id i in
+                let dst, call =
+                  if i < k then (vertex dives.((3 * i) + 1) 0 0, dives.(3 * i))
+                  else begin
+                    exit_v := vertex inst node_id (k + 1);
+                    (!exit_v, -1)
                   end
-                  else
-                    ( vertex g ~obj_idx { inst; node = node_id; seg = k + 1 },
-                      base_enc )
                 in
-                add_seed g src dst (Dg.Step effect) enc;
-                (match event_stmt with
+                let enc_id =
+                  match !auxes with
+                  | [] -> shape shape_hop meth node_id call
+                  | auxes ->
+                      Edgebuf.intern seeds
+                        (List.rev_append auxes
+                           (shape_encoding icfet shape_hop meth node_id call))
+                in
+                push src dst (Dg.Step !effect) enc_id;
+                (match !last_event with
                 | Some s ->
                     if not (Hashtbl.mem g.event_sites dst) then
                       Hashtbl.replace g.event_sites dst s
-                | None -> ())
+                | None -> ());
+                effect := Transfn.identity_id;
+                auxes := [];
+                last_event := None
+              in
+              let seg = ref 0 in
+              List.iter
+                (fun (s : Jir.Ast.stmt) ->
+                  (match
+                     Fsm.stmt_event g.fsm ~library ~meth:cfet.Cfet.meth s
+                   with
+                  | None -> ()
+                  | Some (recv, event) -> (
+                      let version =
+                        Varver.use (Lazy.force versions) ~sid:s.Jir.Ast.sid
+                          ~var:recv
+                      in
+                      match
+                        Hashtbl.find_opt aliases (inst, recv, node_id, version)
+                      with
+                      | None -> ()
+                      | Some alias_enc ->
+                          let vec = Fsm.event_vector g.fsm event in
+                          let fid = Transfn.intern g.registry vec in
+                          effect := Transfn.compose g.registry !effect fid;
+                          auxes := Encoding.Aux alias_enc :: !auxes;
+                          last_event := Some s));
+                  if !seg < k && s.Jir.Ast.sid = dives.((3 * !seg) + 2)
+                  then begin
+                    hop !seg;
+                    incr seg
+                  end)
+                n.Cfet.stmts;
+              for i = !seg to k do
+                hop i
               done;
-              (* node-exit hops *)
-              let exit_v = vertex g ~obj_idx { inst; node = node_id; seg = k + 1 } in
+              (* node-exit hops, from the point the last segment hop
+                 reached *)
+              let exit_v = !exit_v in
               match (n.Cfet.cond, n.Cfet.exit) with
               | Some _, _ ->
                   let t_child = Option.get n.Cfet.t_child in
                   let f_child = Option.get n.Cfet.f_child in
                   List.iter
                     (fun child ->
-                      let dst = vertex g ~obj_idx { inst; node = child; seg = 0 } in
-                      add_seed g exit_v dst (Dg.Step Transfn.identity_id)
-                        [ Encoding.Interval
-                            { meth; first = node_id; last = child } ])
+                      let dst = vertex inst child 0 in
+                      push exit_v dst step_id
+                        (shape shape_branch meth node_id child))
                     [ t_child; f_child ]
               | None, Some leaf_exit -> (
                   let entering =
                     List.filter
-                      (fun (caller, _) -> Hashtbl.mem relevant caller)
-                      (Option.value ~default:[]
-                         (Hashtbl.find_opt entries_rev inst))
+                      (fun (caller, _) -> is_relevant caller)
+                      entries_rev.(inst)
                   in
-                  let is_entry = List.mem inst entry_set in
-                  if is_entry || entering = [] then
+                  if is_entry.(inst) || entering = [] then
                     Hashtbl.replace g.exit_points exit_v
                       (match leaf_exit with
                       | Cfet.Normal _ -> Exit_normal
@@ -317,56 +372,50 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
                       (fun (caller, call_id) ->
                         let ce = Icfet.call_edge icfet call_id in
                         let caller_node = ce.Icfet.caller_node in
-                        let caller_dives =
-                          Option.value ~default:[]
-                            (Hashtbl.find_opt dives_of (caller, caller_node))
+                        let caller_cfet =
+                          Icfet.cfet icfet ce.Icfet.caller_meth
                         in
-                        let rec pos i = function
-                          | [] -> None
-                          | (cid, _, _) :: rest ->
-                              if cid = call_id then Some i else pos (i + 1) rest
-                        in
-                        match (leaf_exit, pos 0 caller_dives) with
-                        | Cfet.Normal _, Some p ->
-                            let dst =
-                              vertex g ~obj_idx
-                                { inst = caller; node = caller_node;
-                                  seg = p + 1 }
+                        match leaf_exit with
+                        | Cfet.Normal _ -> (
+                            (* back to the segment after the dive *)
+                            let caller_dives =
+                              match
+                                Hashtbl.find_opt caller_cfet.Cfet.nodes
+                                  caller_node
+                              with
+                              | Some cn ->
+                                  dives_of caller cn ce.Icfet.caller_meth
+                              | None -> [||]
                             in
-                            add_seed g exit_v dst (Dg.Step Transfn.identity_id)
-                              [ Encoding.Ret call_id;
-                                Encoding.Interval
-                                  { meth = ce.Icfet.caller_meth;
-                                    first = caller_node; last = caller_node } ]
-                        | Cfet.Exceptional _, _ ->
+                            let rec pos i =
+                              if 3 * i >= Array.length caller_dives then None
+                              else if caller_dives.(3 * i) = call_id then Some i
+                              else pos (i + 1)
+                            in
+                            match pos 0 with
+                            | Some p ->
+                                let dst = vertex caller caller_node (p + 1) in
+                                push exit_v dst step_id
+                                  (shape shape_ret call_id caller_node 0)
+                            | None -> ())
+                        | Cfet.Exceptional _ ->
                             (* transfer to the caller's exception branch: the
                                false sibling of the node containing the call,
                                which exists exactly when the call heads a
                                may-throw divergence *)
-                            let caller_cfet =
-                              Icfet.cfet icfet ce.Icfet.caller_meth
-                            in
                             let sibling = caller_node - 1 in
                             if
                               ce.Icfet.diverges
                               && caller_node > 0
                               && Hashtbl.mem caller_cfet.Cfet.nodes sibling
                             then begin
-                              let dst =
-                                vertex g ~obj_idx
-                                  { inst = caller; node = sibling; seg = 0 }
-                              in
-                              add_seed g exit_v dst
-                                (Dg.Step Transfn.identity_id)
-                                [ Encoding.Ret call_id;
-                                  Encoding.Interval
-                                    { meth = ce.Icfet.caller_meth;
-                                      first = sibling; last = sibling } ]
+                              let dst = vertex caller sibling 0 in
+                              push exit_v dst step_id
+                                (shape shape_ret call_id sibling 0)
                             end
                             else
                               Hashtbl.replace g.exit_points exit_v
-                                Exit_escaped
-                        | Cfet.Normal _, None -> ())
+                                Exit_escaped)
                       entering)
               | None, None -> assert false)
             cfet.Cfet.nodes)
@@ -375,46 +424,33 @@ let build (icfet : Icfet.t) (clones : Clone_tree.t) (ag : Alias_graph.t)
       let src = source_vertex g in
       let alloc_meth = (Clone_tree.instance clones alloc_inst).Clone_tree.meth in
       let alloc_cfet = Icfet.cfet icfet alloc_meth in
-      let alloc_sid =
-        match Alias_graph.info ag obj_vertex with
-        | Alias_graph.Obj_vertex { sid; _ } -> sid
-        | Alias_graph.Var_vertex _ -> assert false
-      in
-      let dives =
-        Option.value ~default:[]
-          (Hashtbl.find_opt dives_of (alloc_inst, alloc_node))
-      in
+      let node = Cfet.node alloc_cfet alloc_node in
+      let dives = dives_of alloc_inst node alloc_meth in
       let alloc_seg =
         (* segment containing the allocation statement *)
-        let node = Cfet.node alloc_cfet alloc_node in
         let seg = ref 0 in
         let found = ref 0 in
-        let remaining = ref (List.map (fun (_, _, sid) -> sid) dives) in
         List.iter
           (fun (s : Jir.Ast.stmt) ->
             if s.Jir.Ast.sid = alloc_sid then found := !seg;
-            match !remaining with
-            | sid :: rest when sid = s.Jir.Ast.sid ->
-                remaining := rest;
-                incr seg
-            | _ -> ())
+            if 3 * !seg < Array.length dives
+               && s.Jir.Ast.sid = dives.((3 * !seg) + 2)
+            then incr seg)
           node.Cfet.stmts;
         !found
       in
-      let dst = vertex g ~obj_idx { inst = alloc_inst; node = alloc_node; seg = alloc_seg } in
+      let dst = vertex alloc_inst alloc_node alloc_seg in
       (* anchor the track at the method entry so the branch conditions that
          guard the allocation constrain the rest of the object's path *)
-      add_seed g src dst (Dg.Track Transfn.identity_id)
-        [ Encoding.Interval { meth = alloc_meth; first = 0; last = alloc_node } ];
+      push src dst (Dg.Track Transfn.identity_id)
+        (shape shape_anchor alloc_meth alloc_node 0);
       g.tracked <-
         { obj_vertex; obj_idx; alloc_inst; cls; at; source_vertex = src }
         :: g.tracked)
     tracked_objects;
   g.tracked <- List.rev g.tracked;
-  g.seeds <- List.rev g.seeds;
   g
 
-let seeds (g : t) = g.seeds
 let tracked (g : t) = g.tracked
 let n_vertices (g : t) = g.n_vertices
 let n_seeds (g : t) = g.n_seeds

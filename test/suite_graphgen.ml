@@ -261,20 +261,21 @@ entry Main.main;
   let ag = Alias_graph.build icfet clones in
   let flows = run_alias_engine icfet ag in
   let fsm = Checkers.fsm "io" in
-  let dg = Dataflow_graph.build icfet clones ag flows fsm in
+  let seeds = Engine.Edgebuf.create () in
+  let dg = Dataflow_graph.build ~seeds icfet clones ag flows fsm in
   Alcotest.(check int) "one tracked object" 1
     (List.length (Dataflow_graph.tracked dg));
   Alcotest.(check bool) "seeds exist" true (Dataflow_graph.n_seeds dg > 0);
+  Alcotest.(check int) "every seed in the buffer" (Dataflow_graph.n_seeds dg)
+    (Engine.Edgebuf.n seeds);
   (* exactly one Track seed *)
-  let track_seeds =
-    List.filter
-      (fun (s : Dataflow_graph.seed) ->
-        match s.Dataflow_graph.label with
-        | Cfl.Dataflow_grammar.Track _ -> true
-        | Cfl.Dataflow_grammar.Step _ -> false)
-      (Dataflow_graph.seeds dg)
-  in
-  Alcotest.(check int) "one track seed" 1 (List.length track_seeds)
+  let track_seeds = ref 0 in
+  for i = 0 to Engine.Edgebuf.n seeds - 1 do
+    match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
+    | Cfl.Dataflow_grammar.Track _ -> incr track_seeds
+    | Cfl.Dataflow_grammar.Step _ -> ()
+  done;
+  Alcotest.(check int) "one track seed" 1 !track_seeds
 
 let test_dataflow_untracked_class_ignored () =
   let src = {|
@@ -290,10 +291,14 @@ entry Main.main;
   let _, icfet, _, clones = prepare src in
   let ag = Alias_graph.build icfet clones in
   let flows = run_alias_engine icfet ag in
-  let dg = Dataflow_graph.build icfet clones ag flows (Checkers.fsm "io") in
+  let seeds = Engine.Edgebuf.create () in
+  let dg =
+    Dataflow_graph.build ~seeds icfet clones ag flows (Checkers.fsm "io")
+  in
   Alcotest.(check int) "nothing tracked" 0
     (List.length (Dataflow_graph.tracked dg));
-  Alcotest.(check int) "no seeds" 0 (Dataflow_graph.n_seeds dg)
+  Alcotest.(check int) "no seeds" 0 (Dataflow_graph.n_seeds dg);
+  Alcotest.(check int) "an empty buffer" 0 (Engine.Edgebuf.n seeds)
 
 let suite =
   [ Alcotest.test_case "clone tree diamond" `Quick test_clone_tree_diamond;

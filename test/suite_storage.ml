@@ -321,6 +321,193 @@ let test_corpus_replay () =
   Alcotest.(check bool) "replay exercised partition files" true
     !saw_partition_files
 
+(* ---------------- golden bytes ---------------- *)
+
+let md5_file path = Digest.to_hex (Digest.file path)
+
+(* A fixed buffer: pool entries whose lengths straddle the varint
+   boundaries, and records whose fields reach the full 63-bit word. *)
+let golden_buffer () =
+  let eb = Engine.Edgebuf.create () in
+  List.iter
+    (fun n ->
+      let s = String.init n (fun i -> Char.chr (((i * 7) + n) land 0xff)) in
+      ignore (Engine.Edgebuf.intern_bytes eb s : int))
+    [ 0; 1; 127; 128; 300; 16384 ];
+  let wide =
+    [| 0; 1; 127; 128; 1 lsl 31; 1 lsl 32; (1 lsl 58) - 1; max_int |]
+  in
+  for i = 0 to 699 do
+    Engine.Edgebuf.push eb ~src:wide.(i mod 8) ~dst:wide.(i / 8 mod 8)
+      ~label:wide.(i * 3 mod 8) ~enc_id:(i mod 6)
+  done;
+  eb
+
+(* Round-trip properties cannot see a writer and a reader that drift from
+   format 2 together; these digests of the written bytes can. *)
+let test_golden_codec_bytes () =
+  let dir = fresh_workdir () in
+  let eb = golden_buffer () in
+  List.iter
+    (fun (block_cap, want) ->
+      let path =
+        Filename.concat dir (Printf.sprintf "golden-%d.edges" block_cap)
+      in
+      let n = S.write_flat ~block_cap ~path eb in
+      Alcotest.(check int)
+        (Printf.sprintf "cap %d: bytes written" block_cap)
+        (String.length (read_bytes path)) n;
+      Alcotest.(check string)
+        (Printf.sprintf "cap %d: file digest" block_cap)
+        want (md5_file path))
+    [ (1, "25a6a02c453e40d93f8c905ae6d6da9d");
+      (3, "1813c0047138f8de7407b5bd4e84586a");
+      (512, "99a0e3fe9ba022deb09f04a5b2a95e94") ]
+
+(* The MD5 of every phase-2 partition file and manifest a full check leaves
+   behind, listed by path under the workdir: they pin the dataflow graph's
+   vertex ids, its seeds and their order, the preprocess that partitions
+   them, and the closure that grows them. *)
+let partition_listing workdir =
+  let b = Buffer.create 1024 in
+  Sys.readdir workdir |> Array.to_list
+  |> List.filter (fun d -> String.length d > 3 && String.sub d 0 3 = "df-")
+  |> List.sort compare
+  |> List.iter (fun d ->
+         Sys.readdir (Filename.concat workdir d)
+         |> Array.to_list
+         |> List.filter (fun f ->
+                f = "manifest" || Filename.check_suffix f ".edges")
+         |> List.sort compare
+         |> List.iter (fun f ->
+                Printf.bprintf b "%s/%s %s\n" d f
+                  (md5_file (Filename.concat (Filename.concat workdir d) f))));
+  Buffer.contents b
+
+let test_golden_seed_partitions () =
+  let figure3b =
+    read_bytes
+      (Filename.concat
+         (Filename.dirname Sys.executable_name)
+         "../examples/figure3b.jir")
+    |> Jir.Resolve.parse_exn ~file:"figure3b.jir"
+  in
+  let cs =
+    List.map Checkers.resolve
+      [ "io"; "lock"; "exception"; "socket"; "null"; "lock_order"; "taint";
+        "close"; "exc_twr" ]
+  in
+  List.iter
+    (fun (name, program, want) ->
+      let workdir = fresh_workdir () in
+      let config =
+        { (Grapple.Pipeline.default_config ~workdir) with
+          Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+          track_null = Checkers.tracks_null cs;
+          prefilter_properties = Checkers.fsms cs }
+      in
+      let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
+      let _, props, _ = Checkers.run_all_scheduled prepared cs in
+      let listing = partition_listing workdir in
+      Grapple.Pipeline.cleanup prepared props;
+      Alcotest.(check bool) (name ^ ": partition files written") true
+        (listing <> "");
+      Alcotest.(check string)
+        (name ^ ": digest of\n" ^ listing)
+        want
+        (Digest.to_hex (Digest.string listing)))
+    [ ("figure3b", figure3b, "082b0fb52df7f7944031f31811105cc9");
+      ("minizk",
+       (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
+       "f55dc253cba3351f591ea91437fdd23a") ]
+
+(* ---------------- rejected blocks ---------------- *)
+
+let varint n =
+  let b = Buffer.create 10 in
+  E.add_varint b n;
+  Buffer.contents b
+
+(* One framed block with a valid checksum. *)
+let frame payload =
+  varint (String.length payload) ^ payload ^ varint (S.checksum_string payload)
+
+let record (src, dst, label, enc_id) =
+  let b = Buffer.create 32 in
+  List.iter (fun w -> Buffer.add_int64_le b (Int64.of_int w))
+    [ src; dst; label; enc_id ];
+  Buffer.contents b
+
+let pool_block entries =
+  frame
+    ("P" ^ varint (List.length entries)
+    ^ String.concat ""
+        (List.map (fun s -> varint (String.length s) ^ s) entries))
+
+let edge_block ?count records =
+  let count = Option.value count ~default:(List.length records) in
+  frame ("E" ^ varint count ^ String.concat "" (List.map record records))
+
+(* Write [blocks]; read them back.  Returns the records kept, the pool size
+   and the rendered corruption, with the byte offset of each block. *)
+let read_crafted blocks =
+  let path = Filename.concat (fresh_workdir ()) "crafted.edges" in
+  let oc = open_out_bin path in
+  List.iter (output_string oc) blocks;
+  close_out oc;
+  let out = S.read_flat ~path in
+  let offsets =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (off, acc) b -> (off + String.length b, off :: acc))
+            (0, []) blocks))
+  in
+  ( Engine.Edgebuf.n out.S.buf,
+    Engine.Edgebuf.pool_size out.S.buf,
+    Option.map (Fmt.str "%a" S.pp_corruption) out.S.corrupt,
+    offsets )
+
+(* A block whose checksum is valid but whose contents are not must leave
+   nothing of itself behind: the reader keeps the blocks before it, and
+   reports a malformed block, not a checksum mismatch. *)
+let test_rejected_block_keeps_nothing () =
+  let enc = E.to_bytes [ E.Call 0 ] in
+  let blocks =
+    [ pool_block [ enc ];
+      edge_block [ (1, 2, 3, 0) ];
+      edge_block [ (4, 5, 6, 0); (7, 8, 9, 99) ] ]
+  in
+  let n, pool, corrupt, offsets = read_crafted blocks in
+  Alcotest.(check int) "the bad block's first record is dropped" 1 n;
+  Alcotest.(check int) "the pool is intact" 1 pool;
+  Alcotest.(check (option string)) "reported as malformed"
+    (Some (Printf.sprintf "malformed block at byte %d" (List.nth offsets 2)))
+    corrupt;
+  (* a pool block whose second entry overruns the payload appends nothing *)
+  let bad_pool =
+    frame ("P" ^ varint 2 ^ varint (String.length enc) ^ enc ^ varint 200)
+  in
+  let n, pool, corrupt, _ = read_crafted [ bad_pool ] in
+  Alcotest.(check int) "no records" 0 n;
+  Alcotest.(check int) "no pool entries" 0 pool;
+  Alcotest.(check (option string)) "pool block reported as malformed"
+    (Some "malformed block at byte 0") corrupt
+
+(* A record count so large that count x 32 wraps must fail the length
+   check, not pass it and read past the payload. *)
+let test_block_count_cannot_overflow () =
+  let enc = E.to_bytes [ E.Call 0 ] in
+  let blocks =
+    [ pool_block [ enc ];
+      edge_block ~count:((1 lsl 58) + 1) [ (1, 2, 3, 0) ] ]
+  in
+  let n, _, corrupt, offsets = read_crafted blocks in
+  Alcotest.(check int) "no records" 0 n;
+  Alcotest.(check (option string)) "reported as malformed"
+    (Some (Printf.sprintf "malformed block at byte %d" (List.nth offsets 1)))
+    corrupt
+
 let suite =
   [ QCheck_alcotest.to_alcotest prop_flat_roundtrip;
     QCheck_alcotest.to_alcotest prop_flat_torn_tail;
@@ -330,4 +517,11 @@ let suite =
     Alcotest.test_case "worked example vs naive closure" `Quick
       test_example_matches_reference;
     Alcotest.test_case "corpus replay on the flat representation" `Quick
-      test_corpus_replay ]
+      test_corpus_replay;
+    Alcotest.test_case "golden codec bytes" `Quick test_golden_codec_bytes;
+    Alcotest.test_case "golden seed partitions" `Quick
+      test_golden_seed_partitions;
+    Alcotest.test_case "rejected block keeps nothing" `Quick
+      test_rejected_block_keeps_nothing;
+    Alcotest.test_case "block count cannot overflow" `Quick
+      test_block_count_cannot_overflow ]
