@@ -794,8 +794,8 @@ let shards ~fast () =
 
 let micro () =
   header
-    "Micro-benchmarks (Bechamel): the dominant kernel of each table, and \
-     the engine's partition load"
+    "Micro-benchmarks (Bechamel): the dominant kernel of each table, the \
+     engine's partition load, and the JIR frontend"
     "n/a -- engineering sanity checks";
   let open Bechamel in
   (* table 1 kernel: subject generation *)
@@ -899,9 +899,20 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Engine.Storage.write_flat ~path:write_path written : int)))
   in
+  (* frontend kernel: lex, parse and resolve a small megaload subject's
+     text, printed once here *)
+  let jir_text =
+    Jir.Pp.program_to_string
+      (Generator.mega_100k ~units:24 ()).Generator.program
+  in
+  let jir =
+    Test.make ~name:"jir/parse"
+      (Staged.stage (fun () ->
+           ignore (Jir.Resolve.parse_exn ~file:"mega.jir" jir_text)))
+  in
   let grouped =
     Test.make_grouped ~name:"grapple"
-      [ t1; t2; t3; t4; t5; f9; load; parse; write ]
+      [ t1; t2; t3; t4; t5; f9; load; parse; write; jir ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]

@@ -15,7 +15,10 @@ let read_file path =
   s
 
 let load path =
-  match Jir.Resolve.parse_exn ~file:(Filename.basename path) (read_file path) with
+  match
+    Obs.Trace.with_span ~cat:"jir" "jir.parse" (fun () ->
+        Jir.Resolve.parse_exn ~file:(Filename.basename path) (read_file path))
+  with
   | p -> p
   | exception Jir.Resolve.Resolve_error errs ->
       List.iter (fun e -> prerr_endline (Jir.Resolve.error_to_string e)) errs;

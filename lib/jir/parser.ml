@@ -1,25 +1,48 @@
 (* Recursive-descent parser for the JIR surface syntax.  Instance calls are
    parsed with [target_class = ""] and resolved by [Resolve.run], which also
-   turns [ClassName.m(...)] receivers into static calls. *)
+   turns [ClassName.m(...)] receivers into static calls.
+
+   The parser pulls its tokens from [Lexer.next] as it goes.  It holds the
+   current token and, only where the grammar needs it (an identifier that
+   starts a statement or a right-hand side), the one after it. *)
 
 open Ast
 
 exception Parse_error of string * int
 
 type state = {
-  toks : Lexer.lexed array;
-  mutable cur : int;
+  lx : Lexer.t;
   file : string;
+  mutable tok : Lexer.token;  (* the current token *)
+  mutable line : int;  (* its line *)
+  mutable ahead : (Lexer.token * int) option;  (* the next one, if lexed *)
 }
 
-let peek st = st.toks.(st.cur).tok
-let line st = st.toks.(st.cur).line
-let advance st = st.cur <- st.cur + 1
+let peek st = st.tok
+
+let advance st =
+  match st.ahead with
+  | Some (tok, line) ->
+      st.tok <- tok;
+      st.line <- line;
+      st.ahead <- None
+  | None ->
+      st.tok <- Lexer.next st.lx;
+      st.line <- st.lx.line
+
+(* The token after the current one. *)
+let peek2 st =
+  match st.ahead with
+  | Some (tok, _) -> tok
+  | None ->
+      let tok = Lexer.next st.lx in
+      st.ahead <- Some (tok, st.lx.line);
+      tok
 
 let fail st msg =
   raise (Parse_error (Printf.sprintf "%s (got %s)" msg
-                        (Lexer.token_to_string (peek st)),
-                      line st))
+                        (Lexer.token_to_string st.tok),
+                      st.line))
 
 let expect st tok msg =
   if peek st = tok then advance st else fail st msg
@@ -32,7 +55,7 @@ let ident st =
   | Lexer.IDENT s -> advance st; s
   | _ -> fail st "expected identifier"
 
-let pos st = { file = st.file; line = line st }
+let pos st = { file = st.file; line = st.line }
 
 (* ------------------------------------------------------------------ *)
 (* Expressions: additive over multiplicative over atoms.              *)
@@ -113,8 +136,11 @@ and parse_cond_atom st =
   | Lexer.KW "false" -> advance st; Bconst false
   | Lexer.LPAREN ->
       (* Try a parenthesized condition first; fall back to a comparison
-         whose left-hand side is a parenthesized arithmetic expression. *)
-      let saved = st.cur in
+         whose left-hand side is a parenthesized arithmetic expression.
+         Lookahead is only taken at an identifier that starts a statement
+         or a right-hand side, never inside a condition, so the lexer's
+         offset and line and the '(' are the whole state to restore. *)
+      let offset = st.lx.pos and line = st.line in
       (try
          advance st;
          let c = parse_cond st in
@@ -123,7 +149,10 @@ and parse_cond_atom st =
          | Some _ -> fail st "condition followed by comparison"
          | None -> c
        with Parse_error _ ->
-         st.cur <- saved;
+         st.lx.pos <- offset;
+         st.lx.line <- line;
+         st.tok <- Lexer.LPAREN;
+         st.line <- line;
          parse_comparison st)
   | _ -> parse_comparison st
 
@@ -168,7 +197,7 @@ let parse_rhs st =
       let args = parse_args st in
       Rnew (c, args)
   | Lexer.KW "null" -> advance st; Rnull
-  | Lexer.IDENT name when st.toks.(st.cur + 1).tok = Lexer.DOT ->
+  | Lexer.IDENT name when peek2 st = Lexer.DOT ->
       advance st;
       advance st;
       let member = ident st in
@@ -237,7 +266,7 @@ let rec parse_stmt st : stmt =
       advance st;
       parse_decl st ~at ~typ:(type_of_name tname)
   | Lexer.IDENT name -> begin
-      match st.toks.(st.cur + 1).tok with
+      match peek2 st with
       | Lexer.IDENT _ ->
           (* "C v ..." object declaration *)
           advance st;
@@ -367,8 +396,14 @@ let parse_program st =
   loop [] []
 
 (* Parse a full program from source text.  Raises [Parse_error] or
-   [Lexer.Lex_error] on malformed input. *)
+   [Lexer.Lex_error] on malformed input; a lexical error anywhere in the
+   input is reported ahead of a parse error, so a parse error is raised
+   only once the rest of the input has lexed cleanly. *)
 let parse ?(file = "<string>") src =
-  let toks = Array.of_list (Lexer.tokenize src) in
-  let st = { toks; cur = 0; file } in
-  parse_program st
+  let lx = Lexer.create src in
+  let st = { lx; file; tok = Lexer.EOF; line = 1; ahead = None } in
+  advance st;
+  try parse_program st
+  with Parse_error _ as e ->
+    Lexer.drain lx;
+    raise e

@@ -20,7 +20,10 @@ open Jir.Ast
 let revalidate (p : program) : program option =
   match Jir.Resolve.parse_exn ~file:"shrunk.jir" (Jir.Pp.program_to_string p) with
   | p' -> Some p'
-  | exception (Jir.Resolve.Resolve_error _ | Jir.Parser.Parse_error _) -> None
+  | exception
+      ( Jir.Resolve.Resolve_error _ | Jir.Parser.Parse_error _
+      | Jir.Lexer.Lex_error _ ) ->
+      None
 
 (* ---- reduction 1: drop a method and its call sites ---- *)
 

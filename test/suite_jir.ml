@@ -162,11 +162,41 @@ let test_parse_error_lines () =
 let test_lexer_error_lines () =
   Alcotest.check_raises "unexpected character"
     (Jir.Lexer.Lex_error ("unexpected character '#'", 2))
-    (fun () -> ignore (Jir.Lexer.tokenize "class C {\n# }\n"));
+    (fun () -> ignore (Jir.Parser.parse "class C {\n# }\n"));
   (* the unterminated comment is reported at the line the scan ends on *)
   Alcotest.check_raises "unterminated comment"
     (Jir.Lexer.Lex_error ("unterminated comment", 3))
-    (fun () -> ignore (Jir.Lexer.tokenize "class C {\n/* lost\ncomment"))
+    (fun () -> ignore (Jir.Parser.parse "class C {\n/* lost\ncomment"))
+
+(* [int_of_string]'s range: max_int lexes, one more is a positioned
+   lexical error, also when it follows a parse error *)
+let test_integer_out_of_range () =
+  let lit = string_of_int max_int in
+  let last = String.length lit - 1 in
+  let over =
+    String.mapi (fun i c -> if i = last then Char.chr (Char.code c + 1) else c)
+      lit
+  in
+  let src lit =
+    Printf.sprintf "class C {\n  void m() {\n    int x = %s;\n  }\n}\n" lit
+  in
+  let p = Jir.Parser.parse (src lit) in
+  let m = Option.get (Jir.Ast.find_method p ~cls:"C" ~meth:"m") in
+  Alcotest.(check bool) "max_int lexes" true
+    (match m.Jir.Ast.body with
+     | [ { Jir.Ast.kind = Decl (_, _, Some (Rexpr (Const n))); _ } ] ->
+         n = max_int
+     | _ -> false);
+  Alcotest.check_raises "one past max_int"
+    (Jir.Lexer.Lex_error ("integer literal out of range", 3))
+    (fun () -> ignore (Jir.Parser.parse (src over)));
+  Alcotest.check_raises "after a parse error"
+    (Jir.Lexer.Lex_error ("integer literal out of range", 4))
+    (fun () ->
+      ignore
+        (Jir.Parser.parse
+           ("class C {\n  void m() {\n    int x = ;\n"
+           ^ "    x = 99999999999999999999;\n  }\n}\n")))
 
 let test_resolve_errors () =
   let src = {|
@@ -384,6 +414,224 @@ let prop_generator_roundtrip =
       let p2 = parse text in
       Jir.Pp.program_to_string p2 = text)
 
+(* ---- frontend goldens ---- *)
+
+(* A rendering of a resolved parse that covers everything downstream reads:
+   classes, fields, method signatures and throws lists, entries, resolve
+   errors, and each statement's kind, line and sid.  Sids are taken
+   relative to the parse's first one, so the rendering does not depend on
+   what was parsed before. *)
+let render_parse ~file text =
+  let first = !Jir.Ast.sid_counter + 1 in
+  let p, errs = Jir.Resolve.run (Jir.Parser.parse ~file text) in
+  let open Jir.Ast in
+  let b = Buffer.create 65536 in
+  let line fmt = Fmt.kstr (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
+  let exprs = Fmt.(list ~sep:(any ", ") Jir.Pp.expr) in
+  let call ppf (c : call) =
+    Fmt.pf ppf "%s>%s.%s(%a)" (Option.value c.recv ~default:"-")
+      c.target_class c.mname exprs c.args
+  in
+  let rhs ppf = function
+    | Rcall c -> Fmt.pf ppf "call %a" call c
+    | r -> Jir.Pp.rhs ppf r
+  in
+  let rec block d = List.iter (stmt d)
+  and stmt d s =
+    let at =
+      Fmt.str "%s%d @%d" (String.make d ' ') (s.sid - first) s.at.line
+    in
+    match s.kind with
+    | Decl (t, v, r) ->
+        line "%s decl %a %s = %a" at Jir.Pp.typ t v
+          Fmt.(option ~none:(any "-") rhs) r
+    | Assign (v, r) -> line "%s assign %s = %a" at v rhs r
+    | Store (x, f, y) -> line "%s store %s.%s = %s" at x f y
+    | If (c, t, f) ->
+        line "%s if %a" at Jir.Pp.cond c;
+        block (d + 1) t;
+        line "%s else" at;
+        block (d + 1) f
+    | While (c, body) ->
+        line "%s while %a" at Jir.Pp.cond c;
+        block (d + 1) body
+    | Try (body, catches) ->
+        line "%s try" at;
+        block (d + 1) body;
+        List.iter
+          (fun cc ->
+            line "%s catch %s %s" at cc.exn_class cc.exn_var;
+            block (d + 1) cc.handler)
+          catches
+    | Throw e -> line "%s throw %s" at e
+    | Return r ->
+        line "%s return %a" at Fmt.(option ~none:(any "-") Jir.Pp.expr) r
+    | Expr c -> line "%s expr %a" at call c
+  in
+  List.iter
+    (fun c ->
+      line "class %s" c.cname;
+      List.iter (fun (t, f) -> line " field %a %s" Jir.Pp.typ t f) c.fields;
+      List.iter
+        (fun m ->
+          line " method %s.%s(%a) : %a throws [%s]" m.mclass m.mname
+            Fmt.(list ~sep:(any ", ") (pair ~sep:(any " ") Jir.Pp.typ string))
+            m.params Jir.Pp.typ m.ret (String.concat "," m.throws);
+          block 2 m.body)
+        c.methods)
+    p.classes;
+  List.iter (fun (c, m) -> line "entry %s.%s" c m) p.entries;
+  List.iter (fun e -> line "error %s" (Jir.Resolve.error_to_string e)) errs;
+  Buffer.contents b
+
+(* Comments, nested parenthesised conditions (the parser's one backtrack),
+   negative literals, static and instance calls, field traffic, throws
+   lists and a try with two handlers; [h.nosuch] is a resolve error. *)
+let frontend_source = {|// leading line comment
+class Helper {
+  FileWriter out;
+  int twice(int n) throws IOError, Boom {
+    /* block comment
+       over two lines */
+    int r = n * 2 - -3;
+    return r;
+  }
+}
+class Main {
+  int count;
+  void main(int a, int b, int c) throws Boom {
+    Helper h = new Helper(); // trailing comment
+    FileWriter w = new FileWriter(a, -7);
+    h.out = w;
+    FileWriter v = h.out;
+    int d = Helper.twice(a + -1);
+    int e = h.twice((a + b) * c);
+    if ((a + b) > c && (a < b)) {
+      v.write(d);
+    } else {
+      d = -(a - 2);
+    }
+    if (((a > b)) || !(a == 1)) {
+      w.close();
+    }
+    while (!(d <= 0) && true) {
+      d = d - 1;
+    }
+    try {
+      h.nosuch();
+      throw new Boom();
+    } catch (Boom x) {
+      w.close();
+    } catch (IOError y) {
+      return;
+    }
+    return;
+  }
+}
+entry Main.main;
+|}
+
+(* The pp/parse round trip cannot see sids, lines or call resolution
+   drift; these digests of [render_parse] can. *)
+let golden_parse_digests =
+  [ ("figure3b", "404cc968159f7234e22e375e9d2b1325");
+    ("minizk", "bef33c3d6b6f4ef6dee43195b6ac9e08");
+    ("minihadoop", "cd828bef3b1bf3f00bde9ca844568552");
+    ("minihdfs", "e0ae966686f97184af7e1cd0e1e3a932");
+    ("minihbase", "0d482f37ab36382a5a26f7778d5cc50a");
+    ("minilocks", "d20166a1c73f1ba065b642bed64a6483");
+    ("minitaint", "7d7d383e171b8c8b02d40f0b071e34b2");
+    ("miniclose", "3c02e1fff3bc6aac75bbe5b595e1f216");
+    ("minitwr", "f3ea9702e82d2dc08bca59a28b9fee9c");
+    ("mega24", "f70995c5ad82141aea051731371fbf69");
+    ("frontend", "bac4c576434d86565341a123e49d864b") ]
+
+let test_golden_parse () =
+  let figure3b =
+    In_channel.with_open_bin
+      (Filename.concat (Filename.dirname Sys.executable_name)
+         "../examples/figure3b.jir")
+      In_channel.input_all
+  in
+  let module G = Workload.Generator in
+  let pp (s : G.subject) = Jir.Pp.program_to_string s.G.program in
+  let inputs =
+    [ ("figure3b", figure3b);
+      ("minizk", pp (G.mini_zookeeper ()));
+      ("minihadoop", pp (G.mini_hadoop ()));
+      ("minihdfs", pp (G.mini_hdfs ()));
+      ("minihbase", pp (G.mini_hbase ()));
+      ("minilocks", pp (G.mini_locks ()));
+      ("minitaint", pp (G.mini_taint ()));
+      ("miniclose", pp (G.mini_close ()));
+      ("minitwr", pp (G.mini_twr ()));
+      ("mega24", pp (G.mega_100k ~units:24 ()));
+      ("frontend", frontend_source) ]
+  in
+  let digests =
+    List.map
+      (fun (name, text) ->
+        (name, Digest.to_hex (Digest.string (render_parse ~file:name text))))
+      inputs
+  in
+  Alcotest.(check (list (pair string string)))
+    "rendering digests" golden_parse_digests digests
+
+(* Malformed inputs and the exact diagnostic each one raises.  A lexical
+   error anywhere in the file wins over a parse error before it. *)
+let diagnostics =
+  [ ("class C { void m() { int x = ; } }",
+     "parse error at 1: expected expression (got ';')");
+    ("class C {\n  void m(int p) {\n    int x = 1\n    return;\n  }\n}\n",
+     "parse error at 4: expected ';' (got keyword \"return\")");
+    ("class C {\n  void m(int p) {\n    if (p) {\n    }\n  }\n}\n",
+     "parse error at 3: expected comparison operator (got ')')");
+    ("class C {\n  void m(int a, int b, int c) {\n"
+     ^ "    if ((a > b) > c) {\n    }\n  }\n}\n",
+     "parse error at 3: expected ')' (got '>')");
+    (* the backtracked attempt crosses a line break *)
+    ("class C {\n  void m(int a, int b, int c) {\n    if ((a +\n"
+     ^ "         b) > c) {\n    }\n    int x = ;\n  }\n}\n",
+     "parse error at 6: expected expression (got ';')");
+    ("class C {\n  void m() {\n    try {\n    }\n    return;\n  }\n}\n",
+     "parse error at 5: try without catch (got keyword \"return\")");
+    ("class C {\n  void m(C o) {\n    o.f = 3;\n  }\n}\n",
+     "parse error at 3: field store expects a variable right-hand side \
+      (got integer 3)");
+    ("class C {\n}\nentry C;\n",
+     "parse error at 3: expected '.' in entry (got ';')");
+    ("class C {\n  void m() {\n    return;\n  }\n",
+     "parse error at 5: expected type (got end of input)");
+    ("class C {\n# }\n", "lexical error at 2: unexpected character '#'");
+    ("class C {\n/* lost\ncomment",
+     "lexical error at 3: unterminated comment");
+    ("class C {\n  void m(int a, int b) {\n"
+     ^ "    if ((a & b) > 0) {\n    }\n  }\n}\n",
+     "lexical error at 3: unexpected character '&'");
+    ("class C {\n  void m(int p) {\n    int x = ;\n    return;\n  }\n  #\n}\n",
+     "lexical error at 6: unexpected character '#'");
+    ("class C {\n  void m(int p) {\n    int x = ;\n  }\n}\n/* never\nclosed\n",
+     "lexical error at 8: unterminated comment");
+    ("class C {\n  void m() {\n    C.nosuch();\n    return;\n  }\n}\n",
+     "resolve error: bad.jir:3: class C has no method nosuch") ]
+
+let diagnose src =
+  match Jir.Resolve.parse_exn ~file:"bad.jir" src with
+  | _ -> "no diagnostic"
+  | exception Jir.Parser.Parse_error (msg, line) ->
+      Printf.sprintf "parse error at %d: %s" line msg
+  | exception Jir.Lexer.Lex_error (msg, line) ->
+      Printf.sprintf "lexical error at %d: %s" line msg
+  | exception Jir.Resolve.Resolve_error errs ->
+      "resolve error: "
+      ^ String.concat "; " (List.map Jir.Resolve.error_to_string errs)
+
+let test_golden_diagnostics () =
+  List.iter
+    (fun (src, want) ->
+      Alcotest.(check string) (String.escaped src) want (diagnose src))
+    diagnostics
+
 let suite =
   [ Alcotest.test_case "parse simple" `Quick test_parse_simple;
     Alcotest.test_case "parse statements" `Quick test_parse_statements;
@@ -392,6 +640,7 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "parse error lines" `Quick test_parse_error_lines;
     Alcotest.test_case "lexer error lines" `Quick test_lexer_error_lines;
+    Alcotest.test_case "integer out of range" `Quick test_integer_out_of_range;
     Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
     Alcotest.test_case "library classes allowed" `Quick test_library_classes_allowed;
     Alcotest.test_case "pretty-print round trip" `Quick test_pp_roundtrip;
@@ -403,4 +652,6 @@ let suite =
     Alcotest.test_case "callgraph edges" `Quick test_callgraph_edges;
     Alcotest.test_case "scc detection" `Quick test_scc_detection;
     Alcotest.test_case "reverse topological order" `Quick test_reverse_topological;
+    Alcotest.test_case "golden parse" `Quick test_golden_parse;
+    Alcotest.test_case "diagnostics golden" `Quick test_golden_diagnostics;
     QCheck_alcotest.to_alcotest prop_generator_roundtrip ]

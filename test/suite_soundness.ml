@@ -227,6 +227,27 @@ let test_fuzz_smoke () =
   Alcotest.(check bool) "confronted static reports" true
     (r.Fuzz.reports_seen > 0)
 
+(* the shrinker skips a candidate whose printed text does not lex, as it
+   skips one that does not parse or resolve: [Const min_int] prints as
+   '-' and a literal one past [max_int] *)
+let test_shrink_skips_unlexable () =
+  let open Jir.Ast in
+  let big = mk (Decl (Tint, "big", Some (Rexpr (Const min_int)))) in
+  let p = parse_src throw_src in
+  let p =
+    { p with
+      classes =
+        List.map
+          (fun c ->
+            { c with
+              methods =
+                List.map (fun m -> { m with body = big :: m.body }) c.methods
+            })
+          p.classes }
+  in
+  Alcotest.(check bool) "skipped" true
+    (Option.is_none (Refinterp.Shrink.revalidate p))
+
 let test_weakened_tier tier () =
   (* drop one triage tier and the harness must catch the resulting
      false negatives within a few iterations *)
@@ -274,4 +295,6 @@ let suite =
       Alcotest.test_case "fuzz: weakened summary tier caught" `Slow
         (test_weakened_tier "summary");
       Alcotest.test_case "fuzz: weakened alias tier caught" `Slow
-        (test_weakened_tier "alias") ]
+        (test_weakened_tier "alias");
+      Alcotest.test_case "shrink: a candidate that does not lex is skipped"
+        `Quick test_shrink_skips_unlexable ]
