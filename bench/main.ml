@@ -795,7 +795,8 @@ let shards ~fast () =
 let micro () =
   header
     "Micro-benchmarks (Bechamel): the dominant kernel of each table, the \
-     engine's partition load, and the JIR frontend"
+     engine's partition load, the JIR frontend and the dataflow graph's \
+     construction"
     "n/a -- engineering sanity checks";
   let open Bechamel in
   (* table 1 kernel: subject generation *)
@@ -910,9 +911,29 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Jir.Resolve.parse_exn ~file:"mega.jir" jir_text)))
   in
+  (* phase-2 kernel: [Dataflow_graph.build] for [io] on minihdfs,
+     prepared once here, into a fresh seed buffer per run *)
+  let io = Checkers.fsm "io" in
+  let prepared =
+    let workdir = fresh_workdir () in
+    let config =
+      config_of ~workdir (fun c ->
+          { c with Pipeline.prefilter_properties = [ io ] })
+    in
+    Pipeline.prepare ~config ~workdir (Generator.mini_hdfs ()).Generator.program
+  in
+  let dataflow =
+    Test.make ~name:"graphgen/dataflow-build"
+      (Staged.stage (fun () ->
+           ignore
+             (Graphgen.Dataflow_graph.build ~seeds:(Engine.Edgebuf.create ())
+                prepared.Pipeline.icfet prepared.Pipeline.clones
+                prepared.Pipeline.alias_graph prepared.Pipeline.flows io
+               : Graphgen.Dataflow_graph.t)))
+  in
   let grouped =
     Test.make_grouped ~name:"grapple"
-      [ t1; t2; t3; t4; t5; f9; load; parse; write; jir ]
+      [ t1; t2; t3; t4; t5; f9; load; parse; write; jir; dataflow ]
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -922,6 +943,7 @@ let micro () =
     Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.25) ()
   in
   let raw = Benchmark.all cfg instances grouped in
+  Pipeline.cleanup prepared [];
   List.iter
     (fun instance ->
       let tbl = Analyze.all ols instance raw in

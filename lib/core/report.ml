@@ -49,24 +49,26 @@ let dedup_key (r : t) =
     r.alloc_at.Jir.Ast.file,
     r.alloc_at.Jir.Ast.line )
 
+(* The order that picks a key's representative: a report that names a
+   manifestation site first, then by site, context, witness, trace and the
+   state reached.  It is total over the fields the key leaves free, so the
+   survivor does not depend on the order the engine found the paths in. *)
+let canonical (r : t) =
+  (Option.is_none r.site, r.site, r.context, r.witness, r.trace, r.kind)
+
+(* One report per dedup key, the least under [canonical], in key order. *)
 let dedup (reports : t list) : t list =
-  let seen = Hashtbl.create 64 in
-  let reports =
-    (* keep the variant that names a manifestation site when both exist *)
-    List.stable_sort
-      (fun a b ->
-        compare (Option.is_none a.site) (Option.is_none b.site))
-      reports
-  in
-  List.filter
+  let best = Hashtbl.create 64 in
+  List.iter
     (fun r ->
       let k = dedup_key r in
-      if Hashtbl.mem seen k then false
-      else begin
-        Hashtbl.replace seen k ();
-        true
-      end)
-    reports
+      match Hashtbl.find_opt best k with
+      | Some b when compare (canonical b) (canonical r) <= 0 -> ()
+      | _ -> Hashtbl.replace best k r)
+    reports;
+  Hashtbl.fold (fun k r acc -> (k, r) :: acc) best []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
+  |> List.map snd
 
 let pp ppf (r : t) =
   match r.kind with

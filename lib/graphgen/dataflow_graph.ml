@@ -23,12 +23,17 @@
 
    The engine closes  Track ::= Track Step  over these seeds: a transitive
    Track edge (source(o) -> point, f) says o reaches the point with FSM
-   state f(initial) along some feasible path.
+   state f(initial) along some feasible path.  Nothing composes two Steps,
+   so a Step joins only a Track edge that ends at its source: [build]
+   walks forward from the allocation's segment and emits the out-edges of
+   the points the walk reaches, and no others.
 
    The builder writes the seeds straight into the engine's seed buffer, in
    emission order, as flat records.  Points are numbered in first-touch
    order through an int table per object, and an encoding without [Aux]
-   fragments is interned once per shape (see [shape_encoding]). *)
+   fragments is interned once per shape (see [shape_encoding]).  What a
+   node's statements fire, and where its calls lead, does not depend on the
+   object, so each is computed once per build. *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
@@ -114,6 +119,55 @@ exception Too_large of string
    vertex, the var vertices it flows to, with encodings. *)
 type flows = (int, (int * Encoding.t) list) Hashtbl.t
 
+(* A memo from int pairs to values computed on first use, for the facts
+   of a build that do not depend on the object. *)
+let memo2 (dummy : 'a) (f : int -> int -> 'a) : int -> int -> 'a =
+  let index = Inttbl.create 256 in
+  let vals = ref (Array.make 256 dummy) in
+  let n = ref 0 in
+  fun a b ->
+    let i = Inttbl.find index a b 0 in
+    if i >= 0 then !vals.(i)
+    else begin
+      let v = f a b in
+      if !n = Array.length !vals then begin
+        let bigger = Array.make (2 * !n) dummy in
+        Array.blit !vals 0 bigger 0 !n;
+        vals := bigger
+      end;
+      !vals.(!n) <- v;
+      ignore (Inttbl.find_or_add index a b 0 !n : int);
+      incr n;
+      v
+    end
+
+(* A node's statements as [build] reads them: their sids in execution
+   order, and each statement that fires an event as (position, receiver,
+   receiver version, the event's transfer function, statement). *)
+type node_events = {
+  sids : int array;
+  events : (int * string * int * int * Jir.Ast.stmt) array;
+}
+
+(* Where a node's segments end, given its k dives as (call id, callee
+   instance, sid) triples: segment i holds the statements at positions
+   [ends.(i-1), ends.(i)), from 0 for i = 0; [ends.(k)] is the node's end.
+   Segment i runs up to and including dive i's call.  The scan matches the
+   calls in order, and a dive whose call it does not find ends at the
+   node's end, as does every dive after it. *)
+let segment_ends (sids : int array) (dives : int array) =
+  let k = Array.length dives / 3 in
+  let ends = Array.make (k + 1) (Array.length sids) in
+  let seg = ref 0 in
+  Array.iteri
+    (fun j sid ->
+      if !seg < k && sid = dives.((3 * !seg) + 2) then begin
+        ends.(!seg) <- j + 1;
+        incr seg
+      end)
+    sids;
+  ends
+
 (* Build the graph, appending its seeds to [seeds] in emission order. *)
 let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
     (ag : Alias_graph.t) (flows : flows) (fsm : Fsm.t) : t =
@@ -143,6 +197,8 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
         (Edgebuf.intern seeds (shape_encoding icfet tag a b c))
   in
   let n_inst = Clone_tree.n_instances clones in
+  let meth_of inst = (Clone_tree.instance clones inst).Clone_tree.meth in
+  let node_of meth node_id = Cfet.node (Icfet.cfet icfet meth) node_id in
   (* reverse call-site map: callee instance -> entering (caller, call id) *)
   let entries_rev = Array.make n_inst [] in
   Hashtbl.iter
@@ -152,43 +208,53 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
   let is_entry = Array.make n_inst false in
   List.iter (fun i -> is_entry.(i) <- true) clones.Clone_tree.entry_instances;
   (* (inst, node) -> the node's call sites that enter a callee clone, as
-     (call id, callee instance, sid) triples in statement order.  They do
-     not depend on the object, so each is resolved once per build; an
-     object dives into the relevant ones. *)
-  let site_index = Inttbl.create 256 in
-  let sites = ref (Array.make 256 [||]) in
-  let n_sites = ref 0 in
-  let call_sites inst (n : Cfet.node) meth =
-    if n.Cfet.calls = [] then [||]
-    else
-      let i = Inttbl.find site_index inst n.Cfet.id 0 in
-      if i >= 0 then !sites.(i)
-      else begin
-        let triples =
-          List.concat_map
-            (fun (ci : Cfet.call_info) ->
-              let sid = ci.Cfet.call_stmt.Jir.Ast.sid in
-              match Icfet.call_id_of_site icfet ~meth ~node:n.Cfet.id ~sid with
-              | None -> []
-              | Some call_id -> (
-                  match
-                    Clone_tree.callee_instance clones ~caller:inst ~call_id
-                  with
-                  | Some j -> [ call_id; j; sid ]
-                  | None -> []))
-            n.Cfet.calls
-          |> Array.of_list
+     (call id, callee instance, sid) triples in statement order; an object
+     dives into the relevant ones *)
+  let call_sites =
+    memo2 [||] (fun inst node_id ->
+        let meth = meth_of inst in
+        List.concat_map
+          (fun (ci : Cfet.call_info) ->
+            let sid = ci.Cfet.call_stmt.Jir.Ast.sid in
+            match Icfet.call_id_of_site icfet ~meth ~node:node_id ~sid with
+            | None -> []
+            | Some call_id -> (
+                match
+                  Clone_tree.callee_instance clones ~caller:inst ~call_id
+                with
+                | Some j -> [ call_id; j; sid ]
+                | None -> []))
+          (node_of meth node_id).Cfet.calls
+        |> Array.of_list)
+  in
+  (* (meth, node) -> the node's statements and events; versions are
+     computed only in a node where a statement fires an event *)
+  let node_events =
+    memo2 { sids = [||]; events = [||] } (fun meth node_id ->
+        let cfet = Icfet.cfet icfet meth in
+        let stmts = (Cfet.node cfet node_id).Cfet.stmts in
+        let versions = lazy (Varver.analyze stmts) in
+        let events =
+          List.concat
+            (List.mapi
+               (fun pos (s : Jir.Ast.stmt) ->
+                 match Fsm.stmt_event fsm ~library ~meth:cfet.Cfet.meth s with
+                 | None -> []
+                 | Some (recv, event) ->
+                     let version =
+                       Varver.use (Lazy.force versions) ~sid:s.Jir.Ast.sid
+                         ~var:recv
+                     in
+                     let fid =
+                       Transfn.intern registry (Fsm.event_vector fsm event)
+                     in
+                     [ (pos, recv, version, fid, s) ])
+               stmts)
         in
-        if !n_sites = Array.length !sites then begin
-          let a = Array.make (2 * !n_sites) [||] in
-          Array.blit !sites 0 a 0 !n_sites;
-          sites := a
-        end;
-        !sites.(!n_sites) <- triples;
-        ignore (Inttbl.find_or_add site_index inst n.Cfet.id 0 !n_sites : int);
-        incr n_sites;
-        triples
-      end
+        { sids =
+            Array.of_list
+              (List.map (fun (s : Jir.Ast.stmt) -> s.Jir.Ast.sid) stmts);
+          events = Array.of_list events })
   in
   let tracked_objects =
     List.filter
@@ -225,21 +291,18 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
               if better then Hashtbl.replace aliases key enc
           | Alias_graph.Obj_vertex _ -> ())
         (Option.value ~default:[] (Hashtbl.find_opt flows obj_vertex));
-      (* 2. relevant instances: alias instances closed under callers; the
-         table fixes the emission order, [rel] answers membership *)
-      let relevant : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+      (* 2. relevant instances: alias instances closed under callers *)
       let rec mark inst =
         if rel.(inst) <> obj_idx then begin
           rel.(inst) <- obj_idx;
-          Hashtbl.replace relevant inst ();
           List.iter (fun (caller, _) -> mark caller) entries_rev.(inst)
         end
       in
       List.iter mark !alias_insts;
       let is_relevant j = rel.(j) = obj_idx in
       (* the node's dives: its call sites into relevant clones *)
-      let dives_of inst n meth =
-        let c = call_sites inst n meth in
+      let dives_of inst node_id =
+        let c = call_sites inst node_id in
         let k = ref 0 in
         for i = 0 to (Array.length c / 3) - 1 do
           if is_relevant c.((3 * i) + 1) then incr k
@@ -257,191 +320,160 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
           d
         end
       in
-      (* 3. this object's points, numbered in first-touch order *)
+      (* 3. this object's points, numbered in first-touch order; a newly
+         numbered point goes on the walk's stack *)
+      let base = g.n_vertices in
       let points = Inttbl.create 64 in
+      let stack = ref [] in
       let vertex inst node seg =
         let id = g.n_vertices in
         let v = Inttbl.find_or_add points inst node seg id in
-        if v = id then g.n_vertices <- id + 1;
+        if v = id then begin
+          if id - base >= max_points_per_object then
+            raise (Too_large "dataflow graph too large");
+          g.n_vertices <- id + 1;
+          stack := (id, inst, node, seg) :: !stack
+        end;
         v
       in
-      (* 4. emit points and hop edges *)
-      Hashtbl.iter
-        (fun inst () ->
-          let meth = (Clone_tree.instance clones inst).Clone_tree.meth in
-          let cfet = Icfet.cfet icfet meth in
-          Hashtbl.iter
-            (fun node_id (n : Cfet.node) ->
-              let dives = dives_of inst n meth in
-              let k = Array.length dives / 3 in
-              if g.n_vertices > max_points_per_object * (obj_idx + 1)
-              then raise (Too_large "dataflow graph too large");
-              (* segment hops.  Segment i runs the statements up to and
-                 including dive i's call; its effect composes the
-                 transition functions of the events it fires on the
-                 object, and only those statements need versions. *)
-              let versions = lazy (Varver.analyze n.Cfet.stmts) in
-              let effect = ref Transfn.identity_id in
-              let auxes = ref [] in
-              let last_event = ref None in
-              let exit_v = ref (-1) in
-              let hop i =
-                let src = vertex inst node_id i in
-                let dst, call =
-                  if i < k then (vertex dives.((3 * i) + 1) 0 0, dives.(3 * i))
-                  else begin
-                    exit_v := vertex inst node_id (k + 1);
-                    (!exit_v, -1)
-                  end
-                in
-                let enc_id =
-                  match !auxes with
-                  | [] -> shape shape_hop meth node_id call
-                  | auxes ->
-                      Edgebuf.intern seeds
-                        (List.rev_append auxes
-                           (shape_encoding icfet shape_hop meth node_id call))
-                in
-                push src dst (Dg.Step !effect) enc_id;
-                (match !last_event with
-                | Some s ->
-                    if not (Hashtbl.mem g.event_sites dst) then
-                      Hashtbl.replace g.event_sites dst s
-                | None -> ());
-                effect := Transfn.identity_id;
-                auxes := [];
-                last_event := None
-              in
-              let seg = ref 0 in
+      (* 4. a segment point's hop: into dive i's callee root, or from the
+         last segment to the node exit.  Its effect composes the transition
+         functions of the events the segment fires on the object. *)
+      let hop v inst meth node_id dives i =
+        let k = Array.length dives / 3 in
+        let ne = node_events meth node_id in
+        let ends = segment_ends ne.sids dives in
+        let lo = if i = 0 then 0 else ends.(i - 1) and hi = ends.(i) in
+        let effect = ref Transfn.identity_id in
+        let auxes = ref [] in
+        let last_event = ref None in
+        Array.iter
+          (fun (pos, recv, version, fid, s) ->
+            if pos >= lo && pos < hi then
+              match Hashtbl.find_opt aliases (inst, recv, node_id, version) with
+              | None -> ()
+              | Some alias_enc ->
+                  effect := Transfn.compose registry !effect fid;
+                  auxes := Encoding.Aux alias_enc :: !auxes;
+                  last_event := Some s)
+          ne.events;
+        let dst, call =
+          if i < k then (vertex dives.((3 * i) + 1) 0 0, dives.(3 * i))
+          else (vertex inst node_id (k + 1), -1)
+        in
+        let enc_id =
+          match !auxes with
+          | [] -> shape shape_hop meth node_id call
+          | auxes ->
+              Edgebuf.intern seeds
+                (List.rev_append auxes
+                   (shape_encoding icfet shape_hop meth node_id call))
+        in
+        push v dst (Dg.Step !effect) enc_id;
+        match !last_event with
+        | Some s ->
+            if not (Hashtbl.mem g.event_sites dst) then
+              Hashtbl.replace g.event_sites dst s
+        | None -> ()
+      in
+      (* 5. a node exit's edges: to both children of a branch, or from a
+         leaf back to the relevant callers; an exit nothing continues from
+         is recorded in [exit_points] *)
+      let node_exit v inst meth node_id =
+        let n = node_of meth node_id in
+        match (n.Cfet.cond, n.Cfet.exit) with
+        | Some _, _ ->
+            List.iter
+              (fun child ->
+                push v (vertex inst child 0) step_id
+                  (shape shape_branch meth node_id child))
+              [ Option.get n.Cfet.t_child; Option.get n.Cfet.f_child ]
+        | None, Some leaf_exit -> (
+            let entering =
+              List.filter (fun (caller, _) -> is_relevant caller)
+                entries_rev.(inst)
+            in
+            if is_entry.(inst) || entering = [] then
+              Hashtbl.replace g.exit_points v
+                (match leaf_exit with
+                | Cfet.Normal _ -> Exit_normal
+                | Cfet.Exceptional e -> Exit_exceptional e)
+            else
               List.iter
-                (fun (s : Jir.Ast.stmt) ->
-                  (match
-                     Fsm.stmt_event g.fsm ~library ~meth:cfet.Cfet.meth s
-                   with
-                  | None -> ()
-                  | Some (recv, event) -> (
-                      let version =
-                        Varver.use (Lazy.force versions) ~sid:s.Jir.Ast.sid
-                          ~var:recv
+                (fun (caller, call_id) ->
+                  let ce = Icfet.call_edge icfet call_id in
+                  let caller_node = ce.Icfet.caller_node in
+                  let caller_cfet = Icfet.cfet icfet ce.Icfet.caller_meth in
+                  match leaf_exit with
+                  | Cfet.Normal _ -> (
+                      (* back to the segment after the dive *)
+                      let caller_dives =
+                        if Hashtbl.mem caller_cfet.Cfet.nodes caller_node then
+                          dives_of caller caller_node
+                        else [||]
                       in
-                      match
-                        Hashtbl.find_opt aliases (inst, recv, node_id, version)
-                      with
-                      | None -> ()
-                      | Some alias_enc ->
-                          let vec = Fsm.event_vector g.fsm event in
-                          let fid = Transfn.intern g.registry vec in
-                          effect := Transfn.compose g.registry !effect fid;
-                          auxes := Encoding.Aux alias_enc :: !auxes;
-                          last_event := Some s));
-                  if !seg < k && s.Jir.Ast.sid = dives.((3 * !seg) + 2)
-                  then begin
-                    hop !seg;
-                    incr seg
-                  end)
-                n.Cfet.stmts;
-              for i = !seg to k do
-                hop i
-              done;
-              (* node-exit hops, from the point the last segment hop
-                 reached *)
-              let exit_v = !exit_v in
-              match (n.Cfet.cond, n.Cfet.exit) with
-              | Some _, _ ->
-                  let t_child = Option.get n.Cfet.t_child in
-                  let f_child = Option.get n.Cfet.f_child in
-                  List.iter
-                    (fun child ->
-                      let dst = vertex inst child 0 in
-                      push exit_v dst step_id
-                        (shape shape_branch meth node_id child))
-                    [ t_child; f_child ]
-              | None, Some leaf_exit -> (
-                  let entering =
-                    List.filter
-                      (fun (caller, _) -> is_relevant caller)
-                      entries_rev.(inst)
-                  in
-                  if is_entry.(inst) || entering = [] then
-                    Hashtbl.replace g.exit_points exit_v
-                      (match leaf_exit with
-                      | Cfet.Normal _ -> Exit_normal
-                      | Cfet.Exceptional e -> Exit_exceptional e)
-                  else
-                    List.iter
-                      (fun (caller, call_id) ->
-                        let ce = Icfet.call_edge icfet call_id in
-                        let caller_node = ce.Icfet.caller_node in
-                        let caller_cfet =
-                          Icfet.cfet icfet ce.Icfet.caller_meth
-                        in
-                        match leaf_exit with
-                        | Cfet.Normal _ -> (
-                            (* back to the segment after the dive *)
-                            let caller_dives =
-                              match
-                                Hashtbl.find_opt caller_cfet.Cfet.nodes
-                                  caller_node
-                              with
-                              | Some cn ->
-                                  dives_of caller cn ce.Icfet.caller_meth
-                              | None -> [||]
-                            in
-                            let rec pos i =
-                              if 3 * i >= Array.length caller_dives then None
-                              else if caller_dives.(3 * i) = call_id then Some i
-                              else pos (i + 1)
-                            in
-                            match pos 0 with
-                            | Some p ->
-                                let dst = vertex caller caller_node (p + 1) in
-                                push exit_v dst step_id
-                                  (shape shape_ret call_id caller_node 0)
-                            | None -> ())
-                        | Cfet.Exceptional _ ->
-                            (* transfer to the caller's exception branch: the
-                               false sibling of the node containing the call,
-                               which exists exactly when the call heads a
-                               may-throw divergence *)
-                            let sibling = caller_node - 1 in
-                            if
-                              ce.Icfet.diverges
-                              && caller_node > 0
-                              && Hashtbl.mem caller_cfet.Cfet.nodes sibling
-                            then begin
-                              let dst = vertex caller sibling 0 in
-                              push exit_v dst step_id
-                                (shape shape_ret call_id sibling 0)
-                            end
-                            else
-                              Hashtbl.replace g.exit_points exit_v
-                                Exit_escaped)
-                      entering)
-              | None, None -> assert false)
-            cfet.Cfet.nodes)
-        relevant;
-      (* 5. the Track seed at the allocation *)
-      let src = source_vertex g in
-      let alloc_meth = (Clone_tree.instance clones alloc_inst).Clone_tree.meth in
-      let alloc_cfet = Icfet.cfet icfet alloc_meth in
-      let node = Cfet.node alloc_cfet alloc_node in
-      let dives = dives_of alloc_inst node alloc_meth in
+                      let rec pos i =
+                        if 3 * i >= Array.length caller_dives then None
+                        else if caller_dives.(3 * i) = call_id then Some i
+                        else pos (i + 1)
+                      in
+                      match pos 0 with
+                      | Some p ->
+                          push v (vertex caller caller_node (p + 1)) step_id
+                            (shape shape_ret call_id caller_node 0)
+                      | None -> ())
+                  | Cfet.Exceptional _ ->
+                      (* transfer to the caller's exception branch: the
+                         false sibling of the node containing the call,
+                         which exists exactly when the call heads a
+                         may-throw divergence *)
+                      let sibling = caller_node - 1 in
+                      if
+                        ce.Icfet.diverges
+                        && caller_node > 0
+                        && Hashtbl.mem caller_cfet.Cfet.nodes sibling
+                      then
+                        push v (vertex caller sibling 0) step_id
+                          (shape shape_ret call_id sibling 0)
+                      else Hashtbl.replace g.exit_points v Exit_escaped)
+                entering)
+        | None, None -> assert false
+      in
+      (* 6. walk forward from the allocation's segment, depth first: each
+         point's out-edges are emitted once, when it leaves the stack, so
+         the seeds are exactly those a Track path from the allocation can
+         join *)
+      let alloc_meth = meth_of alloc_inst in
       let alloc_seg =
-        (* segment containing the allocation statement *)
-        let seg = ref 0 in
-        let found = ref 0 in
-        List.iter
-          (fun (s : Jir.Ast.stmt) ->
-            if s.Jir.Ast.sid = alloc_sid then found := !seg;
-            if 3 * !seg < Array.length dives
-               && s.Jir.Ast.sid = dives.((3 * !seg) + 2)
-            then incr seg)
-          node.Cfet.stmts;
-        !found
+        (* the segment holding the allocation: the number of segments that
+           end at or before it *)
+        let sids = (node_events alloc_meth alloc_node).sids in
+        let pos = ref (-1) in
+        Array.iteri (fun j sid -> if sid = alloc_sid then pos := j) sids;
+        Array.fold_left
+          (fun seg e -> if e <= !pos then seg + 1 else seg)
+          0
+          (segment_ends sids (dives_of alloc_inst alloc_node))
       in
       let dst = vertex alloc_inst alloc_node alloc_seg in
-      (* anchor the track at the method entry so the branch conditions that
-         guard the allocation constrain the rest of the object's path *)
+      let rec walk () =
+        match !stack with
+        | [] -> ()
+        | (v, inst, node_id, seg) :: rest ->
+            stack := rest;
+            let meth = meth_of inst in
+            let dives = dives_of inst node_id in
+            if seg <= Array.length dives / 3 then
+              hop v inst meth node_id dives seg
+            else node_exit v inst meth node_id;
+            walk ()
+      in
+      walk ();
+      (* 7. the Track seed at the allocation, from a source vertex after
+         the object's points.  It is anchored at the method entry so the
+         branch conditions that guard the allocation constrain the rest of
+         the object's path. *)
+      let src = source_vertex g in
       push src dst (Dg.Track Transfn.identity_id)
         (shape shape_anchor alloc_meth alloc_node 0);
       g.tracked <-

@@ -300,6 +300,169 @@ entry Main.main;
   Alcotest.(check int) "no seeds" 0 (Dataflow_graph.n_seeds dg);
   Alcotest.(check int) "an empty buffer" 0 (Engine.Edgebuf.n seeds)
 
+(* [Dataflow_graph.build] walks forward from the allocation, so a point
+   the object cannot reach is never numbered and emits no seed.  Here the
+   allocation sits in [Factory.open], entered after a branch in [main]:
+
+     main node 0: [if (a > 0)]        branch
+     main node 2: [return]            true child, a leaf
+     main node 1: [w = Factory.open(a); Helper.use(w); w.close(); return]
+                  two dives (open, use): segments 0, 1, 2 and exit 3
+     open node 0: [w = new FileWriter(); return w]   a leaf, no dives
+     use node 0:  [f.write(1); return]                a leaf, no dives
+
+   The walk numbers seven points, in this order:
+     0 open(0, seg 0) --hop-->      1 open(0, exit)
+     1                --return-->   2 main(1, seg 1)
+     2                --dive-->     3 use(0, seg 0)
+     3 --hop (write)-->             4 use(0, exit)
+     4                --return-->   5 main(1, seg 2)
+     5 --hop (close)-->             6 main(1, exit), a program exit
+   That is six Step seeds, plus the Track seed from the source vertex 7
+   to point 0: seven seeds, eight vertices.  Emitting every node of the
+   three relevant clones would also number main's node 0 (segment and
+   exit), node 2 (segment and exit) and node 1's segment 0, all before the
+   allocation: five more points and five more Step seeds (node 0's hop and
+   two branches, node 2's hop, node 1's dive into open). *)
+let test_dataflow_walk_from_allocation () =
+  let src = {|
+class Factory {
+  FileWriter open(int n) {
+    FileWriter w = new FileWriter();
+    return w;
+  }
+}
+class Helper {
+  void use(FileWriter f) {
+    f.write(1);
+    return;
+  }
+}
+class Main {
+  void main(int a) {
+    if (a > 0) {
+      return;
+    }
+    FileWriter w = Factory.open(a);
+    Helper.use(w);
+    w.close();
+    return;
+  }
+}
+entry Main.main;
+|} in
+  let _, icfet, _, clones = prepare src in
+  let ag = Alias_graph.build icfet clones in
+  let flows = run_alias_engine icfet ag in
+  let seeds = Engine.Edgebuf.create () in
+  let dg =
+    Dataflow_graph.build ~seeds icfet clones ag flows (Checkers.fsm "io")
+  in
+  Alcotest.(check int) "one tracked object" 1
+    (List.length (Dataflow_graph.tracked dg));
+  Alcotest.(check int) "seven seeds" 7 (Dataflow_graph.n_seeds dg);
+  Alcotest.(check int) "every seed in the buffer" 7 (Engine.Edgebuf.n seeds);
+  Alcotest.(check int) "seven points and the source" 8
+    (Dataflow_graph.n_vertices dg);
+  let tracks = ref [] in
+  for i = 0 to Engine.Edgebuf.n seeds - 1 do
+    match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
+    | Cfl.Dataflow_grammar.Track _ ->
+        tracks := (Engine.Edgebuf.src seeds i, Engine.Edgebuf.dst seeds i)
+                  :: !tracks
+    | Cfl.Dataflow_grammar.Step _ -> ()
+  done;
+  Alcotest.(check (list (pair int int)))
+    "the Track seed runs from the source to the first point numbered"
+    [ (7, 0) ] !tracks;
+  Alcotest.(check bool) "the walk ends at a normal program exit" true
+    (Dataflow_graph.exit_kind dg 6 = Some Dataflow_graph.Exit_normal)
+
+(* The invariant of [Dataflow_graph.build]: every seed it emits can join
+   a Track path.  A breadth-first search over the seed buffer from every
+   Track seed must reach the source of every seed, for each typestate
+   property of the nine built-in checkers on the worked example and the
+   mini subjects. *)
+let test_dataflow_seeds_reachable () =
+  let figure3b =
+    let path =
+      Filename.concat
+        (Filename.dirname Sys.executable_name)
+        "../examples/figure3b.jir"
+    in
+    In_channel.with_open_bin path In_channel.input_all
+    |> Jir.Resolve.parse_exn ~file:"figure3b.jir"
+  in
+  let cs =
+    List.map Checkers.resolve
+      [ "io"; "lock"; "exception"; "socket"; "null"; "lock_order"; "taint";
+        "close"; "exc_twr" ]
+  in
+  let module G = Workload.Generator in
+  let generated f = (f () : G.subject).G.program in
+  List.iter
+    (fun (name, program) ->
+      let workdir =
+        Filename.concat (Filename.get_temp_dir_name ())
+          (Printf.sprintf "grapple-test-reach-%d-%s" (Unix.getpid ()) name)
+      in
+      let config =
+        { (Grapple.Pipeline.default_config ~workdir) with
+          Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+          track_null = Checkers.tracks_null cs;
+          prefilter_properties = Checkers.fsms cs }
+      in
+      let p = Grapple.Pipeline.prepare ~config ~workdir program in
+      List.iter
+        (fun (fsm : Fsm.t) ->
+          let seeds = Engine.Edgebuf.create () in
+          let dg =
+            Dataflow_graph.build ~seeds p.Grapple.Pipeline.icfet
+              p.Grapple.Pipeline.clones p.Grapple.Pipeline.alias_graph
+              p.Grapple.Pipeline.flows fsm
+          in
+          let n_seeds = Engine.Edgebuf.n seeds in
+          let succ = Array.make (Dataflow_graph.n_vertices dg) [] in
+          let reached = Array.make (Dataflow_graph.n_vertices dg) false in
+          let queue = Queue.create () in
+          let reach v =
+            if not reached.(v) then begin
+              reached.(v) <- true;
+              Queue.add v queue
+            end
+          in
+          for i = 0 to n_seeds - 1 do
+            let src = Engine.Edgebuf.src seeds i in
+            succ.(src) <- Engine.Edgebuf.dst seeds i :: succ.(src);
+            match
+              Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i)
+            with
+            | Cfl.Dataflow_grammar.Track _ -> reach src
+            | Cfl.Dataflow_grammar.Step _ -> ()
+          done;
+          while not (Queue.is_empty queue) do
+            List.iter reach succ.(Queue.pop queue)
+          done;
+          let dead = ref 0 in
+          for i = 0 to n_seeds - 1 do
+            if not reached.(Engine.Edgebuf.src seeds i) then incr dead
+          done;
+          Alcotest.(check int)
+            (Printf.sprintf "%s %s: of %d seeds, unreached" name
+               fsm.Fsm.name n_seeds)
+            0 !dead)
+        (Checkers.fsms cs);
+      Grapple.Pipeline.cleanup p [])
+    [ ("figure3b", figure3b);
+      ("minizk", generated G.mini_zookeeper);
+      ("minihadoop", generated G.mini_hadoop);
+      ("minihdfs", generated G.mini_hdfs);
+      ("minihbase", generated G.mini_hbase);
+      ("minilocks", generated G.mini_locks);
+      ("minitaint", generated G.mini_taint);
+      ("miniclose", generated G.mini_close);
+      ("minitwr", generated G.mini_twr) ]
+
 let suite =
   [ Alcotest.test_case "clone tree diamond" `Quick test_clone_tree_diamond;
     Alcotest.test_case "clone tree contexts" `Quick test_clone_tree_contexts;
@@ -312,4 +475,8 @@ let suite =
     Alcotest.test_case "alias graph edge cap" `Quick test_alias_graph_edge_cap;
     Alcotest.test_case "dataflow graph structure" `Quick test_dataflow_graph_structure;
     Alcotest.test_case "dataflow ignores untracked" `Quick
-      test_dataflow_untracked_class_ignored ]
+      test_dataflow_untracked_class_ignored;
+    Alcotest.test_case "dataflow walk from the allocation" `Quick
+      test_dataflow_walk_from_allocation;
+    Alcotest.test_case "dataflow seeds all reachable" `Quick
+      test_dataflow_seeds_reachable ]

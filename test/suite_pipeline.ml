@@ -649,7 +649,78 @@ let test_report_dedup () =
          match (r.Grapple.Report.kind, r.Grapple.Report.site) with
          | Grapple.Report.Error_state _, Some _ -> true
          | _ -> false)
-       deduped)
+       deduped);
+  (* the survivor is the least witness, whatever order the paths came in,
+     and the survivors come in key order *)
+  let w witness alloc_line =
+    { (r (Grapple.Report.Leak "Open") None) with
+      Grapple.Report.witness = [ ("p", witness) ];
+      alloc_at = { Jir.Ast.file = "f"; line = alloc_line } }
+  in
+  let reports = [ w 10 7; w 0 7; w 5 7; w 3 2 ] in
+  let render rs = List.map Grapple.Report.to_string rs in
+  Alcotest.(check (list string)) "canonical survivors in key order"
+    [ "[io] leak (ends in Open): FileWriter allocated at f:2 \
+       (e.g. when p = 3)";
+      "[io] leak (ends in Open): FileWriter allocated at f:7 \
+       (e.g. when p = 0)" ]
+    (render (Grapple.Report.dedup reports));
+  Alcotest.(check (list string)) "input order does not matter"
+    (render (Grapple.Report.dedup reports))
+    (render (Grapple.Report.dedup (List.rev reports)))
+
+(* The full text of every report a nine-checker check prints with --paths
+   ([Report.pp], the witness and the recovered trace, under each checker's
+   header), one digest per input: it pins which representative each
+   warning prints and in what order, whatever layout the engine's
+   partitions take. *)
+let test_golden_reports () =
+  let figure3b =
+    let path =
+      Filename.concat
+        (Filename.dirname Sys.executable_name)
+        "../examples/figure3b.jir"
+    in
+    In_channel.with_open_bin path In_channel.input_all
+    |> Jir.Resolve.parse_exn ~file:"figure3b.jir"
+  in
+  let cs =
+    List.map Checkers.resolve
+      [ "io"; "lock"; "exception"; "socket"; "null"; "lock_order"; "taint";
+        "close"; "exc_twr" ]
+  in
+  List.iter
+    (fun (name, program, want) ->
+      let workdir = fresh_workdir () in
+      let config =
+        { (Grapple.Pipeline.default_config ~workdir) with
+          Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+          track_null = Checkers.tracks_null cs;
+          prefilter_properties = Checkers.fsms cs }
+      in
+      let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
+      let results, props, _ = Checkers.run_all_scheduled prepared cs in
+      Grapple.Pipeline.cleanup prepared props;
+      let text = Buffer.create 4096 in
+      List.iter
+        (fun (c, rs) ->
+          Printf.bprintf text "== checker %s: %d warning(s)\n" c
+            (List.length rs);
+          List.iter
+            (fun r ->
+              Printf.bprintf text "  %s\n"
+                (Fmt.str "%a" Grapple.Report.pp_with_trace r))
+            rs)
+        results;
+      let text = Buffer.contents text in
+      Alcotest.(check string) (name ^ ": digest of\n" ^ text) want
+        (Digest.to_hex (Digest.string text)))
+    [ ("figure3b", figure3b, "8b01913be59c63c7d5e4c3940c9ef524");
+      ("minizk",
+       (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
+       "55ef44a316da7d0388544167bd58407d");
+      ("minihdfs", (Workload.Generator.mini_hdfs ()).Workload.Generator.program,
+       "2afd89c3a00f0b39abf39dd172f46c84") ]
 
 let suite =
   [ Alcotest.test_case "figure 3b leak" `Quick test_figure3b_leak;
@@ -680,4 +751,5 @@ let suite =
       test_prefilter_inert_on_escaping_allocs;
     Alcotest.test_case "escape tier matches the engine" `Slow
       test_escape_tier_matches_engine;
-    Alcotest.test_case "report dedup" `Quick test_report_dedup ]
+    Alcotest.test_case "report dedup" `Quick test_report_dedup;
+    Alcotest.test_case "golden reports" `Quick test_golden_reports ]

@@ -416,10 +416,10 @@ let test_golden_seed_partitions () =
         (name ^ ": digest of\n" ^ listing)
         want
         (Digest.to_hex (Digest.string listing)))
-    [ ("figure3b", figure3b, "082b0fb52df7f7944031f31811105cc9");
+    [ ("figure3b", figure3b, "c8636892aa0a1b26dfd70b14bfd7090c");
       ("minizk",
        (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
-       "f55dc253cba3351f591ea91437fdd23a") ]
+       "8462e9d44d2dc317894e69dd55c7019b") ]
 
 (* ---------------- rejected blocks ---------------- *)
 
