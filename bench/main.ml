@@ -371,8 +371,7 @@ let alias_closure ~budget (icfet, ag) =
   let workdir = fresh_workdir () in
   let config =
     { (Engine.default_config ~workdir) with
-      Engine.max_edges_per_partition = budget;
-      target_partitions = 2 }
+      Engine.max_edges_per_partition = budget }
   in
   let g =
     AEngine.create ~config ~decode:(Icfet.constraint_of icfet) ~workdir ()
@@ -409,8 +408,7 @@ let table5 ~fast () =
       let scfg =
         { (Baseline.String_engine.default_config ~workdir:sw) with
           Baseline.String_engine.max_bytes_per_partition =
-            table5_budget_edges * 40;
-          target_partitions = 2 }
+            table5_budget_edges * 40 }
       in
       let s = SEngine.create ~config:scfg ~workdir:sw () in
       Graphgen.Alias_graph.iter_edges ag (fun e ->

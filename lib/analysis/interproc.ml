@@ -34,9 +34,10 @@ type 'summary result = {
   n_scc_iterations : int;                (* total component fixpoint rounds *)
 }
 
-(* [callgraph] must be [program]'s; it is built when absent. *)
-let solve ?callgraph (client : ('s, 'd) client) (program : Jir.Ast.program) :
-    's result =
+(* [callgraph] must be [program]'s, and [cfg id] the CFG of [program]'s
+   method [id]; each is built when absent. *)
+let solve ?callgraph ?cfg (client : ('s, 'd) client)
+    (program : Jir.Ast.program) : 's result =
   let cg =
     match callgraph with Some cg -> cg | None -> Jir.Callgraph.build program
   in
@@ -45,15 +46,18 @@ let solve ?callgraph (client : ('s, 'd) client) (program : Jir.Ast.program) :
   List.iter
     (fun m -> Hashtbl.replace methods (Jir.Ast.meth_id m) m)
     (Jir.Ast.all_methods program);
+  let cfg =
+    match cfg with
+    | Some cfg -> cfg
+    | None -> fun id -> Cfg.build (Hashtbl.find methods id)
+  in
   let table = Hashtbl.create 64 in
   let lookup id = Hashtbl.find_opt table id in
   let rounds = ref 0 in
   List.iter
     (fun component ->
       (* each member's CFG, built once for all of the component's rounds *)
-      let members =
-        List.map (fun id -> (id, Cfg.build (Hashtbl.find methods id))) component
-      in
+      let members = List.map (fun id -> (id, cfg id)) component in
       List.iter
         (fun (id, g) -> Hashtbl.replace table id (client.cl_bottom g.Cfg.meth))
         members;
@@ -240,9 +244,8 @@ let analyze_null_method ~lookup (g : Cfg.t) =
    summaries are applied, read off each method's converged normal run.
    Sites the intraprocedural nullness lint already reports are subtracted,
    so [--interproc] adds strictly whole-program findings instead of
-   re-labelling local ones.  [callgraph] must be [p]'s; it is built when
-   absent. *)
-let null_diags ?callgraph (p : Jir.Ast.program) : Lint.diag list =
+   re-labelling local ones.  [callgraph] and [cfg] are as for [solve]. *)
+let null_diags ?callgraph ?cfg (p : Jir.Ast.program) : Lint.diag list =
   let diags = ref [] in
   let converged ~lookup (g : Cfg.t) res =
     let intra =
@@ -266,7 +269,7 @@ let null_diags ?callgraph (p : Jir.Ast.program) : Lint.diag list =
            | _ -> ())
   in
   ignore
-    (solve ?callgraph
+    (solve ?callgraph ?cfg
        { cl_bottom =
            (fun m ->
              { ns_ret = None;

@@ -629,9 +629,9 @@ let all_nonaccepting fsm states =
 let nonempty states = Array.exists (fun b -> b) states
 
 (* Analyze every property of [fsms] in one bottom-up walk and return one
-   result per property, in [fsms] order.  [callgraph] must be
-   [program]'s; it is built when absent. *)
-let analyze ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
+   result per property, in [fsms] order.  [callgraph] and [cfg] are as
+   for [Interproc.solve]. *)
+let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
     result list =
   if fsms = [] then []
   else
@@ -762,7 +762,7 @@ let analyze ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
       if Hashtbl.mem roots id then Option.iter returned_die (lookup id)
     in
     let r =
-      Interproc.solve ~callgraph:cg
+      Interproc.solve ~callgraph:cg ?cfg
         { Interproc.cl_bottom = summary_bottom cx;
           cl_equal = summary_equal;
           cl_analyze =
@@ -808,8 +808,8 @@ let must_leaks (r : result) : alloc_fact list =
          f.f_died_normal && f.f_normal_all_bad && (not f.f_wild)
          && not f.f_may_error)
 
-let leak_diags ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
-    Lint.diag list =
+let leak_diags ?callgraph ?cfg (fsms : Fsm.t list)
+    (program : Jir.Ast.program) : Lint.diag list =
   List.concat_map
     (fun r ->
       List.map
@@ -820,14 +820,14 @@ let leak_diags ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
                 any path"
                f.f_site.a_cls r.fsm.Fsm.name))
         (must_leaks r))
-    (analyze ?callgraph fsms program)
+    (analyze ?callgraph ?cfg fsms program)
   |> List.sort (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth)
            (b.Lint.at.Jir.Ast.file, b.Lint.at.Jir.Ast.line, b.Lint.meth))
 
 (* Combined interprocedural lint surface behind [grapple lint --interproc].
-   Both passes share one call graph. *)
+   Both passes share one call graph and one CFG per method. *)
 let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
     (program : Jir.Ast.program) : Lint.diag list =
   let timed name f =
@@ -839,8 +839,18 @@ let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
   let callgraph =
     timed "interproc-callgraph" (fun () -> Jir.Callgraph.build program)
   in
-  timed "interproc-null" (fun () -> Interproc.null_diags ~callgraph program)
-  @ timed "interproc-leak" (fun () -> leak_diags ~callgraph fsms program)
+  let cfgs =
+    timed "interproc-cfg" (fun () ->
+        let cfgs = Hashtbl.create 64 in
+        List.iter
+          (fun m -> Hashtbl.replace cfgs (Jir.Ast.meth_id m) (Cfg.build m))
+          (Jir.Ast.all_methods program);
+        cfgs)
+  in
+  let cfg = Hashtbl.find cfgs in
+  timed "interproc-null" (fun () ->
+      Interproc.null_diags ~callgraph ~cfg program)
+  @ timed "interproc-leak" (fun () -> leak_diags ~callgraph ~cfg fsms program)
   |> List.sort (fun (a : Lint.diag) b ->
          compare
            (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.lint,

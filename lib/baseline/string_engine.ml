@@ -19,7 +19,7 @@ module type LABEL_LOGIC = Engine.LABEL_LOGIC
 type config = {
   workdir : string;
   max_bytes_per_partition : int;
-  target_partitions : int;
+      (* memory budget in bytes; partitioned by the engine's rule *)
   cache_capacity : int;
   cache_enabled : bool;
   max_constraint_bytes : int;  (* compositions beyond this are dropped *)
@@ -29,7 +29,6 @@ type config = {
 let default_config ~workdir =
   { workdir;
     max_bytes_per_partition = 4_000_000;
-    target_partitions = 4;
     cache_capacity = 65_536;
     cache_enabled = true;
     max_constraint_bytes = 65_536;
@@ -282,33 +281,52 @@ module Make (L : LABEL_LOGIC) = struct
       end
     end
 
-  let flush t (l : loaded) =
-    let needs_split =
-      l.bytes > t.config.max_bytes_per_partition && l.meta.hi - l.meta.lo >= 2
+  (* [Engine]'s partitioner on the byte budget: order [edges], whose
+     sources lie in [lo, hi), by source, cut them by [Engine.pieces] into
+     files of at most [cap] bytes, and return them in ascending [lo]. *)
+  let partition t (edges : edge list) ~lo ~hi ~cap : pmeta list =
+    let sorted =
+      Array.of_list (List.stable_sort (fun a b -> compare a.src b.src) edges)
     in
-    if not needs_split then begin
-      if l.dirty then begin
-        write_file t ~path:l.meta.path l.all;
-        l.meta.version <- l.meta.version + 1
-      end
-    end
-    else begin
-      let srcs = List.sort compare (List.map (fun e -> e.src) l.all) in
-      let mid = List.nth srcs (List.length srcs / 2) in
-      let cut = max (l.meta.lo + 1) (min mid (l.meta.hi - 1)) in
-      let left, right = List.partition (fun e -> e.src < cut) l.all in
-      let mk lo hi edges =
+    let n = Array.length sorted in
+    List.map
+      (fun (first, last) ->
         let pid = fresh_pid t in
-        let meta = { pid; lo; hi; path = part_path t pid; version = 0 } in
-        write_file t ~path:meta.path edges;
-        meta
+        let meta =
+          { pid;
+            lo = (if first = 0 then lo else sorted.(first).src);
+            hi = (if last = n then hi else sorted.(last).src);
+            path = part_path t pid;
+            version = 0 }
+        in
+        write_file t ~path:meta.path
+          (Array.to_list (Array.sub sorted first (last - first)));
+        meta)
+      (Engine.pieces ~n
+         ~src:(fun i -> sorted.(i).src)
+         ~size:(fun i -> edge_bytes sorted.(i))
+         ~cap)
+
+  (* A partition that outgrew the budget is split by [partition] into
+     halves, unless all its edges share one source. *)
+  let flush t (l : loaded) =
+    let mixed =
+      match l.all with
+      | e :: rest -> List.exists (fun e' -> e'.src <> e.src) rest
+      | [] -> false
+    in
+    if l.bytes > t.config.max_bytes_per_partition && mixed then begin
+      let pieces =
+        partition t l.all ~lo:l.meta.lo ~hi:l.meta.hi ~cap:((l.bytes + 1) / 2)
       in
-      let ml = mk l.meta.lo cut left in
-      let mr = mk cut l.meta.hi right in
       if Sys.file_exists l.meta.path then Sys.remove l.meta.path;
       t.parts <-
         List.sort (fun a b -> compare a.lo b.lo)
-          (ml :: mr :: List.filter (fun p -> p.pid <> l.meta.pid) t.parts)
+          (pieces @ List.filter (fun p -> p.pid <> l.meta.pid) t.parts)
+    end
+    else if l.dirty then begin
+      write_file t ~path:l.meta.path l.all;
+      l.meta.version <- l.meta.version + 1
     end
 
   (* ---------------- computation ---------------- *)
@@ -326,33 +344,9 @@ module Make (L : LABEL_LOGIC) = struct
     List.iter (fun e -> add e; List.iter add (consequences e)) t.seeds;
     t.seeds <- [];
     t.n_seeds <- List.length !seeds;
-    let sorted = List.sort (fun a b -> compare a.src b.src) !seeds in
-    let total_bytes = List.fold_left (fun a e -> a + edge_bytes e) 0 sorted in
-    let k = max 1 (max t.config.target_partitions
-                     (1 + (total_bytes / max 1 t.config.max_bytes_per_partition)))
-    in
-    let per = max 1 ((List.length sorted + k - 1) / k) in
-    let bounds = ref [] in
-    let i = ref 0 and last_src = ref (-1) in
-    List.iter
-      (fun e ->
-        if !i > 0 && !i mod per = 0 && e.src <> !last_src then
-          bounds := e.src :: !bounds;
-        last_src := e.src;
-        incr i)
-      sorted;
-    let bounds = List.rev !bounds in
-    let lo_list = 0 :: bounds in
-    let hi_list = bounds @ [ t.max_vertex + 1 ] in
     t.parts <-
-      List.map2
-        (fun lo hi ->
-          let pid = fresh_pid t in
-          let meta = { pid; lo; hi; path = part_path t pid; version = 0 } in
-          write_file t ~path:meta.path
-            (List.filter (fun e -> e.src >= lo && e.src < hi) sorted);
-          meta)
-        lo_list hi_list
+      partition t !seeds ~lo:0 ~hi:(t.max_vertex + 1)
+        ~cap:(max 1 (t.config.max_bytes_per_partition / 2))
 
   let local_fixpoint t (loadeds : loaded list) ~route =
     let find_loaded v =

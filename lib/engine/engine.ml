@@ -5,9 +5,20 @@
    partitions; each scheduling step loads a pair of partitions, joins every
    pair of consecutive edges whose labels compose under the client grammar
    and whose conjoined path constraint is satisfiable, and flushes new edges
-   to the partitions owning their source vertices.  Oversized partitions are
-   split eagerly so that any two partitions fit in the memory budget.
-   Constraint results are memoized in an LRU cache keyed by path encoding.
+   to the partitions owning their source vertices.  Constraint results are
+   memoized in an LRU cache keyed by path encoding.
+
+   The memory budget ([max_edges_per_partition]) alone decides the
+   partitions, by one rule ([partition]): order the edges by source and cut
+   them, at source changes only, into pieces of at most a cap.
+   [preprocess] cuts the closed seeds with half the budget as the cap, so
+   that any two fresh partitions — a pair — fit in the budget together; a
+   vertex's edges are never split, so only a partition holding a single
+   source may exceed half.  A partition that outgrows the whole budget is
+   split eagerly when it is flushed, by the same rule with half its own
+   size as the cap: it splits in two (three when one source's run
+   straddles the middle), not into many half-budget pieces, each of which
+   the scheduler would join again from its first record.
 
    Loaded partitions are flat int-packed edge buffers ([Edgebuf]): 4-word
    records over a [Bigarray], with path encodings interned in a side pool.
@@ -66,7 +77,6 @@ end
 type config = {
   workdir : string;
   max_edges_per_partition : int;  (* memory budget, expressed in edges *)
-  target_partitions : int;        (* initial partitioning *)
   cache_enabled : bool;
   feasibility_enabled : bool;
       (* false turns off path sensitivity: every composition succeeds *)
@@ -107,10 +117,32 @@ let rec ensure_dir dir =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
   end
 
+(* The cut rule of every partitioner, this engine's and the string
+   baseline's.  Given [n] records sorted by source, record [i] with source
+   [src i] and size [size i], returns the pieces as index ranges
+   [(first, last)], [last] exclusive, in order; there is always one.  A
+   piece ends where the next source's records would take it past [cap]; a
+   source's records are never split, so only a piece holding one source
+   can exceed [cap]. *)
+let pieces ~n ~src ~size ~cap =
+  let rec go first i piece acc =
+    if i >= n then List.rev ((first, n) :: acc)
+    else begin
+      let s = src i in
+      let j = ref i and run = ref 0 in
+      while !j < n && src !j = s do
+        run := !run + size !j;
+        incr j
+      done;
+      if piece > 0 && piece + !run > cap then go i !j !run ((first, i) :: acc)
+      else go first !j (piece + !run) acc
+    end
+  in
+  go 0 0 0 []
+
 let default_config ~workdir =
   { workdir;
     max_edges_per_partition = 200_000;
-    target_partitions = 4;
     cache_enabled = true;
     feasibility_enabled = true;
     max_path_elements = 64;
@@ -353,6 +385,60 @@ module Make (L : LABEL_LOGIC) = struct
     Metrics.add t.metrics.Metrics.bytes_written bytes;
     meta.n_edges <- Edgebuf.n buf
 
+  (* ---------------- the one partitioner ---------------- *)
+
+  (* Cut [buf], whose sources lie in [lo, hi), into partitions of at most
+     [cap] records by [pieces], write each with its own encoding pool, and
+     return them in ascending [lo]: the closed seeds in [preprocess], and a
+     partition that outgrew the budget in [flush].  Records are ordered by
+     source by a stable counting sort, and within a source by position:
+     descending when [newest_first], which lays the seeds, built newest
+     first, out in emission order, else ascending, which keeps a loaded
+     partition's file order.  A piece interns each encoding at its first
+     use, so its pool keeps that order. *)
+  let partition t (buf : Edgebuf.t) ~lo ~hi ~cap ~newest_first : pmeta list =
+    let n = Edgebuf.n buf in
+    let start = Array.make (hi - lo + 1) 0 in
+    for p = 0 to n - 1 do
+      let s = Edgebuf.src buf p - lo + 1 in
+      start.(s) <- start.(s) + 1
+    done;
+    for v = 1 to hi - lo do
+      start.(v) <- start.(v) + start.(v - 1)
+    done;
+    let order = Array.make n 0 in
+    for i = 0 to n - 1 do
+      let p = if newest_first then n - 1 - i else i in
+      let s = Edgebuf.src buf p - lo in
+      order.(start.(s)) <- p;
+      start.(s) <- start.(s) + 1
+    done;
+    let src q = Edgebuf.src buf order.(q) in
+    (* [local]: [buf] pool id -> the piece's pool id, reset after each piece *)
+    let local = Array.make (Edgebuf.pool_size buf) (-1) in
+    List.map
+      (fun (first, last) ->
+        let meta =
+          new_part t
+            (if first = 0 then lo else src first)
+            (if last = n then hi else src last)
+        in
+        let piece = Edgebuf.create ~capacity:(last - first) () in
+        for q = first to last - 1 do
+          let p = order.(q) in
+          let id = Edgebuf.enc_id buf p in
+          if local.(id) < 0 then
+            local.(id) <- Edgebuf.intern_bytes piece (Edgebuf.enc_bytes buf id);
+          Edgebuf.push piece ~src:(Edgebuf.src buf p) ~dst:(Edgebuf.dst buf p)
+            ~label:(Edgebuf.label buf p) ~enc_id:local.(id)
+        done;
+        for q = first to last - 1 do
+          local.(Edgebuf.enc_id buf order.(q)) <- -1
+        done;
+        write_partition t meta piece;
+        meta)
+      (pieces ~n ~src ~size:(fun _ -> 1) ~cap)
+
   (* Append an edge to [buf] unless [keys], which indexes all of [buf],
      already holds it; true when it landed.  [enc_id] must be a canonical
      pool id of [buf] (as [Edgebuf.intern_bytes] returns). *)
@@ -464,9 +550,10 @@ module Make (L : LABEL_LOGIC) = struct
 
   (* ---------------- flush paths ---------------- *)
 
-  (* Write a loaded partition back, splitting it if it outgrew the memory
-     budget (eager repartitioning, §4.3).  The buffer is already in file
-     order, so an unsplit flush is one bulk serialization. *)
+  (* Write a loaded partition back.  One that outgrew the memory budget is
+     split eagerly (§4.3) by [partition] into halves, unless all its edges
+     share one source, which no cut can divide.  Otherwise the buffer is
+     already in file order, so the flush is one bulk serialization. *)
   let flush t (l : loaded) : unit =
     let count = Edgebuf.n l.buf in
     Obs.Trace.with_span ~cat:"engine"
@@ -475,63 +562,40 @@ module Make (L : LABEL_LOGIC) = struct
               ("dirty", Obs.Trace.Bool l.dirty) ]
       "engine.flush"
     @@ fun () ->
-    let needs_split =
-      count > t.config.max_edges_per_partition && l.meta.hi - l.meta.lo >= 2
+    let one_source () =
+      let s = Edgebuf.src l.buf 0 in
+      let rec go i = i >= count || (Edgebuf.src l.buf i = s && go (i + 1)) in
+      go 1
     in
-    if not needs_split then begin
-      if l.dirty then begin
-        write_partition t l.meta l.buf;
-        l.dirty <- false  (* back in sync with the file: residency-safe *)
-      end
-    end
-    else begin
-      (* split at the weighted median source vertex *)
-      let srcs = Array.init count (fun i -> Edgebuf.src l.buf i) in
-      Array.sort compare srcs;
-      let mid_src = srcs.(count / 2) in
-      let cut =
-        (* cut strictly inside (lo, hi) so both halves are non-empty ranges *)
-        max (l.meta.lo + 1) (min mid_src (l.meta.hi - 1))
+    if count > t.config.max_edges_per_partition && not (one_source ())
+    then begin
+      let pieces =
+        partition t l.buf ~lo:l.meta.lo ~hi:l.meta.hi
+          ~cap:((count + 1) / 2) ~newest_first:false
       in
-      let left = Edgebuf.create ~capacity:(max 256 count) () in
-      let right = Edgebuf.create ~capacity:(max 256 count) () in
-      for i = 0 to count - 1 do
-        let target = if Edgebuf.src l.buf i < cut then left else right in
-        Edgebuf.push target ~src:(Edgebuf.src l.buf i)
-          ~dst:(Edgebuf.dst l.buf i) ~label:(Edgebuf.label l.buf i)
-          ~enc_id:
-            (Edgebuf.intern_bytes target
-               (Edgebuf.enc_bytes l.buf (Edgebuf.enc_id l.buf i)))
-      done;
-      let mk lo hi buf =
-        let meta = new_part t lo hi in
-        write_partition t meta buf;
-        meta
-      in
-      let ml = mk l.meta.lo cut left in
-      let mr = mk cut l.meta.hi right in
       Storage.remove_file ~path:l.meta.path;
       t.parts <-
         List.sort
           (fun a b -> compare a.lo b.lo)
-          (ml :: mr :: List.filter (fun p -> p.pid <> l.meta.pid) t.parts);
+          (pieces @ List.filter (fun p -> p.pid <> l.meta.pid) t.parts);
       Metrics.incr t.metrics.Metrics.repartitions;
       Obs.Trace.instant ~cat:"engine"
         ~args:[ ("split_pid", Obs.Trace.Int l.meta.pid);
-                ("cut", Obs.Trace.Int cut);
-                ("left_pid", Obs.Trace.Int ml.pid);
-                ("right_pid", Obs.Trace.Int mr.pid) ]
+                ("pieces", Obs.Trace.Int (List.length pieces)) ]
         "engine.repartition"
+    end
+    else if l.dirty then begin
+      write_partition t l.meta l.buf;
+      l.dirty <- false  (* back in sync with the file: residency-safe *)
     end
 
   (* ---------------- preprocessing ---------------- *)
 
-  (* Partition the seed edges into [target_partitions] intervals of roughly
-     equal edge counts and write them to disk.  The seeds are closed under
-     their unary and mirror consequences into one buffer, deduplicated by a
-     key table, walking the seed buffer newest first: a duplicated seed
-     keeps its newest copy.  An int array maps each seed pool id to the
-     closed buffer's, so each distinct encoding is interned once. *)
+  (* Close the seed edges under their unary and mirror consequences into
+     one buffer, deduplicated by a key table, and partition it.  The walk
+     takes the seed buffer newest first: a duplicated seed keeps its newest
+     copy.  An int array maps each seed pool id to the closed buffer's, so
+     each distinct encoding is interned once. *)
   let preprocess t =
     Obs.Trace.with_span ~cat:"engine" "engine.preprocess" @@ fun () ->
     let seeds = t.seeds in
@@ -566,68 +630,11 @@ module Make (L : LABEL_LOGIC) = struct
         (label :: unary)
     done;
     drop_seeds t;
-    let n = Edgebuf.n sb in
-    t.n_seed_edges <- n;
-    (* file order: by src, and within a src by descending position — the
-       seeds in emission order.  A stable counting sort of positions
-       n-1 .. 0 by src ([max_vertex] bounds every src). *)
-    let start = Array.make (t.max_vertex + 2) 0 in
-    for p = 0 to n - 1 do
-      let s = Edgebuf.src sb p + 1 in
-      start.(s) <- start.(s) + 1
-    done;
-    for v = 1 to t.max_vertex + 1 do
-      start.(v) <- start.(v) + start.(v - 1)
-    done;
-    let order = Array.make n 0 in
-    for p = n - 1 downto 0 do
-      let s = Edgebuf.src sb p in
-      order.(start.(s)) <- p;
-      start.(s) <- start.(s) + 1
-    done;
-    let k = max 1 t.config.target_partitions in
-    let per = max 1 ((n + k - 1) / k) in
-    (* choose interval boundaries at multiples of [per], aligned to source
-       vertex changes so an interval never splits a vertex *)
-    let bounds = ref [] in
-    let last_src = ref (-1) in
-    Array.iteri
-      (fun i p ->
-        let src = Edgebuf.src sb p in
-        if i > 0 && i mod per = 0 && src <> !last_src then
-          bounds := src :: !bounds;
-        last_src := src)
-      order;
-    let bounds = List.rev !bounds in
-    let lo_list = 0 :: bounds in
-    let hi_list = bounds @ [ t.max_vertex + 1 ] in
-    let metas = List.map2 (new_part t) lo_list hi_list in
-    (* one ordered pass: the metas ascend by [lo] and [order] by [src], so
-       each partition's slice is the next contiguous run of [order] (the
-       last interval's [hi] is [max_vertex + 1], so it takes the rest) *)
-    let next = ref 0 in
-    let local = Array.make (Edgebuf.pool_size sb) (-1) in
-    List.iter
-      (fun meta ->
-        (* [local]: seed pool id -> this partition's pool id, interning
-           each encoding at its first use so the pool keeps that order *)
-        Array.fill local 0 (Array.length local) (-1);
-        let first = !next in
-        while !next < n && Edgebuf.src sb order.(!next) < meta.hi do
-          incr next
-        done;
-        let buf = Edgebuf.create ~capacity:(!next - first) () in
-        for q = first to !next - 1 do
-          let p = order.(q) in
-          let id = Edgebuf.enc_id sb p in
-          if local.(id) < 0 then
-            local.(id) <- Edgebuf.intern_bytes buf (Edgebuf.enc_bytes sb id);
-          Edgebuf.push buf ~src:(Edgebuf.src sb p) ~dst:(Edgebuf.dst sb p)
-            ~label:(Edgebuf.label sb p) ~enc_id:local.(id)
-        done;
-        write_partition t meta buf)
-      metas;
-    t.parts <- metas
+    t.n_seed_edges <- Edgebuf.n sb;
+    t.parts <-
+      partition t sb ~lo:0 ~hi:(t.max_vertex + 1)
+        ~cap:(max 1 (t.config.max_edges_per_partition / 2))
+        ~newest_first:true
 
   (* ---------------- the edge-pair-centric computation ---------------- *)
 

@@ -23,6 +23,8 @@ let cmpop ppf = function
   | Ne -> Fmt.string ppf "!="
 
 let rec expr ppf = function
+  (* no literal denotes [min_int]: [-n] reads back only for [n <= max_int] *)
+  | Const n when n = min_int -> Fmt.pf ppf "(%d - 1)" (min_int + 1)
   | Const n -> Fmt.int ppf n
   | Var v -> Fmt.string ppf v
   | Binop (op, a, b) -> Fmt.pf ppf "(%a %a %a)" expr a binop op expr b

@@ -131,8 +131,7 @@ let test_string_engine_more_partitions_than_grapple () =
   let workdir = fresh_workdir () in
   let config =
     { (Baseline.String_engine.default_config ~workdir) with
-      Baseline.String_engine.max_bytes_per_partition = 600;
-      target_partitions = 1 }
+      Baseline.String_engine.max_bytes_per_partition = 600 }
   in
   let t = SEngine.create ~config ~workdir () in
   let long = String.concat " & " (List.init 6 (fun i ->

@@ -107,9 +107,7 @@ let mk_engine ?(config = None) () =
   let config =
     match config with
     | Some c -> { c with Engine.workdir }
-    | None ->
-        { (Engine.default_config ~workdir) with
-          Engine.target_partitions = 2 }
+    | None -> Engine.default_config ~workdir
   in
   AEngine.create ~config ~decode:true_decode ~workdir ()
 
@@ -176,8 +174,7 @@ let test_repartitioning () =
   let workdir = fresh_workdir () in
   let config =
     { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 1;
-      max_edges_per_partition = 8 }
+      Engine.max_edges_per_partition = 8 }
   in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 20;
@@ -192,8 +189,7 @@ let test_cache_counters () =
   let workdir = fresh_workdir () in
   let t =
     AEngine.create
-      ~config:{ (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
-      ~decode:true_decode ~workdir ()
+      ~config:(Engine.default_config ~workdir) ~decode:true_decode ~workdir ()
   in
   seed_chain t 6;
   AEngine.run t;
@@ -229,9 +225,7 @@ module CEngine = Engine.Make (Abc)
    derives d(0,3) from it with the same encoding e, a hit. *)
 let test_cache_hit_counted_once () =
   let workdir = fresh_workdir () in
-  let config =
-    { (Engine.default_config ~workdir) with Engine.target_partitions = 1 }
-  in
+  let config = Engine.default_config ~workdir in
   let t = CEngine.create ~config ~decode:true_decode ~workdir () in
   CEngine.add_seed t ~src:0 ~dst:1 ~label:0 ~enc:[ E.Call 1 ];
   CEngine.add_seed t ~src:1 ~dst:2 ~label:1 ~enc:[];
@@ -243,6 +237,90 @@ let test_cache_hit_counted_once () =
   Alcotest.(check int) "lookups" 2 (count m.Engine.Metrics.cache_lookups);
   Alcotest.(check int) "hits" 1 (count m.Engine.Metrics.cache_hits);
   Alcotest.(check int) "solved" 1 (count m.Engine.Metrics.constraints_solved);
+  CEngine.cleanup t
+
+(* The partitions' intervals and record counts, after checking the one
+   partitioning rule on their files: the intervals tile the vertices from
+   0, every record's source lies in its partition's interval (so no vertex
+   spans two partitions), and a partition holds at most [cap] records
+   unless they all share one source. *)
+let layout t ~cap =
+  let next = ref 0 in
+  List.map
+    (fun (p : CEngine.pmeta) ->
+      let lo = p.CEngine.lo and hi = p.CEngine.hi in
+      Alcotest.(check int) "intervals tile the vertices" !next lo;
+      next := hi;
+      let buf =
+        (Engine.Storage.read_flat ~path:p.CEngine.path).Engine.Storage.buf
+      in
+      let n = Engine.Edgebuf.n buf in
+      let srcs =
+        List.sort_uniq compare (List.init n (Engine.Edgebuf.src buf))
+      in
+      List.iter
+        (fun s ->
+          if s < lo || s >= hi then
+            Alcotest.failf "source %d in partition [%d, %d)" s lo hi)
+        srcs;
+      if n > cap && List.length srcs > 1 then
+        Alcotest.failf "[%d, %d) holds %d records of %d sources, over %d" lo
+          hi n (List.length srcs) cap;
+      (lo, hi, n))
+    t.CEngine.parts
+
+(* A partition file's (src, dst) records, in file order. *)
+let records (p : CEngine.pmeta) =
+  let buf =
+    (Engine.Storage.read_flat ~path:p.CEngine.path).Engine.Storage.buf
+  in
+  List.init (Engine.Edgebuf.n buf) (fun i ->
+      (Engine.Edgebuf.src buf i, Engine.Edgebuf.dst buf i))
+
+(* Sources 0-5 hold two seeds each and source 6 five, under an 8-edge
+   budget: the seeds are cut at source changes into pieces of at most four,
+   and source 6 alone exceeds four.  Label 1 composes with nothing, so the
+   run derives no edge.  Then the last partition grows to ten records and
+   its flush splits it by the same rule with half its size, five, as the
+   cap: into two, each in file order. *)
+let test_partition_rule () =
+  let workdir = fresh_workdir () in
+  let config =
+    { (Engine.default_config ~workdir) with Engine.max_edges_per_partition = 8 }
+  in
+  let t = CEngine.create ~config ~decode:true_decode ~workdir () in
+  List.iter
+    (fun (src, k) ->
+      for i = 1 to k do
+        CEngine.add_seed t ~src ~dst:(20 + i) ~label:1 ~enc:[]
+      done)
+    [ (0, 2); (1, 2); (2, 2); (3, 2); (4, 2); (5, 2); (6, 5) ];
+  CEngine.run t;
+  let triples = Alcotest.(list (triple int int int)) in
+  Alcotest.check triples "initial partitions"
+    [ (0, 2, 4); (2, 4, 4); (4, 6, 4); (6, 26, 5) ]
+    (layout t ~cap:4);
+  let last = List.nth t.CEngine.parts 3 in
+  let l = CEngine.load t last in
+  List.iter
+    (fun (src, k) ->
+      for i = 1 to k do
+        Engine.Edgebuf.push_edge l.CEngine.buf ~src ~dst:(20 + i) ~label:1 []
+      done)
+    [ (7, 1); (8, 2); (9, 2) ];
+  l.CEngine.dirty <- true;
+  CEngine.flush t l;
+  Alcotest.check triples "the over-budget partition split in two"
+    [ (0, 2, 4); (2, 4, 4); (4, 6, 4); (6, 7, 5); (7, 26, 5) ]
+    (layout t ~cap:5);
+  let pairs = Alcotest.(list (pair int int)) in
+  Alcotest.check pairs "the split keeps file order"
+    [ (6, 21); (6, 22); (6, 23); (6, 24); (6, 25);
+      (7, 21); (8, 21); (8, 22); (9, 21); (9, 22) ]
+    (records (List.nth t.CEngine.parts 3)
+    @ records (List.nth t.CEngine.parts 4));
+  Alcotest.(check int) "one split" 1
+    (Engine.Metrics.count (CEngine.metrics t).Engine.Metrics.repartitions);
   CEngine.cleanup t
 
 (* regression: [Metrics.time] used to drop the elapsed time when the timed
@@ -263,9 +341,7 @@ let test_metrics_time_records_on_raise () =
 let test_cache_disabled_counts_no_lookups () =
   let workdir = fresh_workdir () in
   let config =
-    { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 2;
-      cache_enabled = false }
+    { (Engine.default_config ~workdir) with Engine.cache_enabled = false }
   in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 6;
@@ -293,8 +369,7 @@ let test_constraint_pruning () =
   in
   let t =
     AEngine.create
-      ~config:{ (Engine.default_config ~workdir) with Engine.target_partitions = 1 }
-      ~decode ~workdir ()
+      ~config:(Engine.default_config ~workdir) ~decode ~workdir ()
   in
   let iv last = [ E.Interval { meth = 0; first = 0; last } ] in
   AEngine.add_seed t ~src:0 ~dst:1 ~label:Pg.New ~enc:(iv 0);
@@ -315,9 +390,7 @@ let test_constraint_pruning () =
 let test_encodings_per_key_cap () =
   let workdir = fresh_workdir () in
   let config =
-    { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 1;
-      max_encodings_per_key = 1 }
+    { (Engine.default_config ~workdir) with Engine.max_encodings_per_key = 1 }
   in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   (* two parallel paths from o to v *)
@@ -416,12 +489,14 @@ let arb_graph =
 
 let prop_engine_matches_reference =
   QCheck.Test.make ~name:"engine matches in-memory reference closure" ~count:30
-    arb_graph (fun edges ->
+    (* budgets from one partition for every edge down to one per source,
+       with splits on the way *)
+    QCheck.(pair (int_range 1 128) arb_graph)
+    (fun (budget, edges) ->
       let workdir = fresh_workdir () in
       let config =
         { (Engine.default_config ~workdir) with
-          Engine.target_partitions = 3;
-          max_edges_per_partition = 6;
+          Engine.max_edges_per_partition = budget;
           (* one witness per fact and no length cap: every fact keeps a
              composable encoding, so the closure is complete and bounded by
              the fact space even on cyclic graphs (unbounded witnesses blow
@@ -444,11 +519,12 @@ let prop_engine_matches_reference =
       in
       engine_facts = reference_closure edges)
 
-(* property: closure results are independent of the partition budget *)
+(* property: closure results are independent of the partition budget; the
+   reference runs in one partition *)
 let prop_partitioning_invariance =
   QCheck.Test.make ~name:"closure independent of partitioning" ~count:8
-    QCheck.(pair (int_range 2 12) (int_range 2 24))
-    (fun (parts, budget) ->
+    QCheck.(int_range 1 48)
+    (fun budget ->
       let t1 = mk_engine () in
       seed_chain t1 7;
       AEngine.run t1;
@@ -456,8 +532,7 @@ let prop_partitioning_invariance =
       let workdir = fresh_workdir () in
       let config =
         { (Engine.default_config ~workdir) with
-          Engine.target_partitions = parts;
-          max_edges_per_partition = budget }
+          Engine.max_edges_per_partition = budget }
       in
       let t2 = AEngine.create ~config ~decode:true_decode ~workdir () in
       seed_chain t2 7;
@@ -596,8 +671,7 @@ let test_golden_derivation_order () =
   let workdir = fresh_workdir () in
   let config =
     { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 3;
-      max_edges_per_partition = 60;
+      Engine.max_edges_per_partition = 60;
       max_encodings_per_key = 2;
       max_path_elements = 6 }
   in
@@ -634,8 +708,8 @@ let test_golden_derivation_order () =
   in
   AEngine.cleanup t;
   Alcotest.(check string) "digest and counters"
-    "43d2273f3d99f18fb0e71c1d43620f6d edges_added=259 pairs=53 parts=9 \
-     splits=8 seeds=126"
+    "294715c4b14a06765a55b1450e5870cb edges_added=259 pairs=172 parts=12 \
+     splits=4 seeds=126"
     got
 
 let suite =
@@ -649,6 +723,8 @@ let suite =
     Alcotest.test_case "closure through the heap" `Quick test_closure_store_load;
     Alcotest.test_case "field mismatch" `Quick test_closure_field_mismatch;
     Alcotest.test_case "eager repartitioning" `Quick test_repartitioning;
+    Alcotest.test_case "partition rule: half the budget, cut at sources"
+      `Quick test_partition_rule;
     Alcotest.test_case "cache counters" `Quick test_cache_counters;
     Alcotest.test_case "cache hit counted once" `Quick
       test_cache_hit_counted_once;

@@ -223,14 +223,17 @@ let test_manifest_truncated_header () =
 
 let true_decode (_ : E.t) = Smt.Formula.True
 
+(* A budget small enough that the chains below start in several
+   partitions and split as their alias facts grow, so every fault point
+   of the out-of-core engine is reached. *)
+let engine_config ~workdir =
+  { (Engine.default_config ~workdir) with
+    Engine.max_edges_per_partition = 16;
+    retry_base_ms = 0.01 }
+
 let mk_engine ?(config_f = fun c -> c) () =
   let workdir = fresh_workdir () in
-  let config =
-    config_f
-      { (Engine.default_config ~workdir) with
-        Engine.target_partitions = 2;
-        retry_base_ms = 0.01 }
-  in
+  let config = config_f (engine_config ~workdir) in
   AEngine.create ~config ~decode:true_decode ~workdir ()
 
 let seed_chain t n =
@@ -274,9 +277,7 @@ let test_engine_resume_equals_fresh () =
   let expect = facts clean in
   AEngine.cleanup clean;
   let workdir = fresh_workdir () in
-  let config =
-    { (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
-  in
+  let config = engine_config ~workdir in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 12;
   (match with_plan "crash-checkpoint=2" (fun () -> AEngine.run t) with
@@ -302,9 +303,7 @@ let test_resume_missing_partition_runs_fresh () =
   let expect = facts clean in
   AEngine.cleanup clean;
   let workdir = fresh_workdir () in
-  let config =
-    { (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
-  in
+  let config = engine_config ~workdir in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 12;
   (match with_plan "crash-checkpoint=2" (fun () -> AEngine.run t) with
@@ -325,16 +324,15 @@ let test_resume_missing_partition_runs_fresh () =
 
 (* ---------------- crash matrix over the count clock ---------------- *)
 
-(* Four initial partitions over vertices [0, 31): [0, 2), [2, 7), [7, 12)
-   and [12, 31).  The first pair, (p0, p0), derives FlowsTo(0, 30) from
-   New(0, 1) and Assign(1, 30); its mirror FlowsToBar(30, 0) is owned by
-   the unloaded last partition, so it is routed there.  The chain's alias
-   facts outgrow the 48-edge budget, so partitions split (six times, into
-   ten partitions). *)
+(* Four initial partitions over vertices [0, 31), each of at most half the
+   10-edge budget: [0, 2), [2, 7), [7, 12) and [12, 31).  The first pair,
+   (p0, p0), derives FlowsTo(0, 30) from FlowsTo(0, 1) and Assign(1, 30);
+   its mirror FlowsToBar(30, 0) is owned by the unloaded last partition, so
+   it is routed there.  The chain's alias facts outgrow the budget, so
+   partitions split (ten times, into seventeen partitions). *)
 let matrix_config ~workdir =
   { (Engine.default_config ~workdir) with
-    Engine.target_partitions = 4;
-    max_edges_per_partition = 48;
+    Engine.max_edges_per_partition = 10;
     retry_base_ms = 0.01 }
 
 let matrix_engine workdir =
@@ -457,10 +455,7 @@ let test_engine_budget_exact_boundary () =
   Alcotest.(check bool) "exactly-at-budget completes" true (facts at = expect);
   AEngine.cleanup at;
   let workdir = fresh_workdir () in
-  let tight =
-    { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 2; edge_budget = added - 1 }
-  in
+  let tight = { (engine_config ~workdir) with Engine.edge_budget = added - 1 } in
   let t = AEngine.create ~config:tight ~decode:true_decode ~workdir () in
   seed_chain t 10;
   (match AEngine.run t with
@@ -468,10 +463,10 @@ let test_engine_budget_exact_boundary () =
   | exception Engine.Budget_exhausted _ -> ());
   (* same workdir, budget lifted: resume completes what the tripped run
      checkpointed and converges to the same closure *)
-  let unbounded =
-    { (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
+  let t2 =
+    AEngine.create ~config:(engine_config ~workdir) ~decode:true_decode
+      ~workdir ()
   in
-  let t2 = AEngine.create ~config:unbounded ~decode:true_decode ~workdir () in
   seed_chain t2 10;
   AEngine.run ~resume:true t2;
   Alcotest.(check bool) "resume after exhaustion is identical" true

@@ -228,7 +228,7 @@ let run_alias_engine icfet ag =
   let module AE = Engine.Make (Cfl.Pointer_grammar) in
   let t =
     AE.create
-      ~config:{ (Engine.default_config ~workdir) with Engine.target_partitions = 2 }
+      ~config:(Engine.default_config ~workdir)
       ~decode:(Icfet.constraint_of icfet) ~workdir ()
   in
   Alias_graph.iter_edges ag (fun e ->

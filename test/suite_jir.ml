@@ -235,6 +235,29 @@ let test_pp_roundtrip () =
   let text2 = Jir.Pp.program_to_string p2 in
   Alcotest.(check string) "pp . parse . pp fixpoint" text text2
 
+(* [Const min_int] has no literal: it prints as an expression with the same
+   value, and the text is a pp . parse fixpoint *)
+let test_pp_min_int () =
+  let text = Fmt.str "%a" Jir.Pp.expr (Jir.Ast.Const min_int) in
+  let p =
+    parse
+      (Printf.sprintf
+         "class C {\n  int m() {\n    return %s;\n  }\n}\nentry C.m;\n" text)
+  in
+  let rec eval = function
+    | Jir.Ast.Const n -> n
+    | Jir.Ast.Binop (Jir.Ast.Add, a, b) -> eval a + eval b
+    | Jir.Ast.Binop (Jir.Ast.Sub, a, b) -> eval a - eval b
+    | Jir.Ast.Binop (Jir.Ast.Mul, a, b) -> eval a * eval b
+    | Jir.Ast.Var v -> Alcotest.failf "variable %s" v
+  in
+  match (List.hd (List.hd p.Jir.Ast.classes).Jir.Ast.methods).Jir.Ast.body with
+  | [ { Jir.Ast.kind = Jir.Ast.Return (Some e); _ } ] ->
+      Alcotest.(check int) "same value" min_int (eval e);
+      Alcotest.(check string) "pp . parse . pp fixpoint" text
+        (Fmt.str "%a" Jir.Pp.expr e)
+  | _ -> Alcotest.fail "expected one return"
+
 let test_unroll_removes_loops () =
   let src = {|
 class C {
@@ -644,6 +667,8 @@ let suite =
     Alcotest.test_case "resolve errors" `Quick test_resolve_errors;
     Alcotest.test_case "library classes allowed" `Quick test_library_classes_allowed;
     Alcotest.test_case "pretty-print round trip" `Quick test_pp_roundtrip;
+    Alcotest.test_case "pretty-print min_int round trip" `Quick
+      test_pp_min_int;
     Alcotest.test_case "unroll removes loops" `Quick test_unroll_removes_loops;
     Alcotest.test_case "unroll size growth" `Quick test_unroll_size_growth;
     Alcotest.test_case "unroll fresh sids" `Quick test_unroll_fresh_sids;

@@ -228,12 +228,24 @@ let counters (s : Pipeline.stats) ~warnings =
     s.Pipeline.n_inconclusive s.Pipeline.n_smt_budget_hits
     s.Pipeline.n_faults_injected s.Pipeline.n_corrupt_recovered
 
+let engine_config ?budget ~workdir () =
+  let c = Engine.default_config ~workdir in
+  { c with
+    Engine.retry_base_ms = 0.01;
+    max_edges_per_partition =
+      Option.value budget ~default:c.Engine.max_edges_per_partition }
+
+(* A partition budget that keeps [generated ~seed:11]'s engines out of
+   core, so a fault plan has partition writes and renames to hit. *)
+let fault_budget = 64
+
 (* One full run through the scheduler path at a given worker count.  A fresh
    plan state is always installed (the given one, or none): fault-plan
    counters are stateful, so a differential comparison needs each run to
    start from the same plan state.  The ambient plan (e.g. the driver's
-   GRAPPLE_FAULT_PLAN) is restored afterwards. *)
-let run ?(workers = 1) ?plan ?(resume = false)
+   GRAPPLE_FAULT_PLAN) is restored afterwards.  [budget] is the engines'
+   partition budget. *)
+let run ?(workers = 1) ?plan ?(resume = false) ?budget
     ?workdir ?(throwers = []) program =
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
   let saved = Faults.current () in
@@ -251,8 +263,7 @@ let run ?(workers = 1) ?plan ?(resume = false)
       prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       workers;
       resume;
-      engine =
-        { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
+      engine = engine_config ?budget ~workdir () }
   in
   let prepared = Pipeline.prepare ~config ~workdir program in
   let results, props, schedule =
@@ -314,12 +325,13 @@ let test_generated_differential () =
 let test_fault_plan_differential () =
   let program = generated ~seed:11 in
   let plan = "seed=9,rate=0.05" in
-  let base = run ~workers:1 ~plan program in
+  let budget = fault_budget in
+  let base = run ~workers:1 ~plan ~budget program in
   Alcotest.(check bool) "plan actually fired" true
     (base.o_stats.Pipeline.n_faults_injected > 0);
   List.iter
     (fun w ->
-      let out = run ~workers:w ~plan program in
+      let out = run ~workers:w ~plan ~budget program in
       check_same ~what:(Printf.sprintf "faulty w%d" w) base out)
     [ 2; default_workers ]
 

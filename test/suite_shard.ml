@@ -156,7 +156,7 @@ let test_interrupt_flag () =
 
 (* Like [Suite_parallel.run] but through the shard-process scheduler. *)
 let run_shard ?(procs = 2) ?(kill_nth = 0) ?(max_redispatch = 3) ?plan
-    ?(throwers = []) program : Suite_parallel.outcome =
+    ?budget ?(throwers = []) program : Suite_parallel.outcome =
   let workdir = fresh_workdir () in
   let saved = Faults.current () in
   (match plan with
@@ -175,8 +175,7 @@ let run_shard ?(procs = 2) ?(kill_nth = 0) ?(max_redispatch = 3) ?plan
       heartbeat_ms = 20.;
       max_redispatch;
       shard_kill_nth = kill_nth;
-      engine =
-        { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
+      engine = Suite_parallel.engine_config ?budget ~workdir () }
   in
   let prepared = Pipeline.prepare ~config ~workdir program in
   let results, props, schedule =
@@ -227,14 +226,15 @@ let test_shard_differential () =
 let test_shard_fault_plan_differential () =
   let program = Suite_parallel.generated ~seed:11 in
   let plan = "seed=9,rate=0.05" in
-  let inproc = Suite_parallel.run ~workers:1 ~plan program in
-  let shard1 = run_shard ~procs:1 ~plan program in
+  let budget = Suite_parallel.fault_budget in
+  let inproc = Suite_parallel.run ~workers:1 ~plan ~budget program in
+  let shard1 = run_shard ~procs:1 ~plan ~budget program in
   Alcotest.(check bool) "plan actually fired in the workers" true
     (shard1.Suite_parallel.o_stats.Pipeline.n_faults_injected > 0);
   Suite_parallel.check_same ~what:"faulty in-process vs p1" inproc shard1;
   List.iter
     (fun procs ->
-      let out = run_shard ~procs ~plan program in
+      let out = run_shard ~procs ~plan ~budget program in
       Suite_parallel.check_same
         ~what:(Printf.sprintf "faulty p%d" procs)
         shard1 out)

@@ -228,11 +228,11 @@ let test_fuzz_smoke () =
     (r.Fuzz.reports_seen > 0)
 
 (* the shrinker skips a candidate whose printed text does not lex, as it
-   skips one that does not parse or resolve: [Const min_int] prints as
-   '-' and a literal one past [max_int] *)
+   skips one that does not parse or resolve: a variable named "@" prints a
+   character no token begins with *)
 let test_shrink_skips_unlexable () =
   let open Jir.Ast in
-  let big = mk (Decl (Tint, "big", Some (Rexpr (Const min_int)))) in
+  let big = mk (Decl (Tint, "big", Some (Rexpr (Var "@")))) in
   let p = parse_src throw_src in
   let p =
     { p with

@@ -170,11 +170,11 @@ let test_edges_added_hand_counted () =
      partition count.  Regression for the route/add_new double-count, which
      inflated the counter whenever an edge crossed partitions. *)
   List.iter
-    (fun parts ->
+    (fun budget ->
       let workdir = fresh_workdir () in
       let config =
         { (Engine.default_config ~workdir) with
-          Engine.target_partitions = parts }
+          Engine.max_edges_per_partition = budget }
       in
       let t = AEngine.create ~config ~decode:true_decode ~workdir () in
       let iv = [ E.Interval { meth = 0; first = 0; last = 0 } ] in
@@ -189,14 +189,15 @@ let test_edges_added_hand_counted () =
         |> List.sort_uniq compare
       in
       Alcotest.(check int)
-        (Printf.sprintf "total facts (parts=%d)" parts)
+        (Printf.sprintf "total facts (budget=%d)" budget)
         10 (List.length facts);
       Alcotest.(check int)
-        (Printf.sprintf "edges added (parts=%d)" parts)
+        (Printf.sprintf "edges added (budget=%d)" budget)
         6
         (Engine.Metrics.count
            (AEngine.metrics t).Engine.Metrics.edges_added))
-    [ 1; 8 ]
+    (* one partition; one per source *)
+    [ 200_000; 2 ]
 
 (* ---------------- worked example vs. naive closure ---------------- *)
 
@@ -212,8 +213,7 @@ let test_example_matches_reference () =
   let workdir = fresh_workdir () in
   let config =
     { (Engine.default_config ~workdir) with
-      Engine.target_partitions = 3;
-      max_edges_per_partition = 4;
+      Engine.max_edges_per_partition = 4;
       max_encodings_per_key = 1;
       max_path_elements = 0 }
   in
@@ -259,7 +259,7 @@ let rec edge_files dir =
          else if Filename.check_suffix p ".edges" then [ p ]
          else [])
 
-let run_corpus ~parts path =
+let run_corpus ~budget path =
   let program =
     Jir.Resolve.parse_exn ~file:(Filename.basename path) (read_bytes path)
   in
@@ -272,7 +272,7 @@ let run_corpus ~parts path =
     { config with
       Grapple.Pipeline.engine =
         { config.Grapple.Pipeline.engine with
-          Engine.target_partitions = parts } }
+          Engine.max_edges_per_partition = budget } }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let results, _props, _ =
@@ -291,11 +291,15 @@ let test_corpus_replay () =
   (* every minimized program in the corpus goes through the full pipeline
      on the flat representation: the partition files it leaves behind must
      re-read losslessly and re-serialize byte-identically, and the warnings
-     must not depend on the partition count *)
+     must not depend on the partition budget.  Budget 2 puts one source in
+     each partition; the default budget fits each engine in one, so the
+     small budget must leave more partition files over the corpus. *)
   let saw_partition_files = ref false in
+  let small = ref 0 and default = ref 0 in
   List.iter
     (fun path ->
-      let workdir, reports = run_corpus ~parts:2 path in
+      let workdir, reports = run_corpus ~budget:2 path in
+      let files = edge_files workdir in
       List.iter
         (fun f ->
           let out = S.read_flat ~path:f in
@@ -312,14 +316,23 @@ let test_corpus_replay () =
            ^ " re-serializes byte-identically")
             true
             (read_bytes rt = read_bytes f))
-        (edge_files workdir);
-      let _, reports' = run_corpus ~parts:5 path in
+        files;
+      let workdir', reports' = run_corpus ~budget:200_000 path in
+      let n = List.length files and n' = List.length (edge_files workdir') in
+      if n < n' then
+        Alcotest.failf "%s: budget 2 left %d partition files, the default %d"
+          (Filename.basename path) n n';
+      small := !small + n;
+      default := !default + n';
       Alcotest.(check (list string))
         (Filename.basename path ^ ": warnings stable across partitioning")
         reports reports')
     (corpus_files ());
   Alcotest.(check bool) "replay exercised partition files" true
-    !saw_partition_files
+    !saw_partition_files;
+  if !small <= !default then
+    Alcotest.failf "budget 2 left %d partition files, the default %d" !small
+      !default
 
 (* ---------------- golden bytes ---------------- *)
 
@@ -416,10 +429,10 @@ let test_golden_seed_partitions () =
         (name ^ ": digest of\n" ^ listing)
         want
         (Digest.to_hex (Digest.string listing)))
-    [ ("figure3b", figure3b, "c8636892aa0a1b26dfd70b14bfd7090c");
+    [ ("figure3b", figure3b, "71bc3e261d8296cbc8269ac945856bcd");
       ("minizk",
        (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
-       "8462e9d44d2dc317894e69dd55c7019b") ]
+       "9de8a7f1642666fd31bfb019d93b6b1c") ]
 
 (* ---------------- rejected blocks ---------------- *)
 
