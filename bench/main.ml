@@ -173,7 +173,7 @@ let edges_per_s (s : Pipeline.stats) =
 (* Shared subject runs: one pipeline execution feeds Tables 1-3 + Fig 9. *)
 (* ------------------------------------------------------------------ *)
 
-(* The escape pre-filter gets no properties here, as when
+(* The summary pre-filter gets no properties here, as when
    BENCH_c80089d.json was recorded: CI compares edges/s against it. *)
 let shared_runs =
   lazy
@@ -478,30 +478,6 @@ let oom () =
      constraint objects) exhausts its budget on every subject while the\n\
      out-of-core engine completes by spilling partitions to disk."
 
-(* ------------------------------------------------------------------ *)
-(* Pre-filter side-by-side: the escape-based instance pruning on vs.    *)
-(* off, per subject.  Warnings must be identical; the graphs shrink by  *)
-(* however many tracked allocations were resolved intraprocedurally.    *)
-(* Subjects are seed-fixed, so every column reproduces exactly.         *)
-(* ------------------------------------------------------------------ *)
-
-let prefilter () =
-  header "Pre-filter: escape-resolved instances (on vs off)"
-    "instance pruning ablation";
-  Printf.printf "%-10s %4s %8s %9s %9s %6s %6s %8s %6s\n" "subject" "pf"
-    "|V|" "#E0" "#EA" "#filt" "warns" "time" "same";
-  let fsms = Checkers.fsms (Checkers.all ()) in
-  differential (Generator.all_subjects ())
-    (toggle (fun on c ->
-         { c with Pipeline.prefilter_properties = (if on then fsms else []) }))
-    (fun subject cell o ~base:_ ->
-      let s = o.stats in
-      Printf.sprintf "%-10s %4s %8d %9d %9d %6d %6d %8s" (name subject)
-        cell.label s.Pipeline.n_vertices s.Pipeline.n_edges_before
-        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered (warns o)
-        (hms (wall o)))
-  |> ignore
-
 (* The whole-program lints of [checker], [diags_of], scored against each
    subject's planted bugs beside what the intraprocedural linter finds. *)
 let lint_table checker diags_of =
@@ -521,18 +497,18 @@ let lint_table checker diags_of =
     (Generator.all_subjects ())
 
 (* ------------------------------------------------------------------ *)
-(* Summary pre-filter side-by-side (ISSUE 2): escape filter alone vs.   *)
-(* escape + interprocedural summary triage.  The summary stage must     *)
-(* prune strictly more instances with zero change in reported warnings  *)
-(* (TP and FP identical), and the --interproc lints must catch planted  *)
-(* whole-program bugs the intraprocedural linter misses.                *)
+(* Summary pre-filter side-by-side: the interprocedural summary       *)
+(* triage on vs. off.  It must prune instances with zero change in    *)
+(* reported warnings (TP and FP identical), and the --interproc lints *)
+(* must catch planted whole-program bugs the intraprocedural linter   *)
+(* misses.                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let summaries () =
   header "Summary pre-filter: interprocedural typestate triage (on vs off)"
     "sound pipeline triage ablation + whole-program lints";
-  Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %6s %8s %6s\n" "subject"
-    "sf" "|V|" "#EA" "#esc" "#sum" "TP" "FP" "warns" "time" "same";
+  Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %8s %6s\n" "subject"
+    "sf" "|V|" "#EA" "#sum" "TP" "FP" "warns" "time" "same";
   let fsms = Checkers.fsms (Checkers.all ()) in
   differential (Generator.all_subjects ())
     (toggle (fun on c ->
@@ -542,14 +518,14 @@ let summaries () =
     (fun subject cell o ~base:_ ->
       let s = o.stats in
       let tp, fp, _ = score subject o.results in
-      Printf.sprintf "%-10s %4s %8d %9d %6d %6d %6d %6d %6d %8s"
+      Printf.sprintf "%-10s %4s %8d %9d %6d %6d %6d %6d %8s"
         (name subject) cell.label s.Pipeline.n_vertices
-        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered
-        s.Pipeline.n_summary_pruned tp fp (warns o) (hms (wall o)))
+        s.Pipeline.n_edges_after s.Pipeline.n_summary_pruned tp fp (warns o)
+        (hms (wall o)))
   |> ignore;
   print_endline
-    "\nshape check: the summary stage prunes instances the escape filter\n\
-     cannot (#sum > 0 on top of #esc) with identical warnings and TP/FP.";
+    "\nshape check: the summary stage prunes instances (#sum > 0) with\n\
+     identical warnings and TP/FP.";
   (* the --interproc lint surface, scored against the planted
      interprocedural bugs the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc)"
@@ -563,35 +539,31 @@ let summaries () =
      ones (intraproc TP = 0)."
 
 (* ------------------------------------------------------------------ *)
-(* Points-to triage side-by-side (ISSUE 7): escape + summaries alone    *)
-(* vs. the full three-tier triage with the closure-graph slicer.  The   *)
-(* points-to stage must prune instances the first two tiers keep and    *)
-(* slice alias edges before phase 1, with zero change in reported       *)
-(* warnings; the pointsto lints must catch planted heap-flow bugs.      *)
+(* Points-to side-by-side: the Andersen analysis and the              *)
+(* closure-graph slicer it feeds, on vs. off.  The slicer must drop   *)
+(* alias edges before phase 1 with zero change in reported warnings;  *)
+(* the pointsto lints must catch planted heap-flow bugs.              *)
 (* ------------------------------------------------------------------ *)
 
 let alias () =
-  header "Points-to pre-filter and slicer: Andersen triage (on vs off)"
-    "sound pipeline triage ablation + closure-graph slicing";
-  Printf.printf "%-10s %4s %9s %9s %6s %6s %6s %8s %6s %8s %6s\n" "subject"
-    "ap" "|E|pre" "|E|after" "#esc" "#sum" "#pt" "sliced" "warns" "time"
-    "same";
+  header "Points-to slicer: Andersen analysis (on vs off)"
+    "closure-graph slicing ablation";
+  Printf.printf "%-10s %4s %9s %9s %6s %8s %6s %8s %6s\n" "subject" "ap"
+    "|E|pre" "|E|after" "#sum" "sliced" "warns" "time" "same";
   let fsms = Checkers.fsms (Checkers.all ()) in
   differential (Generator.all_subjects ())
     (toggle (fun on c ->
          { c with Pipeline.prefilter_properties = fsms; alias_prefilter = on }))
     (fun subject cell o ~base:_ ->
       let s = o.stats in
-      Printf.sprintf "%-10s %4s %9d %9d %6d %6d %6d %8d %6d %8s"
-        (name subject) cell.label s.Pipeline.n_edges_presliced
-        s.Pipeline.n_edges_after s.Pipeline.n_prefiltered
-        s.Pipeline.n_summary_pruned s.Pipeline.n_alias_pruned
-        s.Pipeline.n_edges_sliced (warns o) (hms (wall o)))
+      Printf.sprintf "%-10s %4s %9d %9d %6d %8d %6d %8s" (name subject)
+        cell.label s.Pipeline.n_edges_presliced s.Pipeline.n_edges_after
+        s.Pipeline.n_summary_pruned s.Pipeline.n_edges_sliced (warns o)
+        (hms (wall o)))
   |> ignore;
   print_endline
-    "\nshape check: the points-to stage prunes instances escape and the\n\
-     summaries both keep (#pt > 0 on top of #esc/#sum) and slices alias\n\
-     edges before phase 1 (sliced > 0), with identical warnings.";
+    "\nshape check: the slicer drops alias edges before phase 1\n\
+     (sliced > 0), with identical warnings.";
   (* the pointsto lint surface, scored against the planted heap-flow bugs
      the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc, pointsto)"
@@ -1029,11 +1001,11 @@ let baseline () =
            s.Pipeline.breakdown)
     in
     Printf.sprintf
-      {|    {"subject":%S,"wall_s":%.3f,"preprocess_s":%.3f,"compute_s":%.3f,"edges_added":%d,"edges_per_s":%.1f,"cache_hit_rate":%.4f,"bytes_read":%d,"bytes_written":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"breakdown_pct":{%s}}|}
+      {|    {"subject":%S,"wall_s":%.3f,"preprocess_s":%.3f,"compute_s":%.3f,"edges_added":%d,"edges_per_s":%.1f,"cache_hit_rate":%.4f,"bytes_read":%d,"bytes_written":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"breakdown_pct":{%s}}|}
       (name subject) (wall o) s.Pipeline.preprocess_s s.Pipeline.compute_s
       s.Pipeline.edges_added (edges_per_s s) hit_rate s.Pipeline.bytes_read
-      s.Pipeline.bytes_written s.Pipeline.n_alias_pruned
-      s.Pipeline.n_edges_presliced s.Pipeline.n_edges_sliced breakdown
+      s.Pipeline.bytes_written s.Pipeline.n_edges_presliced
+      s.Pipeline.n_edges_sliced breakdown
   in
   let runs = Lazy.force shared_runs in
   List.iter
@@ -1057,8 +1029,8 @@ let baseline () =
 let dsl_checkers () =
   header "DSL checkers: spec-defined properties vs ground truth"
     "property DSL extension, not a paper experiment";
-  Printf.printf "%-11s %-10s %9s %6s %5s %6s %4s %4s %4s %8s\n" "checker"
-    "subject" "|E|after" "#filt" "#spr" "warns" "TP" "FP" "FN" "time";
+  Printf.printf "%-11s %-10s %9s %5s %6s %4s %4s %4s %8s\n" "checker"
+    "subject" "|E|after" "#spr" "warns" "TP" "FP" "FN" "time";
   let row label (subject : Generator.subject) (c : Checkers.t) ~score_as =
     let o =
       run ~checkers:[ c ] subject (fun cfg ->
@@ -1073,9 +1045,9 @@ let dsl_checkers () =
       Scoring.score ~checker:score_as ~expected:subject.Generator.expected
         ~reports ()
     in
-    Printf.printf "%-11s %-10s %9d %6d %5d %6d %4d %4d %4d %8s\n" label
+    Printf.printf "%-11s %-10s %9d %5d %6d %4d %4d %4d %8s\n" label
       (name subject) o.stats.Pipeline.n_edges_after
-      o.stats.Pipeline.n_prefiltered o.stats.Pipeline.n_summary_pruned
+      o.stats.Pipeline.n_summary_pruned
       (List.length reports) s.Scoring.tp s.Scoring.fp s.Scoring.fn
       (hms (wall o))
   in
@@ -1170,18 +1142,15 @@ let megaload ~fast () =
       let stats = w1.stats in
       let rss = peak_rss_kb () in
       Printf.printf
-        "  edges/s=%.0f peak_rss=%dMB prefiltered=%d summary_pruned=%d \
-         alias_pruned=%d\n"
-        (edges_per_s stats) (rss / 1024) stats.Pipeline.n_prefiltered
-        stats.Pipeline.n_summary_pruned stats.Pipeline.n_alias_pruned;
+        "  edges/s=%.0f peak_rss=%dMB summary_pruned=%d\n"
+        (edges_per_s stats) (rss / 1024) stats.Pipeline.n_summary_pruned;
       record "megaload"
         (Printf.sprintf
-           {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_prefiltered":%d,"n_summary_pruned":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
+           {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_summary_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
            units subject.Generator.loc subject.Generator.n_methods gen_s
            (wall w1) (wall w4) (wall shard1) (wall shard4)
            stats.Pipeline.edges_added (edges_per_s stats) rss
-           stats.Pipeline.n_prefiltered stats.Pipeline.n_summary_pruned
-           stats.Pipeline.n_alias_pruned stats.Pipeline.n_edges_presliced
+           stats.Pipeline.n_summary_pruned stats.Pipeline.n_edges_presliced
            stats.Pipeline.n_edges_sliced identical)
   | _ -> assert false
 
@@ -1210,7 +1179,6 @@ let () =
       ("table5", table5 ~fast);
       ("oom", oom);
       ("ablation", ablation);
-      ("prefilter", prefilter);
       ("summaries", summaries);
       ("alias", alias);
       ("faults", faults);

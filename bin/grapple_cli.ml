@@ -97,12 +97,6 @@ let json_arg =
   Arg.(value & flag
        & info [ "json" ] ~doc:"print one JSON report per line (machine-readable)")
 
-let no_prefilter_arg =
-  Arg.(value & flag
-       & info [ "no-prefilter" ]
-           ~doc:"disable the escape-based pre-filter; every tracked \
-                 allocation goes through the engine")
-
 (* Checkers loaded from --spec files; a positioned diagnostic exits 2. *)
 let load_specs files =
   List.concat_map
@@ -145,11 +139,9 @@ let no_summary_prefilter_arg =
 let no_alias_prefilter_arg =
   Arg.(value & flag
        & info [ "no-alias-prefilter" ]
-           ~doc:"disable the whole-program points-to pre-filter and the \
-                 closure-graph slicer; allocations it would prove \
-                 unreportable still go through the engine and no alias \
-                 edges are sliced.  The warning report is byte-identical \
-                 either way")
+           ~doc:"disable the whole-program points-to analysis and the \
+                 closure-graph slicer it feeds: no alias edges are sliced.  \
+                 The warning report is byte-identical either way")
 
 let workdir_arg =
   Arg.(value & opt (some string) None
@@ -250,7 +242,7 @@ let smt_budget_arg =
                  feasible, counted in the smt-budget-hits stat")
 
 let check_cmd =
-  let run file checkers specs unroll paths trace_out metrics_out json no_prefilter
+  let run file checkers specs unroll paths trace_out metrics_out json
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
       instance_budget edge_budget max_retries fault_plan smt_budget workers_opt
       shard_procs_opt heartbeat_ms max_redispatch
@@ -336,7 +328,6 @@ let check_cmd =
             engine = { base.Grapple.Pipeline.engine with Engine.max_retries };
             library_throwers = Checkers.Specs.library_throwers;
             track_null = Checkers.tracks_null cs;
-            prefilter = not no_prefilter;
             prefilter_properties = Checkers.fsms cs;
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
@@ -394,7 +385,7 @@ let check_cmd =
         if json then
           (* machine-readable run stats, one line, after the reports *)
           Printf.printf
-            {|{"tool":"stats","warnings":%d,"n_retried":%d,"n_recovered":%d,"n_inconclusive":%d,"n_smt_budget_hits":%d,"n_faults_injected":%d,"n_corrupt_recovered":%d,"cache_enabled":%b,"bytes_read":%d,"bytes_written":%d,"n_alias_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d}|}
+            {|{"tool":"stats","warnings":%d,"n_retried":%d,"n_recovered":%d,"n_inconclusive":%d,"n_smt_budget_hits":%d,"n_faults_injected":%d,"n_corrupt_recovered":%d,"cache_enabled":%b,"bytes_read":%d,"bytes_written":%d,"n_edges_presliced":%d,"n_edges_sliced":%d}|}
             !total stats.Grapple.Pipeline.n_retried
             stats.Grapple.Pipeline.n_recovered
             stats.Grapple.Pipeline.n_inconclusive
@@ -404,7 +395,6 @@ let check_cmd =
             stats.Grapple.Pipeline.cache_enabled
             stats.Grapple.Pipeline.bytes_read
             stats.Grapple.Pipeline.bytes_written
-            stats.Grapple.Pipeline.n_alias_pruned
             stats.Grapple.Pipeline.n_edges_presliced
             stats.Grapple.Pipeline.n_edges_sliced
           |> print_newline;
@@ -418,8 +408,8 @@ let check_cmd =
         in
         summary
           "\n%d warning(s); |V|=%d |E|before=%d |E|after=%d partitions=%d \
-           iterations=%d constraints=%d cache=%s prefiltered=%d \
-           summary-pruned=%d alias-pruned=%d sliced=%d retried=%d \
+           iterations=%d constraints=%d cache=%s summary-pruned=%d \
+           sliced=%d retried=%d \
            recovered=%d inconclusive=%d smt-budget-hits=%d \
            faults-injected=%d\n"
           !total stats.Grapple.Pipeline.n_vertices
@@ -429,9 +419,7 @@ let check_cmd =
           stats.Grapple.Pipeline.n_iterations
           stats.Grapple.Pipeline.n_constraints_solved
           cache_cell
-          stats.Grapple.Pipeline.n_prefiltered
           stats.Grapple.Pipeline.n_summary_pruned
-          stats.Grapple.Pipeline.n_alias_pruned
           stats.Grapple.Pipeline.n_edges_sliced
           stats.Grapple.Pipeline.n_retried stats.Grapple.Pipeline.n_recovered
           stats.Grapple.Pipeline.n_inconclusive
@@ -450,7 +438,7 @@ let check_cmd =
   in
   Cmd.v (Cmd.info "check" ~doc:"run property checkers on a JIR file")
     Term.(const run $ file_arg $ checkers_arg $ spec_arg $ unroll_arg $ paths_arg
-          $ trace_out_arg $ metrics_json_arg $ json_arg $ no_prefilter_arg
+          $ trace_out_arg $ metrics_json_arg $ json_arg
           $ no_summary_prefilter_arg $ no_alias_prefilter_arg $ workdir_arg
           $ resume_arg
           $ instance_budget_arg $ edge_budget_arg $ max_retries_arg
@@ -705,11 +693,12 @@ let fuzz_cmd =
                    corpus output)")
   in
   let weaken_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value
+         & opt (some (enum [ ("summary", Grapple.Pipeline.Summary) ])) None
          & info [ "weaken-tier" ] ~docv:"TIER"
-             ~doc:"TESTING ONLY: deliberately break a triage tier \
-                   (escape|summary|alias) so the harness itself can be \
-                   validated — a weakened run must fail")
+             ~doc:"TESTING ONLY: deliberately break the summary triage tier \
+                   ($(b,summary)) so the harness itself can be validated — \
+                   a weakened run must fail")
   in
   let run iters seed runs corpus_dir weaken workers_opt shard_procs_opt
       fault_plan =

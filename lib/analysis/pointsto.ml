@@ -23,13 +23,10 @@
    The result is a sound over-approximation of the CFL-reachability
    [FlowsTo] relation the closure engine computes on the alias graph:
    every graph-derivable FlowsTo(o, v) fact has sid(o) ∈ pts(v).  That
-   directional guarantee is what makes the two consumers sound:
-
-   - the pipeline's alias pre-filter prunes an allocation only when no
-     event-bearing statement can observe it (see [prunable_sids]);
-   - the alias-graph slicer drops Assign-labeled edges whose source
-     variable has an empty points-to set — no FlowsTo derivation can
-     cross such an edge, so the closure is unchanged edge-for-edge. *)
+   directional guarantee is what makes the alias-graph slicer sound: it
+   drops Assign-labeled edges whose source variable has an empty points-to
+   set — no FlowsTo derivation can cross such an edge, so the closure is
+   unchanged edge-for-edge. *)
 
 module IS = Set.Make (Int)
 module SS = Set.Make (String)
@@ -423,101 +420,13 @@ let render t =
              (Printf.sprintf "%s %s -> {%s}\n" mid v (String.concat ", " sites)));
   Buffer.contents buf
 
-(* ---------------- the alias pre-filter ---------------- *)
+(* ---------------- whole-program lints ---------------- *)
 
 (* Does call [c] leave the program (its target is no program method)? *)
 let library t (c : Jir.Ast.call) =
   Jir.Ast.find_method_idx t.idx ~cls:c.Jir.Ast.target_class
     ~meth:c.Jir.Ast.mname
   = None
-
-(* Allocations the checking pipeline may drop before building graphs,
-   proven unreportable for every FSM in [fsms] that tracks their class:
-
-   - the FSM-state closure of the object's whole event alphabet — every
-     event ({!Fsm.stmt_event}) any statement the object can reach could
-     fire — stays accepting and never touches the error state.  Order-free
-     closure over the alphabet over-approximates every feasible event
-     sequence, so no error report and no leak report is possible;
-   - the object never flows into the base of a [Store]: a store-base
-     object is the potential mediator of a store[f]/alias/load[f] chain,
-     and removing its New edge could change *other* objects' flows.
-
-   Untracked allocations and [Rnull] pseudo-allocations are never pruned
-   (the graph builder's exclusion hook does not cover the latter). *)
-let prunable_sids (t : t) ~(fsms : Fsm.t list) : int list =
-  if fsms = [] then []
-  else begin
-    let fsms = Array.of_list fsms in
-    let n_fsms = Array.length fsms in
-    (* per-FSM event alphabet per allocation *)
-    let events = Array.init n_fsms (fun _ -> Hashtbl.create 64) in
-    let store_mediators = ref IS.empty in
-    let library = library t in
-    let add_events i node ev =
-      IS.iter
-        (fun sid ->
-          let cur =
-            Option.value ~default:SS.empty (Hashtbl.find_opt events.(i) sid)
-          in
-          Hashtbl.replace events.(i) sid (SS.add ev cur))
-        (pts_node t node)
-    in
-    List.iter
-      (fun (m : Jir.Ast.meth) ->
-        let mid = Jir.Ast.meth_id m in
-        List.iter
-          (fun (s : Jir.Ast.stmt) ->
-            (match s.Jir.Ast.kind with
-            | Jir.Ast.Store (x, _, _) ->
-                store_mediators :=
-                  IS.union !store_mediators (pts_node t (var_nd t mid x))
-            | _ -> ());
-            Array.iteri
-              (fun i fsm ->
-                match Fsm.stmt_event fsm ~library ~meth:m s with
-                | Some (v, ev) -> add_events i (var_nd t mid v) ev
-                | None -> ())
-              fsms)
-          (Jir.Ast.block_stmts m.Jir.Ast.body))
-      (Jir.Ast.all_methods t.program);
-    (* reachable-state closure of one object's alphabet under one FSM *)
-    let closure_ok (fsm : Fsm.t) evs =
-      let seen = Hashtbl.create 8 in
-      let ok = ref true in
-      let rec go s =
-        if not (Hashtbl.mem seen s) then begin
-          Hashtbl.add seen s ();
-          if s = fsm.Fsm.error || not (Fsm.is_accepting fsm s) then ok := false
-          else SS.iter (fun ev -> go (Fsm.step fsm s ev)) evs
-        end
-      in
-      go fsm.Fsm.initial;
-      !ok
-    in
-    t.alloc_sids
-    |> List.filter (fun sid ->
-           let a = Hashtbl.find t.allocs sid in
-           a.o_cls <> null_class
-           && (not (IS.mem sid !store_mediators))
-           &&
-           let tracking = ref [] in
-           Array.iteri
-             (fun i fsm ->
-               if Fsm.is_tracked fsm a.o_cls then tracking := (i, fsm) :: !tracking)
-             fsms;
-           !tracking <> []
-           && List.for_all
-                (fun (i, fsm) ->
-                  let evs =
-                    Option.value ~default:SS.empty
-                      (Hashtbl.find_opt events.(i) sid)
-                  in
-                  closure_ok fsm evs)
-                !tracking)
-  end
-
-(* ---------------- whole-program lints ---------------- *)
 
 (* Heap stores whose stored region is never loaded back through any alias
    of the receiver: the written cell is unreachable dead weight. *)

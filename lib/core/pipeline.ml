@@ -17,11 +17,12 @@ module Alias_graph = Graphgen.Alias_graph
 module Dataflow_graph = Graphgen.Dataflow_graph
 module Pg = Cfl.Pointer_grammar
 module Dg = Cfl.Dataflow_grammar
-module Transfn = Cfl.Transfn
 
 module Alias_engine = Engine.Make (Cfl.Pointer_grammar)
 module Dataflow_engine = Engine.Make (Cfl.Dataflow_grammar)
-module Escape = Analysis.Escape
+
+(* The triage tiers the soundness harness can weaken. *)
+type tier = Summary
 
 type config = {
   workdir : string;
@@ -33,28 +34,20 @@ type config = {
       (* materialize [null] pseudo-allocations in the alias graph so the
          null-dereference checker can track them; off by default because
          the extra sources enlarge the closure for every property *)
-  prefilter : bool;
-      (* resolve provably non-escaping tracked allocations intraprocedurally
-         (Analysis.Escape) and keep them out of the alias/dataflow graphs *)
   prefilter_properties : Fsm.t list;
-      (* the FSMs whose tracked classes the pre-filter may resolve; empty
-         disables the pre-filter regardless of [prefilter] *)
+      (* the FSMs whose tracked allocations the summary tier may prune;
+         empty disables the tier regardless of [summary_prefilter] *)
   summary_prefilter : bool;
-      (* second triage stage (ISSUE 2): prune tracked allocations whose
+      (* the triage tier: prune tracked allocations whose
          over-approximating interprocedural typestate closure
          (Analysis.Summaries) never reaches the FSM error state and never
          ends life in a non-accepting state — no report is possible, so
-         they are excluded from the graphs with no local re-check *)
+         they are excluded from the graphs *)
   alias_prefilter : bool;
-      (* third triage stage (ISSUE 7): whole-program Andersen points-to.
-         Tracked allocations whose points-to-reachable region can never
-         flow into an event-bearing statement are pruned before instance
-         creation (strictly beyond escape+summaries: field-sensitive flow
-         through the heap is visible here), and Assign-labeled alias-graph
-         edges no allocation can cross are sliced away before phase 1 —
-         both at byte-identical warnings.  Pruning needs
-         [prefilter_properties]; slicing is property-independent and runs
-         whenever this flag is on *)
+      (* whole-program Andersen points-to, which feeds the slicer:
+         Assign-labeled alias-graph edges no allocation can cross are
+         dropped before phase 1, at byte-identical warnings.  It prunes no
+         allocation *)
   max_retries : int;
       (* supervisor restarts per checking instance (each restart resumes
          from the instance's last checkpoint) before the instance is
@@ -89,15 +82,13 @@ type config = {
   shard_kill_nth : int;
       (* deterministic fault injection: SIGKILL the worker receiving the
          Nth instance assignment of the run (0 = off) *)
-  weaken_tier : string option;
+  weaken_tier : tier option;
       (* TEST-ONLY soundness-harness hook (ISSUE 9): deliberately break one
          triage tier so the reference-interpreter fuzzer can prove it would
-         catch a tier that drops reports.  ["escape"] keeps the escape
-         filter's exclusions but discards the local re-check (its reports
-         are silently lost); ["summary"]/["alias"] prune *every* tracked
-         allocation at that tier instead of only the proven-clean ones.
-         [None] (the default, and the only value the CLI's check command
-         can produce) changes nothing *)
+         catch a tier that drops reports.  [Summary] prunes *every* tracked
+         allocation at the summary tier instead of only the proven-clean
+         ones.  [None] (the default, and the only value the CLI's check
+         command can produce) changes nothing *)
 }
 
 let default_config ~workdir =
@@ -106,7 +97,6 @@ let default_config ~workdir =
     engine = Engine.default_config ~workdir;
     library_throwers = [];
     track_null = false;
-    prefilter = true;
     prefilter_properties = [];
     summary_prefilter = true;
     alias_prefilter = true;
@@ -180,16 +170,10 @@ type prepared = {
   alias_engine : Alias_engine.t;
   flows : Dataflow_graph.flows;
   n_alias_pairs : int;
-  prefiltered : Escape.resolved list;
-      (* tracked allocations resolved locally, excluded from the graphs *)
   summary_pruned : int list;
       (* allocation sids the interprocedural summary pre-filter proved
          unreportable for every property tracking their class; excluded
          from the graphs outright *)
-  alias_pruned : int list;
-      (* allocation sids the points-to pre-filter proved unreportable
-         (no event-bearing statement can observe them, and they mediate no
-         heap alias chain); excluded from the graphs outright *)
   n_edges_presliced : int;
       (* alias-graph edges built before points-to slicing *)
   n_edges_sliced : int;
@@ -258,11 +242,10 @@ let retry_ladder (config : config) ~(acct : acct) ~resume ~create ~op_retries
 
 (* ---------------- phase 0 + 1 ---------------- *)
 
-(* Every allocation sid of a class some property tracks (and that an earlier
-   tier has not already excluded) — the deliberately unsound "prune
-   everything" set the [weaken_tier] test hook substitutes for a tier's real
-   result, so the soundness harness can demonstrate it detects the lost
-   reports. *)
+(* Every allocation sid of a class some property tracks, less those in
+   [excluded] — the deliberately unsound "prune everything" set the
+   [weaken_tier] test hook substitutes for the summary tier's real result,
+   so the soundness harness can demonstrate it detects the lost reports. *)
 let tracked_alloc_sids (program : Jir.Ast.program) (fsms : Fsm.t list)
     ~excluded : int list =
   let tracked cls = List.exists (fun f -> Fsm.is_tracked f cls) fsms in
@@ -312,30 +295,10 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
         (* a tighter instance cap than the [graph] command's default *)
         Clone_tree.build ~max_instances:100_000 icfet callgraph)
   in
-  (* escape-based pre-filter (ISSUE 1): tracked allocations that provably
-     never leave their method are resolved locally in [attempt_property];
-     exclude them from the alias graph so neither closure ever sees them *)
-  let prefiltered =
-    timed_span "phase0.escape_prefilter" pre (fun () ->
-        if config.prefilter && config.prefilter_properties <> [] then
-          let tracked cls =
-            List.exists
-              (fun f -> Fsm.is_tracked f cls)
-              config.prefilter_properties
-          in
-          Escape.analyze ~tracked program ~cfet:(fun id ->
-              Option.get (Icfet.cfet_of_meth icfet id))
-        else [])
-  in
-  let excluded = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Escape.resolved) -> Hashtbl.replace excluded r.Escape.sid ())
-    prefiltered;
   (* summary-based pre-filter (ISSUE 2): an allocation is pruned only when
      every property tracking its class proves it clean — the abstraction
-     over-approximates realizable event sequences, so neither closure can
-     produce a report for it.  Unlike the escape filter, pruned allocations
-     need no local re-check: clean means no report at all. *)
+     over-approximates realizable event sequences, so the closure cannot
+     produce a report for it. *)
   let summary_pruned =
     timed_span "phase0.summary_prefilter" pre (fun () ->
         if config.summary_prefilter && config.prefilter_properties <> [] then begin
@@ -352,8 +315,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
                program);
           Hashtbl.fold
             (fun sid () acc ->
-              if Hashtbl.mem dirty sid || Hashtbl.mem excluded sid then acc
-              else sid :: acc)
+              if Hashtbl.mem dirty sid then acc else sid :: acc)
             clean []
           |> List.sort compare
         end
@@ -361,41 +323,22 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   (* weakened-summary hook: pretend the tier proved everything clean *)
   let summary_pruned =
-    if config.weaken_tier = Some "summary" then
-      tracked_alloc_sids program config.prefilter_properties ~excluded
+    if config.weaken_tier = Some Summary then
+      tracked_alloc_sids program config.prefilter_properties
+        ~excluded:(Hashtbl.create 0)
     else summary_pruned
   in
+  let excluded = Hashtbl.create 16 in
   List.iter (fun sid -> Hashtbl.replace excluded sid ()) summary_pruned;
-  (* points-to pre-filter (ISSUE 7): whole-program Andersen analysis over
-     the unrolled program.  Its points-to sets over-approximate the CFL
-     flowsTo relation the engine computes, so an allocation whose entire
-     reachable event alphabet keeps every tracking property accepting can
-     never yield a report — pruned outright, like the summary tier.  The
-     same analysis drives the closure-graph slicer below, which is
-     property-independent, so the solver runs whenever the flag is on. *)
-  let pointsto, alias_pruned =
+  (* whole-program Andersen points-to over the unrolled program, for the
+     closure-graph slicer below (the benchmark reads this span by its
+     name) *)
+  let pointsto =
     timed_span "phase0.alias_prefilter" pre (fun () ->
-        if not config.alias_prefilter then (None, [])
-        else
-          let pt =
-            Analysis.Pointsto.analyze ~track_null:config.track_null program
-          in
-          let pruned =
-            if config.prefilter_properties = [] then []
-            else
-              Analysis.Pointsto.prunable_sids pt
-                ~fsms:config.prefilter_properties
-              |> List.filter (fun sid -> not (Hashtbl.mem excluded sid))
-          in
-          (Some pt, pruned))
+        if config.alias_prefilter then
+          Some (Analysis.Pointsto.analyze ~track_null:config.track_null program)
+        else None)
   in
-  (* weakened-alias hook: prune every tracked allocation still in play *)
-  let alias_pruned =
-    if config.weaken_tier = Some "alias" then
-      tracked_alloc_sids program config.prefilter_properties ~excluded
-    else alias_pruned
-  in
-  List.iter (fun sid -> Hashtbl.replace excluded sid ()) alias_pruned;
   let alias_graph =
     timed_span "phase0.alias_graph" pre (fun () ->
         Alias_graph.build ~track_null:config.track_null
@@ -482,14 +425,9 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   timing.preprocess_s <- !pre;
   timing.compute_s <- !comp;
-  (* weakened-escape hook: keep the exclusions but lose the local re-check *)
-  let prefiltered =
-    if config.weaken_tier = Some "escape" then [] else prefiltered
-  in
   { config; program; icfet; callgraph; clones; alias_graph; alias_engine;
-    flows; n_alias_pairs; prefiltered; summary_pruned; alias_pruned;
-    n_edges_presliced; n_edges_sliced; timing; faults;
-    sup_reg = Obs.Registry.create () }
+    flows; n_alias_pairs; summary_pruned; n_edges_presliced; n_edges_sliced;
+    timing; faults; sup_reg = Obs.Registry.create () }
 
 (* ---------------- phases 2 and 3 for one property ---------------- *)
 
@@ -545,57 +483,6 @@ let witness_of_constraint (f : Smt.Formula.t) : (string * int) list =
   | Smt.Solver.Model_sat None | Smt.Solver.Model_unsat
   | Smt.Solver.Model_unknown ->
       []
-
-(* Phase 3 for one pre-filtered allocation: run the FSM directly over the
-   event sequence of each feasible local path.  Leaks need no exit-kind
-   check: qualified methods have no exceptional exits, so every complete
-   path ends in a normal return. *)
-let prefiltered_reports (fsm : Fsm.t) (r : Escape.resolved) : Report.t list =
-  (* every recorded statement is a library call on the variable:
-     qualification rejects calls on it to program methods *)
-  let event s =
-    Fsm.stmt_event fsm ~library:(fun _ -> true) ~meth:r.Escape.meth s
-  in
-  List.concat_map
-    (fun (path : Escape.path) ->
-      match Smt.Solver.check path.Escape.cond with
-      | Smt.Solver.Unsat -> []
-      | Smt.Solver.Sat | Smt.Solver.Unknown ->
-          let state, error_site =
-            List.fold_left
-              (fun (st, site) (s : Jir.Ast.stmt) ->
-                match event s with
-                | None -> (st, site)
-                | Some (_, ev) ->
-                    let st' = Fsm.step fsm st ev in
-                    if site = None && st' = fsm.Fsm.error then
-                      (st', Some s.Jir.Ast.at)
-                    else (st', site))
-              (fsm.Fsm.initial, None) path.Escape.events
-          in
-          let mk kind site =
-            { Report.checker = fsm.Fsm.name;
-              kind;
-              cls = r.Escape.cls;
-              alloc_at = r.Escape.at;
-              site;
-              context = [ r.Escape.meth_id ];
-              witness = witness_of_constraint path.Escape.cond;
-              trace =
-                [ Printf.sprintf "%s (%s:%d)" r.Escape.meth_id
-                    r.Escape.at.Jir.Ast.file r.Escape.at.Jir.Ast.line ] }
-          in
-          if state = fsm.Fsm.error then
-            [ mk
-                (Report.Error_state
-                   (Fsm.describe_state fsm state ~cls:r.Escape.cls))
-                error_site ]
-          else if not (Fsm.is_accepting fsm state) then
-            [ mk
-                (Report.Leak (Fsm.describe_state fsm state ~cls:r.Escape.cls))
-                None ]
-          else [])
-    r.Escape.paths
 
 (* The degraded stand-in for an instance the supervisor gave up on: one
    [Inconclusive] report so the gap in coverage is visible in the output,
@@ -669,8 +556,8 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
     (dg, engine) ~resume : Report.t list =
   timed_span "phase2.dataflow_closure" comp (fun () ->
       Dataflow_engine.run ~resume engine);
-  (* phase 3: interpret Track edges against the FSM *)
-  let registry = Dataflow_graph.registry dg in
+  (* phase 3: read each Track fact's state, or its first error, off the
+     label *)
   let by_source = Hashtbl.create 64 in
   List.iter
     (fun (tr : Dataflow_graph.tracked) ->
@@ -682,12 +569,12 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
           match
             (e.Dataflow_engine.label, Hashtbl.find_opt by_source e.Dataflow_engine.src)
           with
-          | Dg.Track f, Some tr ->
-              let state = Transfn.apply registry f fsm.Fsm.initial in
+          | Dg.Track code, Some tr -> (
+              let cls = tr.Dataflow_graph.cls in
               let mk kind site =
                 { Report.checker = fsm.Fsm.name;
                   kind;
-                  cls = tr.Dataflow_graph.cls;
+                  cls;
                   alloc_at = tr.Dataflow_graph.at;
                   site;
                   context = context_strings p tr.Dataflow_graph.alloc_inst;
@@ -696,46 +583,27 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
                       (Icfet.constraint_of p.icfet e.Dataflow_engine.enc);
                   trace = Icfet.trace_of p.icfet e.Dataflow_engine.enc }
               in
-              if state = fsm.Fsm.error then begin
-                let site =
-                  Option.map
-                    (fun (s : Jir.Ast.stmt) -> s.Jir.Ast.at)
-                    (Dataflow_graph.event_site dg e.Dataflow_engine.dst)
-                in
-                reports :=
-                  mk
-                    (Report.Error_state
-                       (Fsm.describe_state fsm state ~cls:tr.Dataflow_graph.cls))
-                    site
-                  :: !reports
-              end
-              else begin
-                (* leaks are reported at normal program exits only: paths
-                   that die from an uncaught exception terminate the
-                   process, which reclaims the resource *)
-                match Dataflow_graph.exit_kind dg e.Dataflow_engine.dst with
-                | Some Dataflow_graph.Exit_normal
-                  when not (Fsm.is_accepting fsm state) ->
-                    reports :=
-                      mk
-                        (Report.Leak
-                           (Fsm.describe_state fsm state
-                              ~cls:tr.Dataflow_graph.cls))
-                        None
-                      :: !reports
-                | _ -> ()
-              end
+              match Dataflow_graph.fact dg code with
+              | Dataflow_graph.Error_at site ->
+                  reports :=
+                    mk
+                      (Report.Error_state
+                         (Fsm.describe_state fsm fsm.Fsm.error ~cls))
+                      (Some site)
+                    :: !reports
+              | Dataflow_graph.In_state state -> (
+                  (* leaks are reported at normal program exits only: paths
+                     that die from an uncaught exception terminate the
+                     process, which reclaims the resource *)
+                  match Dataflow_graph.exit_kind dg e.Dataflow_engine.dst with
+                  | Some Dataflow_graph.Exit_normal
+                    when not (Fsm.is_accepting fsm state) ->
+                      reports :=
+                        mk (Report.Leak (Fsm.describe_state fsm state ~cls))
+                          None
+                        :: !reports
+                  | _ -> ()))
           | _ -> ()));
-  (* allocations the pre-filter kept out of the graphs are checked here,
-     against the same FSM, from their locally-enumerated event paths *)
-  timed_span "phase3.prefiltered" chk (fun () ->
-      List.iter
-        (fun (r : Escape.resolved) ->
-          if Fsm.is_tracked fsm r.Escape.cls then
-            List.iter
-              (fun rep -> reports := rep :: !reports)
-              (prefiltered_reports fsm r))
-        p.prefiltered);
   Report.dedup (List.rev !reports)
 
 (* Phases 2 and 3 for one property on the retry ladder.  All accounting
@@ -1013,11 +881,14 @@ type stats = {
   bytes_read : int;    (* partition bytes read across all engines *)
   bytes_written : int; (* partition bytes written across all engines *)
   breakdown : (string * float) list;
-  n_prefiltered : int;  (* tracked allocations resolved without the engine *)
+  n_prefiltered : int;
+      (* always 0: no tier resolves an allocation outside the engine; kept
+         for consumers that still read it *)
   n_summary_pruned : int;
       (* tracked allocations the interprocedural summary stage dropped *)
   n_alias_pruned : int;
-      (* tracked allocations the points-to stage dropped *)
+      (* always 0: the points-to analysis prunes no allocation; kept for
+         consumers that still read it *)
   n_edges_presliced : int;
       (* alias-graph edges built before points-to slicing *)
   n_edges_sliced : int;  (* Assign edges the points-to slicer removed *)
@@ -1089,9 +960,7 @@ let stats (p : prepared) (props : property_result list) : stats =
   set_g "pipeline.preprocess_s" p.timing.preprocess_s;
   set_g "pipeline.compute_s" p.timing.compute_s;
   set_g "pipeline.check_s" p.timing.check_s;
-  set_c "pipeline.prefiltered" (List.length p.prefiltered);
   set_c "pipeline.summary_pruned" (List.length p.summary_pruned);
-  set_c "pipeline.alias_pruned" (List.length p.alias_pruned);
   set_c "pipeline.edges_sliced" p.n_edges_sliced;
   set_c "pipeline.retried" n_retried;
   set_c "pipeline.recovered" p.faults.n_recovered;
@@ -1114,9 +983,9 @@ let stats (p : prepared) (props : property_result list) : stats =
     bytes_read = count m.Engine.Metrics.bytes_read;
     bytes_written = count m.Engine.Metrics.bytes_written;
     breakdown = Engine.Metrics.breakdown m;
-    n_prefiltered = List.length p.prefiltered;
+    n_prefiltered = 0;
     n_summary_pruned = List.length p.summary_pruned;
-    n_alias_pruned = List.length p.alias_pruned;
+    n_alias_pruned = 0;
     n_edges_presliced = p.n_edges_presliced;
     n_edges_sliced = p.n_edges_sliced;
     edges_added = count m.Engine.Metrics.edges_added;

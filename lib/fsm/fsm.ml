@@ -23,8 +23,8 @@ type pattern =
   | Preturn          (* the tracked reference is returned *)
 
 (* Guards are decided syntactically from the statement and its enclosing
-   method, so the graph builder, the summary pre-analysis, and the escape
-   pre-filter — which all detect events independently — agree exactly. *)
+   method, so the graph builder and the summary pre-analysis — which
+   detect events independently — agree exactly. *)
 type guard =
   | Garg_const of int * int
       (* argument [i] is the integer literal [n] *)
@@ -172,13 +172,13 @@ let is_event (t : t) event = List.mem event t.events
 (* Event matching.                                                     *)
 (*                                                                     *)
 (* [stmt_event] is the one answer to "which event does this statement  *)
-(* fire": the dataflow graph builder, the points-to pre-filter and the  *)
-(* escape replay all call it, and the summary pre-analysis resolves    *)
-(* through the same [call_event]/[store_event]/[return_event].  Their   *)
-(* answers must agree statement by statement or the pre-filters become *)
-(* unsound, so everything here is a pure syntactic function of          *)
-(* (statement, enclosing method).  The caller supplies the "library     *)
-(* call" test (call target not defined in the program).                 *)
+(* fire": the dataflow graph builder calls it, and the summary          *)
+(* pre-analysis resolves through the same                               *)
+(* [call_event]/[store_event]/[return_event].  Their answers must agree *)
+(* statement by statement or the pre-filter becomes unsound, so         *)
+(* everything here is a pure syntactic function of (statement,          *)
+(* enclosing method).  The caller supplies the "library call" test      *)
+(* (call target not defined in the program).                            *)
 (* ------------------------------------------------------------------ *)
 
 (* Does [var] receive a null assignment anywhere in the method? *)

@@ -105,7 +105,7 @@ val run : t -> string list -> state
 
 val event_vector : t -> string -> int array
 (** The transition function of one event as a vector indexed by state,
-    suitable for {!Cfl.Transfn.intern}. *)
+    suitable for {!Cfl.Transfn.event}. *)
 
 type verdict = Ok_ | Reaches_error | Bad_final of state
 
@@ -117,9 +117,9 @@ val check_sequence : t -> string list -> verdict
 
     The single point of truth for "which event, if any, does this
     statement fire".  {!stmt_event} is the one dispatch: the
-    dataflow-graph builder, the points-to pre-filter and the escape
-    replay call it, and the summary pre-analysis applies the same
-    per-kind matchers below.  The caller decides whether a call is a
+    dataflow-graph builder calls it, and the summary pre-analysis and the
+    reference interpreter's oracle apply the same per-kind matchers
+    below.  The caller decides whether a call is a
     library call (target not defined in the program); the matcher
     resolves patterns and guards. *)
 

@@ -1,22 +1,23 @@
 (* Labels of the dataflow (typestate) graph, the second program graph of the
-   paper's workflow (§2.2).  Control-flow hop edges carry the FSM transition
+   paper's workflow (§2.2).  Control-flow hop edges carry the FSM transfer
    function their segment applies ([Step]); the distinguished edge leaving a
-   tracked allocation carries [Track].  The grammar is the left-linear
-   closure
+   tracked allocation carries [Track] at the initial state.  The grammar is
+   the left-linear closure
 
      Track ::= Track Step | TrackSeed
 
    so the engine grows object-rooted paths one control hop at a time and a
-   transitive edge (alloc --Track f--> point) states: the object can reach
-   this program point with its FSM driven by f (apply f to the initial
-   state).  Composing two Steps is deliberately not a production: paths not
-   anchored at an allocation are irrelevant, and omitting the rule keeps the
-   closure linear in the reachable frontier (Graspan treats its dataflow
-   grammar the same way). *)
+   transitive edge (alloc --Track c--> point) states: the object can reach
+   this program point with code c, a state or Error at the event that first
+   drove it there (see [Transfn]).  Error is final: no production leaves an
+   Error fact, so a path stops at its first violation.  Composing two Steps
+   is deliberately not a production: paths not anchored at an allocation
+   are irrelevant, and omitting the rule keeps the closure linear in the
+   reachable frontier (Graspan treats its dataflow grammar the same way). *)
 
 type t =
-  | Track of int  (* transition-function id accumulated from the alloc *)
-  | Step of int   (* transition function of one control-flow hop *)
+  | Track of int  (* the code reached from the initial state *)
+  | Step of int   (* transfer-function id of one control-flow hop *)
 
 let equal (a : t) (b : t) = a = b
 let compare = Stdlib.compare
@@ -46,16 +47,20 @@ let get_registry () =
 
 let compose (a : t) (b : t) : t option =
   match (a, b) with
-  | Track f, Step g -> Some (Track (Transfn.compose (get_registry ()) f g))
+  | Track c, Step f -> (
+      match Transfn.apply (get_registry ()) f c with
+      | -1 -> None
+      | c' -> Some (Track c'))
   | Track _, Track _ | Step _, (Step _ | Track _) -> None
 
-(* Composition on the dense integer codes ([Track f] even, [Step f] odd),
+(* Composition on the dense integer codes ([Track c] even, [Step f] odd),
    allocation-free for the engine's int-packed join loop; [-1] for "no
-   production".  The transfer-function composition itself is memoized by
-   the registry, so the hot path is two bit tests and a table lookup. *)
+   production".  Two bit tests and one array read. *)
 let compose_code (a : int) (b : int) : int =
   if a land 1 = 0 && b land 1 = 1 then
-    Transfn.compose (get_registry ()) (a lsr 1) (b lsr 1) lsl 1
+    match Transfn.apply (get_registry ()) (b lsr 1) (a lsr 1) with
+    | -1 -> -1
+    | c -> c lsl 1
   else -1
 
 let unary (_ : t) : t list = []
@@ -64,7 +69,7 @@ let mirror (_ : t) : t option = None
 let is_result = function Track _ -> true | Step _ -> false
 
 let pp ppf = function
-  | Track f -> Fmt.pf ppf "track#%d" f
+  | Track c -> Fmt.pf ppf "track#%d" c
   | Step f -> Fmt.pf ppf "step#%d" f
 
 let to_string l = Fmt.str "%a" pp l

@@ -22,11 +22,12 @@
    DESIGN.md).
 
    The engine closes  Track ::= Track Step  over these seeds: a transitive
-   Track edge (source(o) -> point, f) says o reaches the point with FSM
-   state f(initial) along some feasible path.  Nothing composes two Steps,
-   so a Step joins only a Track edge that ends at its source: [build]
-   walks forward from the allocation's segment and emits the out-edges of
-   the points the walk reaches, and no others.
+   Track edge (source(o) -> point, c) says o reaches the point along some
+   feasible path with code c, an FSM state or Error at the event that
+   first drove it there; a path stops at its first Error.  Nothing
+   composes two Steps, so a Step joins only a Track edge that ends at its
+   source: [build] walks forward from the allocation's segment and emits
+   the out-edges of the points the walk reaches, and no others.
 
    The builder writes the seeds straight into the engine's seed buffer, in
    emission order, as flat records.  Points are numbered in first-touch
@@ -55,13 +56,12 @@ type exit_kind = Exit_normal | Exit_exceptional of string | Exit_escaped
 
 type t = {
   registry : Transfn.registry;
-  fsm : Fsm.t;
   mutable n_vertices : int;
   mutable n_seeds : int;
   mutable tracked : tracked list;
   exit_points : (int, exit_kind) Hashtbl.t;
-  event_sites : (int, Jir.Ast.stmt) Hashtbl.t;
-      (* edge-destination vertex -> last event statement flowing into it *)
+  mutable sites : Jir.Ast.pos array;
+      (* event index (see [Transfn]) -> the event statement's position *)
 }
 
 let source_vertex (g : t) : int =
@@ -143,10 +143,10 @@ let memo2 (dummy : 'a) (f : int -> int -> 'a) : int -> int -> 'a =
 
 (* A node's statements as [build] reads them: their sids in execution
    order, and each statement that fires an event as (position, receiver,
-   receiver version, the event's transfer function, statement). *)
+   receiver version, the event's transfer function). *)
 type node_events = {
   sids : int array;
-  events : (int * string * int * int * Jir.Ast.stmt) array;
+  events : (int * string * int * int) array;
 }
 
 (* Where a node's segments end, given its k dives as (call id, callee
@@ -174,9 +174,11 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
   let registry = Transfn.create ~n_states:(Fsm.n_states fsm) in
   Dg.set_registry registry;
   let g =
-    { registry; fsm; n_vertices = 0; n_seeds = 0; tracked = [];
-      exit_points = Hashtbl.create 64; event_sites = Hashtbl.create 256 }
+    { registry; n_vertices = 0; n_seeds = 0; tracked = [];
+      exit_points = Hashtbl.create 64; sites = [||] }
   in
+  (* event positions, newest first: one per [Transfn.event] *)
+  let sites = ref [] in
   let library (c : Jir.Ast.call) =
     Icfet.meth_idx icfet
       (Jir.Ast.qualified_name ~cls:c.Jir.Ast.target_class ~meth:c.Jir.Ast.mname)
@@ -246,9 +248,11 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                          ~var:recv
                      in
                      let fid =
-                       Transfn.intern registry (Fsm.event_vector fsm event)
+                       Transfn.event registry ~error:fsm.Fsm.error
+                         (Fsm.event_vector fsm event)
                      in
-                     [ (pos, recv, version, fid, s) ])
+                     sites := s.Jir.Ast.at :: !sites;
+                     [ (pos, recv, version, fid) ])
                stmts)
         in
         { sids =
@@ -346,16 +350,14 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
         let lo = if i = 0 then 0 else ends.(i - 1) and hi = ends.(i) in
         let effect = ref Transfn.identity_id in
         let auxes = ref [] in
-        let last_event = ref None in
         Array.iter
-          (fun (pos, recv, version, fid, s) ->
+          (fun (pos, recv, version, fid) ->
             if pos >= lo && pos < hi then
               match Hashtbl.find_opt aliases (inst, recv, node_id, version) with
               | None -> ()
               | Some alias_enc ->
                   effect := Transfn.compose registry !effect fid;
-                  auxes := Encoding.Aux alias_enc :: !auxes;
-                  last_event := Some s)
+                  auxes := Encoding.Aux alias_enc :: !auxes)
           ne.events;
         let dst, call =
           if i < k then (vertex dives.((3 * i) + 1) 0 0, dives.(3 * i))
@@ -369,12 +371,7 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                 (List.rev_append auxes
                    (shape_encoding icfet shape_hop meth node_id call))
         in
-        push v dst (Dg.Step !effect) enc_id;
-        match !last_event with
-        | Some s ->
-            if not (Hashtbl.mem g.event_sites dst) then
-              Hashtbl.replace g.event_sites dst s
-        | None -> ()
+        push v dst (Dg.Step !effect) enc_id
       in
       (* 5. a node exit's edges: to both children of a branch, or from a
          leaf back to the relevant callers; an exit nothing continues from
@@ -474,18 +471,26 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
          branch conditions that guard the allocation constrain the rest of
          the object's path. *)
       let src = source_vertex g in
-      push src dst (Dg.Track Transfn.identity_id)
+      push src dst (Dg.Track fsm.Fsm.initial)
         (shape shape_anchor alloc_meth alloc_node 0);
       g.tracked <-
         { obj_vertex; obj_idx; alloc_inst; cls; at; source_vertex = src }
         :: g.tracked)
     tracked_objects;
   g.tracked <- List.rev g.tracked;
+  g.sites <- Array.of_list (List.rev !sites);
   g
 
 let tracked (g : t) = g.tracked
 let n_vertices (g : t) = g.n_vertices
 let n_seeds (g : t) = g.n_seeds
 let exit_kind (g : t) v = Hashtbl.find_opt g.exit_points v
-let event_site (g : t) v = Hashtbl.find_opt g.event_sites v
-let registry (g : t) = g.registry
+
+(* What a Track code says about the object: the state it is in, or where
+   the event that first drove it into Error is. *)
+type fact = In_state of int | Error_at of Jir.Ast.pos
+
+let fact (g : t) code =
+  if Transfn.is_error g.registry code then
+    Error_at g.sites.(Transfn.error_event g.registry code)
+  else In_state code

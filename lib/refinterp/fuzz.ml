@@ -9,7 +9,7 @@
 
      (a) every concrete error-state trace or leak must be statically
          reported — a miss is a false negative smuggled through the
-         escape/summary/alias triage tiers;
+         summary triage tier or the engine;
      (b) every static report must be structurally valid — a real
          allocation (or throw) site whose claimed outcome the property
          FSM can produce.
@@ -26,7 +26,7 @@ module Rng = Workload.Rng
 (* The checker set the harness exercises: the paper's four (minus
    [null], whose tracked "allocation" is the null constant and which
    has no concrete-trace analogue) plus every shipped DSL checker, so
-   all three triage tiers and all checker families are covered. *)
+   the triage tier and all checker families are covered. *)
 let checker_names =
   [ "io"; "lock"; "socket"; "exception"; "lock_order"; "taint"; "close";
     "exc_twr" ]
@@ -153,7 +153,7 @@ type config = {
   seed : int;
   workers : int;
   shard_procs : int;
-  weaken_tier : string option;  (* test-only: see Pipeline.weaken_tier *)
+  weaken_tier : Pipeline.tier option;  (* test-only: see Pipeline.weaken_tier *)
   runs_per_program : int;       (* interpreter seeds per subject *)
   corpus_dir : string option;   (* minimized counterexamples land here *)
   shrink_checks : int;          (* harness re-runs the shrinker may spend *)

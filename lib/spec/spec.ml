@@ -34,7 +34,7 @@
    whose guards hold; repeated names act as alternation.
 
    The compiler lowers a property onto the existing {!Fsm.t} so the whole
-   pipeline (escape pre-filter, summaries, graph closure, SMT, scheduler)
+   pipeline (summary pre-filter, graph closure, SMT, scheduler)
    runs unchanged.  All diagnostics are positioned ({!Spec_error}). *)
 
 type pos = { sp_file : string; sp_line : int; sp_col : int }

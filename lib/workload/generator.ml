@@ -394,8 +394,7 @@ type mega_profile = {
   m_pattern_every_n_methods : int;
       (* plant one correct typestate pattern per N method slots; the other
          methods are resource-free straight-line code, which is what most
-         of a real million-LoC codebase looks like (and what the escape
-         prefilter exists to discard) *)
+         of a real million-LoC codebase looks like *)
   m_filler_stmts : int;        (* straight-line int statements per method *)
   m_families : string list;    (* bug families cycled over the plan *)
   m_loops_per_unit : int;
@@ -647,9 +646,9 @@ let default_mega_families =
    down (CI uses a smaller count, `bench -- megaload` honours the
    GRAPPLE_MEGALOAD_UNITS environment variable).  The density knobs are
    calibrated to a realistic resource-code ratio: ~1 in 4 methods
-   touches a tracked resource, the rest is scalar code the escape
-   prefilter exists to discard — which is also what keeps the global
-   closure tractable at this scale. *)
+   touches a tracked resource, the rest is scalar code no checking
+   instance enters — which is also what keeps the global closure
+   tractable at this scale. *)
 let mega_profile ?(name = "mega100k") ?(units = 400) () =
   { m_name = name;
     m_description =

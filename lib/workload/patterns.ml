@@ -604,9 +604,7 @@ let taint_send_flag ctx ~param:_ =
           exp_line = alloc_at.Jir.Ast.line;
           exp_note = "send with mode 0 before sanitize" } ] }
 
-(* a field store is a sink: the tainted object escapes into the heap.
-   The store also disqualifies the object from the escape pre-filter, so
-   this pattern exercises the engine path of the DSL checkers *)
+(* a field store is a sink: the tainted object escapes into the heap *)
 let taint_store ctx ~param:_ =
   let h = fresh ctx "holder" in
   let u = fresh ctx "in" in
@@ -716,12 +714,7 @@ let exc_twr_handled_decoy ctx ~param =
 (* ---------------- points-to lint patterns ---------------- *)
 
 (* a lock is parked into a holder field nobody ever loads: dead heap
-   traffic the whole-program points-to lint reports at the store.  The
-   pattern doubles as the acceptance witness for the points-to pre-filter
-   tier: the store disqualifies the lock from the escape tier and
-   wildcards it in the summary tier, but its reachable event alphabet is
-   empty, so the lock FSM can never leave its accepting initial state —
-   only the points-to tier proves it unreportable *)
+   traffic the whole-program points-to lint reports at the store *)
 let pointsto_never_read ctx ~param:_ =
   let h = fresh ctx "holder" in
   let l = fresh ctx "lk" in

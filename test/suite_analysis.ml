@@ -1,6 +1,5 @@
 (* Tests for the lib/analysis dataflow layer: CFG construction, the generic
-   solver's client analyses, the lint diagnostics, and the escape-based
-   instance pre-filter. *)
+   solver's client analyses, and the lint diagnostics. *)
 
 let parse src = Jir.Resolve.parse_exn src
 
@@ -393,126 +392,6 @@ entry Main.main;
   | ds ->
       Alcotest.fail (Printf.sprintf "expected one diag, got %d" (List.length ds))
 
-(* ---------------- escape pre-filter ---------------- *)
-
-let tracked_fw cls = cls = "FileWriter"
-
-(* The escape tier over [program], each method's CFET built on its first
-   lookup: a method with a loop must be rejected without one. *)
-let escape program =
-  let config = Symexec.Cfet.default_config program in
-  Analysis.Escape.analyze ~tracked:tracked_fw program ~cfet:(fun id ->
-      Symexec.Cfet.build ~config ~meth_idx:0 (meth_named program id))
-
-let callee_name (s : Jir.Ast.stmt) =
-  match s.Jir.Ast.kind with
-  | Jir.Ast.Expr c
-  | Jir.Ast.Decl (_, _, Some (Jir.Ast.Rcall c))
-  | Jir.Ast.Assign (_, Jir.Ast.Rcall c) ->
-      c.Jir.Ast.mname
-  | _ -> Alcotest.fail "an event that is not a call"
-
-let test_escape_qualifies () =
-  let program = parse {|
-class Main {
-  void main(int p) {
-    FileWriter w = new FileWriter();
-    if (p > 0) {
-      w.close();
-    }
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  match escape program with
-  | [ r ] ->
-      Alcotest.(check string) "class" "FileWriter" r.Analysis.Escape.cls;
-      Alcotest.(check string) "variable" "w" r.Analysis.Escape.var;
-      Alcotest.(check int) "both sides of the branch enumerated" 2
-        (List.length r.Analysis.Escape.paths);
-      let events =
-        List.map
-          (fun (p : Analysis.Escape.path) ->
-            List.map callee_name p.Analysis.Escape.events)
-          r.Analysis.Escape.paths
-        |> List.sort compare
-      in
-      Alcotest.(check (list (list string))) "event sequences"
-        [ []; [ "close" ] ] events
-  | rs ->
-      Alcotest.fail
-        (Printf.sprintf "expected one resolved alloc, got %d" (List.length rs))
-
-let test_escape_disqualified_by_aliasing () =
-  let program = parse {|
-class Main {
-  void main(int p) {
-    FileWriter w = new FileWriter();
-    FileWriter u = w;
-    u.close();
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  Alcotest.(check int) "aliased alloc stays on the engine path" 0
-    (List.length (escape program))
-
-let test_escape_disqualified_by_call_arg () =
-  let program = parse {|
-class H { void take(FileWriter f) { f.close(); return; } }
-class Main {
-  void main(int p) {
-    FileWriter w = new FileWriter();
-    H.take(w);
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  Alcotest.(check int) "escaping arg stays on the engine path" 0
-    (List.length (escape program))
-
-let test_escape_disqualified_by_store () =
-  let program = parse {|
-class Main {
-  void main(int p) {
-    Holder h = new Holder();
-    FileWriter w = new FileWriter();
-    h.res = w;
-    w.close();
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  Alcotest.(check int) "field store escapes" 0
-    (List.length (escape program))
-
-let test_escape_disqualified_by_loop () =
-  let program = parse {|
-class Main {
-  void main(int p) {
-    FileWriter w = new FileWriter();
-    int i = 0;
-    while (i < 2) {
-      i = i + 1;
-    }
-    w.close();
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  Alcotest.(check int) "looping method not enumerated" 0
-    (List.length (escape program))
-
 let suite =
   [ Alcotest.test_case "cfg shape" `Quick test_cfg_shape;
     Alcotest.test_case "cfg exceptional edges" `Quick test_cfg_exc_edges;
@@ -529,12 +408,4 @@ let suite =
       test_unreachable_after_return;
     Alcotest.test_case "clean program" `Quick test_clean_program_no_diags;
     Alcotest.test_case "clean examples" `Quick test_clean_examples_no_diags;
-    Alcotest.test_case "lint json" `Quick test_lint_json;
-    Alcotest.test_case "escape qualifies" `Quick test_escape_qualifies;
-    Alcotest.test_case "escape aliasing" `Quick
-      test_escape_disqualified_by_aliasing;
-    Alcotest.test_case "escape call arg" `Quick
-      test_escape_disqualified_by_call_arg;
-    Alcotest.test_case "escape field store" `Quick
-      test_escape_disqualified_by_store;
-    Alcotest.test_case "escape loop" `Quick test_escape_disqualified_by_loop ]
+    Alcotest.test_case "lint json" `Quick test_lint_json ]

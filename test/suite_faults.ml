@@ -5,7 +5,10 @@
 
 module E = Pathenc.Encoding
 module Pg = Cfl.Pointer_grammar
+module Dg = Cfl.Dataflow_grammar
+module Transfn = Cfl.Transfn
 module AEngine = Engine.Make (Cfl.Pointer_grammar)
+module DEngine = Engine.Make (Cfl.Dataflow_grammar)
 module Faults = Engine.Faults
 module Storage = Engine.Storage
 module Manifest = Engine.Manifest
@@ -324,12 +327,14 @@ let test_resume_missing_partition_runs_fresh () =
 
 (* ---------------- crash matrix over the count clock ---------------- *)
 
-(* Four initial partitions over vertices [0, 31), each of at most half the
-   10-edge budget: [0, 2), [2, 7), [7, 12) and [12, 31).  The first pair,
-   (p0, p0), derives FlowsTo(0, 30) from FlowsTo(0, 1) and Assign(1, 30);
-   its mirror FlowsToBar(30, 0) is owned by the unloaded last partition, so
-   it is routed there.  The chain's alias facts outgrow the budget, so
-   partitions split (ten times, into seventeen partitions). *)
+(* Three initial partitions over vertices [0, 27), each of at most half
+   the 10-edge budget: [0, 2), [2, 24) and [24, 27).  The object's chain
+   0 -> 1 -> 2 -> 3 also assigns 1 to 26; the Assign chain 20 -> ... -> 26
+   is one no object reaches, and only spreads the seeds over three
+   partitions.  The first pair, (p0, p0), derives FlowsTo(0, 2) and
+   FlowsTo(0, 26); their mirrors are owned by the two unloaded partitions,
+   so they are routed there.  The alias facts outgrow the budget, so
+   partitions split (twice, into six partitions, in 24 pairs). *)
 let matrix_config ~workdir =
   { (Engine.default_config ~workdir) with
     Engine.max_edges_per_partition = 10;
@@ -340,10 +345,57 @@ let matrix_engine workdir =
     AEngine.create ~config:(matrix_config ~workdir) ~decode:true_decode
       ~workdir ()
   in
-  seed_chain t 15;
-  AEngine.add_seed t ~src:1 ~dst:30 ~label:Pg.Assign
-    ~enc:[ E.Interval { meth = 0; first = 0; last = 0 } ];
+  let enc = [ E.Interval { meth = 0; first = 0; last = 0 } ] in
+  seed_chain t 3;
+  AEngine.add_seed t ~src:1 ~dst:26 ~label:Pg.Assign ~enc;
+  for v = 20 to 25 do
+    AEngine.add_seed t ~src:v ~dst:(v + 1) ~label:Pg.Assign ~enc
+  done;
   t
+
+(* The dataflow input over three states, 2 the FSM's error: a Track seed
+   at state 0, Step a (0 -> 1), four identity Steps, Step b (1 -> Error)
+   and five more identity Steps, twelve seeds in all.  A 6-edge budget
+   starts them in four partitions, and the Track facts, all rooted at 0,
+   split the first.  Each engine builds its own registry, as a resumed
+   process would: a Track code must mean the same in both. *)
+let df_engine workdir =
+  let r = Transfn.create ~n_states:3 in
+  let a = Transfn.event r ~error:2 [| 1; 1; 2 |] in
+  let b = Transfn.event r ~error:2 [| 0; 2; 2 |] in
+  Dg.set_registry r;
+  let t =
+    DEngine.create
+      ~config:
+        { (matrix_config ~workdir) with Engine.max_edges_per_partition = 6 }
+      ~decode:true_decode ~workdir ()
+  in
+  let seed src label =
+    DEngine.add_seed t ~src ~dst:(src + 1) ~label
+      ~enc:[ E.Interval { meth = 0; first = 0; last = 0 } ]
+  in
+  seed 0 (Dg.Track 0);
+  seed 1 (Dg.Step a);
+  for v = 2 to 11 do
+    seed v (Dg.Step (if v = 6 then b else Transfn.identity_id))
+  done;
+  (t, r)
+
+(* Every Track fact as (dst, state or the event that erred). *)
+let df_facts (t, r) =
+  DEngine.fold_edges t
+    (fun acc e ->
+      match e.DEngine.label with
+      | Dg.Track c ->
+          let what =
+            if Transfn.is_error r c then
+              Printf.sprintf "error at event %d" (Transfn.error_event r c)
+            else Printf.sprintf "state %d" c
+          in
+          (e.DEngine.dst, what) :: acc
+      | Dg.Step _ -> acc)
+    []
+  |> List.sort compare
 
 let records_in_files workdir =
   match Manifest.load ~workdir with
@@ -355,25 +407,27 @@ let records_in_files workdir =
           n + Engine.Edgebuf.n (Storage.read_flat ~path).Storage.buf)
         0 m.Manifest.parts
 
-(* Crash at every rename and checkpoint point of a run, then resume in a
-   fresh engine: the closure must equal the uninterrupted run's, and
-   [total_edges], which reads no file, must equal the records in the
-   files.  A crash between a pair's flushes and its routed appends leaves
-   edges on disk whose routed consequences (here, FlowsToBar mirrors) were
-   lost; the resumed run must dispatch them again. *)
-let test_crash_matrix_resume () =
-  let clean = matrix_engine (fresh_workdir ()) in
+(* Crash at every rename and checkpoint point of a run of [make], then
+   resume in a fresh engine from [make]: the closure must equal the
+   uninterrupted run's, and [total_edges], which reads no file, must equal
+   the records in the files.  A crash between a pair's flushes and its
+   routed appends leaves edges on disk whose routed consequences (here,
+   FlowsToBar mirrors) were lost; the resumed run must dispatch them
+   again. *)
+let crash_matrix name ~make ~run ~facts ~metrics ~n_partitions ~total_edges
+    ~cleanup =
+  let clean = make (fresh_workdir ()) in
   (* an empty plan counts the run's renames and checkpoints *)
   let counter = Faults.make [] in
   Faults.install counter;
-  Fun.protect ~finally:Faults.clear (fun () -> AEngine.run clean);
+  Fun.protect ~finally:Faults.clear (fun () -> run ~resume:false clean);
   let expect = facts clean in
-  let m = AEngine.metrics clean in
-  Alcotest.(check bool) "at least 4 partitions" true
-    (AEngine.n_partitions clean >= 4);
-  Alcotest.(check bool) "a partition split" true
+  let m = metrics clean in
+  Alcotest.(check bool) (name ^ ": at least 4 partitions") true
+    (n_partitions clean >= 4);
+  Alcotest.(check bool) (name ^ ": a partition split") true
     (Engine.Metrics.count m.Engine.Metrics.repartitions > 0);
-  AEngine.cleanup clean;
+  cleanup clean;
   let points =
     List.concat_map
       (fun (kind, n) ->
@@ -385,25 +439,39 @@ let test_crash_matrix_resume () =
   List.iter
     (fun spec ->
       let workdir = fresh_workdir () in
-      (match with_plan spec (fun () -> AEngine.run (matrix_engine workdir)) with
-      | () -> Alcotest.failf "%s: the crash did not fire" spec
+      (match with_plan spec (fun () -> run ~resume:false (make workdir)) with
+      | () -> Alcotest.failf "%s %s: the crash did not fire" name spec
       | exception Faults.Crash _ -> ());
-      let t = matrix_engine workdir in
-      AEngine.run ~resume:true t;
+      let t = make workdir in
+      run ~resume:true t;
       (* before [facts], which reads every partition *)
       Alcotest.(check int)
-        (spec ^ ": total_edges counts the files")
-        (records_in_files workdir) (AEngine.total_edges t);
-      if facts t <> expect then Alcotest.failf "%s: closure differs" spec;
-      AEngine.cleanup t)
+        (Printf.sprintf "%s %s: total_edges counts the files" name spec)
+        (records_in_files workdir) (total_edges t);
+      if facts t <> expect then
+        Alcotest.failf "%s %s: closure differs" name spec;
+      cleanup t)
     points
+
+let test_crash_matrix_resume () =
+  crash_matrix "pointer" ~make:matrix_engine
+    ~run:(fun ~resume t -> AEngine.run ~resume t)
+    ~facts ~metrics:AEngine.metrics ~n_partitions:AEngine.n_partitions
+    ~total_edges:AEngine.total_edges ~cleanup:AEngine.cleanup;
+  crash_matrix "dataflow" ~make:df_engine
+    ~run:(fun ~resume (t, _) -> DEngine.run ~resume t)
+    ~facts:df_facts
+    ~metrics:(fun (t, _) -> DEngine.metrics t)
+    ~n_partitions:(fun (t, _) -> DEngine.n_partitions t)
+    ~total_edges:(fun (t, _) -> DEngine.total_edges t)
+    ~cleanup:(fun (t, _) -> DEngine.cleanup t)
 
 (* A routed append reads its target through the one reader, so damage
    there is counted like damage anywhere else.  The run crashes at its
    first checkpoint (after preprocessing), the last partition loses its
    tail, and the resumed run counts the damage twice: once when the
    restore counts that file's records, once when the first pair routes
-   FlowsToBar(30, 0) into it. *)
+   FlowsToBar(26, 0) into it. *)
 let test_routed_append_counts_damage () =
   let workdir = fresh_workdir () in
   (match
@@ -418,11 +486,11 @@ let test_routed_append_counts_damage () =
     | Some m -> m.Manifest.parts
   in
   Alcotest.(check (list (pair int int))) "initial partitions"
-    [ (0, 2); (2, 7); (7, 12); (12, 31) ]
+    [ (0, 2); (2, 24); (24, 27) ]
     (List.map
        (fun (p : Manifest.part) -> (p.Manifest.lo, p.Manifest.hi))
        parts);
-  let last = List.nth parts 3 in
+  let last = List.nth parts 2 in
   let path = Filename.concat workdir last.Manifest.file in
   let contents = In_channel.with_open_bin path In_channel.input_all in
   Out_channel.with_open_bin path (fun oc ->

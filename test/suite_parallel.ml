@@ -217,14 +217,14 @@ let render results =
 let counters (s : Pipeline.stats) ~warnings =
   Printf.sprintf
     "warnings=%d vertices=%d edges_before=%d edges_after=%d partitions=%d \
-     iterations=%d solved=%d cache=%d/%d added=%d prefiltered=%d pruned=%d \
+     iterations=%d solved=%d cache=%d/%d added=%d pruned=%d \
      retried=%d recovered=%d inconclusive=%d smt_budget=%d injected=%d \
      corrupt=%d"
     warnings s.Pipeline.n_vertices s.Pipeline.n_edges_before
     s.Pipeline.n_edges_after s.Pipeline.n_partitions s.Pipeline.n_iterations
     s.Pipeline.n_constraints_solved s.Pipeline.cache_lookups
-    s.Pipeline.cache_hits s.Pipeline.edges_added s.Pipeline.n_prefiltered
-    s.Pipeline.n_summary_pruned s.Pipeline.n_retried s.Pipeline.n_recovered
+    s.Pipeline.cache_hits s.Pipeline.edges_added s.Pipeline.n_summary_pruned
+    s.Pipeline.n_retried s.Pipeline.n_recovered
     s.Pipeline.n_inconclusive s.Pipeline.n_smt_budget_hits
     s.Pipeline.n_faults_injected s.Pipeline.n_corrupt_recovered
 

@@ -9,18 +9,13 @@ let fresh_workdir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "grapple-test-pipe-%d-%d" (Unix.getpid ()) !counter)
 
-let check_src ?(checkers = Checkers.all ()) ?(track_null = false)
-    ?(prefilter = false) src =
+let check_src ?(checkers = Checkers.all ()) ?(track_null = false) src =
   let program = Jir.Resolve.parse_exn src in
   let workdir = fresh_workdir () in
-  let prefilter_properties =
-    if prefilter then Checkers.fsms checkers else []
-  in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      track_null;
-      prefilter_properties }
+      track_null }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let results, props, _ = Checkers.run_all_scheduled prepared checkers in
@@ -456,176 +451,86 @@ let test_cache_accounting () =
       ("minizk", generated (Workload.Generator.mini_zookeeper ()));
       ("minihdfs", generated (Workload.Generator.mini_hdfs ())) ]
 
-(* ---------------- escape-based instance pre-filter ---------------- *)
+(* ---------------- error sites ---------------- *)
 
-let use_after_close_src = {|
+(* The line where the one report [checker] makes on [src] manifests.  A
+   counterexample ends at the first transition into Error, so that event
+   is the site, whatever follows it on the path.  Each object below is
+   passed to a callee or stored, so only the engine can check it. *)
+let site_line checker src =
+  let _, results, _ = check_src ~checkers:[ Checkers.resolve checker ] src in
+  match reports_of checker results with
+  | [ { Grapple.Report.kind = Grapple.Report.Error_state _; site = Some p; _ } ]
+    ->
+      p.Jir.Ast.line
+  | rs ->
+      Alcotest.failf "expected one sited error, got: %s"
+        (String.concat "; " (List.map Grapple.Report.to_string rs))
+
+let test_site_first_event_of_segment () =
+  Alcotest.(check int) "manifests at the unlock, not the lock after it" 11
+    (site_line "lock" {|
+class H {
+  void keep(ReentrantLock l) {
+    return;
+  }
+}
 class Main {
   void main(int x) {
-    FileWriter w = new FileWriter();
-    w.close();
-    w.write(1);
+    ReentrantLock lk = new ReentrantLock();
+    H.keep(lk);
+    lk.unlock();
+    lk.lock();
     return;
   }
 }
 entry Main.main;
-|}
+|})
 
-let test_prefilter_same_reports () =
-  (* the pre-filter must not change what is reported, only where the work
-     happens: the non-escaping alloc is resolved intraprocedurally *)
-  let run prefilter =
-    let prepared, results, props =
-      check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter
-        use_after_close_src
-    in
-    (Grapple.Pipeline.stats prepared props, kinds (reports_of "io" results))
-  in
-  let s_off, k_off = run false in
-  let s_on, k_on = run true in
-  Alcotest.(check (list string)) "same warnings either way" k_off k_on;
-  Alcotest.(check (list string)) "still the use-after-close" [ "error" ] k_on;
-  Alcotest.(check int) "nothing filtered with the filter off" 0
-    s_off.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check int) "one allocation filtered" 1
-    s_on.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check bool) "alias graph shrinks" true
-    (s_on.Grapple.Pipeline.n_vertices < s_off.Grapple.Pipeline.n_vertices)
-
-let test_prefilter_leak_detected () =
-  let prepared, results, props =
-    check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter:true {|
-class Main {
-  void main(int a) {
-    FileWriter w = new FileWriter();
-    w.write(a);
+let test_site_sink_store_before_callee_event () =
+  (* the callee's sink sits earlier in the file than the store that
+     already erred: the site is the store *)
+  Alcotest.(check int) "manifests at the store" 13
+    (site_line "taint" {|
+class H {
+  void drain(Holder b) {
+    UserInput w = b.payload;
+    w.exec();
     return;
   }
 }
-entry Main.main;
-|}
-  in
-  let s = Grapple.Pipeline.stats prepared props in
-  Alcotest.(check int) "resolved off-engine" 1 s.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "leak still reported" [ "leak" ]
-    (kinds (reports_of "io" results))
-
-let test_prefilter_path_sensitive () =
-  (* the filtered paths carry the same SMT constraints as the engine: the
-     infeasible error path must stay pruned *)
-  let prepared, results, props =
-    check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter:true {|
 class Main {
   void main(int p) {
-    FileWriter w = new FileWriter();
-    int z = p - p;
-    w.close();
-    if (z > 0) {
-      w.write(1);
-    }
+    Holder h = new Holder();
+    UserInput u = new UserInput();
+    h.payload = u;
+    H.drain(h);
     return;
   }
 }
 entry Main.main;
-|}
-  in
-  let s = Grapple.Pipeline.stats prepared props in
-  Alcotest.(check int) "resolved off-engine" 1 s.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "infeasible write-after-close pruned" []
-    (kinds (reports_of "io" results))
+|})
 
-let test_prefilter_inert_on_escaping_allocs () =
-  (* figure 3b's writer escapes into an alias; the filter must leave it to
-     the engine and reproduce the paper's exact report *)
-  let run prefilter =
-    let prepared, results, props =
-      check_src ~checkers:[ Checkers.resolve "io" ] ~prefilter {|
+let test_site_lock_order_product () =
+  Alcotest.(check int) "manifests at lockB" 11
+    (site_line "lock_order" {|
+class H {
+  void use(LockPair q) {
+    return;
+  }
+}
 class Main {
-  void main(int a) {
-    FileWriter out = null;
-    FileWriter o = null;
-    int x = a;
-    int y = x;
-    if (x >= 0) {
-      out = new FileWriter();
-      o = out;
-      y = y - 1;
-    } else {
-      y = y + 1;
-    }
-    if (y > 0) {
-      out.write(x);
-      o.close();
-    }
+  void main(int p) {
+    LockPair lp = new LockPair();
+    H.use(lp);
+    lp.lockB();
+    lp.lockA();
+    lp.unlockA();
     return;
   }
 }
 entry Main.main;
-|}
-    in
-    (Grapple.Pipeline.stats prepared props, kinds (reports_of "io" results))
-  in
-  let s_off, k_off = run false in
-  let s_on, k_on = run true in
-  Alcotest.(check int) "nothing qualifies" 0 s_on.Grapple.Pipeline.n_prefiltered;
-  Alcotest.(check (list string)) "reports unchanged" k_off k_on;
-  Alcotest.(check int) "graph identical" s_off.Grapple.Pipeline.n_vertices
-    s_on.Grapple.Pipeline.n_vertices
-
-(* The escape tier only moves work off the engine: with it on or off, every
-   built-in checker reports the same allocations with the same kinds.  The
-   error site may differ (the tier names the event that drives the FSM
-   into error, the engine the last event of that dataflow segment), so
-   sites are not compared. *)
-let test_escape_tier_matches_engine () =
-  let checkers =
-    List.map Checkers.resolve
-      [ "io"; "lock"; "exception"; "socket"; "null"; "lock_order"; "taint";
-        "close"; "exc_twr" ]
-  in
-  let run prefilter (subject : Workload.Generator.subject) =
-    let workdir = fresh_workdir () in
-    let config =
-      { (Grapple.Pipeline.default_config ~workdir) with
-        Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-        track_null = Checkers.tracks_null checkers;
-        prefilter;
-        prefilter_properties = Checkers.fsms checkers }
-    in
-    let prepared =
-      Grapple.Pipeline.prepare ~config ~workdir
-        subject.Workload.Generator.program
-    in
-    let results, props, _ = Checkers.run_all_scheduled prepared checkers in
-    let s = Grapple.Pipeline.stats prepared props in
-    Grapple.Pipeline.cleanup prepared props;
-    let reported =
-      List.concat_map
-        (fun (c, rs) ->
-          List.map
-            (fun (r : Grapple.Report.t) ->
-              Printf.sprintf "%s %s %s %d" c (kind_class r) r.Grapple.Report.cls
-                r.Grapple.Report.alloc_at.Jir.Ast.line)
-            rs)
-        results
-    in
-    (s.Grapple.Pipeline.n_prefiltered, List.sort compare reported)
-  in
-  List.iter
-    (fun (name, subject) ->
-      let subject = subject () in
-      let resolved, on = run true subject in
-      let _, off = run false subject in
-      Alcotest.(check bool) (name ^ ": the tier resolves allocations") true
-        (resolved > 0);
-      Alcotest.(check bool) (name ^ ": something is reported") true (on <> []);
-      Alcotest.(check (list string)) (name ^ ": same allocations reported")
-        off on)
-    [ ("minilocks", Workload.Generator.mini_locks);
-      ("minitaint", Workload.Generator.mini_taint);
-      ("miniclose", Workload.Generator.mini_close);
-      ("minitwr", Workload.Generator.mini_twr);
-      ("minizk", Workload.Generator.mini_zookeeper);
-      ("mega100k/24", Workload.Generator.mega_100k ~units:24) ]
+|})
 
 let test_report_dedup () =
   let r kind site =
@@ -720,7 +625,16 @@ let test_golden_reports () =
        (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
        "55ef44a316da7d0388544167bd58407d");
       ("minihdfs", (Workload.Generator.mini_hdfs ()).Workload.Generator.program,
-       "2afd89c3a00f0b39abf39dd172f46c84") ]
+       "2afd89c3a00f0b39abf39dd172f46c84");
+      ("minilocks",
+       (Workload.Generator.mini_locks ()).Workload.Generator.program,
+       "481619598a80459ca831823c746ad05c");
+      ("miniclose",
+       (Workload.Generator.mini_close ()).Workload.Generator.program,
+       "60cac887434ef00fff7be8febcb4faff");
+      ("minitaint",
+       (Workload.Generator.mini_taint ()).Workload.Generator.program,
+       "82726655de8945b22a9ae9d6758df7a9") ]
 
 let suite =
   [ Alcotest.test_case "figure 3b leak" `Quick test_figure3b_leak;
@@ -742,14 +656,11 @@ let suite =
     Alcotest.test_case "null dereference" `Quick test_null_deref;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
     Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
-    Alcotest.test_case "prefilter same reports" `Quick test_prefilter_same_reports;
-    Alcotest.test_case "prefilter leak detected" `Quick
-      test_prefilter_leak_detected;
-    Alcotest.test_case "prefilter path sensitive" `Quick
-      test_prefilter_path_sensitive;
-    Alcotest.test_case "prefilter inert on escaping allocs" `Quick
-      test_prefilter_inert_on_escaping_allocs;
-    Alcotest.test_case "escape tier matches the engine" `Slow
-      test_escape_tier_matches_engine;
+    Alcotest.test_case "site: first event of a segment" `Quick
+      test_site_first_event_of_segment;
+    Alcotest.test_case "site: sink store before a callee's event" `Quick
+      test_site_sink_store_before_callee_event;
+    Alcotest.test_case "site: lock_order product" `Quick
+      test_site_lock_order_product;
     Alcotest.test_case "report dedup" `Quick test_report_dedup;
     Alcotest.test_case "golden reports" `Quick test_golden_reports ]

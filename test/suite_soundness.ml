@@ -8,10 +8,10 @@
      fuzzer (plus hand-written exception cases) is re-checked on every
      `dune runtest` — the unweakened pipeline must report its bug, and
      the harness must find no false negative and no invalid report;
-   - live fuzzing: a short seeded fuzz run must come back clean, and a
-     deliberately weakened triage tier (escape / summary / alias) must
-     be caught as a false negative within a few iterations — proof the
-     harness has teeth, not just that the pipeline is currently sound. *)
+   - live fuzzing: a short seeded fuzz run must come back clean, and the
+     deliberately weakened summary tier must be caught as a false
+     negative within a few iterations — proof the harness has teeth, not
+     just that the pipeline is currently sound. *)
 
 module Fuzz = Refinterp.Fuzz
 module Interp = Refinterp.Interp
@@ -248,18 +248,18 @@ let test_shrink_skips_unlexable () =
   Alcotest.(check bool) "skipped" true
     (Option.is_none (Refinterp.Shrink.revalidate p))
 
-let test_weakened_tier tier () =
-  (* drop one triage tier and the harness must catch the resulting
-     false negatives within a few iterations *)
+let test_weakened_summary_tier () =
+  (* drop the triage tier and the harness must catch the resulting false
+     negatives within a few iterations *)
   let r =
     Fuzz.run
       { Fuzz.default_config with
         Fuzz.iters = 15;
-        weaken_tier = Some tier;
+        weaken_tier = Some Grapple.Pipeline.Summary;
         shrink_checks = 20 }
   in
   Alcotest.(check bool)
-    (Printf.sprintf "weakened %s tier caught as FN (%d failure(s))" tier
+    (Printf.sprintf "weakened summary tier caught as FN (%d failure(s))"
        (List.length r.Fuzz.failures))
     true
     (r.Fuzz.failures <> []);
@@ -269,6 +269,26 @@ let test_weakened_tier tier () =
         "counterexample was minimized to a parseable program" true
         (Jir.Pp.program_to_string f.Fuzz.f_program <> ""))
     r.Fuzz.failures
+
+(* `grapple fuzz --weaken-tier` names only a tier that exists: any other
+   name is a usage error (exit 124) rather than an unweakened run that
+   passes.  Zero iterations: only the argument parse is under test. *)
+let test_weaken_tier_names () =
+  let exe =
+    Filename.concat
+      (Filename.dirname Sys.executable_name)
+      "../bin/grapple_cli.exe"
+  in
+  let status tier =
+    Sys.command
+      (Filename.quote_command exe ~stdout:Filename.null ~stderr:Filename.null
+         [ "fuzz"; "--iters"; "0"; "--weaken-tier"; tier ])
+  in
+  Alcotest.(check int) "summary is a tier" 0 (status "summary");
+  List.iter
+    (fun tier ->
+      Alcotest.(check int) (tier ^ " is a usage error") 124 (status tier))
+    [ "escape"; "alias"; "bogus" ]
 
 let suite =
   [ Alcotest.test_case "interp: deterministic per seed" `Quick
@@ -290,11 +310,9 @@ let suite =
         test_corpus_concrete_violations;
       Alcotest.test_case "fuzz: 10-iteration smoke run is clean" `Quick
         test_fuzz_smoke;
-      Alcotest.test_case "fuzz: weakened escape tier caught" `Slow
-        (test_weakened_tier "escape");
       Alcotest.test_case "fuzz: weakened summary tier caught" `Slow
-        (test_weakened_tier "summary");
-      Alcotest.test_case "fuzz: weakened alias tier caught" `Slow
-        (test_weakened_tier "alias");
+        test_weakened_summary_tier;
+      Alcotest.test_case "fuzz: --weaken-tier names only real tiers" `Quick
+        test_weaken_tier_names;
       Alcotest.test_case "shrink: a candidate that does not lex is skipped"
         `Quick test_shrink_skips_unlexable ]

@@ -309,7 +309,6 @@ let prepare_and_run ?(workers = 1) ~track_null (cs : Checkers.t list)
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       track_null;
-      prefilter = true;
       prefilter_properties = Checkers.fsms cs;
       workers }
   in

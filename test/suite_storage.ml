@@ -429,10 +429,10 @@ let test_golden_seed_partitions () =
         (name ^ ": digest of\n" ^ listing)
         want
         (Digest.to_hex (Digest.string listing)))
-    [ ("figure3b", figure3b, "71bc3e261d8296cbc8269ac945856bcd");
+    [ ("figure3b", figure3b, "3b8d4688d02cdd00254179fa9bd1cbf7");
       ("minizk",
        (Workload.Generator.mini_zookeeper ()).Workload.Generator.program,
-       "9de8a7f1642666fd31bfb019d93b6b1c") ]
+       "8a9682367bc8c28ef8743f41fd215106") ]
 
 (* ---------------- rejected blocks ---------------- *)
 
