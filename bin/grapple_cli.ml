@@ -599,9 +599,9 @@ let closure_cmd =
        done
      with End_of_file -> close_in ic);
     AE.run t;
-    AE.iter_result_edges t (fun e ->
-        Printf.printf "%d %d %s\n" e.AE.src e.AE.dst
-          (Cfl.Pointer_grammar.to_string e.AE.label))
+    AE.iter_result_edges t (fun ~src ~dst ~label _ ->
+        Printf.printf "%d %d %s\n" src dst
+          (Cfl.Pointer_grammar.to_string (Cfl.Pointer_grammar.of_int label)))
   in
   Cmd.v
     (Cmd.info "closure"

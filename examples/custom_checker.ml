@@ -81,9 +81,10 @@ entry Main.main;
 
 let () =
   let program = Jir.Resolve.parse_exn ~file:"orders.jir" source in
-  let workdir = Filename.concat (Filename.get_temp_dir_name ()) "grapple-custom" in
+  let workdir = Filename.temp_dir "grapple-custom" "" in
   let prepared = Grapple.Pipeline.prepare ~workdir program in
   let result = Grapple.Pipeline.check_property prepared transaction in
+  Grapple.Pipeline.cleanup prepared [ result ];
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

@@ -80,9 +80,10 @@ entry Main.main;
 
 let () =
   let program = Jir.Resolve.parse_exn ~file:"hdfs.jir" source in
-  let workdir = Filename.concat (Filename.get_temp_dir_name ()) "grapple-hdfs" in
+  let workdir = Filename.temp_dir "grapple-hdfs" "" in
   let prepared = Grapple.Pipeline.prepare ~workdir program in
   let reports = Checkers.Exception_checker.run prepared in
+  Grapple.Pipeline.cleanup prepared [];
   Printf.printf "%d warning(s):\n" (List.length reports);
   List.iter (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r)) reports;
   print_newline ();

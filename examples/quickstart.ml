@@ -38,7 +38,7 @@ let () =
   Printf.printf "parsed %d statement(s)\n" (Jir.Ast.program_size program);
 
   (* 2. run the shared frontend + phase-1 alias analysis *)
-  let workdir = Filename.concat (Filename.get_temp_dir_name ()) "grapple-quickstart" in
+  let workdir = Filename.temp_dir "grapple-quickstart" "" in
   let prepared = Grapple.Pipeline.prepare ~workdir program in
   Printf.printf "alias analysis done: %d flowsTo fact(s) from allocation sites\n"
     prepared.Grapple.Pipeline.n_alias_pairs;
@@ -46,6 +46,7 @@ let () =
   (* 3. check the Figure 3a property *)
   let fsm = Checkers.fsm "io" in
   let result = Grapple.Pipeline.check_property prepared fsm in
+  Grapple.Pipeline.cleanup prepared [ result ];
 
   (* 4. report *)
   let reports = result.Grapple.Pipeline.reports in

@@ -52,9 +52,7 @@ entry Main.main;
 
 let () =
   let program = Jir.Resolve.parse_exn ~file:"zookeeper.jir" source in
-  let workdir =
-    Filename.concat (Filename.get_temp_dir_name ()) "grapple-zookeeper"
-  in
+  let workdir = Filename.temp_dir "grapple-zookeeper" "" in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       (* bind/configureBlocking on channels may raise, as in the JDK *)
@@ -66,6 +64,7 @@ let () =
   let result =
     Grapple.Pipeline.check_property prepared (Checkers.fsm "socket")
   in
+  Grapple.Pipeline.cleanup prepared [ result ];
   Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

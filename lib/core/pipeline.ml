@@ -394,18 +394,16 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
     let flows : Dataflow_graph.flows = Hashtbl.create 1024 in
     let n_alias_pairs = ref 0 in
     timed_span "phase1.collect_flows" comp (fun () ->
-        Alias_engine.iter_result_edges e (fun edge ->
-            match edge.Alias_engine.label with
+        Alias_engine.iter_result_edges e (fun ~src ~dst ~label enc ->
+            match Pg.of_int label with
             | Pg.Flows_to -> (
-                match Alias_graph.info alias_graph edge.Alias_engine.src with
+                match Alias_graph.info alias_graph src with
                 | Alias_graph.Obj_vertex _ ->
                     incr n_alias_pairs;
                     let cur =
-                      Option.value ~default:[]
-                        (Hashtbl.find_opt flows edge.Alias_engine.src)
+                      Option.value ~default:[] (Hashtbl.find_opt flows src)
                     in
-                    Hashtbl.replace flows edge.Alias_engine.src
-                      ((edge.Alias_engine.dst, edge.Alias_engine.enc) :: cur)
+                    Hashtbl.replace flows src ((dst, enc ()) :: cur)
                 | Alias_graph.Var_vertex _ -> ())
             | _ -> ()));
     (e, flows, !n_alias_pairs)
@@ -565,13 +563,12 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
     (Dataflow_graph.tracked dg);
   let reports = ref [] in
   timed_span "phase3.fsm_check" chk (fun () ->
-      Dataflow_engine.iter_result_edges engine (fun e ->
-          match
-            (e.Dataflow_engine.label, Hashtbl.find_opt by_source e.Dataflow_engine.src)
-          with
+      Dataflow_engine.iter_result_edges engine (fun ~src ~dst ~label enc ->
+          match (Dg.of_int label, Hashtbl.find_opt by_source src) with
           | Dg.Track code, Some tr -> (
               let cls = tr.Dataflow_graph.cls in
               let mk kind site =
+                let enc = enc () in
                 { Report.checker = fsm.Fsm.name;
                   kind;
                   cls;
@@ -579,9 +576,8 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
                   site;
                   context = context_strings p tr.Dataflow_graph.alloc_inst;
                   witness =
-                    witness_of_constraint
-                      (Icfet.constraint_of p.icfet e.Dataflow_engine.enc);
-                  trace = Icfet.trace_of p.icfet e.Dataflow_engine.enc }
+                    witness_of_constraint (Icfet.constraint_of p.icfet enc);
+                  trace = Icfet.trace_of p.icfet enc }
               in
               match Dataflow_graph.fact dg code with
               | Dataflow_graph.Error_at site ->
@@ -595,7 +591,7 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
                   (* leaks are reported at normal program exits only: paths
                      that die from an uncaught exception terminate the
                      process, which reclaims the resource *)
-                  match Dataflow_graph.exit_kind dg e.Dataflow_engine.dst with
+                  match Dataflow_graph.exit_kind dg dst with
                   | Some Dataflow_graph.Exit_normal
                     when not (Fsm.is_accepting fsm state) ->
                       reports :=
@@ -997,6 +993,16 @@ let stats (p : prepared) (props : property_result list) : stats =
     n_corrupt_recovered = count m.Engine.Metrics.corrupt_reads;
     registry = reg }
 
+(* Remove the files the engines wrote, then their directories and the
+   workdir, each once it is empty. *)
 let cleanup (p : prepared) (props : property_result list) =
+  let rmdir dir = try Sys.rmdir dir with Sys_error _ -> () in
   Alias_engine.cleanup p.alias_engine;
-  List.iter (fun pr -> sweep_instance_workdir (instance_workdir p pr.fsm)) props
+  List.iter
+    (fun pr ->
+      let dir = instance_workdir p pr.fsm in
+      sweep_instance_workdir dir;
+      rmdir dir)
+    props;
+  rmdir (Filename.concat p.config.workdir "alias");
+  rmdir p.config.workdir

@@ -85,20 +85,19 @@ exception Incomposable
 
 (* Cancel matched call/return pairs: { ... [a,b] (i [e,l] )i [b,c] ... }
    becomes { ... [a,c] ... } (case 3 of §4.2).  Matching is on call-site
-   ids; reversed segments are opaque. *)
+   ids; reversed segments are opaque.  A path with nothing to cancel comes
+   back as it is, unallocated. *)
 let rec normalize (t : t) : t =
   let rec pass = function
     | Interval a :: Call i :: Interval _ :: Ret j :: Interval b :: rest
       when i = j && a.meth = b.meth && a.last = b.first ->
-        `Changed
+        Some
           (Interval { meth = a.meth; first = a.first; last = b.last } :: rest)
-    | [] -> `Done []
+    | [] -> None
     | e :: rest -> (
-        match pass rest with
-        | `Changed rest -> `Changed (e :: rest)
-        | `Done rest -> `Done (e :: rest))
+        match pass rest with Some rest -> Some (e :: rest) | None -> None)
   in
-  match pass t with `Changed t -> normalize t | `Done t -> t
+  match pass t with Some t -> normalize t | None -> t
 
 (* Compose the encodings of two consecutive edges.  Adjacent forward
    intervals in the same method fuse when the first ends at the node the

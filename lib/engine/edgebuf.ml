@@ -142,3 +142,21 @@ let truncate t n = t.n <- n
 (* Convenience push for callers holding a structured encoding. *)
 let push_edge t ~src ~dst ~label (e : Encoding.t) =
   push t ~src ~dst ~label ~enc_id:(intern t e)
+
+(* A digest of the buffer's records and pool bytes, in order: two buffers
+   built the same way agree, and any other buffer almost surely differs.
+   FNV-style over native ints, one multiply per record word; a pool entry
+   enters through [Hashtbl.hash], which reads every byte of a string. *)
+let digest t =
+  let h = ref 0x4bf29ce484222325 in
+  let mix x = h := (!h lxor x) * 0x100000001b3 in
+  mix t.n;
+  for w = 0 to (t.n * stride) - 1 do
+    mix (Bigarray.Array1.unsafe_get t.data w)
+  done;
+  mix t.pool_n;
+  for id = 0 to t.pool_n - 1 do
+    mix (String.length t.pool.(id));
+    mix (Hashtbl.hash t.pool.(id))
+  done;
+  !h land max_int

@@ -221,6 +221,9 @@ module Make (L : LABEL_LOGIC) = struct
         (* the seed edges in emission order, only before [run]: [add_seed]
            appends to it, and a graph builder may fill it directly *)
     mutable n_seed_edges : int;
+    mutable seed_digest : int;
+        (* [Edgebuf.digest] of the seeds, set by [run]: the checkpoint
+           names the graph it closes, and a restore checks it *)
     mutable max_vertex : int;
     mutable ran : bool;
     mutable run_start : float;  (* wall-budget reference point, set by [run] *)
@@ -245,6 +248,7 @@ module Make (L : LABEL_LOGIC) = struct
       next_pid = 0;
       seeds = Edgebuf.create ();
       n_seed_edges = 0;
+      seed_digest = 0;
       max_vertex = 0;
       ran = false;
       run_start = 0. }
@@ -943,8 +947,9 @@ module Make (L : LABEL_LOGIC) = struct
       |> List.sort compare
     in
     let m =
-      { Manifest.next_pid = t.next_pid; max_vertex = t.max_vertex;
-        n_seed_edges = t.n_seed_edges; parts; processed = frontier }
+      { Manifest.seed_digest = t.seed_digest; next_pid = t.next_pid;
+        max_vertex = t.max_vertex; n_seed_edges = t.n_seed_edges; parts;
+        processed = frontier }
     in
     Obs.Trace.with_span ~cat:"engine"
       ~args:[ ("parts", Obs.Trace.Int (List.length parts)) ]
@@ -955,10 +960,15 @@ module Make (L : LABEL_LOGIC) = struct
     Faults.on_checkpoint ()
 
   (* Restore partition metadata and the scheduler frontier from the last
-     checkpoint; false when there is none (or it failed validation). *)
+     checkpoint; false when there is none, it failed validation, or it
+     closes another graph. *)
   let try_restore t (processed : (int * int, int * int) Hashtbl.t) : bool =
     match with_retries t (fun () -> Manifest.load ~workdir:t.config.workdir) with
     | None -> false
+    | Some m when m.Manifest.seed_digest <> t.seed_digest ->
+        (* a checkpoint of other seeds: resuming it would close the wrong
+           graph *)
+        false
     | Some m
       when not
              (List.for_all
@@ -994,16 +1004,18 @@ module Make (L : LABEL_LOGIC) = struct
         true
 
   (* Run to global fixpoint.  With [~resume:true], continue from the
-     workdir's checkpoint manifest when one validates (fresh run
-     otherwise): partitions and frontier are restored and only pairs with
-     records their last fixpoint did not see are (re)processed — and those
-     only past the recorded counts.  The closure is confluent — facts
-     accumulate monotonically and deduplicate — so a resumed run converges
-     to the same fixpoint as an uninterrupted one. *)
+     workdir's checkpoint manifest when one validates and names these
+     seeds (fresh run otherwise): partitions and frontier are restored and
+     only pairs with records their last fixpoint did not see are
+     (re)processed — and those only past the recorded counts.  The
+     closure is confluent — facts accumulate monotonically and deduplicate
+     — so a resumed run converges to the same fixpoint as an uninterrupted
+     one. *)
   let run ?(resume = false) t =
     if t.ran then invalid_arg "Engine.run: already ran";
     t.ran <- true;
     t.run_start <- Unix.gettimeofday ();
+    t.seed_digest <- Edgebuf.digest t.seeds;
     (* every vertex a seed names: the last partition's bound *)
     for i = 0 to Edgebuf.n t.seeds - 1 do
       t.max_vertex <-
@@ -1068,13 +1080,21 @@ module Make (L : LABEL_LOGIC) = struct
       label = L.of_int (Edgebuf.label buf i);
       enc = Edgebuf.enc buf (Edgebuf.enc_id buf i) }
 
+  (* A partition's records as the file holds them: the resident copy when
+     it is in sync with the file — after [run], the last pair's partitions
+     are — else the file, read. *)
+  let records t (meta : pmeta) : Edgebuf.t =
+    match List.assoc_opt meta.pid t.resident with
+    | Some l when l.meta == meta -> l.buf
+    | _ -> fst (read_partition t meta)
+
   (* Fold every edge.  Edges are folded newest-first per partition, matching
      the historical reverse-insertion-order iteration that report generation
      depends on. *)
   let fold_edges t f acc =
     List.fold_left
       (fun acc meta ->
-        let buf, _ = read_partition t meta in
+        let buf = records t meta in
         let acc = ref acc in
         for i = Edgebuf.n buf - 1 downto 0 do
           acc := f !acc (edge_at buf i)
@@ -1086,14 +1106,19 @@ module Make (L : LABEL_LOGIC) = struct
      nothing read. *)
   let total_edges t = List.fold_left (fun n meta -> n + meta.n_edges) 0 t.parts
 
-  (* [fold_edges] restricted to result labels, testing the label code before
-     an edge is built (and its encoding decoded). *)
-  let iter_result_edges t f =
+  (* Every edge with a result label, in [fold_edges]' order, as its int
+     fields and the label's code ([L.to_int]); [enc ()] decodes the edge's
+     encoding, so a caller pays the decode only for the edges it keeps. *)
+  let iter_result_edges t
+      (f : src:int -> dst:int -> label:int -> (unit -> Encoding.t) -> unit) =
     List.iter
       (fun meta ->
-        let buf, _ = read_partition t meta in
+        let buf = records t meta in
         for i = Edgebuf.n buf - 1 downto 0 do
-          if L.is_result (L.of_int (Edgebuf.label buf i)) then f (edge_at buf i)
+          let label = Edgebuf.label buf i in
+          if L.is_result (L.of_int label) then
+            f ~src:(Edgebuf.src buf i) ~dst:(Edgebuf.dst buf i) ~label
+              (fun () -> Edgebuf.enc buf (Edgebuf.enc_id buf i))
         done)
       t.parts
 

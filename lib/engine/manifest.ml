@@ -4,7 +4,8 @@
    metadata and scheduler frontier here, so a killed run can resume from the
    last completed pair instead of from zero.  Format (text, line-based):
 
-     grapple-manifest 3
+     grapple-manifest 4
+     seed_digest N
      next_pid N
      max_vertex N
      n_seed_edges N
@@ -22,8 +23,12 @@
    and reprocessing joins only the records past them — the cross-pair
    delta.  The manifest holds no per-partition counts: the files may be
    newer than it (a crash between a partition's rename and the next
-   checkpoint), so a restore counts the records in the files.  Manifests
-   of earlier formats fail validation and fall back to a fresh run, which
+   checkpoint), so a restore counts the records in the files.
+
+   [seed_digest] names the graph the checkpoint closes ([Edgebuf.digest] of
+   the seed buffer): a run resumes only a checkpoint of the same seeds, and
+   starts fresh otherwise.  Manifests of earlier formats, which name no
+   graph, fail validation and fall back to a fresh run too, which
    overwrites the stale files.
 
    The trailing checksum covers the whole body, and the file is written
@@ -43,6 +48,7 @@ type part = {
 }
 
 type t = {
+  seed_digest : int;  (* [Edgebuf.digest] of the seeds this run closes *)
   next_pid : int;
   max_vertex : int;
   n_seed_edges : int;
@@ -54,13 +60,14 @@ type t = {
   processed : ((int * int) * (int * int)) list;
 }
 
-let format_version = 3
+let format_version = 4
 
 let path ~workdir = Filename.concat workdir "manifest"
 
 let render (m : t) : string =
   let buf = Buffer.create 4096 in
   Printf.bprintf buf "grapple-manifest %d\n" format_version;
+  Printf.bprintf buf "seed_digest %d\n" m.seed_digest;
   Printf.bprintf buf "next_pid %d\n" m.next_pid;
   Printf.bprintf buf "max_vertex %d\n" m.max_vertex;
   Printf.bprintf buf "n_seed_edges %d\n" m.n_seed_edges;
@@ -106,7 +113,8 @@ let load ~workdir : t option =
         in
         if not checksum_ok then None
         else begin
-          let next_pid = ref 0
+          let seed_digest = ref (-1)
+          and next_pid = ref 0
           and max_vertex = ref 0
           and n_seed_edges = ref 0
           and parts = ref []
@@ -123,6 +131,7 @@ let load ~workdir : t option =
                  | [ "" ] -> ()
                  | [ "grapple-manifest"; v ] ->
                      header_ok := int_of_string_opt v = Some format_version
+                 | [ "seed_digest"; n ] -> seed_digest := int n
                  | [ "next_pid"; n ] -> next_pid := int n
                  | [ "max_vertex"; n ] -> max_vertex := int n
                  | [ "n_seed_edges"; n ] -> n_seed_edges := int n
@@ -134,11 +143,11 @@ let load ~workdir : t option =
                      processed :=
                        ((int a, int b), (int ca, int cb)) :: !processed
                  | _ -> bad := true);
-          if !bad || not !header_ok then None
+          if !bad || (not !header_ok) || !seed_digest < 0 then None
           else
             Some
-              { next_pid = !next_pid; max_vertex = !max_vertex;
-                n_seed_edges = !n_seed_edges; parts = List.rev !parts;
-                processed = List.rev !processed }
+              { seed_digest = !seed_digest; next_pid = !next_pid;
+                max_vertex = !max_vertex; n_seed_edges = !n_seed_edges;
+                parts = List.rev !parts; processed = List.rev !processed }
         end
   end

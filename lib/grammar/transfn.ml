@@ -68,9 +68,12 @@ let apply (r : registry) f c =
 let vector (r : registry) id = Array.sub r.table (id * r.n_states) r.n_states
 
 (* compose f-then-g: the function applying f first, then g, keeping the
-   first error. *)
+   first error.  Identity on either side returns the other unlooked-up. *)
 let compose (r : registry) f g =
-  intern r
-    (Array.init r.n_states (fun s ->
-         let c = apply r f s in
-         if is_error r c then c else apply r g c))
+  if f = identity_id then g
+  else if g = identity_id then f
+  else
+    intern r
+      (Array.init r.n_states (fun s ->
+           let c = apply r f s in
+           if is_error r c then c else apply r g c))

@@ -26,15 +26,26 @@
    feasible path with code c, an FSM state or Error at the event that
    first drove it there; a path stops at its first Error.  Nothing
    composes two Steps, so a Step joins only a Track edge that ends at its
-   source: [build] walks forward from the allocation's segment and emits
-   the out-edges of the points the walk reaches, and no others.
+   source: [build] walks forward from the allocation's segment and records
+   the out-arcs of the points the walk reaches, and no others.
+
+   Phase 3 reads a Track fact only at an exit point or where an event
+   first errs, so [build] numbers only the points phase 3 or the engine's
+   checks need: the allocation's, the exit points, the destination of
+   every non-identity Step, the source of every return (its feasibility
+   check sees the callee interval the return drops), and every point
+   whose in-degree is not 1.  Every other point has one identity in-arc,
+   which is folded into its out-arcs by the engine's own composition, so
+   the facts at the numbered points do not change (DESIGN.md, "Only the
+   points phase 3 or the engine's checks read are numbered").
 
    The builder writes the seeds straight into the engine's seed buffer, in
-   emission order, as flat records.  Points are numbered in first-touch
-   order through an int table per object, and an encoding without [Aux]
-   fragments is interned once per shape (see [shape_encoding]).  What a
-   node's statements fire, and where its calls lead, does not depend on the
-   object, so each is computed once per build. *)
+   emission order, as flat records.  Points are indexed in first-touch
+   order through an int table emptied for each object, and an encoding
+   without [Aux] fragments is interned once per shape (see
+   [shape_encoding]).  What a node's statements fire, and where its calls
+   lead, does not depend on the object, so each is computed once per
+   build. *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
@@ -64,7 +75,7 @@ type t = {
       (* event index (see [Transfn]) -> the event statement's position *)
 }
 
-let source_vertex (g : t) : int =
+let next_vertex (g : t) : int =
   let id = g.n_vertices in
   g.n_vertices <- id + 1;
   id
@@ -86,7 +97,8 @@ type alias_map = (int * string * int * int, Encoding.t) Hashtbl.t
      caller's method — the caller node after a normal return, its
      exception sibling after an exceptional one;
    - the Track anchor (meth, allocation node, _): [0..node].
-   Each shape is interned once per build. *)
+   Each shape is interned once per build: a seed that folds no point
+   carries its arc's shape as it is. *)
 let shape_hop = 0
 let shape_branch = 1
 let shape_ret = 2
@@ -109,8 +121,8 @@ let shape_encoding icfet tag a b c : Encoding.t =
 (* Construction.                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* Dataflow points one tracked object may add to the graph before the build
-   gives up. *)
+(* Points the walk of one tracked object may visit, numbered or not,
+   before the build gives up. *)
 let max_points_per_object = 500_000
 
 exception Too_large of string
@@ -121,9 +133,9 @@ type flows = (int, (int * Encoding.t) list) Hashtbl.t
 
 (* A memo from int pairs to values computed on first use, for the facts
    of a build that do not depend on the object. *)
-let memo2 (dummy : 'a) (f : int -> int -> 'a) : int -> int -> 'a =
+let memo2 (f : int -> int -> 'a) : int -> int -> 'a =
   let index = Inttbl.create 256 in
-  let vals = ref (Array.make 256 dummy) in
+  let vals = ref [||] in
   let n = ref 0 in
   fun a b ->
     let i = Inttbl.find index a b 0 in
@@ -131,7 +143,7 @@ let memo2 (dummy : 'a) (f : int -> int -> 'a) : int -> int -> 'a =
     else begin
       let v = f a b in
       if !n = Array.length !vals then begin
-        let bigger = Array.make (2 * !n) dummy in
+        let bigger = Array.make (max 256 (2 * !n)) v in
         Array.blit !vals 0 bigger 0 !n;
         vals := bigger
       end;
@@ -168,6 +180,32 @@ let segment_ends (sids : int array) (dives : int array) =
     sids;
   ends
 
+(* One object's walk, in arrays reused across objects and grown together.
+   Points are indexed in first-touch order; a point's out-arcs, added when
+   it leaves the walk's stack, are the arcs [first.(c), first.(c) +
+   n_out.(c)), and the arcs lie in the order their sources left the
+   stack. *)
+type walk = {
+  mutable indeg : int array;
+  mutable keep : bool array;
+  mutable first : int array;
+  mutable n_out : int array;
+  mutable vertex_of : int array;  (* point -> dataflow vertex, if kept *)
+  mutable arc_src : int array;
+  mutable arc_dst : int array;
+  mutable arc_fn : int array;     (* the Step's transfer function *)
+  mutable arc_enc : int array;    (* pool id of the arc's encoding *)
+}
+
+(* [a], long enough for index [i]. *)
+let room a i dummy =
+  if i < Array.length a then a
+  else begin
+    let b = Array.make (2 * (i + 1)) dummy in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  end
+
 (* Build the graph, appending its seeds to [seeds] in emission order. *)
 let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
     (ag : Alias_graph.t) (flows : flows) (fsm : Fsm.t) : t =
@@ -188,7 +226,6 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
     Edgebuf.push seeds ~src ~dst ~label:(Dg.to_int label) ~enc_id;
     g.n_seeds <- g.n_seeds + 1
   in
-  let step_id = Dg.Step Transfn.identity_id in
   let shapes = Inttbl.create 1024 in
   let shape tag a b c =
     let key = (a lsl 2) lor tag in
@@ -198,9 +235,29 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
       Inttbl.find_or_add shapes key b c
         (Edgebuf.intern seeds (shape_encoding icfet tag a b c))
   in
+  (* pool ids (x, y) -> the pool id of their composition, as the engine
+     composes them, or -1 when they do not compose; a chain the walk folds
+     recurs for every object that passes through it *)
+  let folds = Inttbl.create 1024 in
+  let fold x y =
+    let id = Inttbl.find folds x y 0 in
+    if id >= 0 then id
+    else
+      match
+        Encoding.compose_normalized (Edgebuf.enc seeds x) (Edgebuf.enc seeds y)
+      with
+      | enc -> Inttbl.find_or_add folds x y 0 (Edgebuf.intern seeds enc)
+      | exception Encoding.Incomposable -> -1
+  in
+  let w =
+    { indeg = [||]; keep = [||]; first = [||]; n_out = [||]; vertex_of = [||];
+      arc_src = [||]; arc_dst = [||]; arc_fn = [||]; arc_enc = [||] }
+  in
   let n_inst = Clone_tree.n_instances clones in
   let meth_of inst = (Clone_tree.instance clones inst).Clone_tree.meth in
-  let node_of meth node_id = Cfet.node (Icfet.cfet icfet meth) node_id in
+  let node_of =
+    memo2 (fun meth node_id -> Cfet.node (Icfet.cfet icfet meth) node_id)
+  in
   (* reverse call-site map: callee instance -> entering (caller, call id) *)
   let entries_rev = Array.make n_inst [] in
   Hashtbl.iter
@@ -213,7 +270,7 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
      (call id, callee instance, sid) triples in statement order; an object
      dives into the relevant ones *)
   let call_sites =
-    memo2 [||] (fun inst node_id ->
+    memo2 (fun inst node_id ->
         let meth = meth_of inst in
         List.concat_map
           (fun (ci : Cfet.call_info) ->
@@ -232,7 +289,7 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
   (* (meth, node) -> the node's statements and events; versions are
      computed only in a node where a statement fires an event *)
   let node_events =
-    memo2 { sids = [||]; events = [||] } (fun meth node_id ->
+    memo2 (fun meth node_id ->
         let cfet = Icfet.cfet icfet meth in
         let stmts = (Cfet.node cfet node_id).Cfet.stmts in
         let versions = lazy (Varver.analyze stmts) in
@@ -268,6 +325,9 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
         | Alias_graph.Var_vertex _ -> false)
       (Alias_graph.objects ag)
   in
+  (* the objects' point table: emptied for each object, and replaced once
+     a large object has grown it *)
+  let points = ref (Inttbl.create 64) in
   (* instance -> index of the last object it was relevant to *)
   let rel = Array.make n_inst (-1) in
   List.iteri
@@ -324,44 +384,85 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
           d
         end
       in
-      (* 3. this object's points, numbered in first-touch order; a newly
-         numbered point goes on the walk's stack *)
-      let base = g.n_vertices in
-      let points = Inttbl.create 64 in
+      (* 3. this object's points, indexed in first-touch order; a newly
+         touched point goes on the walk's stack *)
+      if Array.length !points.Inttbl.slots > 16_384 then
+        points := Inttbl.create 64
+      else Inttbl.clear !points;
+      let points = !points in
+      let n_points = ref 0 in
       let stack = ref [] in
-      let vertex inst node seg =
-        let id = g.n_vertices in
-        let v = Inttbl.find_or_add points inst node seg id in
-        if v = id then begin
-          if id - base >= max_points_per_object then
+      let point inst node seg =
+        let c = !n_points in
+        let v = Inttbl.find_or_add points inst node seg c in
+        if v = c then begin
+          if c >= max_points_per_object then
             raise (Too_large "dataflow graph too large");
-          g.n_vertices <- id + 1;
-          stack := (id, inst, node, seg) :: !stack
+          if c >= Array.length w.indeg then begin
+            w.indeg <- room w.indeg c 0;
+            w.keep <- room w.keep c false;
+            w.first <- room w.first c 0;
+            w.n_out <- room w.n_out c 0
+          end;
+          w.indeg.(c) <- 0;
+          w.keep.(c) <- false;
+          n_points := c + 1;
+          stack := (c, inst, node, seg) :: !stack
         end;
         v
+      in
+      (* exit points, as (point, kind), newest first *)
+      let exits = ref [] in
+      let exit c kind =
+        w.keep.(c) <- true;
+        exits := (c, kind) :: !exits
+      in
+      let n_arcs = ref 0 in
+      (* an out-arc of the point [c] being expanded, to [d]: a non-identity
+         effect keeps [d], a return keeps [c] *)
+      let arc ?(ret = false) c d fn enc =
+        let a = !n_arcs in
+        if a >= Array.length w.arc_src then begin
+          w.arc_src <- room w.arc_src a 0;
+          w.arc_dst <- room w.arc_dst a 0;
+          w.arc_fn <- room w.arc_fn a 0;
+          w.arc_enc <- room w.arc_enc a 0
+        end;
+        w.arc_src.(a) <- c;
+        w.arc_dst.(a) <- d;
+        w.arc_fn.(a) <- fn;
+        w.arc_enc.(a) <- enc;
+        n_arcs := a + 1;
+        w.indeg.(d) <- w.indeg.(d) + 1;
+        if fn <> Transfn.identity_id then w.keep.(d) <- true;
+        if ret then w.keep.(c) <- true
       in
       (* 4. a segment point's hop: into dive i's callee root, or from the
          last segment to the node exit.  Its effect composes the transition
          functions of the events the segment fires on the object. *)
-      let hop v inst meth node_id dives i =
+      let hop c inst meth node_id dives i =
         let k = Array.length dives / 3 in
         let ne = node_events meth node_id in
-        let ends = segment_ends ne.sids dives in
-        let lo = if i = 0 then 0 else ends.(i - 1) and hi = ends.(i) in
         let effect = ref Transfn.identity_id in
         let auxes = ref [] in
-        Array.iter
-          (fun (pos, recv, version, fid) ->
-            if pos >= lo && pos < hi then
-              match Hashtbl.find_opt aliases (inst, recv, node_id, version) with
-              | None -> ()
-              | Some alias_enc ->
-                  effect := Transfn.compose registry !effect fid;
-                  auxes := Encoding.Aux alias_enc :: !auxes)
-          ne.events;
+        if Array.length ne.events > 0 then begin
+          let ends = segment_ends ne.sids dives in
+          let lo = if i = 0 then 0 else ends.(i - 1) and hi = ends.(i) in
+          Array.iter
+            (fun (pos, recv, version, fid) ->
+              if pos >= lo && pos < hi then
+                match
+                  Hashtbl.find_opt aliases (inst, recv, node_id, version)
+                with
+                | None -> ()
+                | Some alias_enc ->
+                    effect := Transfn.compose registry !effect fid;
+                    auxes := Encoding.Aux alias_enc :: !auxes)
+            ne.events
+        end;
         let dst, call =
-          if i < k then (vertex dives.((3 * i) + 1) 0 0, dives.(3 * i))
-          else (vertex inst node_id (k + 1), -1)
+          if i < k then (point dives.((3 * i) + 1) 0 0, dives.(3 * i))
+          else (point inst node_id (k + 1), -1)
         in
         let enc_id =
           match !auxes with
@@ -371,18 +472,18 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                 (List.rev_append auxes
                    (shape_encoding icfet shape_hop meth node_id call))
         in
-        push v dst (Dg.Step !effect) enc_id
+        arc c dst !effect enc_id
       in
-      (* 5. a node exit's edges: to both children of a branch, or from a
+      (* 5. a node exit's arcs: to both children of a branch, or from a
          leaf back to the relevant callers; an exit nothing continues from
-         is recorded in [exit_points] *)
-      let node_exit v inst meth node_id =
+         is an exit point *)
+      let node_exit c inst meth node_id =
         let n = node_of meth node_id in
         match (n.Cfet.cond, n.Cfet.exit) with
         | Some _, _ ->
             List.iter
               (fun child ->
-                push v (vertex inst child 0) step_id
+                arc c (point inst child 0) Transfn.identity_id
                   (shape shape_branch meth node_id child))
               [ Option.get n.Cfet.t_child; Option.get n.Cfet.f_child ]
         | None, Some leaf_exit -> (
@@ -391,7 +492,7 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                 entries_rev.(inst)
             in
             if is_entry.(inst) || entering = [] then
-              Hashtbl.replace g.exit_points v
+              exit c
                 (match leaf_exit with
                 | Cfet.Normal _ -> Exit_normal
                 | Cfet.Exceptional e -> Exit_exceptional e)
@@ -416,7 +517,8 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                       in
                       match pos 0 with
                       | Some p ->
-                          push v (vertex caller caller_node (p + 1)) step_id
+                          arc ~ret:true c (point caller caller_node (p + 1))
+                            Transfn.identity_id
                             (shape shape_ret call_id caller_node 0)
                       | None -> ())
                   | Cfet.Exceptional _ ->
@@ -430,16 +532,16 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
                         && caller_node > 0
                         && Hashtbl.mem caller_cfet.Cfet.nodes sibling
                       then
-                        push v (vertex caller sibling 0) step_id
+                        arc ~ret:true c (point caller sibling 0)
+                          Transfn.identity_id
                           (shape shape_ret call_id sibling 0)
-                      else Hashtbl.replace g.exit_points v Exit_escaped)
+                      else exit c Exit_escaped)
                 entering)
         | None, None -> assert false
       in
       (* 6. walk forward from the allocation's segment, depth first: each
-         point's out-edges are emitted once, when it leaves the stack, so
-         the seeds are exactly those a Track path from the allocation can
-         join *)
+         point's out-arcs are added once, when it leaves the stack, so the
+         arcs are exactly those a Track path from the allocation can join *)
       let alloc_meth = meth_of alloc_inst in
       let alloc_seg =
         (* the segment holding the allocation: the number of segments that
@@ -452,26 +554,66 @@ let build ~(seeds : Edgebuf.t) (icfet : Icfet.t) (clones : Clone_tree.t)
           0
           (segment_ends sids (dives_of alloc_inst alloc_node))
       in
-      let dst = vertex alloc_inst alloc_node alloc_seg in
+      let alloc = point alloc_inst alloc_node alloc_seg in
+      w.keep.(alloc) <- true;
       let rec walk () =
         match !stack with
         | [] -> ()
-        | (v, inst, node_id, seg) :: rest ->
+        | (c, inst, node_id, seg) :: rest ->
             stack := rest;
+            w.first.(c) <- !n_arcs;
             let meth = meth_of inst in
             let dives = dives_of inst node_id in
             if seg <= Array.length dives / 3 then
-              hop v inst meth node_id dives seg
-            else node_exit v inst meth node_id;
+              hop c inst meth node_id dives seg
+            else node_exit c inst meth node_id;
+            w.n_out.(c) <- !n_arcs - w.first.(c);
             walk ()
       in
       walk ();
-      (* 7. the Track seed at the allocation, from a source vertex after
+      (* 7. number the points phase 3 and the engine's checks need, in
+         first-touch order: the allocation's, every exit point, the
+         destination of every non-identity Step, the source of every
+         return, and every point whose in-degree is not 1 (DESIGN.md,
+         "Only the points phase 3 or the engine's checks read are
+         numbered") *)
+      w.vertex_of <- room w.vertex_of !n_points (-1);
+      for c = 0 to !n_points - 1 do
+        if w.indeg.(c) <> 1 then w.keep.(c) <- true;
+        w.vertex_of.(c) <-
+          (if w.keep.(c) then next_vertex g else -1)
+      done;
+      List.iter
+        (fun (c, kind) -> Hashtbl.replace g.exit_points w.vertex_of.(c) kind)
+        (List.rev !exits);
+      (* 8. emit each numbered point's out-arcs, in the order the points
+         left the stack, folding each passed-through point's one identity
+         in-arc into its out-arcs as the engine would compose them; [prefix]
+         is the pool id of the path folded so far, -1 at the numbered
+         point *)
+      let rec follow src prefix a =
+        let e = w.arc_enc.(a) in
+        let id = if prefix < 0 then e else fold prefix e in
+        if id >= 0 then begin
+          let d = w.arc_dst.(a) in
+          if w.keep.(d) then
+            push src w.vertex_of.(d) (Dg.Step w.arc_fn.(a)) id
+          else
+            for b = w.first.(d) to w.first.(d) + w.n_out.(d) - 1 do
+              follow src id b
+            done
+        end
+      in
+      for a = 0 to !n_arcs - 1 do
+        let c = w.arc_src.(a) in
+        if w.keep.(c) then follow w.vertex_of.(c) (-1) a
+      done;
+      (* 9. the Track seed at the allocation, from a source vertex after
          the object's points.  It is anchored at the method entry so the
          branch conditions that guard the allocation constrain the rest of
          the object's path. *)
-      let src = source_vertex g in
-      push src dst (Dg.Track fsm.Fsm.initial)
+      let src = next_vertex g in
+      push src w.vertex_of.(alloc) (Dg.Track fsm.Fsm.initial)
         (shape shape_anchor alloc_meth alloc_node 0);
       g.tracked <-
         { obj_vertex; obj_idx; alloc_inst; cls; at; source_vertex = src }

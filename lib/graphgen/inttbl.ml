@@ -74,3 +74,10 @@ let find_or_add t a b c v =
     if 8 * t.used > Array.length t.slots then grow t;
     v
   end
+
+(* Unbind every key, keeping the slots. *)
+let clear t =
+  for s = 0 to (Array.length t.slots / 4) - 1 do
+    t.slots.((4 * s) + 3) <- -1
+  done;
+  t.used <- 0

@@ -135,6 +135,132 @@ let prop_normalize_preserves_pending =
     arb_encoding (fun e ->
       E.pending_calls e = E.pending_calls (E.normalize e))
 
+(* ---------------- builder-shaped chains ----------------
+
+   The dataflow graph builder folds a point it passes through into its
+   out-edges with [compose_normalized] (Dataflow_graph, step 8), and the
+   engine then joins a Track edge with the folded edge.  That is sound
+   only if folding a chain first gives what the engine gets composing it
+   one edge at a time, and the path-length cap sees the same lengths.
+
+   A walk over the builder's edge shapes: a hop inside a node ([n..n],
+   after any [Aux] fragments), a branch to a child ([n..c]), a dive into a
+   callee ([n..n] (id, then the callee's root at node 0) and a return to
+   the caller's node ()id [n..n]).  The state is where the path is, and the
+   calls it is inside, innermost first; a walk may start inside calls its
+   encoding does not show, as the walk of an object allocated in a callee
+   does. *)
+type at = { meth : int; node : int; calls : (int * int * int) list }
+
+let gen_hop (st : at) =
+  let open QCheck.Gen in
+  map
+    (fun auxes ->
+      ( List.map (fun (m, a) -> E.Aux [ iv ~meth:m 0 a ]) auxes
+        @ [ iv ~meth:st.meth st.node st.node ],
+        st ))
+    (list_size (int_bound 2) (pair (int_bound 3) (int_bound 9)))
+
+let gen_branch (st : at) =
+  QCheck.Gen.map
+    (fun d ->
+      let c = st.node + 1 + d in
+      ([ iv ~meth:st.meth st.node c ], { st with node = c }))
+    (QCheck.Gen.int_bound 3)
+
+let gen_dive (st : at) =
+  QCheck.Gen.map2
+    (fun id callee ->
+      ( [ iv ~meth:st.meth st.node st.node; E.Call id ],
+        { meth = callee; node = 0; calls = (id, st.meth, st.node) :: st.calls }
+      ))
+    (QCheck.Gen.int_bound 20) (QCheck.Gen.int_range 4 7)
+
+let ret (st : at) =
+  match st.calls with
+  | [] -> None
+  | (id, meth, node) :: calls ->
+      Some ([ E.Ret id; iv ~meth node node ], { meth; node; calls })
+
+(* [n] edges from [st]; returns among them only when [rets]. *)
+let rec gen_edges ~rets n (st : at) =
+  let open QCheck.Gen in
+  if n = 0 then return ([], st)
+  else
+    let steps =
+      [ (3, gen_hop st); (3, gen_branch st); (2, gen_dive st) ]
+      @ (match ret st with
+        | Some r when rets -> [ (2, return r) ]
+        | _ -> [])
+    in
+    frequency steps >>= fun (e, st) ->
+    map (fun (es, st) -> (e :: es, st)) (gen_edges ~rets (n - 1) st)
+
+(* A Track prefix — the anchor [0..n] then edges with returns — and a
+   chain after it: at most one return, at its head (a return into a
+   continuation the builder folds) or at its tail. *)
+let arb_chain =
+  let open QCheck.Gen in
+  let gen =
+    int_bound 3 >>= fun n0 ->
+    list_size (int_bound 2)
+      (triple (int_bound 20) (int_range 4 7) (int_bound 5))
+    >>= fun outer ->
+    let st = { meth = 0; node = n0; calls = outer } in
+    int_bound 5 >>= fun n_prefix ->
+    gen_edges ~rets:true n_prefix st >>= fun (prefix, st) ->
+    int_range 1 5 >>= fun n_chain ->
+    oneofl [ `Head; `Tail; `None ] >>= fun where ->
+    let head, st =
+      match (where, ret st) with
+      | `Head, Some (e, st) -> ([ e ], st)
+      | _ -> ([], st)
+    in
+    gen_edges ~rets:false n_chain st >>= fun (body, st) ->
+    let tail =
+      match (where, ret st) with `Tail, Some (e, _) -> [ e ] | _ -> []
+    in
+    return ([ iv 0 n0 ] :: prefix, head @ body @ tail)
+  in
+  let print (prefix, chain) =
+    Printf.sprintf "prefix %s\nchain %s"
+      (String.concat " . " (List.map E.to_string prefix))
+      (String.concat " . " (List.map E.to_string chain))
+  in
+  QCheck.make ~print gen
+
+let composed es =
+  match List.fold_left E.compose_normalized [] es with
+  | t -> Some t
+  | exception E.Incomposable -> None
+
+let prop_fold_chain =
+  QCheck.Test.make ~name:"a folded builder chain composes as its edges do"
+    ~count:500 arb_chain (fun (prefix, chain) ->
+      match composed prefix with
+      | None -> QCheck.assume_fail ()
+      | Some t ->
+          composed (t :: chain)
+          = Option.bind (composed chain) (fun folded ->
+                composed [ t; folded ]))
+
+let prop_ret_free_chain_grows =
+  QCheck.Test.make ~name:"a return-free chain never shrinks" ~count:500
+    arb_chain (fun (prefix, chain) ->
+      match composed prefix with
+      | None -> QCheck.assume_fail ()
+      | Some t ->
+          List.exists
+            (List.exists (function E.Ret _ -> true | _ -> false))
+            chain
+          || fst
+               (List.fold_left
+                  (fun (ok, t) e ->
+                    match E.compose_normalized t e with
+                    | t' -> (ok && E.n_elements t' >= E.n_elements t, t')
+                    | exception E.Incomposable -> (ok, t))
+                  (true, t) chain))
+
 let suite =
   [ Alcotest.test_case "case 1: interval fusion" `Quick test_case1_fusion;
     Alcotest.test_case "case 2: call concat" `Quick test_case2_call_concat;
@@ -152,4 +278,6 @@ let suite =
     Alcotest.test_case "varint boundaries" `Quick test_varint_boundaries;
     QCheck_alcotest.to_alcotest prop_serialization_roundtrip;
     QCheck_alcotest.to_alcotest prop_normalize_idempotent;
-    QCheck_alcotest.to_alcotest prop_normalize_preserves_pending ]
+    QCheck_alcotest.to_alcotest prop_normalize_preserves_pending;
+    QCheck_alcotest.to_alcotest prop_fold_chain;
+    QCheck_alcotest.to_alcotest prop_ret_free_chain_grows ]

@@ -149,10 +149,9 @@ let test_closure_store_load () =
   AEngine.add_seed t ~src:h2 ~dst:u ~label:(Pg.Load 9) ~enc:iv;
   AEngine.run t;
   let flows_to_u = ref false in
-  AEngine.iter_result_edges t (fun e ->
-      if Pg.equal e.AEngine.label Pg.Flows_to && e.AEngine.src = ow
-         && e.AEngine.dst = u
-      then flows_to_u := true);
+  AEngine.iter_result_edges t (fun ~src ~dst ~label _ ->
+      if Pg.equal (Pg.of_int label) Pg.Flows_to && src = ow && dst = u then
+        flows_to_u := true);
   Alcotest.(check bool) "object flows through the heap" true !flows_to_u
 
 let test_closure_field_mismatch () =
@@ -164,10 +163,9 @@ let test_closure_field_mismatch () =
   AEngine.add_seed t ~src:1 ~dst:4 ~label:(Pg.Load 8) ~enc:iv;
   AEngine.run t;
   let bad = ref false in
-  AEngine.iter_result_edges t (fun e ->
-      if Pg.equal e.AEngine.label Pg.Flows_to && e.AEngine.src = 2
-         && e.AEngine.dst = 4
-      then bad := true);
+  AEngine.iter_result_edges t (fun ~src ~dst ~label _ ->
+      if Pg.equal (Pg.of_int label) Pg.Flows_to && src = 2 && dst = 4 then
+        bad := true);
   Alcotest.(check bool) "different fields do not match" false !bad
 
 let test_repartitioning () =

@@ -167,7 +167,8 @@ let test_short_write_leaves_target () =
 let test_manifest_roundtrip () =
   let workdir = fresh_workdir () in
   let m =
-    { Manifest.next_pid = 7; max_vertex = 123; n_seed_edges = 45;
+    { Manifest.seed_digest = 77; next_pid = 7; max_vertex = 123;
+      n_seed_edges = 45;
       parts =
         [ { Manifest.pid = 3; lo = 0; hi = 60; file = "p0003.edges" };
           { Manifest.pid = 5; lo = 60; hi = 124; file = "p0005.edges" } ];
@@ -177,8 +178,11 @@ let test_manifest_roundtrip () =
   (match Manifest.load ~workdir with
   | Some back -> Alcotest.(check bool) "roundtrip" true (back = m)
   | None -> Alcotest.fail "manifest did not load");
-  (* flip a digit in the body: the whole-file checksum must reject it *)
   let path = Manifest.path ~workdir in
+  Alcotest.(check bool) "the seed digest follows the header" true
+    (String.starts_with ~prefix:"grapple-manifest 4\nseed_digest 77\n"
+       (In_channel.with_open_bin path In_channel.input_all));
+  (* flip a digit in the body: the whole-file checksum must reject it *)
   let contents = In_channel.with_open_bin path In_channel.input_all in
   let damaged =
     String.map (fun c -> if c = '7' then '8' else c)
@@ -189,23 +193,29 @@ let test_manifest_roundtrip () =
       Out_channel.output_string oc damaged);
   Alcotest.(check bool) "damaged manifest rejected" true
     (Manifest.load ~workdir = None);
-  (* a format-2 manifest (per-partition versions and counts) fails
-     validation even under a valid checksum: the sub-run starts fresh *)
-  let v2 =
-    "grapple-manifest 2\nnext_pid 7\nmax_vertex 123\nn_seed_edges 45\n\
-     part 3 0 60 2 17 p0003.edges\ndone 3 3 2 2 17 17\n"
-  in
-  Out_channel.with_open_bin path (fun oc ->
-      Printf.fprintf oc "%send %d\n" v2 (Storage.checksum_string v2));
-  Alcotest.(check bool) "format-2 manifest rejected" true
-    (Manifest.load ~workdir = None);
+  (* manifests of earlier formats fail validation even under a valid
+     checksum, and the sub-run starts fresh: format 2 (per-partition
+     versions and counts), and format 3, which names no graph *)
+  List.iter
+    (fun (name, body) ->
+      Out_channel.with_open_bin path (fun oc ->
+          Printf.fprintf oc "%send %d\n" body (Storage.checksum_string body));
+      Alcotest.(check bool) (name ^ " manifest rejected") true
+        (Manifest.load ~workdir = None))
+    [ ("format-2",
+       "grapple-manifest 2\nnext_pid 7\nmax_vertex 123\nn_seed_edges 45\n\
+        part 3 0 60 2 17 p0003.edges\ndone 3 3 2 2 17 17\n");
+      ("format-3",
+       "grapple-manifest 3\nnext_pid 7\nmax_vertex 123\nn_seed_edges 45\n\
+        part 3 0 60 p0003.edges\ndone 3 3 17 17\n") ];
   Alcotest.(check bool) "missing manifest" true
     (Manifest.load ~workdir:(fresh_workdir ()) = None)
 
 let test_manifest_truncated_header () =
   let workdir = fresh_workdir () in
   let m =
-    { Manifest.next_pid = 2; max_vertex = 9; n_seed_edges = 4;
+    { Manifest.seed_digest = 1; next_pid = 2; max_vertex = 9;
+      n_seed_edges = 4;
       parts = [ { Manifest.pid = 0; lo = 0; hi = 10; file = "p0000.edges" } ];
       processed = [] }
   in
@@ -355,11 +365,12 @@ let matrix_engine workdir =
 
 (* The dataflow input over three states, 2 the FSM's error: a Track seed
    at state 0, Step a (0 -> 1), four identity Steps, Step b (1 -> Error)
-   and five more identity Steps, twelve seeds in all.  A 6-edge budget
+   from vertex [erring_at] (6 by default) and identity Steps to vertex 12,
+   twelve seeds in all.  A 6-edge budget
    starts them in four partitions, and the Track facts, all rooted at 0,
    split the first.  Each engine builds its own registry, as a resumed
    process would: a Track code must mean the same in both. *)
-let df_engine workdir =
+let df_engine ?(erring_at = 6) workdir =
   let r = Transfn.create ~n_states:3 in
   let a = Transfn.event r ~error:2 [| 1; 1; 2 |] in
   let b = Transfn.event r ~error:2 [| 0; 2; 2 |] in
@@ -377,7 +388,7 @@ let df_engine workdir =
   seed 0 (Dg.Track 0);
   seed 1 (Dg.Step a);
   for v = 2 to 11 do
-    seed v (Dg.Step (if v = 6 then b else Transfn.identity_id))
+    seed v (Dg.Step (if v = erring_at then b else Transfn.identity_id))
   done;
   (t, r)
 
@@ -465,6 +476,29 @@ let test_crash_matrix_resume () =
     ~n_partitions:(fun (t, _) -> DEngine.n_partitions t)
     ~total_edges:(fun (t, _) -> DEngine.total_edges t)
     ~cleanup:(fun (t, _) -> DEngine.cleanup t)
+
+(* A checkpoint names the graph it closes.  Crash a run of the dataflow
+   input at its second checkpoint, then resume its workdir with another
+   graph, whose Step b leaves vertex 9: the resumed run must start fresh,
+   and close the second graph as a clean run does, with b's error at 10
+   and not at 7. *)
+let test_resume_other_graph () =
+  let clean = df_engine ~erring_at:9 (fresh_workdir ()) in
+  DEngine.run (fst clean);
+  let expect = df_facts clean in
+  DEngine.cleanup (fst clean);
+  let workdir = fresh_workdir () in
+  (match
+     with_plan "crash-checkpoint=2" (fun () ->
+         DEngine.run (fst (df_engine workdir)))
+   with
+  | () -> Alcotest.fail "the crash did not fire"
+  | exception Faults.Crash _ -> ());
+  let t = df_engine ~erring_at:9 workdir in
+  DEngine.run ~resume:true (fst t);
+  Alcotest.(check (list (pair int string)))
+    "the closure of the graph resumed" expect (df_facts t);
+  DEngine.cleanup (fst t)
 
 (* A routed append reads its target through the one reader, so damage
    there is counted like damage anywhere else.  The run crashes at its
@@ -588,7 +622,8 @@ let test_pipeline_identical_under_rate_faults () =
   let p0, pr0, _ = check_leak () in
   let expect = rendered pr0 in
   Grapple.Pipeline.cleanup p0 [ pr0 ];
-  with_plan "seed=11,rate=0.3" (fun () ->
+  (* a plan that fires within the few storage operations of this run *)
+  with_plan "seed=7,rate=0.3" (fun () ->
       let p, pr, stats = check_leak () in
       Alcotest.(check string) "warnings identical" expect (rendered pr);
       Alcotest.(check bool) "faults fired" true
@@ -705,6 +740,8 @@ let suite =
       test_manifest_truncated_header;
     Alcotest.test_case "resume with missing partition runs fresh" `Quick
       test_resume_missing_partition_runs_fresh;
+    Alcotest.test_case "resume of another graph starts fresh" `Quick
+      test_resume_other_graph;
     Alcotest.test_case "crash matrix resumes to the same closure" `Quick
       test_crash_matrix_resume;
     Alcotest.test_case "routed append counts damage" `Quick

@@ -236,11 +236,11 @@ let run_alias_engine icfet ag =
         ~label:e.Alias_graph.label ~enc:e.Alias_graph.enc);
   AE.run t;
   let flows : Dataflow_graph.flows = Hashtbl.create 64 in
-  AE.iter_result_edges t (fun e ->
-      match (e.AE.label, Alias_graph.info ag e.AE.src) with
+  AE.iter_result_edges t (fun ~src ~dst ~label enc ->
+      match (Pg.of_int label, Alias_graph.info ag src) with
       | Pg.Flows_to, Alias_graph.Obj_vertex _ ->
-          let cur = Option.value ~default:[] (Hashtbl.find_opt flows e.AE.src) in
-          Hashtbl.replace flows e.AE.src ((e.AE.dst, e.AE.enc) :: cur)
+          let cur = Option.value ~default:[] (Hashtbl.find_opt flows src) in
+          Hashtbl.replace flows src ((dst, enc ()) :: cur)
       | _ -> ());
   flows
 
@@ -301,7 +301,8 @@ entry Main.main;
   Alcotest.(check int) "an empty buffer" 0 (Engine.Edgebuf.n seeds)
 
 (* [Dataflow_graph.build] walks forward from the allocation, so a point
-   the object cannot reach is never numbered and emits no seed.  Here the
+   the object cannot reach is never numbered and emits no seed, and it
+   numbers only the points phase 3 or the engine's checks need.  Here the
    allocation sits in [Factory.open], entered after a branch in [main]:
 
      main node 0: [if (a > 0)]        branch
@@ -311,19 +312,28 @@ entry Main.main;
      open node 0: [w = new FileWriter(); return w]   a leaf, no dives
      use node 0:  [f.write(1); return]                a leaf, no dives
 
-   The walk numbers seven points, in this order:
-     0 open(0, seg 0) --hop-->      1 open(0, exit)
-     1                --return-->   2 main(1, seg 1)
-     2                --dive-->     3 use(0, seg 0)
-     3 --hop (write)-->             4 use(0, exit)
-     4                --return-->   5 main(1, seg 2)
-     5 --hop (close)-->             6 main(1, exit), a program exit
-   That is six Step seeds, plus the Track seed from the source vertex 7
-   to point 0: seven seeds, eight vertices.  Emitting every node of the
-   three relevant clones would also number main's node 0 (segment and
-   exit), node 2 (segment and exit) and node 1's segment 0, all before the
-   allocation: five more points and five more Step seeds (node 0's hop and
-   two branches, node 2's hop, node 1's dive into open). *)
+   The walk visits seven points, in this order:
+     open(0, seg 0) --hop-->         open(0, exit)
+     open(0, exit)  --return-->      main(1, seg 1)
+     main(1, seg 1) --dive-->        use(0, seg 0)
+     use(0, seg 0)  --hop (write)--> use(0, exit)
+     use(0, exit)   --return-->      main(1, seg 2)
+     main(1, seg 2) --hop (close)--> main(1, exit), a program exit
+   Four of them are numbered, in that order:
+     0 open(0, seg 0): the allocation's point, where the Track seed lands;
+     1 open(0, exit): the source of a return, which keeps the feasibility
+       check of open's path before the return drops it;
+     2 use(0, exit): the destination of write's Step, and the source of a
+       return;
+     3 main(1, exit): the destination of close's Step, and a program exit.
+   main's segments 1 and 2 and use's segment 0 each have one identity
+   in-Step and no event, exit or return of their own, so the builder folds
+   them into their out-Steps: 0 -> 1 (the hop), 1 -> 2 (the return, the
+   dive and write's hop) and 2 -> 3 (the return and close's hop).  With
+   the Track seed from the source vertex 4 to point 0, that makes four
+   seeds and five vertices.  Emitting every node of the three relevant
+   clones would also number main's node 0 (segment and exit), node 2
+   (segment and exit) and node 1's segment 0, all before the allocation. *)
 let test_dataflow_walk_from_allocation () =
   let src = {|
 class Factory {
@@ -360,30 +370,32 @@ entry Main.main;
   in
   Alcotest.(check int) "one tracked object" 1
     (List.length (Dataflow_graph.tracked dg));
-  Alcotest.(check int) "seven seeds" 7 (Dataflow_graph.n_seeds dg);
-  Alcotest.(check int) "every seed in the buffer" 7 (Engine.Edgebuf.n seeds);
-  Alcotest.(check int) "seven points and the source" 8
+  Alcotest.(check int) "four seeds" 4 (Dataflow_graph.n_seeds dg);
+  Alcotest.(check int) "every seed in the buffer" 4 (Engine.Edgebuf.n seeds);
+  Alcotest.(check int) "four points and the source" 5
     (Dataflow_graph.n_vertices dg);
-  let tracks = ref [] in
+  let edges = ref [] in
   for i = 0 to Engine.Edgebuf.n seeds - 1 do
-    match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
-    | Cfl.Dataflow_grammar.Track _ ->
-        tracks := (Engine.Edgebuf.src seeds i, Engine.Edgebuf.dst seeds i)
-                  :: !tracks
-    | Cfl.Dataflow_grammar.Step _ -> ()
+    let kind =
+      match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
+      | Cfl.Dataflow_grammar.Track _ -> "track"
+      | Cfl.Dataflow_grammar.Step f when f = Cfl.Transfn.identity_id -> "id"
+      | Cfl.Dataflow_grammar.Step _ -> "event"
+    in
+    edges :=
+      (Engine.Edgebuf.src seeds i, Engine.Edgebuf.dst seeds i, kind) :: !edges
   done;
-  Alcotest.(check (list (pair int int)))
-    "the Track seed runs from the source to the first point numbered"
-    [ (7, 0) ] !tracks;
+  Alcotest.(check (list (triple int int string)))
+    "the hop, the folded write and close Steps, and the Track seed"
+    [ (0, 1, "id"); (1, 2, "event"); (2, 3, "event"); (4, 0, "track") ]
+    (List.rev !edges);
   Alcotest.(check bool) "the walk ends at a normal program exit" true
-    (Dataflow_graph.exit_kind dg 6 = Some Dataflow_graph.Exit_normal)
+    (Dataflow_graph.exit_kind dg 3 = Some Dataflow_graph.Exit_normal)
 
-(* The invariant of [Dataflow_graph.build]: every seed it emits can join
-   a Track path.  A breadth-first search over the seed buffer from every
-   Track seed must reach the source of every seed, for each typestate
-   property of the nine built-in checkers on the worked example and the
-   mini subjects. *)
-let test_dataflow_seeds_reachable () =
+(* [f name fsm dg seeds] for the dataflow graph of each typestate property
+   of the nine built-in checkers, on the worked example and the mini
+   subjects. *)
+let each_dataflow_graph f =
   let figure3b =
     let path =
       Filename.concat
@@ -421,36 +433,7 @@ let test_dataflow_seeds_reachable () =
               p.Grapple.Pipeline.clones p.Grapple.Pipeline.alias_graph
               p.Grapple.Pipeline.flows fsm
           in
-          let n_seeds = Engine.Edgebuf.n seeds in
-          let succ = Array.make (Dataflow_graph.n_vertices dg) [] in
-          let reached = Array.make (Dataflow_graph.n_vertices dg) false in
-          let queue = Queue.create () in
-          let reach v =
-            if not reached.(v) then begin
-              reached.(v) <- true;
-              Queue.add v queue
-            end
-          in
-          for i = 0 to n_seeds - 1 do
-            let src = Engine.Edgebuf.src seeds i in
-            succ.(src) <- Engine.Edgebuf.dst seeds i :: succ.(src);
-            match
-              Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i)
-            with
-            | Cfl.Dataflow_grammar.Track _ -> reach src
-            | Cfl.Dataflow_grammar.Step _ -> ()
-          done;
-          while not (Queue.is_empty queue) do
-            List.iter reach succ.(Queue.pop queue)
-          done;
-          let dead = ref 0 in
-          for i = 0 to n_seeds - 1 do
-            if not reached.(Engine.Edgebuf.src seeds i) then incr dead
-          done;
-          Alcotest.(check int)
-            (Printf.sprintf "%s %s: of %d seeds, unreached" name
-               fsm.Fsm.name n_seeds)
-            0 !dead)
+          f name fsm dg seeds)
         (Checkers.fsms cs);
       Grapple.Pipeline.cleanup p [])
     [ ("figure3b", figure3b);
@@ -462,6 +445,87 @@ let test_dataflow_seeds_reachable () =
       ("minitaint", generated G.mini_taint);
       ("miniclose", generated G.mini_close);
       ("minitwr", generated G.mini_twr) ]
+
+(* The invariant of [Dataflow_graph.build]: every seed it emits can join
+   a Track path.  A breadth-first search over the seed buffer from every
+   Track seed must reach the source of every seed. *)
+let test_dataflow_seeds_reachable () =
+  each_dataflow_graph (fun name (fsm : Fsm.t) dg seeds ->
+      let n_seeds = Engine.Edgebuf.n seeds in
+      let succ = Array.make (Dataflow_graph.n_vertices dg) [] in
+      let reached = Array.make (Dataflow_graph.n_vertices dg) false in
+      let queue = Queue.create () in
+      let reach v =
+        if not reached.(v) then begin
+          reached.(v) <- true;
+          Queue.add v queue
+        end
+      in
+      for i = 0 to n_seeds - 1 do
+        let src = Engine.Edgebuf.src seeds i in
+        succ.(src) <- Engine.Edgebuf.dst seeds i :: succ.(src);
+        match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
+        | Cfl.Dataflow_grammar.Track _ -> reach src
+        | Cfl.Dataflow_grammar.Step _ -> ()
+      done;
+      while not (Queue.is_empty queue) do
+        List.iter reach succ.(Queue.pop queue)
+      done;
+      let dead = ref 0 in
+      for i = 0 to n_seeds - 1 do
+        if not reached.(Engine.Edgebuf.src seeds i) then incr dead
+      done;
+      Alcotest.(check int)
+        (Printf.sprintf "%s %s: of %d seeds, unreached" name fsm.Fsm.name
+           n_seeds)
+        0 !dead)
+
+(* The builder numbers only the points phase 3 or the engine's checks
+   need (DESIGN.md, "The builder emits only what a Track can reach").
+   Read off the seed buffer, a numbered point is passable when its one
+   in-seed is an identity Step and it is no exit point and no return's
+   source (a return's seed starts with its [Ret]): the builder must have
+   folded it.  And what phase 3 reads stays numbered: a seed reaches every
+   point but the Track sources — the allocation points, exit points and
+   destinations of effects among them — and no exit point sits at vertex
+   -1, where the builder would put one it left unnumbered. *)
+let test_dataflow_numbers_only_what_is_read () =
+  each_dataflow_graph (fun name (fsm : Fsm.t) dg seeds ->
+      let n = Dataflow_graph.n_vertices dg in
+      let indeg = Array.make n 0 and kept = Array.make n false in
+      for i = 0 to Engine.Edgebuf.n seeds - 1 do
+        let dst = Engine.Edgebuf.dst seeds i in
+        indeg.(dst) <- indeg.(dst) + 1;
+        (match Cfl.Dataflow_grammar.of_int (Engine.Edgebuf.label seeds i) with
+        | Cfl.Dataflow_grammar.Track _ -> kept.(dst) <- true
+        | Cfl.Dataflow_grammar.Step f ->
+            if f <> Cfl.Transfn.identity_id then kept.(dst) <- true);
+        match Engine.Edgebuf.enc seeds (Engine.Edgebuf.enc_id seeds i) with
+        | Pathenc.Encoding.Ret _ :: _ ->
+            kept.(Engine.Edgebuf.src seeds i) <- true
+        | _ -> ()
+      done;
+      let sources =
+        List.map
+          (fun (tr : Dataflow_graph.tracked) -> tr.Dataflow_graph.source_vertex)
+          (Dataflow_graph.tracked dg)
+      in
+      let passable = ref [] and unreached = ref [] in
+      for v = n - 1 downto 0 do
+        let source = List.mem v sources in
+        if indeg.(v) = 0 <> source then unreached := v :: !unreached;
+        if
+          indeg.(v) = 1 && (not kept.(v))
+          && Dataflow_graph.exit_kind dg v = None
+        then passable := v :: !passable
+      done;
+      let what = Printf.sprintf "%s %s: " name fsm.Fsm.name in
+      Alcotest.(check (list int)) (what ^ "passable points numbered") []
+        !passable;
+      Alcotest.(check (list int)) (what ^ "points no seed reaches") []
+        !unreached;
+      Alcotest.(check bool) (what ^ "every exit point numbered") true
+        (Dataflow_graph.exit_kind dg (-1) = None))
 
 let suite =
   [ Alcotest.test_case "clone tree diamond" `Quick test_clone_tree_diamond;
@@ -479,4 +543,6 @@ let suite =
     Alcotest.test_case "dataflow walk from the allocation" `Quick
       test_dataflow_walk_from_allocation;
     Alcotest.test_case "dataflow seeds all reachable" `Quick
-      test_dataflow_seeds_reachable ]
+      test_dataflow_seeds_reachable;
+    Alcotest.test_case "dataflow numbers only what phase 3 reads" `Quick
+      test_dataflow_numbers_only_what_is_read ]

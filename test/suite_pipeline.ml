@@ -634,7 +634,15 @@ let test_golden_reports () =
        "60cac887434ef00fff7be8febcb4faff");
       ("minitaint",
        (Workload.Generator.mini_taint ()).Workload.Generator.program,
-       "82726655de8945b22a9ae9d6758df7a9") ]
+       "82726655de8945b22a9ae9d6758df7a9");
+      ("minihadoop",
+       (Workload.Generator.mini_hadoop ()).Workload.Generator.program,
+       "5da188f7e821dd8e96e2e5630c4f13de");
+      ("minihbase",
+       (Workload.Generator.mini_hbase ()).Workload.Generator.program,
+       "0f81162b14574a370b702b73610dc5b1");
+      ("minitwr", (Workload.Generator.mini_twr ()).Workload.Generator.program,
+       "8444a52731e720c6151557ae012a7795") ]
 
 let suite =
   [ Alcotest.test_case "figure 3b leak" `Quick test_figure3b_leak;
