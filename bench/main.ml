@@ -722,25 +722,23 @@ let shards ~fast () =
     "robustness extension, not a paper experiment";
   Printf.printf "%-10s %-6s %7s %8s %9s %7s %5s %6s\n" "subject" "plan"
     "procs" "time" "warnings" "redisp" "kills" "same";
-  (* the last cell of each plan SIGKILLs the worker holding the 2nd
-     assignment: the instance is re-dispatched and the output must not
-     change *)
+  (* the last cell of each plan adds [kill-worker=2], which SIGKILLs the
+     worker holding the 2nd assignment: the instance is re-dispatched and
+     the output must not change *)
   let cells =
     List.concat_map
       (fun (tag, plan) ->
+        let killing =
+          Some (String.concat "," (Option.to_list plan @ [ "kill-worker=2" ]))
+        in
         List.map
-          (fun (procs_label, shard_procs, shard_kill_nth) ->
+          (fun (procs_label, shard_procs, plan) ->
             { label = Printf.sprintf "%-6s %7s" tag procs_label;
               tune =
-                (fun c ->
-                  { c with
-                    Pipeline.track_null = true;
-                    shard_procs;
-                    shard_kill_nth;
-                    heartbeat_ms = 25. });
+                (fun c -> { c with Pipeline.track_null = true; shard_procs });
               plan })
-          [ ("inproc", 0, 0); ("1", 1, 0); ("2", 2, 0); ("4", 4, 0);
-            ("2+kill", 2, 2) ])
+          [ ("inproc", 0, plan); ("1", 1, plan); ("2", 2, plan);
+            ("4", 4, plan); ("2+kill", 2, killing) ])
       [ ("none", None); ("5%", Some "seed=11,rate=0.05") ]
   in
   differential ~checkers:(Checkers.all_with_null ()) (subjects ~fast) cells
@@ -901,19 +899,30 @@ let micro () =
                 prepared.Pipeline.alias_graph prepared.Pipeline.flows io
                : Graphgen.Dataflow_graph.t)))
   in
-  let grouped =
-    Test.make_grouped ~name:"grapple"
-      [ t1; t2; t3; t4; t5; f9; load; parse; write; jir; dataflow ]
-  in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
   let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second 0.25) ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
+  (* Every kernel gets at least 100 runs, so that its estimate resolves a
+     10% change: the sub-millisecond kernels within a 0.5 s quota, the five
+     that take milliseconds within 3 s.  The quota also pays for the GC
+     compaction before each sample, which dominates the fast kernels'. *)
+  let raw = Hashtbl.create 16 in
+  List.iter
+    (fun (quota, tests) ->
+      let cfg =
+        Benchmark.cfg ~limit:2000 ~stabilize:true ~quota:(Time.second quota) ()
+      in
+      Hashtbl.iter (Hashtbl.replace raw)
+        (Benchmark.all cfg instances (Test.make_grouped ~name:"grapple" tests)))
+    [ (0.5, [ t1; t2; t3; t4; t5; f9 ]);
+      (3., [ load; parse; write; jir; dataflow ]) ];
   Pipeline.cleanup prepared [];
+  let runs name =
+    Array.fold_left
+      (fun n m -> n +. Measurement_raw.run m)
+      0. (Hashtbl.find raw name).Benchmark.lr
+  in
   List.iter
     (fun instance ->
       let tbl = Analyze.all ols instance raw in
@@ -921,7 +930,9 @@ let micro () =
       List.iter
         (fun (name, o) ->
           match Analyze.OLS.estimates o with
-          | Some [ est ] -> Printf.printf "%-34s %14.1f ns/run\n" name est
+          | Some [ est ] ->
+              Printf.printf "%-34s %14.1f ns/run %8.0f runs\n" name est
+                (runs name)
           | _ -> Printf.printf "%-34s (no estimate)\n" name)
         (List.sort compare rows))
     instances

@@ -168,23 +168,26 @@ let instance_budget_arg =
 let edge_budget_arg =
   Arg.(value & opt int 0
        & info [ "edge-budget" ] ~docv:"N"
-           ~doc:"transitive-edge budget per checking instance; 0 = \
-                 unlimited.  Same retry-then-degrade behaviour as \
+           ~doc:"transitive-edge budget per checking instance and attempt; \
+                 0 = unlimited.  Same retry-then-degrade behaviour as \
                  $(b,--instance-budget)")
 
 let max_retries_arg =
   Arg.(value & opt int 3
        & info [ "max-retries" ] ~docv:"N"
-           ~doc:"restarts per checking instance (and retries per storage \
-                 operation) before giving up on it")
+           ~doc:"the one retry cap: retries per storage operation, restarts \
+                 of a checking instance from its last checkpoint, and \
+                 re-dispatches of an instance whose shard worker died.  An \
+                 instance past it is degraded to an `inconclusive' report")
 
 let fault_plan_arg =
   Arg.(value & opt (some string) None
        & info [ "fault-plan" ] ~docv:"SPEC"
-           ~doc:"install a deterministic storage fault plan, e.g. \
-                 `seed=7,rate=0.05' or `fail-write=3,crash-checkpoint=2' \
-                 (testing the resilience layer; also read from the \
-                 GRAPPLE_FAULT_PLAN environment variable)")
+           ~doc:"install a deterministic fault plan, e.g. \
+                 `seed=7,rate=0.05', `fail-write=3,crash-checkpoint=2' or \
+                 `kill-worker=2' (SIGKILL the shard worker given the 2nd \
+                 instance assignment) to test the resilience layer; also \
+                 read from the GRAPPLE_FAULT_PLAN environment variable")
 
 let workers_arg =
   Arg.(value & opt (some int) None
@@ -202,37 +205,10 @@ let shard_procs_arg =
            ~doc:"run the phase-2/3 checking instances in N supervised \
                  worker $(i,processes) instead of in-process domains \
                  (default: the GRAPPLE_SHARD_PROCS environment variable, \
-                 else 0 = in-process).  A worker that crashes, hangs, or \
-                 overruns its deadline is killed and its instance \
-                 re-dispatched from its checkpoint manifest; the warning \
-                 report is byte-identical at every process count")
-
-let heartbeat_ms_arg =
-  Arg.(value & opt float 100.
-       & info [ "heartbeat-ms" ] ~docv:"MS"
-           ~doc:"shard-worker heartbeat period in milliseconds; a worker \
-                 silent for too many periods is presumed hung and replaced")
-
-let max_redispatch_arg =
-  Arg.(value & opt int 3
-       & info [ "max-redispatch" ] ~docv:"N"
-           ~doc:"re-dispatches of a checking instance whose shard worker \
-                 died before the instance is degraded to an `inconclusive' \
-                 report")
-
-let shard_deadline_arg =
-  Arg.(value & opt float 0.
-       & info [ "shard-deadline" ] ~docv:"SECONDS"
-           ~doc:"wall deadline per instance dispatch in shard mode; a \
-                 worker that overruns it is killed and the instance \
-                 re-dispatched (0 = none)")
-
-let shard_kill_nth_arg =
-  Arg.(value & opt int 0
-       & info [ "shard-kill-nth" ] ~docv:"N"
-           ~doc:"fault injection: SIGKILL the worker receiving the Nth \
-                 instance assignment of the run (0 = off); exercises the \
-                 re-dispatch path deterministically")
+                 else 0 = in-process).  A worker that crashes or hangs is \
+                 killed and its instance re-dispatched from its checkpoint \
+                 manifest; the warning report is byte-identical at every \
+                 process count")
 
 let smt_budget_arg =
   Arg.(value & opt int 0
@@ -245,8 +221,7 @@ let check_cmd =
   let run file checkers specs unroll paths trace_out metrics_out json
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
       instance_budget edge_budget max_retries fault_plan smt_budget workers_opt
-      shard_procs_opt heartbeat_ms max_redispatch
-      shard_deadline shard_kill_nth =
+      shard_procs_opt =
     let shard_procs =
       match shard_procs_opt with
       | Some n -> max 0 n
@@ -304,43 +279,25 @@ let check_cmd =
           f dir
       | None -> with_workdir ~prefix:"grapple" f
     in
-    (* Sweep orphaned *.tmp files (a writer interrupted mid-atomic-write)
-       from the workdir and every engine subdirectory, so nothing stale
-       shadows the durable state a later --resume restores. *)
-    let sweep_temps workdir =
-      let swept = ref (Engine.Storage.sweep_stale_temps ~dir:workdir) in
-      let sweep d = swept := !swept + Engine.Storage.sweep_stale_temps ~dir:d in
-      sweep (Filename.concat workdir "alias");
-      if Sys.file_exists workdir && Sys.is_directory workdir then
-        Array.iter
-          (fun f ->
-            if String.length f > 3 && String.sub f 0 3 = "df-" then
-              sweep (Filename.concat workdir f))
-          (Sys.readdir workdir);
-      !swept
-    in
     in_workdir (fun workdir ->
         try
         let config =
           let base = Grapple.Pipeline.default_config ~workdir in
           { base with
             Grapple.Pipeline.unroll_bound = unroll;
-            engine = { base.Grapple.Pipeline.engine with Engine.max_retries };
+            engine =
+              { base.Grapple.Pipeline.engine with
+                Engine.max_retries;
+                wall_budget_s = instance_budget;
+                edge_budget };
             library_throwers = Checkers.Specs.library_throwers;
             track_null = Checkers.tracks_null cs;
             prefilter_properties = Checkers.fsms cs;
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
-            max_retries;
-            instance_budget_s = instance_budget;
-            instance_edge_budget = edge_budget;
             resume = resume_opt <> None;
             workers;
-            shard_procs;
-            heartbeat_ms;
-            max_redispatch;
-            shard_deadline_s = shard_deadline;
-            shard_kill_nth }
+            shard_procs }
         in
         let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
         let results, props, schedule = Checkers.run_all_scheduled prepared cs in
@@ -427,13 +384,12 @@ let check_cmd =
           stats.Grapple.Pipeline.n_faults_injected
         with Engine.Interrupted ->
           (* interrupted between checkpoints: the manifests on disk are
-             durable and consistent — clean up orphaned temp files and tell
-             the user how to continue *)
-          let swept = sweep_temps workdir in
+             durable and consistent, and each engine sweeps its orphaned
+             temp files when --resume reopens it *)
           Printf.eprintf
-            "interrupted: checkpoint manifests are durable (%d stale temp \
-             file(s) swept); continue with\n  grapple check %s --resume %s\n%!"
-            swept file workdir;
+            "interrupted: checkpoint manifests are durable; continue with\n  \
+             grapple check %s --resume %s\n%!"
+            file workdir;
           exit 130)
   in
   Cmd.v (Cmd.info "check" ~doc:"run property checkers on a JIR file")
@@ -442,9 +398,7 @@ let check_cmd =
           $ no_summary_prefilter_arg $ no_alias_prefilter_arg $ workdir_arg
           $ resume_arg
           $ instance_budget_arg $ edge_budget_arg $ max_retries_arg
-          $ fault_plan_arg $ smt_budget_arg $ workers_arg
-          $ shard_procs_arg $ heartbeat_ms_arg
-          $ max_redispatch_arg $ shard_deadline_arg $ shard_kill_nth_arg)
+          $ fault_plan_arg $ smt_budget_arg $ workers_arg $ shard_procs_arg)
 
 let interproc_arg =
   Arg.(value & flag

@@ -28,6 +28,12 @@ type config = {
   workdir : string;
   unroll_bound : int;
   engine : Engine.config;
+      (* every engine's settings, and the one failure policy of a checking
+         instance: [max_retries] caps storage-op retries, an instance's
+         attempts and its re-dispatches after a lost worker process;
+         [wall_budget_s] and [edge_budget] bound each attempt.  The phase-1
+         engine runs unbudgeted: it is shared preprocessing, not an
+         instance *)
   library_throwers : (string * string * string) list;
       (* (class, method, exception) for library calls that may throw *)
   track_null : bool;
@@ -48,16 +54,6 @@ type config = {
          Assign-labeled alias-graph edges no allocation can cross are
          dropped before phase 1, at byte-identical warnings.  It prunes no
          allocation *)
-  max_retries : int;
-      (* supervisor restarts per checking instance (each restart resumes
-         from the instance's last checkpoint) before the instance is
-         degraded to an [Inconclusive] report *)
-  instance_budget_s : float;
-      (* wall-clock budget per checking instance per attempt; 0 = unlimited.
-         Applied to the per-property dataflow engines only — phase 1 is
-         shared preprocessing, not an instance *)
-  instance_edge_budget : int;
-      (* transitive-edge budget per checking instance; 0 = unlimited *)
   resume : bool;
       (* continue from the checkpoint manifests found in [workdir]
          (`grapple check --resume`); fresh sub-runs where none validate *)
@@ -71,17 +67,6 @@ type config = {
          them in-process (on [workers] domains); N > 0 forks N crash-isolated
          worker processes supervised with heartbeats and re-dispatch.
          Reports are byte-identical at every process count *)
-  heartbeat_ms : float;
-      (* shard-worker heartbeat period; a worker silent for
-         [Supervisor.max_missed_heartbeats] periods is presumed hung *)
-  max_redispatch : int;
-      (* re-dispatches of a checking instance whose worker process died
-         before the instance degrades to an [Inconclusive] report *)
-  shard_deadline_s : float;
-      (* wall deadline per instance dispatch in shard mode; 0 = none *)
-  shard_kill_nth : int;
-      (* deterministic fault injection: SIGKILL the worker receiving the
-         Nth instance assignment of the run (0 = off) *)
   weaken_tier : tier option;
       (* TEST-ONLY soundness-harness hook (ISSUE 9): deliberately break one
          triage tier so the reference-interpreter fuzzer can prove it would
@@ -100,16 +85,9 @@ let default_config ~workdir =
     prefilter_properties = [];
     summary_prefilter = true;
     alias_prefilter = true;
-    max_retries = 3;
-    instance_budget_s = 0.;
-    instance_edge_budget = 0;
     resume = false;
     workers = 1;
     shard_procs = 0;
-    heartbeat_ms = 100.;
-    max_redispatch = 3;
-    shard_deadline_s = 0.;
-    shard_kill_nth = 0;
     weaken_tier = None }
 
 type timing = {
@@ -212,12 +190,12 @@ let merge_acct (p : prepared) (a : acct) =
    later one always does, so each attempt makes net progress.  A storage
    fault that outlived the engine's own op-level retries, or budget
    exhaustion, fails the attempt: its op-retry count is kept in [acct], and
-   the attempt is repeated after a deterministic backoff, up to
-   [max_retries] times.  Past the limit [past_limit] decides — phase 1
-   re-raises, an instance degrades.  Simulated crashes ([Faults.Crash]) are
-   deliberately not caught. *)
-let retry_ladder (config : config) ~(acct : acct) ~resume ~create ~op_retries
-    ~attempt ~past_limit =
+   the attempt is repeated after a deterministic backoff, up to the
+   engine's [max_retries] times.  Past the limit [past_limit] decides —
+   phase 1 re-raises, an instance degrades.  Simulated crashes
+   ([Faults.Crash]) are deliberately not caught. *)
+let retry_ladder (c : Engine.config) ~(acct : acct) ~resume ~create
+    ~op_retries ~attempt ~past_limit =
   let rec go n =
     let e = create () in
     match attempt e ~resume:(resume || n > 0) with
@@ -228,13 +206,12 @@ let retry_ladder (config : config) ~(acct : acct) ~resume ~create ~op_retries
         ((Engine.Faults.Injected _ | Sys_error _ | Engine.Budget_exhausted _)
          as exn) ->
         acct.a_retried <- acct.a_retried + op_retries e;
-        if n >= config.max_retries then past_limit exn
+        if n >= c.Engine.max_retries then past_limit exn
         else begin
           acct.a_retried <- acct.a_retried + 1;
           Unix.sleepf
-            (Engine.Faults.backoff_delay_s
-               ~seed:config.engine.Engine.retry_seed
-               ~base_ms:config.engine.Engine.retry_base_ms ~attempt:n);
+            (Engine.Faults.backoff_delay_s ~seed:c.Engine.retry_seed
+               ~base_ms:c.Engine.retry_base_ms ~attempt:n);
           go (n + 1)
         end
   in
@@ -367,7 +344,10 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   let smt_budget_hits0 = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
   let faults_injected0 = Engine.Faults.injected_count () in
   let alias_workdir = Filename.concat config.workdir "alias" in
-  let engine_config = { config.engine with Engine.workdir = alias_workdir } in
+  let engine_config =
+    { config.engine with
+      Engine.workdir = alias_workdir; edge_budget = 0; wall_budget_s = 0. }
+  in
   let mk_alias_engine () =
     let e =
       Alias_engine.create ~config:engine_config
@@ -410,7 +390,8 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   let acct = fresh_acct () in
   let alias_engine, flows, n_alias_pairs =
-    retry_ladder config ~acct ~resume:config.resume ~create:mk_alias_engine
+    retry_ladder engine_config ~acct ~resume:config.resume
+      ~create:mk_alias_engine
       ~op_retries:(fun e ->
         Engine.Metrics.count (Alias_engine.metrics e).Engine.Metrics.retries)
       ~attempt:alias_attempt ~past_limit:raise
@@ -518,26 +499,13 @@ let degrade (p : prepared) (fsm : Fsm.t) ~(acct : acct) reason =
   acct.a_inconclusive <- acct.a_inconclusive + 1;
   inconclusive_result fsm reason
 
-(* Per-instance engine configuration: the pipeline-level budgets override
-   the engine defaults when set. *)
-let instance_engine_config (config : config) ~workdir : Engine.config =
-  { config.engine with
-    Engine.workdir;
-    edge_budget =
-      (if config.instance_edge_budget > 0 then config.instance_edge_budget
-       else config.engine.Engine.edge_budget);
-    wall_budget_s =
-      (if config.instance_budget_s > 0. then config.instance_budget_s
-       else config.engine.Engine.wall_budget_s) }
-
 (* A fresh phase-2 engine for one attempt, seeded from the property's
    dataflow graph: the builder writes the seeds straight into the engine's
    seed buffer. *)
 let instance_engine (p : prepared) (fsm : Fsm.t) ~comp =
   let workdir = instance_workdir p fsm in
-  let engine_config = instance_engine_config p.config ~workdir in
   let engine =
-    Dataflow_engine.create ~config:engine_config
+    Dataflow_engine.create ~config:{ p.config.engine with Engine.workdir }
       ~decode:(fun enc -> Icfet.constraint_of p.icfet enc)
       ~workdir ()
   in
@@ -612,7 +580,8 @@ let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
     ~(acct : acct) =
   let comp = ref 0. and chk = ref 0. in
   let outcome =
-    retry_ladder p.config ~acct ~resume:(p.config.resume || resume_first)
+    retry_ladder p.config.engine ~acct
+      ~resume:(p.config.resume || resume_first)
       ~create:(fun () -> instance_engine p fsm ~comp)
       ~op_retries:(fun (_, e) ->
         Engine.Metrics.count
@@ -720,8 +689,8 @@ let check_property (p : prepared) (fsm : Fsm.t) : property_result =
      processes, so an instance that OOMs, segfaults, or wedges takes down
      only its worker.  A lost instance is re-dispatched and resumes from its
      checkpoint manifest; each dispatch re-derives the instance's plan from
-     scratch (fresh counters, same salt).  Past [max_redispatch] losses it
-     degrades to [Inconclusive], like budget exhaustion. *)
+     scratch (fresh counters, same salt).  Past the engine's [max_retries]
+     losses it degrades to [Inconclusive], like budget exhaustion. *)
 
 type schedule_entry = {
   s_instance : string;  (* the FSM / checker name *)
@@ -784,15 +753,13 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
             s_wall_s = wall_s } )
   in
   if p.config.shard_procs > 0 then begin
+    let e = p.config.engine in
     let sup_config =
       { Engine.Supervisor.default_config with
         Engine.Supervisor.procs = p.config.shard_procs;
-        heartbeat_ms = p.config.heartbeat_ms;
-        deadline_s = p.config.shard_deadline_s;
-        max_redispatch = p.config.max_redispatch;
-        retry_seed = p.config.engine.Engine.retry_seed;
-        retry_base_ms = p.config.engine.Engine.retry_base_ms;
-        kill_nth = p.config.shard_kill_nth }
+        max_redispatch = e.Engine.max_retries;
+        retry_seed = e.Engine.retry_seed;
+        retry_base_ms = e.Engine.retry_base_ms }
     in
     (* runs inside the forked worker, which does not know its slot; its
        trace spans stay in that process.  So do its SMT budget hits: the

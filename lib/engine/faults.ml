@@ -1,10 +1,11 @@
-(* Deterministic fault injection for the storage layer.
+(* Deterministic fault injection.
 
-   A fault plan is a seeded description of which storage operations fail and
-   how.  The plan is installed process-wide; the storage primitives consult
-   it at each operation, so every layer above (engine retries, pipeline
-   supervision, checkpoint/resume) can be exercised against reproducible
-   failures.  Two classes of injected event:
+   A fault plan is a seeded description of which operations fail and how.
+   The plan is installed process-wide; the storage primitives consult it at
+   each operation, and the shard supervisor at each instance assignment, so
+   every layer above (engine retries, the pipeline's attempts, re-dispatch,
+   checkpoint/resume) can be exercised against reproducible failures.  Three
+   classes of injected event:
 
    - [Injected] simulates a recoverable operation failure (EIO, ENOSPC, a
      torn write): the retry machinery is expected to absorb it.
@@ -12,6 +13,9 @@
      rename, or at a checkpoint boundary): nothing may catch it except a
      test harness standing in for process supervision; recovery happens via
      [--resume] in a fresh run.
+   - A killed worker: the shard worker process that receives the Nth
+     instance assignment of the run is SIGKILLed before it starts the
+     instance, and the supervisor must re-dispatch it or degrade it.
 
    All decisions are pure functions of (seed, per-kind operation counter),
    so a plan replays identically across runs. *)
@@ -23,6 +27,7 @@ type kind =
   | Crash_before_rename   (* kill between temp write and publish *)
   | Crash_after_rename    (* kill just after publish *)
   | Crash_checkpoint      (* kill at a checkpoint boundary *)
+  | Kill_worker           (* SIGKILL the shard worker given an assignment *)
 
 type directive =
   | Nth of kind * int  (* fire on the Nth operation of the matching class *)
@@ -49,7 +54,8 @@ let make ?(seed = 1) directives =
 
    Comma-separated [key=value] directives, e.g.
      "seed=42,rate=0.05"
-     "fail-write=3,short-write=5,crash-checkpoint=2"                       *)
+     "fail-write=3,short-write=5,crash-checkpoint=2"
+     "kill-worker=2"                                                        *)
 
 let parse (spec : string) : plan =
   let seed = ref 1 and directives = ref [] in
@@ -84,6 +90,8 @@ let parse (spec : string) : plan =
                    directives := Nth (Crash_after_rename, int_v ()) :: !directives
                | "crash-checkpoint" ->
                    directives := Nth (Crash_checkpoint, int_v ()) :: !directives
+               | "kill-worker" ->
+                   directives := Nth (Kill_worker, int_v ()) :: !directives
                | _ -> fail "unknown directive %S" key));
   make ~seed:!seed (List.rev !directives)
 
@@ -204,24 +212,27 @@ let on_read ~path =
           (Printf.sprintf "injected read fault #%d on %s" p.n_reads
              (Filename.basename path))
 
-(* [`Short] instructs the caller to persist only a truncated prefix of the
-   temp file and then fail, simulating a write torn by ENOSPC or a crash. *)
-let on_write ~path : [ `Ok | `Short ] =
+(* An injected write fault fails before any bytes are written; a torn one
+   first has [tear] persist a truncated prefix of the temp file, as ENOSPC
+   or a crash mid-write would.  Both count as one injected fault. *)
+let on_write ~path ~tear =
   observe Op_write path;
   match active () with
-  | None -> `Ok
+  | None -> ()
   | Some p ->
       p.n_writes <- p.n_writes + 1;
       let name = Filename.basename path in
-      if nth_hit p Fail_write p.n_writes then
+      let fail () =
         inject p (Printf.sprintf "injected write fault #%d on %s" p.n_writes name)
-      else if nth_hit p Short_write p.n_writes then `Short
+      in
+      let torn () =
+        tear ();
+        inject p (Printf.sprintf "injected short write on %s" name)
+      in
+      if nth_hit p Fail_write p.n_writes then fail ()
+      else if nth_hit p Short_write p.n_writes then torn ()
       else if rate_hit p ~stream:2 ~count:p.n_writes then
-        if mix3 p.seed 3 p.n_writes land 1 = 0 then
-          inject p
-            (Printf.sprintf "injected write fault #%d on %s" p.n_writes name)
-        else `Short
-      else `Ok
+        if mix3 p.seed 3 p.n_writes land 1 = 0 then fail () else torn ()
 
 let before_rename ~path =
   match active () with
@@ -251,3 +262,8 @@ let on_checkpoint () =
       p.n_checkpoints <- p.n_checkpoints + 1;
       if nth_hit p Crash_checkpoint p.n_checkpoints then
         raise (Crash (Printf.sprintf "crash at checkpoint #%d" p.n_checkpoints))
+
+(* Consulted by the shard supervisor, in the calling domain, as it hands out
+   the run's [nth] instance assignment. *)
+let kills_worker ~nth =
+  match active () with Some p -> nth_hit p Kill_worker nth | None -> false

@@ -33,8 +33,8 @@
 type to_worker =
   | Assign of { task : int; attempt : int; self_kill : bool }
       (* [self_kill]: SIGKILL yourself instead of running the task — the
-         deterministic process-kill injection point behind
-         [--shard-kill-nth] *)
+         deterministic process-kill injection point behind a fault plan's
+         [kill-worker=N] *)
   | Shutdown
 
 type to_coordinator =

@@ -197,23 +197,18 @@ let encode ?(block_cap = default_block_cap) (eb : Edgebuf.t) : Bytes.t * int =
 (* Atomically replace [path] with the first [len] bytes of [b]: write a
    sibling temp file, then rename over the target.  POSIX rename is atomic,
    so a crash leaves either the complete old contents or the complete new
-   contents.  An injected [`Short] write persists only half the temp file
-   and fails — the target is untouched, and the next successful write
+   contents.  An injected torn write persists only half the temp file and
+   fails — the target is untouched, and the next successful write
    overwrites the garbage temp file. *)
 let atomic_write ~path (b : Bytes.t) ~len : unit =
   let tmp = path ^ ".tmp" in
-  (match Faults.on_write ~path with
-  | `Ok ->
-      let oc = open_out_bin tmp in
-      output oc b 0 len;
-      close_out oc
-  | `Short ->
-      let oc = open_out_bin tmp in
-      output oc b 0 (len / 2);
-      close_out oc;
-      raise
-        (Faults.Injected
-           (Printf.sprintf "injected short write on %s" (Filename.basename path))));
+  let write n =
+    let oc = open_out_bin tmp in
+    output oc b 0 n;
+    close_out oc
+  in
+  Faults.on_write ~path ~tear:(fun () -> write (len / 2));
+  write len;
   Faults.before_rename ~path;
   Sys.rename tmp path;
   Faults.after_rename ~path

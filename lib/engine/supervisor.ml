@@ -1,14 +1,15 @@
 (* Supervised multi-process shard runtime (ISSUE 8).
 
    The coordinator forks [procs] worker processes and feeds them tasks over
-   the [Shardproc] frame protocol, supervising each worker with heartbeats
-   and an optional per-dispatch wall deadline.  A worker that dies (nonzero
-   exit, signal, closed pipe), goes silent for [max_missed_heartbeats]
-   heartbeat periods, or overruns the deadline is SIGKILLed and replaced,
+   the [Shardproc] frame protocol, supervising each worker with heartbeats.
+   A worker that dies (nonzero exit, signal, closed pipe) or goes silent
+   for [max_missed_heartbeats] heartbeat periods is SIGKILLed and replaced,
    and its in-flight task is re-dispatched to a fresh attempt after a
    seeded exponential backoff — restarting from whatever checkpoint state
    the task's own [run] callback persisted.  After [max_redispatch]
    re-dispatches a task degrades to [Degraded] instead of stalling the run.
+   A fault plan's [kill-worker=N] directive SIGKILLs the worker given the
+   run's Nth assignment (see [Faults.kills_worker]).
 
    Result frames are deduplicated by (task, attempt): only the attempt the
    coordinator currently has outstanding may complete a task, so a worker
@@ -27,25 +28,18 @@ type config = {
   heartbeat_ms : float;      (* worker heartbeat period *)
   max_missed_heartbeats : int;
       (* heartbeat periods of silence before a worker is presumed hung *)
-  deadline_s : float;        (* wall deadline per dispatch; 0 = none *)
   max_redispatch : int;      (* re-dispatches per task before degrading *)
   retry_seed : int;          (* seed of the re-dispatch backoff jitter *)
   retry_base_ms : float;     (* base delay of the re-dispatch backoff *)
-  kill_nth : int;
-      (* SIGKILL the worker receiving the Nth assignment of the run, just
-         before it starts the task (0 = off): a deterministic process-kill
-         injection point for tests and CI *)
 }
 
 let default_config =
   { procs = 2;
     heartbeat_ms = 100.;
     max_missed_heartbeats = 50;
-    deadline_s = 0.;
     max_redispatch = 3;
     retry_seed = 0x6a09;
-    retry_base_ms = 2.;
-    kill_nth = 0 }
+    retry_base_ms = 2. }
 
 type outcome =
   | Completed of { payload : string; slot : int; wall_s : float }
@@ -195,7 +189,7 @@ let run ?reg ~(config : config) ~(tasks : string array)
           pending :=
             List.filter (fun (t, a, _) -> (t, a) <> (task, attempt)) !pending;
           incr assign_seq;
-          let self_kill = config.kill_nth > 0 && !assign_seq = config.kill_nth in
+          let self_kill = Faults.kills_worker ~nth:!assign_seq in
           w.assigned <- Some (task, attempt, now);
           (try
              Shardproc.write_frame w.to_w
@@ -269,18 +263,11 @@ let run ?reg ~(config : config) ~(tasks : string array)
                 if eof then handle_death w now
               end)
             (live ());
-          (* deadline and heartbeat supervision *)
+          (* heartbeat supervision *)
           let now = Unix.gettimeofday () in
           List.iter
             (fun (w : worker) ->
-              let overdue =
-                match w.assigned with
-                | Some (_, _, start) ->
-                    config.deadline_s > 0. && now -. start > config.deadline_s
-                | None -> false
-              in
-              let silent = now -. w.last_frame > silence_s in
-              if overdue || silent then handle_death w now)
+              if now -. w.last_frame > silence_s then handle_death w now)
             (live ());
           (* every worker dead with work outstanding (spawn cap exhausted
              mid-loop): degrade what remains rather than spin forever *)

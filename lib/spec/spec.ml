@@ -900,185 +900,8 @@ let equivalent (a : Fsm.t) (b : Fsm.t) : bool =
 (* Built-in spec texts                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* The DSL sources of every built-in checker: the paper's five, then the
-   four further shipped properties.  The same texts are shipped as
-   specs/*.gspec; the test suite asserts the files and these strings stay
-   in sync. *)
-module Builtin = struct
-  let paper =
-    {|# The paper's checkers (section 5): Java I/O resources, lock usage,
-# exception handling and socket usage, plus the null-dereference client
-# built on the same machinery.  Tracking starts at the allocation, so
-# each initial state is the state *after* the constructor event: a
-# FileWriter is Open as soon as it exists (Figure 3a).
-
-# Figure 3a: Open --write*--> Open --close--> Closed; a write after close
-# is an error; an object not Closed at end of life leaks.
-property io {
-  track FileWriter, FileReader, FileInputStream, FileOutputStream, BufferedWriter, BufferedReader, PrintWriter, DataOutputStream;
-  initial Open;
-  accepting Closed;
-  on Open close -> Closed;
-  on Open flush -> Open;
-  on Open read -> Open;
-  on Open write -> Open;
-  on Closed close -> Closed;
-  on Closed flush -> Error;
-  on Closed read -> Error;
-  on Closed write -> Error;
-}
-
-# lock/unlock pairing: unlock without a held lock is an error; a lock
-# still held at end of life is reported as a leak.
-property lock {
-  track ReentrantLock, Lock, ReadLock, WriteLock;
-  initial Unlocked;
-  accepting Unlocked;
-  state Locked;
-  on Unlocked lock -> Locked;
-  on Unlocked unlock -> Error;
-  on Locked unlock -> Unlocked;
-}
-
-# Exception handling (section 5.1): an explicitly thrown exception that
-# escapes every transitive caller unhandled.  A walk over the clone
-# tree, not a typestate.
-property exception {
-  kind exception;
-}
-
-# Figure 2, extended: a channel is Open on creation, must be bound
-# before accepting, and must be closed before the program exits.
-property socket {
-  track Socket, ServerSocket, ServerSocketChannel, SocketChannel;
-  initial Open;
-  accepting Closed;
-  state Bound;
-  state Ready;
-  on Open accept -> Error;
-  on Open bind -> Bound;
-  on Open close -> Closed;
-  on Open configureBlocking -> Open;
-  on Open connect -> Ready;
-  on Open setTcpNoDelay -> Open;
-  on Closed accept -> Error;
-  on Closed bind -> Error;
-  on Closed connect -> Error;
-  on Bound accept -> Ready;
-  on Bound close -> Closed;
-  on Bound configureBlocking -> Bound;
-  on Ready accept -> Ready;
-  on Ready close -> Closed;
-  on Ready read -> Ready;
-  on Ready write -> Ready;
-}
-
-# Null dereference: each null assignment is a pseudo-allocation of the
-# <null> class; in strict mode any call on a receiver that may still hold
-# that null on a feasible path goes to Error.  Variable versioning kills
-# the source on reassignment, and path sensitivity confines the report
-# to the paths where the null reaches the call.
-property null {
-  track "<null>";
-  initial Null;
-  accepting Null;
-  strict;
-}
-
-|}
-
-  let lock_order =
-    {|# Lock-order inversion: a LockPair object owns two locks A and B that
-# must always be acquired A-first.  The checker is the product of two
-# simpler properties: pairing (lock/unlock discipline for A) and
-# ordering (B must not be the first lock taken).
-
-property lock_pairing {
-  track LockPair;
-  initial NoA;
-  accepting NoA;
-  state HeldA;
-  event lockA = call lockA;
-  event unlockA = call unlockA;
-  on NoA lockA -> HeldA;
-  on HeldA lockA -> HeldA;
-  on HeldA unlockA -> NoA;
-  on NoA unlockA -> Error;
-}
-
-property lock_ordering {
-  track LockPair;
-  initial Start;
-  accepting Start, AFirst;
-  event lockA = call lockA;
-  event lockB = call lockB;
-  on Start lockA -> AFirst;
-  on Start lockB -> Error;
-  on AFirst lockA -> AFirst;
-  on AFirst lockB -> AFirst;
-}
-
-property lock_order = product(lock_pairing, lock_ordering) {
-  error "lock-order inversion on {class}: B acquired before A";
-}
-|}
-
-  let taint =
-    {|# Taint source-to-sink flow: a UserInput object is tainted from
-# allocation; passing it to a sink (exec, send with mode flag 0, or a
-# field store) before sanitize() is an error.
-
-property taint {
-  track UserInput;
-  initial Tainted;
-  accepting Tainted, Clean;
-  error Error "tainted {class} reaches a sink without sanitize()";
-  event sanitize = call sanitize;
-  event sink = call exec;
-  event sink = call send when arg 0 == 0;
-  event sink = store;
-  on Tainted sanitize -> Clean;
-  on Clean sanitize -> Clean;
-  on Tainted sink -> Error;
-  on Clean sink -> Clean;
-}
-|}
-
-  let close =
-    {|# Double-close / use-after-close for random-access handles.
-
-property close {
-  track RandomAccessFile, FileChannel;
-  initial Open;
-  accepting Closed;
-  error Error "{class} closed twice or used after close";
-  event close = call close;
-  event use = call read;
-  event use = call write;
-  event use = call seek;
-  on Open close -> Closed;
-  on Open use -> Open;
-  on Closed close -> Error;
-  on Closed use -> Error;
-}
-|}
-
-  let exc_twr =
-    {|# Try-with-resources-aware exception checker: like the built-in
-# exception walk, but an undeclared throw that a caller demonstrably
-# catches (an enclosing try whose handler matches the exception class)
-# is not reported.  Kills the paper's residual false-positive class.
-
-property exc_twr {
-  kind exception;
-  handler_aware;
-}
-|}
-
-  let all =
-    [ ("paper.gspec", paper);
-      ("lock_order.gspec", lock_order);
-      ("taint.gspec", taint);
-      ("close.gspec", close);
-      ("exc_twr.gspec", exc_twr) ]
-end
+(* The DSL sources of every built-in checker, in table order: the paper's
+   five, then the four further shipped properties.  A dune rule generates
+   the module from the shipped specs/*.gspec files, so there is one copy of
+   each text. *)
+module Builtin = Builtin

@@ -49,7 +49,10 @@ let test_plan_parse () =
       ignore (Faults.parse "bogus=1"));
   (match Faults.parse "rate=1.5" with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "rate out of range accepted")
+  | _ -> Alcotest.fail "rate out of range accepted");
+  Alcotest.(check bool) "kill-worker" true
+    ((Faults.parse "kill-worker=2").Faults.directives
+    = [ Faults.Nth (Faults.Kill_worker, 2) ])
 
 (* ---------------- storage: torn and damaged files ---------------- *)
 
@@ -161,6 +164,16 @@ let test_short_write_leaves_target () =
   let v3 = edges 4 in
   let _ = write_edges ~path v3 in
   Alcotest.(check bool) "clean write wins" true (fst (read_edges path) = v3)
+
+(* A torn write is an injected fault like any other: it reaches the plan's
+   count, and through it the stats line's faults-injected. *)
+let test_short_write_counted () =
+  let path = Filename.concat (fresh_workdir ()) "n.edges" in
+  with_plan "short-write=1" (fun () ->
+      (match write_edges ~path (edges 3) with
+      | _ -> Alcotest.fail "short write did not fire"
+      | exception Faults.Injected _ -> ());
+      Alcotest.(check int) "one injected fault" 1 (Faults.injected_count ()))
 
 (* ---------------- manifest ---------------- *)
 
@@ -618,29 +631,42 @@ let rendered (pr : Grapple.Pipeline.property_result) =
   String.concat "\n"
     (List.map Suite_parallel.render_report pr.Grapple.Pipeline.reports)
 
+(* This run makes only about ten storage operations, so whether one seed
+   of a plan fires in it is luck.  Every seed of 1-20 must leave the
+   warnings and the instance intact; most must fire and retry. *)
 let test_pipeline_identical_under_rate_faults () =
   let p0, pr0, _ = check_leak () in
   let expect = rendered pr0 in
   Grapple.Pipeline.cleanup p0 [ pr0 ];
-  (* a plan that fires within the few storage operations of this run *)
-  with_plan "seed=7,rate=0.3" (fun () ->
-      let p, pr, stats = check_leak () in
-      Alcotest.(check string) "warnings identical" expect (rendered pr);
-      Alcotest.(check bool) "faults fired" true
-        (stats.Grapple.Pipeline.n_faults_injected > 0);
-      Alcotest.(check bool) "retries counted" true
-        (stats.Grapple.Pipeline.n_retried > 0);
-      Alcotest.(check int) "nothing degraded" 0
-        stats.Grapple.Pipeline.n_inconclusive;
-      Grapple.Pipeline.cleanup p [ pr ])
+  let fired = ref 0 and retried = ref 0 in
+  for seed = 1 to 20 do
+    with_plan (Printf.sprintf "seed=%d,rate=0.3" seed) (fun () ->
+        let p, pr, stats = check_leak () in
+        let what = Printf.sprintf "seed %d: " seed in
+        Alcotest.(check string) (what ^ "warnings identical") expect
+          (rendered pr);
+        Alcotest.(check int) (what ^ "nothing degraded") 0
+          stats.Grapple.Pipeline.n_inconclusive;
+        if stats.Grapple.Pipeline.n_faults_injected > 0 then incr fired;
+        if stats.Grapple.Pipeline.n_retried > 0 then incr retried;
+        Grapple.Pipeline.cleanup p [ pr ])
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "faults fired under %d of 20 seeds" !fired)
+    true (!fired >= 15);
+  Alcotest.(check bool)
+    (Printf.sprintf "retries counted under %d of 20 seeds" !retried)
+    true (!retried >= 15)
 
 let test_pipeline_budget_degrades () =
   let p, pr, stats =
     check_leak
       ~config_f:(fun c ->
         { c with
-          Grapple.Pipeline.instance_edge_budget = 1;
-          Grapple.Pipeline.max_retries = 0 })
+          Grapple.Pipeline.engine =
+            { c.Grapple.Pipeline.engine with
+              Engine.edge_budget = 1;
+              max_retries = 0 } })
       ()
   in
   (match pr.Grapple.Pipeline.degraded with
@@ -653,23 +679,16 @@ let test_pipeline_budget_degrades () =
   Grapple.Pipeline.cleanup p [ pr ]
 
 let test_pipeline_fault_recovers () =
-  (* op-level retries disabled, so a single injected write failure escalates
-     to the supervisor, which restarts the sub-run from its checkpoint: the
-     instance must be recovered, not degraded, with identical warnings *)
+  (* four consecutive faults on one write outlast its three op-level
+     retries, so the failure escalates to the instance, which restarts from
+     its checkpoint: the instance must be recovered, not degraded, with
+     identical warnings *)
   let p0, pr0, _ = check_leak () in
   let expect = rendered pr0 in
   Grapple.Pipeline.cleanup p0 [ pr0 ];
-  with_plan "fail-write=8" (fun () ->
-      let p, pr, stats =
-        check_leak
-          ~config_f:(fun c ->
-            { c with
-              Grapple.Pipeline.engine =
-                { c.Grapple.Pipeline.engine with Engine.max_retries = 0 } })
-          ()
-      in
-      Alcotest.(check bool) "the fault fired" true
-        (Faults.injected_count () = 1);
+  with_plan "fail-write=8,fail-write=9,fail-write=10,fail-write=11" (fun () ->
+      let p, pr, stats = check_leak () in
+      Alcotest.(check int) "the faults fired" 4 (Faults.injected_count ());
       Alcotest.(check string) "warnings identical" expect (rendered pr);
       Alcotest.(check int) "nothing degraded" 0
         stats.Grapple.Pipeline.n_inconclusive;
@@ -677,6 +696,33 @@ let test_pipeline_fault_recovers () =
         (stats.Grapple.Pipeline.n_recovered > 0
         && stats.Grapple.Pipeline.n_retried > 0);
       Grapple.Pipeline.cleanup p [ pr ])
+
+(* The engine's edge budget bounds each checking instance and never phase
+   1, which is shared preprocessing: [prepare] completes under a budget of
+   one edge, and every instance degrades. *)
+let test_pipeline_edge_budget_spares_phase1 () =
+  let program = Suite_parallel.generated ~seed:11 in
+  let workdir = fresh_workdir () in
+  let config =
+    { (Grapple.Pipeline.default_config ~workdir) with
+      Grapple.Pipeline.engine =
+        { (Engine.default_config ~workdir) with
+          Engine.retry_base_ms = 0.01;
+          edge_budget = 1 } }
+  in
+  let p = Grapple.Pipeline.prepare ~config ~workdir program in
+  let fsms = Checkers.fsms (Checkers.all ()) in
+  let props, _ = Grapple.Pipeline.check_properties p fsms in
+  List.iter
+    (fun (pr : Grapple.Pipeline.property_result) ->
+      Alcotest.(check bool)
+        (pr.Grapple.Pipeline.fsm.Fsm.name ^ " degraded")
+        true
+        (pr.Grapple.Pipeline.degraded <> None))
+    props;
+  Alcotest.(check int) "n_inconclusive" (List.length fsms)
+    (Grapple.Pipeline.stats p props).Grapple.Pipeline.n_inconclusive;
+  Grapple.Pipeline.cleanup p props
 
 let test_pipeline_resume_byte_identical () =
   let p0, pr0, _ = check_leak () in
@@ -735,6 +781,8 @@ let suite =
     Alcotest.test_case "crash after rename" `Quick test_crash_after_rename;
     Alcotest.test_case "short write leaves target" `Quick
       test_short_write_leaves_target;
+    Alcotest.test_case "short write counts as an injected fault" `Quick
+      test_short_write_counted;
     Alcotest.test_case "manifest roundtrip" `Quick test_manifest_roundtrip;
     Alcotest.test_case "manifest truncated header" `Quick
       test_manifest_truncated_header;
@@ -759,6 +807,8 @@ let suite =
       test_pipeline_budget_degrades;
     Alcotest.test_case "pipeline fault recovers" `Quick
       test_pipeline_fault_recovers;
+    Alcotest.test_case "pipeline edge budget spares phase 1" `Quick
+      test_pipeline_edge_budget_spares_phase1;
     Alcotest.test_case "pipeline resume byte identical" `Quick
       test_pipeline_resume_byte_identical;
     Alcotest.test_case "smt budget sound" `Quick test_smt_budget_sound ]

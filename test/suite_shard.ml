@@ -6,9 +6,9 @@
    under deterministic SIGKILL injection; a worker killed mid-instance is
    re-dispatched from its checkpoint manifest with zero lost instances; and
    an instance that keeps losing its worker degrades to [Inconclusive]
-   instead of stalling or aborting the run.  Unit tests pin the supervisor
-   itself: completion, re-dispatch after worker death, the degradation
-   ladder, and deadline kills. *)
+   instead of stalling or aborting the run, past the engine's one retry
+   cap.  Unit tests pin the supervisor itself: completion, re-dispatch
+   after worker death, and the degradation ladder. *)
 
 module Faults = Engine.Faults
 module Supervisor = Engine.Supervisor
@@ -37,15 +37,12 @@ let cval reg name = R.value (R.counter reg name)
 (* ---------------- supervisor unit tests ---------------- *)
 
 (* Fast heartbeats and tiny backoffs so worker deaths settle quickly. *)
-let sup_config ?(procs = 1) ?(max_redispatch = 2) ?(deadline_s = 0.)
-    ?(kill_nth = 0) () =
+let sup_config ?(procs = 1) ?(max_redispatch = 2) () =
   { Supervisor.default_config with
     Supervisor.procs;
     heartbeat_ms = 20.;
     max_redispatch;
-    deadline_s;
-    retry_base_ms = 0.01;
-    kill_nth }
+    retry_base_ms = 0.01 }
 
 let test_supervisor_completes () =
   let reg = R.create () in
@@ -116,28 +113,6 @@ let test_supervisor_degrades_after_limit () =
   Alcotest.(check int) "every dispatch killed a worker" 3
     (cval reg "supervisor.kills")
 
-(* A dispatch that overruns its wall deadline is killed and re-dispatched;
-   the retry (which returns promptly) completes the task. *)
-let test_supervisor_deadline_kill () =
-  let reg = R.create () in
-  let outcomes =
-    Supervisor.run ~reg
-      ~config:(sup_config ~deadline_s:0.4 ())
-      ~tasks:[| "slow" |]
-      ~run_task:(fun ~task:_ ~attempt ->
-        if attempt = 0 then Unix.sleep 30;
-        "woke")
-      ()
-  in
-  (match outcomes.(0) with
-  | Supervisor.Completed { payload; _ } ->
-      Alcotest.(check string) "payload" "woke" payload
-  | Supervisor.Degraded r -> Alcotest.failf "degraded: %s" r);
-  Alcotest.(check bool) "deadline killed the first dispatch" true
-    (cval reg "supervisor.kills" >= 1);
-  Alcotest.(check bool) "and re-dispatched it" true
-    (cval reg "supervisor.redispatches" >= 1)
-
 (* The cooperative interrupt flag: request -> engines raise [Interrupted]
    at their next budget poll; reset -> they don't. *)
 let test_interrupt_flag () =
@@ -154,9 +129,11 @@ let test_interrupt_flag () =
 
 (* ---------------- pipeline-level shard runs ---------------- *)
 
-(* Like [Suite_parallel.run] but through the shard-process scheduler. *)
-let run_shard ?(procs = 2) ?(kill_nth = 0) ?(max_redispatch = 3) ?plan
-    ?budget ?(throwers = []) program : Suite_parallel.outcome =
+(* Like [Suite_parallel.run] but through the shard-process scheduler.
+   [max_retries] is the engine's one retry cap, which also caps
+   re-dispatches. *)
+let run_shard ?(procs = 2) ?(max_retries = 3) ?plan ?budget ?(throwers = [])
+    program : Suite_parallel.outcome =
   let workdir = fresh_workdir () in
   let saved = Faults.current () in
   (match plan with
@@ -172,10 +149,9 @@ let run_shard ?(procs = 2) ?(kill_nth = 0) ?(max_redispatch = 3) ?plan
       track_null = true;
       prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = procs;
-      heartbeat_ms = 20.;
-      max_redispatch;
-      shard_kill_nth = kill_nth;
-      engine = Suite_parallel.engine_config ?budget ~workdir () }
+      engine =
+        { (Suite_parallel.engine_config ?budget ~workdir ()) with
+          Engine.max_retries } }
   in
   let prepared = Pipeline.prepare ~config ~workdir program in
   let results, props, schedule =
@@ -262,14 +238,15 @@ let test_shard_smt_budget_hits () =
   Suite_parallel.check_same ~what:"smt budget 1, in-process vs p2" inproc
     shard2
 
-(* Deterministic SIGKILL of the worker holding the Nth assignment: the
-   killed worker is replaced, the instance re-dispatched and re-run from
-   scratch, and both reports and counters match the kill-free shard run —
-   re-dispatches surface only in the supervisor's own counters. *)
+(* Deterministic SIGKILL of the worker holding the Nth assignment (the
+   plan's [kill-worker=N]): the killed worker is replaced, the instance
+   re-dispatched and re-run from scratch, and both reports and counters
+   match the kill-free shard run — re-dispatches surface only in the
+   supervisor's own counters. *)
 let test_shard_kill_nth () =
   let program = Suite_parallel.generated ~seed:22 in
   let base = run_shard ~procs:2 program in
-  let out = run_shard ~procs:2 ~kill_nth:2 program in
+  let out = run_shard ~procs:2 ~plan:"kill-worker=2" program in
   Suite_parallel.check_same ~what:"SIGKILL-on-2nd-assignment" base out;
   let reg = out.Suite_parallel.o_stats.Pipeline.registry in
   Alcotest.(check bool) "redispatch counter > 0" true
@@ -292,10 +269,10 @@ let test_shard_crash_mid_instance () =
       Pipeline.track_null = true;
       prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 2;
-      heartbeat_ms = 20.;
-      max_redispatch = 50;
       engine =
-        { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
+        { (Engine.default_config ~workdir) with
+          Engine.retry_base_ms = 0.01;
+          max_retries = 50 } }
   in
   (* phases 0/1 run clean; the crash plan arms for the checking phase only *)
   let prepared = Pipeline.prepare ~config ~workdir program in
@@ -315,8 +292,9 @@ let test_shard_crash_mid_instance () =
   Alcotest.(check bool) "workers actually died and were re-dispatched" true
     (cval stats.Pipeline.registry "supervisor.redispatches" > 0)
 
-(* Past the re-dispatch limit the instance degrades to [Inconclusive] —
-   the same sound contract as budget exhaustion — and the run still ends. *)
+(* Past the retry cap, which also caps re-dispatches, the instance degrades
+   to [Inconclusive] — the same sound contract as budget exhaustion — and
+   the run still ends. *)
 let test_shard_degrade_to_inconclusive () =
   let program = Suite_parallel.generated ~seed:11 in
   let workdir = fresh_workdir () in
@@ -325,10 +303,10 @@ let test_shard_degrade_to_inconclusive () =
       Pipeline.track_null = true;
       prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 1;
-      heartbeat_ms = 20.;
-      max_redispatch = 0;
       engine =
-        { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
+        { (Engine.default_config ~workdir) with
+          Engine.retry_base_ms = 0.01;
+          max_retries = 0 } }
   in
   let prepared = Pipeline.prepare ~config ~workdir program in
   let saved = Faults.current () in
@@ -347,6 +325,24 @@ let test_shard_degrade_to_inconclusive () =
     (cval stats.Pipeline.registry "supervisor.degraded");
   Alcotest.(check bool) "inconclusive reports are visible in the output" true
     (contains rendered "inconclusive")
+
+(* One cap for both executors: an instance whose worker is killed once
+   needs one re-dispatch, which [max_retries = 1] allows — the run equals
+   the kill-free one — and [max_retries = 0] does not: that instance alone
+   degrades. *)
+let test_shard_kill_within_cap () =
+  let program = Suite_parallel.generated ~seed:22 in
+  let base = run_shard ~procs:2 program in
+  let kept = run_shard ~procs:2 ~max_retries:1 ~plan:"kill-worker=1" program in
+  Suite_parallel.check_same ~what:"one kill, max_retries 1" base kept;
+  let reg = kept.Suite_parallel.o_stats.Pipeline.registry in
+  Alcotest.(check int) "one re-dispatch" 1 (cval reg "supervisor.redispatches");
+  let lost = run_shard ~procs:2 ~max_retries:0 ~plan:"kill-worker=1" program in
+  let reg = lost.Suite_parallel.o_stats.Pipeline.registry in
+  Alcotest.(check int) "no re-dispatch" 0 (cval reg "supervisor.redispatches");
+  Alcotest.(check int) "the killed instance degraded" 1
+    lost.Suite_parallel.o_stats.Pipeline.n_inconclusive;
+  Alcotest.(check int) "and only it" 1 (cval reg "supervisor.degraded")
 
 (* ---------------- frame checksums ---------------- *)
 
@@ -395,8 +391,6 @@ let suite =
       test_supervisor_redispatch_recovers;
     Alcotest.test_case "supervisor: degrade past the re-dispatch limit" `Quick
       test_supervisor_degrades_after_limit;
-    Alcotest.test_case "supervisor: deadline kill and recovery" `Quick
-      test_supervisor_deadline_kill;
     Alcotest.test_case "interrupt: flag set/raise/reset" `Quick
       test_interrupt_flag;
     Alcotest.test_case "differential: in-process vs 1/2/4 procs" `Quick
@@ -411,5 +405,7 @@ let suite =
       test_shard_crash_mid_instance;
     Alcotest.test_case "degraded mode: inconclusive past the limit" `Quick
       test_shard_degrade_to_inconclusive;
+    Alcotest.test_case "degraded mode: one kill within max_retries" `Quick
+      test_shard_kill_within_cap;
     Alcotest.test_case "frame checksum: corruption is a dead peer" `Quick
       test_frame_checksum_detects_corruption ]

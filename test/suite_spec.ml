@@ -243,7 +243,8 @@ let test_paper_checkers_golden () =
           (fun n -> render_paper_checker (Checkers.resolve n))
           [ "io"; "lock"; "exception"; "socket"; "null" ]))
 
-(* the shipped specs/*.gspec files are the embedded Builtin texts *)
+(* Spec.Builtin is generated from the shipped specs/*.gspec files: the rule
+   covers every file, and gives each file name its own text *)
 let test_shipped_specs_in_sync () =
   let read path =
     let ic = open_in_bin path in
@@ -251,6 +252,13 @@ let test_shipped_specs_in_sync () =
     close_in ic;
     s
   in
+  let shipped =
+    Sys.readdir "../specs" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".gspec")
+    |> List.sort compare
+  in
+  Alcotest.(check (list string)) "every shipped spec is built in" shipped
+    (List.sort compare (List.map fst Spec.Builtin.all));
   List.iter
     (fun (file, text) ->
       Alcotest.(check string) ("specs/" ^ file) text
