@@ -185,8 +185,8 @@ let fault_plan_arg =
        & info [ "fault-plan" ] ~docv:"SPEC"
            ~doc:"install a deterministic fault plan, e.g. \
                  `seed=7,rate=0.05', `fail-write=3,crash-checkpoint=2' or \
-                 `kill-worker=2' (SIGKILL the shard worker given the 2nd \
-                 instance assignment) to test the resilience layer; also \
+                 `kill-worker=2' (SIGKILL the shard worker of the 2nd \
+                 instance dispatch) to test the resilience layer; also \
                  read from the GRAPPLE_FAULT_PLAN environment variable")
 
 let workers_arg =
@@ -202,11 +202,12 @@ let workers_arg =
 let shard_procs_arg =
   Arg.(value & opt (some int) None
        & info [ "shard-procs" ] ~docv:"N"
-           ~doc:"run the phase-2/3 checking instances in N supervised \
-                 worker $(i,processes) instead of in-process domains \
-                 (default: the GRAPPLE_SHARD_PROCS environment variable, \
-                 else 0 = in-process).  A worker that crashes or hangs is \
-                 killed and its instance re-dispatched from its checkpoint \
+           ~doc:"run the phase-2/3 checking instances in forked worker \
+                 $(i,processes), one per attempt and at most N at a time, \
+                 instead of in-process domains (default: the \
+                 GRAPPLE_SHARD_PROCS environment variable, else 0 = \
+                 in-process).  An attempt whose process crashes or is \
+                 killed is re-dispatched from its instance's checkpoint \
                  manifest; the warning report is byte-identical at every \
                  process count")
 

@@ -64,9 +64,10 @@ type config = {
          and counters *)
   shard_procs : int;
       (* worker *processes* for the phase-2/3 instances (ISSUE 8): 0 runs
-         them in-process (on [workers] domains); N > 0 forks N crash-isolated
-         worker processes supervised with heartbeats and re-dispatch.
-         Reports are byte-identical at every process count *)
+         them in-process (on [workers] domains); N > 0 runs each attempt in
+         its own forked, crash-isolated process, at most N at a time, and
+         re-dispatches a lost one.  Reports are byte-identical at every
+         process count *)
   weaken_tier : tier option;
       (* TEST-ONLY soundness-harness hook (ISSUE 9): deliberately break one
          triage tier so the reference-interpreter fuzzer can prove it would
@@ -160,7 +161,7 @@ type prepared = {
   faults : fault_stats;
   sup_reg : Obs.Registry.t;
       (* the shard supervisor's metric registry (spawns, kills,
-         re-dispatches, heartbeat latency); empty in in-process runs *)
+         re-dispatches, degradations); empty in in-process runs *)
 }
 
 let timed cell f =
@@ -685,12 +686,13 @@ let check_property (p : prepared) (fsm : Fsm.t) : property_result =
      stops pulling work and the crash is re-raised once every worker has
      joined, with nothing of the in-memory run surviving — exactly what
      [--resume] is for.
-   - N > 0: [Engine.Supervisor] runs each dispatch in one of N forked worker
-     processes, so an instance that OOMs, segfaults, or wedges takes down
-     only its worker.  A lost instance is re-dispatched and resumes from its
-     checkpoint manifest; each dispatch re-derives the instance's plan from
-     scratch (fresh counters, same salt).  Past the engine's [max_retries]
-     losses it degrades to [Inconclusive], like budget exhaustion. *)
+   - N > 0: [Engine.Supervisor] runs each dispatch in its own forked
+     process, at most N at a time, so an instance that OOMs or segfaults
+     takes down only that process.  A lost instance is re-dispatched and
+     resumes from its checkpoint manifest; each dispatch re-derives the
+     instance's plan from scratch (fresh counters, same salt).  Past the
+     engine's [max_retries] losses it degrades to [Inconclusive], like
+     budget exhaustion. *)
 
 type schedule_entry = {
   s_instance : string;  (* the FSM / checker name *)
@@ -755,8 +757,7 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
   if p.config.shard_procs > 0 then begin
     let e = p.config.engine in
     let sup_config =
-      { Engine.Supervisor.default_config with
-        Engine.Supervisor.procs = p.config.shard_procs;
+      { Engine.Supervisor.procs = p.config.shard_procs;
         max_redispatch = e.Engine.max_retries;
         retry_seed = e.Engine.retry_seed;
         retry_base_ms = e.Engine.retry_base_ms }
@@ -915,8 +916,8 @@ let stats (p : prepared) (props : property_result list) : stats =
   (* enrich the merged registry with the pipeline- and solver-level numbers
      so [--metrics-json] is one self-contained document *)
   let reg = Engine.Metrics.registry m in
-  (* fold in the shard supervisor's counters (spawns/kills/re-dispatches,
-     heartbeat histogram); empty when the run was in-process *)
+  (* fold in the shard supervisor's counters (spawns/kills/re-dispatches/
+     degradations); empty when the run was in-process *)
   Obs.Registry.merge ~into:reg p.sup_reg;
   let set_g name v = Obs.Registry.gauge_set (Obs.Registry.gauge reg name) v in
   let set_c name v = Obs.Registry.set (Obs.Registry.counter reg name) v in

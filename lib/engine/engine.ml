@@ -49,7 +49,6 @@ module Faults = Faults
 module Manifest = Manifest
 module Domains = Domains
 module Interrupt = Interrupt
-module Shardproc = Shardproc
 module Supervisor = Supervisor
 module Encoding = Pathenc.Encoding
 module Formula = Smt.Formula

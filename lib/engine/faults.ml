@@ -2,7 +2,7 @@
 
    A fault plan is a seeded description of which operations fail and how.
    The plan is installed process-wide; the storage primitives consult it at
-   each operation, and the shard supervisor at each instance assignment, so
+   each operation, and the shard supervisor at each instance dispatch, so
    every layer above (engine retries, the pipeline's attempts, re-dispatch,
    checkpoint/resume) can be exercised against reproducible failures.  Three
    classes of injected event:
@@ -13,8 +13,8 @@
      rename, or at a checkpoint boundary): nothing may catch it except a
      test harness standing in for process supervision; recovery happens via
      [--resume] in a fresh run.
-   - A killed worker: the shard worker process that receives the Nth
-     instance assignment of the run is SIGKILLed before it starts the
+   - A killed worker: the shard worker process forked for the Nth
+     instance dispatch of the run is SIGKILLed before it starts the
      instance, and the supervisor must re-dispatch it or degrade it.
 
    All decisions are pure functions of (seed, per-kind operation counter),
@@ -27,7 +27,7 @@ type kind =
   | Crash_before_rename   (* kill between temp write and publish *)
   | Crash_after_rename    (* kill just after publish *)
   | Crash_checkpoint      (* kill at a checkpoint boundary *)
-  | Kill_worker           (* SIGKILL the shard worker given an assignment *)
+  | Kill_worker           (* SIGKILL the shard worker of a dispatch *)
 
 type directive =
   | Nth of kind * int  (* fire on the Nth operation of the matching class *)
@@ -263,7 +263,7 @@ let on_checkpoint () =
       if nth_hit p Crash_checkpoint p.n_checkpoints then
         raise (Crash (Printf.sprintf "crash at checkpoint #%d" p.n_checkpoints))
 
-(* Consulted by the shard supervisor, in the calling domain, as it hands out
-   the run's [nth] instance assignment. *)
+(* Consulted by the shard supervisor, in the calling domain, as it forks
+   the worker of the run's [nth] instance dispatch. *)
 let kills_worker ~nth =
   match active () with Some p -> nth_hit p Kill_worker nth | None -> false

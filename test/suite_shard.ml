@@ -7,8 +7,9 @@
    re-dispatched from its checkpoint manifest with zero lost instances; and
    an instance that keeps losing its worker degrades to [Inconclusive]
    instead of stalling or aborting the run, past the engine's one retry
-   cap.  Unit tests pin the supervisor itself: completion, re-dispatch
-   after worker death, and the degradation ladder. *)
+   cap.  Unit tests pin the supervisor itself: one process per dispatch,
+   re-dispatch after a lost attempt, the degradation ladder, interrupts,
+   reaping only its own children, and the checksummed result frame. *)
 
 module Faults = Engine.Faults
 module Supervisor = Engine.Supervisor
@@ -36,12 +37,9 @@ let cval reg name = R.value (R.counter reg name)
 
 (* ---------------- supervisor unit tests ---------------- *)
 
-(* Fast heartbeats and tiny backoffs so worker deaths settle quickly. *)
+(* Tiny backoffs so lost attempts settle quickly. *)
 let sup_config ?(procs = 1) ?(max_redispatch = 2) () =
-  { Supervisor.default_config with
-    Supervisor.procs;
-    heartbeat_ms = 20.;
-    max_redispatch;
+  { Supervisor.procs; max_redispatch; retry_seed = 0x6a09;
     retry_base_ms = 0.01 }
 
 let test_supervisor_completes () =
@@ -67,9 +65,10 @@ let test_supervisor_completes () =
       | Supervisor.Degraded r -> Alcotest.failf "task %d degraded: %s" i r)
     outcomes;
   Alcotest.(check int) "no kills" 0 (cval reg "supervisor.kills");
-  Alcotest.(check int) "two workers spawned" 2 (cval reg "supervisor.spawns")
+  Alcotest.(check int) "one process per dispatch" 3
+    (cval reg "supervisor.spawns")
 
-(* A task that dies on its first attempt (the worker process exits) and
+(* A task that dies on its first attempt (its process exits) and
    succeeds on the re-dispatch: the instance completes with one kill and
    one re-dispatch on the books. *)
 let test_supervisor_redispatch_recovers () =
@@ -90,7 +89,7 @@ let test_supervisor_redispatch_recovers () =
     (cval reg "supervisor.kills" >= 1);
   Alcotest.(check int) "nothing degraded" 0 (cval reg "supervisor.degraded")
 
-(* The degradation ladder: a task that kills every worker it touches is
+(* The degradation ladder: a task that kills every process it runs in is
    given up after [max_redispatch] re-dispatches, with a reason naming the
    instance — the run completes instead of spinning. *)
 let test_supervisor_degrades_after_limit () =
@@ -112,6 +111,81 @@ let test_supervisor_degrades_after_limit () =
   Alcotest.(check int) "one degraded" 1 (cval reg "supervisor.degraded");
   Alcotest.(check int) "every dispatch killed a worker" 3
     (cval reg "supervisor.kills")
+
+(* A child that exits 0 without writing its frame has lost its attempt
+   just as a crashed one has: re-dispatched, then degraded past the cap. *)
+let test_supervisor_silent_exit_is_lost () =
+  let reg = R.create () in
+  let outcomes =
+    Supervisor.run ~reg
+      ~config:(sup_config ~max_redispatch:1 ())
+      ~tasks:[| "silent" |]
+      ~run_task:(fun ~task:_ ~attempt:_ -> Unix._exit 0)
+      ()
+  in
+  (match outcomes.(0) with
+  | Supervisor.Degraded reason ->
+      Alcotest.(check bool) "reason names the instance" true
+        (contains reason "silent")
+  | Supervisor.Completed _ -> Alcotest.fail "a frameless exit completed");
+  Alcotest.(check int) "one re-dispatch" 1 (cval reg "supervisor.redispatches");
+  Alcotest.(check int) "both attempts lost" 2 (cval reg "supervisor.kills");
+  Alcotest.(check int) "degraded" 1 (cval reg "supervisor.degraded")
+
+(* An interrupt while a child is mid-task raises [Interrupted] out of
+   [run], and the run leaves no child of this process behind, reaped or
+   not. *)
+let test_supervisor_interrupt_reaps () =
+  Interrupt.reset ();
+  let old =
+    Sys.signal Sys.sigalrm (Sys.Signal_handle (fun _ -> Interrupt.request ()))
+  in
+  let disarm () =
+    ignore
+      (Unix.setitimer Unix.ITIMER_REAL
+         { Unix.it_interval = 0.; it_value = 0. });
+    Sys.set_signal Sys.sigalrm old;
+    Interrupt.reset ()
+  in
+  Fun.protect ~finally:disarm (fun () ->
+      ignore
+        (Unix.setitimer Unix.ITIMER_REAL
+           { Unix.it_interval = 0.; it_value = 0.2 });
+      match
+        Supervisor.run ~config:(sup_config ~procs:2 ())
+          ~tasks:[| "slow"; "slower" |]
+          ~run_task:(fun ~task:_ ~attempt:_ ->
+            Unix.sleepf 10.;
+            "late")
+          ()
+      with
+      | _ -> Alcotest.fail "the run finished despite the interrupt"
+      | exception Interrupt.Interrupted -> ());
+  match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | pid, _ -> Alcotest.failf "child %d outlived the run" pid
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+
+(* The supervisor waits for its own children only: a child the caller
+   forked before [run] keeps its exit status for the caller. *)
+let test_supervisor_leaves_other_children () =
+  flush_all ();
+  let pid = match Unix.fork () with 0 -> Unix._exit 7 | pid -> pid in
+  let outcomes =
+    Supervisor.run ~config:(sup_config ~procs:2 ())
+      ~tasks:[| "a"; "b"; "c" |]
+      ~run_task:(fun ~task ~attempt:_ ->
+        Unix.sleepf 0.05;
+        string_of_int task)
+      ()
+  in
+  Array.iter
+    (function
+      | Supervisor.Completed _ -> ()
+      | Supervisor.Degraded r -> Alcotest.failf "degraded: %s" r)
+    outcomes;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 7 -> ()
+  | _ -> Alcotest.fail "the caller's child ended otherwise"
 
 (* The cooperative interrupt flag: request -> engines raise [Interrupted]
    at their next budget poll; reset -> they don't. *)
@@ -238,11 +312,11 @@ let test_shard_smt_budget_hits () =
   Suite_parallel.check_same ~what:"smt budget 1, in-process vs p2" inproc
     shard2
 
-(* Deterministic SIGKILL of the worker holding the Nth assignment (the
-   plan's [kill-worker=N]): the killed worker is replaced, the instance
-   re-dispatched and re-run from scratch, and both reports and counters
-   match the kill-free shard run — re-dispatches surface only in the
-   supervisor's own counters. *)
+(* Deterministic SIGKILL of the worker of the Nth dispatch (the plan's
+   [kill-worker=N]): the instance is re-dispatched in a fresh process and
+   re-run from scratch, and both reports and counters match the kill-free
+   shard run — re-dispatches surface only in the supervisor's own
+   counters. *)
 let test_shard_kill_nth () =
   let program = Suite_parallel.generated ~seed:22 in
   let base = run_shard ~procs:2 program in
@@ -344,45 +418,31 @@ let test_shard_kill_within_cap () =
     lost.Suite_parallel.o_stats.Pipeline.n_inconclusive;
   Alcotest.(check int) "and only it" 1 (cval reg "supervisor.degraded")
 
-(* ---------------- frame checksums ---------------- *)
+(* ---------------- the result frame ---------------- *)
 
-(* A damaged frame must never reach [Marshal]: the worker-side blocking
-   reader raises [Closed] (the worker exits and is re-dispatched), and the
-   coordinator-side drain reports the worker dead instead of yielding
-   frames. *)
+(* What a child's pipe holds when it ends must pass its checksum before it
+   reaches [Marshal]: a clean frame yields its payload, and a flipped bit,
+   a torn frame or an empty pipe yield nothing, a lost attempt. *)
 let test_frame_checksum_detects_corruption () =
-  let module Sp = Engine.Shardproc in
-  let b = Sp.frame_bytes (Sp.Heartbeat 7) in
-  (* clean roundtrip through the coordinator-side nonblocking reader *)
-  let r = Sp.reader () in
-  let rd, wr = Unix.pipe () in
-  Unix.set_nonblock rd;
-  ignore (Unix.write wr b 0 (Bytes.length b));
-  (match (Sp.drain r rd : Sp.to_coordinator list * bool) with
-  | [ Sp.Heartbeat 7 ], false -> ()
-  | frames, dead ->
-      Alcotest.failf "clean frame: %d frames, dead=%b" (List.length frames)
-        dead);
-  (* flip one payload bit: no frames, and the worker is declared dead *)
-  let c = Bytes.copy b in
-  Bytes.set c 5 (Char.chr (Char.code (Bytes.get c 5) lxor 0x40));
-  ignore (Unix.write wr c 0 (Bytes.length c));
-  (match (Sp.drain r rd : Sp.to_coordinator list * bool) with
-  | [], true -> ()
-  | frames, dead ->
-      Alcotest.failf "corrupt frame: %d frames, dead=%b" (List.length frames)
-        dead);
-  Unix.close rd;
-  Unix.close wr;
-  (* worker side: a blocking read of the same damaged frame raises Closed
-     rather than unmarshalling garbage *)
-  let rd, wr = Unix.pipe () in
-  ignore (Unix.write wr c 0 (Bytes.length c));
-  (match (Sp.read_frame rd : Sp.to_coordinator) with
-  | _ -> Alcotest.fail "corrupt frame unmarshalled"
-  | exception Sp.Closed -> ());
-  Unix.close rd;
-  Unix.close wr
+  let through_pipe bytes =
+    let rd, wr = Unix.pipe () in
+    ignore (Unix.write_substring wr bytes 0 (String.length bytes));
+    Unix.close wr;
+    let s = Supervisor.read_all rd in
+    Unix.close rd;
+    Supervisor.unframe s
+  in
+  let payload = Marshal.to_string ("instance", [ 1; 2; 3 ]) [] in
+  let f = Supervisor.frame payload in
+  let check what expect bytes =
+    Alcotest.(check (option string)) what expect (through_pipe bytes)
+  in
+  check "clean frame" (Some payload) f;
+  let flipped = Bytes.of_string f in
+  Bytes.set flipped 5 (Char.chr (Char.code (Bytes.get flipped 5) lxor 0x40));
+  check "flipped bit" None (Bytes.to_string flipped);
+  check "torn frame" None (String.sub f 0 (String.length f - 3));
+  check "empty pipe" None ""
 
 let suite =
   [ Alcotest.test_case "supervisor: tasks complete across workers" `Quick
@@ -391,6 +451,12 @@ let suite =
       test_supervisor_redispatch_recovers;
     Alcotest.test_case "supervisor: degrade past the re-dispatch limit" `Quick
       test_supervisor_degrades_after_limit;
+    Alcotest.test_case "supervisor: a frameless exit is a lost attempt" `Quick
+      test_supervisor_silent_exit_is_lost;
+    Alcotest.test_case "supervisor: interrupt reaps every child" `Quick
+      test_supervisor_interrupt_reaps;
+    Alcotest.test_case "supervisor: other children are left alone" `Quick
+      test_supervisor_leaves_other_children;
     Alcotest.test_case "interrupt: flag set/raise/reset" `Quick
       test_interrupt_flag;
     Alcotest.test_case "differential: in-process vs 1/2/4 procs" `Quick
