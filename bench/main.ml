@@ -6,10 +6,10 @@
      dune exec bench/main.exe -- table2  -- a single experiment
      dune exec bench/main.exe -- fast    -- skip the slowest comparisons
 
-   Experiments run in the order of the table at the end of this file,
-   whatever order they are named in, and a sweep whose configurations
-   report different warnings makes the harness exit 1 once that
-   experiment finishes.
+   Named experiments run in the order they are named; with none named,
+   all run in the order of the table at the end of this file.  A sweep
+   whose configurations report different warnings makes the harness exit
+   1 once that experiment finishes.
 
    Absolute numbers are not expected to match the paper (the subjects are
    scaled-down synthetic codebases); the *shapes* are: who finds what, the
@@ -116,42 +116,25 @@ let diverged = ref false
 (* Run every cell on every subject and print one row per pair, in order:
    [columns subject cell outcome ~base] renders the row up to its last
    column, "same", which says whether the cell's rendered reports are
-   byte-identical to those of the subject's first cell, [base].  Cells
-   that fork shard workers run first: OCaml 5 forbids fork in a process
-   that has ever spawned a domain.  Returns the outcomes in row order. *)
+   byte-identical to those of the subject's first cell, [base].  Returns
+   the outcomes in row order. *)
 let differential ?checkers subjects cells columns =
-  let forks c =
-    (config_of ~workdir:root_workdir c.tune).Pipeline.shard_procs > 0
-  in
-  let outcomes = Hashtbl.create 16 in
-  let sweep keep =
-    List.iteri
-      (fun i s ->
-        List.iteri
-          (fun j c ->
-            if keep c then
-              Hashtbl.replace outcomes (i, j)
-                (run ?checkers ?plan:c.plan s c.tune))
-          cells)
-      subjects
-  in
-  sweep forks;
-  sweep (fun c -> not (forks c));
-  List.concat
-    (List.mapi
-       (fun i s ->
-         let base = Hashtbl.find outcomes (i, 0) in
-         let reports = render_results base.results in
-         List.mapi
-           (fun j c ->
-             let o = Hashtbl.find outcomes (i, j) in
-             let same = render_results o.results = reports in
-             if not same then diverged := true;
-             Printf.printf "%s %6s\n%!" (columns s c o ~base)
-               (if same then "yes" else "NO!");
-             o)
-           cells)
-       subjects)
+  List.concat_map
+    (fun s ->
+      let outcomes =
+        List.map (fun c -> (c, run ?checkers ?plan:c.plan s c.tune)) cells
+      in
+      let base = snd (List.hd outcomes) in
+      let reports = render_results base.results in
+      List.map
+        (fun (c, o) ->
+          let same = render_results o.results = reports in
+          if not same then diverged := true;
+          Printf.printf "%s %6s\n%!" (columns s c o ~base)
+            (if same then "yes" else "NO!");
+          o)
+        outcomes)
+    subjects
 
 (* Ground-truth TP/FP/FN of [results], summed over its checkers. *)
 let score (subject : Generator.subject) results =
@@ -680,59 +663,30 @@ let faults () =
      re-execution the op-level retries and checkpoint resumes perform."
 
 (* ------------------------------------------------------------------ *)
-(* Scaling: the parallel instance scheduler (multicore extension).      *)
-(* Phase-2/3 wall time swept over worker counts; the warnings must be   *)
-(* identical at every count.                                            *)
-(* ------------------------------------------------------------------ *)
-
-let scaling ~fast () =
-  header "Scaling: checking instances over a worker-domain pool"
-    "multicore extension, not a paper experiment";
-  Printf.printf
-    "machine: %d recommended domain(s) -- speedups above that count (or on \n\
-     a single-core container at all) are not expected\n\n"
-    (Domain.recommended_domain_count ());
-  Printf.printf "%-10s %8s %10s %9s %9s %6s\n" "subject" "workers" "phase2/3"
-    "speedup" "warnings" "same";
-  (* null included so the sweep has five typestate instances to schedule;
-     the time column is phases 2/3 only: phase 0/1 is shared preprocessing
-     the scheduler does not touch *)
-  differential ~checkers:(Checkers.all_with_null ()) (subjects ~fast)
-    (List.map
-       (fun workers ->
-         { label = string_of_int workers;
-           tune =
-             (fun c -> { c with Pipeline.track_null = true; workers });
-           plan = None })
-       (if fast then [ 1; 4 ] else [ 1; 2; 4; 8 ]))
-    (fun subject cell o ~base ->
-      Printf.sprintf "%-10s %8s %10s %8.2fx %9d" (name subject) cell.label
-        (hms o.check_s)
-        (if o.check_s > 0. then base.check_s /. o.check_s else 1.)
-        (warns o))
-  |> ignore;
-  print_endline
-    "\nshape check: warnings identical at every worker count (same = yes).\n\
-     The speedup column tracks phase-2/3 wall time against 1 worker; it\n\
-     saturates at min(#instances, #cores) and collapses to ~1.0x on a\n\
-     single-core machine, where the pool only adds scheduling overhead."
-
-(* ------------------------------------------------------------------ *)
 (* Shard processes: the supervised multi-process runtime (robustness    *)
 (* extension).  Phase-2/3 instances run in forked, crash-isolated       *)
-(* worker processes; warnings must be identical to the in-process       *)
-(* scheduler at every process count, with and without an injected       *)
-(* fault plan, and with a worker SIGKILLed mid-run (re-dispatch).       *)
+(* worker processes; warnings must be identical to the in-process run   *)
+(* at every process count, with and without an injected fault plan,     *)
+(* and with a worker SIGKILLed mid-run (re-dispatch).                   *)
 (* ------------------------------------------------------------------ *)
 
 let shards ~fast () =
   header "Shard processes: crash-isolated multi-process scheduler"
     "robustness extension, not a paper experiment";
-  Printf.printf "%-10s %-6s %7s %8s %9s %6s %7s %5s %6s\n" "subject" "plan"
-    "procs" "time" "warnings" "spawns" "redisp" "kills" "same";
+  Printf.printf "%-10s %-6s %7s %8s %9s %7s %6s %7s %5s %6s\n" "subject"
+    "plan" "procs" "time" "warnings" "#inject" "spawns" "redisp" "kills"
+    "same";
   (* the last cell of each plan adds [kill-worker=2], which SIGKILLs the
      worker of the 2nd dispatch: the instance is re-dispatched and the
-     output must not change *)
+     output must not change.  Every cell runs at the [faults] budget, so
+     the 5% plan has partition writes and renames to fail *)
+  let tune shard_procs c =
+    { c with
+      Pipeline.track_null = true;
+      shard_procs;
+      engine =
+        { c.Pipeline.engine with Engine.max_edges_per_partition = 4_000 } }
+  in
   let cells =
     List.concat_map
       (fun (tag, plan) ->
@@ -742,8 +696,7 @@ let shards ~fast () =
         List.map
           (fun (procs_label, shard_procs, plan) ->
             { label = Printf.sprintf "%-6s %7s" tag procs_label;
-              tune =
-                (fun c -> { c with Pipeline.track_null = true; shard_procs });
+              tune = tune shard_procs;
               plan })
           [ ("inproc", 0, plan); ("1", 1, plan); ("2", 2, plan);
             ("4", 4, plan); ("2+kill", 2, killing) ])
@@ -754,17 +707,18 @@ let shards ~fast () =
       let count c =
         Obs.Registry.value (Obs.Registry.counter o.stats.Pipeline.registry c)
       in
-      Printf.sprintf "%-10s %s %8s %9d %6d %7d %5d" (name subject) cell.label
-        (hms o.check_s) (warns o)
+      Printf.sprintf "%-10s %s %8s %9d %7d %6d %7d %5d" (name subject)
+        cell.label (hms o.check_s) (warns o) o.stats.Pipeline.n_faults_injected
         (count "supervisor.spawns")
         (count "supervisor.redispatches")
         (count "supervisor.kills"))
   |> ignore;
   print_endline
     "\nshape check: warnings identical at every process count, under the\n\
-     fault plan, and with a worker killed mid-run (same = yes everywhere;\n\
-     the kill row shows kills > 0 and redisp > 0 with unchanged output).\n\
-     One process per dispatch: spawns = instances + redisp."
+     fault plan (#inject > 0, the same at every count), and with a worker\n\
+     killed mid-run (same = yes everywhere; the kill row shows kills > 0\n\
+     and redisp > 0 with unchanged output).  One process per dispatch:\n\
+     spawns = instances + redisp."
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one kernel per table/figure.              *)
@@ -1087,8 +1041,8 @@ let dsl_checkers () =
 
 (* ------------------------------------------------------------------ *)
 (* Megaload: the 100K+-LoC workload tier (ISSUE 9).  One generated      *)
-(* mega subject through the full pipeline at workers {1,4} and          *)
-(* shard-procs {1,4}; asserts the four warning reports are              *)
+(* mega subject through the full pipeline in-process and at             *)
+(* shard-procs {1,4}; asserts the three warning reports are             *)
 (* byte-identical and records edges/s, peak RSS, and the triage-tier    *)
 (* prune rates into BENCH_<rev>.json.                                   *)
 (* ------------------------------------------------------------------ *)
@@ -1137,39 +1091,34 @@ let megaload ~fast () =
   let fsms = Checkers.fsms (Checkers.all ()) in
   let cells =
     List.map
-      (fun (label, workers, shard_procs) ->
+      (fun (label, shard_procs) ->
         { label;
           tune =
             (fun c ->
-              { c with
-                Pipeline.prefilter_properties = fsms;
-                workers;
-                shard_procs });
+              { c with Pipeline.prefilter_properties = fsms; shard_procs });
           plan = None })
-      [ ("workers=1", 1, 0); ("workers=4", 4, 0); ("shard-procs=1", 1, 1);
-        ("shard-procs=4", 1, 4) ]
+      [ ("in-process", 0); ("shard-procs=1", 1); ("shard-procs=4", 4) ]
   in
   match
     differential [ subject ] cells (fun _ cell o ~base:_ ->
         Printf.sprintf "  %-14s wall=%-8s warnings=%d" cell.label
           (hms (wall o)) (warns o))
   with
-  | [ w1; w4; shard1; shard4 ] ->
+  | [ inproc; shard1; shard4 ] ->
       let identical = not !diverged in
       Printf.printf
-        "  warnings byte-identical across workers {1,4} x shard-procs \
-         {1,4}: %s\n"
+        "  warnings byte-identical in-process and at shard-procs {1,4}: %s\n"
         (if identical then "yes" else "NO — DIVERGENCE");
-      let stats = w1.stats in
+      let stats = inproc.stats in
       let rss = peak_rss_kb () in
       Printf.printf
         "  edges/s=%.0f peak_rss=%dMB summary_pruned=%d\n"
         (edges_per_s stats) (rss / 1024) stats.Pipeline.n_summary_pruned;
       record "megaload"
         (Printf.sprintf
-           {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_workers1":%.3f,"wall_s_workers4":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_summary_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
+           {|{"units":%d,"loc":%d,"n_methods":%d,"gen_s":%.3f,"wall_s_inproc":%.3f,"wall_s_shard1":%.3f,"wall_s_shard4":%.3f,"edges_added":%d,"edges_per_s":%.1f,"peak_rss_kb":%d,"n_summary_pruned":%d,"n_edges_presliced":%d,"n_edges_sliced":%d,"byte_identical":%b}|}
            units subject.Generator.loc subject.Generator.n_methods gen_s
-           (wall w1) (wall w4) (wall shard1) (wall shard4)
+           (wall inproc) (wall shard1) (wall shard4)
            stats.Pipeline.edges_added (edges_per_s stats) rss
            stats.Pipeline.n_summary_pruned stats.Pipeline.n_edges_presliced
            stats.Pipeline.n_edges_sliced identical)
@@ -1186,13 +1135,8 @@ let () =
   let fast = List.mem "fast" args in
   let names = List.filter (fun a -> a <> "fast") args in
   Engine.ensure_dir root_workdir;
-  (* Experiments run in this order, however they are named: shards and
-     megaload fork shard workers, so they come before anything that spawns
-     a domain. *)
   let experiments =
-    [ ("shards", shards ~fast);
-      ("megaload", megaload ~fast);
-      ("table1", table1);
+    [ ("table1", table1);
       ("table2", table2);
       ("table3", table3);
       ("fig9", fig9);
@@ -1203,21 +1147,23 @@ let () =
       ("summaries", summaries);
       ("alias", alias);
       ("faults", faults);
-      ("scaling", scaling ~fast);
+      ("shards", shards ~fast);
+      ("megaload", megaload ~fast);
       ("micro", micro);
       ("checkers", dsl_checkers);
       ("baseline", baseline) ]
   in
-  List.iter
-    (fun n ->
-      if not (List.mem_assoc n experiments) then begin
-        Printf.eprintf "unknown experiment %s\n" n;
-        exit 2
-      end)
-    names;
   let chosen =
     if names = [] then experiments
-    else List.filter (fun (n, _) -> List.mem n names) experiments
+    else
+      List.map
+        (fun n ->
+          match List.assoc_opt n experiments with
+          | Some f -> (n, f)
+          | None ->
+              Printf.eprintf "unknown experiment %s\n" n;
+              exit 2)
+        names
   in
   Printf.printf "grapple benchmark harness -- %d experiment(s)\n"
     (List.length chosen);

@@ -189,27 +189,18 @@ let fault_plan_arg =
                  instance dispatch) to test the resilience layer; also \
                  read from the GRAPPLE_FAULT_PLAN environment variable")
 
-let workers_arg =
-  Arg.(value & opt (some int) None
-       & info [ "workers" ] ~docv:"N"
-           ~doc:"worker domains for the phase-2/3 checking instances \
-                 (default: the GRAPPLE_WORKERS environment variable, else \
-                 the machine's recommended domain count).  The report is \
-                 byte-identical at every worker count, and a run \
-                 interrupted at any count can be $(b,--resume)d at any \
-                 other")
-
 let shard_procs_arg =
   Arg.(value & opt (some int) None
        & info [ "shard-procs" ] ~docv:"N"
-           ~doc:"run the phase-2/3 checking instances in forked worker \
-                 $(i,processes), one per attempt and at most N at a time, \
-                 instead of in-process domains (default: the \
-                 GRAPPLE_SHARD_PROCS environment variable, else 0 = \
-                 in-process).  An attempt whose process crashes or is \
-                 killed is re-dispatched from its instance's checkpoint \
-                 manifest; the warning report is byte-identical at every \
-                 process count")
+           ~doc:"run the phase-2/3 checking instances side by side in \
+                 forked worker processes, one per attempt and at most N at \
+                 a time (default: the GRAPPLE_SHARD_PROCS environment \
+                 variable, else 0 = one after another in this process).  \
+                 An attempt whose process crashes or is killed is \
+                 re-dispatched from its instance's checkpoint manifest; \
+                 the report is byte-identical at every process count, and \
+                 a run interrupted at any count can be $(b,--resume)d at \
+                 any other")
 
 let smt_budget_arg =
   Arg.(value & opt int 0
@@ -221,7 +212,7 @@ let smt_budget_arg =
 let check_cmd =
   let run file checkers specs unroll paths trace_out metrics_out json
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
-      instance_budget edge_budget max_retries fault_plan smt_budget workers_opt
+      instance_budget edge_budget max_retries fault_plan smt_budget
       shard_procs_opt =
     let shard_procs =
       match shard_procs_opt with
@@ -239,16 +230,6 @@ let check_cmd =
     let on_signal = Sys.Signal_handle (fun _ -> Engine.Interrupt.request ()) in
     (try Sys.set_signal Sys.sigint on_signal with Invalid_argument _ -> ());
     (try Sys.set_signal Sys.sigterm on_signal with Invalid_argument _ -> ());
-    let workers =
-      match workers_opt with
-      | Some w -> max 1 w
-      | None -> (
-          match
-            Option.bind (Sys.getenv_opt "GRAPPLE_WORKERS") int_of_string_opt
-          with
-          | Some w -> max 1 w
-          | None -> max 1 (Domain.recommended_domain_count ()))
-    in
     (match
        match fault_plan with
        | Some _ -> fault_plan
@@ -297,14 +278,13 @@ let check_cmd =
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
             resume = resume_opt <> None;
-            workers;
             shard_procs }
         in
         let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
         let results, props, schedule = Checkers.run_all_scheduled prepared cs in
         (* per-worker schedule summary: stderr only, so stdout stays
-           byte-identical across worker counts *)
-        if workers > 1 || shard_procs > 0 then
+           byte-identical across process counts *)
+        if shard_procs > 0 then
           List.iter
             (fun (s : Grapple.Pipeline.schedule_entry) ->
               Printf.eprintf
@@ -399,7 +379,7 @@ let check_cmd =
           $ no_summary_prefilter_arg $ no_alias_prefilter_arg $ workdir_arg
           $ resume_arg
           $ instance_budget_arg $ edge_budget_arg $ max_retries_arg
-          $ fault_plan_arg $ smt_budget_arg $ workers_arg $ shard_procs_arg)
+          $ fault_plan_arg $ smt_budget_arg $ shard_procs_arg)
 
 let interproc_arg =
   Arg.(value & flag
@@ -655,9 +635,7 @@ let fuzz_cmd =
                    ($(b,summary)) so the harness itself can be validated — \
                    a weakened run must fail")
   in
-  let run iters seed runs corpus_dir weaken workers_opt shard_procs_opt
-      fault_plan =
-    let workers = match workers_opt with Some w when w > 0 -> w | _ -> 1 in
+  let run iters seed runs corpus_dir weaken shard_procs_opt fault_plan =
     let shard_procs =
       match shard_procs_opt with Some n when n >= 0 -> n | _ -> 0
     in
@@ -670,7 +648,6 @@ let fuzz_cmd =
       { Refinterp.Fuzz.default_config with
         Refinterp.Fuzz.iters;
         seed;
-        workers;
         shard_procs;
         weaken_tier = weaken;
         runs_per_program = runs;
@@ -700,7 +677,7 @@ let fuzz_cmd =
        ~doc:"adversarial soundness fuzzing: generated subjects through the \
              static pipeline vs. a concrete reference interpreter")
     Term.(const run $ iters_arg $ seed_arg $ runs_arg $ corpus_arg
-          $ weaken_arg $ workers_arg $ shard_procs_arg $ fault_plan_arg)
+          $ weaken_arg $ shard_procs_arg $ fault_plan_arg)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

@@ -58,13 +58,13 @@ type config = {
       (* continue from the checkpoint manifests found in [workdir]
          (`grapple check --resume`); fresh sub-runs where none validate *)
   workers : int;
-      (* worker domains for the phase-2/3 instance scheduler
-         ([check_properties]); 1 runs the instances in the calling domain.
-         Whatever the count, the scheduler produces byte-identical reports
-         and counters *)
+      (* no executor reads it: checking instances run side by side only
+         in [shard_procs] processes.  [prepare] rejects any value but 1,
+         so a caller asking for domains gets an error, not a silent
+         sequential run *)
   shard_procs : int;
-      (* worker *processes* for the phase-2/3 instances (ISSUE 8): 0 runs
-         them in-process (on [workers] domains); N > 0 runs each attempt in
+      (* worker processes for the phase-2/3 instances: 0 runs them one
+         after another in the calling process; N > 0 runs each attempt in
          its own forked, crash-isolated process, at most N at a time, and
          re-dispatches a lost one.  Reports are byte-identical at every
          process count *)
@@ -108,8 +108,8 @@ type fault_stats = {
   mutable n_recovered : int;  (* instances that succeeded after >= 1 restart *)
   mutable n_inconclusive : int;  (* instances degraded past the retry limit *)
   mutable n_instance_injected : int;
-      (* injected faults fired by the per-instance fault plans the parallel
-         scheduler derives; the calling domain's plan never sees those ops,
+      (* injected faults fired by the per-instance fault plans the
+         scheduler derives; the run's installed plan never sees those ops,
          so [stats] adds this on top of its own [injected_count] delta *)
   mutable n_worker_budget_hits : int;
       (* DPLL(T) budget hits inside shard worker processes, which the
@@ -119,10 +119,10 @@ type fault_stats = {
 }
 
 (* Per-instance accounting: phases 2 and 3 write here instead of mutating
-   [prepared] directly, so instances running on worker domains stay free of
-   shared mutable state.  The scheduler merges accounts into [timing] and
-   [fault_stats] in canonical instance order once every worker has joined —
-   the aggregate is the same whatever the interleaving was. *)
+   [prepared] directly, so an account can come back from a worker process
+   as plain data.  The scheduler merges accounts into [timing] and
+   [fault_stats] in canonical instance order once every instance has
+   finished — the aggregate is the same whichever executor ran what. *)
 type acct = {
   mutable a_compute_s : float;
   mutable a_check_s : float;
@@ -211,8 +211,8 @@ let retry_ladder (c : Engine.config) ~(acct : acct) ~resume ~create
         else begin
           acct.a_retried <- acct.a_retried + 1;
           Unix.sleepf
-            (Engine.Faults.backoff_delay_s ~seed:c.Engine.retry_seed
-               ~base_ms:c.Engine.retry_base_ms ~attempt:n);
+            (Engine.Faults.backoff_delay_s ~base_ms:c.Engine.retry_base_ms
+               ~attempt:n);
           go (n + 1)
         end
   in
@@ -244,6 +244,10 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   let config =
     match config with Some c -> c | None -> default_config ~workdir
   in
+  if config.workers <> 1 then
+    invalid_arg
+      "Pipeline.prepare: workers must be 1; set shard_procs to run checking \
+       instances in parallel processes";
   let timing = { preprocess_s = 0.; compute_s = 0.; check_s = 0. } in
   let pre = ref 0. and comp = ref 0. in
   let program = timed_span "phase0.unroll" pre (fun () ->
@@ -414,7 +418,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
 (* What a finished instance leaves behind in place of its engine: the
    scalar totals [stats] needs plus the engine's full metric registry.
    Plain data, so it crosses the shard-process boundary as it is; the same
-   record comes back from a domain or a worker process. *)
+   record comes back from the calling process or a worker process. *)
 type instance_summary = {
   sm_vertices : int;     (* dataflow-graph vertices *)
   sm_seed_edges : int;
@@ -572,11 +576,11 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
   Report.dedup (List.rev !reports)
 
 (* Phases 2 and 3 for one property on the retry ladder.  All accounting
-   goes to [acct] — never to [p] — so the instance can run on a worker
-   domain or in a worker process without sharing mutable state with its
-   siblings.  [resume_first]: the very first attempt already resumes from
-   the instance's checkpoint manifest — a shard worker re-dispatched after
-   its predecessor died continues that predecessor's work. *)
+   goes to [acct] — never to [p] — so the instance can run in a worker
+   process and send its account back.  [resume_first]: the very first
+   attempt already resumes from the instance's checkpoint manifest — a
+   shard worker re-dispatched after its predecessor died continues that
+   predecessor's work. *)
 let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
     ~(acct : acct) =
   let comp = ref 0. and chk = ref 0. in
@@ -600,7 +604,7 @@ let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
 
 (* The fault plan an instance runs under. *)
 type instance_plan =
-  | Ambient  (* the calling domain's plan, as installed *)
+  | Ambient  (* the run's plan, as installed *)
   | Derived of Engine.Faults.plan option
       (* a private stream derived from this base plan ([None]: no faults),
          salted with the instance's name *)
@@ -635,7 +639,7 @@ let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~plan :
       install saved)
   @@ fun () ->
   let outcome = supervise ?resume_first p fsm ~acct in
-  (* a derived plan's faults never reach the calling domain's
+  (* a derived plan's faults never reach the run's plan's
      [injected_count]; the account carries them *)
   (match (plan, active) with
   | Derived _, Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
@@ -674,18 +678,14 @@ let check_property (p : prepared) (fsm : Fsm.t) : property_result =
    stable identity: its fault stream depends only on its own operation
    history, never on where or alongside what it ran.  Accounts and schedule
    entries are merged in canonical (input) order at the end.  Reports, fault
-   counters and statistics are therefore byte-identical whichever executor
-   ran the instances, at any worker or process count, and a crashed run's
-   checkpoints can be resumed by a run with any other executor.
+   counters and statistics are therefore byte-identical at any process
+   count, and a crashed run's checkpoints can be resumed at any other.
 
-   The only choice is the executor, made by [shard_procs]:
+   [shard_procs] picks how the ordered instances run:
 
-   - 0: a pool of [workers] domains pulling from a shared cursor over the
-     ordered instances (one worker runs in the calling domain).  A
-     simulated crash ([Faults.Crash]) behaves like a process kill: the pool
-     stops pulling work and the crash is re-raised once every worker has
-     joined, with nothing of the in-memory run surviving — exactly what
-     [--resume] is for.
+   - 0: one after another in the calling process.  A simulated crash
+     ([Faults.Crash]) escapes like a process kill, with nothing of the
+     in-memory run surviving — exactly what [--resume] is for.
    - N > 0: [Engine.Supervisor] runs each dispatch in its own forked
      process, at most N at a time, so an instance that OOMs or segfaults
      takes down only that process.  A lost instance is re-dispatched and
@@ -696,8 +696,8 @@ let check_property (p : prepared) (fsm : Fsm.t) : property_result =
 
 type schedule_entry = {
   s_instance : string;  (* the FSM / checker name *)
-  s_worker : int;       (* worker slot that ran it; -1: lost with its last
-                           worker process *)
+  s_worker : int;       (* shard slot that ran it, 0 in-process; -1: lost
+                           with its last worker process *)
   s_estimate : int;     (* size estimate that ordered the queue *)
   s_wall_s : float;     (* wall-clock of the instance on its worker *)
 }
@@ -732,8 +732,8 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
     property_result list * schedule_entry list =
   let order = Array.of_list (order_items p fsms) in
   let n = Array.length order in
-  (* captured in the calling domain, before any fork: every instance
-     derives from the same base *)
+  (* captured before any instance runs: every instance derives from the
+     same base *)
   let base_plan = Engine.Faults.current () in
   let finished = Array.make n None in  (* by input index *)
   let instance ~worker k ~resume_first =
@@ -759,7 +759,6 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
     let sup_config =
       { Engine.Supervisor.procs = p.config.shard_procs;
         max_redispatch = e.Engine.max_retries;
-        retry_seed = e.Engine.retry_seed;
         retry_base_ms = e.Engine.retry_base_ms }
     in
     (* runs inside the forked worker, which does not know its slot; its
@@ -792,33 +791,12 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
             record k ~worker:(-1) ~wall_s:0. (degrade p fsm ~acct reason, acct))
       outcomes
   end
-  else begin
-    let next = Atomic.make 0 in
-    let failure : exn option Atomic.t = Atomic.make None in
-    let worker slot =
-      let rec loop () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < n && Option.is_none (Atomic.get failure) then begin
-          let t0 = Unix.gettimeofday () in
-          match instance ~worker:slot k ~resume_first:false with
-          | r ->
-              record k ~worker:slot ~wall_s:(Unix.gettimeofday () -. t0) r;
-              loop ()
-          | exception exn ->
-              (* a simulated crash (or unexpected error) kills the run:
-                 record the first and stop the pool *)
-              ignore (Atomic.compare_and_set failure None (Some exn))
-        end
-      in
-      loop ()
-    in
-    let pool = min (max 1 p.config.workers) n in
-    if pool <= 1 then worker 0
-    else
-      List.init pool (fun slot -> Domain.spawn (fun () -> worker slot))
-      |> List.iter Domain.join;
-    Option.iter raise (Atomic.get failure)
-  end;
+  else
+    for k = 0 to n - 1 do
+      let t0 = Unix.gettimeofday () in
+      let r = instance ~worker:0 k ~resume_first:false in
+      record k ~worker:0 ~wall_s:(Unix.gettimeofday () -. t0) r
+    done;
   (* canonical-order merge: float additions happen in the same sequence
      whichever executor ran what, and under any crash schedule *)
   let finished = Array.to_list (Array.map Option.get finished) in

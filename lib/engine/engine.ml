@@ -90,7 +90,6 @@ type config = {
       (* transient storage faults absorbed per operation before the failure
          propagates to the caller *)
   retry_base_ms : float;  (* base delay of the exponential backoff *)
-  retry_seed : int;       (* seed of the deterministic backoff jitter *)
   edge_budget : int;
       (* abort with [Budget_exhausted] once this many transitive edges have
          been added; 0 = unlimited *)
@@ -148,7 +147,6 @@ let default_config ~workdir =
     max_encodings_per_key = 8;
     max_retries = 3;
     retry_base_ms = 2.;
-    retry_seed = 0x6a09;
     edge_budget = 0;
     wall_budget_s = 0. }
 
@@ -275,8 +273,7 @@ module Make (L : LABEL_LOGIC) = struct
             ~args:[ ("attempt", Obs.Trace.Int attempt) ]
             "storage.retry";
           Unix.sleepf
-            (Faults.backoff_delay_s ~seed:t.config.retry_seed
-               ~base_ms:t.config.retry_base_ms ~attempt);
+            (Faults.backoff_delay_s ~base_ms:t.config.retry_base_ms ~attempt);
           go (attempt + 1)
         end
     in

@@ -97,26 +97,20 @@ let parse (spec : string) : plan =
 
 (* ---------------- the installed plan ----------------
 
-   The active plan is *domain-local*: each domain sees (and advances) its
-   own plan, so the parallel instance scheduler can give every checking
-   instance a private fault stream whose decisions depend only on that
-   instance's own operation history — never on how instances interleave
-   across workers.  The main domain keeps the process-level plan installed
-   by the CLI or a test; worker domains start with none until the scheduler
-   installs a derived plan for the instance they are about to run. *)
+   One plan at a time, process-wide.  The CLI or a test installs the run's
+   plan; the instance scheduler swaps in each checking instance's derived
+   plan while that instance runs, so an instance's fault stream depends
+   only on its own operation history, and restores the run's plan after. *)
 
-let active_key : plan option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+let active : plan option ref = ref None
+let install p = active := Some p
+let clear () = active := None
 
-let active () = !(Domain.DLS.get active_key)
-let install p = Domain.DLS.get active_key := Some p
-let clear () = Domain.DLS.get active_key := None
-
-(* The calling domain's plan, for capturing a spec to derive from. *)
-let current () : plan option = active ()
+(* The installed plan, for capturing a spec to derive from. *)
+let current () : plan option = !active
 
 let injected_count () =
-  match active () with Some p -> p.n_injected | None -> 0
+  match !active with Some p -> p.n_injected | None -> 0
 
 (* ---------------- deterministic decisions ---------------- *)
 
@@ -129,21 +123,22 @@ let mix3 a b c =
   (z lxor (z lsr 16)) land 0x3FFFFFFF
 
 (* Deterministic retry backoff: [base * 2^attempt], scaled by a seeded
-   jitter in [1, 2) so concurrent instances don't retry in lockstep, yet a
-   given (seed, attempt) always sleeps the same amount.  Shared by the
-   engine's op-level retries, the pipeline's instance restarts, and the
-   shard supervisor's re-dispatches. *)
-let backoff_delay_s ~seed ~base_ms ~attempt =
+   jitter in [1, 2) that depends only on the attempt, so a given attempt
+   always sleeps the same amount.  Shared by the engine's op-level
+   retries, the pipeline's instance restarts, and the shard supervisor's
+   re-dispatches. *)
+let backoff_delay_s ~base_ms ~attempt =
   let jitter =
-    1. +. (float_of_int (mix3 seed 0x7e7 attempt mod 1000) /. 1000.)
+    1. +. (float_of_int (mix3 0x6a09 0x7e7 attempt mod 1000) /. 1000.)
   in
   base_ms /. 1000. *. (2. ** float_of_int attempt) *. jitter
 
 (* A fresh plan with [base]'s directives, zeroed counters, and a seed mixed
-   with [salt]: the per-instance plans of the parallel scheduler.  Keying
-   the stream off a stable instance identity (not a worker slot) is what
-   makes a run's fault decisions — and therefore its reports and fault
-   counters — byte-identical at every worker count. *)
+   with [salt]: the per-instance plans of the instance scheduler.  Keying
+   the stream off a stable instance identity (not a worker slot or a
+   dispatch order) is what makes a run's fault decisions — and therefore
+   its reports and fault counters — byte-identical at every process
+   count. *)
 let derive (base : plan) ~salt = make ~seed:(mix3 base.seed 0xd3e salt) base.directives
 
 (* Stable salt for [derive]: FNV-1a over the instance's name. *)
@@ -157,22 +152,19 @@ let salt_of_string (s : string) : int =
 (* ---------------- storage-op observation (tests) ----------------
 
    [observer], when set, is called on every storage read and write with the
-   operation and path — plan or no plan installed.  [scope] is a
-   domain-local tag the scheduler sets to the instance a worker is
-   currently running, so an observer can attribute each operation; the
-   isolation stress test uses the pair to prove no partition file is ever
-   touched by two workers. *)
+   operation and path — plan or no plan installed.  [scope] is the tag the
+   scheduler sets to the instance it is running, so an observer can
+   attribute each operation; the isolation stress test uses the pair to
+   prove no partition file is ever touched by two instances. *)
 
 type op = Op_read | Op_write
 
 let observer : (op -> string -> unit) option ref = ref None
 let set_observer f = observer := f
 
-let scope_key : string option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
-
-let set_scope s = Domain.DLS.get scope_key := s
-let scope () = !(Domain.DLS.get scope_key)
+let scope_tag : string option ref = ref None
+let set_scope s = scope_tag := s
+let scope () = !scope_tag
 
 let observe op path =
   match !observer with None -> () | Some f -> f op path
@@ -202,7 +194,7 @@ let inject p msg =
 
 let on_read ~path =
   observe Op_read path;
-  match active () with
+  match !active with
   | None -> ()
   | Some p ->
       p.n_reads <- p.n_reads + 1;
@@ -217,7 +209,7 @@ let on_read ~path =
    or a crash mid-write would.  Both count as one injected fault. *)
 let on_write ~path ~tear =
   observe Op_write path;
-  match active () with
+  match !active with
   | None -> ()
   | Some p ->
       p.n_writes <- p.n_writes + 1;
@@ -235,7 +227,7 @@ let on_write ~path ~tear =
         if mix3 p.seed 3 p.n_writes land 1 = 0 then fail () else torn ()
 
 let before_rename ~path =
-  match active () with
+  match !active with
   | None -> ()
   | Some p ->
       p.n_renames <- p.n_renames + 1;
@@ -246,7 +238,7 @@ let before_rename ~path =
                 (Filename.basename path)))
 
 let after_rename ~path =
-  match active () with
+  match !active with
   | None -> ()
   | Some p ->
       if nth_hit p Crash_after_rename p.n_renames then
@@ -256,14 +248,14 @@ let after_rename ~path =
                 (Filename.basename path)))
 
 let on_checkpoint () =
-  match active () with
+  match !active with
   | None -> ()
   | Some p ->
       p.n_checkpoints <- p.n_checkpoints + 1;
       if nth_hit p Crash_checkpoint p.n_checkpoints then
         raise (Crash (Printf.sprintf "crash at checkpoint #%d" p.n_checkpoints))
 
-(* Consulted by the shard supervisor, in the calling domain, as it forks
-   the worker of the run's [nth] instance dispatch. *)
+(* Consulted by the shard supervisor, in the coordinator, as it forks the
+   worker of the run's [nth] instance dispatch. *)
 let kills_worker ~nth =
-  match active () with Some p -> nth_hit p Kill_worker nth | None -> false
+  match !active with Some p -> nth_hit p Kill_worker nth | None -> false

@@ -19,17 +19,17 @@
    so the caller's canonical-order merge is independent of which slot ran
    what and of any crash schedule.
 
-   Fork discipline: every child is forked from the coordinator's main
-   domain with no spawned domains live, stdio flushed, and the pipes of its
-   running siblings closed in the child.  Inside the child any exception
-   must end the process with [Unix._exit]: its stack is a copy of the
-   coordinator's, and an exception unwinding past the fork point would run
-   the coordinator's handlers (and its buffered I/O) a second time. *)
+   Fork discipline: every child is forked with stdio flushed, and closes
+   the pipes of its running siblings.  OCaml 5 refuses to fork a process
+   that has ever spawned a domain, and nothing in the program spawns one.
+   Inside the child any exception must end the process with [Unix._exit]:
+   its stack is a copy of the coordinator's, and an exception unwinding
+   past the fork point would run the coordinator's handlers (and its
+   buffered I/O) a second time. *)
 
 type config = {
   procs : int;               (* children running at once *)
   max_redispatch : int;      (* re-dispatches per task before degrading *)
-  retry_seed : int;          (* seed of the re-dispatch backoff jitter *)
   retry_base_ms : float;     (* base delay of the re-dispatch backoff *)
 }
 
@@ -167,8 +167,8 @@ let run ?reg ~(config : config) ~(tasks : string array)
       if c.attempt >= config.max_redispatch then degrade c.task c.attempt
       else begin
         let delay =
-          Faults.backoff_delay_s ~seed:config.retry_seed
-            ~base_ms:config.retry_base_ms ~attempt:c.attempt
+          Faults.backoff_delay_s ~base_ms:config.retry_base_ms
+            ~attempt:c.attempt
         in
         pending := (c.task, c.attempt + 1, now +. delay) :: !pending;
         Obs.Registry.incr c_redispatch;

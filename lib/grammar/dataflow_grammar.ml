@@ -31,17 +31,15 @@ let of_int n = if n land 1 = 0 then Track (n lsr 1) else Step (n lsr 1)
 
 (* Composition needs the transition-function registry of the property being
    checked; the engine is instantiated per run, so the registry is passed at
-   graph-build time via this cell.  The cell is *domain-local*: checking
-   instances run concurrently on worker domains, each building its own
-   graph and registry, and a shared cell would let one instance compose
-   another property's transition functions. *)
-let registry_key : Transfn.registry option ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref None)
+   graph-build time via this cell.  Checking instances run one at a time in
+   a process, each building its graph (and setting the cell) before its
+   engine composes. *)
+let registry : Transfn.registry option ref = ref None
 
-let set_registry r = Domain.DLS.get registry_key := Some r
+let set_registry r = registry := Some r
 
 let get_registry () =
-  match !(Domain.DLS.get registry_key) with
+  match !registry with
   | Some r -> r
   | None -> invalid_arg "Dataflow_grammar: registry not set"
 

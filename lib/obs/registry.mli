@@ -5,11 +5,11 @@
     updated without any lookup, so hot loops pay a single mutable-field
     write per event.
 
-    A registry is single-writer: each engine (and therefore each worker
-    domain) owns its own, and the aggregation point merges them with
-    [merge] in canonical (sorted-name) order — so the merged totals, and
-    any text rendered from them, are byte-identical whatever the number of
-    workers or their interleaving was. *)
+    A registry is single-writer: each engine owns its own, and the
+    aggregation point merges them with [merge] in canonical (sorted-name)
+    order — so the merged totals, and any text rendered from them, are
+    byte-identical whatever the number of shard processes or the order
+    their instances finished in was. *)
 
 type counter
 type gauge

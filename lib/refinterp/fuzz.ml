@@ -96,7 +96,7 @@ let interp_seeds ~runs ~seed =
    resolved program and confront the two.  This is the harness core,
    shared by the fuzz loop, the corpus replay, and the weakened-tier
    tests. *)
-let check_program ?(workers = 1) ?(shard_procs = 0) ?weaken_tier
+let check_program ?(shard_procs = 0) ?weaken_tier
     ?(runs = 6) ?(seed = 1) ?workdir (program : Jir.Ast.program) :
     harness_result =
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
@@ -106,7 +106,6 @@ let check_program ?(workers = 1) ?(shard_procs = 0) ?weaken_tier
     { (Pipeline.default_config ~workdir) with
       Pipeline.library_throwers = Checkers.Specs.library_throwers;
       prefilter_properties = fsms;
-      workers;
       shard_procs;
       weaken_tier }
   in
@@ -151,7 +150,6 @@ let check_program ?(workers = 1) ?(shard_procs = 0) ?weaken_tier
 type config = {
   iters : int;
   seed : int;
-  workers : int;
   shard_procs : int;
   weaken_tier : Pipeline.tier option;  (* test-only: see Pipeline.weaken_tier *)
   runs_per_program : int;       (* interpreter seeds per subject *)
@@ -163,7 +161,6 @@ type config = {
 let default_config =
   { iters = 50;
     seed = 1;
-    workers = 1;
     shard_procs = 0;
     weaken_tier = None;
     runs_per_program = 6;
@@ -247,7 +244,7 @@ let run (cfg : config) : result =
     let profile = random_profile ~seed:iter_seed in
     let subject = Generator.generate profile in
     let check ?runs p =
-      check_program ~workers:cfg.workers ~shard_procs:cfg.shard_procs
+      check_program ~shard_procs:cfg.shard_procs
         ?weaken_tier:cfg.weaken_tier
         ~runs:(Option.value ~default:cfg.runs_per_program runs)
         ~seed:iter_seed p

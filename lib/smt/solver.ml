@@ -15,12 +15,12 @@ type model = (Symbol.t * int) list
 
 type model_result = Model_sat of model option | Model_unsat | Model_unknown
 
-(* Statistics across the whole process, reported by the benchmarks.  The
-   counters are atomic because engines solve from several domains (the
-   parallel instance scheduler's workers); totals are sums of per-call
-   increments, so they are independent of interleaving — a run
-   performing the same solver calls reports the same counts at any worker
-   count. *)
+(* Statistics across the whole process, reported by the benchmarks.
+   Totals are sums of per-call increments, independent of call order.
+   Calls made in a shard worker process count only in that process; the
+   pipeline carries its budget hits back in the instance's account.  The
+   counters are atomic, so they stay exact whichever domain increments
+   them. *)
 type stats = {
   calls : int Atomic.t;
   sat_answers : int Atomic.t;

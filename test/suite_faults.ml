@@ -629,7 +629,7 @@ let check_leak ?(config_f = fun c -> c) ?workdir () =
 
 let rendered (pr : Grapple.Pipeline.property_result) =
   String.concat "\n"
-    (List.map Suite_parallel.render_report pr.Grapple.Pipeline.reports)
+    (List.map Suite_shard.render_report pr.Grapple.Pipeline.reports)
 
 (* This run makes only about ten storage operations, so whether one seed
    of a plan fires in it is luck.  Every seed of 1-20 must leave the
@@ -701,7 +701,7 @@ let test_pipeline_fault_recovers () =
    1, which is shared preprocessing: [prepare] completes under a budget of
    one edge, and every instance degrades. *)
 let test_pipeline_edge_budget_spares_phase1 () =
-  let program = Suite_parallel.generated ~seed:11 in
+  let program = Suite_shard.generated ~seed:11 in
   let workdir = fresh_workdir () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with

@@ -147,7 +147,7 @@ let test_render_deterministic () =
 
 (* ---------------- pipeline slicer ---------------- *)
 
-let run_pipeline ?(alias_prefilter = true) ?(workers = 1) ?fsms src =
+let run_pipeline ?(alias_prefilter = true) ?fsms src =
   let program = parse src in
   let workdir = fresh_workdir () in
   let fsms =
@@ -159,8 +159,7 @@ let run_pipeline ?(alias_prefilter = true) ?(workers = 1) ?fsms src =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       prefilter_properties = fsms;
-      alias_prefilter;
-      workers }
+      alias_prefilter }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let prs = List.map (Grapple.Pipeline.check_property prepared) fsms in
@@ -225,7 +224,7 @@ let test_slicer_reduces_edges () =
 
 (* ---------------- differential on generated subjects ---------------- *)
 
-let run_subject ?(alias_prefilter = true) ~workers
+let run_subject ?(alias_prefilter = true) ~shard_procs
     (subject : Workload.Generator.subject) =
   let workdir = fresh_workdir () in
   let fsms =
@@ -237,7 +236,7 @@ let run_subject ?(alias_prefilter = true) ~workers
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       prefilter_properties = fsms;
       alias_prefilter;
-      workers }
+      shard_procs }
   in
   let prepared =
     Grapple.Pipeline.prepare ~config ~workdir subject.Workload.Generator.program
@@ -248,13 +247,13 @@ let run_subject ?(alias_prefilter = true) ~workers
 let test_differential_generated_subject () =
   let subject = Workload.Generator.mini_zookeeper () in
   List.iter
-    (fun workers ->
-      let on = run_subject ~workers subject in
-      let off = run_subject ~alias_prefilter:false ~workers subject in
+    (fun shard_procs ->
+      let on = run_subject ~shard_procs subject in
+      let off = run_subject ~alias_prefilter:false ~shard_procs subject in
       Alcotest.(check (list string))
-        (Printf.sprintf "byte-identical reports at workers=%d" workers)
+        (Printf.sprintf "byte-identical reports at shard_procs=%d" shard_procs)
         off on)
-    [ 1; 4 ]
+    [ 0; 2 ]
 
 (* ---------------- whole-program lints ---------------- *)
 

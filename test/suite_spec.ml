@@ -310,7 +310,7 @@ let test_fsms_projection () =
 
 (* ---------------- pipeline harness ---------------- *)
 
-let prepare_and_run ?(workers = 1) ~track_null (cs : Checkers.t list)
+let prepare_and_run ?(shard_procs = 0) ~track_null (cs : Checkers.t list)
     (program : Jir.Ast.program) =
   let workdir = fresh_workdir () in
   let config =
@@ -318,7 +318,7 @@ let prepare_and_run ?(workers = 1) ~track_null (cs : Checkers.t list)
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
       track_null;
       prefilter_properties = Checkers.fsms cs;
-      workers }
+      shard_procs }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let results, _, _ = Checkers.run_all_scheduled prepared cs in
@@ -378,17 +378,18 @@ let test_renamed_null_property () =
   Alcotest.(check (list string)) "same warnings under another name" expected
     (warnings nullx)
 
-(* worker-count invariance of the full DSL checker set: the rendered
-   reports must be byte-identical at 1 and 4 workers *)
+(* executor invariance of the full DSL checker set: the rendered reports
+   must be byte-identical in-process and in 2 shard processes *)
 let test_dsl_checkers_worker_invariant () =
   let cs =
     List.map Checkers.resolve [ "lock_order"; "taint"; "close"; "exc_twr" ]
   in
   let subject = Workload.Generator.mini_taint () in
   let program = subject.Workload.Generator.program in
-  let r1 = render (prepare_and_run ~workers:1 ~track_null:false cs program) in
-  let r4 = render (prepare_and_run ~workers:4 ~track_null:false cs program) in
-  Alcotest.(check string) "workers 1 = workers 4" r1 r4
+  let run shard_procs =
+    render (prepare_and_run ~shard_procs ~track_null:false cs program)
+  in
+  Alcotest.(check string) "in-process = 2 shard processes" (run 0) (run 2)
 
 (* ---------------- DSL checker ground truth ---------------- *)
 

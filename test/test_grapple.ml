@@ -10,13 +10,8 @@ let () =
   | Some spec when String.trim spec <> "" ->
       Engine.Faults.install (Engine.Faults.parse spec)
   | _ -> ());
-  (* the shard suite must run FIRST: it forks worker processes, and
-     Unix.fork refuses to run in a process that has ever created a domain
-     (OCaml 5), which several later suites do (the instance scheduler's
-     worker domains).  Alcotest runs suites in list order. *)
   Alcotest.run "grapple"
-    [ ("shard", Suite_shard.suite);
-      ("smt", Suite_smt.suite);
+    [ ("smt", Suite_smt.suite);
       ("jir", Suite_jir.suite);
       ("encoding", Suite_encoding.suite);
       ("symexec", Suite_symexec.suite);
@@ -31,7 +26,7 @@ let () =
       ("interproc", Suite_interproc.suite);
       ("pipeline", Suite_pipeline.suite);
       ("faults", Suite_faults.suite);
-      ("parallel", Suite_parallel.suite);
+      ("shard", Suite_shard.suite);
       ("workload", Suite_workload.suite);
       ("spec", Suite_spec.suite);
       ("baseline", Suite_baseline.suite);
