@@ -26,6 +26,15 @@ let root_workdir =
   Filename.concat (Filename.get_temp_dir_name ())
     (Printf.sprintf "grapple-bench-%d" (Unix.getpid ()))
 
+(* Every engine's workdir lies under the root, so removing it at exit
+   leaves nothing behind.  Shard workers leave by [Unix._exit], which runs
+   no [at_exit] handler. *)
+let () =
+  at_exit (fun () ->
+      if Sys.file_exists root_workdir then
+        try Engine.remove_tree root_workdir
+        with Sys_error _ | Unix.Unix_error _ -> ())
+
 (* A workdir of its own for every engine the harness creates. *)
 let fresh_workdir =
   let n = ref 0 in

@@ -30,15 +30,6 @@ let load path =
       Printf.eprintf "%s:%d: lexical error: %s\n" path line msg;
       exit 2
 
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter
-      (fun f -> remove_tree (Filename.concat path f))
-      (Sys.readdir path);
-    Unix.rmdir path
-  end
-  else Sys.remove path
-
 (* Run [f] in a throwaway temp workdir, removed once [f] returns.  A run
    that does not return keeps it: an interrupted check exits 130 from
    inside [f] and names the directory for --resume. *)
@@ -49,7 +40,7 @@ let with_workdir ~prefix f =
   in
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755;
   let r = f dir in
-  remove_tree dir;
+  Engine.remove_tree dir;
   r
 
 open Cmdliner

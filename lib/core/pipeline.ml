@@ -346,7 +346,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
               ~reaches:(fun ~meth ~var ->
                 Analysis.Pointsto.nonempty pt ~meth_id:meth_ids.(meth) ~var))
   in
-  let smt_budget_hits0 = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
+  let smt_budget_hits0 = Smt.Solver.stats.Smt.Solver.budget_hits in
   let faults_injected0 = Engine.Faults.injected_count () in
   let alias_workdir = Filename.concat config.workdir "alias" in
   let engine_config =
@@ -765,9 +765,19 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
        trace spans stay in that process.  So do its SMT budget hits: the
        account carries them back, as it carries a derived plan's faults *)
     let run_task ~task ~attempt =
-      let hits () = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
+      let _, fsm, _ = order.(task) in
+      (* a re-dispatch resumes only a checkpoint its predecessor wrote:
+         probing for a missing manifest would draw a read from the
+         instance's fault stream, which the run without the lost worker
+         never draws *)
+      let resume_first =
+        attempt > 0
+        && Sys.file_exists
+             (Engine.Manifest.path ~workdir:(instance_workdir p fsm))
+      in
+      let hits () = Smt.Solver.stats.Smt.Solver.budget_hits in
       let hits0 = hits () in
-      let r, acct = instance ~worker:(-1) task ~resume_first:(attempt > 0) in
+      let r, acct = instance ~worker:(-1) task ~resume_first in
       acct.a_budget_hits <- hits () - hits0;
       Marshal.to_string (r, acct) []
     in
@@ -883,7 +893,7 @@ let stats (p : prepared) (props : property_result list) : stats =
   let n_retried = p.faults.n_retried + count m.Engine.Metrics.retries in
   let n_smt_budget_hits =
     max 0
-      (Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits
+      (Smt.Solver.stats.Smt.Solver.budget_hits
       - p.faults.smt_budget_hits0)
     + p.faults.n_worker_budget_hits
   in

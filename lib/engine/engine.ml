@@ -6,7 +6,9 @@
    pair of consecutive edges whose labels compose under the client grammar
    and whose conjoined path constraint is satisfiable, and flushes new edges
    to the partitions owning their source vertices.  Constraint results are
-   memoized in an LRU cache keyed by path encoding.
+   memoized at two levels: an LRU cache keyed by path encoding, and behind
+   it one keyed by the decoded constraint, since many encodings decode to
+   the same constraint.
 
    The memory budget ([max_edges_per_partition]) alone decides the
    partitions, by one rule ([partition]): order the edges by source and cut
@@ -115,6 +117,16 @@ let rec ensure_dir dir =
     (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
   end
 
+(* rm -r *)
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Unix.rmdir path
+  end
+  else Sys.remove path
+
 (* The cut rule of every partitioner, this engine's and the string
    baseline's.  Given [n] records sorted by source, record [i] with source
    [src i] and size [size i], returns the pieces as index ranges
@@ -206,6 +218,11 @@ module Make (L : LABEL_LOGIC) = struct
         (* feasibility verdicts keyed by canonical encoding wire bytes —
            one flat string hash per probe instead of a deep structural
            hash of the encoding *)
+    verdicts : (int * Formula.t, bool) Lru.t;
+        (* the same verdicts keyed by decoded constraint, behind [cache]: a
+           miss there decodes, and a hit here spares the solver.  The key
+           leads with [Formula.hash], which reads the whole constraint, so
+           the table's polymorphic hash does too *)
     mutable resident : (int * loaded) list;
         (* pid -> loaded partitions known to be in sync with their files;
            at most the two partitions of the current pair, so the memory
@@ -240,6 +257,7 @@ module Make (L : LABEL_LOGIC) = struct
       decode;
       metrics;
       cache = Lru.create 65_536;
+      verdicts = Lru.create 65_536;
       resident = [];
       parts = [];
       next_pid = 0;
@@ -250,10 +268,11 @@ module Make (L : LABEL_LOGIC) = struct
       ran = false;
       run_start = 0. }
 
-  (* Sync pull-style counts (the LRU's eviction tally) into the registry on
-     read.  [set] makes repeated reads idempotent. *)
+  (* Sync pull-style counts (the two LRUs' eviction tallies) into the
+     registry on read.  [set] makes repeated reads idempotent. *)
   let metrics t =
-    Metrics.set_count t.metrics.Metrics.cache_evictions (Lru.evictions t.cache);
+    Metrics.set_count t.metrics.Metrics.cache_evictions
+      (Lru.evictions t.cache + Lru.evictions t.verdicts);
     t.metrics
 
   (* ---------------- fault absorption and budgets ---------------- *)
@@ -641,36 +660,54 @@ module Make (L : LABEL_LOGIC) = struct
   (* How many candidates the join decides between two budget polls. *)
   let poll_every = 2048
 
-  (* The verdict on a candidate's path constraint: one cache hit, or one
-     solver call whose result is cached.  With feasibility off, every
-     composition succeeds. *)
+  (* The verdict on a candidate's path constraint: a hit in the encoding
+     cache, or a decode and then a hit in the constraint cache, or a decode
+     and one solver call whose result both caches keep.  So every lookup is
+     one hit or one solve.  With feasibility off, every composition
+     succeeds. *)
   let feasible t ~(bytes : string) (enc : Encoding.t) : bool =
     let m = t.metrics in
+    let solve formula =
+      let ok =
+        Metrics.time m `Solve (fun () ->
+            match Solver.check formula with
+            | Solver.Sat | Solver.Unknown -> true
+            | Solver.Unsat -> false)
+      in
+      Metrics.incr m.Metrics.constraints_solved;
+      ok
+    in
+    let hit ok =
+      Metrics.incr m.Metrics.cache_hits;
+      ok
+    in
     (not t.config.feasibility_enabled)
     ||
     (* a disabled cache is never consulted, so it must not count lookups:
        otherwise stats report a 0% hit rate for a cache that is off *)
-    match
-      if t.config.cache_enabled then begin
-        Metrics.incr m.Metrics.cache_lookups;
-        Lru.find t.cache bytes
-      end
-      else None
-    with
-    | Some ok ->
-        Metrics.incr m.Metrics.cache_hits;
-        ok
-    | None ->
-        let formula = Metrics.time m `Decode (fun () -> t.decode enc) in
-        let ok =
-          Metrics.time m `Solve (fun () ->
-              match Solver.check formula with
-              | Solver.Sat | Solver.Unknown -> true
-              | Solver.Unsat -> false)
-        in
-        Metrics.incr m.Metrics.constraints_solved;
-        if t.config.cache_enabled then Lru.add t.cache bytes ok;
-        ok
+    if not t.config.cache_enabled then
+      solve (Metrics.time m `Decode (fun () -> t.decode enc))
+    else begin
+      Metrics.incr m.Metrics.cache_lookups;
+      match Lru.find t.cache bytes with
+      | Some ok -> hit ok
+      | None ->
+          let ((_, formula) as key) =
+            Metrics.time m `Decode (fun () ->
+                let f = t.decode enc in
+                (Formula.hash f, f))
+          in
+          let ok =
+            match Lru.find t.verdicts key with
+            | Some ok -> hit ok
+            | None ->
+                let ok = solve formula in
+                Lru.add t.verdicts key ok;
+                ok
+          in
+          Lru.add t.cache bytes ok;
+          ok
+    end
 
   (* Join the loaded partitions to a local fixpoint, semi-naively: each
      superstep pairs only the edges appended since the last superstep (the

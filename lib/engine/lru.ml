@@ -18,9 +18,12 @@ type ('k, 'v) t = {
   mutable evictions : int;
 }
 
+(* The table starts small and grows with use: an engine keeps two caches,
+   and most engines decide only a few hundred distinct paths, so a table
+   sized for the capacity would be mostly empty buckets. *)
 let create capacity =
   if capacity <= 0 then invalid_arg "Lru.create: capacity must be positive";
-  { capacity; table = Hashtbl.create (min capacity 4096); head = None;
+  { capacity; table = Hashtbl.create (min capacity 64); head = None;
     tail = None; size = 0; evictions = 0 }
 
 let unlink t node =

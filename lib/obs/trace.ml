@@ -1,34 +1,23 @@
 (* Chrome trace_event emission (see trace.mli).
 
-   Events are rendered to JSON strings at record time and buffered under a
-   mutex: rendering is cheap, and holding strings avoids keeping arbitrary
-   caller data alive.  Worker domains record concurrently; the file is
-   written once at [stop].  The trace_event format does not require events
-   to be sorted, so the buffer is dumped in (reversed) arrival order. *)
+   Events are rendered to JSON strings at record time and buffered:
+   rendering is cheap, and holding strings avoids keeping arbitrary caller
+   data alive.  The program records from one thread of control per
+   process, so every event carries tid 0.  The file is written once at
+   [stop].  The trace_event format does not require events to be sorted,
+   so the buffer is dumped in (reversed) arrival order. *)
 
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
 type sink = { path : string; mutable events : string list; mutable n : int }
 
-let mu = Mutex.create ()
 let current : sink option ref = ref None
 
-(* mirror of [current <> None], readable without the mutex on hot paths *)
-let on = Atomic.make false
+let is_on () = Option.is_some !current
 
-let is_on () = Atomic.get on
+let start ~path = current := Some { path; events = []; n = 0 }
 
-let start ~path =
-  Mutex.lock mu;
-  current := Some { path; events = []; n = 0 };
-  Atomic.set on true;
-  Mutex.unlock mu
-
-let n_events () =
-  Mutex.lock mu;
-  let n = match !current with Some s -> s.n | None -> 0 in
-  Mutex.unlock mu;
-  n
+let n_events () = match !current with Some s -> s.n | None -> 0
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 2) in
@@ -67,21 +56,18 @@ let now_us () = Unix.gettimeofday () *. 1e6
 (* [ts] and [dur] in microseconds; [dur] only for complete ("X") events. *)
 let render ~ph ~cat ~args ~ts ?dur name =
   Printf.sprintf
-    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.1f%s,\"pid\":%d,\"tid\":%d%s}"
+    "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.1f%s,\"pid\":%d,\"tid\":0%s}"
     (json_escape name) (json_escape cat) ph ts
     (match dur with Some d -> Printf.sprintf ",\"dur\":%.1f" d | None -> "")
     (Unix.getpid ())
-    ((Domain.self () :> int))
     (render_args args)
 
 let record ev =
-  Mutex.lock mu;
-  (match !current with
+  match !current with
   | Some s ->
       s.events <- ev :: s.events;
       s.n <- s.n + 1
-  | None -> ());
-  Mutex.unlock mu
+  | None -> ()
 
 let instant ?(cat = "grapple") ?(args = []) name =
   if is_on () then record (render ~ph:"i" ~cat ~args ~ts:(now_us ()) name)
@@ -98,11 +84,8 @@ let with_span ?(cat = "grapple") ?(args = []) name f =
   end
 
 let stop () =
-  Mutex.lock mu;
   let s = !current in
   current := None;
-  Atomic.set on false;
-  Mutex.unlock mu;
   match s with
   | None -> ()
   | Some s ->

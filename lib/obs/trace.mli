@@ -2,13 +2,14 @@
     JSON, loadable in Perfetto / [chrome://tracing].
 
     Tracing is a process-wide switch ([start]/[stop]).  When off — the
-    default — every entry point is a near-no-op (one atomic load), so
+    default — every entry point is a near-no-op (one load), so
     instrumented hot paths cost nothing in production runs and the traced
     computation behaves identically either way: the only side effects of
     tracing are clock reads and buffer appends.
 
-    Events carry the process id, the recording domain's id (so a Perfetto
-    view separates worker lanes), and optional key/value attributes. *)
+    Events carry the process id (so a Perfetto view separates shard
+    worker processes), thread id 0, and optional key/value attributes.
+    Recording is not synchronized: call it from one domain per process. *)
 
 type arg = Str of string | Int of int | Float of float | Bool of bool
 
@@ -25,7 +26,7 @@ val with_span :
   ?cat:string -> ?args:(string * arg) list -> string -> (unit -> 'a) -> 'a
 (** [with_span name f] runs [f], recording a complete ("X") event covering
     its duration.  The span is recorded even when [f] raises (the exception
-    is re-raised).  Spans nest by inclusion per domain. *)
+    is re-raised).  Spans nest by inclusion per process. *)
 
 val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 (** Record an instant ("i") event. *)

@@ -95,10 +95,12 @@ let interp_seeds ~runs ~seed =
 (* Run the static pipeline and the concrete interpreter over one
    resolved program and confront the two.  This is the harness core,
    shared by the fuzz loop, the corpus replay, and the weakened-tier
-   tests. *)
+   tests.  A workdir it creates itself is removed before it returns; a
+   caller's [workdir] is left as the pipeline leaves it. *)
 let check_program ?(shard_procs = 0) ?weaken_tier
     ?(runs = 6) ?(seed = 1) ?workdir (program : Jir.Ast.program) :
     harness_result =
+  let own = Option.is_none workdir in
   let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
   let cs = checkers () in
   let fsms = Checkers.fsms cs in
@@ -110,7 +112,8 @@ let check_program ?(shard_procs = 0) ?weaken_tier
       weaken_tier }
   in
   let prepared = Pipeline.prepare ~config ~workdir program in
-  let reports, _props, _schedule = Checkers.run_all_scheduled prepared cs in
+  let reports, props, _schedule = Checkers.run_all_scheduled prepared cs in
+  if own then Pipeline.cleanup prepared props;
   let seeds = interp_seeds ~runs ~seed in
   let violations =
     List.concat_map

@@ -121,6 +121,31 @@ and nnf_neg = function
   | And (a, b) -> or_ (nnf_neg a) (nnf_neg b)
   | Or (a, b) -> and_ (nnf_neg a) (nnf_neg b)
 
+(* ---------------- hashing ---------------- *)
+
+(* A hash that reads the whole formula.  [Hashtbl.hash] stops after ten
+   meaningful words, so long path constraints that differ only further in
+   collide in it. *)
+let hash (f : t) : int =
+  let mix h x =
+    let h = (h lxor x) * 0x100000001b3 in
+    h lxor (h lsr 31)
+  in
+  let term h (t : Linexpr.t) =
+    List.fold_left (fun h (v, c) -> mix (mix h v) c) (mix h t.Linexpr.const)
+      t.Linexpr.coeffs
+  in
+  let rec go h = function
+    | True -> mix h 1
+    | False -> mix h 2
+    | Atom (Le t) -> term (mix h 3) t
+    | Atom (Eq t) -> term (mix h 4) t
+    | Not f -> go (mix h 5) f
+    | And (a, b) -> go (go (mix h 6) a) b
+    | Or (a, b) -> go (go (mix h 7) a) b
+  in
+  go 0 f
+
 (* ---------------- evaluation and printing ---------------- *)
 
 let eval_atom assignment = function

@@ -4,8 +4,11 @@
    propositional model is checked by the Fourier-Motzkin theory solver, and
    theory conflicts are returned to the SAT core as blocking clauses.
 
-   The common case in Grapple -- a path constraint that is one big
-   conjunction -- bypasses the SAT core entirely. *)
+   The common cases in Grapple bypass the SAT core entirely: a path
+   constraint that is one big conjunction goes straight to the theory
+   solver, and so does a conjunction of atoms and negated atoms, whose
+   negated equalities the theory splits within their variable components
+   (see [check]). *)
 
 type result = Sat | Unsat | Unknown
 
@@ -18,28 +21,20 @@ type model_result = Model_sat of model option | Model_unsat | Model_unknown
 (* Statistics across the whole process, reported by the benchmarks.
    Totals are sums of per-call increments, independent of call order.
    Calls made in a shard worker process count only in that process; the
-   pipeline carries its budget hits back in the instance's account.  The
-   counters are atomic, so they stay exact whichever domain increments
-   them. *)
+   pipeline carries its budget hits back in the instance's account. *)
 type stats = {
-  calls : int Atomic.t;
-  sat_answers : int Atomic.t;
-  unsat_answers : int Atomic.t;
-  unknown_answers : int Atomic.t;
-  theory_checks : int Atomic.t;
-  sat_rounds : int Atomic.t;
-  budget_hits : int Atomic.t;  (* DPLL(T) round budget exhausted -> Unknown *)
+  mutable calls : int;
+  mutable sat_answers : int;
+  mutable unsat_answers : int;
+  mutable unknown_answers : int;
+  mutable theory_checks : int;
+  mutable sat_rounds : int;
+  mutable budget_hits : int;  (* DPLL(T) round budget exhausted -> Unknown *)
 }
 
-let stats = {
-  calls = Atomic.make 0;
-  sat_answers = Atomic.make 0;
-  unsat_answers = Atomic.make 0;
-  unknown_answers = Atomic.make 0;
-  theory_checks = Atomic.make 0;
-  sat_rounds = Atomic.make 0;
-  budget_hits = Atomic.make 0;
-}
+let stats =
+  { calls = 0; sat_answers = 0; unsat_answers = 0; unknown_answers = 0;
+    theory_checks = 0; sat_rounds = 0; budget_hits = 0 }
 
 let max_dpllt_rounds = 10_000
 
@@ -56,6 +51,9 @@ let round_budget = ref max_dpllt_rounds
 
 let set_budget n = round_budget := if n <= 0 then max_dpllt_rounds else n
 
+(* 2^k <= the round budget, without overflow. *)
+let splits_fit k = k < Sys.int_size - 1 && 1 lsl k <= !round_budget
+
 (* Collect the conjuncts of a purely conjunctive NNF formula, or return
    [None] if a disjunction occurs. *)
 let rec conjuncts acc (f : Formula.t) =
@@ -67,9 +65,30 @@ let rec conjuncts acc (f : Formula.t) =
       match conjuncts acc x with None -> None | Some acc -> conjuncts acc y)
   | Formula.Or _ | Formula.Not _ -> None
 
-let check_conjunction (atoms : Formula.atom list) : result =
-  Atomic.incr stats.theory_checks;
-  match Theory.check atoms ~neg_eqs:[] with
+(* The atoms and the negated equalities' terms of a conjunction of atoms
+   and negated atoms, each list in the order [conjuncts] collects it; [None]
+   for any other shape.  A negated inequality is flipped as [Formula.nnf]
+   flips it. *)
+let literals (f : Formula.t) =
+  let rec go ((pos, neg_eqs) as acc) (f : Formula.t) =
+    match f with
+    | Formula.True -> Some acc
+    | Formula.Atom a -> Some (a :: pos, neg_eqs)
+    | Formula.Not (Formula.Atom (Formula.Eq t)) -> Some (pos, t :: neg_eqs)
+    | Formula.Not (Formula.Atom (Formula.Le _) as g) -> (
+        match Formula.nnf_neg g with
+        | Formula.Atom a -> Some (a :: pos, neg_eqs)
+        | Formula.True -> Some acc
+        | _ -> None)
+    | Formula.And (x, y) -> (
+        match go acc x with None -> None | Some acc -> go acc y)
+    | Formula.False | Formula.Or _ | Formula.Not _ -> None
+  in
+  go ([], []) f
+
+let check_conjunction ?(neg_eqs = []) (atoms : Formula.atom list) : result =
+  stats.theory_checks <- stats.theory_checks + 1;
+  match Theory.check atoms ~neg_eqs with
   | Theory.Sat -> Sat
   | Theory.Unsat -> Unsat
 
@@ -155,16 +174,16 @@ let solve_with_skeleton (f : Formula.t) : result =
   List.iter (Sat.add_clause sat) sk.clauses;
   let rec loop rounds =
     if rounds > !round_budget then begin
-      Atomic.incr stats.budget_hits;
+      stats.budget_hits <- stats.budget_hits + 1;
       Unknown
     end
     else begin
-      Atomic.incr stats.sat_rounds;
+      stats.sat_rounds <- stats.sat_rounds + 1;
       match Sat.solve_current sat with
       | Sat.Unsat -> Unsat
       | Sat.Sat model ->
           let pos, neg_eqs = model_to_theory sk model in
-          Atomic.incr stats.theory_checks;
+          stats.theory_checks <- stats.theory_checks + 1;
           (match Theory.check pos ~neg_eqs with
           | Theory.Sat -> Sat
           | Theory.Unsat ->
@@ -180,14 +199,20 @@ let solve_with_skeleton (f : Formula.t) : result =
   in
   loop 0
 
-(* Decide satisfiability of an arbitrary formula. *)
+(* Decide satisfiability of an arbitrary formula.  A conjunction of atoms
+   and negated atoms with k negated equalities skips the Tseitin skeleton:
+   the theory splits each disequality within its variable component, which
+   explores at most the 2^k sign choices DPLL(T) would enumerate round by
+   round.  It does so only when 2^k fits the round budget, so the budget
+   still bounds every call: past it, and at budget 1 for any k > 0, the
+   call runs DPLL(T) as before. *)
 let check (f : Formula.t) : result =
-  Atomic.incr stats.calls;
+  stats.calls <- stats.calls + 1;
   let record r =
     (match r with
-    | Sat -> Atomic.incr stats.sat_answers
-    | Unsat -> Atomic.incr stats.unsat_answers
-    | Unknown -> Atomic.incr stats.unknown_answers);
+    | Sat -> stats.sat_answers <- stats.sat_answers + 1
+    | Unsat -> stats.unsat_answers <- stats.unsat_answers + 1
+    | Unknown -> stats.unknown_answers <- stats.unknown_answers + 1);
     r
   in
   match Formula.nnf f with
@@ -196,7 +221,11 @@ let check (f : Formula.t) : result =
   | nnf -> (
       match conjuncts [] nnf with
       | Some atoms -> record (check_conjunction atoms)
-      | None -> record (solve_with_skeleton nnf))
+      | None -> (
+          match literals f with
+          | Some (atoms, neg_eqs) when splits_fit (List.length neg_eqs) ->
+              record (check_conjunction ~neg_eqs atoms)
+          | _ -> record (solve_with_skeleton nnf)))
 
 let is_sat f = match check f with Sat | Unknown -> true | Unsat -> false
 

@@ -2,11 +2,11 @@
    variables by dense integer ids, which keeps linear-expression operations
    and hashing cheap; the table maps back to names for printing.
 
-   The table is process-wide and consulted from worker domains (the
-   parallel instance scheduler decodes formulas off the main domain), so
-   all access is serialized by a mutex.  The
-   critical sections are a hashtable probe or an array slot read — far off
-   every hot path, which works on already-interned dense ids. *)
+   The table is process-wide, and the interprocedural analyses may run in
+   two domains at once (a test runs them so), so all access is serialized
+   by a mutex.  The critical sections are a hashtable probe or an array
+   slot read — far off every hot path, which works on already-interned
+   dense ids. *)
 
 type t = int
 

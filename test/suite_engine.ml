@@ -237,6 +237,41 @@ let test_cache_hit_counted_once () =
   Alcotest.(check int) "solved" 1 (count m.Engine.Metrics.constraints_solved);
   CEngine.cleanup t
 
+(* Two encodings that decode to one constraint: c(0,2) with encoding
+   [Call 1] and c(5,7) with [Call 2] miss the encoding cache, and the second
+   finds the first's verdict under the constraint (decoded afresh, so equal
+   but not shared).  With the cache off, each costs a solver call. *)
+let test_constraint_cache () =
+  let decode (_ : E.t) =
+    Smt.Formula.ge
+      (Smt.Linexpr.var (Smt.Symbol.intern "x"))
+      (Smt.Linexpr.const 0)
+  in
+  let counts ~cache_enabled =
+    let workdir = fresh_workdir () in
+    let config =
+      { (Engine.default_config ~workdir) with Engine.cache_enabled }
+    in
+    let t = CEngine.create ~config ~decode ~workdir () in
+    CEngine.add_seed t ~src:0 ~dst:1 ~label:0 ~enc:[ E.Call 1 ];
+    CEngine.add_seed t ~src:1 ~dst:2 ~label:1 ~enc:[];
+    CEngine.add_seed t ~src:5 ~dst:6 ~label:0 ~enc:[ E.Call 2 ];
+    CEngine.add_seed t ~src:6 ~dst:7 ~label:1 ~enc:[];
+    CEngine.run t;
+    let m = CEngine.metrics t in
+    let count c = Engine.Metrics.count c in
+    Alcotest.(check int) "edges added" 2 (count m.Engine.Metrics.edges_added);
+    CEngine.cleanup t;
+    ( count m.Engine.Metrics.constraints_solved,
+      count m.Engine.Metrics.cache_hits,
+      count m.Engine.Metrics.cache_lookups )
+  in
+  let triple = Alcotest.(triple int int int) in
+  Alcotest.check triple "cache on: solved, hits, lookups" (1, 1, 2)
+    (counts ~cache_enabled:true);
+  Alcotest.check triple "cache off: solved, hits, lookups" (2, 0, 0)
+    (counts ~cache_enabled:false)
+
 (* The partitions' intervals and record counts, after checking the one
    partitioning rule on their files: the intervals tile the vertices from
    0, every record's source lies in its partition's interval (so no vertex
@@ -726,6 +761,8 @@ let suite =
     Alcotest.test_case "cache counters" `Quick test_cache_counters;
     Alcotest.test_case "cache hit counted once" `Quick
       test_cache_hit_counted_once;
+    Alcotest.test_case "one solve per distinct constraint" `Quick
+      test_constraint_cache;
     Alcotest.test_case "metrics time on raise" `Quick
       test_metrics_time_records_on_raise;
     Alcotest.test_case "disabled cache counts nothing" `Quick

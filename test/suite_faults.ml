@@ -760,7 +760,7 @@ let test_smt_budget_sound () =
   in
   Alcotest.(check bool) "unbudgeted answer is Unsat" true
     (Smt.Solver.check f = Smt.Solver.Unsat);
-  let hits0 = Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits in
+  let hits0 = Smt.Solver.stats.Smt.Solver.budget_hits in
   Smt.Solver.set_budget 1;
   Fun.protect
     ~finally:(fun () -> Smt.Solver.set_budget 0)
@@ -771,7 +771,7 @@ let test_smt_budget_sound () =
       Alcotest.(check bool) "still treated as feasible" true
         (Smt.Solver.is_sat f);
       Alcotest.(check bool) "budget hit counted" true
-        (Atomic.get Smt.Solver.stats.Smt.Solver.budget_hits > hits0))
+        (Smt.Solver.stats.Smt.Solver.budget_hits > hits0))
 
 let suite =
   [ Alcotest.test_case "fault plan parse" `Quick test_plan_parse;

@@ -436,6 +436,19 @@ let test_shard_kill_nth () =
   Alcotest.(check int) "zero lost instances" 0
     out.o_stats.Pipeline.n_inconclusive
 
+(* A worker killed before its instance starts leaves no checkpoint, so
+   the re-dispatch starts fresh instead of probing for a manifest: the
+   probe would draw a read from the instance's fault stream.  A rate plan
+   then injects the same faults with and without the kill. *)
+let test_shard_kill_keeps_fault_stream () =
+  let program = generated ~seed:11 in
+  let plan = "seed=11,rate=0.2" in
+  let base = run ~procs:2 ~plan program in
+  let out = run ~procs:2 ~plan:(plan ^ ",kill-worker=3") program in
+  Alcotest.(check int) "the 3rd dispatch's worker was killed" 1
+    (cval out.o_stats.Pipeline.registry "supervisor.kills");
+  check_same ~what:"rate plan with and without a killed worker" base out
+
 (* Workers killed *mid-instance* (a crash plan detonates inside the engine,
    taking the worker process down) are re-dispatched from their checkpoint
    manifests: every attempt makes durable progress, the run completes with
@@ -700,6 +713,8 @@ let suite =
       test_shard_smt_budget_hits;
     Alcotest.test_case "SIGKILL-on-Nth-assignment: identical output" `Quick
       test_shard_kill_nth;
+    Alcotest.test_case "SIGKILL before a checkpoint: same fault stream"
+      `Quick test_shard_kill_keeps_fault_stream;
     Alcotest.test_case "crash mid-instance: resume from manifests" `Quick
       test_shard_crash_mid_instance;
     Alcotest.test_case "degraded mode: inconclusive past the limit" `Quick

@@ -254,6 +254,29 @@ let test_model_disconnected_components () =
       Alcotest.(check bool) "holds" true (Formula.eval value f)
   | _ -> Alcotest.fail "expected a witness"
 
+(* x = 0 and x <> 0: every sign choice of the disequality conflicts with
+   the equality.  At budget 1, DPLL(T) spends its one extra round and gives
+   up, and [check] must do exactly the same; at the default budget the
+   theory splits the disequality and answers Unsat with no budget hit. *)
+let test_solver_budget_one_disequality () =
+  let f = Formula.and_ (Formula.eq (x ()) (c 0)) (Formula.ne (x ()) (c 0)) in
+  let hits () = Solver.stats.Solver.budget_hits in
+  let saved = !Solver.round_budget in
+  Fun.protect ~finally:(fun () -> Solver.round_budget := saved) @@ fun () ->
+  Solver.set_budget 1;
+  let h0 = hits () in
+  let direct = Solver.solve_with_skeleton (Formula.nnf f) in
+  let h1 = hits () in
+  let checked = solve f in
+  let h2 = hits () in
+  Alcotest.check check_result "DPLL(T) runs out of rounds" Solver.Unknown
+    direct;
+  Alcotest.check check_result "check answers as DPLL(T)" direct checked;
+  Alcotest.(check int) "the same budget hits" (h1 - h0) (h2 - h1);
+  Solver.set_budget 0;
+  Alcotest.check check_result "split by the theory" Solver.Unsat (solve f);
+  Alcotest.(check int) "no budget hit" h2 (hits ())
+
 let test_solver_entailment () =
   let f = Formula.ge (x ()) (c 5) in
   let g = Formula.ge (x ()) (c 0) in
@@ -362,6 +385,78 @@ let prop_unsat_has_no_box_model =
       end
       else true)
 
+(* Conjunctions of 0-3 atoms or negated inequalities and 1-4 disequalities
+   over q0..q2.  Each disequality has a unit coefficient, so it stays a
+   negated equality after normalization. *)
+let arb_diseq_conjunction =
+  let open QCheck in
+  let var i = sym (Printf.sprintf "q%d" i) in
+  let term =
+    Gen.map2
+      (fun coeffs k ->
+        List.fold_left
+          (fun acc (i, coeff) -> Linexpr.add acc (Linexpr.var ~coeff (var i)))
+          (Linexpr.const k)
+          (List.mapi (fun i coeff -> (i, coeff)) coeffs))
+      (Gen.list_repeat 3 (Gen.int_range (-2) 2))
+      (Gen.int_range (-4) 4)
+  in
+  let atom =
+    Gen.map2
+      (fun e k ->
+        match k mod 3 with
+        | 0 -> Formula.atom_le e
+        | 1 -> Formula.atom_eq e
+        | _ -> Formula.not_ (Formula.atom_le e))
+      term Gen.nat
+  in
+  let diseq =
+    Gen.map3
+      (fun (i, di) (sign, c) k ->
+        let j = (i + 1 + di) mod 3 in
+        Formula.ne
+          (Linexpr.add (Linexpr.var ~coeff:sign (var i))
+             (Linexpr.var ~coeff:c (var j)))
+          (Linexpr.const k))
+      (Gen.pair (Gen.int_bound 2) (Gen.int_bound 1))
+      (Gen.pair (Gen.oneofl [ -1; 1 ]) (Gen.int_range (-2) 2))
+      (Gen.int_range (-4) 4)
+  in
+  let gen =
+    Gen.map2
+      (fun atoms diseqs -> Formula.conj (atoms @ diseqs))
+      (Gen.list_size (Gen.int_bound 3) atom)
+      (Gen.list_size (Gen.int_range 1 4) diseq)
+  in
+  make ~print:Formula.to_string gen
+
+(* brute force over [-6,6]^3 *)
+let has_box_model f =
+  let found = ref false in
+  for a = -6 to 6 do
+    for b = -6 to 6 do
+      for d = -6 to 6 do
+        let assignment v =
+          if v = sym "q0" then a
+          else if v = sym "q1" then b
+          else if v = sym "q2" then d
+          else 0
+        in
+        if Formula.eval assignment f then found := true
+      done
+    done
+  done;
+  !found
+
+(* the theory's split of each disequality decides what DPLL(T) decides
+   over the Tseitin skeleton, and neither misses a model in the box *)
+let prop_disequalities_split_by_theory =
+  QCheck.Test.make ~name:"disequalities: theory split = DPLL(T)" ~count:200
+    arb_diseq_conjunction (fun f ->
+      let checked = Solver.check f in
+      checked = Solver.solve_with_skeleton (Formula.nnf f)
+      && ((not (has_box_model f)) || checked <> Solver.Unsat))
+
 let suite =
   [ Alcotest.test_case "linexpr add" `Quick test_linexpr_add;
     Alcotest.test_case "linexpr sub cancels" `Quick test_linexpr_sub_cancel;
@@ -388,9 +483,12 @@ let suite =
     Alcotest.test_case "model extraction" `Quick test_model_extraction;
     Alcotest.test_case "model across components" `Quick test_model_disconnected_components;
     Alcotest.test_case "solver entailment" `Quick test_solver_entailment;
+    Alcotest.test_case "solver one-round budget with a disequality" `Quick
+      test_solver_budget_one_disequality;
     QCheck_alcotest.to_alcotest prop_add_comm;
     QCheck_alcotest.to_alcotest prop_sub_self_zero;
     QCheck_alcotest.to_alcotest prop_neg_involution;
     QCheck_alcotest.to_alcotest prop_model_valid;
     QCheck_alcotest.to_alcotest prop_solver_sound_on_box;
-    QCheck_alcotest.to_alcotest prop_unsat_has_no_box_model ]
+    QCheck_alcotest.to_alcotest prop_unsat_has_no_box_model;
+    QCheck_alcotest.to_alcotest prop_disequalities_split_by_theory ]

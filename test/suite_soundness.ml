@@ -213,6 +213,26 @@ let test_corpus_concrete_violations () =
     (Printf.sprintf "corpus exhibits concrete violations (saw %d)" total)
     true (total > 0)
 
+(* [check_program] removes the workdir it creates: two harness runs under
+   a fresh temp directory leave it empty. *)
+let test_check_program_cleans_up () =
+  let saved = Filename.get_temp_dir_name () in
+  let tmp =
+    Filename.concat saved
+      (Printf.sprintf "grapple-test-fuzz-tmp-%d" (Unix.getpid ()))
+  in
+  Unix.mkdir tmp 0o755;
+  Fun.protect ~finally:(fun () ->
+      Filename.set_temp_dir_name saved;
+      try Unix.rmdir tmp with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  Filename.set_temp_dir_name tmp;
+  let program = parse_file (List.hd (corpus_files ())) in
+  ignore (Fuzz.check_program ~runs:1 ~seed:1 program : Fuzz.harness_result);
+  ignore (Fuzz.check_program ~runs:1 ~seed:2 program : Fuzz.harness_result);
+  Alcotest.(check (list string)) "nothing left in the temp directory" []
+    (Array.to_list (Sys.readdir tmp))
+
 (* ---------------- live fuzzing ---------------- *)
 
 let test_fuzz_smoke () =
@@ -308,6 +328,8 @@ let suite =
       (corpus_files ())
   @ [ Alcotest.test_case "corpus: concrete violations exercised" `Quick
         test_corpus_concrete_violations;
+      Alcotest.test_case "harness: check_program leaves no workdir" `Quick
+        test_check_program_cleans_up;
       Alcotest.test_case "fuzz: 10-iteration smoke run is clean" `Quick
         test_fuzz_smoke;
       Alcotest.test_case "fuzz: weakened summary tier caught" `Slow
