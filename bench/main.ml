@@ -234,22 +234,20 @@ let table2 () =
     "shape check: exception handling dominates, lock bugs are rare (one, in\n\
      hdfs), every injected bug is found, false positives are rare.\n\
      (planted null bugs are scored by the extension checker, below)";
-  (* extension: the null-dereference checker, on the smallest subject (it
-     tracks every [= null] pseudo-allocation, so it is the most expensive
-     property per clone) *)
-  header "Extension: null-dereference checker (minizk)"
+  (* extension: the null-dereference checker, which tracks every [= null]
+     pseudo-allocation, so it runs apart from the paper's four *)
+  header "Extension: null-dereference checker"
     "not a paper column; evidence the system takes new FSM properties (S1.2)";
-  let subject = List.hd (Generator.all_subjects ()) in
-  let o =
-    run ~checkers:[ Checkers.resolve "null" ] subject (fun c ->
-        { c with Pipeline.track_null = true })
-  in
-  let sc =
-    Scoring.score ~checker:"null" ~expected:subject.Generator.expected
-      ~reports:(List.concat_map snd o.results) ()
-  in
-  Printf.printf "null checker on minizk: TP=%d FP=%d FN=%d\n" sc.Scoring.tp
-    sc.Scoring.fp sc.Scoring.fn
+  Printf.printf "%-12s %4s %4s %4s\n" "Subject" "TP" "FP" "FN";
+  List.iter
+    (fun subject ->
+      let o =
+        run ~checkers:[ Checkers.resolve "null" ] subject (fun c ->
+            { c with Pipeline.track_null = true })
+      in
+      let tp, fp, fn = score subject o.results in
+      Printf.printf "%-12s %4d %4d %4d\n" (name subject) tp fp fn)
+    (Generator.all_subjects ())
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: performance statistics.                                     *)
@@ -470,35 +468,15 @@ let oom () =
      constraint objects) exhausts its budget on every subject while the\n\
      out-of-core engine completes by spilling partitions to disk."
 
-(* The whole-program lints of [checker], [diags_of], scored against each
-   subject's planted bugs beside what the intraprocedural linter finds. *)
-let lint_table checker diags_of =
-  Printf.printf "%-12s %18s %18s\n" "subject" (checker ^ " TP/FP/FN")
-    "intraproc TP";
-  List.iter
-    (fun (subject : Generator.subject) ->
-      let program = subject.Generator.program in
-      let score_lints diags =
-        Scoring.score_lints ~allow_empty:true ~checker
-          ~expected:subject.Generator.expected diags
-      in
-      let ls = score_lints (diags_of program) in
-      let intra = score_lints (Analysis.Lint.check_program program) in
-      Printf.printf "%-12s %11d/%2d/%2d %18d\n" (name subject) ls.Scoring.ltp
-        ls.Scoring.lfp ls.Scoring.lfn intra.Scoring.ltp)
-    (Generator.all_subjects ())
-
 (* ------------------------------------------------------------------ *)
 (* Summary pre-filter side-by-side: the interprocedural summary       *)
 (* triage on vs. off.  It must prune instances with zero change in    *)
-(* reported warnings (TP and FP identical), and the --interproc lints *)
-(* must catch planted whole-program bugs the intraprocedural linter   *)
-(* misses.                                                            *)
+(* reported warnings (TP and FP identical).                           *)
 (* ------------------------------------------------------------------ *)
 
 let summaries () =
   header "Summary pre-filter: interprocedural typestate triage (on vs off)"
-    "sound pipeline triage ablation + whole-program lints";
+    "sound pipeline triage ablation";
   Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %8s %6s\n" "subject"
     "sf" "|V|" "#EA" "#sum" "TP" "FP" "warns" "time" "same";
   let fsms = Checkers.fsms (Checkers.all ()) in
@@ -517,18 +495,7 @@ let summaries () =
   |> ignore;
   print_endline
     "\nshape check: the summary stage prunes instances (#sum > 0) with\n\
-     identical warnings and TP/FP.";
-  (* the --interproc lint surface, scored against the planted
-     interprocedural bugs the intraprocedural linter cannot see *)
-  header "Whole-program lints (grapple lint --interproc)"
-    "interprocedural null/leak findings beyond the intraprocedural linter";
-  lint_table "interproc"
-    (Analysis.Summaries.interproc_diags
-       ~fsms:(Checkers.fsms (Checkers.all_with_null ())));
-  print_endline
-    "\nshape check: every planted interprocedural bug is found by the summary\n\
-     lints (TP >= 1 where planted, FN = 0) and by none of the intraprocedural\n\
-     ones (intraproc TP = 0)."
+     identical warnings and TP/FP."
 
 (* ------------------------------------------------------------------ *)
 (* Points-to side-by-side: the Andersen analysis and the              *)
@@ -560,8 +527,21 @@ let alias () =
      the intraprocedural linter cannot see *)
   header "Whole-program lints (grapple lint --interproc, pointsto)"
     "heap-flow findings beyond the intraprocedural linter";
-  lint_table "pointsto" (fun program ->
-      Analysis.Pointsto.diags (Analysis.Pointsto.analyze program));
+  Printf.printf "%-12s %18s %18s\n" "subject" "pointsto TP/FP/FN"
+    "intraproc TP";
+  List.iter
+    (fun (subject : Generator.subject) ->
+      let program = subject.Generator.program in
+      let score_lints diags =
+        Scoring.score_lints ~allow_empty:true ~checker:"pointsto"
+          ~expected:subject.Generator.expected diags
+      in
+      let pt = Analysis.Pointsto.analyze program in
+      let ls = score_lints (Analysis.Pointsto.diags pt) in
+      let intra = score_lints (Analysis.Lint.check_program program) in
+      Printf.printf "%-12s %11d/%2d/%2d %18d\n" (name subject) ls.Scoring.ltp
+        ls.Scoring.lfp ls.Scoring.lfn intra.Scoring.ltp)
+    (Generator.all_subjects ());
   print_endline
     "\nshape check: every planted heap-flow bug is found by the pointsto\n\
      lints (TP >= 1 where planted, FN = 0) and by none of the\n\

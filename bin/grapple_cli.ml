@@ -375,9 +375,8 @@ let check_cmd =
 let interproc_arg =
   Arg.(value & flag
        & info [ "interproc" ]
-           ~doc:"also run the whole-program lints: the summary-based ones \
-                 (interproc-null, interproc-leak) and the points-to-based \
-                 ones (pointsto-never-read, pointsto-confused-sink)")
+           ~doc:"also run the whole-program lints, which read Andersen \
+                 points-to sets (pointsto-never-read, pointsto-confused-sink)")
 
 let lint_cmd =
   let run file json interproc =
@@ -405,10 +404,7 @@ let lint_cmd =
         let pt =
           timed "pointsto-solve" (fun () -> Analysis.Pointsto.analyze program)
         in
-        diags
-        @ Analysis.Summaries.interproc_diags ~on_pass
-            ~fsms:(Checkers.fsms (Checkers.all_with_null ())) program
-        @ timed "pointsto-lints" (fun () -> Analysis.Pointsto.diags pt)
+        diags @ timed "pointsto-lints" (fun () -> Analysis.Pointsto.diags pt)
       else diags
     in
     List.iter
@@ -435,10 +431,9 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
-       ~doc:"run the dataflow lint analyses (use-before-init, null-deref, \
-             dead-branch, unreachable; with --interproc also the \
-             summary- and points-to-based whole-program lints) on a JIR \
-             file")
+       ~doc:"run the dataflow lint analyses (use-before-init, dead-branch, \
+             unreachable; with --interproc also the points-to-based \
+             whole-program lints) on a JIR file")
     Term.(const run $ file_arg $ json_arg $ interproc_arg)
 
 let cfet_cmd =

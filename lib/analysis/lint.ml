@@ -5,14 +5,11 @@
    the CLI, the JSON output, and the workload scorer. *)
 
 type diag = {
-  lint : string;          (* "use-before-init" | "null-deref" | ... *)
+  lint : string;          (* "use-before-init" | "dead-branch" | ... *)
   meth : string;          (* qualified method id *)
   at : Jir.Ast.pos;
   message : string;
 }
-
-let lint_names =
-  [ "use-before-init"; "null-deref"; "dead-branch"; "unreachable" ]
 
 let diag lint meth at message = { lint; meth; at; message }
 
@@ -38,11 +35,6 @@ let check_method ?(on_pass = fun _ _ -> ()) (m : Jir.Ast.meth) : diag list =
       emit "use-before-init" node
         (Printf.sprintf "variable '%s' may be used before it is assigned" v))
     (timed "use-before-init" (fun () -> Definite_assign.violations g));
-  List.iter
-    (fun (v, node) ->
-      emit "null-deref" node
-        (Printf.sprintf "variable '%s' is definitely null when dereferenced" v))
-    (timed "null-deref" (fun () -> Nullness.violations g));
   List.iter
     (fun (b : Unreachable.branch_verdict) ->
       if b.Unreachable.dead_nonempty then
@@ -76,23 +68,9 @@ let pp ppf (d : diag) =
 
 let to_string (d : diag) = Fmt.str "%a" pp d
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (d : diag) =
+  let esc = Obs.Trace.json_escape in
   Printf.sprintf
     {|{"tool":"lint","lint":"%s","method":"%s","file":"%s","line":%d,"message":"%s"}|}
-    (json_escape d.lint) (json_escape d.meth)
-    (json_escape d.at.Jir.Ast.file)
-    d.at.Jir.Ast.line (json_escape d.message)
+    (esc d.lint) (esc d.meth) (esc d.at.Jir.Ast.file) d.at.Jir.Ast.line
+    (esc d.message)

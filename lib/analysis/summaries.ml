@@ -24,12 +24,7 @@
    makes the pipeline's summary pre-filter sound: if no abstract sequence
    reaches the FSM error state and no abstract end-of-life state is
    non-accepting, the engine can report neither an error nor a leak for
-   that allocation, and it can be dropped before graph generation.
-
-   The same facts power the [interproc-leak] lint under the dual, all-paths
-   reading: if the object dies at some normal exit and *every* abstract
-   end-of-life state there is non-accepting (and the object never escapes
-   and never reaches the error state), every concrete execution leaks. *)
+   that allocation, and it can be dropped before graph generation. *)
 
 module SM = Map.Make (String)
 
@@ -593,10 +588,6 @@ type alloc_fact = {
   mutable f_exit_bad : bool;      (* some death point with a non-accepting
                                      state: the engine could report a leak *)
   mutable f_wild : bool;          (* escaped the abstraction's view *)
-  mutable f_died_normal : bool;   (* dies at some normal exit *)
-  mutable f_normal_all_bad : bool;
-      (* every normal death point had only non-accepting states: the
-         all-paths premise of the interproc-leak lint *)
 }
 
 (* One property's view of the product analysis. *)
@@ -614,19 +605,6 @@ let any_nonaccepting fsm states =
     (fun s live -> if live && not (Fsm.is_accepting fsm s) then bad := true)
     states;
   !bad
-
-let all_nonaccepting fsm states =
-  let any = ref false and bad = ref true in
-  Array.iteri
-    (fun s live ->
-      if live then begin
-        any := true;
-        if Fsm.is_accepting fsm s then bad := false
-      end)
-    states;
-  !any && !bad
-
-let nonempty states = Array.exists (fun b -> b) states
 
 (* Analyze every property of [fsms] in one bottom-up walk and return one
    result per property, in [fsms] order.  [callgraph] and [cfg] are as
@@ -652,9 +630,7 @@ let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
               f_tracked = false;
               f_may_error = false;
               f_exit_bad = false;
-              f_wild = false;
-              f_died_normal = false;
-              f_normal_all_bad = true }
+              f_wild = false }
           in
           Hashtbl.replace facts.(p) sid f;
           f
@@ -675,28 +651,19 @@ let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
         (fun p _ -> if tracks st.o_rels p then ignore (record_flow p st sid))
         cx.props
     in
-    let death ~normal st sid =
+    let death st sid =
       Array.iteri
         (fun p fsm ->
           if tracks st.o_rels p then begin
             let f, states = record_flow p st sid in
-            if nonempty states then begin
-              if any_nonaccepting fsm states then f.f_exit_bad <- true;
-              if normal then begin
-                f.f_died_normal <- true;
-                if not (all_nonaccepting fsm states) then
-                  f.f_normal_all_bad <- false
-              end
-            end
+            if any_nonaccepting fsm states then f.f_exit_bad <- true
           end)
         cx.props
     in
     let returned_die (s : summary) =
       List.iter
         (fun (sid, rels, wild) ->
-          death ~normal:true
-            { o_rels = rels; o_wild = wild; o_multi = false }
-            sid)
+          death { o_rels = rels; o_wild = wild; o_multi = false } sid)
         s.s_ret_fresh
     in
     (* roots: entries, and methods nothing calls *)
@@ -737,19 +704,17 @@ let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
                 env.objs)
         res.Dataflow.output;
       (* death points: local objects still live at an exit of this frame *)
-      let deaths node ~normal =
+      let deaths node =
         match res.Dataflow.input.(node) with
         | Unreached -> ()
         | Env env ->
             OM.iter
               (fun o st ->
-                match o with
-                | Oalloc sid -> death ~normal st sid
-                | Oparam _ -> ())
+                match o with Oalloc sid -> death st sid | Oparam _ -> ())
               env.objs
       in
-      deaths g.Cfg.exit_ ~normal:true;
-      deaths g.Cfg.exit_exn ~normal:false;
+      deaths g.Cfg.exit_;
+      deaths g.Cfg.exit_exn;
       (* objects returned by a callee whose result is dropped die here *)
       for node = 0 to Cfg.n_nodes g - 1 do
         match (g.Cfg.kinds.(node), res.Dataflow.input.(node)) with
@@ -794,69 +759,6 @@ let clean (f : alloc_fact) =
 
 let clean_sids (r : result) : int list =
   r.facts |> List.filter clean |> List.map (fun f -> f.f_site.a_sid)
-
-(* ---------------- the interproc-leak lint ---------------- *)
-
-(* Must-leak under the all-paths abstraction: the object dies at a normal
-   exit, every abstract state at every normal death point is non-accepting,
-   it never escapes, and it never reaches the error state (those are the
-   error checker's findings, not leaks).  Every concrete execution then
-   ends the object's life in a non-accepting state. *)
-let must_leaks (r : result) : alloc_fact list =
-  r.facts
-  |> List.filter (fun f ->
-         f.f_died_normal && f.f_normal_all_bad && (not f.f_wild)
-         && not f.f_may_error)
-
-let leak_diags ?callgraph ?cfg (fsms : Fsm.t list)
-    (program : Jir.Ast.program) : Lint.diag list =
-  List.concat_map
-    (fun r ->
-      List.map
-        (fun f ->
-          Lint.diag "interproc-leak" f.f_site.a_meth f.f_site.a_at
-            (Printf.sprintf
-               "%s allocated here never reaches an accepting %s state on \
-                any path"
-               f.f_site.a_cls r.fsm.Fsm.name))
-        (must_leaks r))
-    (analyze ?callgraph ?cfg fsms program)
-  |> List.sort (fun (a : Lint.diag) b ->
-         compare
-           (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.meth)
-           (b.Lint.at.Jir.Ast.file, b.Lint.at.Jir.Ast.line, b.Lint.meth))
-
-(* Combined interprocedural lint surface behind [grapple lint --interproc].
-   Both passes share one call graph and one CFG per method. *)
-let interproc_diags ?(on_pass = fun _ _ -> ()) ~(fsms : Fsm.t list)
-    (program : Jir.Ast.program) : Lint.diag list =
-  let timed name f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    on_pass name (Unix.gettimeofday () -. t0);
-    r
-  in
-  let callgraph =
-    timed "interproc-callgraph" (fun () -> Jir.Callgraph.build program)
-  in
-  let cfgs =
-    timed "interproc-cfg" (fun () ->
-        let cfgs = Hashtbl.create 64 in
-        List.iter
-          (fun m -> Hashtbl.replace cfgs (Jir.Ast.meth_id m) (Cfg.build m))
-          (Jir.Ast.all_methods program);
-        cfgs)
-  in
-  let cfg = Hashtbl.find cfgs in
-  timed "interproc-null" (fun () ->
-      Interproc.null_diags ~callgraph ~cfg program)
-  @ timed "interproc-leak" (fun () -> leak_diags ~callgraph ~cfg fsms program)
-  |> List.sort (fun (a : Lint.diag) b ->
-         compare
-           (a.Lint.at.Jir.Ast.file, a.Lint.at.Jir.Ast.line, a.Lint.lint,
-            a.Lint.meth)
-           (b.Lint.at.Jir.Ast.file, b.Lint.at.Jir.Ast.line, b.Lint.lint,
-            b.Lint.meth))
 
 (* Deterministic rendering of a whole result, for the byte-identity test.
    Allocation sites print as class@file:line, not raw sids: sids come from
@@ -910,10 +812,8 @@ let render (r : result) : string =
     (fun f ->
       Buffer.add_string buf
         (Printf.sprintf
-           "alloc %s in %s error=%b exit_bad=%b wild=%b leak=%b\n"
+           "alloc %s in %s error=%b exit_bad=%b wild=%b\n"
            (site_of f.f_site.a_sid) f.f_site.a_meth
-           f.f_may_error f.f_exit_bad f.f_wild
-           (f.f_died_normal && f.f_normal_all_bad && (not f.f_wild)
-            && not f.f_may_error)))
+           f.f_may_error f.f_exit_bad f.f_wild))
     r.facts;
   Buffer.contents buf

@@ -104,21 +104,8 @@ let pp_with_trace ppf (r : t) =
 
 (* One-line JSON rendering for `grapple check --json`: stable keys so bench
    tooling can diff runs textually. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_json (r : t) =
+  let esc = Obs.Trace.json_escape in
   let kind, state =
     match r.kind with
     | Error_state s -> ("error", s)
@@ -130,11 +117,10 @@ let to_json (r : t) =
     match r.site with
     | Some p ->
         Printf.sprintf {|,"site_file":"%s","site_line":%d|}
-          (json_escape p.Jir.Ast.file) p.Jir.Ast.line
+          (esc p.Jir.Ast.file) p.Jir.Ast.line
     | None -> ""
   in
   Printf.sprintf
     {|{"tool":"check","checker":"%s","kind":"%s","state":"%s","class":"%s","file":"%s","line":%d%s}|}
-    (json_escape r.checker) kind (json_escape state) (json_escape r.cls)
-    (json_escape r.alloc_at.Jir.Ast.file)
+    (esc r.checker) kind (esc state) (esc r.cls) (esc r.alloc_at.Jir.Ast.file)
     r.alloc_at.Jir.Ast.line site

@@ -182,7 +182,7 @@ let build_template ~track_null ~exclude (icfet : Icfet.t) (meth_idx : int) :
                     (Cfl.Pointer_grammar.Load (field_id f))
                     node_id node_id
               | Jir.Ast.Rnull when track_null ->
-                  (* null is a trackable pseudo-allocation: the null-deref
+                  (* null is a trackable pseudo-allocation: the null
                      checker follows its flow like any other object.  Only
                      materialized when a null-tracking property is active:
                      the extra sources enlarge the alias closure for every

@@ -122,23 +122,7 @@ let json_float x =
     Printf.sprintf "%.1f" x
   else Printf.sprintf "%.6f" x
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
+let json_string s = "\"" ^ Trace.json_escape s ^ "\""
 
 let to_json t =
   let names = sorted_names t in

@@ -33,3 +33,10 @@ val instant : ?cat:string -> ?args:(string * arg) list -> string -> unit
 
 val n_events : unit -> int
 (** Number of events buffered so far (0 when off); for tests. *)
+
+val json_escape : string -> string
+(** [json_escape s] is the body of a JSON string literal holding [s],
+    without the quotes.  It escapes the double quote, the backslash,
+    newline, CR and tab by name and every other byte below 0x20 as
+    [\u00XX]; every other byte, non-ASCII ones included, passes through.
+    Every JSON writer in the program uses it. *)

@@ -20,7 +20,7 @@ type profile = {
   calls_per_method : int;    (* calls into the previous layer *)
   bugs : (string * int) list;  (* checker -> number of injected bugs *)
   lint_bugs : (string * int) list;
-      (* lint slug -> number of injected lint-detectable bugs *)
+      (* [Patterns.lint_patterns_for] key -> number of injected bugs *)
   loops_per_subject : int;
 }
 
@@ -263,7 +263,7 @@ let mini_hadoop () =
       calls_per_method = 2;
       bugs = [ ("exception", 7) ];
       lint_bugs =
-        [ ("use-before-init", 1); ("interproc-null", 1);
+        [ ("use-before-init", 1); ("null-via-return", 1);
           ("pointsto-confused-sink", 1) ];
       loops_per_subject = 3 }
 
@@ -278,7 +278,7 @@ let mini_hdfs () =
       patterns_per_method = 2;
       calls_per_method = 2;
       bugs = [ ("io", 1); ("lock", 1); ("exception", 5); ("socket", 1) ];
-      lint_bugs = [ ("null-deref", 1); ("pointsto-never-read", 1) ];
+      lint_bugs = [ ("null-unconditional", 1); ("pointsto-never-read", 1) ];
       loops_per_subject = 3 }
 
 let mini_hbase () =
@@ -293,8 +293,9 @@ let mini_hbase () =
       calls_per_method = 2;
       bugs = [ ("io", 2); ("exception", 22) ];
       lint_bugs =
-        [ ("null-deref", 1); ("dead-branch", 1); ("interproc-null", 1);
-          ("pointsto-never-read", 1); ("pointsto-confused-sink", 1) ];
+        [ ("null-unconditional", 1); ("dead-branch", 1);
+          ("null-via-return", 1); ("pointsto-never-read", 1);
+          ("pointsto-confused-sink", 1) ];
       loops_per_subject = 4 }
 
 (* Subjects for the DSL-defined checkers (lib/spec builtins).  Each plants

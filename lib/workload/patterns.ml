@@ -159,12 +159,7 @@ let io_leak_via_helper ctx ~param =
     helpers = [ helper ];
     expected =
       [ { exp_checker = "io"; exp_kind = `Leak; exp_line = alloc_at.Jir.Ast.line;
-          exp_note = "helper-created writer never closed" };
-        (* the summary lint proves the same leak without the engine: the
-           object reaches no accepting state on any path *)
-        { exp_checker = "interproc"; exp_kind = `Lint "interproc-leak";
-          exp_line = alloc_at.Jir.Ast.line;
-          exp_note = "must-leak under the all-paths summary abstraction" } ] }
+          exp_note = "helper-created writer never closed" } ] }
 
 (* resource stored into a container field and closed through the loaded
    alias -- correct, exercises store[f] alias load[f] *)
@@ -457,9 +452,9 @@ let lint_use_before_init ctx ~param =
           exp_line = use_at.Jir.Ast.line;
           exp_note = "write before the writer is ever assigned" } ] }
 
-(* unconditional dereference of a definitely-null variable -- both the lint
-   layer (statically, any run) and the null checker (when enabled) see it,
-   so the ground truth carries one expectation for each *)
+(* unconditional dereference of a definitely-null variable; the null
+   checker reports it at the [= null] line, where the pseudo-allocation
+   is *)
 let lint_null_deref ctx ~param =
   let w = fresh ctx "dn" in
   let null_at = next_line ctx in
@@ -469,27 +464,25 @@ let lint_null_deref ctx ~param =
         call_stmt ~at:deref_at w "write" [ v param ] ];
     helpers = [];
     expected =
-      [ { exp_checker = "lint"; exp_kind = `Lint "null-deref";
-          exp_line = deref_at.Jir.Ast.line;
-          exp_note = "receiver is null on every path" };
-        { exp_checker = "null"; exp_kind = `Error;
+      [ { exp_checker = "null"; exp_kind = `Error;
           exp_line = null_at.Jir.Ast.line;
-          exp_note = "null checker sees the same dereference" } ] }
+          exp_note = "receiver is null on every path" } ] }
 
 (* a helper that returns null on every path, dereferenced by the caller.
-   Intraprocedurally the call result is unknown, so the local null-deref
-   lint stays quiet -- only the summary-based interprocedural lint
-   (interproc-null) sees the flow.  This is the injected bug the issue's
-   acceptance criterion requires --interproc to catch. *)
+   The null checker follows the pseudo-allocation through the return and
+   reports it at the helper's [= null] line. *)
 let interproc_null_via_return ctx ~param =
   let helper_name = fresh ctx "defaultWriter" in
   let w = fresh ctx "iw" in
   let r = fresh ctx "ir" in
+  (* the return's line is drawn before the null's, and the generated
+     subjects depend on that order *)
+  let ret_at = next_line ctx in
+  let null_at = next_line ctx in
   let helper =
     meth ~cls:ctx.helpers_class ~name:helper_name
       ~params:[ (Jir.Ast.Tint, "n") ] ~ret:writer_t
-      [ decl ~at:(next_line ctx) writer_t r null;
-        return ~at:(next_line ctx) (Some (v r)) ]
+      [ decl ~at:null_at writer_t r null; return ~at:ret_at (Some (v r)) ]
   in
   let call_at = next_line ctx in
   let deref_at = next_line ctx in
@@ -499,8 +492,8 @@ let interproc_null_via_return ctx ~param =
         call_stmt ~at:deref_at w "write" [ v param ] ];
     helpers = [ helper ];
     expected =
-      [ { exp_checker = "interproc"; exp_kind = `Lint "interproc-null";
-          exp_line = deref_at.Jir.Ast.line;
+      [ { exp_checker = "null"; exp_kind = `Error;
+          exp_line = null_at.Jir.Ast.line;
           exp_note = "helper returns null on every path" } ] }
 
 (* a branch on an arithmetically impossible condition with real code under
@@ -794,12 +787,14 @@ let bug_patterns_for = function
   | "exc_twr_decoy" -> [ exc_twr_handled_decoy ]
   | c -> invalid_arg ("Patterns.bug_patterns_for: " ^ c)
 
-(* lint-detectable bug patterns, keyed by lint slug (Analysis.Lint names) *)
+(* the bug patterns a profile plants from its own random stream, keyed by
+   lint slug (Analysis.Lint names), or for the two null patterns by the
+   pattern's name *)
 let lint_patterns_for = function
   | "use-before-init" -> [ lint_use_before_init ]
-  | "null-deref" -> [ lint_null_deref ]
+  | "null-unconditional" -> [ lint_null_deref ]
   | "dead-branch" -> [ lint_dead_branch ]
-  | "interproc-null" -> [ interproc_null_via_return ]
+  | "null-via-return" -> [ interproc_null_via_return ]
   | "pointsto-never-read" -> [ pointsto_never_read ]
   | "pointsto-confused-sink" -> [ pointsto_confused_sink ]
   | c -> invalid_arg ("Patterns.lint_patterns_for: " ^ c)

@@ -95,8 +95,8 @@ type lint_score = {
 }
 
 (* [checker] selects which expectations the diagnostics are scored
-   against: "lint" (default) for the intraprocedural lints, "interproc"
-   for the summary-based whole-program lints. *)
+   against: "lint" (default) for the intraprocedural lints, "pointsto"
+   for the points-to-based whole-program lints. *)
 let score_lints ?(allow_empty = false) ?(checker = "lint")
     ~(expected : Patterns.expectation list)
     (diags : Analysis.Lint.diag list) : lint_score =

@@ -132,25 +132,9 @@ entry Main.main;
   Alcotest.(check (list string)) "assigned on both branches" []
     (lint_names diags)
 
-let test_null_deref () =
-  let diags =
-    Analysis.Lint.check_program (parse {|
-class Main {
-  void main(int p) {
-    FileWriter w = null;
-    w.write(p);
-    return;
-  }
-}
-entry Main.main;
-|})
-  in
-  Alcotest.(check (list string)) "definite null deref" [ "null-deref" ]
-    (lint_names diags)
-
 let test_null_deref_guarded_join_negative () =
-  (* after the join w is only *maybe* null; the lint stays quiet (the
-     path-sensitive null checker owns that case) *)
+  (* a dereference of a variable that is null on one path: the lints stay
+     quiet, because nulls are the path-sensitive null checker's *)
   let diags =
     Analysis.Lint.check_program (parse {|
 class Main {
@@ -366,9 +350,8 @@ let test_lint_json () =
     Analysis.Lint.check_program (parse {|
 class Main {
   void main(int p) {
-    FileWriter w = null;
-    w.write(p);
     return;
+    int x = 1;
   }
 }
 entry Main.main;
@@ -388,9 +371,76 @@ entry Main.main;
                   || search (i + 1))
              in
              search 0))
-        [ {|"tool":"lint"|}; {|"lint":"null-deref"|}; {|"method":"Main.main"|} ]
+        [ {|"tool":"lint"|}; {|"lint":"unreachable"|};
+          {|"method":"Main.main"|} ]
   | ds ->
       Alcotest.fail (Printf.sprintf "expected one diag, got %d" (List.length ds))
+
+(* Everything [grapple lint --interproc] reports (the intraprocedural lints
+   and the points-to lints), one digest per subject over the rendered
+   diagnostics, so a change to any lint's findings shows here. *)
+let lint_surface_digests =
+  [ ("figure3b.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("minizk", "2210fa551491c4c450898717c62ccb62");
+    ("minihadoop", "863e848374cafd6affaeb00b0997672d");
+    ("minihdfs", "f687113b47445efc82af1813adfe4277");
+    ("minihbase", "7a79e88f02d0fb26e1a1d5f79d4250ad");
+    ("minilocks", "bc17425535647c44aac80dd029534775");
+    ("minitaint", "a8fa8653aa40aeb41c1da46d17e0c9ab");
+    ("miniclose", "52cf0cf56e4e0eb516eebe00981d8c66");
+    ("minitwr", "d41d8cd98f00b204e9800998ecf8427e");
+    ("alias_close.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("alias_lock_order.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("alias_socket.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("alias_taint.jir", "6f95d3a135613a89edf2ce9cc4600e80");
+    ("escape_close.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("escape_io.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("escape_lock.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("exc_twr_undeclared.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("exception_unhandled.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("summary_io.jir", "71c8a2f478c84a8ec62cb998575cda6f");
+    ("summary_socket.jir", "d41d8cd98f00b204e9800998ecf8427e");
+    ("summary_taint.jir", "c75077fde9909704ffbf641fa972ca9a") ]
+
+let test_lint_surface_golden () =
+  let dir = Filename.dirname Sys.executable_name in
+  let of_file path =
+    let file = Filename.basename path in
+    let src = In_channel.with_open_bin path In_channel.input_all in
+    (file, Jir.Resolve.parse_exn ~file src)
+  in
+  let corpus =
+    let cdir = Filename.concat dir "corpus" in
+    Sys.readdir cdir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".jir")
+    |> List.sort compare
+    |> List.map (fun f -> of_file (Filename.concat cdir f))
+  in
+  let subject (s : Workload.Generator.subject) =
+    (s.Workload.Generator.profile.Workload.Generator.name,
+     s.Workload.Generator.program)
+  in
+  let subjects =
+    (of_file (Filename.concat dir "../examples/figure3b.jir")
+    :: List.map subject
+         (Workload.Generator.all_subjects ()
+         @ Workload.Generator.dsl_subjects ()))
+    @ corpus
+  in
+  Alcotest.(check (list string)) "every pinned subject is checked"
+    (List.map fst lint_surface_digests) (List.map fst subjects);
+  List.iter
+    (fun (name, program) ->
+      let text =
+        Analysis.Lint.check_program program
+        @ Analysis.Pointsto.diags (Analysis.Pointsto.analyze program)
+        |> List.map (fun d -> Analysis.Lint.to_string d ^ "\n")
+        |> String.concat ""
+      in
+      Alcotest.(check string) (name ^ ": digest of\n" ^ text)
+        (List.assoc name lint_surface_digests)
+        (Digest.to_hex (Digest.string text)))
+    subjects
 
 let suite =
   [ Alcotest.test_case "cfg shape" `Quick test_cfg_shape;
@@ -398,7 +448,6 @@ let suite =
     Alcotest.test_case "use before init" `Quick test_use_before_init;
     Alcotest.test_case "use before init negative" `Quick
       test_use_before_init_negative;
-    Alcotest.test_case "null deref" `Quick test_null_deref;
     Alcotest.test_case "null deref guarded join" `Quick
       test_null_deref_guarded_join_negative;
     Alcotest.test_case "dead branch" `Quick test_dead_branch;
@@ -408,4 +457,5 @@ let suite =
       test_unreachable_after_return;
     Alcotest.test_case "clean program" `Quick test_clean_program_no_diags;
     Alcotest.test_case "clean examples" `Quick test_clean_examples_no_diags;
-    Alcotest.test_case "lint json" `Quick test_lint_json ]
+    Alcotest.test_case "lint json" `Quick test_lint_json;
+    Alcotest.test_case "lint surface golden" `Quick test_lint_surface_golden ]

@@ -1,6 +1,6 @@
-(* Tests for the interprocedural layer (ISSUE 2): SCC condensation order,
-   FSM transfer relations, the summary-based bottom-up solver, the
-   whole-program lints, and the pipeline's summary pre-filter. *)
+(* Tests for the interprocedural layer: SCC condensation order, FSM
+   transfer relations, the summary-based bottom-up solver, nulls and leaks
+   that cross calls, and the pipeline's summary pre-filter. *)
 
 let parse src = Jir.Resolve.parse_exn src
 
@@ -183,7 +183,38 @@ let test_summary_single_pass () =
   Alcotest.(check int) "alloc proved clean" 1
     (List.length (Analysis.Summaries.clean_sids r))
 
-(* ---------------- interprocedural nullness ---------------- *)
+(* ---------------- nulls and leaks through calls ---------------- *)
+
+(* The reports [checker] makes on [program] through the pipeline. *)
+let engine_run checker program =
+  let c = Checkers.resolve checker in
+  let workdir = fresh_workdir () in
+  let config =
+    { (Grapple.Pipeline.default_config ~workdir) with
+      Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+      track_null = Checkers.tracks_null [ c ];
+      prefilter_properties = Checkers.fsms [ c ] }
+  in
+  let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
+  let results, props, _ = Checkers.run_all_scheduled prepared [ c ] in
+  Grapple.Pipeline.cleanup prepared props;
+  List.concat_map snd results
+
+(* [engine_run] on [src], as (kind, allocation line, line it manifests
+   at). *)
+let engine_reports checker src =
+  engine_run checker (parse src)
+  |> List.map (fun (r : Grapple.Report.t) ->
+         ( (match r.Grapple.Report.kind with
+           | Grapple.Report.Leak _ -> "leak"
+           | Grapple.Report.Error_state _ -> "error"
+           | _ -> "other"),
+           r.Grapple.Report.alloc_at.Jir.Ast.line,
+           Option.fold ~none:0
+             ~some:(fun (p : Jir.Ast.pos) -> p.Jir.Ast.line)
+             r.Grapple.Report.site ))
+
+let reports = Alcotest.(list (triple string int int))
 
 let null_ret_src = {|
 class H {
@@ -202,21 +233,15 @@ class Main {
 entry Main.main;
 |}
 
-let lints ds = List.map (fun d -> d.Analysis.Lint.lint) ds
+let test_null_via_return () =
+  Alcotest.check reports "null from the helper, dereferenced in main"
+    [ ("error", 4, 11) ]
+    (engine_reports "null" null_ret_src)
 
-let test_interproc_null_via_return () =
-  let program = parse null_ret_src in
-  Alcotest.(check (list string)) "summary lint sees the flow"
-    [ "interproc-null" ]
-    (lints (Analysis.Interproc.null_diags program));
-  (* the acceptance criterion: the intraprocedural lints miss this bug *)
-  Alcotest.(check bool) "intraprocedural linter is blind to it" true
-    (not (List.mem "null-deref"
-            (lints (Analysis.Lint.check_program program))))
-
-let test_interproc_null_via_param () =
-  let program =
-    parse {|
+let test_null_via_param () =
+  Alcotest.check reports "null argument, dereferenced in the callee"
+    [ ("error", 5, 2) ]
+    (engine_reports "null" {|
 class H { void use(FileWriter f) { f.write(1); return; } }
 class Main {
   void main(int p) {
@@ -226,15 +251,11 @@ class Main {
   }
 }
 entry Main.main;
-|}
-  in
-  Alcotest.(check (list string)) "null argument into a dereferencing callee"
-    [ "interproc-null" ]
-    (lints (Analysis.Interproc.null_diags program))
+|})
 
-let test_interproc_null_negative () =
-  let program =
-    parse {|
+let test_null_negative () =
+  Alcotest.check reports "non-null return stays quiet" []
+    (engine_reports "null" {|
 class H {
   FileWriter mk(int n) {
     FileWriter r = new FileWriter();
@@ -250,12 +271,7 @@ class Main {
   }
 }
 entry Main.main;
-|}
-  in
-  Alcotest.(check (list string)) "non-null return stays quiet" []
-    (lints (Analysis.Interproc.null_diags program))
-
-(* ---------------- the interproc-leak lint ---------------- *)
+|})
 
 let leak_src = {|
 class H {
@@ -274,19 +290,13 @@ class Main {
 entry Main.main;
 |}
 
-let test_interproc_leak_positive () =
-  match Analysis.Summaries.leak_diags [ io ] (parse leak_src) with
-  | [ d ] ->
-      Alcotest.(check string) "lint slug" "interproc-leak" d.Analysis.Lint.lint;
-      Alcotest.(check int) "reported at the helper's allocation" 4
-        d.Analysis.Lint.at.Jir.Ast.line
-  | ds ->
-      Alcotest.fail
-        (Printf.sprintf "expected one leak diag, got %d" (List.length ds))
+let test_leak_positive () =
+  Alcotest.check reports "leak at the helper's allocation" [ ("leak", 4, 0) ]
+    (engine_reports "io" leak_src)
 
-let test_interproc_leak_negative_closed () =
-  let program =
-    parse {|
+let test_leak_negative_closed () =
+  Alcotest.check reports "closed on every path" []
+    (engine_reports "io" {|
 class H {
   FileWriter openLog(int n) {
     FileWriter hw = new FileWriter();
@@ -302,31 +312,7 @@ class Main {
   }
 }
 entry Main.main;
-|}
-  in
-  Alcotest.(check int) "closed on every path: no lint" 0
-    (List.length (Analysis.Summaries.leak_diags [ io ] program))
-
-let test_interproc_leak_branch_is_may_not_must () =
-  (* close skipped on one branch: the engine reports this (a may-leak with
-     a feasible witness), the all-paths lint must not *)
-  let program =
-    parse {|
-class Main {
-  void main(int p) {
-    FileWriter w = new FileWriter();
-    w.write(p);
-    if (p > 10) {
-      w.close();
-    }
-    return;
-  }
-}
-entry Main.main;
-|}
-  in
-  Alcotest.(check int) "may-leak is not must-leak" 0
-    (List.length (Analysis.Summaries.leak_diags [ io ] program))
+|})
 
 (* ---------------- pipeline summary pre-filter ---------------- *)
 
@@ -411,32 +397,21 @@ let test_summaries_deterministic () =
   Alcotest.(check int) "n_summary_pruned stable across runs"
     s1.Grapple.Pipeline.n_summary_pruned s2.Grapple.Pipeline.n_summary_pruned
 
-(* workload integration: the generated subjects carry interproc-null and
-   interproc-leak expectations that only the --interproc lints satisfy *)
-let test_workload_interproc_expectations () =
-  let s = Workload.Generator.mini_hadoop () in
-  let program = s.Workload.Generator.program in
-  let diags =
-    Analysis.Summaries.interproc_diags
-      ~fsms:(Checkers.fsms (Checkers.all_with_null ()))
-      program
-  in
-  let ls =
-    Workload.Scoring.score_lints ~checker:"interproc"
-      ~expected:s.Workload.Generator.expected diags
-  in
-  Alcotest.(check bool) "planted interprocedural bugs found" true
-    (ls.Workload.Scoring.ltp >= 1);
-  Alcotest.(check int) "no misses" 0 ls.Workload.Scoring.lfn;
-  Alcotest.(check int) "no false positives" 0 ls.Workload.Scoring.lfp;
-  (* the same expectations are invisible to the intraprocedural linter *)
-  let intra = Analysis.Lint.check_program program in
-  let ls_intra =
-    Workload.Scoring.score_lints ~checker:"interproc"
-      ~expected:s.Workload.Generator.expected intra
-  in
-  Alcotest.(check int) "intraprocedural lints find none of them" 0
-    ls_intra.Workload.Scoring.ltp
+(* Every null bug the four paper subjects plant is a null-checker report
+   at its expected line, and the checker reports nothing else. *)
+let test_planted_null_bugs () =
+  List.iter
+    (fun (s : Workload.Generator.subject) ->
+      let name = s.Workload.Generator.profile.Workload.Generator.name in
+      let sc =
+        Workload.Scoring.score ~checker:"null"
+          ~expected:s.Workload.Generator.expected
+          ~reports:(engine_run "null" s.Workload.Generator.program) ()
+      in
+      Alcotest.(check (triple int int int)) (name ^ " TP, FP, FN")
+        ((if name = "minihbase" then 2 else 1), 0, 0)
+        Workload.Scoring.(sc.tp, sc.fp, sc.fn))
+    (Workload.Generator.all_subjects ())
 
 (* ---------------- golden: every property's summary results ---------------- *)
 
@@ -535,25 +510,21 @@ let golden_text buf program (r : Analysis.Summaries.result) =
   List.iter
     (fun sid -> Buffer.add_string buf (" " ^ site sid))
     (Analysis.Summaries.clean_sids r);
-  Buffer.add_string buf "\nmust-leak";
-  List.iter
-    (fun (f : Analysis.Summaries.alloc_fact) ->
-      Buffer.add_string buf
-        (" " ^ site f.Analysis.Summaries.f_site.Analysis.Summaries.a_sid))
-    (Analysis.Summaries.must_leaks r);
   Buffer.add_char buf '\n'
 
 (* Recorded from the per-property analysis before the product domain
-   existed; the product's projections must reproduce them exactly, whether
-   the properties are analyzed together or one at a time. *)
+   existed, and recomputed from that analysis's text without the must-leak
+   facts when they were deleted; the product's projections must reproduce
+   them exactly, whether the properties are analyzed together or one at a
+   time. *)
 let golden_digests =
-  [ ("io", "78f07188bf285c0d9db2598a77be3858");
-    ("lock", "ea1c8726f76c7b1b38703066646253a5");
-    ("socket", "f63c424528ac3c2c9a5a20556b931d82");
-    ("null", "1f442bbfd9f56f8c5de43e3c89b66360");
-    ("lock_order", "c4cae9414344319f01dc924129e8e65c");
-    ("taint", "65413ed7246a295b3fc54eb1f2871043");
-    ("close", "d468f7ec0bb10938b6ab7386bb3df2a8") ]
+  [ ("io", "654751d9a46a01abe7a5e95507bfa3f5");
+    ("lock", "78cabb4af9060e159700bb7a6639b826");
+    ("socket", "9867f1d155b3d82bc2037740f6c2dc65");
+    ("null", "aa3e6a29a2868c6177d121070621b59c");
+    ("lock_order", "c86547a44d6e1c053f191c5b9cd12119");
+    ("taint", "744cf3db2b3ae4d64f7c50112e6679cd");
+    ("close", "7a3f4861c3555f13a3d1333369810b4e") ]
 
 let test_summaries_golden () =
   let fsms = List.map Checkers.fsm golden_properties in
@@ -584,8 +555,8 @@ let test_summaries_golden () =
 (* ---------------- no process-wide analysis state ---------------- *)
 
 (* Two domains run the typestate summaries (on different property sets)
-   and the interprocedural null lint on the same program at once; each must
-   get exactly the answer a sequential run gets.  The domains live in a
+   on the same program at once; each must get exactly the answer a
+   sequential run gets.  The domains live in a
    forked child, because OCaml 5 refuses to fork a process that has ever
    spawned a domain and other tests fork shard workers.  The child's exit
    status has bit 0 set when the first domain's answer differed, bit 1 for
@@ -595,10 +566,8 @@ let test_analyses_in_parallel_domains () =
     (Workload.Generator.mini_hdfs ()).Workload.Generator.program
   in
   let run names () =
-    let fsms = List.map Checkers.fsm names in
-    ( List.map Analysis.Summaries.render
-        (Analysis.Summaries.analyze fsms program),
-      Analysis.Interproc.null_diags program )
+    List.map Analysis.Summaries.render
+      (Analysis.Summaries.analyze (List.map Checkers.fsm names) program)
   in
   let a = [ "io"; "lock"; "socket" ]
   and b = [ "null"; "lock_order"; "taint"; "close" ] in
@@ -638,25 +607,20 @@ let suite =
     Alcotest.test_case "summary single pass without recursion" `Quick
       test_summary_single_pass;
     Alcotest.test_case "interproc null via return" `Quick
-      test_interproc_null_via_return;
-    Alcotest.test_case "interproc null via param" `Quick
-      test_interproc_null_via_param;
-    Alcotest.test_case "interproc null negative" `Quick
-      test_interproc_null_negative;
-    Alcotest.test_case "interproc leak positive" `Quick
-      test_interproc_leak_positive;
+      test_null_via_return;
+    Alcotest.test_case "interproc null via param" `Quick test_null_via_param;
+    Alcotest.test_case "interproc null negative" `Quick test_null_negative;
+    Alcotest.test_case "interproc leak positive" `Quick test_leak_positive;
     Alcotest.test_case "interproc leak negative" `Quick
-      test_interproc_leak_negative_closed;
-    Alcotest.test_case "interproc leak may not must" `Quick
-      test_interproc_leak_branch_is_may_not_must;
+      test_leak_negative_closed;
     Alcotest.test_case "summary prefilter prunes beyond escape" `Quick
       test_summary_prefilter_prunes_beyond_escape;
     Alcotest.test_case "summary prefilter keeps buggy alloc" `Quick
       test_summary_prefilter_keeps_buggy_alloc;
     Alcotest.test_case "summaries deterministic" `Quick
       test_summaries_deterministic;
-    Alcotest.test_case "workload interproc expectations" `Quick
-      test_workload_interproc_expectations;
+    Alcotest.test_case "planted null bugs are engine reports" `Quick
+      test_planted_null_bugs;
     Alcotest.test_case "summaries golden per property" `Quick
       test_summaries_golden;
     Alcotest.test_case "analyses in parallel domains" `Quick

@@ -149,6 +149,13 @@ let test_off_by_default () =
   Alcotest.(check int) "value passes through" 42 v;
   Alcotest.(check int) "no events buffered" 0 (T.n_events ())
 
+(* ---------------- the JSON string escaper ---------------- *)
+
+let test_json_escape () =
+  Alcotest.(check string) "named escapes, \\u00XX for the rest"
+    {|q\" b\\ n\n r\r t\t c\u0001 é|}
+    (T.json_escape "q\" b\\ n\n r\r t\t c\x01 \xc3\xa9")
+
 let suite =
   [ Alcotest.test_case "counter and gauge basics" `Quick
       test_counter_gauge_basics;
@@ -160,4 +167,5 @@ let suite =
     Alcotest.test_case "span recorded on raise" `Quick
       test_span_recorded_on_raise;
     Alcotest.test_case "trace file shape" `Quick test_trace_file_shape;
-    Alcotest.test_case "tracing off by default" `Quick test_off_by_default ]
+    Alcotest.test_case "tracing off by default" `Quick test_off_by_default;
+    Alcotest.test_case "json escape" `Quick test_json_escape ]

@@ -140,7 +140,7 @@ let test_scoring_each_expectation_once () =
 let lint_profile () =
   small_profile
     ~lint_bugs:
-      [ ("use-before-init", 1); ("null-deref", 1); ("dead-branch", 1) ]
+      [ ("use-before-init", 2); ("dead-branch", 1) ]
     ()
 
 let test_lint_bugs_found () =
@@ -171,12 +171,12 @@ let test_lint_clean_without_lint_bugs () =
 let test_score_lints_each_expectation_once () =
   let e =
     { Workload.Patterns.exp_checker = "lint";
-      exp_kind = `Lint "null-deref";
+      exp_kind = `Lint "use-before-init";
       exp_line = 5;
       exp_note = "test" }
   in
   let d line =
-    { Analysis.Lint.lint = "null-deref"; meth = "C.m";
+    { Analysis.Lint.lint = "use-before-init"; meth = "C.m";
       at = { Jir.Ast.file = "t.jir"; line };
       message = "m" }
   in
