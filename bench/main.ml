@@ -82,11 +82,14 @@ let config_of ~workdir tune =
     { (Pipeline.default_config ~workdir) with
       Pipeline.library_throwers = Checkers.Specs.library_throwers }
 
-(* Prepare subject [s] under the default config as [tune] overrides it,
-   and check it with [checkers], all with the fault plan [plan] installed. *)
+(* Prepare subject [s] for [checkers] under the default config as [tune]
+   overrides it, and check it, all with the fault plan [plan] installed. *)
 let run ?(checkers = Checkers.all ()) ?plan (s : Generator.subject) tune =
   let workdir = fresh_workdir () in
-  let config = config_of ~workdir tune in
+  let config =
+    { (config_of ~workdir tune) with
+      Pipeline.prefilter_properties = Checkers.fsms checkers }
+  in
   Option.iter (fun p -> Engine.Faults.install (Engine.Faults.parse p)) plan;
   Fun.protect ~finally:Engine.Faults.clear (fun () ->
       let t0 = Unix.gettimeofday () in
@@ -165,15 +168,17 @@ let edges_per_s (s : Pipeline.stats) =
 (* Shared subject runs: one pipeline execution feeds Tables 1-3 + Fig 9. *)
 (* ------------------------------------------------------------------ *)
 
-(* The summary pre-filter gets no properties here, as when
-   BENCH_c80089d.json was recorded: CI compares edges/s against it. *)
+(* The summary pre-filter is off here, as when BENCH_c80089d.json was
+   recorded: CI compares edges/s against it. *)
+let no_summary c = { c with Pipeline.summary_prefilter = false }
+
 let shared_runs =
   lazy
     (Printf.printf
        "running the four subjects (shared by tables 1-3, fig 9)...\n%!";
      List.map
        (fun s ->
-         let o = run s Fun.id in
+         let o = run s no_summary in
          Printf.printf "  %-12s done in %.1fs\n%!" (name s) (wall o);
          (s, o))
        (Generator.all_subjects ()))
@@ -242,8 +247,7 @@ let table2 () =
   List.iter
     (fun subject ->
       let o =
-        run ~checkers:[ Checkers.resolve "null" ] subject (fun c ->
-            { c with Pipeline.track_null = true })
+        run ~checkers:[ Checkers.resolve "null" ] subject no_summary
       in
       let tp, fp, fn = score subject o.results in
       Printf.printf "%-12s %4d %4d %4d\n" (name subject) tp fp fn)
@@ -310,7 +314,8 @@ let table4 ~fast () =
       let stats cache_enabled =
         let cache c =
           { c with
-            Pipeline.engine = { c.Pipeline.engine with Engine.cache_enabled } }
+            Pipeline.summary_prefilter = false;
+            engine = { c.Pipeline.engine with Engine.cache_enabled } }
         in
         (run subject cache).stats
       in
@@ -479,12 +484,8 @@ let summaries () =
     "sound pipeline triage ablation";
   Printf.printf "%-10s %4s %8s %9s %6s %6s %6s %6s %8s %6s\n" "subject"
     "sf" "|V|" "#EA" "#sum" "TP" "FP" "warns" "time" "same";
-  let fsms = Checkers.fsms (Checkers.all ()) in
   differential (Generator.all_subjects ())
-    (toggle (fun on c ->
-         { c with
-           Pipeline.prefilter_properties = fsms;
-           summary_prefilter = on }))
+    (toggle (fun on c -> { c with Pipeline.summary_prefilter = on }))
     (fun subject cell o ~base:_ ->
       let s = o.stats in
       let tp, fp, _ = score subject o.results in
@@ -509,10 +510,8 @@ let alias () =
     "closure-graph slicing ablation";
   Printf.printf "%-10s %4s %9s %9s %6s %8s %6s %8s %6s\n" "subject" "ap"
     "|E|pre" "|E|after" "#sum" "sliced" "warns" "time" "same";
-  let fsms = Checkers.fsms (Checkers.all ()) in
   differential (Generator.all_subjects ())
-    (toggle (fun on c ->
-         { c with Pipeline.prefilter_properties = fsms; alias_prefilter = on }))
+    (toggle (fun on c -> { c with Pipeline.alias_prefilter = on }))
     (fun subject cell o ~base:_ ->
       let s = o.stats in
       Printf.sprintf "%-10s %4s %9d %9d %6d %8d %6d %8s" (name subject)
@@ -558,7 +557,10 @@ let ablation () =
   let subject = Generator.mini_zookeeper () in
   List.iter
     (fun k ->
-      let o = run subject (fun c -> { c with Pipeline.unroll_bound = k }) in
+      let o =
+        run subject (fun c ->
+            { c with Pipeline.unroll_bound = k; summary_prefilter = false })
+      in
       let tp, _, fn = score subject o.results in
       Printf.printf "%3d %8d %8d %8.1f %8s\n" k tp fn
         (float_of_int o.stats.Pipeline.n_edges_after /. 1000.)
@@ -593,7 +595,8 @@ let ablation () =
               subject
               (fun c ->
                 { c with
-                  Pipeline.engine =
+                  Pipeline.summary_prefilter = false;
+                  engine =
                     { c.Pipeline.engine with Engine.feasibility_enabled } })
           in
           let tp, fp, fn = score subject o.results in
@@ -625,7 +628,8 @@ let faults () =
      out-of-core budget gives it hundreds *)
   let tune c =
     { c with
-      Pipeline.engine =
+      Pipeline.summary_prefilter = false;
+      engine =
         { c.Pipeline.engine with Engine.max_edges_per_partition = 4_000 } }
   in
   differential (Generator.all_subjects ())
@@ -671,7 +675,7 @@ let shards ~fast () =
      the 5% plan has partition writes and renames to fail *)
   let tune shard_procs c =
     { c with
-      Pipeline.track_null = true;
+      Pipeline.summary_prefilter = false;
       shard_procs;
       engine =
         { c.Pipeline.engine with Engine.max_edges_per_partition = 4_000 } }
@@ -996,10 +1000,7 @@ let dsl_checkers () =
   Printf.printf "%-11s %-10s %9s %5s %6s %4s %4s %4s %8s\n" "checker"
     "subject" "|E|after" "#spr" "warns" "TP" "FP" "FN" "time";
   let row label (subject : Generator.subject) (c : Checkers.t) ~score_as =
-    let o =
-      run ~checkers:[ c ] subject (fun cfg ->
-          { cfg with Pipeline.prefilter_properties = Checkers.fsms [ c ] })
-    in
+    let o = run ~checkers:[ c ] subject Fun.id in
     let reports =
       List.concat_map snd o.results
       |> List.map (fun (r : Grapple.Report.t) ->
@@ -1077,14 +1078,11 @@ let megaload ~fast () =
     subject.Generator.loc subject.Generator.n_methods
     (List.length subject.Generator.expected)
     (hms gen_s);
-  let fsms = Checkers.fsms (Checkers.all ()) in
   let cells =
     List.map
       (fun (label, shard_procs) ->
         { label;
-          tune =
-            (fun c ->
-              { c with Pipeline.prefilter_properties = fsms; shard_procs });
+          tune = (fun c -> { c with Pipeline.shard_procs });
           plan = None })
       [ ("in-process", 0); ("shard-procs=1", 1); ("shard-procs=4", 4) ]
   in

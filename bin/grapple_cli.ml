@@ -181,12 +181,11 @@ let fault_plan_arg =
                  read from the GRAPPLE_FAULT_PLAN environment variable")
 
 let shard_procs_arg =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt int 0
        & info [ "shard-procs" ] ~docv:"N"
            ~doc:"run the phase-2/3 checking instances side by side in \
                  forked worker processes, one per attempt and at most N at \
-                 a time (default: the GRAPPLE_SHARD_PROCS environment \
-                 variable, else 0 = one after another in this process).  \
+                 a time; 0 runs them one after another in this process.  \
                  An attempt whose process crashes or is killed is \
                  re-dispatched from its instance's checkpoint manifest; \
                  the report is byte-identical at every process count, and \
@@ -204,17 +203,8 @@ let check_cmd =
   let run file checkers specs unroll paths trace_out metrics_out json
       no_summary_prefilter no_alias_prefilter workdir_opt resume_opt
       instance_budget edge_budget max_retries fault_plan smt_budget
-      shard_procs_opt =
-    let shard_procs =
-      match shard_procs_opt with
-      | Some n -> max 0 n
-      | None -> (
-          match
-            Option.bind (Sys.getenv_opt "GRAPPLE_SHARD_PROCS") int_of_string_opt
-          with
-          | Some n -> max 0 n
-          | None -> 0)
-    in
+      shard_procs =
+    let shard_procs = max 0 shard_procs in
     (* SIGINT/SIGTERM request a cooperative interrupt: the engine raises at
        its next checkpoint boundary, where the manifest is already durable,
        so an interrupted run is always --resume-able *)
@@ -264,7 +254,6 @@ let check_cmd =
                 wall_budget_s = instance_budget;
                 edge_budget };
             library_throwers = Checkers.Specs.library_throwers;
-            track_null = Checkers.tracks_null cs;
             prefilter_properties = Checkers.fsms cs;
             summary_prefilter = not no_summary_prefilter;
             alias_prefilter = not no_alias_prefilter;
@@ -621,10 +610,8 @@ let fuzz_cmd =
                    ($(b,summary)) so the harness itself can be validated — \
                    a weakened run must fail")
   in
-  let run iters seed runs corpus_dir weaken shard_procs_opt fault_plan =
-    let shard_procs =
-      match shard_procs_opt with Some n when n >= 0 -> n | _ -> 0
-    in
+  let run iters seed runs corpus_dir weaken shard_procs fault_plan =
+    let shard_procs = max 0 shard_procs in
     (* soundness must also hold while storage faults are being injected
        and recovered: same flag syntax as `check --fault-plan` *)
     (match fault_plan with

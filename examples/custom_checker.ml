@@ -82,13 +82,20 @@ entry Main.main;
 let () =
   let program = Jir.Resolve.parse_exn ~file:"orders.jir" source in
   let workdir = Filename.temp_dir "grapple-custom" "" in
-  let prepared = Grapple.Pipeline.prepare ~workdir program in
-  let result = Grapple.Pipeline.check_property prepared transaction in
-  Grapple.Pipeline.cleanup prepared [ result ];
-  Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
+  let config =
+    { (Grapple.Pipeline.default_config ~workdir) with
+      Grapple.Pipeline.prefilter_properties = [ transaction ] }
+  in
+  let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
+  let results, _schedule = Grapple.Pipeline.check_properties prepared in
+  Grapple.Pipeline.cleanup prepared results;
+  let reports =
+    List.concat_map (fun r -> r.Grapple.Pipeline.reports) results
+  in
+  Printf.printf "%d warning(s):\n" (List.length reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))
-    result.Grapple.Pipeline.reports;
+    reports;
   print_newline ();
   print_endline
     "placeOrder commits or rolls back on every path: no warning.\n\

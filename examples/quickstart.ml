@@ -37,19 +37,25 @@ let () =
   let program = Jir.Resolve.parse_exn ~file:"figure3b.jir" source in
   Printf.printf "parsed %d statement(s)\n" (Jir.Ast.program_size program);
 
-  (* 2. run the shared frontend + phase-1 alias analysis *)
+  (* 2. run the shared frontend + phase-1 alias analysis for the Figure 3a
+     property *)
   let workdir = Filename.temp_dir "grapple-quickstart" "" in
-  let prepared = Grapple.Pipeline.prepare ~workdir program in
+  let config =
+    { (Grapple.Pipeline.default_config ~workdir) with
+      Grapple.Pipeline.prefilter_properties = [ Checkers.fsm "io" ] }
+  in
+  let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   Printf.printf "alias analysis done: %d flowsTo fact(s) from allocation sites\n"
     prepared.Grapple.Pipeline.n_alias_pairs;
 
-  (* 3. check the Figure 3a property *)
-  let fsm = Checkers.fsm "io" in
-  let result = Grapple.Pipeline.check_property prepared fsm in
-  Grapple.Pipeline.cleanup prepared [ result ];
+  (* 3. check it *)
+  let results, _schedule = Grapple.Pipeline.check_properties prepared in
+  Grapple.Pipeline.cleanup prepared results;
 
   (* 4. report *)
-  let reports = result.Grapple.Pipeline.reports in
+  let reports =
+    List.concat_map (fun r -> r.Grapple.Pipeline.reports) results
+  in
   Printf.printf "\n%d warning(s):\n" (List.length reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))

@@ -58,17 +58,19 @@ let () =
       (* bind/configureBlocking on channels may raise, as in the JDK *)
       Grapple.Pipeline.library_throwers =
         [ ("ServerSocketChannel", "bind", "IOException");
-          ("ServerSocketChannel", "configureBlocking", "IOException") ] }
+          ("ServerSocketChannel", "configureBlocking", "IOException") ];
+      prefilter_properties = [ Checkers.fsm "socket" ] }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let result =
-    Grapple.Pipeline.check_property prepared (Checkers.fsm "socket")
+  let results, _schedule = Grapple.Pipeline.check_properties prepared in
+  Grapple.Pipeline.cleanup prepared results;
+  let reports =
+    List.concat_map (fun r -> r.Grapple.Pipeline.reports) results
   in
-  Grapple.Pipeline.cleanup prepared [ result ];
-  Printf.printf "%d warning(s):\n" (List.length result.Grapple.Pipeline.reports);
+  Printf.printf "%d warning(s):\n" (List.length reports);
   List.iter
     (fun r -> Printf.printf "  %s\n" (Grapple.Report.to_string r))
-    result.Grapple.Pipeline.reports;
+    reports;
   print_newline ();
   print_endline
     "The channel opened by configure() is always closed: no warning for it.";

@@ -1,8 +1,8 @@
-(* Interprocedural typestate summaries (the tentpole of ISSUE 2).
+(* The summary tier's interprocedural typestate summaries.
 
    A flow-sensitive, path- and context-insensitive abstraction of FSM
    properties over the whole program, computed bottom-up over the call-graph
-   SCC condensation by [Interproc.solve].  Each abstract object carries,
+   SCC condensation ([analyze]).  Each abstract object carries,
    for every property that tracks it, a transfer relation over that
    property's states ([Fsm.rel]): the join, over every path reaching the
    current point, of the composition of the event effects applied so far.
@@ -607,9 +607,9 @@ let any_nonaccepting fsm states =
   !bad
 
 (* Analyze every property of [fsms] in one bottom-up walk and return one
-   result per property, in [fsms] order.  [callgraph] and [cfg] are as
-   for [Interproc.solve]. *)
-let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
+   result per property, in [fsms] order.  [callgraph], built when absent,
+   must be [program]'s. *)
+let analyze ?callgraph (fsms : Fsm.t list) (program : Jir.Ast.program) :
     result list =
   if fsms = [] then []
   else
@@ -726,26 +726,71 @@ let analyze ?callgraph ?cfg (fsms : Fsm.t list) (program : Jir.Ast.program) :
       let id = Jir.Ast.meth_id g.Cfg.meth in
       if Hashtbl.mem roots id then Option.iter returned_die (lookup id)
     in
-    let r =
-      Interproc.solve ~callgraph:cg ?cfg
-        { Interproc.cl_bottom = summary_bottom cx;
-          cl_equal = summary_equal;
-          cl_analyze =
-            (fun ~lookup g ->
-              let res = solve_method ~lookup g in
-              (summarize cx g res, res));
-          cl_converged = converged }
-        program
-    in
+    (* the bottom-up solve (paper §2.1): the call graph's SCCs in
+       reverse-topological order, callees before callers, each iterated to
+       a fixpoint so (mutually) recursive summaries converge from bottom.
+       The lattice has finite height and a method's summary is monotone in
+       its callees', so this is the least fixpoint.  Summaries are
+       context-insensitive: every call site of a method shares its one
+       summary, as the paper collapses SCCs *)
+    let methods = Hashtbl.create 64 in
+    List.iter
+      (fun m -> Hashtbl.replace methods (Jir.Ast.meth_id m) m)
+      (Jir.Ast.all_methods program);
+    let table = Hashtbl.create 64 in
+    let lookup id = Hashtbl.find_opt table id in
+    let rounds = ref 0 in
+    List.iter
+      (fun component ->
+        (* each member's CFG, built once for all of the component's rounds *)
+        let members =
+          List.map
+            (fun id -> (id, Cfg.build (Hashtbl.find methods id)))
+            component
+        in
+        List.iter
+          (fun (id, g) ->
+            Hashtbl.replace table id (summary_bottom cx g.Cfg.meth))
+          members;
+        (* one pass suffices for a non-recursive singleton component: every
+           callee lies outside it and is already at fixpoint *)
+        let recursive =
+          match component with
+          | [ id ] -> List.mem id (Jir.Callgraph.callees cg id)
+          | _ -> true
+        in
+        (* a round that changes nothing saw only final summaries, so its
+           dataflow results are the converged ones *)
+        let rec iterate () =
+          incr rounds;
+          let changed, results =
+            List.fold_left
+              (fun (changed, results) (id, g) ->
+                let res = solve_method ~lookup g in
+                let s' = summarize cx g res in
+                let changed =
+                  if summary_equal (Hashtbl.find table id) s' then changed
+                  else begin
+                    Hashtbl.replace table id s';
+                    true
+                  end
+                in
+                (changed, (g, res) :: results))
+              (false, []) members
+          in
+          if changed && recursive then iterate () else List.rev results
+        in
+        List.iter (fun (g, res) -> converged ~lookup g res) (iterate ()))
+      (Jir.Callgraph.sccs_reverse_topological cg);
     List.mapi
       (fun p fsm ->
         { fsm;
           prop = p;
-          summaries = r.Interproc.table;
+          summaries = table;
           facts =
             Hashtbl.fold (fun _ f acc -> f :: acc) facts.(p) []
             |> List.sort (fun a b -> compare a.f_site.a_sid b.f_site.a_sid);
-          n_scc_iterations = r.Interproc.n_scc_iterations })
+          n_scc_iterations = !rounds })
       fsms
 
 (* Allocations this property can never flag: no abstract event sequence

@@ -72,30 +72,33 @@ let fsms (cs : t list) =
       match c.kind with `Typestate f -> Some f | `Exception_walk _ -> None)
     cs
 
-(* Whether any of [cs] tracks the <null> pseudo-class, so the pipeline must
-   model null assignments as pseudo-allocations ([Pipeline.track_null]).
-   Decided by what the FSMs track, not by the checkers' names: a null
-   property under any name gets its allocations. *)
-let tracks_null cs =
-  List.exists
-    (fun f -> Fsm.is_tracked f Graphgen.Alias_graph.null_class)
-    (fsms cs)
-
 let exception_walk opts p =
   Obs.Trace.with_span ~cat:"checker" "checker.exception_walk" (fun () ->
       Exception_checker.run ~opts p)
 
 (* Run every checker, reusing the shared phase-1 results: the typestate
-   checkers become one scheduled batch (see [Pipeline.check_properties]; at
-   one worker it runs in the calling domain), the exception walk — cheap,
-   engine-free — runs in the calling domain.  The per-checker warnings and
+   checkers are the run's properties, which [Pipeline.check_properties]
+   schedules as one batch; the exception walk — cheap, engine-free — runs
+   in the calling process.  [fsms cs] must be the list [p] was prepared
+   for, the same properties in the same order: the summary tier pruned for
+   that list, and null tracking followed it.  The per-checker warnings and
    the property results needed for statistics come back in [cs] order, so
-   the rendered report is byte-identical at any worker or process count. *)
+   the rendered report is byte-identical at any process count. *)
 let run_all_scheduled (p : Pipeline.prepared) (cs : t list) :
     (string * Report.t list) list
     * Pipeline.property_result list
     * Pipeline.schedule_entry list =
-  let props, schedule = Pipeline.check_properties p (fsms cs) in
+  let names fsms = List.map (fun (f : Fsm.t) -> f.Fsm.name) fsms in
+  let asked = names (fsms cs)
+  and prepared = names p.Pipeline.config.Pipeline.prefilter_properties in
+  if asked <> prepared then
+    invalid_arg
+      (Printf.sprintf
+         "Checkers.run_all_scheduled: checking [%s], but the run was \
+          prepared for [%s]"
+         (String.concat "; " asked)
+         (String.concat "; " prepared));
+  let props, schedule = Pipeline.check_properties p in
   let rec assemble cs props =
     match cs with
     | [] -> []

@@ -2,12 +2,15 @@
    phase 1 path-sensitive alias computation -> phase 2 path-sensitive
    dataflow computation (per FSM property) -> phase 3 FSM checking.
 
-   [prepare] runs the frontend once per program: loop unrolling, ICFET
-   construction, clone-tree planning, alias-graph generation, and the
-   phase-1 engine run.  [check_properties] then runs phases 2 and 3 for
-   each FSM specification against the prepared state ([attempt_property]
-   is one instance's closure and check), so several checkers share one
-   alias computation exactly as in the paper. *)
+   A run names its typestate properties once, in
+   [config.prefilter_properties].  [prepare] runs the frontend once for
+   them: loop unrolling, ICFET construction, clone-tree planning, the
+   summary tier, alias-graph generation, and the phase-1 engine run.
+   [check_properties] then runs phases 2 and 3 for each of them against
+   the prepared state ([attempt_property] is one instance's closure and
+   check), so the properties share one alias computation exactly as in the
+   paper.  Each instance accounts in a registry of its own, and [stats]
+   merges them with the run's. *)
 
 module Encoding = Pathenc.Encoding
 module Icfet = Symexec.Icfet
@@ -36,13 +39,12 @@ type config = {
          instance *)
   library_throwers : (string * string * string) list;
       (* (class, method, exception) for library calls that may throw *)
-  track_null : bool;
-      (* materialize [null] pseudo-allocations in the alias graph so the
-         null-dereference checker can track them; off by default because
-         the extra sources enlarge the closure for every property *)
   prefilter_properties : Fsm.t list;
-      (* the FSMs whose tracked allocations the summary tier may prune;
-         empty disables the tier regardless of [summary_prefilter] *)
+      (* the typestate properties this run checks, in the order
+         [check_properties] returns them: the summary tier prunes for
+         exactly these, [<null>] pseudo-allocations are modeled exactly when
+         one of them tracks [Alias_graph.null_class], and
+         [Checkers.run_all_scheduled] refuses any other list *)
   summary_prefilter : bool;
       (* the triage tier: prune tracked allocations whose
          over-approximating interprocedural typestate closure
@@ -82,7 +84,6 @@ let default_config ~workdir =
     unroll_bound = 2;
     engine = Engine.default_config ~workdir;
     library_throwers = [];
-    track_null = false;
     prefilter_properties = [];
     summary_prefilter = true;
     alias_prefilter = true;
@@ -91,53 +92,12 @@ let default_config ~workdir =
     shard_procs = 0;
     weaken_tier = None }
 
+(* What [prepare] measured; [run_metrics] holds the same two timers,
+   which [stats] reads. *)
 type timing = {
-  mutable preprocess_s : float;  (* frontend + graph generation + loading *)
-  mutable compute_s : float;     (* engine closures *)
-  mutable check_s : float;       (* phase 3 *)
+  preprocess_s : float;  (* frontend + graph generation + loading *)
+  compute_s : float;     (* the phase-1 closure *)
 }
-
-(* Counters maintained by the supervisor across the run.  The two [..0]
-   fields snapshot process-global counters at [prepare] so [stats] can
-   report per-run deltas. *)
-type fault_stats = {
-  mutable n_retried : int;
-      (* retry events: supervisor-level instance restarts plus storage-op
-         retries salvaged from failed attempts (op retries of surviving
-         engines are added by [stats] from their metrics) *)
-  mutable n_recovered : int;  (* instances that succeeded after >= 1 restart *)
-  mutable n_inconclusive : int;  (* instances degraded past the retry limit *)
-  mutable n_instance_injected : int;
-      (* injected faults fired by the per-instance fault plans the
-         scheduler derives; the run's installed plan never sees those ops,
-         so [stats] adds this on top of its own [injected_count] delta *)
-  mutable n_worker_budget_hits : int;
-      (* DPLL(T) budget hits inside shard worker processes, which the
-         process-global counter behind [smt_budget_hits0] never sees *)
-  smt_budget_hits0 : int;
-  faults_injected0 : int;
-}
-
-(* Per-instance accounting: phases 2 and 3 write here instead of mutating
-   [prepared] directly, so an account can come back from a worker process
-   as plain data.  The scheduler merges accounts into [timing] and
-   [fault_stats] in canonical instance order once every instance has
-   finished — the aggregate is the same whichever executor ran what. *)
-type acct = {
-  mutable a_compute_s : float;
-  mutable a_check_s : float;
-  mutable a_retried : int;
-  mutable a_recovered : int;
-  mutable a_inconclusive : int;
-  mutable a_injected : int;  (* fired by this instance's derived plan *)
-  mutable a_budget_hits : int;
-      (* SMT budget hits, counted only when the instance ran in a shard
-         worker process: in-process hits already reach the global counter *)
-}
-
-let fresh_acct () =
-  { a_compute_s = 0.; a_check_s = 0.; a_retried = 0; a_recovered = 0;
-    a_inconclusive = 0; a_injected = 0; a_budget_hits = 0 }
 
 type prepared = {
   config : config;
@@ -158,10 +118,17 @@ type prepared = {
   n_edges_sliced : int;
       (* Assign edges the points-to slicer removed before phase 1 *)
   timing : timing;
-  faults : fault_stats;
-  sup_reg : Obs.Registry.t;
-      (* the shard supervisor's metric registry (spawns, kills,
-         re-dispatches, degradations); empty in in-process runs *)
+  run_metrics : Obs.Registry.t;
+      (* the run's own account: phase 1's engine metrics, graph sizes,
+         restarts and timers, the triage counts, and then the shard
+         supervisor's counters (spawns, kills, re-dispatches,
+         degradations).  Each checking instance accounts in the registry
+         of its [property_result] instead *)
+  smt_budget_hits0 : int;
+  faults_injected0 : int;
+      (* the process-global SMT budget hits and the installed plan's
+         injected faults when phase 1 began: [stats] adds what the calling
+         process counted since *)
 }
 
 let timed cell f =
@@ -175,41 +142,45 @@ let timed cell f =
 let timed_span name cell f =
   Obs.Trace.with_span ~cat:"pipeline" name (fun () -> timed cell f)
 
-let merge_acct (p : prepared) (a : acct) =
-  p.timing.compute_s <- p.timing.compute_s +. a.a_compute_s;
-  p.timing.check_s <- p.timing.check_s +. a.a_check_s;
-  p.faults.n_retried <- p.faults.n_retried + a.a_retried;
-  p.faults.n_recovered <- p.faults.n_recovered + a.a_recovered;
-  p.faults.n_inconclusive <- p.faults.n_inconclusive + a.a_inconclusive;
-  p.faults.n_instance_injected <- p.faults.n_instance_injected + a.a_injected;
-  p.faults.n_worker_budget_hits <-
-    p.faults.n_worker_budget_hits + a.a_budget_hits
+let count reg name n = Obs.Registry.incr ~by:n (Obs.Registry.counter reg name)
+
+let add_seconds reg name s =
+  Obs.Registry.gauge_add (Obs.Registry.gauge reg name) s
+
+(* An engine's metrics and graph sizes, counted into [reg] under the names
+   [stats] sums. *)
+let count_engine reg ~vertices ~seed_edges ~total_edges ~partitions metrics =
+  Obs.Registry.merge ~into:reg (Engine.Metrics.registry metrics);
+  count reg "pipeline.vertices" vertices;
+  count reg "pipeline.edges_before" seed_edges;
+  count reg "pipeline.edges_after" total_edges;
+  count reg "pipeline.partitions" partitions
 
 (* The one retry ladder, shared by the phase-1 alias run and every checking
    instance.  Each attempt runs a fresh engine from [create]; the first
    resumes from the checkpoint manifests only when [resume] says so, every
    later one always does, so each attempt makes net progress.  A storage
    fault that outlived the engine's own op-level retries, or budget
-   exhaustion, fails the attempt: its op-retry count is kept in [acct], and
-   the attempt is repeated after a deterministic backoff, up to the
-   engine's [max_retries] times.  Past the limit [past_limit] decides —
-   phase 1 re-raises, an instance degrades.  Simulated crashes
-   ([Faults.Crash]) are deliberately not caught. *)
-let retry_ladder (c : Engine.config) ~(acct : acct) ~resume ~create
-    ~op_retries ~attempt ~past_limit =
+   exhaustion, fails the attempt: its op-retry count goes to [reg]'s
+   [pipeline.retried], and the attempt is repeated after a deterministic
+   backoff, up to the engine's [max_retries] times.  Past the limit
+   [past_limit] decides — phase 1 re-raises, an instance degrades.
+   Simulated crashes ([Faults.Crash]) are deliberately not caught. *)
+let retry_ladder (c : Engine.config) ~reg ~resume ~create ~op_retries
+    ~attempt ~past_limit =
   let rec go n =
     let e = create () in
     match attempt e ~resume:(resume || n > 0) with
     | r ->
-        if n > 0 then acct.a_recovered <- acct.a_recovered + 1;
+        if n > 0 then count reg "pipeline.recovered" 1;
         r
     | exception
         ((Engine.Faults.Injected _ | Sys_error _ | Engine.Budget_exhausted _)
          as exn) ->
-        acct.a_retried <- acct.a_retried + op_retries e;
+        count reg "pipeline.retried" (op_retries e);
         if n >= c.Engine.max_retries then past_limit exn
         else begin
-          acct.a_retried <- acct.a_retried + 1;
+          count reg "pipeline.retried" 1;
           Unix.sleepf
             (Engine.Faults.backoff_delay_s ~base_ms:c.Engine.retry_base_ms
                ~attempt:n);
@@ -248,7 +219,6 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
     invalid_arg
       "Pipeline.prepare: workers must be 1; set shard_procs to run checking \
        instances in parallel processes";
-  let timing = { preprocess_s = 0.; compute_s = 0.; check_s = 0. } in
   let pre = ref 0. and comp = ref 0. in
   let program = timed_span "phase0.unroll" pre (fun () ->
       Jir.Unroll.unroll_program ~bound:config.unroll_bound program)
@@ -283,7 +253,7 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
      produce a report for it. *)
   let summary_pruned =
     timed_span "phase0.summary_prefilter" pre (fun () ->
-        if config.summary_prefilter && config.prefilter_properties <> [] then begin
+        if config.summary_prefilter then begin
           let clean = Hashtbl.create 16 and dirty = Hashtbl.create 16 in
           List.iter
             (fun (r : Analysis.Summaries.result) ->
@@ -312,18 +282,23 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
   in
   let excluded = Hashtbl.create 16 in
   List.iter (fun sid -> Hashtbl.replace excluded sid ()) summary_pruned;
+  let track_null =
+    List.exists
+      (fun f -> Fsm.is_tracked f Alias_graph.null_class)
+      config.prefilter_properties
+  in
   (* whole-program Andersen points-to over the unrolled program, for the
      closure-graph slicer below (the benchmark reads this span by its
      name) *)
   let pointsto =
     timed_span "phase0.alias_prefilter" pre (fun () ->
         if config.alias_prefilter then
-          Some (Analysis.Pointsto.analyze ~track_null:config.track_null program)
+          Some (Analysis.Pointsto.analyze ~track_null program)
         else None)
   in
   let alias_graph =
     timed_span "phase0.alias_graph" pre (fun () ->
-        Alias_graph.build ~track_null:config.track_null
+        Alias_graph.build ~track_null
           ~exclude:(Hashtbl.mem excluded) icfet clones)
   in
   (* closure-graph slicing (ISSUE 7): drop Assign edges whose source
@@ -393,39 +368,30 @@ let prepare ?(config : config option) ~workdir (program : Jir.Ast.program) :
             | _ -> ()));
     (e, flows, !n_alias_pairs)
   in
-  let acct = fresh_acct () in
+  let run_metrics = Obs.Registry.create () in
   let alias_engine, flows, n_alias_pairs =
-    retry_ladder engine_config ~acct ~resume:config.resume
+    retry_ladder engine_config ~reg:run_metrics ~resume:config.resume
       ~create:mk_alias_engine
       ~op_retries:(fun e ->
         Engine.Metrics.count (Alias_engine.metrics e).Engine.Metrics.retries)
       ~attempt:alias_attempt ~past_limit:raise
   in
-  let faults =
-    { n_retried = acct.a_retried; n_recovered = acct.a_recovered;
-      n_inconclusive = 0; n_instance_injected = 0; n_worker_budget_hits = 0;
-      smt_budget_hits0;
-      faults_injected0 }
-  in
-  timing.preprocess_s <- !pre;
-  timing.compute_s <- !comp;
+  count_engine run_metrics
+    ~vertices:(Alias_graph.n_vertices alias_graph)
+    ~seed_edges:(Alias_engine.n_seed_edges alias_engine)
+    ~total_edges:(Alias_engine.total_edges alias_engine)
+    ~partitions:(Alias_engine.n_partitions alias_engine)
+    (Alias_engine.metrics alias_engine);
+  count run_metrics "pipeline.summary_pruned" (List.length summary_pruned);
+  count run_metrics "pipeline.edges_sliced" n_edges_sliced;
+  add_seconds run_metrics "pipeline.preprocess_s" !pre;
+  add_seconds run_metrics "pipeline.compute_s" !comp;
   { config; program; icfet; callgraph; clones; alias_graph; alias_engine;
     flows; n_alias_pairs; summary_pruned; n_edges_presliced; n_edges_sliced;
-    timing; faults; sup_reg = Obs.Registry.create () }
+    timing = { preprocess_s = !pre; compute_s = !comp };
+    run_metrics; smt_budget_hits0; faults_injected0 }
 
 (* ---------------- phases 2 and 3 for one property ---------------- *)
-
-(* What a finished instance leaves behind in place of its engine: the
-   scalar totals [stats] needs plus the engine's full metric registry.
-   Plain data, so it crosses the shard-process boundary as it is; the same
-   record comes back from the calling process or a worker process. *)
-type instance_summary = {
-  sm_vertices : int;     (* dataflow-graph vertices *)
-  sm_seed_edges : int;
-  sm_total_edges : int;  (* exact, counted before the engine is dropped *)
-  sm_partitions : int;
-  sm_metrics : Obs.Registry.t;
-}
 
 type property_result = {
   fsm : Fsm.t;
@@ -433,7 +399,12 @@ type property_result = {
   degraded : string option;
       (* [Some reason] when the supervisor gave up on this instance; its
          only report is the matching [Inconclusive] entry *)
-  summary : instance_summary option;  (* [None] only when degraded *)
+  metrics : Obs.Registry.t;
+      (* the instance's account, whichever process ran it: the surviving
+         engine's metrics and graph sizes, its restarts, recovery and
+         degradation, the faults its derived plan fired, the SMT budget
+         hits it took in a shard worker, and its compute and check timers.
+         Plain data, so it crosses the shard-process boundary as it is *)
 }
 
 let context_strings (p : prepared) inst =
@@ -468,23 +439,6 @@ let witness_of_constraint (f : Smt.Formula.t) : (string * int) list =
   | Smt.Solver.Model_unknown ->
       []
 
-(* The degraded stand-in for an instance the supervisor gave up on: one
-   [Inconclusive] report so the gap in coverage is visible in the output,
-   no engine state. *)
-let inconclusive_result (fsm : Fsm.t) (reason : string) : property_result =
-  { fsm;
-    reports =
-      [ { Report.checker = fsm.Fsm.name;
-          kind = Report.Inconclusive reason;
-          cls = "";
-          alloc_at = { Jir.Ast.file = "<" ^ fsm.Fsm.name ^ ">"; line = 0 };
-          site = None;
-          context = [];
-          witness = [];
-          trace = [] } ];
-    degraded = Some reason;
-    summary = None }
-
 (* An instance's private workdir: its partitions and checkpoint manifest. *)
 let instance_workdir (p : prepared) (fsm : Fsm.t) =
   Filename.concat p.config.workdir ("df-" ^ fsm.Fsm.name)
@@ -498,11 +452,23 @@ let sweep_instance_workdir dir =
       (Sys.readdir dir)
 
 (* Give up on an instance, whichever executor lost it: nothing will resume
-   from its partition files, and its only report is [Inconclusive]. *)
-let degrade (p : prepared) (fsm : Fsm.t) ~(acct : acct) reason =
+   from its partition files, and its only report is [Inconclusive], so the
+   gap in coverage is visible in the output. *)
+let degrade (p : prepared) (fsm : Fsm.t) ~reg reason =
   sweep_instance_workdir (instance_workdir p fsm);
-  acct.a_inconclusive <- acct.a_inconclusive + 1;
-  inconclusive_result fsm reason
+  count reg "pipeline.inconclusive" 1;
+  { fsm;
+    reports =
+      [ { Report.checker = fsm.Fsm.name;
+          kind = Report.Inconclusive reason;
+          cls = "";
+          alloc_at = { Jir.Ast.file = "<" ^ fsm.Fsm.name ^ ">"; line = 0 };
+          site = None;
+          context = [];
+          witness = [];
+          trace = [] } ];
+    degraded = Some reason;
+    metrics = reg }
 
 (* A fresh phase-2 engine for one attempt, seeded from the property's
    dataflow graph: the builder writes the seeds straight into the engine's
@@ -576,16 +542,15 @@ let attempt_property (p : prepared) (fsm : Fsm.t) ~comp ~chk
   Report.dedup (List.rev !reports)
 
 (* Phases 2 and 3 for one property on the retry ladder.  All accounting
-   goes to [acct] — never to [p] — so the instance can run in a worker
+   goes to [reg] — never to [p] — so the instance can run in a worker
    process and send its account back.  [resume_first]: the very first
    attempt already resumes from the instance's checkpoint manifest — a
    shard worker re-dispatched after its predecessor died continues that
    predecessor's work. *)
-let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
-    ~(acct : acct) =
+let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t) ~reg =
   let comp = ref 0. and chk = ref 0. in
   let outcome =
-    retry_ladder p.config.engine ~acct
+    retry_ladder p.config.engine ~reg
       ~resume:(p.config.resume || resume_first)
       ~create:(fun () -> instance_engine p fsm ~comp)
       ~op_retries:(fun (_, e) ->
@@ -598,88 +563,65 @@ let supervise ?(resume_first = false) (p : prepared) (fsm : Fsm.t)
             Error r
         | exn -> Error (Printexc.to_string exn))
   in
-  acct.a_compute_s <- acct.a_compute_s +. !comp;
-  acct.a_check_s <- acct.a_check_s +. !chk;
+  add_seconds reg "pipeline.compute_s" !comp;
+  add_seconds reg "pipeline.check_s" !chk;
   outcome
 
-(* The fault plan an instance runs under. *)
-type instance_plan =
-  | Ambient  (* the run's plan, as installed *)
-  | Derived of Engine.Faults.plan option
-      (* a private stream derived from this base plan ([None]: no faults),
-         salted with the instance's name *)
-
 (* The one instance body, whatever executes it.  It installs the
-   instance's plan and storage scope, climbs the retry ladder, and reduces
-   the engine to an [instance_summary].  Returns the result and the
-   instance's account, for the caller to merge. *)
-let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~plan :
-    property_result * acct =
-  let acct = fresh_acct () in
+   instance's fault plan — a private stream derived from [base] and salted
+   with the instance's name ([None]: no faults) — and its storage scope,
+   climbs the retry ladder, and counts everything into a fresh registry
+   that travels in the result. *)
+let run_instance ?resume_first (p : prepared) (fsm : Fsm.t) ~base :
+    property_result =
+  let reg = Obs.Registry.create () in
   let saved = Engine.Faults.current () in
   let install = function
     | Some pl -> Engine.Faults.install pl
     | None -> Engine.Faults.clear ()
   in
-  let active =
-    match plan with
-    | Ambient -> saved
-    | Derived base ->
-        Option.map
-          (fun b ->
-            Engine.Faults.derive b
-              ~salt:(Engine.Faults.salt_of_string fsm.Fsm.name))
-          base
-  in
-  install active;
+  let salt = Engine.Faults.salt_of_string fsm.Fsm.name in
+  let plan = Option.map (fun b -> Engine.Faults.derive b ~salt) base in
+  install plan;
   Engine.Faults.set_scope (Some ("df-" ^ fsm.Fsm.name));
   Fun.protect
     ~finally:(fun () ->
       Engine.Faults.set_scope None;
       install saved)
   @@ fun () ->
-  let outcome = supervise ?resume_first p fsm ~acct in
-  (* a derived plan's faults never reach the run's plan's
-     [injected_count]; the account carries them *)
-  (match (plan, active) with
-  | Derived _, Some pl -> acct.a_injected <- pl.Engine.Faults.n_injected
-  | _ -> ());
-  let r =
-    match outcome with
-    | Error reason -> degrade p fsm ~acct reason
-    | Ok (reports, (dg, e)) ->
-        let m = Dataflow_engine.metrics e in
-        { fsm; reports; degraded = None;
-          summary =
-            Some
-              { sm_vertices = Dataflow_graph.n_vertices dg;
-                sm_seed_edges = Dataflow_engine.n_seed_edges e;
-                sm_total_edges = Dataflow_engine.total_edges e;
-                sm_partitions = Dataflow_engine.n_partitions e;
-                sm_metrics = Engine.Metrics.registry m } }
-  in
-  (r, acct)
-
-(* One instance under the ambient plan: the entry for callers checking a
-   single property outside the scheduler. *)
-let check_property (p : prepared) (fsm : Fsm.t) : property_result =
-  let r, acct = run_instance p fsm ~plan:Ambient in
-  merge_acct p acct;
-  r
+  let outcome = supervise ?resume_first p fsm ~reg in
+  (* a derived plan's faults never reach the installed plan's
+     [injected_count] *)
+  Option.iter
+    (fun pl -> count reg "pipeline.faults_injected" pl.Engine.Faults.n_injected)
+    plan;
+  match outcome with
+  | Error reason -> degrade p fsm ~reg reason
+  | Ok (reports, (dg, e)) ->
+      count_engine reg
+        ~vertices:(Dataflow_graph.n_vertices dg)
+        ~seed_edges:(Dataflow_engine.n_seed_edges e)
+        ~total_edges:(Dataflow_engine.total_edges e)
+        ~partitions:(Dataflow_engine.n_partitions e)
+        (Dataflow_engine.metrics e);
+      { fsm; reports; degraded = None; metrics = reg }
 
 (* ---------------- the instance scheduler ----------------
 
    Phases 2 and 3 are independent across properties: each checking instance
    owns its private workdir ([df-<name>]), engine, metrics, and retry
    state, and only reads the shared phase-0/1 results.  The scheduler
-   orders one run's instances largest-estimated-first, so the long poles
-   start as early as possible, and runs every one through [run_instance]
-   under a fault plan *derived* from the run's, salted with the instance's
-   stable identity: its fault stream depends only on its own operation
-   history, never on where or alongside what it ran.  Accounts and schedule
-   entries are merged in canonical (input) order at the end.  Reports, fault
-   counters and statistics are therefore byte-identical at any process
-   count, and a crashed run's checkpoints can be resumed at any other.
+   orders the run's instances — one per property of
+   [config.prefilter_properties] — largest-estimated-first, so the long
+   poles start as early as possible, and runs every one through
+   [run_instance] under a fault plan *derived* from the installed one,
+   salted with the instance's stable identity: its fault stream depends
+   only on its own operation history, never on where or alongside what it
+   ran.  Results and schedule entries come back in canonical (input)
+   order, and [stats] merges the instances' registries in that order.
+   Reports, fault counters and statistics are therefore byte-identical at
+   any process count, and a crashed run's checkpoints can be resumed at
+   any other.
 
    [shard_procs] picks how the ordered instances run:
 
@@ -728,13 +670,13 @@ let order_items (p : prepared) (fsms : Fsm.t list) =
          | 0 -> compare f1.Fsm.name f2.Fsm.name
          | c -> c)
 
-let check_properties (p : prepared) (fsms : Fsm.t list) :
+let check_properties (p : prepared) :
     property_result list * schedule_entry list =
-  let order = Array.of_list (order_items p fsms) in
+  let order = Array.of_list (order_items p p.config.prefilter_properties) in
   let n = Array.length order in
   (* captured before any instance runs: every instance derives from the
      same base *)
-  let base_plan = Engine.Faults.current () in
+  let base = Engine.Faults.current () in
   let finished = Array.make n None in  (* by input index *)
   let instance ~worker k ~resume_first =
     let _, fsm, est = order.(k) in
@@ -743,14 +685,13 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
               ("worker", Obs.Trace.Int worker);
               ("estimate", Obs.Trace.Int est) ]
       "scheduler.instance"
-      (fun () -> run_instance ~resume_first p fsm ~plan:(Derived base_plan))
+      (fun () -> run_instance ~resume_first p fsm ~base)
   in
-  let record k ~worker ~wall_s (r, acct) =
+  let record k ~worker ~wall_s r =
     let idx, fsm, est = order.(k) in
     finished.(idx) <-
       Some
         ( r,
-          acct,
           { s_instance = fsm.Fsm.name; s_worker = worker; s_estimate = est;
             s_wall_s = wall_s } )
   in
@@ -763,7 +704,8 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
     in
     (* runs inside the forked worker, which does not know its slot; its
        trace spans stay in that process.  So do its SMT budget hits: the
-       account carries them back, as it carries a derived plan's faults *)
+       instance's registry carries them back, as it carries a derived
+       plan's faults *)
     let run_task ~task ~attempt =
       let _, fsm, _ = order.(task) in
       (* a re-dispatch resumes only a checkpoint its predecessor wrote:
@@ -777,9 +719,9 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
       in
       let hits () = Smt.Solver.stats.Smt.Solver.budget_hits in
       let hits0 = hits () in
-      let r, acct = instance ~worker:(-1) task ~resume_first in
-      acct.a_budget_hits <- hits () - hits0;
-      Marshal.to_string (r, acct) []
+      let r = instance ~worker:(-1) task ~resume_first in
+      count r.metrics "smt.budget_hits" (hits () - hits0);
+      Marshal.to_string (r : property_result) []
     in
     let outcomes =
       Obs.Trace.with_span ~cat:"scheduler"
@@ -787,18 +729,19 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
                 ("instances", Obs.Trace.Int n) ]
         "scheduler.shard"
         (fun () ->
-          Engine.Supervisor.run ~reg:p.sup_reg ~config:sup_config
+          Engine.Supervisor.run ~reg:p.run_metrics ~config:sup_config
             ~tasks:(Array.map (fun (_, f, _) -> f.Fsm.name) order)
             ~run_task ())
     in
     Array.iteri
       (fun k -> function
         | Engine.Supervisor.Completed { payload; slot; wall_s } ->
-            record k ~worker:slot ~wall_s (Marshal.from_string payload 0)
+            record k ~worker:slot ~wall_s
+              (Marshal.from_string payload 0 : property_result)
         | Engine.Supervisor.Degraded reason ->
             let _, fsm, _ = order.(k) in
-            let acct = fresh_acct () in
-            record k ~worker:(-1) ~wall_s:0. (degrade p fsm ~acct reason, acct))
+            record k ~worker:(-1) ~wall_s:0.
+              (degrade p fsm ~reg:(Obs.Registry.create ()) reason))
       outcomes
   end
   else
@@ -807,12 +750,7 @@ let check_properties (p : prepared) (fsms : Fsm.t list) :
       let r = instance ~worker:0 k ~resume_first:false in
       record k ~worker:0 ~wall_s:(Unix.gettimeofday () -. t0) r
     done;
-  (* canonical-order merge: float additions happen in the same sequence
-     whichever executor ran what, and under any crash schedule *)
-  let finished = Array.to_list (Array.map Option.get finished) in
-  List.iter (fun (_, acct, _) -> merge_acct p acct) finished;
-  ( List.map (fun (r, _, _) -> r) finished,
-    List.map (fun (_, _, e) -> e) finished )
+  List.split (Array.to_list (Array.map Option.get finished))
 
 (* ---------------- aggregate statistics (Tables 3-5, Figure 9) -------- *)
 
@@ -855,98 +793,71 @@ type stats = {
   n_corrupt_recovered : int;
       (* partition reads that recovered a valid prefix from damage *)
   registry : Obs.Registry.t;
-      (* the run's full merged metric registry (engine counters/timers/
-         histograms plus pipeline- and solver-level entries), for
-         [--metrics-json] and programmatic consumers *)
+      (* the merge every field above is read from: engine counters, timers
+         and histograms plus the pipeline-, supervisor- and solver-level
+         entries, for [--metrics-json] and programmatic consumers *)
 }
 
-(* Registry-level merge: every metric each engine registered — counters,
-   timers, histograms, including ones this module never heard of — is
-   summed, in canonical order (the earlier field-by-field version silently
-   dropped [edges_considered]; a name-driven merge cannot lose fields). *)
-let combine_metrics (ms : Engine.Metrics.t list) : Engine.Metrics.t =
-  let out = Engine.Metrics.create () in
-  List.iter (fun m -> Engine.Metrics.merge ~into:out m) ms;
-  out
-
+(* One canonical merge: the run's registry, then each instance's in [props]
+   order, into a fresh registry, so float sums take the same sequence
+   whichever process ran what, and a second call gives the same result.
+   Every metric any engine registered is summed by name, so none can be
+   lost.  The registries count only what the calling process's global
+   counters cannot see; the totals add those: the surviving engines' op
+   retries, and the SMT budget hits and installed-plan faults of this
+   process since phase 1 began. *)
 let stats (p : prepared) (props : property_result list) : stats =
-  let summaries = List.filter_map (fun pr -> pr.summary) props in
-  let sum f = List.fold_left (fun acc s -> acc + f s) 0 summaries in
-  let n_vertices =
-    Alias_graph.n_vertices p.alias_graph + sum (fun s -> s.sm_vertices)
+  let reg = Obs.Registry.create () in
+  Obs.Registry.merge ~into:reg p.run_metrics;
+  List.iter (fun pr -> Obs.Registry.merge ~into:reg pr.metrics) props;
+  let m = Engine.Metrics.of_registry reg in
+  let value name = Obs.Registry.value (Obs.Registry.counter reg name) in
+  let seconds name = Obs.Registry.gauge_value (Obs.Registry.gauge reg name) in
+  let total name n =
+    count reg name n;
+    value name
   in
-  let n_edges_before =
-    Alias_engine.n_seed_edges p.alias_engine + sum (fun s -> s.sm_seed_edges)
-  in
-  let n_edges_after =
-    Alias_engine.total_edges p.alias_engine + sum (fun s -> s.sm_total_edges)
-  in
-  let n_partitions =
-    Alias_engine.n_partitions p.alias_engine + sum (fun s -> s.sm_partitions)
-  in
-  let m =
-    combine_metrics
-      (Alias_engine.metrics p.alias_engine
-      :: List.map (fun s -> Engine.Metrics.of_registry s.sm_metrics) summaries)
-  in
-  let count c = Engine.Metrics.count c in
-  let n_retried = p.faults.n_retried + count m.Engine.Metrics.retries in
+  let c = Engine.Metrics.count in
+  let n_retried = total "pipeline.retried" (c m.Engine.Metrics.retries) in
   let n_smt_budget_hits =
-    max 0
-      (Smt.Solver.stats.Smt.Solver.budget_hits
-      - p.faults.smt_budget_hits0)
-    + p.faults.n_worker_budget_hits
+    total "smt.budget_hits"
+      (max 0 (Smt.Solver.stats.Smt.Solver.budget_hits - p.smt_budget_hits0))
   in
   let n_faults_injected =
-    max 0 (Engine.Faults.injected_count () - p.faults.faults_injected0)
-    + p.faults.n_instance_injected
+    total "pipeline.faults_injected"
+      (max 0 (Engine.Faults.injected_count () - p.faults_injected0))
   in
-  (* enrich the merged registry with the pipeline- and solver-level numbers
-     so [--metrics-json] is one self-contained document *)
-  let reg = Engine.Metrics.registry m in
-  (* fold in the shard supervisor's counters (spawns/kills/re-dispatches/
-     degradations); empty when the run was in-process *)
-  Obs.Registry.merge ~into:reg p.sup_reg;
-  let set_g name v = Obs.Registry.gauge_set (Obs.Registry.gauge reg name) v in
-  let set_c name v = Obs.Registry.set (Obs.Registry.counter reg name) v in
-  set_g "pipeline.preprocess_s" p.timing.preprocess_s;
-  set_g "pipeline.compute_s" p.timing.compute_s;
-  set_g "pipeline.check_s" p.timing.check_s;
-  set_c "pipeline.summary_pruned" (List.length p.summary_pruned);
-  set_c "pipeline.edges_sliced" p.n_edges_sliced;
-  set_c "pipeline.retried" n_retried;
-  set_c "pipeline.recovered" p.faults.n_recovered;
-  set_c "pipeline.inconclusive" p.faults.n_inconclusive;
-  set_c "pipeline.faults_injected" n_faults_injected;
-  set_c "smt.budget_hits" n_smt_budget_hits;
-  { n_vertices;
-    n_edges_before;
-    n_edges_after;
-    preprocess_s = p.timing.preprocess_s;
-    compute_s = p.timing.compute_s;
-    total_s = p.timing.preprocess_s +. p.timing.compute_s +. p.timing.check_s;
-    n_partitions;
-    n_iterations = count m.Engine.Metrics.pairs_processed;
-    n_constraints_solved = count m.Engine.Metrics.constraints_solved;
+  let preprocess_s = seconds "pipeline.preprocess_s"
+  and compute_s = seconds "pipeline.compute_s"
+  and check_s = seconds "pipeline.check_s" in
+  { n_vertices = value "pipeline.vertices";
+    n_edges_before = value "pipeline.edges_before";
+    n_edges_after = value "pipeline.edges_after";
+    preprocess_s;
+    compute_s;
+    total_s = preprocess_s +. compute_s +. check_s;
+    n_partitions = value "pipeline.partitions";
+    n_iterations = c m.Engine.Metrics.pairs_processed;
+    n_constraints_solved = c m.Engine.Metrics.constraints_solved;
     cache_enabled = p.config.engine.Engine.cache_enabled;
-    cache_lookups = count m.Engine.Metrics.cache_lookups;
-    cache_hits = count m.Engine.Metrics.cache_hits;
+    cache_lookups = c m.Engine.Metrics.cache_lookups;
+    cache_hits = c m.Engine.Metrics.cache_hits;
     solve_s = Engine.Metrics.seconds m.Engine.Metrics.solve_s;
-    bytes_read = count m.Engine.Metrics.bytes_read;
-    bytes_written = count m.Engine.Metrics.bytes_written;
+    bytes_read = c m.Engine.Metrics.bytes_read;
+    bytes_written = c m.Engine.Metrics.bytes_written;
     breakdown = Engine.Metrics.breakdown m;
     n_prefiltered = 0;
-    n_summary_pruned = List.length p.summary_pruned;
+    n_summary_pruned = value "pipeline.summary_pruned";
     n_alias_pruned = 0;
     n_edges_presliced = p.n_edges_presliced;
-    n_edges_sliced = p.n_edges_sliced;
-    edges_added = count m.Engine.Metrics.edges_added;
+    n_edges_sliced = value "pipeline.edges_sliced";
+    edges_added = c m.Engine.Metrics.edges_added;
     n_retried;
-    n_recovered = p.faults.n_recovered;
-    n_inconclusive = p.faults.n_inconclusive;
+    n_recovered = value "pipeline.recovered";
+    n_inconclusive = value "pipeline.inconclusive";
     n_smt_budget_hits;
     n_faults_injected;
-    n_corrupt_recovered = count m.Engine.Metrics.corrupt_reads;
+    n_corrupt_recovered = c m.Engine.Metrics.corrupt_reads;
     registry = reg }
 
 (* Remove the files the engines wrote, then their directories and the

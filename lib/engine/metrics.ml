@@ -6,10 +6,9 @@
    recovery.
 
    Each engine owns one [t] (one registry): an engine runs in a single
-   domain, so updates need no synchronization.  Aggregation across engines
-   — and therefore across worker domains — goes through [merge], which the
-   registry performs in canonical (sorted-name) order, so totals are
-   identical at every worker count. *)
+   process, so updates need no synchronization.  The pipeline aggregates
+   engines by merging their registries ([Obs.Registry.merge]) in canonical
+   order, so totals are identical at every process count. *)
 
 module R = Obs.Registry
 
@@ -113,18 +112,3 @@ let breakdown (m : t) : (string * float) list =
     ("Constraint lookup", pct decode);
     ("SMT solving", pct solve);
     ("Edge computation", pct join) ]
-
-let merge ~(into : t) (m : t) = R.merge ~into:into.reg m.reg
-
-let pp ppf (m : t) =
-  Format.fprintf ppf
-    "io=%.2fs decode=%.2fs solve=%.2fs join=%.2fs solved=%d hits=%d/%d \
-     evictions=%d edges+=%d considered=%d pairs=%d loads=%d resident=%d \
-     repart=%d bytes=%d/%d retries=%d corrupt=%d stale_tmp=%d"
-    (seconds m.io_s) (seconds m.decode_s) (seconds m.solve_s)
-    (seconds m.join_s) (count m.constraints_solved) (count m.cache_hits)
-    (count m.cache_lookups) (count m.cache_evictions) (count m.edges_added)
-    (count m.edges_considered) (count m.pairs_processed)
-    (count m.partition_loads) (count m.resident_hits) (count m.repartitions)
-    (count m.bytes_read) (count m.bytes_written) (count m.retries)
-    (count m.corrupt_reads) (count m.stale_temps)

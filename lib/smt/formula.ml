@@ -75,7 +75,6 @@ let or_ a b =
   | _ -> Or (a, b)
 
 let conj = List.fold_left and_ True
-let disj = List.fold_left or_ False
 
 let rec size = function
   | True | False | Atom _ -> 1

@@ -264,6 +264,5 @@ let check_with_model (f : Formula.t) : model_result =
           | Unknown -> Model_unknown
           | Unsat -> Model_unsat))
 
-(* Entailment and equivalence helpers built on [check]; used by tests. *)
+(* Entailment built on [check]; used by tests. *)
 let entails a b = check (Formula.and_ a (Formula.not_ b)) = Unsat
-let equivalent a b = entails a b && entails b a

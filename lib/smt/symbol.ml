@@ -43,12 +43,6 @@ let name (id : t) : string =
   Mutex.unlock lock;
   n
 
-let count () =
-  Mutex.lock lock;
-  let n = !next in
-  Mutex.unlock lock;
-  n
-
 (* Fresh symbol guaranteed not to collide with interned names. *)
 let fresh_counter = Atomic.make 0
 

@@ -168,12 +168,6 @@ let constraint_of (t : t) (enc : Encoding.t) : Formula.t =
   walk enc;
   !conj
 
-(* Satisfiability of an encoding's constraint; the hot path of the engine. *)
-let satisfiable (t : t) (enc : Encoding.t) : bool =
-  match Solver.check (constraint_of t enc) with
-  | Solver.Sat | Solver.Unknown -> true
-  | Solver.Unsat -> false
-
 (* The forward interprocedural node sequence an encoding traverses:
    (method index, CFET node id) in path order.  Reversed and auxiliary
    fragments are skipped — they are value-flow evidence, not the control

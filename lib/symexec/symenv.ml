@@ -13,8 +13,6 @@ module Encoding = Pathenc.Encoding
 
 type t = (Jir.Ast.var * Linexpr.t) list  (* innermost binding first *)
 
-let empty : t = []
-
 (* The symbol standing for parameter [p] of method [meth_id]; shared between
    the CFET of the method and the call/return equations that reference it. *)
 let param_symbol ~meth_id p = Symbol.intern (meth_id ^ "::" ^ p)

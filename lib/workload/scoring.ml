@@ -77,9 +77,6 @@ let score ?(allow_empty = false) ~(checker : string)
     fp_reports = List.rev !fp_reports;
     missed }
 
-let pp ppf (s : score) =
-  Fmt.pf ppf "TP=%d FP=%d FN=%d" s.tp s.fp s.fn
-
 (* ------------------------------------------------------------------ *)
 (* Lint diagnostics scored the same way: an expectation with checker    *)
 (* "lint" and kind `Lint name matches a diagnostic of that lint on the  *)

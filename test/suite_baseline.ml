@@ -11,13 +11,6 @@ module SEngine = Baseline.String_engine.Make (Cfl.Pointer_grammar)
 module Pg = Cfl.Pointer_grammar
 module E = Pathenc.Encoding
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-base-%d-%d" (Unix.getpid ()) !counter)
-
 (* ---------------- formula parser ---------------- *)
 
 let roundtrip f =
@@ -99,7 +92,7 @@ let seed_chain t n =
   done
 
 let test_string_engine_closure () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let t = SEngine.create ~workdir () in
   seed_chain t 5;
   SEngine.run t;
@@ -110,7 +103,7 @@ let test_string_engine_closure () =
     (s.Baseline.String_engine.edges_after > SEngine.n_seed_edges t)
 
 let test_string_engine_prunes () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let t = SEngine.create ~workdir () in
   let x = "x" in
   SEngine.add_seed t ~src:0 ~dst:1 ~label:Pg.New ~cstr:(x ^ " <= 0");
@@ -128,7 +121,7 @@ let test_string_engine_prunes () =
 let test_string_engine_more_partitions_than_grapple () =
   (* the Table 5 shape: with the same byte budget, string constraints force
      more partitions than interval encodings on a branchy chain *)
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Baseline.String_engine.default_config ~workdir) with
       Baseline.String_engine.max_bytes_per_partition = 600 }

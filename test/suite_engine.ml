@@ -6,17 +6,6 @@ module E = Pathenc.Encoding
 module Pg = Cfl.Pointer_grammar
 module AEngine = Engine.Make (Cfl.Pointer_grammar)
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "grapple-test-engine-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Engine.ensure_dir dir;
-    dir
-
 (* ---------------- LRU ---------------- *)
 
 let test_lru_basic () =
@@ -79,7 +68,7 @@ let read_edges path =
   (edges_of_buf outcome.Engine.Storage.buf, outcome.Engine.Storage.corrupt)
 
 let test_storage_roundtrip () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "edges.bin" in
   let edges =
     [ (1, 2, 0, [ E.Interval { meth = 0; first = 0; last = 3 } ]);
@@ -103,7 +92,7 @@ let test_storage_missing_file () =
 let true_decode (_ : E.t) = Smt.Formula.True
 
 let mk_engine ?(config = None) () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     match config with
     | Some c -> { c with Engine.workdir }
@@ -169,7 +158,7 @@ let test_closure_field_mismatch () =
   Alcotest.(check bool) "different fields do not match" false !bad
 
 let test_repartitioning () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with
       Engine.max_edges_per_partition = 8 }
@@ -184,7 +173,7 @@ let test_repartitioning () =
   Alcotest.(check int) "flowsTo complete" 20 (count_label t Pg.Flows_to)
 
 let test_cache_counters () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let t =
     AEngine.create
       ~config:(Engine.default_config ~workdir) ~decode:true_decode ~workdir ()
@@ -222,7 +211,7 @@ module CEngine = Engine.Make (Abc)
    with encoding e, a miss that is solved; superstep 2 — a second chunk —
    derives d(0,3) from it with the same encoding e, a hit. *)
 let test_cache_hit_counted_once () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config = Engine.default_config ~workdir in
   let t = CEngine.create ~config ~decode:true_decode ~workdir () in
   CEngine.add_seed t ~src:0 ~dst:1 ~label:0 ~enc:[ E.Call 1 ];
@@ -248,7 +237,7 @@ let test_constraint_cache () =
       (Smt.Linexpr.const 0)
   in
   let counts ~cache_enabled =
-    let workdir = fresh_workdir () in
+    let workdir = Testdir.fresh () in
     let config =
       { (Engine.default_config ~workdir) with Engine.cache_enabled }
     in
@@ -317,7 +306,7 @@ let records (p : CEngine.pmeta) =
    its flush splits it by the same rule with half its size, five, as the
    cap: into two, each in file order. *)
 let test_partition_rule () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with Engine.max_edges_per_partition = 8 }
   in
@@ -372,7 +361,7 @@ let test_metrics_time_records_on_raise () =
 (* regression: the engine used to count a cache lookup (never a hit) even
    with [cache_enabled = false], reporting a fake 0% hit rate *)
 let test_cache_disabled_counts_no_lookups () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with Engine.cache_enabled = false }
   in
@@ -391,7 +380,7 @@ let test_cache_disabled_counts_no_lookups () =
 
 let test_constraint_pruning () =
   (* a decode that rejects any encoding mentioning node 13 *)
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let decode (enc : E.t) =
     let rec bad = function
       | [] -> false
@@ -421,7 +410,7 @@ let test_constraint_pruning () =
   Alcotest.(check bool) "infeasible branch pruned" false (reaches 3)
 
 let test_encodings_per_key_cap () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with Engine.max_encodings_per_key = 1 }
   in
@@ -526,7 +515,7 @@ let prop_engine_matches_reference =
        with splits on the way *)
     QCheck.(pair (int_range 1 128) arb_graph)
     (fun (budget, edges) ->
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       let config =
         { (Engine.default_config ~workdir) with
           Engine.max_edges_per_partition = budget;
@@ -562,7 +551,7 @@ let prop_partitioning_invariance =
       seed_chain t1 7;
       AEngine.run t1;
       let reference = count_label t1 Pg.Flows_to in
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       let config =
         { (Engine.default_config ~workdir) with
           Engine.max_edges_per_partition = budget }
@@ -701,7 +690,7 @@ let golden_decode (enc : E.t) =
 
 let test_golden_derivation_order () =
   let rng = Random.State.make [| 2019 |] in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with
       Engine.max_edges_per_partition = 60;

@@ -13,17 +13,6 @@ module Faults = Engine.Faults
 module Storage = Engine.Storage
 module Manifest = Engine.Manifest
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "grapple-test-faults-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Engine.ensure_dir dir;
-    dir
-
 (* Install [spec] for the duration of [f] only: a leaked plan would inject
    faults into every later test. *)
 let with_plan spec f =
@@ -72,7 +61,7 @@ let record_offsets (contents : string) : int list =
   List.rev !offs
 
 let test_read_truncated () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "t.edges" in
   let all = edges 3 in
   (* block_cap=1: one pool block per encoding, one edge block per edge, so
@@ -95,7 +84,7 @@ let test_read_truncated () =
         | Some c -> Fmt.str "%a" Storage.pp_corruption c))
 
 let test_read_corrupted () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "c.edges" in
   let all = edges 3 in
   let _ = write_edges ~block_cap:1 ~path all in
@@ -126,7 +115,7 @@ let test_read_corrupted () =
 (* ---------------- storage: crash-point matrix for atomic writes -------- *)
 
 let test_crash_before_rename () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "a.edges" in
   let v1 = edges 2 in
   let _ = write_edges ~path v1 in
@@ -140,7 +129,7 @@ let test_crash_before_rename () =
   Alcotest.(check bool) "no corruption" true (corrupt = None)
 
 let test_crash_after_rename () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "b.edges" in
   let _ = write_edges ~path (edges 2) in
   let v2 = edges 5 in
@@ -152,7 +141,7 @@ let test_crash_after_rename () =
   Alcotest.(check bool) "no corruption" true (corrupt = None)
 
 let test_short_write_leaves_target () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "s.edges" in
   let v1 = edges 2 in
   let _ = write_edges ~path v1 in
@@ -168,7 +157,7 @@ let test_short_write_leaves_target () =
 (* A torn write is an injected fault like any other: it reaches the plan's
    count, and through it the stats line's faults-injected. *)
 let test_short_write_counted () =
-  let path = Filename.concat (fresh_workdir ()) "n.edges" in
+  let path = Filename.concat (Testdir.fresh ()) "n.edges" in
   with_plan "short-write=1" (fun () ->
       (match write_edges ~path (edges 3) with
       | _ -> Alcotest.fail "short write did not fire"
@@ -178,7 +167,7 @@ let test_short_write_counted () =
 (* ---------------- manifest ---------------- *)
 
 let test_manifest_roundtrip () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let m =
     { Manifest.seed_digest = 77; next_pid = 7; max_vertex = 123;
       n_seed_edges = 45;
@@ -222,10 +211,10 @@ let test_manifest_roundtrip () =
        "grapple-manifest 3\nnext_pid 7\nmax_vertex 123\nn_seed_edges 45\n\
         part 3 0 60 p0003.edges\ndone 3 3 17 17\n") ];
   Alcotest.(check bool) "missing manifest" true
-    (Manifest.load ~workdir:(fresh_workdir ()) = None)
+    (Manifest.load ~workdir:(Testdir.fresh ()) = None)
 
 let test_manifest_truncated_header () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let m =
     { Manifest.seed_digest = 1; next_pid = 2; max_vertex = 9;
       n_seed_edges = 4;
@@ -258,7 +247,7 @@ let engine_config ~workdir =
     retry_base_ms = 0.01 }
 
 let mk_engine ?(config_f = fun c -> c) () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config = config_f (engine_config ~workdir) in
   AEngine.create ~config ~decode:true_decode ~workdir ()
 
@@ -302,7 +291,7 @@ let test_engine_resume_equals_fresh () =
   AEngine.run clean;
   let expect = facts clean in
   AEngine.cleanup clean;
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config = engine_config ~workdir in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 12;
@@ -328,7 +317,7 @@ let test_resume_missing_partition_runs_fresh () =
   AEngine.run clean;
   let expect = facts clean in
   AEngine.cleanup clean;
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config = engine_config ~workdir in
   let t = AEngine.create ~config ~decode:true_decode ~workdir () in
   seed_chain t 12;
@@ -440,7 +429,7 @@ let records_in_files workdir =
    again. *)
 let crash_matrix name ~make ~run ~facts ~metrics ~n_partitions ~total_edges
     ~cleanup =
-  let clean = make (fresh_workdir ()) in
+  let clean = make (Testdir.fresh ()) in
   (* an empty plan counts the run's renames and checkpoints *)
   let counter = Faults.make [] in
   Faults.install counter;
@@ -462,7 +451,7 @@ let crash_matrix name ~make ~run ~facts ~metrics ~n_partitions ~total_edges
   in
   List.iter
     (fun spec ->
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       (match with_plan spec (fun () -> run ~resume:false (make workdir)) with
       | () -> Alcotest.failf "%s %s: the crash did not fire" name spec
       | exception Faults.Crash _ -> ());
@@ -496,11 +485,11 @@ let test_crash_matrix_resume () =
    and close the second graph as a clean run does, with b's error at 10
    and not at 7. *)
 let test_resume_other_graph () =
-  let clean = df_engine ~erring_at:9 (fresh_workdir ()) in
+  let clean = df_engine ~erring_at:9 (Testdir.fresh ()) in
   DEngine.run (fst clean);
   let expect = df_facts clean in
   DEngine.cleanup (fst clean);
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   (match
      with_plan "crash-checkpoint=2" (fun () ->
          DEngine.run (fst (df_engine workdir)))
@@ -520,7 +509,7 @@ let test_resume_other_graph () =
    restore counts that file's records, once when the first pair routes
    FlowsToBar(26, 0) into it. *)
 let test_routed_append_counts_damage () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   (match
      with_plan "crash-checkpoint=1" (fun () ->
          AEngine.run (matrix_engine workdir))
@@ -569,7 +558,7 @@ let test_engine_budget_exact_boundary () =
   AEngine.run at;
   Alcotest.(check bool) "exactly-at-budget completes" true (facts at = expect);
   AEngine.cleanup at;
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let tight = { (engine_config ~workdir) with Engine.edge_budget = added - 1 } in
   let t = AEngine.create ~config:tight ~decode:true_decode ~workdir () in
   seed_chain t 10;
@@ -611,21 +600,28 @@ class Main {
 entry Main.main;
 |}
 
-let check_leak ?(config_f = fun c -> c) ?workdir () =
+(* [plan], when given, is installed for the checking step alone, so its
+   directives count the io instance's own storage operations: phase 1 runs
+   without it, and the instance under the plan derived from it. *)
+let check_leak ?(config_f = fun c -> c) ?plan ?workdir () =
   let program = Jir.Resolve.parse_exn leak_src in
-  let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
+  let workdir = match workdir with Some d -> d | None -> Testdir.fresh () in
   let config =
     config_f
       { (Grapple.Pipeline.default_config ~workdir) with
         Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-        Grapple.Pipeline.engine =
+        prefilter_properties = [ Checkers.fsm "io" ];
+        engine =
           { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
   in
-  let fsm = Checkers.fsm "io" in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let pr = Grapple.Pipeline.check_property prepared fsm in
-  let stats = Grapple.Pipeline.stats prepared [ pr ] in
-  (prepared, pr, stats)
+  let check () = Grapple.Pipeline.check_properties prepared in
+  let checked =
+    match plan with Some spec -> with_plan spec check | None -> check ()
+  in
+  match checked with
+  | [ pr ], _ -> (prepared, pr, Grapple.Pipeline.stats prepared [ pr ])
+  | _ -> Alcotest.fail "expected one instance"
 
 let rendered (pr : Grapple.Pipeline.property_result) =
   String.concat "\n"
@@ -679,40 +675,43 @@ let test_pipeline_budget_degrades () =
   Grapple.Pipeline.cleanup p [ pr ]
 
 let test_pipeline_fault_recovers () =
-  (* four consecutive faults on one write outlast its three op-level
-     retries, so the failure escalates to the instance, which restarts from
-     its checkpoint: the instance must be recovered, not degraded, with
-     identical warnings *)
+  (* four consecutive faults on the instance's last write outlast its three
+     op-level retries, so the failure escalates to the instance, which
+     restarts from its checkpoint: the instance must be recovered, not
+     degraded, with identical warnings *)
   let p0, pr0, _ = check_leak () in
   let expect = rendered pr0 in
   Grapple.Pipeline.cleanup p0 [ pr0 ];
-  with_plan "fail-write=8,fail-write=9,fail-write=10,fail-write=11" (fun () ->
-      let p, pr, stats = check_leak () in
-      Alcotest.(check int) "the faults fired" 4 (Faults.injected_count ());
-      Alcotest.(check string) "warnings identical" expect (rendered pr);
-      Alcotest.(check int) "nothing degraded" 0
-        stats.Grapple.Pipeline.n_inconclusive;
-      Alcotest.(check bool) "supervisor recovered the sub-run" true
-        (stats.Grapple.Pipeline.n_recovered > 0
-        && stats.Grapple.Pipeline.n_retried > 0);
-      Grapple.Pipeline.cleanup p [ pr ])
+  let p, pr, stats =
+    check_leak ~plan:"fail-write=4,fail-write=5,fail-write=6,fail-write=7" ()
+  in
+  Alcotest.(check int) "the faults fired" 4
+    stats.Grapple.Pipeline.n_faults_injected;
+  Alcotest.(check string) "warnings identical" expect (rendered pr);
+  Alcotest.(check int) "nothing degraded" 0
+    stats.Grapple.Pipeline.n_inconclusive;
+  Alcotest.(check bool) "supervisor recovered the sub-run" true
+    (stats.Grapple.Pipeline.n_recovered > 0
+    && stats.Grapple.Pipeline.n_retried > 0);
+  Grapple.Pipeline.cleanup p [ pr ]
 
 (* The engine's edge budget bounds each checking instance and never phase
    1, which is shared preprocessing: [prepare] completes under a budget of
    one edge, and every instance degrades. *)
 let test_pipeline_edge_budget_spares_phase1 () =
   let program = Suite_shard.generated ~seed:11 in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
+  let fsms = Checkers.fsms (Checkers.all ()) in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
-      Grapple.Pipeline.engine =
+      Grapple.Pipeline.prefilter_properties = fsms;
+      engine =
         { (Engine.default_config ~workdir) with
           Engine.retry_base_ms = 0.01;
           edge_budget = 1 } }
   in
   let p = Grapple.Pipeline.prepare ~config ~workdir program in
-  let fsms = Checkers.fsms (Checkers.all ()) in
-  let props, _ = Grapple.Pipeline.check_properties p fsms in
+  let props, _ = Grapple.Pipeline.check_properties p in
   List.iter
     (fun (pr : Grapple.Pipeline.property_result) ->
       Alcotest.(check bool)
@@ -728,11 +727,9 @@ let test_pipeline_resume_byte_identical () =
   let p0, pr0, _ = check_leak () in
   let expect = rendered pr0 in
   Grapple.Pipeline.cleanup p0 [ pr0 ];
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let crashed = ref false in
-  (try
-     with_plan "crash-checkpoint=3" (fun () ->
-         ignore (check_leak ~workdir ()))
+  (try ignore (check_leak ~plan:"crash-checkpoint=1" ~workdir ())
    with Faults.Crash _ -> crashed := true);
   Alcotest.(check bool) "killed at a checkpoint boundary" true !crashed;
   (* restart in the same workdir with --resume semantics *)

@@ -158,10 +158,7 @@ class Main {
 entry Main.main;
 |}
   in
-  let workdir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-grammar-%d" (Unix.getpid ()))
-  in
+  let workdir = Testdir.fresh () in
   let fsm = Checkers.fsm "lock" in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with

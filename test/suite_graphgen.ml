@@ -221,10 +221,7 @@ let test_alias_graph_edge_cap () =
 (* ---------------- dataflow graph ---------------- *)
 
 let run_alias_engine icfet ag =
-  let workdir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-dfg-%d-%d" (Unix.getpid ()) (Random.bits ()))
-  in
+  let workdir = Testdir.fresh () in
   let module AE = Engine.Make (Cfl.Pointer_grammar) in
   let t =
     AE.create
@@ -414,14 +411,10 @@ let each_dataflow_graph f =
   let generated f = (f () : G.subject).G.program in
   List.iter
     (fun (name, program) ->
-      let workdir =
-        Filename.concat (Filename.get_temp_dir_name ())
-          (Printf.sprintf "grapple-test-reach-%d-%s" (Unix.getpid ()) name)
-      in
+      let workdir = Testdir.fresh () in
       let config =
         { (Grapple.Pipeline.default_config ~workdir) with
           Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-          track_null = Checkers.tracks_null cs;
           prefilter_properties = Checkers.fsms cs }
       in
       let p = Grapple.Pipeline.prepare ~config ~workdir program in

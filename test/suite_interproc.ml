@@ -4,13 +4,6 @@
 
 let parse src = Jir.Resolve.parse_exn src
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-interproc-%d-%d" (Unix.getpid ()) !counter)
-
 (* ---------------- SCC condensation ---------------- *)
 
 let chain_src = {|
@@ -188,11 +181,10 @@ let test_summary_single_pass () =
 (* The reports [checker] makes on [program] through the pipeline. *)
 let engine_run checker program =
   let c = Checkers.resolve checker in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      track_null = Checkers.tracks_null [ c ];
       prefilter_properties = Checkers.fsms [ c ] }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
@@ -318,18 +310,17 @@ entry Main.main;
 
 let run_pipeline ?(summary_prefilter = true) src =
   let program = parse src in
-  let workdir = fresh_workdir () in
-  let fsm = Checkers.fsm "io" in
+  let workdir = Testdir.fresh () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      prefilter_properties = [ fsm ];
+      prefilter_properties = [ Checkers.fsm "io" ];
       summary_prefilter }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let pr = Grapple.Pipeline.check_property prepared fsm in
-  let stats = Grapple.Pipeline.stats prepared [ pr ] in
-  (stats, pr.Grapple.Pipeline.reports)
+  let props, _ = Grapple.Pipeline.check_properties prepared in
+  let stats = Grapple.Pipeline.stats prepared props in
+  (stats, List.concat_map (fun pr -> pr.Grapple.Pipeline.reports) props)
 
 (* helper-created, helper-written, caller-closed: escapes its method but
    is provably clean interprocedurally *)

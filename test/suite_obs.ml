@@ -93,10 +93,7 @@ let test_json_shape () =
 (* ---------------- tracer ---------------- *)
 
 let with_trace f =
-  let path =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-obs-%d.trace" (Unix.getpid ()))
-  in
+  let path = Filename.concat (Testdir.fresh ()) "t.trace" in
   T.start ~path;
   Fun.protect ~finally:(fun () -> T.stop ()) (fun () -> f ());
   T.stop ();

@@ -2,20 +2,15 @@
    paper's worked examples, path sensitivity, context sensitivity, and the
    statistics plumbing the benchmarks rely on. *)
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-pipe-%d-%d" (Unix.getpid ()) !counter)
-
-let check_src ?(checkers = Checkers.all ()) ?(track_null = false) src =
+(* The summary tier stays off: these tests pin what the engine reports. *)
+let check_src ?(checkers = Checkers.all ()) src =
   let program = Jir.Resolve.parse_exn src in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      track_null }
+      prefilter_properties = Checkers.fsms checkers;
+      summary_prefilter = false }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
   let results, props, _ = Checkers.run_all_scheduled prepared checkers in
@@ -339,7 +334,7 @@ entry Main.main;
 
 let test_null_deref () =
   let _, results, _ =
-    check_src ~checkers:[ Checkers.resolve "null" ] ~track_null:true {|
+    check_src ~checkers:[ Checkers.resolve "null" ] {|
 class Main {
   void main(int p) {
     FileWriter w = null;
@@ -369,6 +364,86 @@ entry Main.safe;
   Alcotest.(check (list string)) "one null deref" [ "error" ]
     (kinds (reports_of "null" results))
 
+(* ---------------- one property list per run ---------------- *)
+
+(* Prepare [src] for [cs] under the default config, setting nothing but
+   the run's property list. *)
+let prepare_for cs src =
+  let workdir = Testdir.fresh () in
+  let config =
+    { (Grapple.Pipeline.default_config ~workdir) with
+      Grapple.Pipeline.prefilter_properties = Checkers.fsms cs }
+  in
+  Grapple.Pipeline.prepare ~config ~workdir (Jir.Resolve.parse_exn src)
+
+(* A second FileWriter property, whose error lies on every path of
+   [written_and_closed_src]; [io] proves that writer clean, so the summary
+   tier prunes it from a run prepared for [io] alone. *)
+let nowrite () =
+  List.map Checkers.of_spec
+    (Spec.compile ~file:"nowrite.gspec"
+       {|property nowrite {
+  track FileWriter;
+  initial Open;
+  accepting Open;
+  on Open write -> Error;
+}|})
+
+let written_and_closed_src = {|
+class Main {
+  void main(int p) {
+    FileWriter w = new FileWriter();
+    w.write(p);
+    w.close();
+    return;
+  }
+}
+entry Main.main;
+|}
+
+let test_checks_only_prepared_list () =
+  let io = [ Checkers.resolve "io" ] in
+  let both = io @ nowrite () in
+  let p = prepare_for io written_and_closed_src in
+  (match Checkers.run_all_scheduled p both with
+  | _ -> Alcotest.fail "a run prepared for [io] checked nowrite"
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) "names both lists"
+        "Checkers.run_all_scheduled: checking [io; nowrite], but the run was \
+         prepared for [io]"
+        msg);
+  Grapple.Pipeline.cleanup p [];
+  let p = prepare_for both written_and_closed_src in
+  let results, props, _ = Checkers.run_all_scheduled p both in
+  Grapple.Pipeline.cleanup p props;
+  Alcotest.(check (list string)) "io: clean" []
+    (kinds (reports_of "io" results));
+  Alcotest.(check (list string)) "nowrite: the write is an error" [ "error" ]
+    (kinds (reports_of "nowrite" results))
+
+let null_deref_src = {|
+class Main {
+  void main(int p) {
+    FileWriter w = null;
+    if (p > 0) {
+      w = new FileWriter();
+    }
+    w.write(p);
+    return;
+  }
+}
+entry Main.main;
+|}
+
+(* Listing a null property is all it takes to model null assignments. *)
+let test_null_tracking_follows_list () =
+  let null = [ Checkers.resolve "null" ] in
+  let p = prepare_for null null_deref_src in
+  let results, props, _ = Checkers.run_all_scheduled p null in
+  Grapple.Pipeline.cleanup p props;
+  Alcotest.(check (list string)) "the null dereference" [ "error" ]
+    (kinds (reports_of "null" results))
+
 let test_stats_populated () =
   let prepared, _, props =
     check_src {|
@@ -389,7 +464,11 @@ entry Main.main;
   Alcotest.(check bool) "partitions" true (s.Grapple.Pipeline.n_partitions > 0);
   Alcotest.(check bool) "iterations" true (s.Grapple.Pipeline.n_iterations > 0);
   Alcotest.(check bool) "breakdown has 4 components" true
-    (List.length s.Grapple.Pipeline.breakdown = 4)
+    (List.length s.Grapple.Pipeline.breakdown = 4);
+  Alcotest.(check string) "a second call merges the same registries"
+    (Obs.Registry.to_json s.Grapple.Pipeline.registry)
+    (Obs.Registry.to_json
+       (Grapple.Pipeline.stats prepared props).Grapple.Pipeline.registry)
 
 (* Every feasibility decision the engines make is one cache hit or one
    solver call, so an enabled cache's lookups are exactly its hits plus the
@@ -411,13 +490,12 @@ let test_cache_accounting () =
   List.iter
     (fun (name, program) ->
       let run cache_enabled =
-        let workdir = fresh_workdir () in
+        let workdir = Testdir.fresh () in
         let checkers = Checkers.all_with_null () in
         let base = Grapple.Pipeline.default_config ~workdir in
         let config =
           { base with
             Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-            track_null = true;
             prefilter_properties = Checkers.fsms checkers;
             engine =
               { base.Grapple.Pipeline.engine with Engine.cache_enabled } }
@@ -596,11 +674,10 @@ let test_golden_reports () =
   in
   List.iter
     (fun (name, program, want) ->
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       let config =
         { (Grapple.Pipeline.default_config ~workdir) with
           Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-          track_null = Checkers.tracks_null cs;
           prefilter_properties = Checkers.fsms cs }
       in
       let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
@@ -662,6 +739,10 @@ let suite =
       test_reconfigure_both_channels_leak;
     Alcotest.test_case "report trace present" `Quick test_report_trace_present;
     Alcotest.test_case "null dereference" `Quick test_null_deref;
+    Alcotest.test_case "one list: a run checks what it was prepared for"
+      `Quick test_checks_only_prepared_list;
+    Alcotest.test_case "one list: null tracking follows it" `Quick
+      test_null_tracking_follows_list;
     Alcotest.test_case "stats populated" `Quick test_stats_populated;
     Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
     Alcotest.test_case "site: first event of a segment" `Quick

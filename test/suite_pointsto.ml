@@ -5,13 +5,6 @@
 
 let parse src = Jir.Resolve.parse_exn src
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-pointsto-%d-%d" (Unix.getpid ()) !counter)
-
 (* ---------------- solver soundness ---------------- *)
 
 let sites pt ~meth_id ~var =
@@ -147,22 +140,17 @@ let test_render_deterministic () =
 
 (* ---------------- pipeline slicer ---------------- *)
 
-let run_pipeline ?(alias_prefilter = true) ?fsms src =
+let run_pipeline ?(alias_prefilter = true) src =
   let program = parse src in
-  let workdir = fresh_workdir () in
-  let fsms =
-    match fsms with
-    | Some fs -> fs
-    | None -> [ Checkers.fsm "lock" ]
-  in
+  let workdir = Testdir.fresh () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      prefilter_properties = fsms;
+      prefilter_properties = [ Checkers.fsm "lock" ];
       alias_prefilter }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
-  let prs = List.map (Grapple.Pipeline.check_property prepared) fsms in
+  let prs, _ = Grapple.Pipeline.check_properties prepared in
   let stats = Grapple.Pipeline.stats prepared prs in
   (stats, List.concat_map (fun pr -> pr.Grapple.Pipeline.reports) prs)
 
@@ -226,7 +214,7 @@ let test_slicer_reduces_edges () =
 
 let run_subject ?(alias_prefilter = true) ~shard_procs
     (subject : Workload.Generator.subject) =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let fsms =
     [ Checkers.fsm "io"; Checkers.fsm "lock";
       Checkers.fsm "socket" ]
@@ -241,7 +229,7 @@ let run_subject ?(alias_prefilter = true) ~shard_procs
   let prepared =
     Grapple.Pipeline.prepare ~config ~workdir subject.Workload.Generator.program
   in
-  let props, _schedule = Grapple.Pipeline.check_properties prepared fsms in
+  let props, _schedule = Grapple.Pipeline.check_properties prepared in
   report_sig (List.concat_map (fun pr -> pr.Grapple.Pipeline.reports) props)
 
 let test_differential_generated_subject () =

@@ -23,17 +23,6 @@ module Report = Grapple.Report
 module Generator = Workload.Generator
 module R = Obs.Registry
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "grapple-test-shard-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Engine.ensure_dir dir;
-    dir
-
 let contains s sub =
   let n = String.length sub in
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
@@ -146,7 +135,7 @@ let fault_budget = 64
    re-dispatches. *)
 let run ?(procs = 0) ?(max_retries = 3) ?plan ?(resume = false) ?budget
     ?workdir program =
-  let workdir = match workdir with Some d -> d | None -> fresh_workdir () in
+  let workdir = match workdir with Some d -> d | None -> Testdir.fresh () in
   let saved = Faults.current () in
   (match plan with
   | Some spec -> Faults.install (Faults.parse spec)
@@ -157,8 +146,7 @@ let run ?(procs = 0) ?(max_retries = 3) ?plan ?(resume = false) ?budget
   @@ fun () ->
   let config =
     { (Pipeline.default_config ~workdir) with
-      Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
+      Pipeline.prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = procs;
       resume;
       engine = { (engine_config ?budget ~workdir ()) with Engine.max_retries } }
@@ -456,11 +444,10 @@ let test_shard_kill_keeps_fault_stream () =
 let test_shard_crash_mid_instance () =
   let program = generated ~seed:33 in
   let expect = run program in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Pipeline.default_config ~workdir) with
-      Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
+      Pipeline.prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 2;
       engine =
         { (Engine.default_config ~workdir) with
@@ -490,11 +477,10 @@ let test_shard_crash_mid_instance () =
    the run still ends. *)
 let test_shard_degrade_to_inconclusive () =
   let program = generated ~seed:11 in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Pipeline.default_config ~workdir) with
-      Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
+      Pipeline.prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       shard_procs = 1;
       engine =
         { (Engine.default_config ~workdir) with
@@ -598,11 +584,10 @@ let test_crash_isolation_resume () =
      plan is installed for the checking phase only — like a process killed
      mid-checking.  Every storage operation is watched and attributed to
      the instance scope the scheduler sets. *)
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Pipeline.default_config ~workdir) with
-      Pipeline.track_null = true;
-      prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
+      Pipeline.prefilter_properties = Checkers.fsms (Checkers.all_with_null ());
       engine =
         { (Engine.default_config ~workdir) with Engine.retry_base_ms = 0.01 } }
   in
@@ -653,7 +638,7 @@ let test_crash_isolation_resume () =
 (* Instances run side by side only in shard processes: a config that asks
    for worker domains is an error, not a silent sequential run. *)
 let test_prepare_rejects_workers () =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Pipeline.default_config ~workdir) with Pipeline.workers = 2 }
   in

@@ -217,14 +217,8 @@ let test_corpus_concrete_violations () =
    a fresh temp directory leave it empty. *)
 let test_check_program_cleans_up () =
   let saved = Filename.get_temp_dir_name () in
-  let tmp =
-    Filename.concat saved
-      (Printf.sprintf "grapple-test-fuzz-tmp-%d" (Unix.getpid ()))
-  in
-  Unix.mkdir tmp 0o755;
-  Fun.protect ~finally:(fun () ->
-      Filename.set_temp_dir_name saved;
-      try Unix.rmdir tmp with Unix.Unix_error _ -> ())
+  let tmp = Testdir.fresh () in
+  Fun.protect ~finally:(fun () -> Filename.set_temp_dir_name saved)
   @@ fun () ->
   Filename.set_temp_dir_name tmp;
   let program = parse_file (List.hd (corpus_files ())) in

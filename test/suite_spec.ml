@@ -4,13 +4,6 @@
    follows what a property tracks rather than its name, and the
    ground-truth scores of the four further DSL-defined checkers. *)
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "grapple-test-spec-%d-%d" (Unix.getpid ()) !counter)
-
 (* ---------------- parsing and validation ---------------- *)
 
 let expect_error ~line ~needle src =
@@ -310,13 +303,12 @@ let test_fsms_projection () =
 
 (* ---------------- pipeline harness ---------------- *)
 
-let prepare_and_run ?(shard_procs = 0) ~track_null (cs : Checkers.t list)
+let prepare_and_run ?(shard_procs = 0) (cs : Checkers.t list)
     (program : Jir.Ast.program) =
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Grapple.Pipeline.default_config ~workdir) with
       Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-      track_null;
       prefilter_properties = Checkers.fsms cs;
       shard_procs }
   in
@@ -363,11 +355,9 @@ let test_renamed_null_property () =
   strict;
 }|})
   in
-  Alcotest.(check bool) "renamed property tracks null" true
-    (Checkers.tracks_null nullx);
   let program = (differential_subject ()).Workload.Generator.program in
   let warnings cs =
-    prepare_and_run ~track_null:(Checkers.tracks_null cs) cs program
+    prepare_and_run cs program
     |> List.concat_map snd
     |> List.map (fun r ->
            Grapple.Report.to_string { r with Grapple.Report.checker = "null" })
@@ -387,7 +377,7 @@ let test_dsl_checkers_worker_invariant () =
   let subject = Workload.Generator.mini_taint () in
   let program = subject.Workload.Generator.program in
   let run shard_procs =
-    render (prepare_and_run ~shard_procs ~track_null:false cs program)
+    render (prepare_and_run ~shard_procs cs program)
   in
   Alcotest.(check string) "in-process = 2 shard processes" (run 0) (run 2)
 
@@ -396,7 +386,7 @@ let test_dsl_checkers_worker_invariant () =
 let score_subject (subject : Workload.Generator.subject) name =
   let c = Checkers.resolve name in
   let results =
-    prepare_and_run ~track_null:false [ c ]
+    prepare_and_run [ c ]
       subject.Workload.Generator.program
   in
   let reports =
@@ -428,14 +418,14 @@ let test_exc_twr_beats_exception () =
   let expected = subject.Workload.Generator.expected in
   let twr =
     let results =
-      prepare_and_run ~track_null:false [ Checkers.resolve "exc_twr" ] program
+      prepare_and_run [ Checkers.resolve "exc_twr" ] program
     in
     let reports = Option.value ~default:[] (List.assoc_opt "exc_twr" results) in
     Workload.Scoring.score ~checker:"exc_twr" ~expected ~reports ()
   in
   let old =
     let results =
-      prepare_and_run ~track_null:false [ Checkers.resolve "exception" ] program
+      prepare_and_run [ Checkers.resolve "exception" ] program
     in
     let reports =
       Option.value ~default:[] (List.assoc_opt "exception" results)

@@ -9,17 +9,6 @@ module Pg = Cfl.Pointer_grammar
 module S = Engine.Storage
 module AEngine = Engine.Make (Cfl.Pointer_grammar)
 
-let fresh_workdir =
-  let counter = ref 0 in
-  fun () ->
-    incr counter;
-    let dir =
-      Filename.concat (Filename.get_temp_dir_name ())
-        (Printf.sprintf "grapple-test-flat-%d-%d" (Unix.getpid ()) !counter)
-    in
-    Engine.ensure_dir dir;
-    dir
-
 let read_bytes path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -81,7 +70,7 @@ let write_edges = Suite_engine.write_edges
 let read_edges = Suite_engine.read_edges
 
 let prop_path =
-  let dir = lazy (fresh_workdir ()) in
+  let dir = lazy (Testdir.fresh ()) in
   let counter = ref 0 in
   fun () ->
     incr counter;
@@ -131,7 +120,7 @@ let prop_flat_torn_tail =
       && (corrupt <> None || List.length back < List.length edges))
 
 let test_flat_extreme_fields () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let path = Filename.concat dir "extreme.edges" in
   let wide = (1 lsl 58) - 1 in
   let iv = [ E.Interval { meth = 0; first = 0; last = 0 } ] in
@@ -171,7 +160,7 @@ let test_edges_added_hand_counted () =
      inflated the counter whenever an edge crossed partitions. *)
   List.iter
     (fun budget ->
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       let config =
         { (Engine.default_config ~workdir) with
           Engine.max_edges_per_partition = budget }
@@ -210,7 +199,7 @@ let test_example_matches_reference () =
     [ (0, 1, Pg.New); (2, 3, Pg.New); (3, 1, Pg.Store 9); (1, 4, Pg.Assign);
       (4, 5, Pg.Load 9) ]
   in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
   let config =
     { (Engine.default_config ~workdir) with
       Engine.max_edges_per_partition = 4;
@@ -263,15 +252,15 @@ let run_corpus ~budget path =
   let program =
     Jir.Resolve.parse_exn ~file:(Filename.basename path) (read_bytes path)
   in
-  let workdir = fresh_workdir () in
+  let workdir = Testdir.fresh () in
+  let base = Grapple.Pipeline.default_config ~workdir in
   let config =
-    { (Grapple.Pipeline.default_config ~workdir) with
-      Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers }
-  in
-  let config =
-    { config with
-      Grapple.Pipeline.engine =
-        { config.Grapple.Pipeline.engine with
+    { base with
+      Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
+      prefilter_properties = Checkers.fsms (Checkers.all ());
+      summary_prefilter = false;
+      engine =
+        { base.Grapple.Pipeline.engine with
           Engine.max_edges_per_partition = budget } }
   in
   let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
@@ -359,7 +348,7 @@ let golden_buffer () =
 (* Round-trip properties cannot see a writer and a reader that drift from
    format 2 together; these digests of the written bytes can. *)
 let test_golden_codec_bytes () =
-  let dir = fresh_workdir () in
+  let dir = Testdir.fresh () in
   let eb = golden_buffer () in
   List.iter
     (fun (block_cap, want) ->
@@ -412,11 +401,10 @@ let test_golden_seed_partitions () =
   in
   List.iter
     (fun (name, program, want) ->
-      let workdir = fresh_workdir () in
+      let workdir = Testdir.fresh () in
       let config =
         { (Grapple.Pipeline.default_config ~workdir) with
           Grapple.Pipeline.library_throwers = Checkers.Specs.library_throwers;
-          track_null = Checkers.tracks_null cs;
           prefilter_properties = Checkers.fsms cs }
       in
       let prepared = Grapple.Pipeline.prepare ~config ~workdir program in
@@ -464,7 +452,7 @@ let edge_block ?count records =
 (* Write [blocks]; read them back.  Returns the records kept, the pool size
    and the rendered corruption, with the byte offset of each block. *)
 let read_crafted blocks =
-  let path = Filename.concat (fresh_workdir ()) "crafted.edges" in
+  let path = Filename.concat (Testdir.fresh ()) "crafted.edges" in
   let oc = open_out_bin path in
   List.iter (output_string oc) blocks;
   close_out oc;
